@@ -1,6 +1,7 @@
 // Benchmarks: one testing.B benchmark (family) per table and figure of
 // the paper's evaluation. These are the unit-sized counterparts of the
-// full sweeps in cmd/reprobench; EXPERIMENTS.md maps each to the paper.
+// full sweeps in cmd/reprobench; benchmark/README.md maps each layer to
+// the paper figure it reproduces.
 //
 //	go test -bench=. -benchmem
 package repro_test

@@ -41,6 +41,10 @@ type cell struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// reportSchema is the BENCH_dist.json schema cmd/reprobench writes,
+// and the only one accepted.
+const reportSchema = 6
+
 type report struct {
 	Schema int    `json:"schema"`
 	Go     string `json:"go"`
@@ -57,13 +61,8 @@ func load(path string) (report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("%s: %w", path, err)
 	}
-	// Schema 2 added the multi-aggregate groupby cells, schema 3 the
-	// serving-layer cells, schema 4 the cluster dispatch cells, schema
-	// 5 the supervisor journal replay cell, and schema 6 the metric
-	// record-path micro cell; the cell fields benchdiff reads are
-	// unchanged, so all schemas diff the same way.
-	if r.Schema < 1 || r.Schema > 6 {
-		return r, fmt.Errorf("%s: unsupported schema %d", path, r.Schema)
+	if r.Schema != reportSchema {
+		return r, fmt.Errorf("%s: schema %d, want %d (the one cmd/reprobench writes)", path, r.Schema, reportSchema)
 	}
 	return r, nil
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func rep(cells ...cell) report {
-	return report{Schema: 3, Go: "go1.24", Rows: 1 << 20, Cells: cells}
+	return report{Schema: reportSchema, Go: "go1.24", Rows: 1 << 20, Cells: cells}
 }
 
 // TestDiffZeroOverlap: two reports whose cell names are disjoint must
@@ -82,5 +85,19 @@ func TestDiffAllocRegression(t *testing.T) {
 	regressions, matched = diff(&out, base, cur, 0.25, 0.10)
 	if matched != 1 || regressions != 0 {
 		t.Fatalf("matched, regressions = %d, %d, want 1, 0", matched, regressions)
+	}
+}
+
+// TestLoadAcceptsOnlyCurrentSchema: a report of any other schema is
+// rejected instead of diffed on the assumption its cells mean the same.
+func TestLoadAcceptsOnlyCurrentSchema(t *testing.T) {
+	for schema, ok := range map[int]bool{reportSchema - 1: false, reportSchema: true, reportSchema + 1: false} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := os.WriteFile(path, []byte(fmt.Sprintf(`{"schema": %d, "cells": []}`, schema)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := load(path); (err == nil) != ok {
+			t.Errorf("schema %d: load error %v, want accepted=%v", schema, err, ok)
+		}
 	}
 }

@@ -160,7 +160,7 @@ type benchCell struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Serving-layer cells only (schema 3): sustained queries per second
+	// Serving-layer cells only: sustained queries per second
 	// and the cache-hit ratio observed during the measurement.
 	QPS           float64 `json:"qps,omitempty"`
 	CacheHitRatio float64 `json:"cache_hit,omitempty"`
@@ -168,14 +168,7 @@ type benchCell struct {
 
 // benchReport is the BENCH_dist.json schema. No timestamps: the file is
 // committed as a baseline and should not churn without a measurement
-// change. Schema 2 added the multi-aggregate shuffle cells (the
-// `groupby/.../q1agg` names and the `aggs` cell field); schema 3 added
-// the serving-layer cells (`serve/...` names with the `qps` and
-// `cache_hit` fields); schema 4 added the cluster job-dispatch cells
-// (`dispatch/rows` vs `dispatch/spec`); schema 5 added the supervisor
-// journal replay cell (`recovery/replay`); schema 6 added the metric
-// record-path micro cell (`metrics/record`); older-schema files remain
-// readable by cmd/benchdiff.
+// change. cmd/benchdiff reads exactly this schema number.
 type benchReport struct {
 	Schema    int         `json:"schema"`
 	Generator string      `json:"generator"`
@@ -360,7 +353,7 @@ func runDistBenchJSON(cfg config) {
 	})
 	add("state_encode/marshal", "", "", "", states, res)
 
-	// Metric record path (schema 6): the obs hot path that now
+	// Metric record path: the obs hot path that now
 	// instruments the shuffle and the serving layer — a counter add, a
 	// gauge high-water update, and a histogram observation per record —
 	// so the baseline pins its cost and allocation profile (expected
@@ -380,7 +373,7 @@ func runDistBenchJSON(cfg config) {
 	})
 	add("metrics/record", "", "", "", records, res)
 
-	// Cluster job dispatch (schema 4): the control-plane bytes the
+	// Cluster job dispatch: the control-plane bytes the
 	// supervisor encodes into one KindJob frame for one node of a
 	// 4-node cluster, for the same logical GROUP BY job expressed two
 	// ways. A raw-shard job re-deals and encodes every row it ships —
@@ -408,7 +401,7 @@ func runDistBenchJSON(cfg config) {
 	})
 	add("dispatch/spec", "", "", "sum", rows, res)
 
-	// Supervisor recovery (schema 5): replaying a journaled control
+	// Supervisor recovery: replaying a journaled control
 	// plane — read, CRC-check, and fold every record back into state —
 	// which is the fixed cost a crashed supervisor pays before it can
 	// re-bind its address and start re-admitting workers. The cell's
@@ -434,7 +427,7 @@ func runDistBenchJSON(cfg config) {
 	})
 	add("recovery/replay", "", "", "", journalRecords, res)
 
-	// Serving layer (schema 3): one GROUP BY answered by a resident
+	// Serving layer: one GROUP BY answered by a resident
 	// query server — cold cache (every op recomputes) vs warm cache
 	// (every op a hit) on the local engine, plus a cold cell through the
 	// distributed backend. Each cell also records sustained QPS and the

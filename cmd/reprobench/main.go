@@ -1,7 +1,7 @@
 // Command reprobench regenerates every table and figure of the paper's
 // evaluation (Section VI) on this machine. Each subcommand prints the
-// rows/series of one experiment; EXPERIMENTS.md records the mapping and
-// the expected shapes.
+// rows/series of one experiment; benchmark/README.md records the
+// mapping and the expected shapes.
 //
 // Usage:
 //

@@ -22,12 +22,14 @@ const DefaultChunkPayload = MaxFramePayload
 // zero (1 GiB).
 const DefaultReassemblyBudget = 1 << 30
 
-// splitFrame splits one logical frame into its wire chunks: every chunk
+// SplitFrame splits one logical frame into its wire chunks: every chunk
 // carries at most maxChunk payload bytes, all but the last exactly
-// maxChunk. Payloads alias f.Payload (no copying — the in-process
-// transport stays zero-copy). An empty payload yields one empty chunk,
-// so receivers can still count senders.
-func splitFrame(f Frame, maxChunk int) []Frame {
+// maxChunk (the uniform stride the reassembler enforces); maxChunk <= 0
+// or above the frame ceiling selects DefaultChunkPayload. Payloads
+// alias f.Payload (no copying — the in-process transport stays
+// zero-copy). An empty payload yields one empty chunk, so receivers can
+// still count senders.
+func SplitFrame(f Frame, maxChunk int) []Frame {
 	if maxChunk <= 0 || maxChunk > MaxFramePayload {
 		maxChunk = DefaultChunkPayload
 	}
@@ -48,40 +50,6 @@ func splitFrame(f Frame, maxChunk int) []Frame {
 	return chunks
 }
 
-// sendChunks transmits every chunk of a cached chunk list. A transport
-// that can coalesce (BatchSender) gets the whole list in one call, so a
-// multi-chunk stream is one syscall burst instead of one write per
-// chunk; fault-injection and observer decorators do not implement
-// BatchSender, so faults and counters keep applying per chunk. Send
-// failures are tolerated protocol-wide: the receiver's re-request path
-// retries chunk by chunk, and a closed transport surfaces through Recv.
-func sendChunks(tr Transport, chunks []Frame) {
-	if bs, ok := tr.(BatchSender); ok && len(chunks) > 1 {
-		_ = bs.SendBatch(chunks)
-		return
-	}
-	for _, c := range chunks {
-		_ = tr.Send(c)
-	}
-}
-
-// serveResend answers one KindResend with the requested chunks of a
-// cached outgoing chunk list: the whole stream for a Chunks == 0
-// selector, the single chunk index req.Chunk for Chunks == 1. An
-// out-of-range index is ignored (a hostile or confused peer cannot
-// make us send frames we never produced).
-func serveResend(tr Transport, chunks []Frame, req Frame) {
-	if req.Chunks == 0 {
-		mRetransmits.Add(uint64(len(chunks)))
-		sendChunks(tr, chunks)
-		return
-	}
-	if int64(req.Chunk) < int64(len(chunks)) {
-		mRetransmits.Inc()
-		_ = tr.Send(chunks[req.Chunk])
-	}
-}
-
 // partialMsg is one incoming logical message mid-reassembly. Chunks are
 // written in place into one contiguous buffer at chunk-index × stride,
 // with an arrival bitmap for dedup — one copy per chunk and no per-chunk
@@ -89,7 +57,7 @@ func serveResend(tr Transport, chunks []Frame, req Frame) {
 // final concatenation.
 //
 // The stride is learned from the first non-final chunk to arrive: our
-// splitFrame makes every chunk except the last exactly the chunk
+// SplitFrame makes every chunk except the last exactly the chunk
 // payload, and the reassembler enforces that shape at the trust
 // boundary (ChanTransport frames bypass the wire decoder). A final
 // chunk arriving before any non-final one is stashed until the stride
@@ -106,8 +74,11 @@ type partialMsg struct {
 	bytes   int      // bytes charged against the budget: the stash, then the whole buffer
 }
 
-// reassembler rebuilds logical messages from chunk streams on one
-// node's receive path. It writes out-of-order chunks in place into one
+// Reassembler rebuilds logical messages from chunk streams on one
+// receive path — a node's data plane, or one control connection of the
+// multi-process runtime, so chunked job specs and results obey the same
+// trust-boundary rules as data-plane traffic. Not safe for concurrent
+// use. It writes out-of-order chunks in place into one
 // contiguous per-message buffer (see partialMsg), deduplicates per
 // chunk (a retransmitted or fault-duplicated chunk is absorbed exactly
 // once), remembers completed messages so whole-message retransmissions
@@ -121,36 +92,38 @@ type partialMsg struct {
 // bitmap stays proportional to the budget (chunk count ≤ buffer size).
 // It revalidates chunk headers itself: frames arriving by reference
 // through ChanTransport never pass the wire decoder.
-type reassembler struct {
+type Reassembler struct {
 	budget  int
 	used    int
 	partial map[uint64]*partialMsg // keyed by dedupKey(From, Seq)
 	done    dedup
 }
 
-func newReassembler(budget int) *reassembler {
+// NewReassembler returns an empty reassembler; budget <= 0 selects
+// DefaultReassemblyBudget.
+func NewReassembler(budget int) *Reassembler {
 	if budget <= 0 {
 		budget = DefaultReassemblyBudget
 	}
-	return &reassembler{
+	return &Reassembler{
 		budget:  budget,
 		partial: make(map[uint64]*partialMsg),
 		done:    make(dedup),
 	}
 }
 
-// accept consumes one wire frame. When the frame completes its logical
-// message, accept returns the message with its full payload and
+// Accept consumes one wire frame. When the frame completes its logical
+// message, Accept returns the message with its full payload and
 // complete = true; the message is then marked done and all further
 // deliveries on its (From, Seq) stream are swallowed. fresh reports
 // whether the frame contributed new bytes (the protocols' straggler
 // give-up budget measures silence, and a chunk of a still-incomplete
 // message is progress). Inconsistent streams — mismatched chunk counts
 // or kinds, out-of-range indexes, empty chunks of a multi-chunk
-// message, chunk sizes that break the uniform-stride shape splitFrame
+// message, chunk sizes that break the uniform-stride shape SplitFrame
 // guarantees — and budget exhaustion yield an error; the frame is
 // discarded and the reassembler stays usable.
-func (r *reassembler) accept(f Frame) (msg Frame, complete, fresh bool, err error) {
+func (r *Reassembler) Accept(f Frame) (msg Frame, complete, fresh bool, err error) {
 	key := dedupKey(f.From, f.Seq)
 	if r.done[key] {
 		return Frame{}, false, false, nil
@@ -285,11 +258,11 @@ func (r *reassembler) accept(f Frame) (msg Frame, complete, fresh bool, err erro
 	return msg, true, true, nil
 }
 
-// missing returns the chunk indexes still absent from the partially
+// Missing returns the chunk indexes still absent from the partially
 // received message (from, seq), in ascending order, or nil if no chunk
 // of the message has arrived yet (so the caller should re-request the
 // whole stream).
-func (r *reassembler) missing(from int, seq uint32) []uint32 {
+func (r *Reassembler) Missing(from int, seq uint32) []uint32 {
 	p := r.partial[dedupKey(from, seq)]
 	if p == nil {
 		return nil
@@ -310,33 +283,4 @@ func (r *reassembler) missing(from int, seq uint32) []uint32 {
 		}
 	}
 	return idx
-}
-
-// maxChunkRequests bounds the targeted re-requests issued for one
-// stream per deadline round, so a barely started many-thousand-chunk
-// message does not answer every timeout with a request flood (and a
-// matching flood of retransmissions racing the still-in-flight
-// originals). Any arrival resets the round budget, and later rounds
-// ask for whatever is still missing, so convergence is unaffected.
-const maxChunkRequests = 64
-
-// requestMissing sends the re-request frames for peer's stream seq:
-// targeted KindResends for (up to maxChunkRequests of) the missing
-// chunks when part of the message has arrived — so a single lost chunk
-// costs one chunk of retransmit, not the whole logical message — or a
-// whole-stream request when nothing has.
-func requestMissing(tr Transport, r *reassembler, id, peer int, seq uint32) {
-	idx := r.missing(peer, seq)
-	if idx == nil {
-		mResendReqs.Inc()
-		_ = tr.Send(Frame{Kind: KindResend, From: id, To: peer, Seq: seq})
-		return
-	}
-	if len(idx) > maxChunkRequests {
-		idx = idx[:maxChunkRequests]
-	}
-	mResendReqs.Add(uint64(len(idx)))
-	for _, i := range idx {
-		_ = tr.Send(Frame{Kind: KindResend, From: id, To: peer, Seq: seq, Chunk: i, Chunks: 1})
-	}
 }

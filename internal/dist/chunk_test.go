@@ -20,7 +20,7 @@ import (
 // cells.
 var seedSweep = flag.Int("dist.seedsweep", 1, "workload seeds for the chunked transport matrix")
 
-// --- splitFrame / reassembler units ---
+// --- SplitFrame / reassembler units ---
 
 func TestSplitFrame(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 10)
@@ -37,7 +37,7 @@ func TestSplitFrame(t *testing.T) {
 		{0, 1},  // 0 means the 16 MiB default
 	}
 	for _, c := range cases {
-		chunks := splitFrame(base, c.maxChunk)
+		chunks := SplitFrame(base, c.maxChunk)
 		if len(chunks) != c.want {
 			t.Fatalf("maxChunk %d: %d chunks, want %d", c.maxChunk, len(chunks), c.want)
 		}
@@ -58,38 +58,38 @@ func TestSplitFrame(t *testing.T) {
 
 	// An empty payload still yields exactly one (empty) chunk, so
 	// receivers can count senders.
-	empty := splitFrame(Frame{Kind: KindGroups, From: 0, To: 0, Seq: seqShuffle}, 4)
+	empty := SplitFrame(Frame{Kind: KindGroups, From: 0, To: 0, Seq: seqShuffle}, 4)
 	if len(empty) != 1 || empty[0].Chunks != 1 || len(empty[0].Payload) != 0 {
 		t.Fatalf("empty payload split to %+v", empty)
 	}
 
 	// Chunk payloads alias the logical payload: no copying on the
 	// in-process path.
-	chunks := splitFrame(base, 4)
+	chunks := SplitFrame(base, 4)
 	if &chunks[0].Payload[0] != &payload[0] {
 		t.Fatal("chunk payload does not alias the logical payload")
 	}
 }
 
 func TestReassemblerMissing(t *testing.T) {
-	asm := newReassembler(1 << 20)
-	chunks := splitFrame(Frame{Kind: KindPartial, From: 3, To: 0, Seq: 0, Payload: bytes.Repeat([]byte{1}, 100)}, 10)
+	asm := NewReassembler(1 << 20)
+	chunks := SplitFrame(Frame{Kind: KindPartial, From: 3, To: 0, Seq: 0, Payload: bytes.Repeat([]byte{1}, 100)}, 10)
 	if len(chunks) != 10 {
 		t.Fatalf("%d chunks, want 10", len(chunks))
 	}
 
 	// Nothing heard yet: missing() reports nil, meaning "ask for the
 	// whole stream".
-	if idx := asm.missing(3, 0); idx != nil {
+	if idx := asm.Missing(3, 0); idx != nil {
 		t.Fatalf("missing before any chunk = %v, want nil", idx)
 	}
 	for _, i := range []int{1, 4, 7} {
-		if _, complete, fresh, err := asm.accept(chunks[i]); err != nil || complete || !fresh {
+		if _, complete, fresh, err := asm.Accept(chunks[i]); err != nil || complete || !fresh {
 			t.Fatalf("chunk %d: complete=%v fresh=%v err=%v", i, complete, fresh, err)
 		}
 	}
 	want := []uint32{0, 2, 3, 5, 6, 8, 9}
-	got := asm.missing(3, 0)
+	got := asm.Missing(3, 0)
 	if len(got) != len(want) {
 		t.Fatalf("missing = %v, want %v", got, want)
 	}
@@ -100,7 +100,7 @@ func TestReassemblerMissing(t *testing.T) {
 	}
 
 	// Duplicates are absorbed without completing or counting as fresh.
-	if _, complete, fresh, err := asm.accept(chunks[4]); err != nil || complete || fresh {
+	if _, complete, fresh, err := asm.Accept(chunks[4]); err != nil || complete || fresh {
 		t.Fatalf("duplicate chunk: complete=%v fresh=%v err=%v", complete, fresh, err)
 	}
 
@@ -108,7 +108,7 @@ func TestReassemblerMissing(t *testing.T) {
 	var final Frame
 	completions := 0
 	for _, i := range []int{0, 2, 3, 5, 6, 8, 9} {
-		msg, complete, _, err := asm.accept(chunks[i])
+		msg, complete, _, err := asm.Accept(chunks[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,10 +123,10 @@ func TestReassemblerMissing(t *testing.T) {
 
 	// Completed: further chunks of the stream are swallowed, and
 	// missing() no longer reports a partial.
-	if _, complete, fresh, err := asm.accept(chunks[0]); err != nil || complete || fresh {
+	if _, complete, fresh, err := asm.Accept(chunks[0]); err != nil || complete || fresh {
 		t.Fatalf("post-completion chunk: complete=%v fresh=%v err=%v", complete, fresh, err)
 	}
-	if idx := asm.missing(3, 0); idx != nil {
+	if idx := asm.Missing(3, 0); idx != nil {
 		t.Fatalf("missing after completion = %v, want nil", idx)
 	}
 }
@@ -135,21 +135,21 @@ func TestReassemblerBudgetReleasedOnCompletion(t *testing.T) {
 	// Budget fits one message at a time but not two partials: if
 	// completion did not release the buffered bytes, the second message
 	// would trip the budget.
-	asm := newReassembler(120)
+	asm := NewReassembler(120)
 	for seq := uint32(0); seq < 5; seq++ {
-		chunks := splitFrame(Frame{Kind: KindGather, From: 1, To: 0, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 100)}, 30)
+		chunks := SplitFrame(Frame{Kind: KindGather, From: 1, To: 0, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 100)}, 30)
 		for i := len(chunks) - 1; i >= 0; i-- { // out of order, to force buffering
-			if _, _, _, err := asm.accept(chunks[i]); err != nil {
+			if _, _, _, err := asm.Accept(chunks[i]); err != nil {
 				t.Fatalf("seq %d chunk %d: %v", seq, i, err)
 			}
 		}
 	}
 
 	// A partial stream that would exceed the budget errors instead.
-	big := splitFrame(Frame{Kind: KindGather, From: 2, To: 0, Seq: 9, Payload: bytes.Repeat([]byte{9}, 300)}, 30)
+	big := SplitFrame(Frame{Kind: KindGather, From: 2, To: 0, Seq: 9, Payload: bytes.Repeat([]byte{9}, 300)}, 30)
 	var err error
 	for i := len(big) - 1; i >= 0 && err == nil; i-- {
-		_, _, _, err = asm.accept(big[i])
+		_, _, _, err = asm.Accept(big[i])
 	}
 	if !errors.Is(err, ErrChunkBudget) {
 		t.Fatalf("got %v, want ErrChunkBudget", err)

@@ -62,7 +62,8 @@ func (t Topology) String() string {
 	}
 }
 
-func (t Topology) valid() bool { return t >= Binomial && t <= Star }
+// Valid reports whether t is a known topology.
+func (t Topology) Valid() bool { return t >= Binomial && t <= Star }
 
 // parent returns the node that id ships its merged partial to, or −1
 // for the root (node 0).

@@ -2,15 +2,11 @@ package dist
 
 import (
 	"errors"
-	"math"
 	"testing"
-	"time"
 )
 
-// Tests of the exported support surface (export.go) the multi-process
-// runtime builds on, and of Config.Validate. The wrappers must behave
-// exactly like the internals they wrap — these tests pin that, and
-// keep the surface inside the dist coverage gate.
+// Tests of the exported support surface the multi-process runtime
+// builds on, and of Config.Validate.
 
 func TestSplitFrameReassemblerRoundTrip(t *testing.T) {
 	payload := make([]byte, 10_000)
@@ -47,49 +43,6 @@ func TestSplitFrameReassemblerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMailboxesExported(t *testing.T) {
-	mb := NewMailboxes(2)
-	if mb.Nodes() != 2 {
-		t.Fatalf("Nodes = %d, want 2", mb.Nodes())
-	}
-	if err := mb.Deliver(Frame{Kind: KindPartial, To: 1, Chunks: 1, Payload: []byte{1}}); err != nil {
-		t.Fatalf("Deliver: %v", err)
-	}
-	batch := []Frame{
-		{Kind: KindPartial, To: 1, Seq: 1, Chunks: 1},
-		{Kind: KindPartial, To: 1, Seq: 2, Chunks: 1},
-	}
-	if err := mb.DeliverBatch(batch); err != nil {
-		t.Fatalf("DeliverBatch: %v", err)
-	}
-	for want := 0; want < 3; want++ {
-		if _, err := mb.Recv(1, time.Second); err != nil {
-			t.Fatalf("Recv %d: %v", want, err)
-		}
-	}
-	if _, err := mb.Recv(1, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("empty Recv: %v, want ErrTimeout", err)
-	}
-	select {
-	case <-mb.Done():
-		t.Fatal("Done closed before Shutdown")
-	default:
-	}
-	mb.Shutdown()
-	mb.Shutdown() // idempotent
-	select {
-	case <-mb.Done():
-	default:
-		t.Fatal("Done not closed after Shutdown")
-	}
-	if err := mb.Deliver(Frame{To: 0, Chunks: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Deliver after Shutdown: %v, want ErrClosed", err)
-	}
-	if _, err := mb.Recv(0, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Recv after Shutdown: %v, want ErrClosed", err)
-	}
-}
-
 func TestWireErrorRoundTrip(t *testing.T) {
 	for _, sentinel := range []error{ErrStraggler, ErrBadFrame, ErrChunkBudget, ErrHandshake} {
 		wrapped := errors.Join(errors.New("context"), sentinel)
@@ -106,19 +59,6 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	sup := DecodeErr(-1, EncodeErr(ErrHandshake))
 	if got := sup.Error(); !errors.Is(sup, ErrHandshake) || got != "dist: supervisor: "+ErrHandshake.Error() {
 		t.Errorf("supervisor error = %q (Is(ErrHandshake)=%v)", got, errors.Is(sup, ErrHandshake))
-	}
-}
-
-func TestEncodeGroupsRoundTrip(t *testing.T) {
-	in := []Group{{Key: 1, Sum: 1.5}, {Key: 9, Sum: math.Inf(-1)}, {Key: 1 << 30, Sum: -0.0}}
-	out := DecodeGroups(EncodeGroups(in))
-	if len(out) != len(in) {
-		t.Fatalf("%d groups, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].Key != in[i].Key || math.Float64bits(out[i].Sum) != math.Float64bits(in[i].Sum) {
-			t.Fatalf("group %d: %+v, want %+v", i, out[i], in[i])
-		}
 	}
 }
 

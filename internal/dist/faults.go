@@ -48,8 +48,8 @@ type FaultPlan struct {
 	Reorder bool
 }
 
-// active reports whether the plan injects any fault at all.
-func (p FaultPlan) active() bool {
+// Active reports whether the plan injects any fault at all.
+func (p FaultPlan) Active() bool {
 	return p.DropProb > 0 || p.DupProb > 0 || p.MaxDelay > 0 || p.Reorder
 }
 

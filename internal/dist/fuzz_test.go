@@ -93,7 +93,7 @@ func FuzzFrameDecode(f *testing.F) {
 // chunks that were actually fed. The input is a wire byte stream (so
 // the corpus composes with FuzzFrameDecode's bit-flip mutations), and
 // when the stream ends the same bytes are round-tripped through
-// splitFrame under reversal and duplication, which must reassemble to
+// SplitFrame under reversal and duplication, which must reassemble to
 // exactly the input.
 func FuzzChunkReassembly(f *testing.F) {
 	s := rsum.NewState64(2)
@@ -107,7 +107,7 @@ func FuzzChunkReassembly(f *testing.F) {
 		}
 		return b
 	}
-	threeChunks := splitFrame(Frame{Kind: KindPartial, From: 2, To: 0, Seq: 0, Payload: enc}, (len(enc)+2)/3)
+	threeChunks := SplitFrame(Frame{Kind: KindPartial, From: 2, To: 0, Seq: 0, Payload: enc}, (len(enc)+2)/3)
 	seeds := [][]byte{
 		stream(threeChunks...),                                 // in order
 		stream(threeChunks[2], threeChunks[0], threeChunks[1]), // out of order
@@ -142,7 +142,7 @@ func FuzzChunkReassembly(f *testing.F) {
 		// buffers at allocation — may reject frames; the ledger mirrors
 		// any accept error by simply not recording the frame. Budget
 		// behavior has its own tests.
-		asm := newReassembler(len(data) + 1)
+		asm := NewReassembler(len(data) + 1)
 		type ledger struct {
 			kind      byte
 			total     uint32
@@ -160,7 +160,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			if fr.Kind == KindResend {
 				continue // control frame, never reassembled
 			}
-			msg, complete, _, aerr := asm.accept(fr)
+			msg, complete, _, aerr := asm.Accept(fr)
 
 			// Mirror accept's acceptance rules into the ledger.
 			key := dedupKey(fr.From, fr.Seq)
@@ -206,7 +206,7 @@ func FuzzChunkReassembly(f *testing.F) {
 		}
 
 		// Part 2: the same bytes as a logical payload must round-trip
-		// through splitFrame → reassembler under reordering and
+		// through SplitFrame → reassembler under reordering and
 		// duplication, bit-exactly.
 		maxChunk := 1
 		if len(data) > 0 {
@@ -219,13 +219,13 @@ func FuzzChunkReassembly(f *testing.F) {
 		if minChunk := (len(data) + MaxChunksPerMessage - 1) / MaxChunksPerMessage; maxChunk < minChunk {
 			maxChunk = minChunk
 		}
-		chunks := splitFrame(Frame{Kind: KindGather, From: 7, To: 0, Seq: 1, Payload: data}, maxChunk)
-		rt := newReassembler(0)
+		chunks := SplitFrame(Frame{Kind: KindGather, From: 7, To: 0, Seq: 1, Payload: data}, maxChunk)
+		rt := NewReassembler(0)
 		var got []byte
 		completions := 0
 		for i := len(chunks) - 1; i >= 0; i-- { // reversed, every chunk duplicated
 			for pass := 0; pass < 2; pass++ {
-				msg, complete, _, err := rt.accept(chunks[i])
+				msg, complete, _, err := rt.Accept(chunks[i])
 				if err != nil {
 					t.Fatalf("round-trip chunk %d: %v", i, err)
 				}

@@ -11,13 +11,8 @@ import (
 	"repro/internal/hashagg"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/rsum"
 	"repro/internal/sqlagg"
 )
-
-// newPartial initializes a bare SUM partial state (the payload of the
-// single-aggregate fast helpers and the hot-path benchmarks).
-func newPartial() rsum.State64 { return rsum.NewState64(levels) }
 
 // sumSpecs is the spec list of the classic GROUP BY SUM: one
 // reproducible SUM over column 0, at the distributed plane's level
@@ -74,6 +69,15 @@ type tuplePlan struct {
 	width int
 }
 
+// planShard builds the plan for specs after checking that the shard's
+// columns fit it.
+func planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*tuplePlan, error) {
+	if err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, specs); err != nil {
+		return nil, err
+	}
+	return newTuplePlan(specs)
+}
+
 func newTuplePlan(specs []sqlagg.AggSpec) (*tuplePlan, error) {
 	states, err := sqlagg.NewStates(specs)
 	if err != nil {
@@ -108,39 +112,12 @@ func (p *tuplePlan) maxCol() int {
 	return m
 }
 
-// appendPair appends one ⟨key, partial state⟩ pair to a shuffle frame:
-// 4-byte little-endian key, 4-byte length, then the canonical state
-// encoding.
-func appendPair(frame []byte, key uint32, state []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], key)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(state)))
-	return append(append(frame, hdr[:]...), state...)
-}
-
-// appendPairState is appendPair with the state encoded in place: the
-// canonical encoding is appended directly to the frame buffer via
-// AppendBinary, so the shuffle's per-key encode loop performs no
-// allocation once the frame has capacity (appendPair by contrast needs
-// a MarshalBinary heap allocation per key). The layouts are
-// byte-identical; the pair length is patched in after encoding.
-func appendPairState(frame []byte, key uint32, st *rsum.State64) ([]byte, error) {
-	start := len(frame)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], key)
-	frame = append(frame, hdr[:]...)
-	out, err := st.AppendBinary(frame)
-	if err != nil {
-		return frame, err
-	}
-	binary.LittleEndian.PutUint32(out[start+4:], uint32(len(out)-start-8))
-	return out, nil
-}
-
-// appendTuple extends the in-place encode to a tuple of states: the
-// spec-ordered state encodings are appended back to back after the pair
-// header, and the pair length is patched in afterwards. A single-SUM
-// plan reproduces appendPairState's bytes exactly.
+// appendTuple appends one ⟨key, state tuple⟩ pair to a shuffle frame:
+// 4-byte little-endian key, 4-byte length, then the spec-ordered
+// canonical state encodings back to back. The states encode in place
+// (AppendBinary) and the length is patched in afterwards, so the
+// shuffle's per-key encode loop performs no allocation once the frame
+// has capacity.
 func appendTuple(frame []byte, key uint32, tup *aggTuple) ([]byte, error) {
 	start := len(frame)
 	var hdr [8]byte
@@ -332,152 +309,78 @@ func ValidateShardColumns(localKeys [][]uint32, localCols [][][]float64, specs [
 // multi-process runtimes (internal/dist/proc); AggregateTuplesConfig
 // runs the same function on one goroutine per node.
 //
-// Like the reduction tree, the shuffle has straggler handling: a
-// receiver that makes no progress for ChildDeadline re-requests what is
+// Like the reduction tree, the shuffle runs on the shared collector and
+// so has its straggler handling: a receiver that makes no progress for ChildDeadline re-requests what is
 // missing — whole streams it has heard nothing of, individual chunks of
 // partially received ones — every node caches its outgoing chunk lists
 // and retransmits on demand, and a permanently silent peer surfaces
 // ErrStraggler instead of a hang.
 func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs []sqlagg.AggSpec, tr Transport, cfg Config) ([]TupleGroup, error) {
 	n := tr.Nodes()
-	plan, cerr := newTuplePlan(specs)
-	if cerr == nil {
-		cerr = ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, specs)
-	}
+	plan, cerr := planShard(keys, cols, specs)
 	var frames [][]byte
 	if cerr == nil {
 		frames, cerr = combineShard(keys, cols, plan, n, workers, cfg.maxMessage())
 	}
 
-	// outShuffle caches the outgoing shuffle chunks per destination —
-	// the combiner's frame, or its failure on the same stream. First
-	// sends and straggler retransmissions serve from the same cache, so
-	// every transmission of a chunk is identical.
-	outShuffle := make([][]Frame, n)
-	for d := 0; d < n; d++ {
-		var f Frame
-		if cerr != nil {
-			f = Frame{Kind: KindError, From: id, To: d, Seq: seqShuffle, Payload: encodeErr(cerr)}
-		} else {
-			f = Frame{Kind: KindGroups, From: id, To: d, Seq: seqShuffle, Payload: frames[d]}
-		}
-		outShuffle[d] = splitFrame(f, cfg.chunkPayload())
-	}
-
 	// Shuffle: one message (possibly empty, so owners can count
-	// senders) to every owner. A send failure is survivable: the
-	// owner's re-request path retries chunk by chunk (over TCP, on a
-	// freshly dialed connection), and if the transport is truly gone
-	// every node unblocks through Recv failing.
+	// senders) to every owner — the combiner's frame, or its failure on
+	// the same stream.
+	col := newCollector(id, tr, cfg)
 	cfg.gate.wait(id)
 	for d := 0; d < n; d++ {
-		sendChunks(tr, outShuffle[d])
+		f := Frame{Kind: KindGroups, From: id, To: d, Seq: seqShuffle}
+		if cerr != nil {
+			f.Kind, f.Payload = KindError, EncodeErr(cerr)
+		} else {
+			f.Payload = frames[d]
+		}
+		col.send(f)
 	}
 	cfg.gate.done()
 
 	// Owner role: merge incoming per-key tuples in arrival order. The
-	// root interleaves this with collecting gather messages, which may
-	// overtake shuffle messages on a reordering transport.
-	var states *hashagg.Table[aggTuple]
-	if plan != nil {
-		states = hashagg.New(64, hashagg.Identity, plan.newTuple)
+	// root interleaves this with collecting every other owner's gather
+	// message, which may overtake shuffle messages on a reordering
+	// transport. A node that cannot even plan its tuples skips the
+	// collection (its failure is already cached on every stream).
+	for s := 0; s < n; s++ {
+		col.expect(s, seqShuffle)
 	}
-	var ownErr error
-	if cerr != nil {
-		// A node that cannot even plan its tuples still walks the full
-		// protocol (its failure is already cached on every stream), but
-		// must not touch the nil table.
-		ownErr = cerr
+	for s := 1; s < n && id == 0; s++ {
+		col.expect(s, seqGather)
 	}
-	var outGather []Frame // cached gather chunks, once built (non-root)
-	asm := newReassembler(cfg.reassemblyBudget())
-	shuffleHeard := make(map[int]bool, n)
-	gatherHeard := make(map[int]bool, n)
 	gathers := make([][]byte, 0, n)
-	wantGathers := 0
-	if id == 0 {
-		wantGathers = n - 1 // every other owner's finalized groups
-	}
-	resends := 0
 	// Root-side hop digests for Config.Trace: per-sender payload
 	// digests folded order-invariantly (XOR), so a reordering
 	// transport reports the same digest for the same bytes.
 	var shuffleDigest, gatherDigest uint64
 	traceHops := cfg.Trace != nil && id == 0
-	for ownErr == nil && (len(shuffleHeard) < n || len(gatherHeard) < wantGathers) {
-		f, rerr := tr.Recv(id, cfg.childDeadline())
-		switch {
-		case errors.Is(rerr, ErrTimeout):
-			// Straggler handling: re-request every missing slot —
-			// targeted chunk requests for partially received streams.
-			if resends >= cfg.maxResend() {
-				ownErr = fmt.Errorf("%w (node %d shuffle: %d/%d senders, %d/%d gathers)",
-					ErrStraggler, id, len(shuffleHeard), n, len(gatherHeard), wantGathers)
-				break
-			}
-			resends++
-			// Re-request send failures are tolerated like all other
-			// sends: the next round retries, and a closed transport
-			// surfaces through Recv.
-			for s := 0; s < n; s++ {
-				if !shuffleHeard[s] {
-					requestMissing(tr, asm, id, s, seqShuffle)
-				}
-			}
-			for s := 1; s < n && id == 0; s++ {
-				if !gatherHeard[s] {
-					requestMissing(tr, asm, id, s, seqGather)
-				}
-			}
-		case rerr != nil:
-			// Transport closed underneath an unfinished protocol; keep
-			// any more specific error already recorded.
-			ownErr = rerr
-		case f.Kind == KindResend:
-			// A peer is missing (part of) one of our slots; retransmit
-			// the requested chunks from cache. A gather re-request
-			// before our gather is built is answered by the eventual
-			// first send.
-			if f.Seq == seqShuffle && f.From >= 0 && f.From < n {
-				serveResend(tr, outShuffle[f.From], f)
-			} else if f.Seq == seqGather && outGather != nil {
-				serveResend(tr, outGather, f)
-			}
-		default:
-			msg, complete, fresh, aerr := asm.accept(f)
-			if fresh {
-				resends = 0 // progress: the give-up budget is for silence, not slowness
-			}
+	var states *hashagg.Table[aggTuple]
+	ownErr := cerr
+	if ownErr == nil {
+		states = hashagg.New(64, hashagg.Identity, plan.newTuple)
+		ownErr = col.collect(func(msg Frame) error {
 			switch {
-			case aerr != nil:
-				ownErr = fmt.Errorf("dist: node %d reassembling from node %d: %w", id, f.From, aerr)
-			case !complete:
-				// Chunk buffered (or duplicate absorbed); keep collecting.
 			case msg.Seq == seqShuffle && msg.Kind == KindGroups:
-				shuffleHeard[msg.From] = true
 				if traceHops {
 					shuffleDigest ^= obs.FNV64a(msg.Payload)
 				}
-				ownErr = walkFrame(msg.Payload, func(key uint32, enc []byte) error {
+				return walkFrame(msg.Payload, func(key uint32, enc []byte) error {
 					if e := plan.mergeTuple(states.Upsert(key), enc); e != nil {
 						return fmt.Errorf("dist: node %d merging group %d from node %d: %w", id, key, msg.From, e)
 					}
 					return nil
 				})
-			case msg.Seq == seqShuffle && msg.Kind == KindError:
-				shuffleHeard[msg.From] = true
-				ownErr = decodeErr(msg.From, msg.Payload)
-			case msg.Seq == seqGather && msg.Kind == KindGather && id == 0:
-				gatherHeard[msg.From] = true
+			case msg.Seq == seqGather && msg.Kind == KindGather:
 				if traceHops {
 					gatherDigest ^= obs.FNV64a(msg.Payload)
 				}
 				gathers = append(gathers, msg.Payload)
-			case msg.Seq == seqGather && msg.Kind == KindError && id == 0:
-				gatherHeard[msg.From] = true
-				ownErr = decodeErr(msg.From, msg.Payload)
+				return nil
 			}
-		}
+			return fmt.Errorf("%w: node %d got kind %d on stream %d from node %d", ErrBadFrame, id, msg.Kind, msg.Seq, msg.From)
+		})
 	}
 
 	// Finalize this owner's groups (disjoint from every other owner's)
@@ -487,43 +390,25 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 		local = finalizeTuples(states, len(specs))
 	}
 
-	recSize := gatherRecordSize(len(specs))
-	if ownErr == nil && id != 0 && len(local)*recSize > cfg.maxMessage() {
-		ownErr = fmt.Errorf("%w: gather message from node %d would be %d bytes (max message %d)",
-			ErrChunkBudget, id, len(local)*recSize, cfg.maxMessage())
-	}
-
 	if id != 0 {
-		out := Frame{Kind: KindGather, From: id, To: 0, Seq: seqGather, Payload: encodeTupleGroups(local, len(specs))}
+		out := Frame{Kind: KindGather, From: id, To: 0, Seq: seqGather}
+		if size := len(local) * gatherRecordSize(len(specs)); ownErr == nil && size > cfg.maxMessage() {
+			ownErr = fmt.Errorf("%w: gather message from node %d would be %d bytes (max message %d)",
+				ErrChunkBudget, id, size, cfg.maxMessage())
+		}
 		if ownErr != nil {
-			out = Frame{Kind: KindError, From: id, To: 0, Seq: seqGather, Payload: encodeErr(ownErr)}
+			out.Kind, out.Payload = KindError, EncodeErr(ownErr)
+		} else {
+			out.Payload = EncodeTupleGroups(local, len(specs))
 		}
-		outGather = splitFrame(out, cfg.chunkPayload())
-		sendChunks(tr, outGather) // on failure the root's re-request path retries
-
-		// Serve straggler re-requests from the cached chunk lists until
-		// the caller closes the transport; send failures are left to
-		// the next re-request round.
-		for {
-			f, rerr := tr.Recv(id, 0)
-			if rerr != nil {
-				return nil, ownErr
-			}
-			if f.Kind != KindResend {
-				continue
-			}
-			if f.Seq == seqShuffle && f.From >= 0 && f.From < n {
-				serveResend(tr, outShuffle[f.From], f)
-			} else if f.Seq == seqGather {
-				serveResend(tr, outGather, f)
-			}
-		}
+		col.send(out)
+		col.serve()
+		return nil, ownErr
 	}
 
 	// Root gather: owners hold disjoint key sets and each gather
 	// payload arrives as a key-sorted run, so the global result is a
-	// k-way merge of the runs — no global sort (the old concatenate-
-	// and-sort re-sorted every group on every query).
+	// k-way merge of the runs — no global sort.
 	if ownErr != nil {
 		return nil, ownErr
 	}
@@ -534,13 +419,34 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	runs := make([][]TupleGroup, 0, len(gathers)+1)
 	runs = append(runs, local)
 	for _, payload := range gathers {
-		run, derr := decodeTupleGroups(payload, len(specs))
+		run, derr := DecodeTupleGroups(payload, len(specs))
 		if derr != nil {
 			return nil, fmt.Errorf("dist: root decoding gather: %w", derr)
 		}
 		runs = append(runs, run)
 	}
 	return mergeSortedRuns(runs), nil
+}
+
+// GroupTuples is the local form of the owner-side aggregation: it folds
+// rows ⟨keys[i], cols[·][i]⟩ into one tuple of aggregate states per
+// distinct key — the same table, plan and finalization the distributed
+// operator's owners use — and returns the finalized groups key-sorted.
+// hint sizes the table; a bound that never undercounts the distinct
+// keys (partition.Output.DistinctBound) means it never rehashes.
+func GroupTuples(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec, hint int) ([]TupleGroup, error) {
+	plan, err := planShard(keys, cols, specs)
+	if err != nil {
+		return nil, err
+	}
+	table := hashagg.New(hint, hashagg.Identity, plan.newTuple)
+	for i, k := range keys {
+		tup := table.Upsert(k)
+		for si, st := range tup.states {
+			st.Add(cols[specs[si].Col][i])
+		}
+	}
+	return finalizeTuples(table, len(specs)), nil
 }
 
 // finalizeTuples drains an owner table into a key-sorted group run.
@@ -712,40 +618,15 @@ func combineShard(keys []uint32, cols [][]float64, plan *tuplePlan, n, workers, 
 	return frames, nil
 }
 
-// encodeGroups flattens finalized groups for the gather message:
-// 4-byte key, 8-byte float64 bits per group.
-func encodeGroups(gs []Group) []byte {
-	buf := make([]byte, 0, len(gs)*12)
-	for _, g := range gs {
-		var rec [12]byte
-		binary.LittleEndian.PutUint32(rec[0:], g.Key)
-		binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(g.Sum))
-		buf = append(buf, rec[:]...)
-	}
-	return buf
-}
-
-// decodeGroups inverts encodeGroups.
-func decodeGroups(buf []byte) []Group {
-	gs := make([]Group, 0, len(buf)/12)
-	for len(buf) >= 12 {
-		gs = append(gs, Group{
-			Key: binary.LittleEndian.Uint32(buf[0:]),
-			Sum: math.Float64frombits(binary.LittleEndian.Uint64(buf[4:])),
-		})
-		buf = buf[12:]
-	}
-	return gs
-}
-
 // gatherRecordSize is the fixed byte width of one finalized group in a
 // gather message: the key plus one float64 per spec.
 func gatherRecordSize(nspecs int) int { return 4 + 8*nspecs }
 
-// encodeTupleGroups flattens finalized multi-aggregate groups for the
-// gather message: 4-byte key, then 8-byte float64 bits per spec. A
-// single-spec list reproduces encodeGroups's bytes.
-func encodeTupleGroups(gs []TupleGroup, nspecs int) []byte {
+// EncodeTupleGroups flattens finalized multi-aggregate groups into the
+// gather wire layout (4-byte key, then 8-byte float64 bits per spec) —
+// also the result payload of a multi-process GROUP BY and the serving
+// layer's canonical result encoding.
+func EncodeTupleGroups(gs []TupleGroup, nspecs int) []byte {
 	rec := gatherRecordSize(nspecs)
 	buf := make([]byte, 0, len(gs)*rec)
 	var scratch [4]byte
@@ -761,11 +642,11 @@ func encodeTupleGroups(gs []TupleGroup, nspecs int) []byte {
 	return buf
 }
 
-// decodeTupleGroups inverts encodeTupleGroups. The payload length must
+// DecodeTupleGroups inverts EncodeTupleGroups. The payload length must
 // be an exact multiple of the record size (the payload crosses the
 // process boundary in proc clusters). All aggregate values share one
 // flat backing array.
-func decodeTupleGroups(buf []byte, nspecs int) ([]TupleGroup, error) {
+func DecodeTupleGroups(buf []byte, nspecs int) ([]TupleGroup, error) {
 	rec := gatherRecordSize(nspecs)
 	if nspecs < 1 || len(buf)%rec != 0 {
 		return nil, fmt.Errorf("%w: gather payload of %d bytes for %d specs", errFrame, len(buf), nspecs)

@@ -145,12 +145,26 @@ func TestShuffleFrameRoundTrip(t *testing.T) {
 	s1.Add(1.25)
 	s2 := rsum.NewState64(levels)
 	s2.AddSliceVec([]float64{3, 4, 5})
-	e1, _ := s1.MarshalBinary()
-	e2, _ := s2.MarshalBinary()
 
-	frame := appendPair(appendPair(nil, 7, e1), 1000, e2)
+	// The single-SUM plan's tuples are bare canonical State64 encodings.
+	plan, err := newTuplePlan(sumSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := plan.newTuple(), plan.newTuple()
+	t1.states[0].Add(1.25)
+	for _, v := range []float64{3, 4, 5} {
+		t2.states[0].Add(v)
+	}
+	frame, err := appendTuple(nil, 7, &t1)
+	if err == nil {
+		frame, err = appendTuple(frame, 1000, &t2)
+	}
+	if err != nil {
+		t.Fatalf("appendTuple: %v", err)
+	}
 	var got []uint32
-	err := walkFrame(frame, func(key uint32, enc []byte) error {
+	err = walkFrame(frame, func(key uint32, enc []byte) error {
 		got = append(got, key)
 		var st rsum.State64
 		if err := st.UnmarshalBinary(enc); err != nil {

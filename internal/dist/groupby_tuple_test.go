@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -217,8 +218,7 @@ func TestValidateShardColumns(t *testing.T) {
 }
 
 // TestTupleGroupsCodec pins the exported gather codec: round trip,
-// single-spec byte-compatibility with the Group codec, and strict
-// length validation.
+// the single-spec frame bytes, and strict length validation.
 func TestTupleGroupsCodec(t *testing.T) {
 	gs := []TupleGroup{
 		{Key: 3, Aggs: []float64{1.5, -2.25, 8}},
@@ -239,11 +239,12 @@ func TestTupleGroupsCodec(t *testing.T) {
 			}
 		}
 	}
-	// Single-spec tuples and plain groups share one wire format.
+	// The single-SUM gather frame is golden: little-endian key, then
+	// the float64 bits of 42.5 (0x4045400000000000).
 	single := []TupleGroup{{Key: 7, Aggs: []float64{42.5}}}
-	plain := EncodeGroups([]Group{{Key: 7, Sum: 42.5}})
-	if got := EncodeTupleGroups(single, 1); string(got) != string(plain) {
-		t.Fatalf("single-spec tuple bytes differ from Group bytes")
+	golden := []byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0x45, 0x40}
+	if got := EncodeTupleGroups(single, 1); !bytes.Equal(got, golden) {
+		t.Fatalf("single-spec gather frame = % x, want % x", got, golden)
 	}
 	if _, err := DecodeTupleGroups(buf[:len(buf)-1], 3); err == nil {
 		t.Error("ragged payload accepted")

@@ -5,102 +5,25 @@ import (
 	"testing"
 
 	"repro/internal/hashagg"
-	"repro/internal/rsum"
 	"repro/internal/sqlagg"
 )
 
-// Hot-path benchmarks of the shuffle data plane. The "legacy" variants
-// reproduce the pre-optimization code shape (MarshalBinary-then-copy;
-// map-buffered reassembly with a final concatenation) so the
-// allocs/op win of the in-place paths is measured, not asserted:
+// Hot-path benchmarks of the shuffle data plane. The reassembly
+// "legacy" variant reproduces the pre-optimization code shape
+// (map-buffered reassembly with a final concatenation) so the allocs/op
+// win of the in-place path is measured, not asserted:
 //
-//	go test ./internal/dist -bench 'ShuffleEncode|Reassembly' -benchmem
+//	go test ./internal/dist -bench 'ShuffleEncode|TupleEncode|Reassembly' -benchmem
 
-func benchTable(n int) *hashagg.Table[rsum.State64] {
-	table := hashagg.New(n, hashagg.Identity, newPartial)
-	for k := 0; k < n; k++ {
-		st := table.Upsert(uint32(k) * 256)
-		st.Add(float64(k)*1.5 + 0.25)
-		st.Add(0x1p-40 * float64(k+1))
-	}
-	return table
-}
-
-// BenchmarkShuffleEncode measures encoding one pre-aggregated partition
-// table into a shuffle frame: the in-place AppendBinary path versus the
-// legacy per-key MarshalBinary allocation.
-func BenchmarkShuffleEncode(b *testing.B) {
+// benchEncode measures encoding one pre-aggregated table of state
+// tuples into a shuffle frame. It must stay allocation-free with frame
+// capacity (TestShuffleEncodeZeroAlloc pins the exact count).
+func benchEncode(b *testing.B, specs []sqlagg.AggSpec) {
 	const groups = 4096
-	table := benchTable(groups)
-	proto := newPartial()
-	want := groups * (8 + proto.EncodedSize())
-
-	b.Run("append", func(b *testing.B) {
-		frame := make([]byte, 0, want)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			frame = frame[:0]
-			var err error
-			table.ForEach(func(key uint32, st *rsum.State64) {
-				if err == nil {
-					frame, err = appendPairState(frame, key, st)
-				}
-			})
-			if err != nil || len(frame) != want {
-				b.Fatalf("frame %d bytes, err %v", len(frame), err)
-			}
-		}
-	})
-	b.Run("legacy-marshal", func(b *testing.B) {
-		frame := make([]byte, 0, want)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			frame = frame[:0]
-			var err error
-			table.ForEach(func(key uint32, st *rsum.State64) {
-				if err != nil {
-					return
-				}
-				var enc []byte
-				enc, err = st.MarshalBinary()
-				if err == nil {
-					frame = appendPair(frame, key, enc)
-				}
-			})
-			if err != nil || len(frame) != want {
-				b.Fatalf("frame %d bytes, err %v", len(frame), err)
-			}
-		}
-	})
-}
-
-// benchTuplePlan is a Q1-shaped aggregate catalog for the multi-
-// aggregate benchmark cells: two SUMs, an AVG, and the row COUNT over
-// two value columns.
-func benchTuplePlan(b *testing.B) *tuplePlan {
-	b.Helper()
-	plan, err := newTuplePlan([]sqlagg.AggSpec{
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 1},
-		{Kind: sqlagg.AggAvg, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggCount, Levels: levels, Col: 0},
-	})
+	plan, err := newTuplePlan(specs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return plan
-}
-
-// BenchmarkTupleEncode measures encoding one pre-aggregated table of
-// multi-aggregate state tuples into a shuffle frame — the spec-tagged
-// generalization of BenchmarkShuffleEncode's append cell. It must stay
-// allocation-free with frame capacity (TestRootMergeAllocBound and
-// TestTupleEncodeZeroAlloc pin the exact alloc counts).
-func BenchmarkTupleEncode(b *testing.B) {
-	const groups = 4096
-	plan := benchTuplePlan(b)
 	table := hashagg.New(groups, hashagg.Identity, plan.newTuple)
 	for k := 0; k < groups; k++ {
 		tup := table.Upsert(uint32(k) * 256)
@@ -126,6 +49,20 @@ func BenchmarkTupleEncode(b *testing.B) {
 			b.Fatalf("frame %d bytes, err %v", len(frame), err)
 		}
 	}
+}
+
+// BenchmarkShuffleEncode is the classic single-SUM shuffle encode.
+func BenchmarkShuffleEncode(b *testing.B) { benchEncode(b, sumSpecs()) }
+
+// BenchmarkTupleEncode is the multi-aggregate encode over a Q1-shaped
+// catalog: two SUMs, an AVG, and the row COUNT over two value columns.
+func BenchmarkTupleEncode(b *testing.B) {
+	benchEncode(b, []sqlagg.AggSpec{
+		{Kind: sqlagg.AggSum, Levels: levels, Col: 0},
+		{Kind: sqlagg.AggSum, Levels: levels, Col: 1},
+		{Kind: sqlagg.AggAvg, Levels: levels, Col: 0},
+		{Kind: sqlagg.AggCount, Levels: levels, Col: 0},
+	})
 }
 
 // TestRootMergeAllocBound pins the root's gather merge: combining the
@@ -185,17 +122,17 @@ func legacyReassemble(chunks []Frame) []byte {
 // map-and-concat shape, plus the single-frame fast path.
 func BenchmarkReassembly(b *testing.B) {
 	payload := bytes.Repeat([]byte{0x5A}, 1<<20)
-	chunks := splitFrame(Frame{Kind: KindGroups, From: 1, To: 0, Seq: 0, Payload: payload}, 16<<10)
-	single := splitFrame(Frame{Kind: KindGroups, From: 1, To: 0, Seq: 0, Payload: payload[:1024]}, 0)
+	chunks := SplitFrame(Frame{Kind: KindGroups, From: 1, To: 0, Seq: 0, Payload: payload}, 16<<10)
+	single := SplitFrame(Frame{Kind: KindGroups, From: 1, To: 0, Seq: 0, Payload: payload[:1024]}, 0)
 
 	b.Run("multi-64chunk", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(payload)))
 		for i := 0; i < b.N; i++ {
-			asm := newReassembler(0)
+			asm := NewReassembler(0)
 			var got []byte
 			for _, c := range chunks {
-				msg, complete, _, err := asm.accept(c)
+				msg, complete, _, err := asm.Accept(c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,8 +158,8 @@ func BenchmarkReassembly(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(single[0].Payload)))
 		for i := 0; i < b.N; i++ {
-			asm := newReassembler(0)
-			msg, complete, _, err := asm.accept(single[0])
+			asm := NewReassembler(0)
+			msg, complete, _, err := asm.Accept(single[0])
 			if err != nil || !complete || len(msg.Payload) != 1024 {
 				b.Fatalf("complete=%v err=%v", complete, err)
 			}

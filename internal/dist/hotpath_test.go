@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/hashagg"
 	"repro/internal/partition"
@@ -18,88 +17,58 @@ import (
 
 // TestShuffleEncodeZeroAlloc pins the shuffle's per-key encode loop to
 // zero steady-state allocations: with the frame buffer grown once,
-// encoding a whole aggregation table of partial states in place must
-// not touch the heap.
+// encoding a whole aggregation table of state tuples in place must not
+// touch the heap — for the classic single-SUM plan and for a Q1-shaped
+// catalog (SUMs, AVG, COUNT, and a MIN for the fixed-size path).
 func TestShuffleEncodeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
 	}
-	table := hashagg.New(512, hashagg.Identity, newPartial)
-	for k := uint32(0); k < 500; k++ {
-		st := table.Upsert(k * 256)
-		st.Add(float64(k) * 1.5)
-		st.Add(-0x1p-30 * float64(k+1))
-	}
-	proto := newPartial()
-	frame := make([]byte, 0, table.Len()*(8+proto.EncodedSize()))
-	var encErr error
-	encode := func() {
-		frame = frame[:0]
-		table.ForEach(func(key uint32, s *rsum.State64) {
-			if encErr != nil {
-				return
+	for name, specs := range map[string][]sqlagg.AggSpec{
+		"single-sum": sumSpecs(),
+		"q1-shaped": {
+			{Kind: sqlagg.AggSum, Levels: levels, Col: 0},
+			{Kind: sqlagg.AggSum, Levels: levels, Col: 1},
+			{Kind: sqlagg.AggAvg, Levels: levels, Col: 0},
+			{Kind: sqlagg.AggCount, Levels: levels, Col: 0},
+			{Kind: sqlagg.AggMin, Levels: levels, Col: 1},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			plan, err := newTuplePlan(specs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			frame, encErr = appendPairState(frame, key, s)
-		})
-	}
-	allocs := testing.AllocsPerRun(100, encode)
-	if encErr != nil {
-		t.Fatal(encErr)
-	}
-	if len(frame) != table.Len()*(8+proto.EncodedSize()) {
-		t.Fatalf("frame is %d bytes, want %d", len(frame), table.Len()*(8+proto.EncodedSize()))
-	}
-	if allocs != 0 {
-		t.Fatalf("shuffle encode loop: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestTupleEncodeZeroAlloc extends the zero-allocation pin to the
-// multi-aggregate shuffle path: encoding a table of state tuples (a
-// Q1-shaped catalog: SUMs, AVGs, COUNT, and a MIN for the fixed-size
-// path) into a frame with capacity must not touch the heap.
-func TestTupleEncodeZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation behavior")
-	}
-	specs := []sqlagg.AggSpec{
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 1},
-		{Kind: sqlagg.AggAvg, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggCount, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggMin, Levels: levels, Col: 1},
-	}
-	plan, err := newTuplePlan(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := hashagg.New(256, hashagg.Identity, plan.newTuple)
-	for k := uint32(0); k < 200; k++ {
-		tup := table.Upsert(k * 64)
-		for i, sp := range plan.specs {
-			tup.states[i].Add(float64(k)*1.5 - float64(sp.Col))
-		}
-	}
-	frame := make([]byte, 0, table.Len()*(8+plan.width))
-	var encErr error
-	encode := func() {
-		frame = frame[:0]
-		table.ForEach(func(key uint32, tup *aggTuple) {
-			if encErr != nil {
-				return
+			table := hashagg.New(512, hashagg.Identity, plan.newTuple)
+			for k := uint32(0); k < 500; k++ {
+				tup := table.Upsert(k * 256)
+				for i, sp := range plan.specs {
+					tup.states[i].Add(float64(k)*1.5 - float64(sp.Col))
+					tup.states[i].Add(-0x1p-30 * float64(k+1))
+				}
 			}
-			frame, encErr = appendTuple(frame, key, tup)
+			frame := make([]byte, 0, table.Len()*(8+plan.width))
+			var encErr error
+			encode := func() {
+				frame = frame[:0]
+				table.ForEach(func(key uint32, tup *aggTuple) {
+					if encErr != nil {
+						return
+					}
+					frame, encErr = appendTuple(frame, key, tup)
+				})
+			}
+			allocs := testing.AllocsPerRun(100, encode)
+			if encErr != nil {
+				t.Fatal(encErr)
+			}
+			if len(frame) != table.Len()*(8+plan.width) {
+				t.Fatalf("frame is %d bytes, want %d", len(frame), table.Len()*(8+plan.width))
+			}
+			if allocs != 0 {
+				t.Fatalf("shuffle encode loop: %v allocs/op, want 0", allocs)
+			}
 		})
-	}
-	allocs := testing.AllocsPerRun(100, encode)
-	if encErr != nil {
-		t.Fatal(encErr)
-	}
-	if len(frame) != table.Len()*(8+plan.width) {
-		t.Fatalf("frame is %d bytes, want %d", len(frame), table.Len()*(8+plan.width))
-	}
-	if allocs != 0 {
-		t.Fatalf("tuple encode loop: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -114,17 +83,17 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	}
 	const chunkSize = 64
 	payload := bytes.Repeat([]byte{0xAB}, 400*chunkSize-10)
-	chunks := splitFrame(Frame{Kind: KindGroups, From: 1, To: 0, Seq: 5, Payload: payload}, chunkSize)
+	chunks := SplitFrame(Frame{Kind: KindGroups, From: 1, To: 0, Seq: 5, Payload: payload}, chunkSize)
 	if len(chunks) != 400 {
 		t.Fatalf("%d chunks, want 400", len(chunks))
 	}
-	asm := newReassembler(0)
-	if _, _, _, err := asm.accept(chunks[0]); err != nil {
+	asm := NewReassembler(0)
+	if _, _, _, err := asm.Accept(chunks[0]); err != nil {
 		t.Fatal(err)
 	}
 	i := 1
 	allocs := testing.AllocsPerRun(300, func() {
-		if _, complete, fresh, err := asm.accept(chunks[i]); err != nil || complete || !fresh {
+		if _, complete, fresh, err := asm.Accept(chunks[i]); err != nil || complete || !fresh {
 			t.Fatalf("chunk %d: complete=%v fresh=%v err=%v", i, complete, fresh, err)
 		}
 		i++
@@ -136,7 +105,7 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	var final Frame
 	completions := 0
 	for ; i < len(chunks); i++ {
-		msg, complete, _, err := asm.accept(chunks[i])
+		msg, complete, _, err := asm.Accept(chunks[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +119,7 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	allocs = testing.AllocsPerRun(100, func() {
-		if _, complete, fresh, err := asm.accept(chunks[3]); err != nil || complete || fresh {
+		if _, complete, fresh, err := asm.Accept(chunks[3]); err != nil || complete || fresh {
 			t.Fatalf("completed-stream chunk not swallowed: complete=%v fresh=%v err=%v", complete, fresh, err)
 		}
 	})
@@ -159,7 +128,7 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReassemblerRejectsInconsistentChunkSizes: splitFrame guarantees
+// TestReassemblerRejectsInconsistentChunkSizes: SplitFrame guarantees
 // every non-final chunk has the same size and the final chunk is no
 // larger; the reassembler enforces that shape at the trust boundary and
 // keeps the stream recoverable after rejecting a malformed chunk.
@@ -168,44 +137,44 @@ func TestReassemblerRejectsInconsistentChunkSizes(t *testing.T) {
 		return Frame{Kind: KindGroups, From: 1, To: 0, Seq: seq,
 			Chunk: chunk, Chunks: chunks, Payload: bytes.Repeat([]byte{byte(chunk + 1)}, size)}
 	}
-	asm := newReassembler(0)
+	asm := NewReassembler(0)
 
 	// Non-final chunk that contradicts the learned stride.
-	if _, _, _, err := asm.accept(mk(0, 0, 3, 10)); err != nil {
+	if _, _, _, err := asm.Accept(mk(0, 0, 3, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := asm.accept(mk(0, 1, 3, 9)); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := asm.Accept(mk(0, 1, 3, 9)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("mismatched non-final chunk: %v, want ErrBadFrame", err)
 	}
 	// The stream is still completable with well-shaped chunks.
-	if _, complete, _, err := asm.accept(mk(0, 1, 3, 10)); err != nil || complete {
+	if _, complete, _, err := asm.Accept(mk(0, 1, 3, 10)); err != nil || complete {
 		t.Fatalf("recovery chunk: complete=%v err=%v", complete, err)
 	}
-	msg, complete, _, err := asm.accept(mk(0, 2, 3, 4))
+	msg, complete, _, err := asm.Accept(mk(0, 2, 3, 4))
 	if err != nil || !complete || len(msg.Payload) != 24 {
 		t.Fatalf("completion after recovery: complete=%v len=%d err=%v", complete, len(msg.Payload), err)
 	}
 
 	// Final chunk larger than the stride.
-	if _, _, _, err := asm.accept(mk(1, 0, 3, 10)); err != nil {
+	if _, _, _, err := asm.Accept(mk(1, 0, 3, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := asm.accept(mk(1, 2, 3, 11)); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := asm.Accept(mk(1, 2, 3, 11)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized final chunk: %v, want ErrBadFrame", err)
 	}
 
 	// Stashed final chunk revealed oversized by a later non-final chunk.
-	if _, _, _, err := asm.accept(mk(2, 2, 3, 12)); err != nil {
+	if _, _, _, err := asm.Accept(mk(2, 2, 3, 12)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := asm.accept(mk(2, 0, 3, 10)); !errors.Is(err, ErrBadFrame) {
+	if _, _, _, err := asm.Accept(mk(2, 0, 3, 10)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("stride under stashed final: %v, want ErrBadFrame", err)
 	}
 
 	// A stream whose declared buffer could never fit the budget is
 	// rejected on its first non-final chunk, before any allocation.
-	small := newReassembler(100)
-	if _, _, _, err := small.accept(mk(3, 0, 1000, 10)); !errors.Is(err, ErrChunkBudget) {
+	small := NewReassembler(100)
+	if _, _, _, err := small.Accept(mk(3, 0, 1000, 10)); !errors.Is(err, ErrChunkBudget) {
 		t.Fatalf("declared-impossible stream: %v, want ErrChunkBudget", err)
 	}
 }
@@ -219,17 +188,17 @@ func TestReassemblerBudgetChargesAllocatedBuffers(t *testing.T) {
 	// Each stream's first chunk allocates a 100-chunk × 10-byte = 1000-
 	// byte buffer while delivering only 10 bytes. Budget 2500: two
 	// streams fit (2000 charged), the third must be rejected.
-	asm := newReassembler(2500)
+	asm := NewReassembler(2500)
 	for seq := uint32(0); seq < 2; seq++ {
 		f := Frame{Kind: KindGroups, From: 1, To: 0, Seq: seq, Chunk: 0, Chunks: 100,
 			Payload: bytes.Repeat([]byte{1}, 10)}
-		if _, _, _, err := asm.accept(f); err != nil {
+		if _, _, _, err := asm.Accept(f); err != nil {
 			t.Fatalf("stream %d: %v", seq, err)
 		}
 	}
 	f := Frame{Kind: KindGroups, From: 1, To: 0, Seq: 2, Chunk: 0, Chunks: 100,
 		Payload: bytes.Repeat([]byte{1}, 10)}
-	if _, _, _, err := asm.accept(f); !errors.Is(err, ErrChunkBudget) {
+	if _, _, _, err := asm.Accept(f); !errors.Is(err, ErrChunkBudget) {
 		t.Fatalf("third 1000-byte buffer on a 2500 budget: %v, want ErrChunkBudget", err)
 	}
 }
@@ -238,12 +207,12 @@ func TestReassemblerBudgetChargesAllocatedBuffers(t *testing.T) {
 // stream has arrived (stashed, stride unknown), missing() must report
 // every other index so the straggler path re-requests exactly those.
 func TestReassemblerMissingBeforeStride(t *testing.T) {
-	asm := newReassembler(0)
+	asm := NewReassembler(0)
 	final := Frame{Kind: KindGroups, From: 2, To: 0, Seq: 0, Chunk: 4, Chunks: 5, Payload: []byte{1, 2, 3}}
-	if _, complete, fresh, err := asm.accept(final); err != nil || complete || !fresh {
+	if _, complete, fresh, err := asm.Accept(final); err != nil || complete || !fresh {
 		t.Fatalf("stashed final: complete=%v fresh=%v err=%v", complete, fresh, err)
 	}
-	got := asm.missing(2, 0)
+	got := asm.Missing(2, 0)
 	want := []uint32{0, 1, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("missing = %v, want %v", got, want)
@@ -254,15 +223,15 @@ func TestReassemblerMissingBeforeStride(t *testing.T) {
 		}
 	}
 	// Duplicate of the stashed final chunk is absorbed silently.
-	if _, complete, fresh, err := asm.accept(final); err != nil || complete || fresh {
+	if _, complete, fresh, err := asm.Accept(final); err != nil || complete || fresh {
 		t.Fatalf("duplicate stashed final: complete=%v fresh=%v err=%v", complete, fresh, err)
 	}
 }
 
 // TestCombineShardMatchesLegacyEncoding: the in-place AppendBinary
 // shuffle encoder must produce, per destination, exactly the ⟨key,
-// state⟩ pairs the legacy MarshalBinary+appendPair path produces, with
-// byte-identical per-key state encodings (pair order within a frame is
+// state⟩ pairs a fresh-table-per-partition MarshalBinary reference
+// produces, with byte-identical per-key state encodings (pair order within a frame is
 // a slot-order detail; owners merge per key, so order is immaterial).
 func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 	const rows = 3000
@@ -290,7 +259,7 @@ func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 		if len(pk) == 0 {
 			continue
 		}
-		table := hashagg.New(len(pk)/8+8, hashagg.Identity, newPartial)
+		table := hashagg.New(len(pk)/8+8, hashagg.Identity, func() rsum.State64 { return rsum.NewState64(levels) })
 		for i, k := range pk {
 			table.Upsert(k).Add(pv[i])
 		}
@@ -323,64 +292,9 @@ func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 	}
 }
 
-// TestSendBatchDelivers: SendBatch must deliver every frame with
-// per-pair order preserved, across mixed-destination batches, on both
-// built-in transports.
-func TestSendBatchDelivers(t *testing.T) {
-	for name, factory := range map[string]TransportFactory{
-		"chan": ChanTransportFactory,
-		"tcp":  TCPTransportFactory,
-	} {
-		t.Run(name, func(t *testing.T) {
-			tr, err := factory(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			bs, ok := tr.(BatchSender)
-			if !ok {
-				t.Fatal("built-in transport does not implement BatchSender")
-			}
-			var fs []Frame
-			for i := 0; i < 5; i++ {
-				fs = append(fs, Frame{Kind: KindGroups, From: 0, To: 1, Seq: 0,
-					Chunk: uint32(i), Chunks: 5, Payload: bytes.Repeat([]byte{byte(i + 1)}, 8)})
-			}
-			fs = append(fs,
-				Frame{Kind: KindGather, From: 0, To: 2, Seq: 1, Chunks: 1, Payload: []byte("two")},
-				Frame{Kind: KindGather, From: 1, To: 2, Seq: 1, Chunks: 1, Payload: []byte("also two")})
-			if err := bs.SendBatch(fs); err != nil {
-				t.Fatal(err)
-			}
-			// Node 1: the 5-chunk run, in order (one pair, one connection).
-			for i := 0; i < 5; i++ {
-				f, err := tr.Recv(1, 2*time.Second)
-				if err != nil {
-					t.Fatalf("recv chunk %d: %v", i, err)
-				}
-				if f.Chunk != uint32(i) || len(f.Payload) != 8 || f.Payload[0] != byte(i+1) {
-					t.Fatalf("chunk %d arrived as %+v", i, f)
-				}
-			}
-			// Node 2: both gathers, any inter-pair order.
-			seen := map[int]bool{}
-			for i := 0; i < 2; i++ {
-				f, err := tr.Recv(2, 2*time.Second)
-				if err != nil {
-					t.Fatalf("recv gather %d: %v", i, err)
-				}
-				seen[f.From] = true
-			}
-			if !seen[0] || !seen[1] {
-				t.Fatalf("gathers from %v, want nodes 0 and 1", seen)
-			}
-		})
-	}
-}
-
 // TestSendBatchEndToEndTCPChunked runs the full GROUP BY over a raw
 // (undecorated) TCP transport with a chunk payload that forces
-// multi-chunk streams, so sendChunks takes the SendBatch path end to
+// multi-chunk streams, so the collector takes the SendBatch path end to
 // end; bits must match the sequential reference.
 func TestSendBatchEndToEndTCPChunked(t *testing.T) {
 	const rows = 4000

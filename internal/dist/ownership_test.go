@@ -32,7 +32,7 @@ func TestReadFrameBufOwnership(t *testing.T) {
 	if !bytes.Equal(f1.Payload, p1) {
 		t.Fatal("first frame decoded with wrong payload")
 	}
-	retained := RetainPayload(f1)
+	retained := retainPayload(f1)
 
 	// Mutate the read buffer after decode: the un-retained payload must
 	// follow the buffer (it aliases it)...
@@ -126,7 +126,7 @@ func TestTCPReadPathRetainsPayloads(t *testing.T) {
 // TestRetainPayloadEmpty: payload-free frames take the copy-free path
 // and stay payload-free.
 func TestRetainPayloadEmpty(t *testing.T) {
-	f := RetainPayload(Frame{Kind: KindResend, From: 1, To: 0, Seq: 3})
+	f := retainPayload(Frame{Kind: KindResend, From: 1, To: 0, Seq: 3})
 	if f.Payload != nil {
 		t.Fatalf("RetainPayload invented a payload: %v", f.Payload)
 	}

@@ -1528,29 +1528,32 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 	cs.lastSeen = time.Now()
 	switch msg.Kind {
 	case dist.KindPing:
-		// lastSeen is the message. A spec-5 ping also carries the
-		// worker's telemetry: its cumulative wire counters (merged as
-		// deltas, keyed by slot, clamped on restart), jobs run, and the
-		// RTT it measured from the previous echo. The payload is echoed
+		// lastSeen is the message. The ping also carries the worker's
+		// telemetry: its cumulative wire counters (merged as deltas,
+		// keyed by slot, clamped on restart), jobs run, and the RTT it
+		// measured from the previous echo. The payload is echoed
 		// straight back so the worker times the round trip against its
 		// own clock — no cross-machine clock arithmetic. Echo failures
 		// are left to the reader: a dead connection surfaces there.
-		if p, ok := decodePingStats(msg.Payload); ok {
-			mHeartbeats.Inc()
-			l.c.heartbeats.Add(1)
-			if p.rttNanos > 0 {
-				l.c.lastRTT.Store(p.rttNanos)
-				mHeartbeatRTT.Observe(float64(p.rttNanos) / 1e9)
-			}
-			delta := p.wire.Sub(l.prevWire[cs.id])
-			l.prevWire[cs.id] = p.wire
-			l.c.wireMu.Lock()
-			l.c.workerWire.Add(delta)
-			l.c.wireMu.Unlock()
-			_ = l.writeChunked(cs.conn, dist.Frame{
-				Kind: dist.KindPing, To: cs.id, Seq: ctrlSeqPing, Payload: msg.Payload,
-			})
+		p, err := decodePingStats(msg.Payload)
+		if err != nil {
+			l.c.elog.Append("bad-ping", cs.id, err.Error())
+			return
 		}
+		mHeartbeats.Inc()
+		l.c.heartbeats.Add(1)
+		if p.rttNanos > 0 {
+			l.c.lastRTT.Store(p.rttNanos)
+			mHeartbeatRTT.Observe(float64(p.rttNanos) / 1e9)
+		}
+		delta := p.wire.Sub(l.prevWire[cs.id])
+		l.prevWire[cs.id] = p.wire
+		l.c.wireMu.Lock()
+		l.c.workerWire.Add(delta)
+		l.c.wireMu.Unlock()
+		_ = l.writeChunked(cs.conn, dist.Frame{
+			Kind: dist.KindPing, To: cs.id, Seq: ctrlSeqPing, Payload: msg.Payload,
+		})
 	case dist.KindReady:
 		jobIdx, addr, err := decodeReady(msg.Payload)
 		if err != nil || l.cur == nil || jobIdx != l.cur.jobIdx || l.cur.ready[cs.id] {

@@ -1,17 +1,12 @@
 package proc
 
-import (
-	"strconv"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Control-plane counters on the process-global obs.Default registry.
-// In a supervisor process these describe the cluster it runs; in a
-// worker process (reproworker -metrics-addr) only the per-peer data
-// plane series below are active. Handles are package-level so the
-// supervisor loop and the transports record through pre-resolved
-// atomics.
+// In a supervisor process these describe the cluster it runs; a worker
+// process (reproworker -metrics-addr) moves only the data-plane series
+// internal/dist registers. Handles are package-level so the supervisor
+// loop records through pre-resolved atomics.
 var (
 	mHeartbeats = obs.Default.Counter("repro_proc_heartbeats_total",
 		"Stat-carrying heartbeat pings received from workers.")
@@ -32,49 +27,3 @@ var (
 	mRecoverySecs = obs.Default.Histogram("repro_proc_recovery_seconds",
 		"Journal-replay crash-recovery window durations (replay to whole membership).", nil)
 )
-
-// peerCounters is a node transport's pre-resolved per-peer data-plane
-// series: frames and payload bytes exchanged with each peer id, as
-// repro_proc_peer_*_total{peer="N"}. Resolved once at transport
-// construction so the send/receive paths touch only atomics.
-type peerCounters struct {
-	framesOut []*obs.Counter
-	bytesOut  []*obs.Counter
-	framesIn  []*obs.Counter
-	bytesIn   []*obs.Counter
-}
-
-func newPeerCounters(n int) *peerCounters {
-	pc := &peerCounters{
-		framesOut: make([]*obs.Counter, n),
-		bytesOut:  make([]*obs.Counter, n),
-		framesIn:  make([]*obs.Counter, n),
-		bytesIn:   make([]*obs.Counter, n),
-	}
-	for id := 0; id < n; id++ {
-		peer := `{peer="` + strconv.Itoa(id) + `"}`
-		pc.framesOut[id] = obs.Default.Counter("repro_proc_peer_frames_out_total"+peer,
-			"Data-plane frames sent to each peer id.")
-		pc.bytesOut[id] = obs.Default.Counter("repro_proc_peer_payload_bytes_out_total"+peer,
-			"Data-plane payload bytes sent to each peer id.")
-		pc.framesIn[id] = obs.Default.Counter("repro_proc_peer_frames_in_total"+peer,
-			"Data-plane frames received from each peer id.")
-		pc.bytesIn[id] = obs.Default.Counter("repro_proc_peer_payload_bytes_in_total"+peer,
-			"Data-plane payload bytes received from each peer id.")
-	}
-	return pc
-}
-
-func (pc *peerCounters) sent(to int, payloadLen int) {
-	if pc != nil && to >= 0 && to < len(pc.framesOut) {
-		pc.framesOut[to].Inc()
-		pc.bytesOut[to].Add(uint64(payloadLen))
-	}
-}
-
-func (pc *peerCounters) received(from int, payloadLen int) {
-	if pc != nil && from >= 0 && from < len(pc.framesIn) {
-		pc.framesIn[from].Inc()
-		pc.bytesIn[from].Add(uint64(payloadLen))
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/obs"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
@@ -445,6 +446,35 @@ func TestSpecRoundTrip(t *testing.T) {
 	cid, cepoch, craw, err := decodeConfFrame(cb)
 	if err != nil || cid != 4 || cepoch != 9 || !reflect.DeepEqual(craw, raw) {
 		t.Fatalf("conf frame round trip: %d %d %v", cid, cepoch, err)
+	}
+}
+
+// TestPingOneVersion: a heartbeat is the current layout or a decode
+// error — and the supervisor records the error in the event log while
+// the ping still counts for liveness.
+func TestPingOneVersion(t *testing.T) {
+	ps := pingStats{sentNanos: 5, rttNanos: 7, jobsRun: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}}
+	good := encodePingStats(ps)
+	if back, err := decodePingStats(good); err != nil || back != ps {
+		t.Fatalf("ping round trip: %+v, %v", back, err)
+	}
+	stale := append([]byte(nil), good...)
+	stale[0] = specVersion - 1
+	for name, bad := range map[string][]byte{"empty": nil, "truncated": good[:len(good)-1], "stale version": stale} {
+		if _, err := decodePingStats(bad); err == nil {
+			t.Errorf("%s ping decoded without error", name)
+		}
+	}
+
+	cs := &connState{id: 1}
+	l := &clusterLoop{c: &Cluster{elog: obs.NewEventLog(4)}, members: []*connState{nil, cs}}
+	l.handleMemberMsg(cs, dist.Frame{Kind: dist.KindPing, From: 1, Payload: stale})
+	evs := l.c.elog.Events()
+	if len(evs) != 1 || evs[0].Kind != "bad-ping" || evs[0].Node != 1 {
+		t.Fatalf("event log after a stale ping: %+v", evs)
+	}
+	if cs.lastSeen.IsZero() || l.c.heartbeats.Load() != 0 {
+		t.Fatalf("stale ping: lastSeen %v, heartbeats %d; want liveness advanced, no stats folded", cs.lastSeen, l.c.heartbeats.Load())
 	}
 }
 

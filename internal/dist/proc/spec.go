@@ -12,14 +12,14 @@ import (
 	"repro/internal/workload"
 )
 
-// Wire encodings of the control plane, spec version 5. The cluster
-// config (clusterConf) is everything a long-lived cluster's members
-// must agree on before any job exists: size, protocol knobs, fault
-// plan, liveness cadence. It is digested into the join handshake, so
-// a stale or edited worker is rejected at admission. Per-job state —
-// the operation, topology, aggregate catalog, and the input source —
-// moved out of the conf and into the KindJob payload (jobSpec), which
-// is what lets one cluster run many jobs. Everything is little-endian
+// Wire encodings of the control plane. The cluster config
+// (clusterConf) is everything a long-lived cluster's members must
+// agree on before any job exists: size, protocol knobs, fault plan,
+// liveness cadence. It is digested into the join handshake, so a stale
+// or edited worker is rejected at admission. Per-job state — the
+// operation, topology, aggregate catalog, and the input source —
+// travels in the KindJob payload (jobSpec), which is what lets one
+// cluster run many jobs. Everything is little-endian
 // and versioned; decoders validate lengths and never over-allocate on
 // a corrupt prefix.
 
@@ -38,18 +38,11 @@ const (
 	srcTPCHQ1
 )
 
-// specVersion versions the control-plane encodings. It is the first
-// byte of the conf blob, so a digest mismatch also covers spec-format
-// drift between supervisor and worker builds — and it rides in every
-// hello, so even a config-less joiner with a stale build is rejected
-// before the conf is shipped. Version 2 added the aggregate spec
-// catalog; version 3 split the per-job spec (operation, topology,
-// catalog, input source) out of the cluster config and added remote
-// join, declarative sources, and liveness fields; version 4 added the
-// supervisor fencing epoch to the hello and KindConf payloads
-// (journaled crash-restart recovery and worker re-attach); version 5
-// added the versioned heartbeat payload (worker wire counters, ping
-// RTT, jobs run) piggybacked on KindPing frames.
+// specVersion versions the control-plane encodings — the only version
+// a cluster ever speaks. It is the first byte of the conf blob, so a
+// digest mismatch also covers spec-format drift between supervisor and
+// worker builds — and it rides in every hello, so even a config-less
+// joiner with a stale build is rejected before the conf is shipped.
 const specVersion = 5
 
 // ControlSpecVersion exposes the control-plane spec version for status
@@ -328,13 +321,10 @@ func decodeHello(payload []byte) (hello, error) {
 	return h, nil
 }
 
-// pingStats is the decoded KindPing payload (spec version 5+). A
-// heartbeat doubles as the worker's telemetry report: its data-plane
-// wire counters (cumulative since process start), the RTT it measured
-// on its previous ping from the supervisor's echo, and the number of
-// jobs it has run. An empty ping payload is valid — it is what spec-4
-// workers and the supervisor's pong echo's first round send — and
-// decodes to ok=false.
+// pingStats is the decoded KindPing payload. A heartbeat doubles as
+// the worker's telemetry report: its data-plane wire counters
+// (cumulative since process start), the RTT it measured on its previous
+// ping from the supervisor's echo, and the number of jobs it has run.
 type pingStats struct {
 	sentNanos int64 // sender's send timestamp (echoed back in the pong)
 	rttNanos  int64 // RTT the worker measured from the previous echo (0 = none yet)
@@ -368,13 +358,13 @@ func encodePingStats(p pingStats) []byte {
 	return b
 }
 
-// decodePingStats inverts encodePingStats. Empty and unknown-version
-// payloads are not errors — liveness must keep working across a spec
-// skew — they just carry no stats (ok=false).
-func decodePingStats(payload []byte) (pingStats, bool) {
+// decodePingStats inverts encodePingStats. Every admitted member
+// passed the hello's spec-version check, so a payload of any other
+// layout is a protocol error, not a dialect.
+func decodePingStats(payload []byte) (pingStats, error) {
 	var p pingStats
 	if len(payload) != 1+3*8+9*8 || payload[0] != specVersion {
-		return p, false
+		return p, fmt.Errorf("proc: ping payload of %d bytes is not the spec-%d heartbeat layout", len(payload), specVersion)
 	}
 	u := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
 	p.sentNanos = int64(u(1))
@@ -391,7 +381,7 @@ func decodePingStats(payload []byte) (pingStats, bool) {
 		ResendRequests:    u(81),
 		ReassemblyRejects: u(89),
 	}
-	return p, true
+	return p, nil
 }
 
 // encodeConfFrame flattens a KindConf payload: the node id the

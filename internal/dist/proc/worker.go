@@ -271,10 +271,13 @@ func (w *ctlWriter) send(f dist.Frame) error {
 	return w.bw.Flush()
 }
 
-// Dial/re-attach backoff tuning: attempts back off exponentially from
-// backoffBase to backoffCap with ±25% jitter. A detached worker keeps
+// Control-connection tuning. Dial attempts back off exponentially from
+// backoffBase to backoffCap with ±25% jitter; a detached worker keeps
 // redialing for at most reattachWindow before giving up.
 const (
+	sockBufSize = 64 << 10
+	dialTimeout = 5 * time.Second
+
 	backoffBase    = 100 * time.Millisecond
 	backoffCap     = 2 * time.Second
 	reattachWindow = 60 * time.Second
@@ -587,21 +590,16 @@ type workerJob struct {
 	spec    jobSpec
 	keys    []uint32
 	cols    [][]float64
-	ln      net.Listener
-	tr      *nodeTransport
+	ep      *dist.Endpoint // this node's data plane, bound per job
 	started bool
 	done    chan struct{} // closed when the protocol goroutine finishes
 }
 
 // stop tears the job's data plane down and waits for its protocol
-// goroutine: the transport close makes the goroutine's next Recv or
+// goroutine: the endpoint close makes the goroutine's next Recv or
 // Send fail with ErrClosed, which it swallows as a deliberate abort.
 func (j *workerJob) stop() {
-	if j.tr != nil {
-		j.tr.Close()
-	} else if j.ln != nil {
-		j.ln.Close()
-	}
+	j.ep.Close()
 	if j.started {
 		<-j.done
 	}
@@ -663,7 +661,7 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 			// The supervisor's pong echoes this worker's ping payload;
 			// the echoed send timestamp yields an honest worker-measured
 			// RTT, shipped back in the next heartbeat.
-			if p, ok := decodePingStats(msg.Payload); ok && p.sentNanos > 0 {
+			if p, err := decodePingStats(msg.Payload); err == nil && p.sentNanos > 0 {
 				if rtt := time.Now().UnixNano() - p.sentNanos; rtt > 0 {
 					s.lastRTT.Store(rtt)
 				}
@@ -709,19 +707,13 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 				continue
 			}
 			if !cur.started {
-				if err := startJob(cur, w, id, conf, addrs); err != nil {
-					reportErr(w, id, jobIdx, err)
-					cur.stop()
-					cur = nil
-				}
+				startJob(cur, w, id, conf, addrs)
 				continue
 			}
 			// A later epoch: a replacement took over a slot; re-point
-			// the peer table (the transport re-dials lazily).
+			// the peer table (the endpoint re-dials lazily).
 			for peer, addr := range addrs {
-				if peer != id {
-					cur.tr.UpdatePeer(peer, addr)
-				}
+				cur.ep.UpdatePeer(peer, addr)
 			}
 		}
 	}
@@ -738,7 +730,7 @@ func reportErr(w *ctlWriter, id, jobIdx int, err error) {
 }
 
 // prepareJob materializes the job's input for this node and binds the
-// job's data-plane listener on the control connection's local
+// job's data-plane endpoint on the control connection's local
 // interface (loopback for a local cluster, the routable interface the
 // worker joined over for a remote one). It returns the address to
 // announce to the peer table: the bound address by default, rewritten
@@ -774,15 +766,15 @@ func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise str
 			advHost = advertise
 		}
 	}
-	job.ln, err = net.Listen("tcp", net.JoinHostPort(host, bindPort))
+	job.ep, err = dist.ListenEndpoint(id, conf.N, net.JoinHostPort(host, bindPort))
 	if err != nil {
 		return nil, "", fmt.Errorf("binding data-plane listener: %w", err)
 	}
-	announce := job.ln.Addr().String()
+	announce := job.ep.Addr()
 	if advHost != "" {
 		_, boundPort, err := net.SplitHostPort(announce)
 		if err != nil {
-			job.ln.Close()
+			job.ep.Close()
 			return nil, "", fmt.Errorf("binding data-plane listener: %w", err)
 		}
 		announce = net.JoinHostPort(advHost, boundPort)
@@ -822,28 +814,58 @@ func sliceRows(keys []uint32, cols [][]float64, n, id int) ([]uint32, [][]float6
 	return outKeys, outCols
 }
 
-// startJob brings the job's data plane up and runs this node's role of
-// the protocol in a goroutine.
-func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []string) error {
+// injectedFaults decorates a worker's endpoint with the forced
+// failures of the reconnect and replacement scenarios: just before the
+// node's dieAfter-th data frame leaves, the whole process exits
+// mid-stream; just before its killAfter-th, every outgoing connection
+// is severed once and the frame is lost with them (the receiver's
+// per-chunk re-requests recover it over fresh connections). Frames to
+// the node itself never reach a socket and resend traffic must not
+// re-trip a fault, so neither counts. Like dist.FaultTransport it does
+// not implement BatchSender, so it sees every frame.
+type injectedFaults struct {
+	dist.Transport
+	ep                  *dist.Endpoint
+	id                  int
+	killAfter, dieAfter int64 // <= 0 disables
+	nsent               atomic.Int64
+}
+
+func (t *injectedFaults) Send(f dist.Frame) error {
+	if f.To != t.id && f.Kind != dist.KindResend {
+		switch t.nsent.Add(1) {
+		case t.dieAfter:
+			os.Exit(exitInjectedDeath)
+		case t.killAfter:
+			t.ep.Sever()
+			return fmt.Errorf("proc: node %d: injected socket kill", t.id)
+		}
+	}
+	return t.Transport.Send(f)
+}
+
+// startJob points the job's endpoint at its peers and runs this node's
+// role of the protocol in a goroutine.
+func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []string) {
 	js := job.spec
+	for peer, addr := range addrs {
+		job.ep.UpdatePeer(peer, addr)
+	}
+	var ptr dist.Transport = job.ep
+	inj := &injectedFaults{Transport: job.ep, ep: job.ep, id: id}
+	if conf.KillNode == id {
+		inj.killAfter = int64(conf.KillAfter)
+	}
+	if conf.DieNode == id {
+		inj.dieAfter = int64(conf.DieAfter)
+	}
 	// The injected faults fire only in a slot's first incarnation: a
 	// substitute must not inherit the suicide it is substituting for.
-	killAfter := 0
-	if conf.KillAfter > 0 && conf.KillNode == id && js.incarnation == 0 {
-		killAfter = conf.KillAfter
+	if js.incarnation == 0 && (inj.killAfter > 0 || inj.dieAfter > 0) {
+		ptr = inj
 	}
-	tr, err := newNodeTransport(id, append([]string(nil), addrs...), job.ln, killAfter)
-	if err != nil {
-		return err
-	}
-	if conf.DieAfter > 0 && conf.DieNode == id && js.incarnation == 0 {
-		tr.dieAfter = int64(conf.DieAfter)
-		tr.onDie = func() { os.Exit(exitInjectedDeath) }
-	}
-	job.tr = tr
-	var ptr dist.Transport = tr
 	if conf.Faults.Active() {
-		ptr = dist.NewFaultTransport(tr, conf.Faults)
+		ptr = dist.NewFaultTransport(ptr, conf.Faults)
 	}
 	job.started = true
 	cfg := conf.distConfig()
@@ -874,5 +896,4 @@ func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []st
 			})
 		}
 	}()
-	return nil
 }

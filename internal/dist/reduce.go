@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -180,7 +179,7 @@ func (c Config) transport(n int) (Transport, error) {
 		tr.Close()
 		return nil, fmt.Errorf("dist: transport has %d nodes, cluster needs %d", tr.Nodes(), n)
 	}
-	if c.Faults != nil && c.Faults.active() {
+	if c.Faults != nil && c.Faults.Active() {
 		return NewFaultTransport(tr, *c.Faults), nil
 	}
 	return tr, nil
@@ -241,7 +240,6 @@ func childrenOf(topo Topology, id, n int) []int {
 // result is the local handoff from the root node to the caller.
 type result struct {
 	payload []byte
-	groups  []Group
 	err     error
 }
 
@@ -273,7 +271,7 @@ func ReduceConfig(shards [][]float64, workers int, topo Topology, cfg Config) (f
 	if workers < 1 {
 		return 0, fmt.Errorf("%w (got %d)", ErrWorkers, workers)
 	}
-	if !topo.valid() {
+	if !topo.Valid() {
 		return 0, fmt.Errorf("%w (got %d)", ErrTopology, int(topo))
 	}
 	tr, err := cfg.transport(n)
@@ -320,62 +318,19 @@ func ReduceConfig(shards [][]float64, workers int, topo Topology, cfg Config) (f
 // one goroutine per node.
 func RunReduceNode(id int, shard []float64, workers int, topo Topology, tr Transport, cfg Config) ([]byte, error) {
 	acc := localPartial(shard, workers)
-	kids := childrenOf(topo, id, tr.Nodes())
-
-	var nodeErr error
-	asm := newReassembler(cfg.reassemblyBudget())
-	heard := make(map[int]bool, len(kids))
-	resends := 0
-	for len(heard) < len(kids) && nodeErr == nil {
-		f, err := tr.Recv(id, cfg.childDeadline())
-		switch {
-		case errors.Is(err, ErrTimeout):
-			// Straggler handling: re-request every child not heard from
-			// yet — just the missing chunks of a partially received
-			// stream, the whole stream otherwise. Duplicates are
-			// absorbed by the reassembler, so racing with an in-flight
-			// original is safe, and re-request send failures are
-			// tolerated (the next round retries, a closed transport
-			// surfaces through Recv).
-			if resends >= cfg.maxResend() {
-				nodeErr = fmt.Errorf("%w (node %d waiting on %d of %d children)",
-					ErrStraggler, id, len(kids)-len(heard), len(kids))
-				break
-			}
-			resends++
-			for _, c := range kids {
-				if !heard[c] {
-					requestMissing(tr, asm, id, c, 0)
-				}
-			}
-		case err != nil:
-			nodeErr = err // transport closed underneath an unfinished protocol
-		case f.Kind == KindResend:
-			// Our parent is impatient, but the partial is not ready yet;
-			// the eventual first send will satisfy it.
-		default:
-			msg, complete, fresh, aerr := asm.accept(f)
-			if fresh {
-				resends = 0 // progress: the give-up budget is for silence, not slowness
-			}
-			switch {
-			case aerr != nil:
-				nodeErr = fmt.Errorf("dist: node %d reassembling from node %d: %w", id, f.From, aerr)
-			case !complete:
-				// Chunk buffered (or duplicate absorbed); keep collecting.
-			case msg.Kind == KindError:
-				heard[msg.From] = true
-				nodeErr = decodeErr(msg.From, msg.Payload)
-			case msg.Kind == KindPartial:
-				heard[msg.From] = true
-				if e := acc.MergeBinary(msg.Payload); e != nil {
-					nodeErr = fmt.Errorf("dist: node %d merging partial from node %d: %w", id, msg.From, e)
-				}
-			default:
-				// Unknown-but-valid kinds are ignored for forward compatibility.
-			}
-		}
+	col := newCollector(id, tr, cfg)
+	for _, kid := range childrenOf(topo, id, tr.Nodes()) {
+		col.expect(kid, 0)
 	}
+	nodeErr := col.collect(func(msg Frame) error {
+		if msg.Kind != KindPartial {
+			return fmt.Errorf("%w: node %d got kind %d from node %d, want a partial", ErrBadFrame, id, msg.Kind, msg.From)
+		}
+		if err := acc.MergeBinary(msg.Payload); err != nil {
+			return fmt.Errorf("dist: node %d merging partial from node %d: %w", id, msg.From, err)
+		}
+		return nil
+	})
 
 	out := Frame{Kind: KindPartial, From: id}
 	if nodeErr == nil {
@@ -389,40 +344,21 @@ func RunReduceNode(id int, shard []float64, workers int, topo Topology, tr Trans
 			ErrChunkBudget, id, len(out.Payload), cfg.maxMessage())
 	}
 	if nodeErr != nil {
-		out = Frame{Kind: KindError, From: id, Payload: encodeErr(nodeErr)}
+		out = Frame{Kind: KindError, From: id, Payload: EncodeErr(nodeErr)}
 	}
 
-	p := topo.parent(id, tr.Nodes())
-	if p < 0 {
+	out.To = topo.parent(id, tr.Nodes())
+	if out.To < 0 {
 		if nodeErr != nil {
 			return nil, nodeErr
 		}
 		return out.Payload, nil
 	}
-
-	out.To = p
-	outChunks := splitFrame(out, cfg.chunkPayload())
 	cfg.gate.wait(id)
-	// A failed send is tolerated, not fatal: the parent's deadline
-	// re-requests the missing chunks and the retransmission below
-	// retries (over TCP, on a freshly dialed connection).
-	sendChunks(tr, outChunks)
+	col.send(out)
 	cfg.gate.done()
-
-	// Serve straggler re-requests from the cached chunk list until the
-	// coordinator closes the transport — a request for one lost chunk
-	// retransmits one chunk, not the whole partial. Send failures are
-	// transient by assumption (the next re-request retries); Recv
-	// failing means the transport is gone and the node's work is over.
-	for {
-		f, err := tr.Recv(id, 0)
-		if err != nil {
-			return nil, nodeErr
-		}
-		if f.Kind == KindResend && f.From == p {
-			serveResend(tr, outChunks, f)
-		}
-	}
+	col.serve()
+	return nil, nodeErr
 }
 
 // localPartial sums one shard into a partial state using workers

@@ -13,8 +13,9 @@ import (
 // The message layer of the simulated cluster. Reduce and AggregateByKey
 // are written against the Transport interface below, so the same
 // protocol code runs over in-process channels (ChanTransport, the
-// zero-copy path), real TCP sockets on loopback (TCPTransport), and any
-// of those wrapped in the fault-injection decorator (FaultTransport).
+// zero-copy path), real TCP sockets (one Endpoint per node: all in one
+// process as TCPTransport, or one per worker process), and any of those
+// wrapped in the fault-injection decorator (FaultTransport).
 // Reproducibility never depends on the transport: partial states travel
 // as canonical rsum encodings, merging is order-independent, and the
 // protocols deduplicate frames, so delays, duplication, reordering, and
@@ -136,7 +137,7 @@ const (
 	// corrupt or adversarial length prefix cannot trigger a huge
 	// allocation. Since wire version 2 this caps one chunk, not one
 	// logical message: senders split larger payloads into chunk streams
-	// (see splitFrame) and receivers reassemble them under
+	// (see SplitFrame) and receivers reassemble them under
 	// Config.ReassemblyBudget.
 	MaxFramePayload = 1 << 24
 
@@ -341,9 +342,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // the returned buffer, so it is valid only until the next ReadFrameBuf
 // (or any other write) on that buffer. A component that retains the
 // payload past that point — a mailbox queue, a reassembly stash, a
-// resend cache — must copy it first (copy-on-retain). The socket read
-// loops of TCPTransport and the multi-process runtime enforce this rule
-// at the mailbox boundary; TestReadFrameBufOwnership pins it down.
+// resend cache — must copy it first (copy-on-retain). The Endpoint
+// read loop enforces this rule at the inbox boundary;
+// TestReadFrameBufOwnership pins it down.
 func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [frameHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -375,8 +376,8 @@ func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 
 // retainPayload returns f with its payload copied into a buffer f owns
 // — the copy-on-retain side of the ReadFrameBuf handoff rule, applied
-// by the socket read loops immediately before a frame crosses into the
-// mailbox (which retains it until the protocol consumes it, long after
+// by the Endpoint read loop immediately before a frame crosses into the
+// inbox (which retains it until the protocol consumes it, long after
 // the connection read buffer has been overwritten by the next frame).
 func retainPayload(f Frame) Frame {
 	if len(f.Payload) > 0 {
@@ -416,89 +417,37 @@ type TransportFactory func(n int) (Transport, error)
 // list more efficiently than one Send per frame — the TCP transport
 // coalesces a batch into buffered writes with a single flush per
 // (from, to) run, and the channel transport enqueues a run under one
-// mailbox lock. Semantics are identical to calling Send in order;
-// sendChunks type-asserts for it, so decorators that must observe every
+// inbox lock. Semantics are identical to calling Send in order; the
+// collector type-asserts for it, so decorators that must observe every
 // frame (fault injection, test counters) simply do not implement it and
 // keep receiving per-frame Sends.
 type BatchSender interface {
 	SendBatch(fs []Frame) error
 }
 
-// mailboxes is the shared receive side of the built-in transports: one
-// unbounded inbox per node plus a close signal. ChanTransport embeds it
-// directly; TCPTransport feeds it from socket reader goroutines.
-// Inboxes are unbounded because chunked streams make the worst-case
-// fan-in unknowable at transport construction: with any fixed capacity,
-// two nodes exchanging chunk floods could each block in Send on the
-// other's full inbox and deadlock. Memory stays bounded by what peers
-// actually send — the reassembly budget is the defense against a
-// hostile peer, not inbox backpressure.
-type mailboxes struct {
-	boxes  []*inbox
-	closed chan struct{}
-	once   sync.Once
-}
-
-// inbox is one node's unbounded frame queue: appends never block, and a
-// 1-slot signal channel wakes the (single) receiver. A stale signal
-// costs one spurious queue check; a missed one is impossible because
-// the receiver re-checks the queue after every wakeup and the signal is
-// set after every append.
+// inbox is one node's unbounded frame queue — the receive side of
+// every built-in transport (ChanTransport holds one per node, a socket
+// Endpoint exactly one): appends never block, and a 1-slot signal
+// channel wakes the (single) receiver. A stale signal costs one
+// spurious queue check; a missed one is impossible because the receiver
+// re-checks the queue after every wakeup and the signal is set after
+// every append. Inboxes are unbounded because chunked streams make the
+// worst-case fan-in unknowable at transport construction: with any
+// fixed capacity, two nodes exchanging chunk floods could each block in
+// Send on the other's full inbox and deadlock. Memory stays bounded by
+// what peers actually send — the reassembly budget is the defense
+// against a hostile peer, not inbox backpressure.
 type inbox struct {
 	mu  sync.Mutex
 	q   []Frame
 	sig chan struct{}
 }
 
-func newMailboxes(n int) *mailboxes {
-	m := &mailboxes{
-		boxes:  make([]*inbox, n),
-		closed: make(chan struct{}),
-	}
-	for i := range m.boxes {
-		m.boxes[i] = &inbox{sig: make(chan struct{}, 1)}
-	}
-	return m
-}
+func newInbox() *inbox { return &inbox{sig: make(chan struct{}, 1)} }
 
-func (m *mailboxes) Nodes() int { return len(m.boxes) }
-
-// deliver enqueues f for node f.To. It never blocks.
-func (m *mailboxes) deliver(f Frame) error {
-	if f.To < 0 || f.To >= len(m.boxes) {
-		return fmt.Errorf("dist: send to node %d of %d-node cluster", f.To, len(m.boxes))
-	}
-	select {
-	case <-m.closed:
-		return ErrClosed
-	default:
-	}
-	b := m.boxes[f.To]
-	b.mu.Lock()
-	b.q = append(b.q, f)
-	b.mu.Unlock()
-	select {
-	case b.sig <- struct{}{}:
-	default:
-	}
-	mChanFrames.Inc()
-	return nil
-}
-
-// deliverBatch enqueues a run of frames sharing one destination under a
-// single inbox lock and wakes the receiver once. All frames must have
-// the same To.
-func (m *mailboxes) deliverBatch(fs []Frame) error {
-	to := fs[0].To
-	if to < 0 || to >= len(m.boxes) {
-		return fmt.Errorf("dist: send to node %d of %d-node cluster", to, len(m.boxes))
-	}
-	select {
-	case <-m.closed:
-		return ErrClosed
-	default:
-	}
-	b := m.boxes[to]
+// put enqueues a run of frames under a single lock and wakes the
+// receiver once. It never blocks.
+func (b *inbox) put(fs []Frame) {
 	b.mu.Lock()
 	b.q = append(b.q, fs...)
 	b.mu.Unlock()
@@ -506,16 +455,12 @@ func (m *mailboxes) deliverBatch(fs []Frame) error {
 	case b.sig <- struct{}{}:
 	default:
 	}
-	mChanFrames.Add(uint64(len(fs)))
-	return nil
 }
 
-// Recv returns the next frame addressed to node id.
-func (m *mailboxes) Recv(id int, timeout time.Duration) (Frame, error) {
-	if id < 0 || id >= len(m.boxes) {
-		return Frame{}, fmt.Errorf("dist: recv on node %d of %d-node cluster", id, len(m.boxes))
-	}
-	b := m.boxes[id]
+// get returns the next queued frame. timeout <= 0 blocks until a frame
+// arrives; closed is the owning transport's close signal, checked
+// first so every receive after Close reports ErrClosed.
+func (b *inbox) get(timeout time.Duration, closed <-chan struct{}) (Frame, error) {
 	var expired <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -523,6 +468,9 @@ func (m *mailboxes) Recv(id int, timeout time.Duration) (Frame, error) {
 		expired = timer.C
 	}
 	for {
+		if isClosed(closed) {
+			return Frame{}, ErrClosed
+		}
 		b.mu.Lock()
 		if len(b.q) > 0 {
 			f := b.q[0]
@@ -539,59 +487,102 @@ func (m *mailboxes) Recv(id int, timeout time.Duration) (Frame, error) {
 		case <-b.sig:
 		case <-expired:
 			return Frame{}, ErrTimeout
-		case <-m.closed:
+		case <-closed:
 			return Frame{}, ErrClosed
 		}
 	}
 }
 
-// close unblocks all pending receives. Idempotent.
-func (m *mailboxes) close() {
-	m.once.Do(func() { close(m.closed) })
-}
-
-// ChanTransport is the in-process interconnect: one buffered Go channel
-// per node. Frames are passed by reference (payloads are not copied or
-// encoded), preserving the zero-copy path of the original
-// channel-backed implementation.
+// ChanTransport is the in-process interconnect: one inbox per node.
+// Frames are passed by reference (payloads are not copied or encoded),
+// preserving the zero-copy path of the original channel-backed
+// implementation.
 type ChanTransport struct {
-	*mailboxes
+	boxes  []*inbox
+	closed chan struct{}
+	once   sync.Once
 }
 
 // NewChanTransport returns an in-process transport for n nodes.
 func NewChanTransport(n int) *ChanTransport {
-	return &ChanTransport{mailboxes: newMailboxes(n)}
+	t := &ChanTransport{boxes: make([]*inbox, n), closed: make(chan struct{})}
+	for i := range t.boxes {
+		t.boxes[i] = newInbox()
+	}
+	return t
 }
 
+func (t *ChanTransport) Nodes() int { return len(t.boxes) }
+
 // Send delivers f to node f.To. Destinations out of range are rejected.
-func (t *ChanTransport) Send(f Frame) error { return t.deliver(f) }
+func (t *ChanTransport) Send(f Frame) error { return t.deliver([]Frame{f}) }
 
 // SendBatch delivers a frame list, taking each destination's inbox lock
 // once per run of equal-To frames instead of once per frame.
 func (t *ChanTransport) SendBatch(fs []Frame) error {
-	var firstErr error
-	for start := 0; start < len(fs); {
-		end := start + 1
-		for end < len(fs) && fs[end].To == fs[start].To {
-			end++
-		}
-		if err := t.deliverBatch(fs[start:end]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		start = end
-	}
-	return firstErr
+	return sendRuns(fs, func(a, b Frame) bool { return a.To == b.To }, t.deliver)
 }
 
-// Close unblocks all pending sends and receives.
+// deliver enqueues a run of frames sharing one destination.
+func (t *ChanTransport) deliver(fs []Frame) error {
+	to := fs[0].To
+	if to < 0 || to >= len(t.boxes) {
+		return fmt.Errorf("dist: send to node %d of %d-node cluster", to, len(t.boxes))
+	}
+	if isClosed(t.closed) {
+		return ErrClosed
+	}
+	t.boxes[to].put(fs)
+	mChanFrames.Add(uint64(len(fs)))
+	return nil
+}
+
+// Recv returns the next frame addressed to node id.
+func (t *ChanTransport) Recv(id int, timeout time.Duration) (Frame, error) {
+	if id < 0 || id >= len(t.boxes) {
+		return Frame{}, fmt.Errorf("dist: recv on node %d of %d-node cluster", id, len(t.boxes))
+	}
+	return t.boxes[id].get(timeout, t.closed)
+}
+
+// Close unblocks all pending sends and receives. Idempotent.
 func (t *ChanTransport) Close() error {
-	t.mailboxes.close()
+	t.once.Do(func() { close(t.closed) })
 	return nil
 }
 
 // ChanTransportFactory is the TransportFactory of NewChanTransport —
 // the default interconnect of Reduce and AggregateByKey.
 func ChanTransportFactory(n int) (Transport, error) { return NewChanTransport(n), nil }
+
+// isClosed polls a transport's close signal.
+func isClosed(closed <-chan struct{}) bool {
+	select {
+	case <-closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// sendRuns splits a frame list into maximal runs of frames that same
+// reports as sharing a route and hands each run to send, in order. The
+// first error is reported, later runs are still attempted, matching the
+// protocols' tolerance for partial send failures.
+func sendRuns(fs []Frame, same func(a, b Frame) bool, send func([]Frame) error) error {
+	var firstErr error
+	for start := 0; start < len(fs); {
+		end := start + 1
+		for end < len(fs) && same(fs[start], fs[end]) {
+			end++
+		}
+		if err := send(fs[start:end]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		start = end
+	}
+	return firstErr
+}
 
 // KindError payloads carry a 1-byte sentinel code before the error
 // text, so the exported sentinels that can genuinely originate on a
@@ -607,8 +598,8 @@ const (
 	errCodeHandshake
 )
 
-// encodeErr flattens an error for a KindError payload.
-func encodeErr(err error) []byte {
+// EncodeErr flattens an error into a KindError payload.
+func EncodeErr(err error) []byte {
 	code := errCodeGeneric
 	switch {
 	case errors.Is(err, ErrStraggler):
@@ -641,8 +632,10 @@ func (e *remoteError) Error() string {
 }
 func (e *remoteError) Unwrap() error { return e.sentinel }
 
-// decodeErr inverts encodeErr for a frame received from a peer.
-func decodeErr(from int, payload []byte) error {
+// DecodeErr inverts EncodeErr for a KindError payload received from
+// node from (a negative from names the supervisor of a multi-process
+// run).
+func DecodeErr(from int, payload []byte) error {
 	if len(payload) == 0 {
 		return &remoteError{from: from, text: "unspecified failure"}
 	}

@@ -116,85 +116,6 @@ func transportFactories() map[string]TransportFactory {
 	}
 }
 
-func TestTransportDelivery(t *testing.T) {
-	for name, factory := range transportFactories() {
-		t.Run(name, func(t *testing.T) {
-			tr, err := factory(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			if tr.Nodes() != 4 {
-				t.Fatalf("Nodes() = %d, want 4", tr.Nodes())
-			}
-			want := Frame{Kind: KindPartial, From: 2, To: 1, Seq: 7, Chunks: 1, Payload: []byte("payload")}
-			if err := tr.Send(want); err != nil {
-				t.Fatal(err)
-			}
-			got, err := tr.Recv(1, time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Kind != want.Kind || got.From != 2 || got.Seq != 7 || !bytes.Equal(got.Payload, want.Payload) {
-				t.Fatalf("got %+v, want %+v", got, want)
-			}
-			// Self-send must work (the shuffle routes frames to the
-			// sender's own partition).
-			if err := tr.Send(Frame{Kind: KindGroups, From: 1, To: 1, Chunks: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tr.Recv(1, time.Second); err != nil {
-				t.Fatalf("self-send: %v", err)
-			}
-			// Timeout on an empty mailbox.
-			if _, err := tr.Recv(3, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
-				t.Fatalf("empty mailbox: got %v, want ErrTimeout", err)
-			}
-			// Out-of-range endpoints are rejected.
-			if err := tr.Send(Frame{To: 99}); err == nil {
-				t.Fatal("send to out-of-range node accepted")
-			}
-			if _, err := tr.Recv(-1, time.Millisecond); err == nil {
-				t.Fatal("recv on out-of-range node accepted")
-			}
-		})
-	}
-}
-
-func TestTransportClose(t *testing.T) {
-	for name, factory := range transportFactories() {
-		t.Run(name, func(t *testing.T) {
-			tr, err := factory(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unblocked := make(chan error, 1)
-			go func() {
-				_, err := tr.Recv(0, 0)
-				unblocked <- err
-			}()
-			time.Sleep(5 * time.Millisecond)
-			if err := tr.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			select {
-			case err := <-unblocked:
-				if !errors.Is(err, ErrClosed) {
-					t.Fatalf("blocked Recv: got %v, want ErrClosed", err)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("Close did not unblock Recv")
-			}
-			if err := tr.Send(Frame{Kind: KindPartial, To: 0, Chunks: 1}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Send after Close: got %v, want ErrClosed", err)
-			}
-			if err := tr.Close(); err != nil {
-				t.Fatalf("second Close: %v", err)
-			}
-		})
-	}
-}
-
 // TestTCPFrameOverWire pins that TCP really moves the canonical state
 // encoding through a socket: marshal on one node, MergeBinary on the
 // other side, bits preserved.
@@ -561,46 +482,6 @@ func TestHostileChunksRejected(t *testing.T) {
 		_, err := ReduceConfig([][]float64{{1}, {2}}, 1, Star, cfg)
 		if err == nil {
 			t.Fatalf("hostile frame %d: reduction succeeded", i)
-		}
-	}
-}
-
-// TestTCPSendRedialsAfterConnFailure: a broken cached connection must
-// not poison the (from, to) pair forever — the next Send re-dials, so
-// straggler retransmissions can actually recover.
-func TestTCPSendRedialsAfterConnFailure(t *testing.T) {
-	tr, err := NewTCPTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	f := Frame{Kind: KindPartial, From: 1, To: 0, Chunks: 1, Payload: []byte("partial")}
-	if err := tr.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Recv(0, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// Break the cached connection behind Send's back.
-	p := tr.pipe(1, 0)
-	p.mu.Lock()
-	p.c.Close()
-	p.mu.Unlock()
-
-	// Sends must recover via re-dial: the first attempts may fail while
-	// the failure is detected and the pipe dropped, but a fresh frame
-	// must get through well within the deadline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("Send never recovered after the cached conn broke")
-		}
-		if err := tr.Send(f); err != nil {
-			continue
-		}
-		if _, err := tr.Recv(0, 100*time.Millisecond); err == nil {
-			return // delivered over the re-dialed connection
 		}
 	}
 }

@@ -2,10 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -566,15 +567,16 @@ func (s *Server) execute(q Query, tr *obs.Trace) (out []byte, err error) {
 }
 
 // groupByLocal is the local GROUP BY engine: each resident partition is
-// aggregated independently (keys only collide within their partition),
-// a worker pool walks the partitions, and the per-partition group lists
-// are concatenated and key-sorted. Group tables are sized from
-// DistinctBound, so they never rehash mid-partition. The result bits
-// are identical to the distributed plane's: the aggregate states are
-// order-independent, so it does not matter which backend folded which
-// row first.
+// aggregated independently (keys only collide within their partition)
+// through dist.GroupTuples — the same tuple table the distributed
+// plane's owners use, sized from DistinctBound so it never rehashes —
+// a worker pool walks the partitions, and the per-partition key-sorted
+// runs are concatenated and sorted. The result bits are identical to
+// the distributed plane's: the aggregate states are order-independent,
+// so it does not matter which backend folded which row first.
 func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error) {
-	nparts := s.ds.part.NumPartitions()
+	part := &s.ds.part
+	nparts := part.NumPartitions()
 	perPart := make([][]dist.TupleGroup, nparts)
 	errs := make([]error, nparts)
 
@@ -588,12 +590,20 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			cols := make([][]float64, len(s.ds.pcols))
 			for {
 				p := int(next.Add(1)) - 1
 				if p >= nparts {
 					return
 				}
-				perPart[p], errs[p] = s.aggPartition(p, specs)
+				pk, _ := part.Partition(p)
+				if len(pk) == 0 {
+					continue
+				}
+				for c, col := range s.ds.pcols {
+					cols[c] = col[part.Off[p]:part.Off[p+1]]
+				}
+				perPart[p], errs[p] = dist.GroupTuples(pk, cols, specs, part.DistinctBound(p, uint32(s.ds.fanout)))
 			}
 		}()
 	}
@@ -610,49 +620,8 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 	for p := range perPart {
 		out = append(out, perPart[p]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b dist.TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
-}
-
-// aggPartition folds one resident partition into finalized groups.
-func (s *Server) aggPartition(p int, specs []sqlagg.AggSpec) ([]dist.TupleGroup, error) {
-	pk, _ := s.ds.part.Partition(p)
-	if len(pk) == 0 {
-		return nil, nil
-	}
-	base := s.ds.part.Off[p]
-	bound := s.ds.part.DistinctBound(p, uint32(s.ds.fanout))
-
-	idx := make(map[uint32]int, bound)
-	order := make([]uint32, 0, bound)
-	tuples := make([][]sqlagg.AggState, 0, bound)
-	for i, k := range pk {
-		j, ok := idx[k]
-		if !ok {
-			sts, err := sqlagg.NewStates(specs)
-			if err != nil {
-				return nil, err
-			}
-			j = len(tuples)
-			idx[k] = j
-			order = append(order, k)
-			tuples = append(tuples, sts)
-		}
-		row := base + i
-		for si := range specs {
-			tuples[j][si].Add(s.ds.pcols[specs[si].Col][row])
-		}
-	}
-
-	gs := make([]dist.TupleGroup, len(tuples))
-	for j := range tuples {
-		aggs := make([]float64, len(specs))
-		for si := range specs {
-			aggs[si] = tuples[j][si].Value()
-		}
-		gs[j] = dist.TupleGroup{Key: order[j], Aggs: aggs}
-	}
-	return gs, nil
 }
 
 // cacheKey prefixes the canonical query encoding with the dataset
