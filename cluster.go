@@ -18,11 +18,11 @@ import (
 // ErrClusterClosed is returned by Cluster.Run on a closed cluster.
 var ErrClusterClosed = proc.ErrClusterClosed
 
-// ClusterSpec configures NewCluster: the cluster size, how many slots
-// are left open for remote joiners, standby capacity for mid-run
-// replacement, the control listen address, and liveness timing. Every
-// field is validated at construction with a typed ErrConfig naming
-// the field.
+// ClusterSpec configures NewCluster: the cluster size, how many of the
+// workers operators start rather than the supervisor, standby capacity
+// for mid-run replacement, the control listen address, and liveness
+// timing. Every field is validated at construction with a typed
+// ErrConfig naming the field.
 type ClusterSpec = proc.ClusterSpec
 
 // ClusterOptions configures worker spawning: the reproworker binary
@@ -98,11 +98,12 @@ const (
 	MixedMag  = workload.MixedMag  // signed, spanning ~24 binades — cancellation-heavy
 )
 
-// NewCluster forms a cluster: spawns spec.Nodes−spec.Join local
-// workers (plus spec.SpawnStandby standbys), listens on spec.Addr for
-// remote joiners, and verifies every arrival's handshake (frame codec
-// version, rsum level count, digested run configuration) before
-// admission. The distributed interconnect options (WithMaxChunkPayload,
+// NewCluster forms a cluster: listens on spec.Addr, starts
+// spec.Nodes−spec.Join+spec.SpawnStandby local workers as joiners of
+// that address, and admits every arrival — its own or an operator's
+// `reproworker -join` — through the one handshake (frame codec version,
+// rsum level count, digested run configuration), slots going out in
+// arrival order. The distributed interconnect options (WithMaxChunkPayload,
 // WithFaults, WithStragglerDeadline, …) configure the data plane of
 // every job the cluster runs; WithProcessCluster is meaningless here
 // (the spec's Nodes rules) and WithTCPTransport/WithChanTransport are

@@ -1,32 +1,24 @@
-// Command reproworker is the spawnable cluster worker of the
-// multi-process runtime (internal/dist/proc): one reproworker process
-// is one node of a reproducible-aggregation cluster.
+// Command reproworker is the cluster worker of the multi-process
+// runtime (internal/dist/proc): one reproworker process is one node of
+// a reproducible-aggregation cluster.
 //
-// Workers are normally spawned by a supervisor — the repro facade's
-// WithProcessCluster option, proc.Reduce/AggregateByKey, or the
-// `reprobench dist -procs` sweep — which passes each worker its
-// control address, node id, and the hex-encoded run configuration:
-//
-//	reproworker -control 127.0.0.1:43117 -id 3 -conf 0102...
-//
-// A worker can also join a cluster it was not spawned by. Join mode
-// takes only the supervisor's control address:
+// A worker is given one thing, the cluster's control address:
 //
 //	reproworker -join 10.0.0.5:43117
 //
-// and is how an operator adds capacity from another shell or another
-// machine: the joiner introduces itself with a config-less hello, the
-// supervisor hands it the cluster configuration and a node id (or
-// parks it as a standby when every slot is taken), and from there it
-// is indistinguishable from a spawned worker. With replacement
-// enabled, a parked joiner is the substitute the supervisor promotes
-// when a member dies mid-run.
-//
-// Either way the worker dials the control address and sends a
-// KindHello handshake carrying its frame codec version, rsum
-// summation level count, and — once it holds the cluster config — a
-// digest of that config. The supervisor rejects any mismatch with a
-// typed wire error (ErrHandshake) before a byte of data moves — a
+// That is the line a supervisor — the repro facade's
+// WithProcessCluster option, repro.NewCluster, or the `reprobench dist
+// -procs` sweep — starts its own workers with, and the line an
+// operator types to add capacity from another shell or another
+// machine; the cluster cannot tell the two apart. The worker dials the
+// address and introduces itself with a join hello carrying its frame
+// codec version, rsum summation level count and control-plane spec
+// version; the supervisor hands it the cluster configuration and a
+// node slot (or parks it as a standby when every slot is taken — with
+// replacement enabled, the substitute it promotes when a member dies
+// mid-run); and the worker answers with the full hello, digesting the
+// configuration it received. The supervisor rejects any mismatch with
+// a typed wire error (ErrHandshake) before a byte of data moves — a
 // stale binary or an edited config cannot silently join and diverge.
 // Accepted workers receive job specs over the control plane,
 // materialize their input locally (raw shards from the payload, or a
@@ -34,7 +26,9 @@
 // listener per job, execute their node's role of the reduction or
 // GROUP BY shuffle protocol over real sockets (reconnecting and
 // serving per-chunk resends through any socket failure), and exit on
-// the supervisor's shutdown frame.
+// the supervisor's shutdown frame. A worker whose supervisor vanishes
+// redials and goes through the same handshake again, naming the slot
+// it held.
 //
 // Exit codes: 0 on a clean shutdown (also -help), 1 on a runtime
 // failure, 2 on flag misuse, and 3 when the supervisor rejects the

@@ -6,14 +6,16 @@
 // real TCP sockets.
 //
 // The core abstraction is the elastic Cluster (elastic.go): a
-// long-lived supervisor that forms its worker set from spawned
-// processes, operator-started remote joiners (reproworker -join), or
-// both; runs a sequence of typed Jobs whose inputs are raw shards or
-// declarative sources the workers materialize locally; and — with
-// ReplaceDead — survives worker death mid-run by admitting a
-// substitute through the same digested KindHello handshake,
-// re-shipping the lost job spec, and re-pointing the surviving peers'
-// reconnect-safe transports. The result is bit-identical to the
+// long-lived supervisor that forms its worker set from whoever joins
+// its control address (reproworker -join) — processes it started
+// itself and processes an operator started elsewhere are admitted
+// through one handshake (join hello, KindConf, digested full hello)
+// and take slots in arrival order; runs a sequence of typed Jobs whose
+// inputs are raw shards or declarative sources the workers materialize
+// locally; and — with ReplaceDead — survives worker death mid-run by
+// admitting a substitute through that same handshake, re-shipping the
+// lost job spec, and re-pointing the surviving peers' reconnect-safe
+// transports. The result is bit-identical to the
 // in-process engine for every topology, cluster size, chunk regime,
 // fault plan, forced socket kill, and mid-run replacement — the
 // paper's reproducibility claim extended to its hardest setting:

@@ -2,7 +2,6 @@ package proc
 
 import (
 	"bufio"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -21,13 +20,15 @@ import (
 )
 
 // The elastic cluster runtime: a long-lived Cluster handle that forms
-// a worker set from spawned processes, remote joiners (reproworker
-// -join <addr>), or both; runs a sequence of typed Jobs over it; and
-// survives worker death mid-run by admitting a substitute through the
-// same handshake, re-shipping the dead worker's job spec, and
-// re-pointing the surviving peers — with a final result bit-identical
-// to an undisturbed run, because the protocols' partial frames are
-// deterministic and merge order-invariantly.
+// a worker set from whoever joins its control address (reproworker
+// -join <addr>) — processes it started itself, processes an operator
+// started, or both, all through one admission handshake; runs a
+// sequence of typed Jobs over it; and survives worker death mid-run by
+// admitting a substitute through that same handshake, re-shipping the
+// dead worker's job spec, and re-pointing the surviving peers — with a
+// final result bit-identical to an undisturbed run, because the
+// protocols' partial frames are deterministic and merge
+// order-invariantly.
 //
 // The supervisor is a single event-loop goroutine that owns all
 // cluster state. Connections, process exits, job submissions, and
@@ -46,11 +47,15 @@ var ErrClusterClosed = errors.New("proc: cluster closed")
 type ClusterSpec struct {
 	// Nodes is the cluster size: how many workers run each job.
 	Nodes int
-	// Join is how many of the Nodes slots are left open for remote
-	// joiners (reproworker -join) instead of being spawned locally.
+	// Join is how many of the Nodes workers the supervisor does not
+	// start itself: it starts Nodes - Join (reproworker -join Addr) and
+	// leaves the rest to operators running the same line elsewhere.
+	// Slots are not set aside for either kind: the first verified
+	// arrival takes the lowest free slot.
 	Join int
-	// SpawnStandby spawns this many extra local workers in join mode;
-	// they park as standbys and are promoted when a member dies.
+	// SpawnStandby starts this many extra local workers; whichever
+	// arrivals find every slot taken park as standbys and are promoted
+	// when a member dies.
 	SpawnStandby int
 	// MaxStandby caps how many joiners may park as standbys beyond the
 	// Nodes slots (0 defaults to SpawnStandby). A joiner arriving when
@@ -370,8 +375,7 @@ type connState struct {
 	conn     net.Conn
 	phase    int
 	id       int
-	inc      int       // admission incarnation of the slot (0 = first)
-	cmd      *exec.Cmd // owning spawned process, nil for remote joiners
+	inc      int // admission incarnation of the slot (0 = first)
 	lastSeen time.Time
 }
 
@@ -408,16 +412,17 @@ type runReply struct {
 
 const ctlWriteTimeout = 30 * time.Second
 
-// NewCluster forms a cluster: binds the control listener, spawns the
-// local workers and standbys, and starts the supervisor loop. It does
-// not wait for formation — Run does, bounded by JoinTimeout.
+// NewCluster forms a cluster: binds the control listener, starts the
+// local workers and standbys as joiners of it, and starts the
+// supervisor loop. It does not wait for formation — Run does, bounded
+// by JoinTimeout.
 //
 // With ClusterSpec.Journal set and a non-empty journal present, this
 // is also the crash-restart recovery path: the journal is replayed,
 // the fencing epoch is bumped, the journaled control address is
-// re-bound, and slots that were admitted before the crash are *not*
-// respawned — their orphaned worker processes are expected to
-// re-attach through the returning-member handshake (a worker that
+// re-bound, and one fewer worker is started per slot that was admitted
+// before the crash — those orphaned worker processes are expected to
+// attach again on their own, naming the slot they held (a worker that
 // truly died surfaces as a replacement timeout instead).
 func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
@@ -503,14 +508,13 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		c.elog.Append("replay", -1, fmt.Sprintf("journal replayed: %d records, next job %d", rec.records, rec.nextJob))
 	}
 	l := &clusterLoop{
-		c:            c,
-		epoch:        epoch,
-		members:      make([]*connState, conf.N),
-		incs:         make([]int, conf.N),
-		spawnPending: make(map[*exec.Cmd]int),
-		procs:        make(map[*exec.Cmd]int),
-		reserved:     make(map[int]*connState),
-		prevWire:     make(map[int]dist.WireStats),
+		c:        c,
+		epoch:    epoch,
+		members:  make([]*connState, conf.N),
+		incs:     make([]int, conf.N),
+		procs:    make(map[*exec.Cmd]bool),
+		reserved: make(map[int]*connState),
+		prevWire: make(map[int]dist.WireStats),
 	}
 	if recovering {
 		// Restore the incarnation counters and job cursor, so any job
@@ -529,14 +533,31 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		}
 	}
 
+	// Every local worker is started with the one line an operator would
+	// type. A recovered supervisor starts none for the slots its journal
+	// shows as admitted (respawning would race the orphans for them) and
+	// no standbys (the previous ones redial on their own).
 	spawnN := spec.Nodes - spec.Join
-	if spawnN > 0 || (!recovering && spec.SpawnStandby > 0) {
-		path, reexec, err := resolveWorker(spec.Options)
-		if err != nil {
-			ln.Close()
-			return nil, err
+	if !recovering {
+		spawnN += spec.SpawnStandby
+	} else {
+		for _, inc := range rec.incs {
+			if inc > 0 {
+				spawnN--
+			}
 		}
-		abort := func(err error) (*Cluster, error) {
+	}
+	if spawnN > 0 {
+		path, reexec, err := resolveWorker(spec.Options)
+		for i := 0; i < spawnN && err == nil; i++ {
+			cmd := spawnCmd(path, reexec, spec.Options, "-join", ln.Addr().String())
+			if err = cmd.Start(); err != nil {
+				err = fmt.Errorf("proc: spawning worker %d (%s): %w", i, path, err)
+			} else {
+				l.procs[cmd] = true
+			}
+		}
+		if err != nil {
 			ln.Close()
 			if jnl != nil {
 				jnl.close()
@@ -546,34 +567,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 				_ = cmd.Wait()
 			}
 			return nil, err
-		}
-		for id := 0; id < spawnN; id++ {
-			if recovering && id < len(rec.incs) && rec.incs[id] > 0 {
-				// Admitted before the crash: its process is presumed alive
-				// and re-attaching. Respawning would race it for the slot.
-				continue
-			}
-			cmd := spawnCmd(path, reexec, spec.Options,
-				"-control", ln.Addr().String(),
-				"-id", fmt.Sprint(id),
-				"-epoch", fmt.Sprint(epoch),
-				"-conf", hex.EncodeToString(raw))
-			if err := cmd.Start(); err != nil {
-				return abort(fmt.Errorf("proc: spawning worker %d (%s): %w", id, path, err))
-			}
-			l.spawnPending[cmd] = id
-			l.procs[cmd] = id
-		}
-		if !recovering {
-			// A recovered supervisor's standbys are the previous ones:
-			// parked joiners redial on their own after the crash.
-			for s := 0; s < spec.SpawnStandby; s++ {
-				cmd := spawnCmd(path, reexec, spec.Options, "-join", ln.Addr().String())
-				if err := cmd.Start(); err != nil {
-					return abort(fmt.Errorf("proc: spawning standby worker (%s): %w", path, err))
-				}
-				l.procs[cmd] = -1
-			}
 		}
 	}
 	for cmd := range l.procs {
@@ -942,14 +935,13 @@ func (rs *runState) payloadFor(id, inc int) ([]byte, error) {
 type clusterLoop struct {
 	c *Cluster
 
-	epoch        uint64                 // supervisor fencing epoch (0 = unjournaled)
-	members      []*connState           // admitted, by node id
-	incs         []int                  // next admission incarnation per slot
-	spawnPending map[*exec.Cmd]int      // spawned, not yet admitted → node id
-	procs        map[*exec.Cmd]int      // every live spawned process → id (-1 standby)
-	standbys     []*connState           // parked joiners, promotion order
-	reserved     map[int]*connState     // slot id → joiner awaiting its full hello
-	prevWire     map[int]dist.WireStats // last ping-reported wire counters per slot
+	epoch    uint64                 // supervisor fencing epoch (0 = unjournaled)
+	members  []*connState           // admitted, by node id
+	incs     []int                  // next admission incarnation per slot
+	procs    map[*exec.Cmd]bool     // live processes this supervisor started, for Close to reap
+	standbys []*connState           // parked joiners, promotion order
+	reserved map[int]*connState     // slot id → joiner awaiting its full hello
+	prevWire map[int]dist.WireStats // last ping-reported wire counters per slot
 
 	everFormed bool  // all slots were filled at least once
 	broken     error // fatal formation error: the cluster cannot run
@@ -1118,6 +1110,10 @@ func (l *clusterLoop) writeChunked(conn net.Conn, f dist.Frame) error {
 func (l *clusterLoop) handleMsg(e evMsg) {
 	switch e.cs.phase {
 	case phaseNew:
+		if l.closing {
+			l.dismiss(e.cs) // arrived at a closing cluster: told so, not hung up on
+			return
+		}
 		l.handleFirstHello(e.cs, e.msg)
 	case phaseReserved:
 		l.handleSecondHello(e.cs, e.msg)
@@ -1128,137 +1124,95 @@ func (l *clusterLoop) handleMsg(e evMsg) {
 	}
 }
 
+// admissionFatal is the one rule for when a failed admission breaks the
+// cluster instead of leaving the slot to the next arrival: a one-shot
+// cluster that has never formed and advertises no join slots started
+// every worker it will ever have, so the run must fail promptly and
+// loudly, not limp to a join timeout. Everywhere else the control
+// address is a public door and a bad knock is the knocker's problem.
+func (l *clusterLoop) admissionFatal() bool {
+	return !l.c.spec.ReplaceDead && !l.everFormed && l.c.spec.Join == 0
+}
+
 // reject answers a failed admission with a typed KindError and drops
-// the connection. During formation of a non-elastic cluster any such
-// failure is fatal, preserving one-shot semantics: the run must fail
-// promptly and loudly, not limp to a join timeout.
-func (l *clusterLoop) reject(cs *connState, err error, formation bool) {
+// the connection.
+func (l *clusterLoop) reject(cs *connState, err error) {
 	_ = l.writeChunked(cs.conn, dist.Frame{
 		Kind: dist.KindError, Seq: ctrlSeqHello, Payload: dist.EncodeErr(err),
 	})
 	cs.phase = phaseDead
 	cs.conn.Close()
-	if formation && !l.c.spec.ReplaceDead && !l.everFormed {
+	if l.admissionFatal() {
 		l.fatal(err)
 	}
 }
 
+// handleFirstHello reserves a slot for, parks, or rejects a connection
+// on its first frame, which must be a join hello: a config-less fresh
+// worker's, or a returning member's (helloJoin|helloHasDigest, naming
+// the slot it held — often against a restarted supervisor). Nobody is
+// admitted on one hello; the cluster, not the worker, assigns node ids.
 func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 	if msg.Kind != dist.KindHello {
-		l.reject(cs, fmt.Errorf("proc: first control frame is kind %d, want hello", msg.Kind), true)
+		l.reject(cs, fmt.Errorf("proc: first control frame is kind %d, want hello", msg.Kind))
 		return
 	}
 	h, err := decodeHello(msg.Payload)
-	if err != nil {
-		l.reject(cs, err, true)
-		return
+	if err == nil && h.flags&helloJoin == 0 {
+		err = fmt.Errorf("%w: first hello is not a join hello (the cluster assigns node ids; start workers with -join)", dist.ErrHandshake)
 	}
-	if h.flags&helloJoin != 0 {
-		l.handleJoinHello(cs, h, msg.From)
-		return
+	if err == nil {
+		err = verifyJoinHello(h)
 	}
-	from := msg.From
-	err = verifyHello(h, l.c.digest)
-	if err == nil && h.epoch != l.epoch {
-		err = fmt.Errorf("%w: worker is fenced at supervisor epoch %d, this supervisor is epoch %d",
-			dist.ErrHandshake, h.epoch, l.epoch)
-	}
-	if err == nil && (from < 0 || from >= l.c.conf.N) {
-		err = fmt.Errorf("%w: node id %d outside the %d-node cluster", dist.ErrHandshake, from, l.c.conf.N)
-	}
-	if err == nil && l.members[from] != nil {
-		err = fmt.Errorf("%w: duplicate join for node id %d", dist.ErrHandshake, from)
-	}
-	if err == nil && l.reserved[from] != nil {
-		err = fmt.Errorf("%w: duplicate join for node id %d (a joiner holds the slot)", dist.ErrHandshake, from)
-	}
-	if err != nil {
-		l.reject(cs, err, true)
-		return
-	}
-	var cmd *exec.Cmd
-	for c2, id := range l.spawnPending {
-		if id == from {
-			cmd = c2
-			delete(l.spawnPending, c2)
-			break
-		}
-	}
-	l.admit(cs, from, cmd)
-}
-
-// handleJoinHello admits, reserves, parks, or rejects a remote
-// joiner's first hello — a config-less fresh joiner, or a returning
-// member re-attaching after a lost conn (helloJoin|helloHasDigest,
-// often against a restarted supervisor). Joiner failures are never
-// fatal to the cluster: the control address is a public door.
-func (l *clusterLoop) handleJoinHello(cs *connState, h hello, from int) {
-	if err := verifyJoinHello(h); err != nil {
-		l.reject(cs, err, false)
-		return
-	}
-	if h.epoch > l.epoch {
+	if err == nil && h.epoch > l.epoch {
 		// The worker has attached to a newer supervisor incarnation than
 		// this one: *we* are the stale side of the fence. Refusing keeps
 		// a superseded supervisor from stealing workers back.
-		l.reject(cs, fmt.Errorf("%w: worker has seen supervisor epoch %d, this supervisor is epoch %d (stale supervisor)",
-			dist.ErrHandshake, h.epoch, l.epoch), false)
+		err = fmt.Errorf("%w: worker has seen supervisor epoch %d, this supervisor is epoch %d (stale supervisor)",
+			dist.ErrHandshake, h.epoch, l.epoch)
+	}
+	returning := err == nil && h.flags&helloHasDigest != 0
+	if returning {
+		// It already holds the config, so its digest is checkable now.
+		err = verifyHello(h, l.c.digest)
+	}
+	if err != nil {
+		l.reject(cs, err)
 		return
 	}
-	if h.flags&helloHasDigest != 0 {
-		// Returning member: it already holds the config, so its digest is
-		// checkable now, and a journal-recovered supervisor recognizes its
-		// id — hand the recorded slot back when it is still free.
-		if err := verifyHello(h, l.c.digest); err != nil {
-			l.reject(cs, err, false)
-			return
-		}
-		if from >= 0 && from < l.c.conf.N && l.slotFree(from) {
-			l.c.elog.Append("re-attach", from, "returning member reserved its recorded slot")
-			l.reserve(cs, from)
-			return
-		}
+	id := l.freeSlot()
+	if from := msg.From; returning && from >= 0 && from < l.c.conf.N && l.slotFree(from) {
+		// A journal-recovered supervisor recognizes a returning member's
+		// id: hand the recorded slot back while it is still free.
+		l.c.elog.Append("re-attach", from, "returning member reserved its recorded slot")
+		id = from
 	}
-	if id := l.freeSlot(); id >= 0 {
+	switch {
+	case id >= 0:
 		l.reserve(cs, id)
-		return
-	}
-	if len(l.standbys) < l.c.spec.MaxStandby {
+	case len(l.standbys) < l.c.spec.MaxStandby:
 		cs.phase = phaseStandby
 		cs.conn.SetReadDeadline(time.Time{}) // parked indefinitely
 		l.standbys = append(l.standbys, cs)
 		l.c.standbyGauge.Store(int64(len(l.standbys)))
 		l.c.elog.Append("park", -1, fmt.Sprintf("joiner parked as standby (%d on the bench)", len(l.standbys)))
 		l.journal(journalRecord{kind: jrPark})
-		return
+	default:
+		l.reject(cs, fmt.Errorf("%w: cluster is full: all %d node slots are taken and %d standbys are parked",
+			dist.ErrHandshake, l.c.conf.N, len(l.standbys)))
 	}
-	l.reject(cs, fmt.Errorf("%w: cluster is full: all %d node slots are taken and %d standbys are parked",
-		dist.ErrHandshake, l.c.conf.N, len(l.standbys)), false)
 }
 
-// slotFree reports whether node slot id is owned by nobody — no
-// member, no reserved joiner, no spawned worker still on its way in.
+// slotFree reports whether node slot id is owned by nobody — no member
+// and no joiner holding it between KindConf and its full hello.
 func (l *clusterLoop) slotFree(id int) bool {
-	if l.members[id] != nil || l.reserved[id] != nil {
-		return false
-	}
-	for _, pid := range l.spawnPending {
-		if pid == id {
-			return false
-		}
-	}
-	return true
+	return l.members[id] == nil && l.reserved[id] == nil
 }
 
-// freeSlot finds the lowest node id not owned by a member, a reserved
-// joiner, or a spawned worker still on its way in.
+// freeSlot finds the lowest free node slot, -1 when every one is taken.
 func (l *clusterLoop) freeSlot() int {
-	owned := make(map[int]bool, len(l.spawnPending))
-	for _, id := range l.spawnPending {
-		owned[id] = true
-	}
 	for id := range l.members {
-		if l.members[id] == nil && l.reserved[id] == nil && !owned[id] {
+		if l.slotFree(id) {
 			return id
 		}
 	}
@@ -1298,12 +1252,11 @@ func (l *clusterLoop) handleSecondHello(cs *connState, msg dist.Frame) {
 	}
 	delete(l.reserved, cs.id)
 	if err != nil {
-		id := cs.id
-		l.reject(cs, err, false)
-		l.fillSlot(id)
+		l.reject(cs, err)
+		l.fillSlot(cs.id)
 		return
 	}
-	l.admit(cs, cs.id, nil)
+	l.admit(cs)
 }
 
 // fillSlot promotes the next parked standby into an empty slot; with
@@ -1321,14 +1274,13 @@ func (l *clusterLoop) fillSlot(id int) {
 	}
 }
 
-// admit makes a verified connection a cluster member and, mid-run,
-// ships it the current job.
-func (l *clusterLoop) admit(cs *connState, id int, cmd *exec.Cmd) {
+// admit makes a verified connection a member of the slot it reserved
+// and, mid-run, ships it the current job.
+func (l *clusterLoop) admit(cs *connState) {
+	id := cs.id
 	cs.phase = phaseMember
-	cs.id = id
 	cs.inc = l.incs[id]
 	l.incs[id]++
-	cs.cmd = cmd
 	cs.lastSeen = time.Now()
 	cs.conn.SetReadDeadline(time.Time{})
 	l.members[id] = cs
@@ -1385,44 +1337,35 @@ func (l *clusterLoop) handleConnErr(e evConnErr) {
 	case phaseNew:
 		cs.phase = phaseDead
 		cs.conn.Close()
-		if !l.c.spec.ReplaceDead && !l.everFormed {
+		if l.admissionFatal() {
 			l.fatal(fmt.Errorf("proc: reading handshake: %w", e.err))
 		}
 	}
 }
 
+// handleExit reaps a process this supervisor started. A member's death
+// is not learned here — its control connection (or the liveness window)
+// says so first, whoever started it; an exit matters only while the
+// cluster is still forming, when it may be the last worker there will
+// ever be.
 func (l *clusterLoop) handleExit(e evExit) {
-	id, tracked := l.procs[e.cmd]
-	if !tracked {
+	if !l.procs[e.cmd] {
 		return
 	}
 	delete(l.procs, e.cmd)
-	if l.closing {
+	switch {
+	case l.closing:
 		if e.err != nil && l.closeErr == nil {
-			l.closeErr = fmt.Errorf("proc: worker %d exited uncleanly after shutdown: %w", id, e.err)
+			l.closeErr = fmt.Errorf("proc: a worker exited uncleanly after shutdown: %w", e.err)
 		}
-		return
+	case l.admissionFatal():
+		l.fatal(fmt.Errorf("proc: a worker exited during join: %w", exitErr(e.err)))
+	case !l.everFormed:
+		// Not fatal (a joiner can still fill the slot), but not silent
+		// either: an operator watching a cluster that never forms needs
+		// to see its spawned workers dying.
+		fmt.Fprintf(l.c.spec.Options.logWriter(), "proc: a worker exited during join: %v\n", exitErr(e.err))
 	}
-	if pid, ok := l.spawnPending[e.cmd]; ok {
-		delete(l.spawnPending, e.cmd)
-		if !l.c.spec.ReplaceDead {
-			l.fatal(fmt.Errorf("proc: worker %d exited during join: %w", pid, exitErr(e.err)))
-		} else {
-			// Not fatal (a joiner can still fill the slot), but not
-			// silent either: an operator watching a cluster that never
-			// forms needs to see its spawned workers dying.
-			fmt.Fprintf(l.c.spec.Options.logWriter(),
-				"proc: worker %d exited during join: %v\n", pid, exitErr(e.err))
-		}
-		return
-	}
-	for _, m := range l.members {
-		if m != nil && m.cmd == e.cmd {
-			l.memberGone(m, fmt.Errorf("proc: worker %d exited mid-run: %w", m.id, exitErr(e.err)))
-			return
-		}
-	}
-	// A standby process, or a member already replaced: nothing to do.
 }
 
 // memberGone removes a dead member. Elastic clusters promote a
@@ -1710,20 +1653,25 @@ func (l *clusterLoop) handleClose(e evClose) {
 	l.closeReply = e.reply
 	l.failJob(ErrClusterClosed)
 	l.drainPendq()
-	l.c.ln.Close()
-	shutdown := func(cs *connState, id int) {
-		_ = l.writeChunked(cs.conn, dist.Frame{Kind: dist.KindShutdown, To: id, Seq: ctrlSeqShutdown})
-	}
+	// The listener stays open until Close returns: a worker this
+	// supervisor started but that has not knocked yet is dismissed when
+	// it does (handleMsg), instead of redialing a dead address until the
+	// kill below.
 	for _, m := range l.members {
 		if m != nil {
-			shutdown(m, m.id)
+			l.dismiss(m)
 		}
 	}
 	for _, sb := range l.standbys {
-		shutdown(sb, -1)
+		l.dismiss(sb)
 	}
 	for _, r := range l.reserved {
-		shutdown(r, -1)
+		l.dismiss(r)
 	}
 	l.armWait(10 * time.Second)
+}
+
+// dismiss tells a connected worker the cluster is closing; it exits 0.
+func (l *clusterLoop) dismiss(cs *connState) {
+	_ = l.writeChunked(cs.conn, dist.Frame{Kind: dist.KindShutdown, To: cs.id, Seq: ctrlSeqShutdown})
 }

@@ -221,6 +221,70 @@ func TestClusterMultiJob(t *testing.T) {
 	}
 }
 
+// TestClusterWithoutExec forms a cluster in which no process is ever
+// exec'd: both workers are goroutines of this test binary running the
+// reproworker entry point with nothing but the control address. It pins
+// that admission depends on no argv or environment beyond -join, and
+// that the job path is the same one spawned workers run.
+func TestClusterWithoutExec(t *testing.T) {
+	c, err := NewCluster(ClusterSpec{Nodes: 2, Join: 2, JoinTimeout: 30 * time.Second,
+		Config: matrixConfig(), Options: quietOpts()})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	exits := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() { exits <- WorkerMain([]string{"-join", c.Addr()}) }()
+	}
+
+	const rows, seed = 9000, 7
+	keys, cols, err := tpch.Q1Input(tpch.GenLineitemRows(rows, seed))
+	if err != nil {
+		t.Fatalf("q1 input: %v", err)
+	}
+	specs := tpch.Q1Specs(core.DefaultLevels)
+	ref, err := dist.AggregateTuplesConfig([][]uint32{keys}, [][][]float64{cols}, 2, specs, dist.Config{})
+	if err != nil {
+		t.Fatalf("q1 reference: %v", err)
+	}
+	shardKeys, shardCols := tpch.ShardQ1Input(keys, cols, 3)
+	res, err := c.Run(Job{Workers: 2, Specs: specs, Source: RowShards(shardKeys, shardCols)})
+	if err != nil {
+		t.Fatalf("q1 job: %v", err)
+	}
+	if !bytes.Equal(res.Payload, dist.EncodeTupleGroups(ref, len(specs))) {
+		t.Error("q1 job payload differs from in-process reference")
+	}
+
+	vals := workload.Values64(43, rows, workload.MixedMag)
+	wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+	if err != nil {
+		t.Fatalf("reduce reference: %v", err)
+	}
+	res, err = c.Run(Job{Workers: 2, Source: ValueShards(shardFloats(vals, 2))})
+	if err != nil {
+		t.Fatalf("reduce job: %v", err)
+	}
+	if math.Float64bits(res.Sum) != math.Float64bits(wantSum) {
+		t.Errorf("reduce: got %016x, want %016x", math.Float64bits(res.Sum), math.Float64bits(wantSum))
+	}
+
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case code := <-exits:
+			if code != ExitOK {
+				t.Errorf("in-process worker exited %d, want %d", code, ExitOK)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("in-process worker did not return after cluster close")
+		}
+	}
+}
+
 // TestElasticMatrix is the nightly elastic-matrix sweep: kill one
 // worker mid-run at several seeds for each job kind — group-by,
 // reduce, and TPC-H Q1 — with a standby joiner, asserting bit-equality
@@ -395,11 +459,14 @@ func waitJoined(t *testing.T, c *Cluster, n int) {
 	}
 }
 
-// TestJoinHandshakeRejection drives each join-mode rejection through a
-// hand-crafted TCP handshake and asserts the typed KindError answer:
-// a stale control-plane spec version, a tampered config digest after
-// KindConf, a duplicate node id, and a joiner arriving with the
-// cluster full and no standby capacity.
+// TestJoinHandshakeRejection drives each verdict of the one admission
+// handshake through a hand-crafted TCP exchange and asserts the typed
+// KindError answer: a stale control-plane spec version, a tampered
+// config digest after KindConf, a config-bearing first hello that is
+// not a join hello, a returning member fenced at a newer epoch than the
+// supervisor's, a returning member whose slot was taken (admitted, at
+// the assigned slot), and a joiner arriving with the cluster full and
+// no standby capacity.
 func TestJoinHandshakeRejection(t *testing.T) {
 	t.Run("stale spec version", func(t *testing.T) {
 		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
@@ -439,31 +506,53 @@ func TestJoinHandshakeRejection(t *testing.T) {
 		r.expectRejection("digest")
 	})
 
-	t.Run("duplicate node id", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, ReplaceDead: true,
+	t.Run("first hello without helloJoin", func(t *testing.T) {
+		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
 			JoinTimeout: 30 * time.Second, Options: quietOpts()})
 		if err != nil {
 			t.Fatalf("NewCluster: %v", err)
 		}
 		defer c.Close()
-		waitJoined(t, c, 1)
 		r := dialRaw(t, c.Addr())
 		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqHello,
 			Payload: encodeHello(goodHello(c.digest))})
-		r.expectRejection("duplicate join")
+		r.expectRejection("not a join hello")
 	})
 
-	t.Run("node id outside cluster", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, ReplaceDead: true,
+	t.Run("returning member from a newer epoch", func(t *testing.T) {
+		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
 			JoinTimeout: 30 * time.Second, Options: quietOpts()})
 		if err != nil {
 			t.Fatalf("NewCluster: %v", err)
 		}
 		defer c.Close()
 		r := dialRaw(t, c.Addr())
-		r.send(dist.Frame{Kind: dist.KindHello, From: 7, Seq: ctrlSeqHello,
-			Payload: encodeHello(goodHello(c.digest))})
-		r.expectRejection("outside the 1-node cluster")
+		h := goodHello(c.digest)
+		h.flags, h.epoch = helloJoin|helloHasDigest, 5
+		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
+		r.expectRejection("stale supervisor")
+	})
+
+	// Not a rejection: a returning member whose recorded slot went to
+	// someone else meanwhile is handed — and adopts — the next free one.
+	t.Run("returning member's slot taken", func(t *testing.T) {
+		c, err := NewCluster(ClusterSpec{Nodes: 2, Join: 2, ReplaceDead: true,
+			JoinTimeout: 30 * time.Second, Options: quietOpts()})
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		defer c.Close()
+		fresh := &workerSession{id: -1}
+		returning := &workerSession{id: 0, conf: c.conf, raw: c.raw}
+		for _, s := range []*workerSession{fresh, returning} {
+			if ctl, err := s.attach(dialRaw(t, c.Addr()).conn); ctl == nil {
+				t.Fatalf("attach: not admitted (err %v)", err)
+			}
+		}
+		waitJoined(t, c, 2)
+		if fresh.id != 0 || returning.id != 1 {
+			t.Errorf("slots = %d, %d; want the fresh arrival in 0 and the returning member moved to 1", fresh.id, returning.id)
+		}
 	})
 
 	t.Run("cluster full", func(t *testing.T) {

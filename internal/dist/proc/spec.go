@@ -56,10 +56,9 @@ const ControlSpecVersion = specVersion
 const maxJobCols = 256
 
 // clusterConf is the cluster-lifetime configuration every member must
-// hold an identical copy of. Spawned workers receive its encoding at
-// spawn time (-conf hex); remote joiners receive it in KindConf after
-// their first hello. Either way the worker digests the raw bytes into
-// its (full) KindHello, so a worker holding a different config is
+// hold an identical copy of. Every worker receives its encoding in
+// KindConf after its join hello and digests the raw bytes it parsed
+// into its full KindHello, so a worker holding a different config is
 // rejected at join time instead of diverging mid-run.
 type clusterConf struct {
 	N int // cluster size (worker process count)
@@ -247,11 +246,11 @@ const (
 	ctrlSeqConf
 	ctrlSeqPing
 	ctrlSeqShutdown
-	// ctrlSeqRejoin carries a returning member's join hello. It must be
-	// a distinct stream from ctrlSeqHello: the full hello that follows
-	// it uses the same From id on the same connection, and two messages
-	// on one (from, seq) stream would make the reassembler swallow the
-	// second as a duplicate. (Fresh joiners dodge this with From=-1.)
+	// ctrlSeqRejoin carries a worker's join hello. It must be a
+	// distinct stream from ctrlSeqHello: the full hello that follows a
+	// returning member's uses the same From id on the same connection,
+	// and two messages on one (from, seq) stream would make the
+	// reassembler swallow the second as a duplicate.
 	ctrlSeqRejoin
 
 	ctrlSeqJobBase   uint32 = 1 << 16
@@ -272,8 +271,10 @@ const (
 	// helloHasDigest marks a full hello: the worker holds the cluster
 	// config and its digest field is meaningful.
 	helloHasDigest byte = 1 << iota
-	// helloJoin marks a remote joiner's first hello: no config yet,
-	// requesting admission (the supervisor answers with KindConf).
+	// helloJoin marks a connection's first hello: requesting admission
+	// (the supervisor answers with KindConf). Alone it is a fresh worker
+	// with no config yet; with helloHasDigest, a returning member naming
+	// the slot, config and epoch it held.
 	helloJoin
 )
 

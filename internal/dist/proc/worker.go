@@ -2,7 +2,6 @@ package proc
 
 import (
 	"bufio"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,14 +21,15 @@ import (
 	"repro/internal/tpch"
 )
 
-// The worker side of the elastic cluster runtime. A worker process is
-// either spawned by a supervisor (-control, -id, -conf) or started by
-// an operator against an advertised control address (-join), and then:
+// The worker side of the elastic cluster runtime. Every worker process
+// — spawned by the supervisor or started by an operator — is given
+// nothing but the control address (-join), and then:
 //
-//  1. dials the control address and completes the KindHello handshake
-//     (joiners first announce themselves config-less, receive the
-//     cluster config in KindConf, and answer with the full digested
-//     hello on the same connection),
+//  1. dials it and attaches through the one admission handshake: a join
+//     hello announcing its build (plus id, config digest and fencing
+//     epoch when it is a returning member), the cluster config and its
+//     node slot in KindConf, and the full digested hello back on the
+//     same connection,
 //  2. waits for KindJob: the operation, its shape, and this node's
 //     input — raw rows, or a declarative source the worker
 //     materializes locally and slices by its node id,
@@ -45,10 +45,9 @@ import (
 //
 // A worker that loses the supervisor connection does not exit: it
 // tears down the current job, redials with capped exponential backoff
-// + jitter, and re-attaches through the full digest handshake (a
-// returning-member hello carrying its id and last-known fencing
-// epoch) — which is what lets a journaled supervisor be kill -9'd and
-// restarted without restarting its workers.
+// + jitter, and attaches again through the same handshake — which is
+// what lets a journaled supervisor be kill -9'd and restarted without
+// restarting its workers.
 
 // workerEnv marks a process as a spawned cluster worker when the
 // supervisor re-executes the current binary (the default when no
@@ -106,22 +105,19 @@ func MaybeWorkerMain() {
 	os.Exit(WorkerMain(os.Args[1:]))
 }
 
-const workerUsage = `usage: reproworker -control <addr> -id <n> -conf <hex> [-epoch <n>]
-       reproworker -join <addr> [-join-timeout <dur>] [-advertise <host[:port]>]
+const workerUsage = `usage: reproworker -join <addr> [-join-timeout <dur>] [-advertise <host[:port]>]
                    [-metrics-addr <addr>]
 
 A reproducible-aggregation cluster worker (see internal/dist/proc).
 
-Supervisor-spawned mode (-control/-id/-conf/-epoch) is what a
-proc.Cluster uses for its own workers; the flags come from the
-supervisor and are not meant to be crafted by hand.
-
-Join mode (-join) connects to the control address an operator got from
-Cluster.Addr(), retrying an unreachable address with capped
+-join is the cluster's control address (Cluster.Addr()) and the only
+thing a worker needs: a supervisor starts its own workers with exactly
+this line, and an operator adds capacity from another shell or machine
+the same way. The worker retries an unreachable address with capped
 exponential backoff + jitter until -join-timeout (default 30s)
-elapses. The worker announces its build, receives the cluster
-configuration, and completes the digested handshake; the supervisor
-admits it into a free node slot, parks it as a standby for mid-run
+elapses, announces its build, receives the cluster configuration and a
+node slot, and completes the digested handshake; the supervisor admits
+it into the lowest free slot, parks it as a standby for mid-run
 replacement, or rejects it.
 
 -advertise rewrites the data-plane address this worker announces to
@@ -131,9 +127,10 @@ what peers should dial: a bare host keeps the per-job bound port
 (stable NAT or port-forward mappings). Default: the bound address.
 
 A worker that loses its supervisor connection does not exit: it parks,
-redials with the same backoff, and re-attaches through the full digest
-handshake — so a journaled supervisor (ClusterSpec.Journal) can crash
-and restart without its workers being restarted.
+redials with the same backoff, and attaches again through the same
+handshake (now naming the slot, config digest and epoch it held) — so
+a journaled supervisor (ClusterSpec.Journal) can crash and restart
+without its workers being restarted.
 
 -metrics-addr serves this worker's own process metrics (wire frame and
 chunk counters, see internal/obs) as Prometheus text on
@@ -153,10 +150,6 @@ exit codes:
 func WorkerMain(args []string) int {
 	fs := flag.NewFlagSet("reproworker", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	control := fs.String("control", "", "supervisor control address (host:port)")
-	id := fs.Int("id", -1, "this worker's cluster node id")
-	confHex := fs.String("conf", "", "hex-encoded cluster config (from the supervisor)")
-	epoch := fs.Uint64("epoch", 0, "supervisor fencing epoch (from the supervisor)")
 	join := fs.String("join", "", "cluster control address to join (from Cluster.Addr())")
 	joinTimeout := fs.Duration("join-timeout", 30*time.Second, "how long -join keeps retrying an unreachable control address")
 	advertise := fs.String("advertise", "", "data-plane address to announce to peers: host or host:port (default: the bound address)")
@@ -167,6 +160,20 @@ func WorkerMain(args []string) int {
 			return ExitOK
 		}
 		return ExitUsage
+	}
+	if *join == "" {
+		fmt.Fprintln(os.Stderr, "reproworker: -join is required; see -help")
+		return ExitUsage
+	}
+	if *joinTimeout <= 0 {
+		fmt.Fprintln(os.Stderr, "reproworker: -join-timeout must be positive")
+		return ExitUsage
+	}
+	if *advertise != "" && strings.Contains(*advertise, ":") {
+		if _, p, err := net.SplitHostPort(*advertise); err != nil || p == "" {
+			fmt.Fprintln(os.Stderr, "reproworker: -advertise must be a host or host:port (bracket IPv6 hosts)")
+			return ExitUsage
+		}
 	}
 	if *metricsAddr != "" {
 		// Best-effort observability sidecar: a worker whose metrics port
@@ -179,50 +186,12 @@ func WorkerMain(args []string) int {
 			}
 		}()
 	}
-	fail := func(err error) int {
+	if err := runJoiner(*join, *advertise, *joinTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "reproworker: %v\n", err)
 		if errors.Is(err, dist.ErrHandshake) || errors.Is(err, errJoinExhausted) {
 			return ExitHandshake
 		}
 		return ExitFailure
-	}
-	if *advertise != "" && strings.Contains(*advertise, ":") {
-		if _, p, err := net.SplitHostPort(*advertise); err != nil || p == "" {
-			fmt.Fprintln(os.Stderr, "reproworker: -advertise must be a host or host:port (bracket IPv6 hosts)")
-			return ExitUsage
-		}
-	}
-	if *join != "" {
-		if *control != "" || *confHex != "" || *id != -1 || *epoch != 0 {
-			fmt.Fprintln(os.Stderr, "reproworker: -join excludes -control, -id, -conf, and -epoch (the cluster assigns them)")
-			return ExitUsage
-		}
-		if *joinTimeout <= 0 {
-			fmt.Fprintln(os.Stderr, "reproworker: -join-timeout must be positive")
-			return ExitUsage
-		}
-		if err := runJoiner(*join, *advertise, *joinTimeout); err != nil {
-			return fail(err)
-		}
-		return ExitOK
-	}
-	if *control == "" || *confHex == "" {
-		fmt.Fprintln(os.Stderr, "reproworker: -control and -conf are required (or -join to join a cluster); see -help")
-		return ExitUsage
-	}
-	raw, err := hex.DecodeString(*confHex)
-	if err != nil {
-		return fail(fmt.Errorf("decoding -conf: %w", err))
-	}
-	conf, err := decodeConf(raw)
-	if err != nil {
-		return fail(err)
-	}
-	if *id < 0 || *id >= conf.N {
-		return fail(fmt.Errorf("node id %d outside the %d-node cluster", *id, conf.N))
-	}
-	if err := runWorker(*control, *advertise, *id, conf, raw, *epoch); err != nil {
-		return fail(err)
 	}
 	return ExitOK
 }
@@ -250,25 +219,52 @@ func helloFields(raw []byte) (version, levels byte, digest uint64) {
 	return version, levels, digest
 }
 
-// ctlWriter serializes control-plane sends: the main loop, the
-// heartbeat ticker, and a job's protocol goroutine all write through
-// it.
-type ctlWriter struct {
+// ctlConn is one control connection. The worker's main loop owns the
+// read side; sends are serialized, because the main loop, the heartbeat
+// ticker, and a job's protocol goroutine all write.
+type ctlConn struct {
+	conn net.Conn
+	br   *bufio.Reader
+	asm  *dist.Reassembler
+
 	mu       sync.Mutex
-	conn     net.Conn
 	bw       *bufio.Writer
-	maxChunk int
+	maxChunk int // 0 (the codec default) until KindConf sets the agreed size
 }
 
-func (w *ctlWriter) send(f dist.Frame) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, ch := range dist.SplitFrame(f, w.maxChunk) {
-		if err := dist.WriteFrame(w.bw, ch); err != nil {
+func (c *ctlConn) send(f dist.Frame) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ch := range dist.SplitFrame(f, c.maxChunk) {
+		if err := dist.WriteFrame(c.bw, ch); err != nil {
 			return err
 		}
 	}
-	return w.bw.Flush()
+	return c.bw.Flush()
+}
+
+// read returns the next complete (reassembled) control message.
+func (c *ctlConn) read() (dist.Frame, error) {
+	for {
+		f, err := dist.ReadFrame(c.br)
+		if err != nil {
+			return dist.Frame{}, err
+		}
+		if f.Kind == dist.KindPing {
+			// Pong echoes reuse one (from, seq) stream forever; the
+			// reassembler would swallow every echo after the first as a
+			// completed-stream duplicate. They are single-frame by
+			// construction (mirrors the supervisor's readConn bypass).
+			return f, nil
+		}
+		msg, complete, _, aerr := c.asm.Accept(f)
+		if aerr != nil {
+			return dist.Frame{}, aerr
+		}
+		if complete {
+			return msg, nil
+		}
+	}
 }
 
 // Control-connection tuning. Dial attempts back off exponentially from
@@ -295,40 +291,38 @@ func backoffDelay(n int) time.Duration {
 }
 
 // errCtlLost marks a lost supervisor connection — the one failure the
-// session layer answers with backoff and re-attach instead of exiting.
+// worker answers with backoff and another attach instead of exiting.
 var errCtlLost = errors.New("control connection lost")
 
-// errJoinExhausted means the join retry loop ran its whole window
-// without ever reaching the control address. WorkerMain maps it to
-// ExitHandshake: like a rejection, retrying the same line is pointless.
+// errJoinExhausted means a worker that was never admitted ran its whole
+// dial window without reaching the control address. WorkerMain maps it
+// to ExitHandshake: like a rejection, retrying the same line is
+// pointless.
 var errJoinExhausted = errors.New("join window exhausted")
 
-// dialRetry dials addr with the capped-backoff retry loop, bounded by
-// window.
-func dialRetry(addr string, window time.Duration) (net.Conn, error) {
+// dialControl dials addr with capped exponential backoff + jitter for
+// at most window.
+func dialControl(addr string, window time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(window)
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		cc, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			return cc, nil
 		}
-		lastErr = err
 		d := backoffDelay(attempt)
 		if time.Now().Add(d).After(deadline) {
-			return nil, fmt.Errorf("%w: %s unreachable for %v: %v", errJoinExhausted, addr, window, lastErr)
+			return nil, fmt.Errorf("%s unreachable for %v: %w", addr, window, err)
 		}
 		time.Sleep(d)
 	}
 }
 
 // workerSession is a worker's durable identity across control
-// connections: which supervisor it belongs to, the slot and config it
-// was admitted with, and the last fencing epoch it attached at.
+// connections: once admitted, the slot and config it holds and the last
+// fencing epoch it attached at.
 type workerSession struct {
-	control   string // supervisor control address
 	advertise string // operator's -advertise override, "" for bound
-	id        int
+	id        int    // node slot, -1 until first admitted
 	conf      clusterConf
 	raw       []byte
 	epoch     uint64
@@ -341,246 +335,97 @@ type workerSession struct {
 	jobsRun atomic.Uint64
 }
 
-// runWorker is the supervisor-spawned path: dial, full hello, serve.
-func runWorker(control, advertise string, id int, conf clusterConf, raw []byte, epoch uint64) error {
-	cc, err := net.DialTimeout("tcp", control, dialTimeout)
-	if err != nil {
-		return fmt.Errorf("dialing supervisor %s: %w", control, err)
-	}
-	s := &workerSession{control: control, advertise: advertise, id: id, conf: conf, raw: raw, epoch: epoch}
-	w := &ctlWriter{conn: cc, bw: bufio.NewWriterSize(cc, sockBufSize), maxChunk: conf.MaxChunkPayload}
-	if err := sendFullHello(w, id, raw, epoch); err != nil {
-		return err
-	}
-	return s.serve(cc, bufio.NewReaderSize(cc, sockBufSize), dist.NewReassembler(0), w)
-}
-
-// runJoiner is the operator-started path: dial (with retries), then
-// await admission. A connection lost while parked or mid-handshake is
-// redialed with the re-attach backoff — the supervisor may be
-// restarting — so a standby survives a supervisor crash too.
+// runJoiner is a worker's whole life: dial (with retries, for window),
+// attach, serve jobs — and whenever the connection is lost, parked or
+// mid-handshake or mid-job, dial again for reattachWindow (the
+// supervisor may be restarting) and attach again, until shutdown or a
+// typed rejection.
 func runJoiner(control, advertise string, window time.Duration) error {
-	cc, err := dialRetry(control, window)
-	if err != nil {
-		return err
-	}
+	s := &workerSession{advertise: advertise, id: -1}
 	for {
-		err := awaitAdmission(cc, control, advertise)
+		cc, err := dialControl(control, window)
+		if err != nil {
+			if s.id < 0 {
+				return fmt.Errorf("%w: %v", errJoinExhausted, err)
+			}
+			return err
+		}
+		c, err := s.attach(cc)
+		if c != nil {
+			err = s.serve(c)
+		}
 		cc.Close()
 		if !errors.Is(err, errCtlLost) {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "reproworker: %v; redialing %s\n", err, control)
-		if cc, err = dialRetry(control, reattachWindow); err != nil {
-			return err
-		}
+		window = reattachWindow
+		time.Sleep(backoffDelay(0)) // a peer that accepts and hangs up must not be spun on
 	}
 }
 
-// awaitAdmission announces the build with a config-less join hello,
-// receives the assigned node id, fencing epoch, and cluster config in
-// KindConf, then completes the full handshake and serves. The
-// supervisor may park the worker as a standby first — then KindConf
-// simply arrives later, when a node slot frees up.
-func awaitAdmission(cc net.Conn, control, advertise string) error {
-	version, levels, _ := helloFields(nil)
-	// No cluster config yet: chunk at the codec default (SplitFrame
-	// maps 0 to it) until KindConf establishes the agreed size.
-	w := &ctlWriter{conn: cc, bw: bufio.NewWriterSize(cc, sockBufSize), maxChunk: 0}
-	err := w.send(dist.Frame{
-		Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
-		Payload: encodeHello(hello{version: version, levels: levels, specver: specVersion, flags: helloJoin}),
-	})
-	if err != nil {
-		return fmt.Errorf("%w: sending join hello: %v", errCtlLost, err)
+// attach runs the admission handshake — the only way into a cluster —
+// on a fresh control connection. The join hello announces the build; a
+// returning member's also carries the slot, config digest and epoch it
+// held, so a restarted supervisor that recognizes the id from its
+// journal hands the recorded slot back (if a replacement took it
+// meanwhile, whatever slot the cluster assigns is adopted). The
+// supervisor answers with KindConf — at once, or whenever a slot frees
+// up if it parked the worker as a standby first, so the wait is
+// unbounded — and the full digested hello at the supervisor's epoch
+// completes the admission. A nil ctlConn with a nil error means the
+// cluster shut down while the worker was parked.
+func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
+	c := &ctlConn{
+		conn: cc, br: bufio.NewReaderSize(cc, sockBufSize), asm: dist.NewReassembler(0),
+		bw: bufio.NewWriterSize(cc, sockBufSize), maxChunk: s.conf.MaxChunkPayload,
 	}
-
-	br := bufio.NewReaderSize(cc, sockBufSize)
-	asm := dist.NewReassembler(0)
-	for {
-		msg, err := readCtl(br, asm)
-		if err != nil {
-			return fmt.Errorf("%w: awaiting admission: %v", errCtlLost, err)
-		}
-		switch msg.Kind {
-		case dist.KindError:
-			return dist.DecodeErr(-1, msg.Payload)
-		case dist.KindShutdown:
-			return nil // the cluster closed while this worker was parked
-		case dist.KindConf:
-			id, epoch, raw, err := decodeConfFrame(msg.Payload)
-			if err != nil {
-				return err
-			}
-			conf, err := decodeConf(raw)
-			if err != nil {
-				return err
-			}
-			if id < 0 || id >= conf.N {
-				return fmt.Errorf("assigned node id %d outside the %d-node cluster", id, conf.N)
-			}
-			s := &workerSession{control: control, advertise: advertise, id: id, conf: conf, raw: raw, epoch: epoch}
-			w.maxChunk = conf.MaxChunkPayload
-			if err := sendFullHello(w, id, raw, epoch); err != nil {
-				return fmt.Errorf("%w: %v", errCtlLost, err)
-			}
-			// The same reader carries on: nothing buffered is lost
-			// across the phase change.
-			return s.serve(cc, br, asm, w)
-		}
-	}
-}
-
-// serve runs worker loops over the session's control connection,
-// re-attaching with backoff whenever the connection is lost, until
-// shutdown, a typed rejection, or the re-attach window runs out.
-func (s *workerSession) serve(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctlWriter) error {
-	for {
-		err := workerLoopWith(cc, br, asm, w, s)
-		cc.Close()
-		if !errors.Is(err, errCtlLost) {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "reproworker: %v; re-attaching to %s\n", err, s.control)
-		var shutdown bool
-		cc, br, asm, w, shutdown, err = s.reattach()
-		if err != nil {
-			return err
-		}
-		if shutdown {
-			return nil // the cluster closed while this worker was detached
-		}
-	}
-}
-
-// reattach redials the supervisor with capped exponential backoff +
-// jitter and runs the returning-member handshake, for at most
-// reattachWindow. A typed rejection (stale epoch, digest mismatch,
-// cluster full) ends the retries: the verdict won't change.
-func (s *workerSession) reattach() (net.Conn, *bufio.Reader, *dist.Reassembler, *ctlWriter, bool, error) {
-	deadline := time.Now().Add(reattachWindow)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			d := backoffDelay(attempt - 1)
-			if time.Now().Add(d).After(deadline) {
-				return nil, nil, nil, nil, false, fmt.Errorf("supervisor %s unreachable for %v: %v", s.control, reattachWindow, lastErr)
-			}
-			time.Sleep(d)
-		}
-		cc, err := net.DialTimeout("tcp", s.control, dialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		br, asm, w, shutdown, err := s.rejoin(cc)
-		if err == nil {
-			return cc, br, asm, w, shutdown, nil
-		}
-		cc.Close()
-		if !errors.Is(err, errCtlLost) {
-			return nil, nil, nil, nil, false, err
-		}
-		lastErr = err
-	}
-}
-
-// rejoin runs the returning-member handshake on a fresh connection: a
-// join hello carrying this worker's id, digest, and last-known epoch,
-// then — once the supervisor hands a slot back in KindConf — the full
-// hello at the supervisor's (possibly bumped) epoch. A restarted
-// supervisor recognizes the id from its journal and re-admits at the
-// recorded slot; if a replacement took the slot meanwhile, whatever
-// slot the cluster assigns is adopted. The supervisor may also park
-// the worker as a standby first, so the KindConf wait is unbounded.
-func (s *workerSession) rejoin(cc net.Conn) (*bufio.Reader, *dist.Reassembler, *ctlWriter, bool, error) {
 	version, levels, digest := helloFields(s.raw)
-	w := &ctlWriter{conn: cc, bw: bufio.NewWriterSize(cc, sockBufSize), maxChunk: s.conf.MaxChunkPayload}
-	err := w.send(dist.Frame{
-		Kind: dist.KindHello, From: s.id, Seq: ctrlSeqRejoin,
-		Payload: encodeHello(hello{
-			version: version, levels: levels, specver: specVersion,
-			flags: helloJoin | helloHasDigest, digest: digest, epoch: s.epoch,
-		}),
-	})
-	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("%w: sending re-attach hello: %v", errCtlLost, err)
+	h := hello{version: version, levels: levels, specver: specVersion, flags: helloJoin}
+	if s.id >= 0 {
+		h.flags, h.digest, h.epoch = helloJoin|helloHasDigest, digest, s.epoch
 	}
-	br := bufio.NewReaderSize(cc, sockBufSize)
-	asm := dist.NewReassembler(0)
+	err := c.send(dist.Frame{Kind: dist.KindHello, From: s.id, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
+	if err != nil {
+		return nil, fmt.Errorf("%w: sending join hello: %v", errCtlLost, err)
+	}
 	for {
-		msg, err := readCtl(br, asm)
+		msg, err := c.read()
 		if err != nil {
-			return nil, nil, nil, false, fmt.Errorf("%w: awaiting re-admission: %v", errCtlLost, err)
+			return nil, fmt.Errorf("%w: awaiting admission: %v", errCtlLost, err)
 		}
 		switch msg.Kind {
 		case dist.KindError:
-			return nil, nil, nil, false, dist.DecodeErr(-1, msg.Payload)
+			return nil, dist.DecodeErr(-1, msg.Payload)
 		case dist.KindShutdown:
-			return nil, nil, nil, true, nil
+			return nil, nil
 		case dist.KindConf:
 			id, epoch, raw, err := decodeConfFrame(msg.Payload)
 			if err != nil {
-				return nil, nil, nil, false, err
+				return nil, err
 			}
 			if epoch < s.epoch {
 				// The fence, worker side: a supervisor from an older
 				// incarnation must not win this worker back.
-				return nil, nil, nil, false, fmt.Errorf("%w: supervisor is at stale epoch %d, this worker has seen %d",
+				return nil, fmt.Errorf("%w: supervisor is at stale epoch %d, this worker has seen %d",
 					dist.ErrHandshake, epoch, s.epoch)
 			}
 			conf, err := decodeConf(raw)
 			if err != nil {
-				return nil, nil, nil, false, err
+				return nil, err
 			}
 			if id < 0 || id >= conf.N {
-				return nil, nil, nil, false, fmt.Errorf("assigned node id %d outside the %d-node cluster", id, conf.N)
+				return nil, fmt.Errorf("assigned node id %d outside the %d-node cluster", id, conf.N)
 			}
 			s.id, s.epoch, s.conf, s.raw = id, epoch, conf, raw
-			w.maxChunk = conf.MaxChunkPayload
-			if err := sendFullHello(w, s.id, s.raw, s.epoch); err != nil {
-				return nil, nil, nil, false, fmt.Errorf("%w: %v", errCtlLost, err)
+			c.maxChunk = conf.MaxChunkPayload
+			_, _, digest = helloFields(raw)
+			h.flags, h.digest, h.epoch = helloHasDigest, digest, epoch
+			err = c.send(dist.Frame{Kind: dist.KindHello, From: id, Seq: ctrlSeqHello, Payload: encodeHello(h)})
+			if err != nil {
+				return nil, fmt.Errorf("%w: sending hello: %v", errCtlLost, err)
 			}
-			return br, asm, w, false, nil
-		}
-	}
-}
-
-func sendFullHello(w *ctlWriter, id int, raw []byte, epoch uint64) error {
-	version, levels, digest := helloFields(raw)
-	err := w.send(dist.Frame{
-		Kind: dist.KindHello, From: id, Seq: ctrlSeqHello,
-		Payload: encodeHello(hello{
-			version: version, levels: levels, specver: specVersion,
-			flags: helloHasDigest, digest: digest, epoch: epoch,
-		}),
-	})
-	if err != nil {
-		return fmt.Errorf("sending hello: %w", err)
-	}
-	return nil
-}
-
-// readCtl reads one complete (reassembled) control message.
-func readCtl(br *bufio.Reader, asm *dist.Reassembler) (dist.Frame, error) {
-	for {
-		f, err := dist.ReadFrame(br)
-		if err != nil {
-			return dist.Frame{}, err
-		}
-		if f.Kind == dist.KindPing {
-			// Pong echoes reuse one (from, seq) stream forever; the
-			// reassembler would swallow every echo after the first as a
-			// completed-stream duplicate. They are single-frame by
-			// construction (mirrors the supervisor's readConn bypass).
-			return f, nil
-		}
-		msg, complete, _, aerr := asm.Accept(f)
-		if aerr != nil {
-			return dist.Frame{}, aerr
-		}
-		if complete {
-			return msg, nil
+			return c, nil
 		}
 	}
 }
@@ -605,11 +450,11 @@ func (j *workerJob) stop() {
 	}
 }
 
-// workerLoopWith serves jobs until shutdown. It owns the control
-// connection's read side; all writes go through w. A lost connection
-// is returned wrapped in errCtlLost, which the session layer answers
-// with re-attach instead of exit.
-func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctlWriter, s *workerSession) error {
+// serve runs the job loop over an attached control connection until
+// shutdown. It owns the connection's read side. A lost connection is
+// returned wrapped in errCtlLost, which runJoiner answers with another
+// attach instead of exit.
+func (s *workerSession) serve(c *ctlConn) error {
 	id, conf := s.id, s.conf
 	if conf.Heartbeat > 0 {
 		stop := make(chan struct{})
@@ -625,7 +470,7 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 					// The payload doubles as the worker's telemetry report:
 					// wire counters, jobs run, and the RTT measured from the
 					// supervisor's previous pong echo.
-					_ = w.send(dist.Frame{
+					_ = c.send(dist.Frame{
 						Kind: dist.KindPing, From: id, Seq: ctrlSeqPing,
 						Payload: encodePingStats(pingStats{
 							sentNanos: time.Now().UnixNano(),
@@ -648,7 +493,7 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 		}
 	}()
 	for {
-		msg, err := readCtl(br, asm)
+		msg, err := c.read()
 		if err != nil {
 			return fmt.Errorf("%w: %v", errCtlLost, err)
 		}
@@ -684,17 +529,17 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 				// control seq; answer there so the supervisor can fail
 				// the right job instead of hitting a timeout.
 				jobIdx := int((msg.Seq - ctrlSeqJobBase) / ctrlSeqJobStride)
-				reportErr(w, id, jobIdx, err)
+				reportErr(c, id, jobIdx, err)
 				continue
 			}
-			job, announce, err := prepareJob(cc, id, conf, js, s.advertise)
+			job, announce, err := prepareJob(c.conn, id, conf, js, s.advertise)
 			if err != nil {
-				reportErr(w, id, js.jobIdx, err)
+				reportErr(c, id, js.jobIdx, err)
 				continue
 			}
 			cur = job
 			s.jobsRun.Add(1)
-			err = w.send(dist.Frame{
+			err = c.send(dist.Frame{
 				Kind: dist.KindReady, From: id, Seq: ctrlSeqReady(js.jobIdx),
 				Payload: encodeReady(js.jobIdx, announce),
 			})
@@ -707,7 +552,7 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 				continue
 			}
 			if !cur.started {
-				startJob(cur, w, id, conf, addrs)
+				startJob(cur, c, id, conf, addrs)
 				continue
 			}
 			// A later epoch: a replacement took over a slot; re-point
@@ -722,8 +567,8 @@ func workerLoopWith(cc net.Conn, br *bufio.Reader, asm *dist.Reassembler, w *ctl
 // reportErr announces a job-scoped failure to the supervisor on the
 // job's result stream. Send failures are ignored: a dead control
 // connection surfaces in the read loop.
-func reportErr(w *ctlWriter, id, jobIdx int, err error) {
-	_ = w.send(dist.Frame{
+func reportErr(c *ctlConn, id, jobIdx int, err error) {
+	_ = c.send(dist.Frame{
 		Kind: dist.KindError, From: id, Seq: ctrlSeqResult(jobIdx),
 		Payload: dist.EncodeErr(err),
 	})
@@ -846,7 +691,7 @@ func (t *injectedFaults) Send(f dist.Frame) error {
 
 // startJob points the job's endpoint at its peers and runs this node's
 // role of the protocol in a goroutine.
-func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []string) {
+func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []string) {
 	js := job.spec
 	for peer, addr := range addrs {
 		job.ep.UpdatePeer(peer, addr)
@@ -886,11 +731,11 @@ func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []st
 			return // deliberate teardown (job done, shutdown, next job)
 		}
 		if err != nil {
-			reportErr(w, id, js.jobIdx, err)
+			reportErr(c, id, js.jobIdx, err)
 			return
 		}
 		if id == 0 {
-			_ = w.send(dist.Frame{
+			_ = c.send(dist.Frame{
 				Kind: dist.KindResult, From: id, Seq: ctrlSeqResult(js.jobIdx),
 				Payload: payload,
 			})

@@ -169,13 +169,13 @@ func TestTraceAndFirstDivergence(t *testing.T) {
 	s := NewTraceStore(2)
 	a := s.NewTrace("q1")
 	sp := a.Start("admission")
-	sp.End(DigestOf([]byte("enc")), "")
+	sp.End([]byte("enc"), "")
 	a.Hop("shuffle", 0x1111)
 	a.Hop("gather", 0x2222)
 	a.Hop("merge", 0x3333)
 
 	b := s.NewTrace("q1")
-	b.Start("admission").End(DigestOf([]byte("enc")), "")
+	b.Start("admission").End([]byte("enc"), "")
 	b.Hop("shuffle", 0x1111)
 	b.Hop("gather", 0xBAD)
 	b.Hop("merge", 0xBAD2)
@@ -271,7 +271,7 @@ func TestSpanTimings(t *testing.T) {
 	tr := store.NewTrace("q")
 	sp := tr.Start("work")
 	time.Sleep(time.Millisecond)
-	sp.End("", "note")
+	sp.End(nil, "note")
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].Dur < time.Millisecond/2 {
 		t.Fatalf("span not recorded with a plausible duration: %+v", spans)
@@ -279,5 +279,5 @@ func TestSpanTimings(t *testing.T) {
 	// A nil trace's handles are inert.
 	var nt *Trace
 	nt.Hop("x", 1)
-	SpanHandle{}.End("", "")
+	SpanHandle{}.End(nil, "")
 }

@@ -89,20 +89,20 @@ type SpanHandle struct {
 	start time.Time
 }
 
-// End records the span with the given digest and note (either may be
-// empty). Ending a handle from a nil trace is a no-op, so callers can
-// trace unconditionally.
-func (h SpanHandle) End(digest, note string) {
+// End records the span with the digest of the canonical bytes the hop
+// observed (nil for a hop with nothing canonical to see) and a note
+// (may be empty). Ending a handle from a nil trace is a no-op that
+// hashes nothing, so callers can trace unconditionally and a server
+// with tracing off pays no pass over its result bytes.
+func (h SpanHandle) End(canonical []byte, note string) {
 	if h.t == nil {
 		return
 	}
-	h.t.Add(Span{
-		Name:   h.name,
-		Start:  h.start.Sub(h.t.Begin),
-		Dur:    time.Since(h.start),
-		Digest: digest,
-		Note:   note,
-	})
+	sp := Span{Name: h.name, Start: h.start.Sub(h.t.Begin), Dur: time.Since(h.start), Note: note}
+	if canonical != nil {
+		sp.Digest = DigestOf(canonical)
+	}
+	h.t.Add(sp)
 }
 
 // FirstDivergence compares two traces of the same query span-by-span

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/proc"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sqlagg"
 )
@@ -131,11 +130,6 @@ type Server struct {
 
 	cache *resultCache
 
-	// prof accumulates per-phase serving time across all queries — one
-	// shared profiler, charged concurrently (engine.Profiler is
-	// goroutine-safe).
-	prof *engine.Profiler
-
 	// reg is this server's private metric registry (see Registry):
 	// per-server, because one process may run many servers and their
 	// counts must not bleed into each other. met holds the pre-resolved
@@ -228,7 +222,6 @@ func NewServer(ds *Dataset, opts Options) (*Server, error) {
 		ds:     ds,
 		opt:    o,
 		slots:  make(chan struct{}, o.MaxConcurrent),
-		prof:   engine.NewProfiler(),
 		reg:    reg,
 		met:    newServeMetrics(reg),
 		closed: make(chan struct{}),
@@ -279,17 +272,6 @@ func (s *Server) Trace(id uint64) *obs.Trace {
 		return nil
 	}
 	return s.traces.Get(id)
-}
-
-// Profile returns the accumulated per-phase serving time, in
-// first-use order.
-func (s *Server) Profile() (labels []string, times []time.Duration) {
-	labels = s.prof.Labels()
-	times = make([]time.Duration, len(labels))
-	for i, l := range labels {
-		times[i] = s.prof.Get(l)
-	}
-	return labels, times
 }
 
 // Close shuts the server down: queued queries fail with
@@ -370,32 +352,32 @@ func (s *Server) do(q Query, tr *obs.Trace) (*Result, string, error) {
 
 	adm := tr.Start("admission")
 	if err := q.validate(s.ds.Cols()); err != nil {
-		adm.End("", err.Error())
+		adm.End(nil, err.Error())
 		return nil, outInvalid, err
 	}
 	enc, err := q.Encode()
 	if err != nil {
-		adm.End("", err.Error())
+		adm.End(nil, err.Error())
 		return nil, outInvalid, err
 	}
 	// The admission digest fingerprints the canonical query encoding:
 	// two traces of the same query anchor at the same digest, so a
 	// later divergence is provably downstream of admission.
-	adm.End(obs.DigestOf(enc), "")
+	adm.End(enc, "")
 
 	if s.opt.MemoryBudget >= 0 {
 		sp := tr.Start("budget")
 		est, err := s.ds.EstimateBytes(q)
 		if err != nil {
-			sp.End("", err.Error())
+			sp.End(nil, err.Error())
 			return nil, outInvalid, err
 		}
 		if est > s.opt.MemoryBudget {
-			sp.End("", fmt.Sprintf("estimate %d bytes over budget %d", est, s.opt.MemoryBudget))
+			sp.End(nil, fmt.Sprintf("estimate %d bytes over budget %d", est, s.opt.MemoryBudget))
 			return nil, outRejBudget, fmt.Errorf("%w: estimated %d bytes over budget %d (distinct-key bound %d)",
 				ErrOverBudget, est, s.opt.MemoryBudget, s.ds.distinctBound)
 		}
-		sp.End("", fmt.Sprintf("estimate %d bytes", est))
+		sp.End(nil, fmt.Sprintf("estimate %d bytes", est))
 	}
 
 	key := cacheKey(s.ds.version, enc)
@@ -405,18 +387,18 @@ func (s *Server) do(q Query, tr *obs.Trace) (*Result, string, error) {
 			if s.opt.VerifyCache {
 				fresh, err := s.admitAndExecute(q, tr)
 				if err != nil {
-					sp.End("", err.Error())
+					sp.End(nil, err.Error())
 					return nil, execOutcome(err), err
 				}
 				if !bytes.Equal(cached, fresh) {
-					sp.End(obs.DigestOf(cached), "verify diverged")
+					sp.End(cached, "verify diverged")
 					return nil, outError, fmt.Errorf("serve: cache hit diverged from recomputation for query %x — determinism invariant broken", enc)
 				}
 			}
-			sp.End(obs.DigestOf(cached), "hit")
+			sp.End(cached, "hit")
 			return &Result{Query: q, Version: s.ds.version, Bytes: cached, CacheHit: true}, outHit, nil
 		}
-		sp.End("", "miss")
+		sp.End(nil, "miss")
 	}
 
 	// Graceful degradation: while the backing cluster is inside a
@@ -444,7 +426,7 @@ func (s *Server) do(q Query, tr *obs.Trace) (*Result, string, error) {
 		sp := tr.Start("cache-fill")
 		s.cache.put(key, out)
 		s.met.cacheMisses.Inc()
-		sp.End(obs.DigestOf(out), "")
+		sp.End(out, "")
 	}
 	return &Result{Query: q, Version: s.ds.version, Bytes: out}, outExecuted, nil
 }
@@ -461,7 +443,7 @@ func (s *Server) admitAndExecute(q Query, tr *obs.Trace) ([]byte, error) {
 		// All slots busy: join the bounded wait queue.
 		if s.queued.Add(1) > int64(s.opt.MaxQueue) {
 			s.queued.Add(-1)
-			wait.End("", "queue full")
+			wait.End(nil, "queue full")
 			return nil, fmt.Errorf("%w: %d executing, %d queued", ErrOverloaded, s.opt.MaxConcurrent, s.opt.MaxQueue)
 		}
 		timer := time.NewTimer(s.opt.QueueTimeout)
@@ -471,18 +453,18 @@ func (s *Server) admitAndExecute(q Query, tr *obs.Trace) ([]byte, error) {
 			timer.Stop()
 		case <-timer.C:
 			s.queued.Add(-1)
-			wait.End("", "timed out")
+			wait.End(nil, "timed out")
 			return nil, fmt.Errorf("%w after %v", ErrQueueTimeout, s.opt.QueueTimeout)
 		case <-s.closed:
 			s.queued.Add(-1)
 			timer.Stop()
-			wait.End("", "server closed")
+			wait.End(nil, "server closed")
 			return nil, ErrServerClosed
 		}
 	}
 	defer func() { <-s.slots }()
 	s.met.queueWait.Observe(time.Since(waitStart).Seconds())
-	wait.End("", "")
+	wait.End(nil, "")
 
 	cur := s.met.inflight.Add(1)
 	s.met.peak.Max(cur)
@@ -496,10 +478,10 @@ func (s *Server) admitAndExecute(q Query, tr *obs.Trace) ([]byte, error) {
 	out, err := s.execute(q, tr)
 	s.met.execSecs.Observe(time.Since(execStart).Seconds())
 	if err != nil {
-		sp.End("", err.Error())
+		sp.End(nil, err.Error())
 		return nil, err
 	}
-	sp.End(obs.DigestOf(out), "")
+	sp.End(out, "")
 	return out, nil
 }
 
@@ -510,57 +492,49 @@ func (s *Server) admitAndExecute(q Query, tr *obs.Trace) ([]byte, error) {
 // GROUP BY path records "merge" over the final canonical bytes — so
 // two traces of the same query localize a divergence to the first hop
 // whose digest disagrees (obs.FirstDivergence).
-func (s *Server) execute(q Query, tr *obs.Trace) (out []byte, err error) {
+func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 	switch q.Kind {
 	case QueryGroupBy:
+		var out []byte
 		if s.opt.Cluster != nil {
 			// The cluster's result payload already is the canonical
 			// encoding every other backend produces — serve it as-is.
-			var res *proc.Result
-			s.prof.Measure("exec/groupby/proc", func() {
-				res, err = s.opt.Cluster.Run(proc.Job{
-					Workers: s.opt.Workers,
-					Specs:   q.Specs,
-					Source:  proc.RowShards(s.ds.shardKeys, s.ds.shardCols),
-				})
+			res, err := s.opt.Cluster.Run(proc.Job{
+				Workers: s.opt.Workers,
+				Specs:   q.Specs,
+				Source:  proc.RowShards(s.ds.shardKeys, s.ds.shardCols),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("serve: group by: %w", err)
 			}
-			tr.Hop("merge", obs.FNV64a(res.Payload))
-			return res.Payload, nil
-		}
-		var gs []dist.TupleGroup
-		if s.opt.Distributed {
-			cfg := s.opt.Dist
-			if tr != nil {
-				cfg.Trace = func(hop string, digest uint64) { tr.Hop(hop, digest) }
-			}
-			s.prof.Measure("exec/groupby/cluster", func() {
-				gs, err = dist.AggregateTuplesConfig(s.ds.shardKeys, s.ds.shardCols, s.opt.Workers, q.Specs, cfg)
-			})
+			out = res.Payload
 		} else {
-			s.prof.Measure("exec/groupby/local", func() {
+			var gs []dist.TupleGroup
+			var err error
+			if s.opt.Distributed {
+				cfg := s.opt.Dist
+				if tr != nil {
+					cfg.Trace = tr.Hop
+				}
+				gs, err = dist.AggregateTuplesConfig(s.ds.shardKeys, s.ds.shardCols, s.opt.Workers, q.Specs, cfg)
+			} else {
 				gs, err = s.groupByLocal(q.Specs)
-			})
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: group by: %w", err)
-		}
-		s.prof.Measure("encode/groups", func() {
+			}
+			if err != nil {
+				return nil, fmt.Errorf("serve: group by: %w", err)
+			}
 			out = dist.EncodeTupleGroups(gs, len(q.Specs))
-		})
-		tr.Hop("merge", obs.FNV64a(out))
+		}
+		if tr != nil { // hash the result only when a trace will carry it
+			tr.Hop("merge", obs.FNV64a(out))
+		}
 		return out, nil
 	case QueryWindowTotals:
 		// Window totals run on the serving node for every backend: the
 		// output is row-aligned, and its per-key totals come from the
 		// same reproducible states, so the bits match regardless.
-		s.prof.Measure("exec/window", func() {
-			totals := sqlagg.WindowTotals(s.ds.keys, s.ds.cols[q.Col], resolvedLevels(q.Levels))
-			out = encodeTotals(totals)
-		})
-		return out, nil
+		totals := sqlagg.WindowTotals(s.ds.keys, s.ds.cols[q.Col], resolvedLevels(q.Levels))
+		return encodeTotals(totals), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown query kind %d", ErrBadQuery, byte(q.Kind))
 	}
