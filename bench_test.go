@@ -197,20 +197,12 @@ func BenchmarkFig9(b *testing.B) {
 	keys := workload.Keys(9, benchN, g)
 	f32 := workload.Values32(10, benchN, workload.Uniform12)
 	for depth := 0; depth <= 2; depth++ {
-		bsz := agg.BufferSize(g, pow(256, depth), 4)
+		bsz := agg.BufferSizeAt(g, depth, 4)
 		b.Run(fmt.Sprintf("d%d", depth), func(b *testing.B) {
 			benchPAA[float32, core.Buffered32](b, keys, f32,
 				func() core.Buffered32 { return core.NewBuffered32(2, bsz) }, depth, g)
 		})
 	}
-}
-
-func pow(base, exp int) int {
-	p := 1
-	for i := 0; i < exp; i++ {
-		p *= base
-	}
-	return p
 }
 
 // BenchmarkFig10 — Figure 10: buffered vs unbuffered repro vs float at a
@@ -220,7 +212,7 @@ func BenchmarkFig10(b *testing.B) {
 	keys := workload.Keys(11, benchN, g)
 	f64 := workload.Values64(12, benchN, workload.Uniform12)
 	depth := agg.ThresholdsReproBuffered.Depth(g)
-	bsz := agg.BufferSize(g, pow(256, depth), 8)
+	bsz := agg.BufferSizeAt(g, depth, 8)
 	b.Run("float", func(b *testing.B) {
 		benchPAA[float64, f64acc](b, keys, f64, func() f64acc { return 0 }, 0, g)
 	})
@@ -247,11 +239,11 @@ func BenchmarkTab3(b *testing.B) {
 	for _, l := range []int{1, 4} {
 		b.Run(fmt.Sprintf("buffered_float_L%d", l), func(b *testing.B) {
 			benchPAA[float32, core.Buffered32](b, keys, f32,
-				func() core.Buffered32 { return core.NewBuffered32(l, agg.BufferSize(g, pow(256, depth), 4)) }, depth, g)
+				func() core.Buffered32 { return core.NewBuffered32(l, agg.BufferSizeAt(g, depth, 4)) }, depth, g)
 		})
 		b.Run(fmt.Sprintf("buffered_double_L%d", l), func(b *testing.B) {
 			benchPAA[float64, core.Buffered64](b, keys, f64,
-				func() core.Buffered64 { return core.NewBuffered64(l, agg.BufferSize(g, pow(256, depth), 8)) }, depth, g)
+				func() core.Buffered64 { return core.NewBuffered64(l, agg.BufferSizeAt(g, depth, 8)) }, depth, g)
 		})
 	}
 }

@@ -59,16 +59,6 @@ func TestSweepExperimentsSmoke(t *testing.T) {
 	}
 }
 
-func TestEq4Helper(t *testing.T) {
-	if eq4(16, 0, 8, 256) <= 0 {
-		t.Error("eq4 must be positive")
-	}
-	// Partitioning divides the per-partition group count.
-	if eq4(1<<16, 1, 8, 256) != eq4(1<<8, 0, 8, 256) {
-		t.Error("eq4 fan-out accounting wrong")
-	}
-}
-
 func TestGroupSweepQuickMode(t *testing.T) {
 	cfg := tinyConfig()
 	s := groupSweep(cfg, 0, 24)

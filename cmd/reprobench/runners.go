@@ -125,15 +125,6 @@ func runBuf32(d datasets, levels, depth, ngroups, bsz int) time.Duration {
 	})
 }
 
-// eq4 evaluates the buffer-size model for a sweep point.
-func eq4(ngroups, depth, scalarBytes, fanout int) int {
-	f := 1
-	for i := 0; i < depth; i++ {
-		f *= fanout
-	}
-	return agg.BufferSize(ngroups, f, scalarBytes)
-}
-
 // hashAggTime measures plain single-threaded HASHAGGREGATION (Figure 4).
 func hashAggTime[V any, A any, PA interface {
 	*A

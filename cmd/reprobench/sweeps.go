@@ -86,7 +86,7 @@ func runFig8(cfg config) {
 		"ngroups", "bsz=16", "bsz=64", "bsz=256", "bsz=1024", "bsz=Eq4", "Eq4 value")
 	for _, g := range groupSweep(cfg, 4, 14) {
 		d := makeDatasets(cfg.seed, cfg.n, uint32(g))
-		pred := eq4(g, 0, 4, 256)
+		pred := agg.BufferSizeAt(g, 0, 4)
 		t.AddRow(g,
 			bench.NsPerElem(runBuf32(d, 2, 0, g, 16), p, cfg.n),
 			bench.NsPerElem(runBuf32(d, 2, 0, g, 64), p, cfg.n),
@@ -116,7 +116,7 @@ func runFig9(cfg config) {
 		d := makeDatasets(cfg.seed, cfg.n, uint32(g))
 		row := []any{g}
 		for depth := 0; depth <= 2; depth++ {
-			bsz := eq4(g, depth, 4, 256)
+			bsz := agg.BufferSizeAt(g, depth, 4)
 			row = append(row, bench.NsPerElem(runBuf32(d, 2, depth, g, bsz), p, cfg.n))
 		}
 		t.AddRow(row...)
@@ -141,8 +141,8 @@ func runFig10(cfg config) {
 		depth := agg.ThresholdsReproBuffered.Depth(g)
 		dBuiltin := agg.ThresholdsBuiltin.Depth(g)
 		dUnbuf := agg.ThresholdsReproUnbuffered.Depth(g)
-		bsz32 := eq4(g, depth, 4, 256)
-		bsz64 := eq4(g, depth, 8, 256)
+		bsz32 := agg.BufferSizeAt(g, depth, 4)
+		bsz64 := agg.BufferSizeAt(g, depth, 8)
 
 		base := bench.NsPerElem(runF64(d, dBuiltin, g), p, cfg.n)
 		d9 := bench.NsPerElem(runD9(d, dBuiltin, g), p, cfg.n)
@@ -190,12 +190,12 @@ func runTab3(cfg config) {
 		dBuiltin := agg.ThresholdsBuiltin.Depth(g)
 		base := bench.NsPerElem(runF64(d, dBuiltin, g), p, cfg.n)
 		for l := 1; l <= 4; l++ {
-			bsz := eq4(g, depth, 4, 256)
+			bsz := agg.BufferSizeAt(g, depth, 4)
 			ns := bench.NsPerElem(runBuf32(d, l, depth, g, bsz), p, cfg.n)
 			all[l-1].ratio = append(all[l-1].ratio, ns/base)
 		}
 		for l := 1; l <= 4; l++ {
-			bsz := eq4(g, depth, 8, 256)
+			bsz := agg.BufferSizeAt(g, depth, 8)
 			ns := bench.NsPerElem(runBuf64(d, l, depth, g, bsz), p, cfg.n)
 			all[4+l-1].ratio = append(all[4+l-1].ratio, ns/base)
 		}
@@ -269,7 +269,7 @@ func runFig12(cfg config) {
 		"ngroups", "bsz=16", "bsz=64", "bsz=256", "bsz=1024", "bsz=Eq4", "Eq4 value")
 	for _, g := range groupSweep(cfg, 12, 22) {
 		d := makeDatasets(cfg.seed, cfg.n, uint32(g))
-		pred := eq4(g, 1, 4, 256)
+		pred := agg.BufferSizeAt(g, 1, 4)
 		t.AddRow(g,
 			bench.NsPerElem(runBuf32(d, 2, 1, g, 16), p, cfg.n),
 			bench.NsPerElem(runBuf32(d, 2, 1, g, 64), p, cfg.n),

@@ -20,8 +20,8 @@ import (
 // AdaptiveOptions configures AdaptiveAggregate.
 type AdaptiveOptions struct {
 	// MaxTableGroups is the group-count threshold that triggers a
-	// partitioning pass (default 1<<17, the tuned crossover of this
-	// build; see DepthThresholds).
+	// partitioning pass (default 1<<17; the planner's own crossovers
+	// are the model-derived DepthThresholds in tuning.go).
 	MaxTableGroups int
 	// Fanout is the per-pass radix fan-out (default 256).
 	Fanout int

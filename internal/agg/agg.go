@@ -1,8 +1,10 @@
 package agg
 
 import (
+	"cmp"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/hashagg"
@@ -35,7 +37,7 @@ type Options struct {
 
 func (o Options) withDefaults(n int) Options {
 	if o.Fanout == 0 {
-		o.Fanout = 256
+		o.Fanout = DefaultFanout
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -97,6 +99,9 @@ func PartitionAndAggregate[V any, A any, PA interface {
 	if batch < 1 {
 		batch = 1
 	}
+	// The radix passes consumed the low Depth × log2(Fanout) key bits,
+	// so partition-local tables index by the bits above them.
+	lowBits := uint(opt.Depth * bits.TrailingZeros(uint(opt.Fanout)))
 	next := make(chan [2]int, np/batch+1)
 	for p := 0; p < np; p += batch {
 		hi := p + batch
@@ -115,7 +120,7 @@ func PartitionAndAggregate[V any, A any, PA interface {
 			// buffered reproducible accumulators in particular — keep
 			// their buffers across partitions, as in the paper's
 			// implementation.
-			t := hashagg.New[A](perPartHint, opt.Hash, newA)
+			t := hashagg.NewPartitioned[A](perPartHint, opt.Hash, newA, lowBits)
 			for r := range next {
 				for p := r[0]; p < r[1]; p++ {
 					pk, pv := parts.Partition(p)
@@ -218,7 +223,7 @@ func collect[A any](t *hashagg.Table[A]) []Entry[A] {
 // SortByKey orders entries by key, giving results a canonical order for
 // comparison (the operator itself returns groups as an unordered set).
 func SortByKey[A any](entries []Entry[A]) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	slices.SortFunc(entries, func(a, b Entry[A]) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // Finalize maps the aggregate payloads of entries through fn, producing

@@ -266,14 +266,19 @@ func TestBufferSizeModel(t *testing.T) {
 		if b > prev {
 			t.Errorf("bsz not monotone at %d groups: %d > %d", g, b, prev)
 		}
-		if b < 1 {
-			t.Errorf("bsz < 1 at %d groups", g)
+		if b < MinBufferSize {
+			t.Errorf("bsz %d below the floor at %d groups", b, g)
 		}
 		prev = b
 	}
 	// Partitioning with fan-out F divides the groups per partition.
 	if BufferSize(1<<16, 256, 8) != BufferSize(1<<8, 1, 8) {
 		t.Error("fan-out does not divide group count")
+	}
+	for depth, fanout := range []int{1, 256, 65536} {
+		if BufferSizeAt(1<<20, depth, 8) != BufferSize(1<<20, fanout, 8) {
+			t.Errorf("BufferSizeAt depth %d is not BufferSize at fan-out %d", depth, fanout)
+		}
 	}
 	// Power-of-two outputs.
 	for _, g := range []int{100, 1000, 30000} {

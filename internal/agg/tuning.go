@@ -1,18 +1,54 @@
 package agg
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
 
-// Tuning of buffer size and partitioning depth (Section V-C).
+	"repro/internal/core"
+)
 
-// CacheBytesPerThread is the cache budget the working-set model assumes
-// per thread. The paper's machine has a 20 MiB LLC shared by 8 cores
-// and observes the performance cliff when the modeled working set
-// exceeds 1 MiB ≈ half the per-core share; we adopt the same budget.
+// Tuning of buffer size and partitioning depth (Section V-C). Both come
+// from the size of the table one worker touches while it aggregates one
+// partition: groups/F slots (F = fan-out^depth) of key, flags and
+// payload. The paper determines the constants offline per machine;
+// BenchmarkGroupByCrossover is that offline step here, and every
+// constant below names the measurement it comes from.
+
+// CacheBytesPerThread is Eq. 4's budget: the summation buffers of one
+// partition's groups should together fill it. The paper's machine has
+// a 20 MiB LLC shared by 8 cores and observes the performance cliff
+// when the modeled working set exceeds 1 MiB ≈ half the per-core share;
+// we adopt the same budget.
 const CacheBytesPerThread = 1 << 20
+
+// TableBytesPerThread is the depth model's budget: while one
+// partition's groups × slot bytes stay under it, aggregating in place
+// beats paying for a radix pass first. It is fitted, not read off the
+// hardware: 4 MiB puts the first crossover where
+// BenchmarkGroupByCrossover finds it for both reproducible payloads on
+// the development machine (2 MiB private L2, large shared L3) —
+// between 2^15 and 2^16 groups unbuffered, between 2^13 and 2^14 with
+// buffers.
+const TableBytesPerThread = 4 << 20
 
 // MaxBufferSize is bszmax, the largest summation buffer used
 // (the paper sweeps up to 2^10).
 const MaxBufferSize = 1024
+
+// MinBufferSize is the smallest summation buffer worth having. Measured
+// (BenchmarkGroupByCrossover, partitions in cache): 8-value buffers
+// lose to the unbuffered accumulator at every group count, 16 lose or
+// tie, 32 tie, 64 and up win. BufferSize never returns less; Plan
+// returns 0 — unbuffered — instead.
+const MinBufferSize = 32
+
+// DefaultFanout is the per-pass radix fan-out f ("modern hardware runs
+// partitioning efficiently only up to a certain fan-out").
+const DefaultFanout = 256
+
+// slotOverheadBytes is what hashagg.Table stores per slot besides the
+// payload: the key and the used and stale flags.
+const slotOverheadBytes = 4 + 1 + 1
 
 // BufferSize evaluates Eq. 4: the summation buffers of the groups of
 // one partition should together fill the per-thread cache,
@@ -22,33 +58,29 @@ const MaxBufferSize = 1024
 // scalarBytes is sizeof(ScalarT) (8 for float64, 4 for float32); fanout
 // is the total partitioning fan-out F = f^d (1 for d = 0). The result
 // is rounded down to a power of two (buffers are allocated in cache-
-// line-friendly sizes) and clamped to ≥ 1.
+// line-friendly sizes) and clamped to [MinBufferSize, MaxBufferSize].
 func BufferSize(ngroups, fanout, scalarBytes int) int {
-	if ngroups < 1 {
-		ngroups = 1
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	perPart := ngroups / fanout
-	if perPart < 1 {
-		perPart = 1
-	}
-	bsz := CacheBytesPerThread / (perPart * scalarBytes)
-	if bsz > MaxBufferSize {
-		bsz = MaxBufferSize
-	}
-	if bsz < 1 {
-		return 1
-	}
-	// Round down to a power of two.
-	return 1 << (bits.Len(uint(bsz)) - 1)
+	return max(eq4(ngroups, fanout, scalarBytes), MinBufferSize)
 }
 
-// DepthThresholds holds the group-count thresholds at which one more
-// level of partitioning pays off, as determined by the micro-benchmarks
-// of Section VI (Figures 7 and 9): Thresholds[i] is the minimum group
-// count for depth i+1.
+// eq4 is BufferSize without the floor: what really fits, possibly 0.
+func eq4(ngroups, fanout, scalarBytes int) int {
+	perPart := max(max(ngroups, 1)/max(fanout, 1), 1)
+	bsz := min(CacheBytesPerThread/(perPart*scalarBytes), MaxBufferSize)
+	return 1 << bits.Len(uint(bsz)) >> 1 // round down to a power of two
+}
+
+// fanoutAt is the total fan-out after depth passes of DefaultFanout.
+func fanoutAt(depth int) int { return 1 << (depth * bits.TrailingZeros(DefaultFanout)) }
+
+// BufferSizeAt is BufferSize after depth passes of DefaultFanout.
+func BufferSizeAt(ngroups, depth, scalarBytes int) int {
+	return BufferSize(ngroups, fanoutAt(depth), scalarBytes)
+}
+
+// DepthThresholds holds the group counts at which one more level of
+// partitioning pays off: Thresholds[i] is the minimum group count for
+// depth i+1.
 type DepthThresholds []int
 
 // Depth returns the partitioning depth for a given number of groups.
@@ -62,23 +94,48 @@ func (t DepthThresholds) Depth(ngroups int) int {
 	return d
 }
 
-// Default depth thresholds per operator configuration, from the paper:
-//
-// The paper determines these offline per machine (Section V-C: "we
-// simply determine the optimal number of levels offline"); the paper's
-// own Haswell values were {2^16, 2^25} (built-ins), ≈{2^15, 2^22}
-// (unbuffered repro), and {2^10, 2^18} (buffered repro). The defaults
-// below were re-derived with `reprobench fig9` on the reference CI
-// machine of this reproduction (single core, smaller caches), where
-// radix partitioning is relatively more expensive and therefore pays
-// off later; rerun fig9 to retune for your hardware.
+// firstPass is the group count from which an unpartitioned table of
+// payloadBytes payloads outgrows TableBytesPerThread.
+func firstPass(payloadBytes int) int {
+	return TableBytesPerThread/(payloadBytes+slotOverheadBytes) + 1
+}
+
+// Depth thresholds per operator configuration. The first is the table
+// model at that configuration's slot size. The second is not: the same
+// model would put it 256 times later, but a second pass was never
+// measured to win — the best depth-1 operator is ahead of the best
+// depth-2 one at every group count BenchmarkGroupByCrossover reaches
+// (and still at 2^25 groups), because a depth-1 partition's table that
+// has left L2 sits in a last-level cache, not in memory. Until a
+// machine shows the second crossover, it stays where no realistic
+// input reaches it. The paper reports {2^16, 2^25} (built-ins),
+// ≈{2^15, 2^22} (unbuffered repro) and {2^10, 2^18} (buffered repro)
+// on its Haswell.
 var (
 	// ThresholdsBuiltin: depth crossovers for built-in scalar types.
-	ThresholdsBuiltin = DepthThresholds{1 << 18, 1 << 26}
+	ThresholdsBuiltin = DepthThresholds{firstPass(8), 1 << 26}
 	// ThresholdsReproUnbuffered: crossovers for unbuffered repro types.
-	ThresholdsReproUnbuffered = DepthThresholds{1 << 17, 1 << 25}
-	// ThresholdsReproBuffered: crossovers for buffered repro types
-	// (larger cache footprint, but also a slower baseline to amortize
-	// against).
-	ThresholdsReproBuffered = DepthThresholds{1 << 17, 1 << 26}
+	ThresholdsReproUnbuffered = DepthThresholds{firstPass(int(unsafe.Sizeof(core.Sum64{}))), 1 << 25}
+	// ThresholdsReproBuffered: crossovers for buffered repro types,
+	// whose slot carries at least a MinBufferSize buffer.
+	ThresholdsReproBuffered = DepthThresholds{firstPass(int(unsafe.Sizeof(core.Buffered64{})) + MinBufferSize*8), 1 << 26}
 )
+
+// Plan picks depth and summation-buffer size for a reproducible GROUP
+// BY SUM of rows values of scalarBytes each into about groups groups
+// (never more than rows); bsz 0 means no buffers (core.Sum64 / Sum32
+// payloads). Buffers are Eq. 4 at the buffered model's depth, capped by
+// what a group is expected to receive (a buffer that cannot fill only
+// spends cache). When fewer than MinBufferSize values per group fit or
+// arrive, the plan is the unbuffered operator at its own depth.
+func Plan(groups, rows, scalarBytes int) (depth, bsz int) {
+	groups = max(min(groups, rows), 1)
+	depth = ThresholdsReproBuffered.Depth(groups)
+	perGroup := max(rows/groups, 1)
+	fill := 1 << bits.Len(uint(perGroup-1)) // next power of two ≥ perGroup
+	bsz = min(eq4(groups, fanoutAt(depth), scalarBytes), fill)
+	if bsz < MinBufferSize {
+		return ThresholdsReproUnbuffered.Depth(groups), 0
+	}
+	return depth, bsz
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/hashagg"
@@ -434,12 +435,16 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 // operator's owners use — and returns the finalized groups key-sorted.
 // hint sizes the table; a bound that never undercounts the distinct
 // keys (partition.Output.DistinctBound) means it never rehashes.
-func GroupTuples(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec, hint int) ([]TupleGroup, error) {
+// stride is the gap between distinct keys DistinctBound also takes
+// (the fan-out for one partition of a low-byte radix pass, else 1):
+// such keys agree on their low log2(stride) bits and the table indexes
+// above them.
+func GroupTuples(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec, hint int, stride uint32) ([]TupleGroup, error) {
 	plan, err := planShard(keys, cols, specs)
 	if err != nil {
 		return nil, err
 	}
-	table := hashagg.New(hint, hashagg.Identity, plan.newTuple)
+	table := hashagg.NewPartitioned(hint, hashagg.Identity, plan.newTuple, uint(bits.TrailingZeros32(max(stride, 1))))
 	for i, k := range keys {
 		tup := table.Upsert(k)
 		for si, st := range tup.states {
@@ -546,8 +551,9 @@ func combineShard(keys []uint32, cols [][]float64, plan *tuplePlan, n, workers, 
 	// One table, reused across partitions: Clear keeps the slot arrays
 	// allocated and Reset recycles the tuple states in place, so
 	// per-partition pre-aggregation costs no allocation after the first
-	// partition.
-	table := hashagg.New(hint, hashagg.Identity, plan.newTuple)
+	// partition. Its keys agree on the byte partition.Do routed on, so
+	// the table indexes by the bits above it.
+	table := hashagg.NewPartitioned(hint, hashagg.Identity, plan.newTuple, uint(bits.TrailingZeros(shuffleFanout)))
 	pairSize := 8 + plan.width // key + length prefix + tuple of states
 	for d := range frames {
 		if est[d] > 0 {

@@ -2,10 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/hashagg"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
@@ -254,5 +258,84 @@ func TestTupleGroupsCodec(t *testing.T) {
 	}
 	if _, err := DecodeTupleGroups(buf, 2); err == nil {
 		t.Error("wrong spec arity accepted")
+	}
+}
+
+// TestPartitionedTablesSameGroups pins that indexing partition-local
+// tables by the bits above the shuffle byte changes slot order only:
+// combineShard → owner merge, GroupTuples told the partition stride
+// (one call per partition, runs concatenated) and GroupTuples told
+// nothing (stride 1, plain identity over all rows) return the same
+// TupleGroups as the sequential reference, whatever the key layout.
+func TestPartitionedTablesSameGroups(t *testing.T) {
+	const rows = 6000
+	specs := tupleSpecs()
+	c0 := workload.Values64(31, rows, workload.MixedMag)
+	c1 := workload.Values64(32, rows, workload.Uniform12)
+	dense := workload.Keys(33, rows, 3000)
+	for _, tc := range []struct {
+		name string
+		key  func(k uint32) uint32
+	}{
+		{"dense", func(k uint32) uint32 { return k }},
+		{"one partition", func(k uint32) uint32 { return k<<8 | 5 }},
+		{"high bits only", func(k uint32) uint32 { return k << 20 }},
+		{"sparse", func(k uint32) uint32 { return k * 2654435761 }},
+	} {
+		keys := make([]uint32, rows)
+		for i, k := range dense {
+			keys[i] = tc.key(k)
+		}
+		cols := [][]float64{c0, c1}
+		want := refTuples(t, keys, c0, c1, specs)
+
+		unshifted, err := GroupTuples(keys, cols, specs, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTuples(t, unshifted, want, tc.name+": GroupTuples, stride 1")
+
+		idx := make([]int32, rows)
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		part := partition.Do(keys, idx, 0, shuffleFanout, 2)
+		var shifted []TupleGroup
+		for p := 0; p < part.NumPartitions(); p++ {
+			pk, pi := part.Partition(p)
+			pc := [][]float64{make([]float64, len(pk)), make([]float64, len(pk))}
+			for i, row := range pi {
+				pc[0][i], pc[1][i] = c0[row], c1[row]
+			}
+			run, err := GroupTuples(pk, pc, specs, part.DistinctBound(p, shuffleFanout), shuffleFanout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shifted = append(shifted, run...)
+		}
+		slices.SortFunc(shifted, func(a, b TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
+		checkTuples(t, shifted, want, tc.name+": GroupTuples per partition, stride 256")
+
+		for _, nodes := range []int{1, 3} {
+			plan, err := newTuplePlan(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := make([][]TupleGroup, nodes)
+			for d, frame := range frames {
+				states := hashagg.New(64, hashagg.Identity, plan.newTuple)
+				if err := walkFrame(frame, func(key uint32, enc []byte) error {
+					return plan.mergeTuple(states.Upsert(key), enc)
+				}); err != nil {
+					t.Fatalf("%s: owner %d: %v", tc.name, d, err)
+				}
+				runs[d] = finalizeTuples(states, len(specs))
+			}
+			checkTuples(t, mergeSortedRuns(runs), want, tc.name+": combineShard → owner merge")
+		}
 	}
 }

@@ -25,12 +25,9 @@ const (
 	Multiplicative
 )
 
-func (h Hash) apply(key, mask uint32) uint32 {
-	if h == Identity {
-		return key & mask
-	}
-	return (key * 2654435761) >> 7 & mask
-}
+// identityAbove is Identity over the key bits above Table.shift, for a
+// table that only sees one radix partition; set by NewPartitioned.
+const identityAbove Hash = -1
 
 // Adder is the interface the aggregation loop requires from a pointer
 // to an aggregate payload: fold one value in.
@@ -49,8 +46,22 @@ type Table[A any] struct {
 	mask  uint32
 	n     int
 	hash  Hash
+	shift uint // identityAbove only: low key bits constant in this partition
 	newA  func() A
 	stale []bool // slots with a recyclable (allocated but cleared) payload
+}
+
+// home returns key's home slot. Identity is tested first and touches
+// nothing but the mask, so the unpartitioned aggregation loop does not
+// pay for the shift.
+func (t *Table[A]) home(key uint32) uint32 {
+	if t.hash == Identity {
+		return key & t.mask
+	}
+	if t.hash == identityAbove {
+		return (key >> t.shift) & t.mask
+	}
+	return (key * 2654435761) >> 7 & t.mask
 }
 
 // New returns a table pre-sized for about hint entries. newA initializes
@@ -71,6 +82,20 @@ func New[A any](hint int, hash Hash, newA func() A) *Table[A] {
 	}
 }
 
+// NewPartitioned is New for a table that aggregates one radix partition
+// at a time: every key it sees agrees on its low lowBits bits (the
+// partitioning passes routed on them). An Identity table indexed by
+// those bits would send a partition of dense keys to a couple of home
+// slots and turn every Upsert into a probe-chain walk, so it indexes
+// by the bits above them. Multiplicative ignores lowBits.
+func NewPartitioned[A any](hint int, hash Hash, newA func() A, lowBits uint) *Table[A] {
+	t := New(hint, hash, newA)
+	if hash == Identity && lowBits > 0 {
+		t.hash, t.shift = identityAbove, lowBits
+	}
+	return t
+}
+
 // Len returns the number of distinct keys in the table.
 func (t *Table[A]) Len() int { return t.n }
 
@@ -81,7 +106,7 @@ func (t *Table[A]) Cap() int { return len(t.keys) }
 // it if absent. The returned pointer is invalidated by the next Upsert
 // (the table may grow).
 func (t *Table[A]) Upsert(key uint32) *A {
-	i := t.hash.apply(key, t.mask)
+	i := t.home(key)
 	for t.used[i] {
 		if t.keys[i] == key {
 			return &t.aggs[i]
@@ -91,7 +116,7 @@ func (t *Table[A]) Upsert(key uint32) *A {
 	if t.n >= len(t.keys)*7/10 {
 		t.grow()
 		// Re-probe in the grown table.
-		i = t.hash.apply(key, t.mask)
+		i = t.home(key)
 		for t.used[i] {
 			if t.keys[i] == key {
 				return &t.aggs[i]
@@ -117,7 +142,7 @@ func (t *Table[A]) Upsert(key uint32) *A {
 
 // Get returns the payload for key, or nil if absent.
 func (t *Table[A]) Get(key uint32) *A {
-	i := t.hash.apply(key, t.mask)
+	i := t.home(key)
 	for t.used[i] {
 		if t.keys[i] == key {
 			return &t.aggs[i]
@@ -139,7 +164,7 @@ func (t *Table[A]) grow() {
 		if !u {
 			continue
 		}
-		j := t.hash.apply(oldKeys[i], t.mask)
+		j := t.home(oldKeys[i])
 		for t.used[j] {
 			j = (j + 1) & t.mask
 		}

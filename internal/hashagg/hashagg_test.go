@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/partition"
 	"repro/internal/workload"
 )
 
@@ -145,16 +146,71 @@ func TestSizeHint(t *testing.T) {
 
 func TestHashFunctions(t *testing.T) {
 	// Multiplicative must spread consecutive keys; identity must not.
-	maskVal := uint32(255)
+	mul := New[sumAcc](128, Multiplicative, newSum) // 256 slots
 	slots := make(map[uint32]bool)
 	for k := uint32(0); k < 100; k++ {
-		slots[Multiplicative.apply(k*256, maskVal)] = true
+		slots[mul.home(k*256)] = true
 	}
 	if len(slots) < 50 {
 		t.Errorf("multiplicative hashing collapsed: %d distinct slots", len(slots))
 	}
-	if Identity.apply(42, maskVal) != 42 {
+	if New[sumAcc](128, Identity, newSum).home(42) != 42 {
 		t.Error("identity hash changed the key")
+	}
+	// A partitioned identity table indexes by the bits above the ones
+	// the partitioning pass consumed; the other hashes ignore them.
+	if got := NewPartitioned[sumAcc](128, Identity, newSum, 8).home(42<<8 | 7); got != 42 {
+		t.Errorf("partitioned identity: home slot %d, want 42", got)
+	}
+	if NewPartitioned[sumAcc](128, Multiplicative, newSum, 8).home(12345) != mul.home(12345) {
+		t.Error("multiplicative hashing must not depend on the partition bits")
+	}
+	if NewPartitioned[sumAcc](128, Identity, newSum, 0).home(42) != 42 {
+		t.Error("zero partition bits must be plain identity")
+	}
+}
+
+// TestPartitionHomeSlots is the structural form of "partitioning pays":
+// dense keys routed by partition.Do on their low byte, aggregated in a
+// table sized by DistinctBound, all sit in their home slot — no probe
+// chain at all — and the same keys in a plain Identity table pile onto
+// the couple of slots the constant low byte leaves.
+func TestPartitionHomeSlots(t *testing.T) {
+	const fanout, groups = 256, 1 << 16
+	keys := make([]uint32, groups)
+	for i := range keys {
+		keys[i] = uint32(i)
+	}
+	workload.Shuffle(3, keys)
+	part := partition.Do(keys, keys, 0, fanout, 1)
+	for _, p := range []int{0, 1, 77, 255} {
+		pk, _ := part.Partition(p)
+		tb := NewPartitioned[sumAcc](part.DistinctBound(p, fanout), Identity, newSum, 8)
+		plain := New[sumAcc](part.DistinctBound(p, fanout), Identity, newSum)
+		for _, k := range pk {
+			if k%fanout != uint32(p) {
+				t.Fatalf("partition %d holds key %d", p, k)
+			}
+			*tb.Upsert(k)++
+			*plain.Upsert(k)++
+		}
+		displaced := func(tb *Table[sumAcc]) (n int) {
+			for i, u := range tb.used {
+				if u && tb.home(tb.keys[i]) != uint32(i) {
+					n++
+				}
+			}
+			return n
+		}
+		if tb.Len() != len(pk) || tb.Cap() != 2*len(pk) {
+			t.Fatalf("partition %d: %d keys in %d slots, want %d in %d (no growth)", p, tb.Len(), tb.Cap(), len(pk), 2*len(pk))
+		}
+		if n := displaced(tb); n != 0 {
+			t.Errorf("partition %d: %d of %d keys off their home slot", p, n, len(pk))
+		}
+		if n := displaced(plain); n < len(pk)-tb.Cap()/fanout-1 {
+			t.Errorf("partition %d: plain identity displaced only %d of %d keys; the test lost its contrast", p, n, len(pk))
+		}
 	}
 }
 

@@ -372,12 +372,18 @@ func (s *Server) do(q Query, tr *obs.Trace) (*Result, string, error) {
 			sp.End(nil, err.Error())
 			return nil, outInvalid, err
 		}
-		if est > s.opt.MemoryBudget {
-			sp.End(nil, fmt.Sprintf("estimate %d bytes over budget %d", est, s.opt.MemoryBudget))
+		over := est > s.opt.MemoryBudget
+		if tr != nil { // the note is the only cost of this span; skip it untraced
+			note := fmt.Sprintf("estimate %d bytes", est)
+			if over {
+				note += fmt.Sprintf(" over budget %d", s.opt.MemoryBudget)
+			}
+			sp.End(nil, note)
+		}
+		if over {
 			return nil, outRejBudget, fmt.Errorf("%w: estimated %d bytes over budget %d (distinct-key bound %d)",
 				ErrOverBudget, est, s.opt.MemoryBudget, s.ds.distinctBound)
 		}
-		sp.End(nil, fmt.Sprintf("estimate %d bytes", est))
 	}
 
 	key := cacheKey(s.ds.version, enc)
@@ -577,7 +583,8 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 				for c, col := range s.ds.pcols {
 					cols[c] = col[part.Off[p]:part.Off[p+1]]
 				}
-				perPart[p], errs[p] = dist.GroupTuples(pk, cols, specs, part.DistinctBound(p, uint32(s.ds.fanout)))
+				stride := uint32(s.ds.fanout)
+				perPart[p], errs[p] = dist.GroupTuples(pk, cols, specs, part.DistinctBound(p, stride), stride)
 			}
 		}()
 	}

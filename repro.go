@@ -33,7 +33,8 @@
 package repro
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -119,14 +120,20 @@ type Group struct {
 type GroupByOptions struct {
 	// Levels is the accuracy level L (default DefaultLevels).
 	Levels int
-	// Groups is an estimate of the number of distinct keys; it tunes
-	// the partitioning depth and buffer size (Eq. 4 of the paper).
-	// 0 means unknown (a conservative default is used).
+	// Groups is an estimate of the number of distinct keys; with the
+	// row count (which also caps it) it is all the planner (agg.Plan)
+	// needs: partition once the table of all groups outgrows a
+	// worker's cache, size summation buffers to fill the cache (Eq. 4)
+	// but no larger than a group's share of the rows, and run
+	// unbuffered when that leaves under 32 values per buffer. 0 means
+	// unknown (2^12 is assumed). It steers speed only, never the
+	// result bits.
 	Groups int
 	// Workers is the number of goroutines (default GOMAXPROCS).
 	Workers int
-	// Unbuffered disables summation buffers (slower; mainly for
-	// benchmarking the drop-in data type of the paper's Section IV).
+	// Unbuffered forces the unbuffered accumulator even where the
+	// planner would buffer (mainly for benchmarking the drop-in data
+	// type of the paper's Section IV).
 	Unbuffered bool
 }
 
@@ -150,7 +157,11 @@ func (o *GroupByOptions) withDefaults() GroupByOptions {
 // The returned groups are sorted by key.
 func GroupBySum(keys []uint32, values []float64, opts *GroupByOptions) []Group {
 	o := opts.withDefaults()
-	depth := agg.ThresholdsReproBuffered.Depth(o.Groups)
+	o.Groups = min(o.Groups, max(len(keys), 1))
+	depth, bsz := agg.Plan(o.Groups, len(keys), 8)
+	if o.Unbuffered {
+		depth, bsz = agg.ThresholdsReproUnbuffered.Depth(o.Groups), 0
+	}
 	options := agg.Options{
 		Depth:     depth,
 		Workers:   o.Workers,
@@ -158,40 +169,32 @@ func GroupBySum(keys []uint32, values []float64, opts *GroupByOptions) []Group {
 		Hash:      hashagg.Identity,
 	}
 	var out []Group
-	if o.Unbuffered {
-		depth = agg.ThresholdsReproUnbuffered.Depth(o.Groups)
-		options.Depth = depth
-		entries := agg.PartitionAndAggregate[float64, core.Sum64](
-			keys, values, func() core.Sum64 { return core.NewSum64(o.Levels) }, options)
-		out = make([]Group, len(entries))
-		for i := range entries {
-			out[i] = Group{Key: entries[i].Key, Sum: entries[i].Agg.Value()}
-		}
+	if bsz == 0 {
+		out = finalizeGroups(agg.PartitionAndAggregate[float64, core.Sum64](
+			keys, values, func() core.Sum64 { return core.NewSum64(o.Levels) }, options))
 	} else {
-		fanout := 1
-		for i := 0; i < depth; i++ {
-			fanout *= 256
-		}
-		bsz := agg.BufferSize(o.Groups, fanout, 8)
-		entries := agg.PartitionAndAggregate[float64, core.Buffered64](
-			keys, values,
-			func() core.Buffered64 { return core.NewBuffered64(o.Levels, bsz) }, options)
-		out = make([]Group, len(entries))
-		for i := range entries {
-			out[i] = Group{Key: entries[i].Key, Sum: entries[i].Agg.Value()}
-		}
+		out = finalizeGroups(agg.PartitionAndAggregate[float64, core.Buffered64](
+			keys, values, func() core.Buffered64 { return core.NewBuffered64(o.Levels, bsz) }, options))
 	}
-	sortGroups(out)
+	slices.SortFunc(out, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 
-func sortGroups(gs []Group) {
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Key < gs[j].Key })
+func finalizeGroups[A any, PA interface {
+	*A
+	Value() float64
+}](entries []agg.Entry[A]) []Group {
+	out := make([]Group, len(entries))
+	for i := range entries {
+		out[i] = Group{Key: entries[i].Key, Sum: PA(&entries[i].Agg).Value()}
+	}
+	return out
 }
 
 // BufferSizeFor evaluates the paper's cache-footprint model (Eq. 4):
 // the summation buffer size that fills the per-thread cache budget for
-// the given number of groups.
+// the given number of groups aggregated without partitioning, never
+// below the smallest buffer worth having (32 values).
 func BufferSizeFor(groups int) int {
 	return agg.BufferSize(groups, 1, 8)
 }

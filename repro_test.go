@@ -125,6 +125,8 @@ func TestGroupBySumReproducibleAcrossConfigs(t *testing.T) {
 		{Workers: 4},
 		{Groups: 512},
 		{Groups: 1 << 20}, // forces different depth/buffer choices
+		{Groups: 1 << 30}, // an estimate far above the row count is capped by it
+		{Groups: 1 << 30, Unbuffered: true},
 		{Unbuffered: true},
 		{Unbuffered: true, Workers: 3},
 	}
