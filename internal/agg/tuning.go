@@ -124,18 +124,31 @@ var (
 // Plan picks depth and summation-buffer size for a reproducible GROUP
 // BY SUM of rows values of scalarBytes each into about groups groups
 // (never more than rows); bsz 0 means no buffers (core.Sum64 / Sum32
-// payloads). Buffers are Eq. 4 at the buffered model's depth, capped by
-// what a group is expected to receive (a buffer that cannot fill only
-// spends cache). When fewer than MinBufferSize values per group fit or
-// arrive, the plan is the unbuffered operator at its own depth.
+// payloads). Buffers are PlanBuffer at the buffered model's depth. When
+// it plans none, the plan is the unbuffered operator at its own depth.
 func Plan(groups, rows, scalarBytes int) (depth, bsz int) {
 	groups = max(min(groups, rows), 1)
 	depth = ThresholdsReproBuffered.Depth(groups)
-	perGroup := max(rows/groups, 1)
-	fill := 1 << bits.Len(uint(perGroup-1)) // next power of two ≥ perGroup
-	bsz = min(eq4(groups, fanoutAt(depth), scalarBytes), fill)
-	if bsz < MinBufferSize {
+	bsz = PlanBuffer(max(groups/fanoutAt(depth), 1), rows/groups, scalarBytes)
+	if bsz == 0 {
 		return ThresholdsReproUnbuffered.Depth(groups), 0
 	}
 	return depth, bsz
+}
+
+// PlanBuffer is Plan's buffer decision for one aggregation table:
+// groups is the number of groups the table holds at once (one
+// partition's), perGroup the number of values a group is expected to
+// receive, scalarBytes the bytes one row appends to a group's buffers
+// (8 × the summed columns for a tuple of sums that fill in lock-step).
+// It is Eq. 4, capped by what a group receives (a buffer that cannot
+// fill only spends cache); when fewer than MinBufferSize values per
+// group fit or arrive it returns 0 — no buffer, never a tiny one.
+func PlanBuffer(groups, perGroup, scalarBytes int) int {
+	fill := 1 << bits.Len(uint(max(perGroup, 1)-1)) // next power of two ≥ perGroup
+	bsz := min(eq4(groups, 1, scalarBytes), fill)
+	if bsz < MinBufferSize {
+		return 0
+	}
+	return bsz
 }

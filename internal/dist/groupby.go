@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/agg"
 	"repro/internal/hashagg"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -46,108 +47,84 @@ type TupleGroup struct {
 	Aggs []float64
 }
 
-// aggTuple is the per-key payload of the aggregation tables: one
-// aggregate state per spec, in spec order. It is Resettable so reused
-// hashagg tables recycle the states in place.
-type aggTuple struct {
-	states []sqlagg.AggState
-}
-
-// Reset empties every state, keeping its configuration.
-func (t *aggTuple) Reset() {
-	for _, st := range t.states {
-		st.Reset()
-	}
-}
-
-// tuplePlan is the precomputed per-spec layout shared by the combine
-// and merge sides of one GROUP BY: the column each spec reads, the
-// fixed encoded size of each state, and their total (the wire tuple
-// width). Specs must be validated before building a plan.
-type tuplePlan struct {
-	specs []sqlagg.AggSpec
-	sizes []int
-	width int
-}
-
-// planShard builds the plan for specs after checking that the shard's
-// columns fit it.
-func planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*tuplePlan, error) {
+// planShard builds the physical tuple plan for specs after checking
+// that the shard's columns fit it.
+func planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*sqlagg.TuplePlan, error) {
 	if err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, specs); err != nil {
 		return nil, err
 	}
-	return newTuplePlan(specs)
+	return sqlagg.NewTuplePlan(specs)
 }
 
-func newTuplePlan(specs []sqlagg.AggSpec) (*tuplePlan, error) {
-	states, err := sqlagg.NewStates(specs)
-	if err != nil {
-		return nil, err
-	}
-	p := &tuplePlan{specs: specs, sizes: make([]int, len(states))}
-	for i, st := range states {
-		p.sizes[i] = st.EncodedSize()
-		p.width += p.sizes[i]
-	}
-	return p, nil
+// tupleTable is the one aggregation table of the tuple pipeline: key →
+// sqlagg.Tuple, the plan's physical components (one reproducible sum
+// per distinct (column, x|x², levels), one shared row count, one
+// extremum per (column, MIN|MAX)) behind bsz-value summation buffers.
+// combineShard, TupleGrouper and the owner-side merge all aggregate
+// into it; keys that agree on their low lowBits bits index above them.
+type tupleTable = hashagg.Table[sqlagg.Tuple]
+
+func newTupleTable(plan *sqlagg.TuplePlan, hint int, lowBits uint, bsz int) *tupleTable {
+	return hashagg.NewPartitioned(hint, hashagg.Identity, func() sqlagg.Tuple { return plan.NewTuple(bsz) }, lowBits)
 }
 
-// newTuple instantiates an empty tuple for the plan; specs were
-// validated when the plan was built, so construction cannot fail.
-func (p *tuplePlan) newTuple() aggTuple {
-	states := make([]sqlagg.AggState, len(p.specs))
-	for i, sp := range p.specs {
-		states[i], _ = sp.New()
+// addRows is the row loop of the tuple pipeline: row i of cols folds
+// into the tuple of keys[i].
+func addRows(table *tupleTable, plan *sqlagg.TuplePlan, keys []uint32, cols [][]float64) {
+	for i, k := range keys {
+		plan.AddRow(table.Upsert(k), cols, i)
 	}
-	return aggTuple{states: states}
 }
 
-// maxCol returns the highest column index any spec reads.
-func (p *tuplePlan) maxCol() int {
-	m := 0
-	for _, sp := range p.specs {
-		if sp.Col > m {
-			m = sp.Col
-		}
-	}
-	return m
-}
-
-// appendTuple appends one ⟨key, state tuple⟩ pair to a shuffle frame:
-// 4-byte little-endian key, 4-byte length, then the spec-ordered
-// canonical state encodings back to back. The states encode in place
-// (AppendBinary) and the length is patched in afterwards, so the
+// appendTuple appends one ⟨key, tuple⟩ record to a shuffle frame:
+// 4-byte little-endian key, 4-byte length, then the tuple's canonical
+// encoding (sqlagg.TuplePlan.Width bytes: the plan's sums as rsum
+// states, the row count if a spec needs it, the extrema). The tuple
+// encodes in place and the length is patched in afterwards, so the
 // shuffle's per-key encode loop performs no allocation once the frame
 // has capacity.
-func appendTuple(frame []byte, key uint32, tup *aggTuple) ([]byte, error) {
+func appendTuple(frame []byte, key uint32, plan *sqlagg.TuplePlan, tup *sqlagg.Tuple) ([]byte, error) {
 	start := len(frame)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], key)
 	frame = append(frame, hdr[:]...)
-	var err error
-	for _, st := range tup.states {
-		if frame, err = st.AppendBinary(frame); err != nil {
-			return frame, err
-		}
+	frame, err := plan.AppendBinary(frame, tup)
+	if err != nil {
+		return frame, err
 	}
 	binary.LittleEndian.PutUint32(frame[start+4:], uint32(len(frame)-start-8))
 	return frame, nil
 }
 
-// mergeTuple folds one encoded spec-ordered tuple into the owner's
-// states, walking the concatenation by the plan's fixed state sizes.
-func (p *tuplePlan) mergeTuple(tup *aggTuple, enc []byte) error {
-	if len(enc) != p.width {
-		return fmt.Errorf("%w: tuple is %d bytes, plan width %d", errFrame, len(enc), p.width)
-	}
-	off := 0
-	for i, sz := range p.sizes {
-		if err := tup.states[i].MergeBinary(enc[off : off+sz]); err != nil {
-			return err
+// recordSize is the frame bytes of one ⟨key, tuple⟩ record.
+func recordSize(plan *sqlagg.TuplePlan) int { return 8 + plan.Width() }
+
+// ownerMerge is the owner role's table: it folds the shuffle messages
+// addressed to this node into one tuple per key. The table is sized
+// when the first non-empty message completes — its record count times
+// the sender count, which bounds the owner's keys whenever no other
+// sender ships more records than that one (shards of one relation are
+// alike); a larger sender costs a rehash, never a wrong result.
+type ownerMerge struct {
+	plan    *sqlagg.TuplePlan
+	senders int
+	table   *tupleTable
+}
+
+// merge folds one sender's shuffle payload in.
+func (o *ownerMerge) merge(payload []byte) error {
+	if o.table == nil {
+		if len(payload) == 0 {
+			return nil
 		}
-		off += sz
+		o.table = newTupleTable(o.plan, len(payload)/recordSize(o.plan)*o.senders, 0, 0)
 	}
-	return nil
+	return walkFrame(payload, func(key uint32, enc []byte) error {
+		if err := o.plan.MergeBinary(o.table.Upsert(key), enc); err != nil {
+			return fmt.Errorf("group %d: %w", key, err)
+		}
+		return nil
+	})
 }
 
 // walkFrame decodes a shuffle frame, invoking fn for every pair.
@@ -295,15 +272,19 @@ func ValidateShardColumns(localKeys [][]uint32, localCols [][][]float64, specs [
 }
 
 // RunGroupByNode executes node id's role of the distributed GROUP BY
-// over an externally owned transport: combine the local shard into
-// per-key tuples of aggregate states (one state per spec), ship one
-// shuffle message to every owner (chunked when large), merge the
-// messages addressed to this node (exactly one per sender, reassembled
-// and deduplicated), finalize, and ship the finalized groups to the
-// root. The root (node 0) additionally collects every owner's gather
-// message and merges the per-owner sorted runs into the global result —
-// which it can do as soon as all gathers are in, because a gather
-// proves its owner needed no more resends. Every other node keeps
+// over an externally owned transport: plan the spec list into its
+// physical tuple (sqlagg.TuplePlan: shared sums, one row count,
+// extrema), combine the local shard into one such tuple per key, ship
+// one shuffle message to every owner (chunked when large; a record is
+// ⟨key, length, flushed tuple⟩, see appendTuple), merge the messages
+// addressed to this node (exactly one per sender, reassembled and
+// deduplicated) component-wise into a table sized from the first one,
+// finalize every spec from the merged components, and ship the
+// finalized groups to the root. The root (node 0) additionally
+// collects every owner's gather message and merges the per-owner
+// sorted runs into the global result — which it can do as soon as all
+// gathers are in, because a gather proves its owner needed no more
+// resends. Every other node keeps
 // serving chunk re-requests and returns only after the transport is
 // closed underneath it, with the error its role ended in (already
 // announced on the wire) — nil for a clean run. Exported for
@@ -357,22 +338,19 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	// transport reports the same digest for the same bytes.
 	var shuffleDigest, gatherDigest uint64
 	traceHops := cfg.Trace != nil && id == 0
-	var states *hashagg.Table[aggTuple]
+	owner := ownerMerge{plan: plan, senders: n}
 	ownErr := cerr
 	if ownErr == nil {
-		states = hashagg.New(64, hashagg.Identity, plan.newTuple)
 		ownErr = col.collect(func(msg Frame) error {
 			switch {
 			case msg.Seq == seqShuffle && msg.Kind == KindGroups:
 				if traceHops {
 					shuffleDigest ^= obs.FNV64a(msg.Payload)
 				}
-				return walkFrame(msg.Payload, func(key uint32, enc []byte) error {
-					if e := plan.mergeTuple(states.Upsert(key), enc); e != nil {
-						return fmt.Errorf("dist: node %d merging group %d from node %d: %w", id, key, msg.From, e)
-					}
-					return nil
-				})
+				if e := owner.merge(msg.Payload); e != nil {
+					return fmt.Errorf("dist: node %d merging shuffle from node %d: %w", id, msg.From, e)
+				}
+				return nil
 			case msg.Seq == seqGather && msg.Kind == KindGather:
 				if traceHops {
 					gatherDigest ^= obs.FNV64a(msg.Payload)
@@ -388,7 +366,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	// into a key-sorted run.
 	var local []TupleGroup
 	if ownErr == nil {
-		local = finalizeTuples(states, len(specs))
+		local = finalizeTuples(plan, owner.table, len(specs))
 	}
 
 	if id != 0 {
@@ -429,39 +407,61 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	return mergeSortedRuns(runs), nil
 }
 
-// GroupTuples is the local form of the owner-side aggregation: it folds
-// rows ⟨keys[i], cols[·][i]⟩ into one tuple of aggregate states per
-// distinct key — the same table, plan and finalization the distributed
-// operator's owners use — and returns the finalized groups key-sorted.
-// hint sizes the table; a bound that never undercounts the distinct
-// keys (partition.Output.DistinctBound) means it never rehashes.
-// stride is the gap between distinct keys DistinctBound also takes
-// (the fan-out for one partition of a low-byte radix pass, else 1):
-// such keys agree on their low log2(stride) bits and the table indexes
-// above them.
-func GroupTuples(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec, hint int, stride uint32) ([]TupleGroup, error) {
-	plan, err := planShard(keys, cols, specs)
+// TupleGrouper is the local form of the owner-side aggregation: it
+// folds rows ⟨keys[i], cols[·][i]⟩ into one physical tuple per distinct
+// key — the same table, plan, row loop and finalization the distributed
+// operator runs — and returns the finalized groups key-sorted. One
+// grouper serves any number of GroupTuples calls (a worker draining
+// partitions keeps one): the table is cleared, not reallocated, and the
+// tuples with their summation buffers are recycled in place. Not safe
+// for concurrent use.
+type TupleGrouper struct {
+	specs []sqlagg.AggSpec
+	plan  *sqlagg.TuplePlan
+	table *tupleTable
+}
+
+// NewTupleGrouper sizes a grouper for calls that see at most groups
+// distinct keys each — a bound that never undercounts (the largest
+// partition.Output.DistinctBound) means the table never rehashes — and
+// about perGroup rows per key, which with groups decides the summation
+// buffers (sqlagg.TuplePlan.BufferSize). stride is the gap between
+// distinct keys DistinctBound also takes (the fan-out for partitions of
+// a low-byte radix pass, else 1): such keys agree on their low
+// log2(stride) bits and the table indexes above them.
+func NewTupleGrouper(specs []sqlagg.AggSpec, groups, perGroup int, stride uint32) (*TupleGrouper, error) {
+	plan, err := sqlagg.NewTuplePlan(specs)
 	if err != nil {
 		return nil, err
 	}
-	table := hashagg.NewPartitioned(hint, hashagg.Identity, plan.newTuple, uint(bits.TrailingZeros32(max(stride, 1))))
-	for i, k := range keys {
-		tup := table.Upsert(k)
-		for si, st := range tup.states {
-			st.Add(cols[specs[si].Col][i])
-		}
-	}
-	return finalizeTuples(table, len(specs)), nil
+	lowBits := uint(bits.TrailingZeros32(max(stride, 1)))
+	return &TupleGrouper{
+		specs: specs,
+		plan:  plan,
+		table: newTupleTable(plan, groups, lowBits, plan.BufferSize(groups, perGroup)),
+	}, nil
 }
 
-// finalizeTuples drains an owner table into a key-sorted group run.
-func finalizeTuples(states *hashagg.Table[aggTuple], nspecs int) []TupleGroup {
-	local := make([]TupleGroup, 0, states.Len())
-	vals := make([]float64, 0, states.Len()*nspecs)
-	states.ForEach(func(key uint32, tup *aggTuple) {
-		for _, st := range tup.states {
-			vals = append(vals, st.Value())
-		}
+// GroupTuples aggregates one batch of rows; see TupleGrouper.
+func (g *TupleGrouper) GroupTuples(keys []uint32, cols [][]float64) ([]TupleGroup, error) {
+	if err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, g.specs); err != nil {
+		return nil, err
+	}
+	g.table.Clear()
+	addRows(g.table, g.plan, keys, cols)
+	return finalizeTuples(g.plan, g.table, len(g.specs)), nil
+}
+
+// finalizeTuples drains an aggregation table (nil: no groups) into a
+// key-sorted group run.
+func finalizeTuples(plan *sqlagg.TuplePlan, table *tupleTable, nspecs int) []TupleGroup {
+	if table == nil {
+		return nil
+	}
+	local := make([]TupleGroup, 0, table.Len())
+	vals := make([]float64, 0, table.Len()*nspecs)
+	table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
+		vals = plan.Finalize(vals, tup)
 		local = append(local, TupleGroup{Key: key, Aggs: vals[len(vals)-nspecs:]})
 	})
 	slices.SortFunc(local, func(a, b TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
@@ -494,119 +494,33 @@ func mergeSortedRuns(runs [][]TupleGroup) []TupleGroup {
 	return out
 }
 
-// combineShard partitions one node's rows by key and pre-aggregates
-// each partition into per-key tuples of partial states, returning one
-// encoded logical shuffle payload per destination node. maxMessage is
-// the configuration's Config.maxMessage bound.
-func combineShard(keys []uint32, cols [][]float64, plan *tuplePlan, n, workers, maxMessage int) ([][]byte, error) {
-	// Single-column plans partition the values themselves, so the
-	// pre-aggregation pass reads them sequentially; multi-column plans
-	// partition row indices and gather from the columns per spec.
-	var out partition.Output[float64]
-	var idx partition.Output[int32]
-	single := len(cols) == 1
-	if single {
-		out = partition.Do(keys, cols[0], 0, shuffleFanout, workers)
-	} else {
-		rows := make([]int32, len(keys))
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-		idx = partition.Do(keys, rows, 0, shuffleFanout, workers)
-	}
-	numPartitions := func() int {
-		if single {
-			return out.NumPartitions()
-		}
-		return idx.NumPartitions()
-	}()
-	distinctBound := func(p int) int {
-		if single {
-			return out.DistinctBound(p, shuffleFanout)
-		}
-		return idx.DistinctBound(p, shuffleFanout)
-	}
-
+// combineShard pre-aggregates one node's rows into per-key physical
+// tuples and returns one encoded logical shuffle payload per
+// destination node (owner says which). Like the paper's operator it
+// partitions only when it has to: if one table of all the shard's keys
+// stays in cache (wholeTableFits) the rows are folded into that table
+// where they lie, every column read once and in order, and the tuples
+// are routed as they are encoded. Otherwise the shard is
+// radix-partitioned on the shuffle byte (partitionShard) and one
+// partition-sized table is reused across the partitions. Either way few
+// keys with many rows each buffer and sum through the vectorised
+// kernel, many keys with few rows each add eagerly
+// (sqlagg.TuplePlan.BufferSize). maxMessage is the configuration's
+// Config.maxMessage bound.
+func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers, maxMessage int) ([][]byte, error) {
 	frames := make([][]byte, n)
-
-	// Size the aggregation table once, for the largest distinct-key
-	// bound across partitions: DistinctBound never undercounts, so a
-	// table hinted at the maximum never rehashes mid-partition (the old
-	// fixed len/8 heuristic caused rehash storms on skewed keys where
-	// most rows carried distinct keys). The same pass sums the bounds
-	// per destination, sizing each frame buffer in one allocation.
-	hint := 0
-	est := make([]int, n)
-	for p := 0; p < numPartitions; p++ {
-		b := distinctBound(p)
-		if b > hint {
-			hint = b
-		}
-		est[p%n] += b
-	}
-	if hint == 0 {
+	if len(keys) == 0 {
 		return frames, nil // no rows: every shuffle message is empty
 	}
-
-	// One table, reused across partitions: Clear keeps the slot arrays
-	// allocated and Reset recycles the tuple states in place, so
-	// per-partition pre-aggregation costs no allocation after the first
-	// partition. Its keys agree on the byte partition.Do routed on, so
-	// the table indexes by the bits above it.
-	table := hashagg.NewPartitioned(hint, hashagg.Identity, plan.newTuple, uint(bits.TrailingZeros(shuffleFanout)))
-	pairSize := 8 + plan.width // key + length prefix + tuple of states
-	for d := range frames {
-		if est[d] > 0 {
-			frames[d] = make([]byte, 0, est[d]*pairSize)
-		}
+	var err error
+	if groups := keyBound(keys); wholeTableFits(plan, groups) {
+		err = combineWhole(frames, keys, cols, plan, groups, plan.BufferSize(groups, len(keys)/groups))
+	} else {
+		sh := partitionShard(keys, cols, plan, workers)
+		err = sh.combine(frames, plan, plan.BufferSize(sh.maxBound, len(keys)/sh.sumBound))
 	}
-	for p := 0; p < numPartitions; p++ {
-		d := p % n
-		// Pre-aggregate the partition: one tuple of partial states per
-		// distinct key. Slot order fixes the frame layout, but the
-		// owner's per-key merges commute, so layout is immaterial to
-		// the final bits.
-		if single {
-			pk, pv := out.Partition(p)
-			if len(pk) == 0 {
-				continue
-			}
-			table.Clear()
-			for i, k := range pk {
-				tup := table.Upsert(k)
-				for _, st := range tup.states {
-					st.Add(pv[i])
-				}
-			}
-		} else {
-			pk, pi := idx.Partition(p)
-			if len(pk) == 0 {
-				continue
-			}
-			table.Clear()
-			for i, k := range pk {
-				tup := table.Upsert(k)
-				row := pi[i]
-				for si, st := range tup.states {
-					st.Add(cols[plan.specs[si].Col][row])
-				}
-			}
-		}
-		// Per-key tuples encode directly into the destination frame
-		// buffer. Its capacity was pre-sized from the summed
-		// distinct-key bounds, which never undercount, so the encode
-		// loop is allocation-free; if the bound were ever wrong, append
-		// inside appendTuple grows geometrically as usual.
-		var encErr error
-		table.ForEach(func(key uint32, tup *aggTuple) {
-			if encErr != nil {
-				return
-			}
-			frames[d], encErr = appendTuple(frames[d], key, tup)
-		})
-		if encErr != nil {
-			return nil, encErr
-		}
+	if err != nil {
+		return nil, err
 	}
 	// Chunking lifted the old 16 MiB per-(sender, owner) frame ceiling —
 	// a logical shuffle payload now travels as however many wire chunks
@@ -622,6 +536,163 @@ func combineShard(keys []uint32, cols [][]float64, plan *tuplePlan, n, workers, 
 		}
 	}
 	return frames, nil
+}
+
+// wholeTableFits is the model behind combineShard's choice: a table
+// keeps at least two slots per key, and groups keys at two tuples each
+// must fit agg.CacheBytesPerThread (the summation buffers are held to
+// that budget once more by BufferSize). BenchmarkTupleCombine runs both
+// layouts on either side of it: for the Q1 catalog (696-byte tuples)
+// they cross near 2^10 groups and the model says 753.
+func wholeTableFits(plan *sqlagg.TuplePlan, groups int) bool {
+	return groups <= agg.CacheBytesPerThread/(2*plan.TupleBytes())
+}
+
+// keyBound bounds the distinct keys of a non-empty key column: its
+// length or the width of its key range, whichever is less — tight for
+// dense domain-encoded keys, never an undercount.
+func keyBound(keys []uint32) int {
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if span := uint64(hi-lo) + 1; span < uint64(len(keys)) {
+		return int(span)
+	}
+	return len(keys)
+}
+
+// owner is the node whose shuffle message carries key: the owner of the
+// partition the key's low byte names.
+func owner(key uint32, n int) int { return int(key%shuffleFanout) % n }
+
+// appendTable encodes every tuple of table into the frame of its key's
+// owner. Slot order fixes the frame layout, but the owner's per-key
+// merges commute, so layout is immaterial to the final bits. With the
+// frames' capacity sized beforehand the loop allocates nothing; if a
+// size were ever wrong, append inside appendTuple grows geometrically
+// as usual.
+func appendTable(frames [][]byte, plan *sqlagg.TuplePlan, table *tupleTable) error {
+	var err error
+	table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
+		if err == nil {
+			d := owner(key, len(frames))
+			frames[d], err = appendTuple(frames[d], key, plan, tup)
+		}
+	})
+	return err
+}
+
+// combineWhole is the unpartitioned combine: one table hinted at groups
+// (never an undercount, so it does not rehash) of bsz-buffered tuples
+// over all the rows, then a count of each owner's tuples to size its
+// frame exactly.
+func combineWhole(frames [][]byte, keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, groups, bsz int) error {
+	table := newTupleTable(plan, groups, 0, bsz)
+	addRows(table, plan, keys, cols)
+	counts := make([]int, len(frames))
+	table.ForEach(func(key uint32, _ *sqlagg.Tuple) { counts[owner(key, len(frames))]++ })
+	for d, c := range counts {
+		if c > 0 {
+			frames[d] = make([]byte, 0, c*recordSize(plan))
+		}
+	}
+	return appendTable(frames, plan, table)
+}
+
+// shardParts is one node's rows radix-partitioned on the shuffle byte:
+// partition p's keys are keys[off[p]:off[p+1]] and its values of column
+// c, for every column the plan reads, cols[c][off[p]:off[p+1]] (columns
+// it does not read stay nil). The values move with the keys so that the
+// pre-aggregation pass reads a partition sequentially: gathering them
+// from the caller's columns through partitioned row indices fetches
+// each cache line once per partition owning a value in it, with nothing
+// to prefetch — at 256 partitions two thirds of the pass, and the part
+// whose duration follows whatever else is using the memory system.
+type shardParts struct {
+	keys []uint32
+	off  []int
+	cols [][]float64
+	// bounds[p] is partition p's DistinctBound — never an undercount —
+	// maxBound the largest and sumBound their total.
+	bounds             []int
+	maxBound, sumBound int
+}
+
+func partitionShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, workers int) *shardParts {
+	sh := &shardParts{cols: make([][]float64, len(cols))}
+	for c, col := range cols {
+		switch {
+		case !plan.Reads(c):
+		case sh.keys == nil:
+			sh.cols[c] = setParts(sh, partition.Do(keys, col, 0, shuffleFanout, workers))
+		default:
+			sh.cols[c] = partition.Scatter(keys, sh.off, col, 0)
+		}
+	}
+	if sh.keys == nil { // COUNT only: no column to carry, but the keys
+		setParts(sh, partition.Do(keys, make([]struct{}, len(keys)), 0, shuffleFanout, workers))
+	}
+	return sh
+}
+
+// setParts records out's keys, offsets and distinct-key bounds in sh
+// and returns its partitioned values.
+func setParts[V any](sh *shardParts, out partition.Output[V]) []V {
+	sh.keys, sh.off = out.Keys, out.Off
+	sh.bounds = make([]int, out.NumPartitions())
+	for p := range sh.bounds {
+		b := out.DistinctBound(p, shuffleFanout)
+		sh.bounds[p] = b
+		sh.maxBound = max(sh.maxBound, b)
+		sh.sumBound += b
+	}
+	return out.Vals
+}
+
+// combine pre-aggregates every non-empty partition through one table
+// of bsz-buffered tuples and encodes the tuples into the frame of the
+// partition's owner.
+func (sh *shardParts) combine(frames [][]byte, plan *sqlagg.TuplePlan, bsz int) error {
+	// DistinctBound never undercounts, so frames sized from the bounds
+	// summed per destination never grow, and a table hinted at the
+	// largest bound never rehashes mid-partition (the old fixed len/8
+	// heuristic caused rehash storms on skewed keys where most rows
+	// carried distinct keys).
+	est := make([]int, len(frames))
+	for p, b := range sh.bounds {
+		est[p%len(frames)] += b
+	}
+	for d := range frames {
+		if est[d] > 0 {
+			frames[d] = make([]byte, 0, est[d]*recordSize(plan))
+		}
+	}
+
+	// One table, reused across partitions: Clear keeps the slot arrays
+	// allocated and Reset recycles the tuples (and their buffers) in
+	// place, so per-partition pre-aggregation costs no allocation after
+	// the first partition. Its keys agree on the byte partition.Do routed
+	// on, so the table indexes by the bits above it.
+	table := newTupleTable(plan, sh.maxBound, uint(bits.TrailingZeros(shuffleFanout)), bsz)
+	part := make([][]float64, len(sh.cols))
+	for p := range sh.bounds {
+		lo, hi := sh.off[p], sh.off[p+1]
+		if lo == hi {
+			continue
+		}
+		for c, col := range sh.cols {
+			if col != nil {
+				part[c] = col[lo:hi]
+			}
+		}
+		table.Clear()
+		addRows(table, plan, sh.keys[lo:hi], part)
+		if err := appendTable(frames, plan, table); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // gatherRecordSize is the fixed byte width of one finalized group in a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rsum"
+	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
 
@@ -147,18 +148,20 @@ func TestShuffleFrameRoundTrip(t *testing.T) {
 	s2.AddSliceVec([]float64{3, 4, 5})
 
 	// The single-SUM plan's tuples are bare canonical State64 encodings.
-	plan, err := newTuplePlan(sumSpecs())
+	plan, err := sqlagg.NewTuplePlan(sumSpecs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := plan.newTuple(), plan.newTuple()
-	t1.states[0].Add(1.25)
-	for _, v := range []float64{3, 4, 5} {
-		t2.states[0].Add(v)
+	// t2 carries a summation buffer that is still part-filled when it
+	// is encoded: the frame holds flushed tuples either way.
+	t1, t2 := plan.NewTuple(0), plan.NewTuple(32)
+	plan.AddRow(&t1, [][]float64{{1.25}}, 0)
+	for row := range 3 {
+		plan.AddRow(&t2, [][]float64{{3, 4, 5}}, row)
 	}
-	frame, err := appendTuple(nil, 7, &t1)
+	frame, err := appendTuple(nil, 7, plan, &t1)
 	if err == nil {
-		frame, err = appendTuple(frame, 1000, &t2)
+		frame, err = appendTuple(frame, 1000, plan, &t2)
 	}
 	if err != nil {
 		t.Fatalf("appendTuple: %v", err)

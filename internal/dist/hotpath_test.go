@@ -35,35 +35,35 @@ func TestShuffleEncodeZeroAlloc(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			plan, err := newTuplePlan(specs)
+			plan, err := sqlagg.NewTuplePlan(specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			table := hashagg.New(512, hashagg.Identity, plan.newTuple)
+			table := newTupleTable(plan, 512, 0, 0)
 			for k := uint32(0); k < 500; k++ {
-				tup := table.Upsert(k * 256)
-				for i, sp := range plan.specs {
-					tup.states[i].Add(float64(k)*1.5 - float64(sp.Col))
-					tup.states[i].Add(-0x1p-30 * float64(k+1))
+				cols := [][]float64{
+					{float64(k) * 1.5, -0x1p-30 * float64(k+1)},
+					{float64(k)*1.5 - 1, -0x1p-30 * float64(k+1)},
 				}
+				addRows(table, plan, []uint32{k * 256, k * 256}, cols)
 			}
-			frame := make([]byte, 0, table.Len()*(8+plan.width))
+			frame := make([]byte, 0, table.Len()*recordSize(plan))
 			var encErr error
 			encode := func() {
 				frame = frame[:0]
-				table.ForEach(func(key uint32, tup *aggTuple) {
+				table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
 					if encErr != nil {
 						return
 					}
-					frame, encErr = appendTuple(frame, key, tup)
+					frame, encErr = appendTuple(frame, key, plan, tup)
 				})
 			}
 			allocs := testing.AllocsPerRun(100, encode)
 			if encErr != nil {
 				t.Fatal(encErr)
 			}
-			if len(frame) != table.Len()*(8+plan.width) {
-				t.Fatalf("frame is %d bytes, want %d", len(frame), table.Len()*(8+plan.width))
+			if len(frame) != table.Len()*recordSize(plan) {
+				t.Fatalf("frame is %d bytes, want %d", len(frame), table.Len()*recordSize(plan))
 			}
 			if allocs != 0 {
 				t.Fatalf("shuffle encode loop: %v allocs/op, want 0", allocs)
@@ -239,7 +239,7 @@ func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 	keys := workload.Keys(5, rows, 700)
 	vals := workload.Values64(6, rows, workload.MixedMag)
 
-	plan, err := newTuplePlan(sumSpecs())
+	plan, err := sqlagg.NewTuplePlan(sumSpecs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +310,44 @@ func TestSendBatchEndToEndTCPChunked(t *testing.T) {
 			t.Fatalf("n=%d: %v", nodes, err)
 		}
 		checkGroups(t, out, want, nodes, 2)
+	}
+}
+
+// TestCombineLoopZeroAlloc pins the pipeline's row loop: once a table
+// has seen a partition's keys, clearing it and folding another
+// partition's rows in allocates nothing — tuples, their component
+// states and their summation buffers are recycled in place — with
+// buffers and without.
+func TestCombineLoopZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	plan, err := sqlagg.NewTuplePlan(tupleSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, groups = 4096, 16
+	keys := make([]uint32, rows)
+	for i := range keys {
+		keys[i] = uint32(i%groups)<<8 | 7
+	}
+	cols := [][]float64{
+		workload.Values64(41, rows, workload.MixedMag),
+		workload.Values64(42, rows, workload.MixedMag),
+	}
+	planned := plan.BufferSize(groups, rows/groups)
+	if planned == 0 {
+		t.Fatalf("no buffers planned for %d groups of %d rows", groups, rows/groups)
+	}
+	for _, bsz := range []int{planned, 0} {
+		table := newTupleTable(plan, groups, 8, bsz)
+		addRows(table, plan, keys, cols)
+		allocs := testing.AllocsPerRun(20, func() {
+			table.Clear()
+			addRows(table, plan, keys, cols)
+		})
+		if allocs != 0 {
+			t.Errorf("bsz %d: %v allocs per %d-row partition, want 0", bsz, allocs, rows)
+		}
 	}
 }

@@ -43,7 +43,12 @@ const (
 // digest mismatch also covers spec-format drift between supervisor and
 // worker builds — and it rides in every hello, so even a config-less
 // joiner with a stale build is rejected before the conf is shipped.
-const specVersion = 5
+// It also versions what workers ship each other: version 6 = shuffle
+// frames carry physical tuples (sqlagg.TuplePlan: the spec list's
+// distinct sums, one shared row count, the extrema) instead of one
+// state per spec — same spec blob, different frame bytes for every
+// multi-aggregate job, so a 5 and a 6 must never share a cluster.
+const specVersion = 6
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the

@@ -165,6 +165,28 @@ func Do[V any](keys []uint32, vals []V, shift uint, fanout, workers int) Output[
 	return out
 }
 
+// Scatter places vals as Do(keys, vals, shift, len(off)−1, w) does for
+// every worker count w, given only the offsets of such a call over the
+// same keys. Do is stable — worker chunks are input ranges and a
+// partition is their segments in worker order, so it holds its rows in
+// input order — hence one sequential pass with the offsets as cursors
+// reproduces the placement. It carries a further value column beside an
+// existing partitioning without a histogram or another copy of the keys.
+func Scatter[V any](keys []uint32, off []int, vals []V, shift uint) []V {
+	if len(keys) != len(vals) {
+		panic("partition: keys and values must have equal length")
+	}
+	mask := uint32(len(off) - 2)
+	cur := append([]int(nil), off[:len(off)-1]...)
+	out := make([]V, len(vals))
+	for i, k := range keys {
+		p := (k >> shift) & mask
+		out[cur[p]] = vals[i]
+		cur[p]++
+	}
+	return out
+}
+
 // Recursive applies depth passes of fan-out `fanout` partitioning
 // (pass d uses byte d of the key), yielding fanout^depth partitions —
 // the paper's recursive PARTITIONING with F = f^d. depth 0 returns the

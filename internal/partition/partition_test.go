@@ -136,6 +136,35 @@ func TestRecursiveDepths(t *testing.T) {
 	}
 }
 
+// TestScatterMatchesDo: a column scattered by the offsets of another
+// call lands where Do itself would have put it, for every worker count
+// (Do is stable), shift and fan-out.
+func TestScatterMatchesDo(t *testing.T) {
+	keys := workload.Keys(5, 10007, 1<<14)
+	vals := workload.Values64(6, len(keys), workload.Exp1)
+	other := make([]int32, len(keys))
+	for i := range other {
+		other[i] = int32(i)
+	}
+	for _, tc := range []struct {
+		shift           uint
+		fanout, workers int
+	}{{0, 256, 1}, {0, 256, 3}, {8, 64, 4}, {0, 1, 2}, {4, 16, 7}} {
+		byIndex := Do(keys, other, tc.shift, tc.fanout, tc.workers)
+		want := Do(keys, vals, tc.shift, tc.fanout, 1).Vals
+		got := Scatter(keys, byIndex.Off, vals, tc.shift)
+		for i := range want {
+			if got[i] != want[i] || got[i] != vals[byIndex.Vals[i]] {
+				t.Fatalf("shift %d fanout %d workers %d: position %d holds %v, Do put %v there (row %d: %v)",
+					tc.shift, tc.fanout, tc.workers, i, got[i], want[i], byIndex.Vals[i], vals[byIndex.Vals[i]])
+			}
+		}
+	}
+	if out := Scatter([]uint32{}, Do([]uint32{}, []float64{}, 0, 256, 2).Off, []float64{}, 0); len(out) != 0 {
+		t.Errorf("empty input scattered to %d values", len(out))
+	}
+}
+
 func TestEmptyAndSmallInputs(t *testing.T) {
 	out := Do([]uint32{}, []float64{}, 0, 256, 4)
 	if out.NumPartitions() != 256 || len(out.Keys) != 0 {

@@ -214,8 +214,16 @@ func (s *State64) MergeBinary(data []byte) error {
 // break the exactness arguments or panic later operations.
 func (t *State64) validate() error {
 	if !t.init {
+		// An empty sum has one encoding: no level carries any bits (not
+		// even a −0), or decode → encode would not be a fixpoint for
+		// receivers that merge the bytes instead of adopting them.
 		if t.eTop != 0 {
 			return errCorrupt
+		}
+		for l := range t.s {
+			if math.Float64bits(t.s[l]) != 0 || t.c[l] != 0 {
+				return errCorrupt
+			}
 		}
 		return nil
 	}

@@ -108,8 +108,11 @@ type Dataset struct {
 
 	// distinctBound is Σ_p DistinctBound(p, fanout): a precomputed upper
 	// bound on the number of groups any GROUP BY over this data can
-	// produce. Memory admission prices queries with it.
+	// produce. Memory admission prices queries with it. maxPartBound is
+	// the largest single term: what one partition's aggregation table
+	// must hold, so a worker sizes one table for all its partitions.
 	distinctBound int
+	maxPartBound  int
 
 	// Distributed-backend layout.
 	shardKeys [][]uint32
@@ -164,7 +167,9 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 		d.pcols[c] = pc
 	}
 	for p := 0; p < d.part.NumPartitions(); p++ {
-		d.distinctBound += d.part.DistinctBound(p, uint32(o.Fanout))
+		b := d.part.DistinctBound(p, uint32(o.Fanout))
+		d.distinctBound += b
+		d.maxPartBound = max(d.maxPartBound, b)
 	}
 
 	// Distributed layout: round-robin deal, the same sharding the
@@ -238,7 +243,15 @@ func (d *Dataset) DistinctBound() int { return d.distinctBound }
 // — one encoded state tuple per possible group, plus the finalized
 // in-memory rows and their canonical result encoding (rowWidth = 4-byte
 // key + 8 bytes per spec). DistinctBound never undercounts distinct
-// keys, so the estimate upper-bounds the group-dependent allocations.
+// keys, so the estimate upper-bounds the group-dependent allocations:
+// TupleSize is the logical width, one state per spec, and the physical
+// tuple the engine keeps per group (sqlagg.TuplePlan) shares states
+// between specs, so it is never wider. The summation buffers in front
+// of the tuples are not group-dependent: they are planned so that one
+// partition's fill Eq. 4's budget (agg.CacheBytesPerThread, 1 MiB), and
+// a worker's table has under four slots per planned group, so each
+// worker holds a few MiB of them at most, however many groups the query
+// has — a per-worker constant the per-query budget does not price.
 func (d *Dataset) EstimateBytes(q Query) (int, error) {
 	if err := q.validate(d.Cols()); err != nil {
 		return 0, err

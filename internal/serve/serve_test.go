@@ -476,3 +476,34 @@ func TestDatasetValidation(t *testing.T) {
 		t.Fatal("one-ulp value change did not change the dataset version")
 	}
 }
+
+// TestGroupByLocalAllocations pins the local engine's allocation shape:
+// a worker keeps one aggregation table (and its tuples' buffers) for all
+// the partitions it drains, so an executed GROUP BY allocates per worker
+// and per output run — not one table and one state tuple per group per
+// partition, which was 11 273 allocations on this shape.
+func TestGroupByLocalAllocations(t *testing.T) {
+	const groups, workers = 1024, 2
+	ds := testDataset(t, 1<<15, groups, 2)
+	s := mustServer(t, ds, Options{Workers: workers})
+	specs := testSpecs()
+	want, err := s.groupByLocal(specs)
+	if err != nil || len(want) != groups {
+		t.Fatalf("groupByLocal: %d groups, err %v", len(want), err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.groupByLocal(specs); err != nil {
+			t.Error(err)
+		}
+	})
+	parts := ds.part.NumPartitions()
+	// Per worker: the table's slot arrays and one tuple of ≤ 3
+	// allocations per slot ever used (under 4 × maxPartBound slots, at
+	// least 16); per partition: its key-sorted run and the run's values;
+	// a constant for the pool and the merged result.
+	slots := max(16, 4*ds.maxPartBound)
+	bound := float64(workers*(8+3*slots) + 2*parts + 16)
+	if allocs > bound {
+		t.Fatalf("%v allocations for %d groups in %d partitions on %d workers, want ≤ %v", allocs, groups, parts, workers, bound)
+	}
+}

@@ -548,9 +548,12 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 
 // groupByLocal is the local GROUP BY engine: each resident partition is
 // aggregated independently (keys only collide within their partition)
-// through dist.GroupTuples — the same tuple table the distributed
-// plane's owners use, sized from DistinctBound so it never rehashes —
-// a worker pool walks the partitions, and the per-partition key-sorted
+// through a dist.TupleGrouper — the same tuple table the distributed
+// plane runs. A worker pool walks the partitions; each worker keeps one
+// grouper for all the partitions it drains, sized from the largest
+// DistinctBound so it never rehashes, with summation buffers planned
+// from the dataset's rows per key, so a query allocates O(workers +
+// groups), not O(partitions × groups). The per-partition key-sorted
 // runs are concatenated and sorted. The result bits are identical to
 // the distributed plane's: the aggregate states are order-independent,
 // so it does not matter which backend folded which row first.
@@ -560,13 +563,18 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 	perPart := make([][]dist.TupleGroup, nparts)
 	errs := make([]error, nparts)
 
-	workers := s.opt.Workers
-	if workers > nparts {
-		workers = nparts
+	workers := min(s.opt.Workers, nparts)
+	groupers := make([]*dist.TupleGrouper, workers)
+	for w := range groupers {
+		g, err := dist.NewTupleGrouper(specs, s.ds.maxPartBound, s.ds.Rows()/s.ds.distinctBound, uint32(s.ds.fanout))
+		if err != nil {
+			return nil, err
+		}
+		groupers[w] = g
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, g := range groupers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -583,8 +591,7 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 				for c, col := range s.ds.pcols {
 					cols[c] = col[part.Off[p]:part.Off[p+1]]
 				}
-				stride := uint32(s.ds.fanout)
-				perPart[p], errs[p] = dist.GroupTuples(pk, cols, specs, part.DistinctBound(p, stride), stride)
+				perPart[p], errs[p] = g.GroupTuples(pk, cols)
 			}
 		}()
 	}

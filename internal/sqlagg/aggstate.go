@@ -10,24 +10,32 @@ import (
 	"repro/internal/rsum"
 )
 
-// This file generalizes the distributed plane over pluggable aggregate
-// states. The paper's footnote 2 observes that every floating-point SQL
-// aggregate becomes reproducible once SUM is; AggState is the contract
-// that lets the shuffle/gather machinery in internal/dist carry any such
-// aggregate without knowing its internals:
+// This file is the logical layer of the aggregate catalog. The paper's
+// footnote 2 observes that every floating-point SQL aggregate becomes
+// reproducible once SUM is; AggSpec names one such aggregate — which
+// function (kind), how many summation levels, which value column — and
+// a query's aggregate list is a []AggSpec, the form that crosses API
+// and process boundaries (EncodeSpecs / DecodeSpecs).
+//
+// AggState is the per-spec accumulator: one mergeable, canonically
+// serializable state per aggregate.
 //
 //   - Add/MergeFrom are the in-memory accumulation semantics;
 //   - AppendBinary/UnmarshalBinary/MergeBinary are a canonical binary
 //     encoding byte-compatible with the in-memory merge semantics (two
 //     states representing the same multiset encode identically);
-//   - EncodedSize is a pure function of the spec (never of the data),
-//     so senders can pre-size frame buffers and receivers can walk a
-//     concatenated tuple of states without a length prefix per state.
+//   - EncodedSize is a pure function of the spec (never of the data).
 //
-// AggSpec names one aggregate column of a distributed GROUP BY: which
-// aggregate (kind), how many summation levels, and which value column it
-// reads. A query plan is a []AggSpec; each group's payload on the wire
-// is the concatenation of the spec-ordered state encodings.
+// It is the library API for a single aggregate and the reference the
+// differential tests hold the pipeline to. The GROUP BY pipeline itself
+// does not keep one AggState per spec: TuplePlan (tuple.go) maps the
+// spec list to its distinct physical components — specs that read the
+// same sum or count share it — and to one finaliser per spec built from
+// the same functions the AggStates finalize with (avgOf, varianceOf,
+// minmaxState), so both layers return the same bits. What travels in a
+// shuffle frame is the physical tuple; TupleSize, the spec-ordered
+// logical width, is an upper bound on it that admission control prices
+// with.
 
 // AggState is one partial aggregate for one group: a mergeable,
 // canonically serializable accumulator.
@@ -185,11 +193,8 @@ func (s AggSpec) StateSize() (int, error) {
 
 // NewStates instantiates one empty state per spec, in spec order.
 func NewStates(specs []AggSpec) ([]AggState, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("%w: empty spec list", ErrBadSpec)
-	}
-	if len(specs) > maxSpecs {
-		return nil, fmt.Errorf("%w: %d specs exceeds limit %d", ErrBadSpec, len(specs), maxSpecs)
+	if err := checkSpecCount(len(specs)); err != nil {
+		return nil, err
 	}
 	states := make([]AggState, len(specs))
 	for i, sp := range specs {
@@ -202,8 +207,20 @@ func NewStates(specs []AggSpec) ([]AggState, error) {
 	return states, nil
 }
 
+// checkSpecCount bounds a spec list: at least one, at most maxSpecs.
+func checkSpecCount(n int) error {
+	if n == 0 {
+		return fmt.Errorf("%w: empty spec list", ErrBadSpec)
+	}
+	if n > maxSpecs {
+		return fmt.Errorf("%w: %d specs exceeds limit %d", ErrBadSpec, n, maxSpecs)
+	}
+	return nil
+}
+
 // TupleSize returns the total encoded size of one spec-ordered tuple of
-// states — the fixed per-key payload width of the distributed shuffle.
+// per-spec states: the logical width of a group. The shuffle ships the
+// physical tuple (TuplePlan.Width), which is never wider.
 func TupleSize(specs []AggSpec) (int, error) {
 	states, err := NewStates(specs)
 	if err != nil {

@@ -15,12 +15,34 @@
 //
 // Population/sample variants follow the SQL standard: VAR_POP divides
 // by n, VAR_SAMP by n−1 (NULL — here NaN — for n < 2).
+//
+// The package has two layers over one set of finalisers. The per-spec
+// library — Avg, Variance, Covariance and the AggState catalog in
+// aggstate.go — gives every aggregate its own accumulator; it is the
+// single-aggregate API and the oracle the tests compare against. The
+// GROUP BY pipeline runs the other layer (tuple.go): a query's logical
+// specs are planned once into their distinct physical components — one
+// reproducible sum per (column, x or x², level count), one shared row
+// counter, one extremum per (column, MIN|MAX) — and each spec becomes a
+// finaliser over them, the init / step / finalize contract of a SQL
+// aggregate function plus merge and encode:
+//
+//	init      TuplePlan.NewTuple   empty components, optional §V-A buffers
+//	step      TuplePlan.AddRow     one value per summed column per row
+//	merge     TuplePlan.MergeBinary
+//	encode    TuplePlan.AppendBinary
+//	finalize  TuplePlan.Finalize   one float64 per spec, in spec order
+//
+// so SUM(x), AVG(x), VAR_POP(x) and COUNT(*) cost two sums and a
+// counter per row, not four accumulators, and finalize to the bits the
+// four accumulators would.
 package sqlagg
 
 import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/rsum"
 )
 
 // Avg is the reproducible AVG(x) aggregate.
@@ -48,11 +70,14 @@ func (a *Avg) MergeFrom(o *Avg) {
 func (a *Avg) Count() int64 { return a.n }
 
 // Value finalizes: SUM(x)/COUNT(x); NaN for an empty input (SQL NULL).
-func (a *Avg) Value() float64 {
-	if a.n == 0 {
+func (a *Avg) Value() float64 { return avgOf(a.sum.State(), a.n) }
+
+// avgOf is AVG's finaliser over its physical components: Σx / n.
+func avgOf(sum *rsum.State64, n int64) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
-	return a.sum.Value() / float64(a.n)
+	return sum.Value() / float64(n)
 }
 
 // Variance is the reproducible VARIANCE/STDDEV aggregate, computed from
@@ -89,25 +114,20 @@ func (v *Variance) Count() int64 { return v.n }
 
 // VarPop finalizes VAR_POP = (Σx² − (Σx)²/n) / n, clamped at 0 against
 // tiny negative results from the final (deterministic) roundings.
-func (v *Variance) VarPop() float64 {
-	if v.n == 0 {
-		return math.NaN()
-	}
-	return v.finalize(float64(v.n))
-}
+func (v *Variance) VarPop() float64 { return varianceOf(v.sum.State(), v.sumSq.State(), v.n, 0) }
 
 // VarSamp finalizes VAR_SAMP = (Σx² − (Σx)²/n) / (n−1); NaN for n < 2.
-func (v *Variance) VarSamp() float64 {
-	if v.n < 2 {
+func (v *Variance) VarSamp() float64 { return varianceOf(v.sum.State(), v.sumSq.State(), v.n, 1) }
+
+// varianceOf is the variance finaliser over its physical components:
+// (Σx² − (Σx)²/n) / (n − ddof), NaN (SQL NULL) when n ≤ ddof.
+func varianceOf(sum, sumSq *rsum.State64, n, ddof int64) float64 {
+	if n <= ddof {
 		return math.NaN()
 	}
-	return v.finalize(float64(v.n - 1))
-}
-
-func (v *Variance) finalize(den float64) float64 {
-	s := v.sum.Value()
-	sq := v.sumSq.Value()
-	r := (sq - s*s/float64(v.n)) / den
+	s := sum.Value()
+	sq := sumSq.Value()
+	r := (sq - s*s/float64(n)) / float64(n-ddof)
 	if r < 0 {
 		return 0
 	}

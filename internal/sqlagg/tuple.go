@@ -1,0 +1,315 @@
+package sqlagg
+
+import (
+	"fmt"
+	"math"
+	"unsafe"
+
+	"repro/internal/agg"
+	"repro/internal/rsum"
+)
+
+// The physical tuple. A GROUP BY's spec list is logical: SUM(x), AVG(x),
+// VAR_POP(x) and COUNT(*) are four specs but only three things to
+// accumulate — Σx, Σx² and the row count n (footnote 2: every aggregate
+// is computable from SUMs). TuplePlan maps a spec list to its distinct
+// physical components and to one finaliser per spec that reads them with
+// the operation sequence of the per-spec AggState, so result bits do not
+// depend on which of the two accumulated the rows. Tuple is one group's
+// components plus the §V-A summation buffers in front of its sums; it is
+// the payload of every aggregation table of the tuple pipeline and,
+// flushed, the per-key record of a shuffle frame.
+
+// sumComp is one reproducible sum over a column or over its squares.
+// Specs that read the same column at different level counts get
+// different components: the level count is part of the state.
+type sumComp struct {
+	col, levels int
+	square      bool
+}
+
+// extComp is one running extremum of a column.
+type extComp struct {
+	col   int
+	isMax bool
+}
+
+// finaliser computes one logical spec from the physical components: a
+// indexes Σx (or the extremum, for MIN/MAX), b indexes Σx² for the
+// variance family.
+type finaliser struct {
+	kind AggKind
+	a, b int
+}
+
+// TuplePlan is the physical plan of one spec list.
+type TuplePlan struct {
+	sums  []sumComp
+	exts  []extComp
+	count bool // some spec reads the shared row counter
+	fins  []finaliser
+	width int
+}
+
+// NewTuplePlan plans specs: components are numbered in order of first
+// use, so the plan — and with it the wire layout — is a pure function
+// of the spec list.
+func NewTuplePlan(specs []AggSpec) (*TuplePlan, error) {
+	if err := checkSpecCount(len(specs)); err != nil {
+		return nil, err
+	}
+	p := &TuplePlan{fins: make([]finaliser, len(specs))}
+	for i, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return nil, err
+		}
+		f := finaliser{kind: sp.Kind}
+		levels := sp.ResolvedLevels()
+		switch sp.Kind {
+		case AggSum:
+			f.a = component(&p.sums, sumComp{sp.Col, levels, false})
+		case AggCount:
+			p.count = true
+		case AggAvg:
+			f.a = component(&p.sums, sumComp{sp.Col, levels, false})
+			p.count = true
+		case AggVarPop, AggVarSamp, AggStddevPop, AggStddevSamp:
+			f.a = component(&p.sums, sumComp{sp.Col, levels, false})
+			f.b = component(&p.sums, sumComp{sp.Col, levels, true})
+			p.count = true
+		case AggMin, AggMax:
+			f.a = component(&p.exts, extComp{sp.Col, sp.Kind == AggMax})
+		default:
+			return nil, fmt.Errorf("%w: %s has no physical plan", ErrBadSpec, sp.Kind)
+		}
+		p.fins[i] = f
+	}
+	for _, c := range p.sums {
+		st := rsum.NewState64(c.levels)
+		p.width += st.EncodedSize()
+	}
+	if p.count {
+		p.width += countSize
+	}
+	p.width += len(p.exts) * minmaxSize
+	return p, nil
+}
+
+// component returns the index of want in *comps, appending it on
+// first use.
+func component[T comparable](comps *[]T, want T) int {
+	for i, c := range *comps {
+		if c == want {
+			return i
+		}
+	}
+	*comps = append(*comps, want)
+	return len(*comps) - 1
+}
+
+// Width returns the encoded size of one tuple: the Σ states in plan
+// order, then the 8-byte row count if any spec needs it, then the
+// 9-byte extrema. A single-SUM plan is one bare rsum state.
+func (p *TuplePlan) Width() int { return p.width }
+
+// TupleBytes returns the memory one tuple without summation buffers
+// occupies in an aggregation table: what a table's cache footprint is
+// planned from.
+func (p *TuplePlan) TupleBytes() int {
+	return int(unsafe.Sizeof(Tuple{})) +
+		len(p.sums)*int(unsafe.Sizeof(rsum.State64{})) +
+		len(p.exts)*int(unsafe.Sizeof(minmaxState{}))
+}
+
+// Reads reports whether the plan's components read column col (a
+// COUNT reads none).
+func (p *TuplePlan) Reads(col int) bool {
+	for _, c := range p.sums {
+		if c.col == col {
+			return true
+		}
+	}
+	for _, c := range p.exts {
+		if c.col == col {
+			return true
+		}
+	}
+	return false
+}
+
+// BufferSize plans the summation buffers of a table that holds groups
+// tuples at once, each expected to receive perGroup rows: the buffer
+// length per summed column, or 0 for none. Every row appends one value
+// per sum, so the model (agg.PlanBuffer, Eq. 4) runs at 8 bytes × the
+// number of sums: a table's buffers never outgrow its cache budget
+// whatever the group count, and a catalog too wide for MinBufferSize
+// values per sum gets no buffers rather than tiny ones.
+func (p *TuplePlan) BufferSize(groups, perGroup int) int {
+	if len(p.sums) == 0 {
+		return 0
+	}
+	return agg.PlanBuffer(groups, perGroup, 8*len(p.sums))
+}
+
+// Tuple is one group's physical aggregate state.
+type Tuple struct {
+	sums []rsum.State64
+	exts []minmaxState
+	n    int64
+	// buf holds the values not yet summed, column-major: sum j's are
+	// buf[j*bsz : j*bsz+fill]. Every row appends to every column, so
+	// one fill index serves them all.
+	buf       []float64
+	bsz, fill int
+}
+
+// NewTuple returns an empty tuple with bsz-value summation buffers
+// (0: none, rows go straight into the sums).
+func (p *TuplePlan) NewTuple(bsz int) Tuple {
+	t := Tuple{sums: make([]rsum.State64, len(p.sums))}
+	for i, c := range p.sums {
+		t.sums[i].Reset(c.levels)
+	}
+	if len(p.exts) > 0 {
+		t.exts = make([]minmaxState, len(p.exts))
+		for i, c := range p.exts {
+			t.exts[i].isMax = c.isMax
+		}
+	}
+	if bsz > 0 && len(p.sums) > 0 {
+		t.bsz, t.buf = bsz, make([]float64, bsz*len(p.sums))
+	}
+	return t
+}
+
+// Reset empties the tuple, keeping its shape and buffer allocation, so
+// a reused aggregation table recycles its payloads in place.
+func (t *Tuple) Reset() {
+	for i := range t.sums {
+		t.sums[i].Reset(t.sums[i].Levels())
+	}
+	for i := range t.exts {
+		t.exts[i].Reset()
+	}
+	t.n, t.fill = 0, 0
+}
+
+// AddRow folds row `row` of cols into t.
+func (p *TuplePlan) AddRow(t *Tuple, cols [][]float64, row int) {
+	t.n++ // read only when p.count; cheaper than testing it per row
+	buf := t.buf[t.fill:]
+	for j := range p.sums {
+		c := &p.sums[j]
+		v := cols[c.col][row]
+		if c.square {
+			v *= v
+		}
+		if t.bsz == 0 {
+			t.sums[j].AddEager(v)
+		} else {
+			buf[j*t.bsz] = v
+		}
+	}
+	if t.bsz > 0 {
+		if t.fill++; t.fill == t.bsz {
+			t.flush()
+		}
+	}
+	for j, c := range p.exts {
+		t.exts[j].Add(cols[c.col][row])
+	}
+}
+
+// flush sums the buffered values with the vectorised kernel.
+func (t *Tuple) flush() {
+	if t.fill == 0 {
+		return
+	}
+	for j := range t.sums {
+		t.sums[j].AddSliceVec(t.buf[j*t.bsz : j*t.bsz+t.fill])
+	}
+	t.fill = 0
+}
+
+// AppendBinary flushes t and appends its canonical encoding (Width
+// bytes) to dst; with enough capacity it does not allocate. Two tuples
+// that absorbed the same multiset of rows encode identically, buffered
+// or not.
+func (p *TuplePlan) AppendBinary(dst []byte, t *Tuple) ([]byte, error) {
+	t.flush()
+	var err error
+	for j := range t.sums {
+		if dst, err = t.sums[j].AppendBinary(dst); err != nil {
+			return dst, err
+		}
+	}
+	if p.count {
+		dst = appendCount(dst, t.n)
+	}
+	for j := range t.exts {
+		dst, _ = t.exts[j].AppendBinary(dst)
+	}
+	return dst, nil
+}
+
+// MergeBinary folds an encoded tuple of the same plan into t. The bytes
+// cross a trust boundary: a wrong width or a malformed component is an
+// ErrBadState, never a panic. A failed merge may leave earlier
+// components merged; callers abandon the aggregation on error.
+func (p *TuplePlan) MergeBinary(t *Tuple, enc []byte) error {
+	if len(enc) != p.width {
+		return fmt.Errorf("%w: tuple is %d bytes, plan width %d", ErrBadState, len(enc), p.width)
+	}
+	for j := range t.sums {
+		sz := t.sums[j].EncodedSize()
+		if err := t.sums[j].MergeBinary(enc[:sz]); err != nil {
+			return fmt.Errorf("%w: sum component %d: %v", ErrBadState, j, err)
+		}
+		enc = enc[sz:]
+	}
+	if p.count {
+		n, err := decodeCount(enc[:countSize])
+		if err != nil {
+			return err
+		}
+		t.n += n
+		enc = enc[countSize:]
+	}
+	for j := range t.exts {
+		if err := t.exts[j].MergeBinary(enc[:minmaxSize]); err != nil {
+			return err
+		}
+		enc = enc[minmaxSize:]
+	}
+	return nil
+}
+
+// Finalize flushes t and appends one value per spec, in spec order.
+func (p *TuplePlan) Finalize(dst []float64, t *Tuple) []float64 {
+	t.flush()
+	for _, f := range p.fins {
+		dst = append(dst, f.value(t))
+	}
+	return dst
+}
+
+func (f finaliser) value(t *Tuple) float64 {
+	switch f.kind {
+	case AggSum:
+		return t.sums[f.a].Value()
+	case AggCount:
+		return float64(t.n)
+	case AggAvg:
+		return avgOf(&t.sums[f.a], t.n)
+	case AggVarPop:
+		return varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 0)
+	case AggVarSamp:
+		return varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 1)
+	case AggStddevPop:
+		return math.Sqrt(varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 0))
+	case AggStddevSamp:
+		return math.Sqrt(varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 1))
+	default: // AggMin, AggMax: NewTuplePlan admits no other kind
+		return t.exts[f.a].Value()
+	}
+}
