@@ -50,20 +50,25 @@ type JobResult = proc.Result
 // counters.
 type ClusterStats = proc.ClusterStats
 
-// Source is a Job's input. Raw sources (ValueShards, RowShards) ship
-// the rows inside the job dispatch; declarative sources
+// Source is a Job's input. Raw sources (ValueShards, RowShards) stream
+// the rows to the workers behind the job dispatch, encoded straight
+// from the caller's slices — which are therefore read by reference and
+// must not be modified until Run returns; declarative sources
 // (SyntheticSource, TPCHQ1Source) ship only a description — O(1)
 // dispatch bytes regardless of data size — and every worker
-// materializes its slice locally.
+// materializes its slice locally. Prefer a declarative source whenever
+// the workers can produce the data themselves: a raw row still costs
+// one trip through the supervisor's control connection.
 type Source = proc.Source
 
-// ValueShards is a raw reduction input: one value slice per shard,
-// re-dealt round-robin when the shard count differs from the cluster
-// size (reproducibility makes re-dealing invisible in the bits).
+// ValueShards is a raw reduction input: one value slice per shard.
+// Shard i goes to node i mod Nodes (reproducibility makes the dealing
+// invisible in the bits); the slices are read until Run returns.
 func ValueShards(shards [][]float64) Source { return proc.ValueShards(shards) }
 
 // RowShards is a raw GROUP BY input: shardKeys[i] holds shard i's keys
-// and shardCols[i][c] its c-th value column.
+// and shardCols[i][c] its c-th value column, dealt and read like
+// ValueShards.
 func RowShards(shardKeys [][]uint32, shardCols [][][]float64) Source {
 	return proc.RowShards(shardKeys, shardCols)
 }

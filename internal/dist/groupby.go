@@ -64,8 +64,11 @@ func planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*sqlagg
 // into it; keys that agree on their low lowBits bits index above them.
 type tupleTable = hashagg.Table[sqlagg.Tuple]
 
+// newTupleTable builds one. Its tuples come from one sqlagg.TupleSlab
+// sized from the same hint as the slots, so a table is a handful of
+// allocations whatever its group count.
 func newTupleTable(plan *sqlagg.TuplePlan, hint int, lowBits uint, bsz int) *tupleTable {
-	return hashagg.NewPartitioned(hint, hashagg.Identity, func() sqlagg.Tuple { return plan.NewTuple(bsz) }, lowBits)
+	return hashagg.NewPartitioned(hint, hashagg.Identity, plan.NewSlab(bsz, hint).NewTuple, lowBits)
 }
 
 // addRows is the row loop of the tuple pipeline: row i of cols folds

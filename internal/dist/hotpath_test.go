@@ -351,3 +351,57 @@ func TestCombineLoopZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnerMergeAllocs pins the owner role's table (ROADMAP 3a):
+// building and filling it from a 2^15-group shuffle frame is a constant
+// handful of allocations — the slot arrays plus a few tuple slabs, not
+// one or more per group — and merging a second sender's frame into the
+// warm table allocates nothing.
+func TestOwnerMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	plan, err := sqlagg.NewTuplePlan(tupleSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups = 1 << 15
+	src := newTupleTable(plan, groups, 0, 0)
+	cols := [][]float64{
+		workload.Values64(43, groups, workload.MixedMag),
+		workload.Values64(44, groups, workload.MixedMag),
+	}
+	keys := make([]uint32, groups)
+	for i := range keys {
+		keys[i] = uint32(i) << 1
+	}
+	addRows(src, plan, keys, cols)
+	var frame []byte
+	src.ForEach(func(key uint32, tup *sqlagg.Tuple) {
+		if frame, err = appendTuple(frame, key, plan, tup); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	var owner *ownerMerge
+	build := testing.AllocsPerRun(3, func() {
+		owner = &ownerMerge{plan: plan, senders: 2}
+		if err := owner.merge(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if build > 64 {
+		t.Errorf("building a %d-group owner table: %v allocations, want a small constant", groups, build)
+	}
+	if owner.table.Len() != groups {
+		t.Fatalf("owner table holds %d groups, want %d", owner.table.Len(), groups)
+	}
+	warm := testing.AllocsPerRun(3, func() {
+		if err := owner.merge(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm != 0 {
+		t.Errorf("merging a frame into the warm owner table: %v allocations, want 0", warm)
+	}
+}

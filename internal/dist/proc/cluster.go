@@ -11,11 +11,11 @@
 // itself and processes an operator started elsewhere are admitted
 // through one handshake (join hello, KindConf, digested full hello)
 // and take slots in arrival order; runs a sequence of typed Jobs whose
-// inputs are raw shards or declarative sources the workers materialize
-// locally; and — with ReplaceDead — survives worker death mid-run by
-// admitting a substitute through that same handshake, re-shipping the
-// lost job spec, and re-pointing the surviving peers' reconnect-safe
-// transports. The result is bit-identical to the
+// inputs are raw shards streamed to the workers in cache-sized chunks
+// or declarative sources the workers materialize locally; and — with
+// ReplaceDead — survives worker death mid-run by admitting a substitute
+// through that same handshake, re-shipping the lost job spec and rows,
+// and re-pointing the surviving peers' reconnect-safe transports. The result is bit-identical to the
 // in-process engine for every topology, cluster size, chunk regime,
 // fault plan, forced socket kill, and mid-run replacement — the
 // paper's reproducibility claim extended to its hardest setting:

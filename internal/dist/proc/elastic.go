@@ -1,12 +1,12 @@
 package proc
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,15 +25,17 @@ import (
 // started, or both, all through one admission handshake; runs a
 // sequence of typed Jobs over it; and survives worker death mid-run by
 // admitting a substitute through that same handshake, re-shipping the
-// dead worker's job spec, and re-pointing the surviving peers — with a
+// dead worker's job spec (and re-streaming its raw rows from the
+// caller's shards), and re-pointing the surviving peers — with a
 // final result bit-identical to an undisturbed run, because the
 // protocols' partial frames are deterministic and merge
 // order-invariantly.
 //
 // The supervisor is a single event-loop goroutine that owns all
 // cluster state. Connections, process exits, job submissions, and
-// timers all funnel into one channel; per-connection reader goroutines
-// and per-process exit watchers only post events. That actor shape is
+// timers all funnel into one channel; per-connection reader goroutines,
+// per-process exit watchers and per-member row shippers only post
+// events. That actor shape is
 // what makes mid-run membership changes safe to reason about: every
 // admission, death, dispatch, and re-broadcast is a serialized step.
 
@@ -187,10 +189,17 @@ func (s ClusterSpec) conf() clusterConf {
 	return conf
 }
 
-// Source is a job's input: raw shards shipped in the job payload, or
-// a declarative description each worker materializes locally (O(1)
-// dispatch regardless of data size). Construct with ValueShards,
-// RowShards, SyntheticSource, or TPCHQ1Source.
+// Source is a job's input: raw shards streamed to the workers behind
+// the job spec, or a declarative description each worker materializes
+// locally (O(1) dispatch regardless of data size). Construct with
+// ValueShards, RowShards, SyntheticSource, or TPCHQ1Source.
+//
+// Raw shards are read by reference — each worker's rows are encoded
+// straight out of the caller's slices while the job runs, and again for
+// a mid-run substitute — so they must not change until Run returns.
+// Every row still makes one trip through the control connection: when
+// the workers can produce the data themselves, prefer a declarative
+// source.
 type Source struct {
 	kind  byte
 	keys  [][]uint32
@@ -201,9 +210,8 @@ type Source struct {
 }
 
 // ValueShards is a raw reduction input: one value slice per shard.
-// Shards are re-dealt round-robin when their count differs from the
-// cluster size — reproducibility makes any re-dealing invisible in
-// the result bits.
+// Shard i goes to node i mod Nodes — reproducibility makes any dealing
+// invisible in the result bits. The slices are read until Run returns.
 func ValueShards(shards [][]float64) Source {
 	cols := make([][][]float64, len(shards))
 	for i, s := range shards {
@@ -213,7 +221,8 @@ func ValueShards(shards [][]float64) Source {
 }
 
 // RowShards is a raw group-by input: per-shard keys plus value
-// columns (one slice per column the aggregate catalog reads).
+// columns (one slice per column the aggregate catalog reads), dealt to
+// the nodes like ValueShards and likewise read until Run returns.
 func RowShards(keys [][]uint32, cols [][][]float64) Source {
 	return Source{kind: srcRaw, keys: keys, cols: cols}
 }
@@ -249,11 +258,12 @@ type Job struct {
 }
 
 // EncodeJobPayload returns the control-plane dispatch bytes node id of
-// an n-node cluster would receive for job — the payload of the KindJob
-// frame shipped at admission (and re-shipped to a mid-run substitute).
-// Exposed for measurement: a raw-shard job encodes every row it
-// dispatches, a declarative source a fixed few dozen bytes regardless
-// of data size.
+// an n-node cluster receives for job (and a mid-run substitute receives
+// again): the KindJob payload followed, for a raw-shard job, by the
+// payload of every KindRows chunk of its rows stream, in wire order.
+// Exposed for measurement: a raw-shard job dispatches every row, a
+// declarative source a fixed few dozen bytes. The cluster never builds
+// this slice — it writes each chunk as it is encoded.
 func EncodeJobPayload(job Job, n, id int) ([]byte, error) {
 	if n < 1 || id < 0 || id >= n {
 		return nil, fmt.Errorf("%w: EncodeJobPayload needs 0 <= id < n (got id %d, n %d)", dist.ErrConfig, id, n)
@@ -262,7 +272,17 @@ func EncodeJobPayload(job Job, n, id int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rs.payloadFor(id, 0)
+	b, err := rs.payloadFor(id, 0)
+	if err != nil || rs.source != srcRaw {
+		return b, err
+	}
+	st := rs.rowStream(id, 0)
+	_, size := st.size(rowChunkBytes)
+	b = slices.Grow(b, size)
+	for ok := true; ok; {
+		b, ok = st.next(b, rowChunkBytes)
+	}
+	return b, nil
 }
 
 // Result is a completed job's outcome.
@@ -369,10 +389,10 @@ const (
 )
 
 // connState is one control connection's identity and loop-owned
-// state. The reader goroutine only touches conn; everything else is
-// mutated by the supervisor loop alone.
+// state. The reader goroutine and a job's row shipper only touch the
+// ctlConn; everything else is mutated by the supervisor loop alone.
 type connState struct {
-	conn     net.Conn
+	*ctlConn
 	phase    int
 	id       int
 	inc      int // admission incarnation of the slot (0 = first)
@@ -393,6 +413,13 @@ type (
 		cmd *exec.Cmd
 		err error
 	}
+	// evShip: a rows stream ended — whole or cut short by the job's end
+	// (err nil), or on a write error.
+	evShip struct {
+		rs  *runState
+		cs  *connState
+		err error
+	}
 	evRun struct {
 		job   Job
 		reply chan runReply
@@ -409,8 +436,6 @@ type runReply struct {
 	replacements int
 	err          error
 }
-
-const ctlWriteTimeout = 30 * time.Second
 
 // NewCluster forms a cluster: binds the control listener, starts the
 // local workers and standbys as joiners of it, and starts the
@@ -723,60 +748,37 @@ func (c *Cluster) acceptLoop() {
 		// A connection that never completes a handshake dies at this
 		// deadline; admission clears it.
 		conn.SetReadDeadline(time.Now().Add(c.spec.JoinTimeout))
-		cs := &connState{conn: conn, phase: phaseNew, id: -1}
+		cs := &connState{ctlConn: newCtlConn(conn, c.conf.MaxChunkPayload), phase: phaseNew, id: -1}
 		go c.readConn(cs)
 	}
 }
 
-// readConn is one connection's reader: frames are reassembled (the
-// control plane chunks large messages like the data plane) and posted
-// to the loop. One reader lives for the connection's whole life, so a
-// joiner's buffered bytes are never lost across a phase change.
+// readConn is one connection's reader: every control message is
+// posted to the loop. One reader lives for the connection's whole life,
+// so a joiner's buffered bytes are never lost across a phase change.
 func (c *Cluster) readConn(cs *connState) {
 	defer func() {
 		c.connMu.Lock()
 		delete(c.conns, cs.conn)
 		c.connMu.Unlock()
 	}()
-	br := bufio.NewReaderSize(cs.conn, sockBufSize)
-	asm := dist.NewReassembler(0)
 	for {
-		f, err := dist.ReadFrame(br)
+		msg, err := cs.read()
 		if err != nil {
 			c.post(evConnErr{cs: cs, err: err})
 			return
-		}
-		if f.Kind == dist.KindPing {
-			// Pings reuse one (from, seq) stream forever; routing them
-			// through the reassembler would swallow every ping after the
-			// first as a completed-stream duplicate, starving the
-			// liveness tracker. They are single-frame by construction.
-			c.post(evMsg{cs: cs, msg: f})
-			continue
-		}
-		msg, complete, _, aerr := asm.Accept(f)
-		if aerr != nil {
-			c.post(evConnErr{cs: cs, err: aerr})
-			return
-		}
-		if !complete {
-			continue
 		}
 		c.post(evMsg{cs: cs, msg: msg})
 	}
 }
 
-// runState is the in-flight job's supervisor-side state.
+// runState is the in-flight job's supervisor-side state. The embedded
+// jobSpec is the job as every member is told it, bar the incarnation
+// and a raw source's row count, which payloadFor fills in per member.
 type runState struct {
-	reply   chan runReply
-	jobIdx  int
-	op      byte
-	topo    dist.Topology
-	workers int
-	specs   []sqlagg.AggSpec
-	src     Source
-	perKeys [][]uint32    // srcRaw group-by: re-dealt keys per node
-	perCols [][][]float64 // srcRaw: re-dealt columns per node
+	jobSpec
+	reply chan runReply
+	src   Source
 
 	addrs        []string
 	ready        []bool
@@ -784,22 +786,28 @@ type runState struct {
 	epoch        int
 	started      bool
 	replacements int
+
+	// Row shippers read src's shards in place, so the reply, which hands
+	// the shards back to the caller, waits for the last of them: over
+	// stops them at the next chunk, shipping counts the ones still
+	// running, out parks the reply meanwhile.
+	over     atomic.Bool
+	shipping int
+	out      *runReply
 }
 
-// newRunState validates a job against the cluster shape and prepares
-// the per-node payloads (re-dealing raw shards round-robin when their
-// count differs from the cluster size).
+// newRunState validates a job against the cluster shape.
 func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	job := e.job
 	rs := &runState{
-		reply:   e.reply,
-		jobIdx:  jobIdx,
-		topo:    job.Topo,
-		workers: job.Workers,
-		specs:   job.Specs,
-		src:     job.Source,
-		addrs:   make([]string, n),
-		ready:   make([]bool, n),
+		jobSpec: jobSpec{
+			jobIdx: jobIdx, op: opReduce, topo: job.Topo, workers: job.Workers, specs: job.Specs,
+			source: job.Source.kind, synth: job.Source.synth, rows: job.Source.rows, seed: job.Source.seed,
+		},
+		reply: e.reply,
+		src:   job.Source,
+		addrs: make([]string, n),
+		ready: make([]bool, n),
 	}
 	if rs.workers == 0 {
 		rs.workers = 1
@@ -810,13 +818,12 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	if !rs.topo.Valid() {
 		return nil, fmt.Errorf("%w (got %d)", dist.ErrTopology, int(rs.topo))
 	}
-	rs.op = opReduce
 	if len(job.Specs) > 0 {
 		rs.op = opGroupBy
 	}
 	switch job.Source.kind {
 	case srcRaw:
-		return rs, rs.prepareRaw(n)
+		return rs, rs.validateRaw()
 	case srcSynth:
 		if err := job.Source.synth.Validate(); err != nil {
 			return nil, err
@@ -841,31 +848,21 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	}
 }
 
-// prepareRaw re-deals raw shards across the cluster's n nodes.
-func (rs *runState) prepareRaw(n int) error {
+// validateRaw checks raw shards against the job and settles how many
+// of their columns are shipped; shard i is later streamed to node
+// i mod n from where it lies.
+func (rs *runState) validateRaw() error {
 	src := rs.src
 	if rs.op == opReduce {
 		if len(src.cols) == 0 {
 			return dist.ErrNoShards
 		}
-		shards := make([][]float64, len(src.cols))
 		for i, c := range src.cols {
 			if len(c) != 1 {
 				return fmt.Errorf("%w: reduction shard %d carries %d columns, want 1", dist.ErrShardMismatch, i, len(c))
 			}
-			shards[i] = c[0]
 		}
-		perNode := shards
-		if n != len(shards) {
-			perNode = make([][]float64, n)
-			for i, s := range shards {
-				perNode[i%n] = append(perNode[i%n], s...)
-			}
-		}
-		rs.perCols = make([][][]float64, n)
-		for i := range rs.perCols {
-			rs.perCols[i] = [][]float64{perNode[i]}
-		}
+		rs.src.keys, rs.ncols = nil, 1 // a reduction ships no keys, whatever the source carries
 		return nil
 	}
 	if len(src.keys) == 0 {
@@ -880,52 +877,23 @@ func (rs *runState) prepareRaw(n int) error {
 	}
 	// Ship exactly the columns the catalog reads; columns past the
 	// highest bound one are dead weight on the wire.
-	ncols := 0
 	for _, s := range rs.specs {
-		if s.Col+1 > ncols {
-			ncols = s.Col + 1
-		}
-	}
-	rs.perKeys = make([][]uint32, n)
-	rs.perCols = make([][][]float64, n)
-	for i := range rs.perCols {
-		rs.perCols[i] = make([][]float64, ncols)
-	}
-	for i := range src.keys {
-		node := i % n
-		rs.perKeys[node] = append(rs.perKeys[node], src.keys[i]...)
-		if len(src.keys[i]) == 0 {
-			continue // empty shards may omit columns
-		}
-		for c := 0; c < ncols; c++ {
-			rs.perCols[node][c] = append(rs.perCols[node][c], src.cols[i][c]...)
-		}
+		rs.ncols = max(rs.ncols, s.Col+1)
 	}
 	return nil
 }
 
+// rowStream opens the rows stream of node id at the given incarnation.
+func (rs *runState) rowStream(id, inc int) *rowStream {
+	return newRowStream(&rs.src, rs.ncols, len(rs.addrs), id, rs.jobIdx, inc)
+}
+
 // payloadFor encodes node id's job spec at the given incarnation.
 func (rs *runState) payloadFor(id, inc int) ([]byte, error) {
-	js := jobSpec{
-		jobIdx:      rs.jobIdx,
-		incarnation: inc,
-		op:          rs.op,
-		topo:        rs.topo,
-		workers:     rs.workers,
-		specs:       rs.specs,
-		source:      rs.src.kind,
-	}
-	switch rs.src.kind {
-	case srcRaw:
-		if rs.perKeys != nil {
-			js.keys = rs.perKeys[id]
-		}
-		js.cols = rs.perCols[id]
-	case srcSynth:
-		js.synth = rs.src.synth
-	case srcTPCHQ1:
-		js.rows = rs.src.rows
-		js.seed = rs.src.seed
+	js := rs.jobSpec
+	js.incarnation = inc
+	if js.source == srcRaw {
+		js.rows = rs.rowStream(id, inc).rows
 	}
 	return encodeJobSpec(js)
 }
@@ -950,9 +918,10 @@ type clusterLoop struct {
 	closeReply chan error
 	closeErr   error
 
-	cur     *runState
-	pendq   []evRun
-	nextJob int
+	cur      *runState
+	pendq    []evRun
+	nextJob  int
+	draining int // finished jobs whose reply waits for their row shippers
 
 	waitT     *time.Timer
 	waitArmed bool
@@ -981,6 +950,8 @@ func (l *clusterLoop) run() {
 				l.handleConnErr(e)
 			case evExit:
 				l.handleExit(e)
+			case evShip:
+				l.handleShip(e)
 			case evRun:
 				l.handleRun(e)
 			case evClose:
@@ -992,7 +963,7 @@ func (l *clusterLoop) run() {
 		case <-tickC:
 			l.checkLiveness()
 		}
-		if l.closing && len(l.procs) == 0 {
+		if l.closing && len(l.procs) == 0 && l.draining == 0 {
 			l.closeReply <- l.closeErr
 			return
 		}
@@ -1090,21 +1061,6 @@ func (l *clusterLoop) snapshot() journalSnap {
 	return snap
 }
 
-// writeChunked ships one logical control message, chunked like any
-// other large message, under a write deadline so a wedged worker
-// cannot stall the supervisor loop indefinitely.
-func (l *clusterLoop) writeChunked(conn net.Conn, f dist.Frame) error {
-	conn.SetWriteDeadline(time.Now().Add(ctlWriteTimeout))
-	defer conn.SetWriteDeadline(time.Time{})
-	bw := bufio.NewWriterSize(conn, sockBufSize)
-	for _, ch := range dist.SplitFrame(f, l.c.conf.MaxChunkPayload) {
-		if err := dist.WriteFrame(bw, ch); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ---- admission ----
 
 func (l *clusterLoop) handleMsg(e evMsg) {
@@ -1137,7 +1093,7 @@ func (l *clusterLoop) admissionFatal() bool {
 // reject answers a failed admission with a typed KindError and drops
 // the connection.
 func (l *clusterLoop) reject(cs *connState, err error) {
-	_ = l.writeChunked(cs.conn, dist.Frame{
+	_ = cs.send(dist.Frame{
 		Kind: dist.KindError, Seq: ctrlSeqHello, Payload: dist.EncodeErr(err),
 	})
 	cs.phase = phaseDead
@@ -1225,7 +1181,7 @@ func (l *clusterLoop) reserve(cs *connState, id int) {
 	cs.phase = phaseReserved
 	cs.id = id
 	cs.conn.SetReadDeadline(time.Now().Add(l.c.spec.JoinTimeout))
-	err := l.writeChunked(cs.conn, dist.Frame{
+	err := cs.send(dist.Frame{
 		Kind: dist.KindConf, To: id, Seq: ctrlSeqConf, Payload: encodeConfFrame(id, l.epoch, l.c.raw),
 	})
 	if err != nil {
@@ -1447,20 +1403,61 @@ func (l *clusterLoop) startRun(e evRun) {
 	l.checkWait()
 }
 
+// shipJob dispatches the current job to one member: the job spec from
+// the loop, a raw source's rows behind it from a shipper goroutine, so
+// all members are fed at once and the loop never waits on a row.
 func (l *clusterLoop) shipJob(m *connState) {
-	if l.cur == nil {
+	rs := l.cur
+	if rs == nil {
 		return
 	}
-	payload, err := l.cur.payloadFor(m.id, m.inc)
+	payload, err := rs.payloadFor(m.id, m.inc)
 	if err != nil {
 		l.failJob(err)
 		return
 	}
-	err = l.writeChunked(m.conn, dist.Frame{
-		Kind: dist.KindJob, To: m.id, Seq: ctrlSeqJob(l.cur.jobIdx), Payload: payload,
+	err = m.send(dist.Frame{
+		Kind: dist.KindJob, To: m.id, Seq: ctrlSeqJob(rs.jobIdx), Payload: payload,
 	})
 	if err != nil {
 		l.memberGone(m, fmt.Errorf("proc: sending job to worker %d: %w", m.id, err))
+		return
+	}
+	if rs.source == srcRaw {
+		rs.shipping++
+		go l.c.shipRows(rs, m, rs.rowStream(m.id, m.inc))
+	}
+}
+
+// shipRows streams one member's rows, each chunk encoded from the
+// caller's shards into the one buffer and written, until the stream or
+// the job is over, and reports back.
+func (c *Cluster) shipRows(rs *runState, m *connState, st *rowStream) {
+	f := dist.Frame{Kind: dist.KindRows, To: m.id, Seq: ctrlSeqRows(rs.jobIdx)}
+	f.Chunks, _ = st.size(rowChunkBytes)
+	buf := make([]byte, 0, rowChunkHdr+rowChunkBytes)
+	var err error
+	for err == nil && !rs.over.Load() {
+		var ok bool
+		if f.Payload, ok = st.next(buf, rowChunkBytes); !ok {
+			break
+		}
+		err = m.send(f)
+		f.Chunk++
+	}
+	c.post(evShip{rs: rs, cs: m, err: err})
+}
+
+// handleShip retires a row shipper. A write error is a lost member like
+// any other; the last shipper of a finished job releases its reply.
+func (l *clusterLoop) handleShip(e evShip) {
+	if e.err != nil {
+		l.memberGone(e.cs, fmt.Errorf("proc: streaming rows to worker %d: %w", e.cs.id, e.err))
+	}
+	rs := e.rs
+	if rs.shipping--; rs.shipping == 0 && rs.out != nil {
+		rs.reply <- *rs.out
+		l.draining--
 	}
 }
 
@@ -1494,7 +1491,7 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 		l.c.wireMu.Lock()
 		l.c.workerWire.Add(delta)
 		l.c.wireMu.Unlock()
-		_ = l.writeChunked(cs.conn, dist.Frame{
+		_ = cs.send(dist.Frame{
 			Kind: dist.KindPing, To: cs.id, Seq: ctrlSeqPing, Payload: msg.Payload,
 		})
 	case dist.KindReady:
@@ -1512,7 +1509,7 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 		if l.cur == nil || msg.Seq != ctrlSeqResult(l.cur.jobIdx) || cs.id != 0 {
 			return
 		}
-		l.finishJob(msg.Payload)
+		l.endJob(runReply{payload: msg.Payload, replacements: l.cur.replacements})
 	case dist.KindError:
 		if l.cur == nil || msg.Seq != ctrlSeqResult(l.cur.jobIdx) {
 			return
@@ -1536,7 +1533,7 @@ func (l *clusterLoop) broadcastPeers() {
 		if m == nil {
 			continue
 		}
-		err := l.writeChunked(m.conn, dist.Frame{Kind: dist.KindPeers, To: m.id, Seq: seq, Payload: payload})
+		err := m.send(dist.Frame{Kind: dist.KindPeers, To: m.id, Seq: seq, Payload: payload})
 		if err != nil {
 			l.memberGone(m, fmt.Errorf("proc: sending peers to worker %d: %w", m.id, err))
 			if l.cur == nil {
@@ -1546,24 +1543,26 @@ func (l *clusterLoop) broadcastPeers() {
 	}
 }
 
-func (l *clusterLoop) finishJob(payload []byte) {
-	rs := l.cur
-	l.cur = nil
-	l.disarmWait()
-	l.jobDone(rs.jobIdx)
-	rs.reply <- runReply{payload: payload, replacements: rs.replacements}
-	l.nextPend()
+func (l *clusterLoop) failJob(err error) {
+	if l.cur != nil {
+		l.endJob(runReply{err: err})
+	}
 }
 
-func (l *clusterLoop) failJob(err error) {
-	if l.cur == nil {
-		return
-	}
+// endJob retires the current job and answers its Run — at once, or
+// when the last shipper still reading its shards stops (handleShip).
+func (l *clusterLoop) endJob(r runReply) {
 	rs := l.cur
 	l.cur = nil
 	l.disarmWait()
+	rs.over.Store(true)
 	l.jobDone(rs.jobIdx)
-	rs.reply <- runReply{err: err}
+	if rs.shipping == 0 {
+		rs.reply <- r
+	} else {
+		rs.out = &r
+		l.draining++
+	}
 	l.nextPend()
 }
 
@@ -1575,7 +1574,7 @@ func (l *clusterLoop) jobDone(jobIdx int) {
 		if m == nil {
 			continue
 		}
-		err := l.writeChunked(m.conn, dist.Frame{Kind: dist.KindJobDone, To: m.id, Seq: ctrlSeqDone(jobIdx)})
+		err := m.send(dist.Frame{Kind: dist.KindJobDone, To: m.id, Seq: ctrlSeqDone(jobIdx)})
 		if err != nil {
 			l.memberGone(m, fmt.Errorf("proc: finishing job on worker %d: %w", m.id, err))
 		}
@@ -1673,5 +1672,5 @@ func (l *clusterLoop) handleClose(e evClose) {
 
 // dismiss tells a connected worker the cluster is closing; it exits 0.
 func (l *clusterLoop) dismiss(cs *connState) {
-	_ = l.writeChunked(cs.conn, dist.Frame{Kind: dist.KindShutdown, To: cs.id, Seq: ctrlSeqShutdown})
+	_ = cs.send(dist.Frame{Kind: dist.KindShutdown, To: cs.id, Seq: ctrlSeqShutdown})
 }

@@ -313,16 +313,15 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Error("stale-spec-version conf decoded without error")
 	}
 
-	// A raw-shard group-by job spec, the richest shape: catalog, keys,
-	// and two value columns.
+	// A raw-shard group-by job spec carries the catalog and only the
+	// shape of the rows (they follow as a KindRows stream).
 	specs := []sqlagg.AggSpec{
 		{Kind: sqlagg.AggSum, Levels: 2, Col: 0},
 		{Kind: sqlagg.AggAvg, Levels: 2, Col: 1},
 	}
 	jb, err := encodeJobSpec(jobSpec{
 		jobIdx: 3, incarnation: 2, op: opGroupBy, topo: dist.Binomial, workers: 4,
-		specs: specs, source: srcRaw, keys: []uint32{5, 6, 7},
-		cols: [][]float64{{1.5, -2, math.Inf(1)}, {4, 5, 6}},
+		specs: specs, source: srcRaw, rows: 3, ncols: 2,
 	})
 	if err != nil {
 		t.Fatalf("encodeJobSpec: %v", err)
@@ -331,9 +330,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decodeJobSpec: %v", err)
 	}
-	if j.jobIdx != 3 || j.incarnation != 2 || j.workers != 4 || len(j.specs) != 2 ||
-		len(j.keys) != 3 || j.keys[2] != 7 ||
-		len(j.cols) != 2 || !math.IsInf(j.cols[0][2], 1) || j.cols[1][1] != 5 {
+	if j.jobIdx != 3 || j.incarnation != 2 || j.workers != 4 || len(j.specs) != 2 || j.rows != 3 || j.ncols != 2 {
 		t.Fatalf("job spec round trip mismatch: %+v", j)
 	}
 	if _, err := decodeJobSpec(jb[:len(jb)-3]); err == nil {
@@ -380,25 +377,21 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Error("tpch source on a reduction decoded without error")
 	}
 
-	// A hostile row count must fail validation, not overflow the
-	// rows×width length check into a huge (or panicking) allocation.
+	// A negative row count is rejected with the shape; a hostile
+	// positive one is TestRowSinkRejections' (budget, before allocation).
 	reduceHdr, err := encodeJobSpec(jobSpec{op: opReduce, topo: dist.Binomial, workers: 1,
-		source: srcRaw, cols: [][]float64{{1}}})
+		source: srcRaw, rows: 1, ncols: 1})
 	if err != nil {
 		t.Fatalf("encodeJobSpec(reduce): %v", err)
 	}
-	huge := append([]byte(nil), reduceHdr...)
-	binary.LittleEndian.PutUint64(huge[19:], 1<<61) // the srcRaw row count
-	if _, err := decodeJobSpec(huge); err == nil {
-		t.Error("2^61-row job decoded without error")
-	}
-	binary.LittleEndian.PutUint64(huge[19:], uint64(1<<63)) // negative int64
-	if _, err := decodeJobSpec(huge); err == nil {
+	negative := append([]byte(nil), reduceHdr...)
+	binary.LittleEndian.PutUint64(negative[19:], uint64(1<<63)) // the srcRaw row count
+	if _, err := decodeJobSpec(negative); err == nil {
 		t.Error("negative-row job decoded without error")
 	}
 	// A reduction job must carry exactly one column.
 	if _, err := encodeAndDecode(jobSpec{op: opReduce, topo: dist.Binomial, workers: 1,
-		source: srcRaw, cols: [][]float64{{1}, {2}}}); err == nil {
+		source: srcRaw, rows: 1, ncols: 2}); err == nil {
 		t.Error("two-column reduction job decoded without error")
 	}
 	if _, err := encodeAndDecode(jobSpec{op: opGroupBy, topo: dist.Binomial, workers: 1,

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/dist"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
@@ -19,9 +21,10 @@ import (
 // or edited worker is rejected at admission. Per-job state — the
 // operation, topology, aggregate catalog, and the input source —
 // travels in the KindJob payload (jobSpec), which is what lets one
-// cluster run many jobs. Everything is little-endian
-// and versioned; decoders validate lengths and never over-allocate on
-// a corrupt prefix.
+// cluster run many jobs; a raw source's rows follow it as the KindRows
+// chunks of one rows stream (rowStream → rowSink). Everything is
+// little-endian and versioned; decoders validate lengths and never
+// over-allocate on a corrupt prefix.
 
 // Operations a worker can execute.
 const (
@@ -29,8 +32,8 @@ const (
 	opGroupBy
 )
 
-// Input-source kinds of a job: raw rows shipped in the payload, or a
-// declarative generator spec the worker materializes locally (O(1)
+// Input-source kinds of a job: raw rows streamed after the job spec,
+// or a declarative generator spec the worker materializes locally (O(1)
 // dispatch regardless of data size).
 const (
 	srcRaw byte = 1 + iota
@@ -48,7 +51,10 @@ const (
 // distinct sums, one shared row count, the extrema) instead of one
 // state per spec — same spec blob, different frame bytes for every
 // multi-aggregate job, so a 5 and a 6 must never share a cluster.
-const specVersion = 6
+// Version 7 = KindJob carries only the job's shape for every source
+// kind, and a raw source's rows follow as a KindRows stream; a 6 would
+// look for its rows inside the job payload.
+const specVersion = 7
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -106,25 +112,10 @@ func (c clusterConf) distConfig() dist.Config {
 	}
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
-
-func appendU32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func appendU16(b []byte, v uint16) []byte {
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], v)
-	return append(b, tmp[:]...)
-}
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 
 // encodeConf flattens the cluster config canonically (field order is
 // part of the digest contract).
@@ -267,6 +258,7 @@ func ctrlSeqJob(jobIdx int) uint32    { return ctrlSeqJobBase + uint32(jobIdx)*c
 func ctrlSeqReady(jobIdx int) uint32  { return ctrlSeqJob(jobIdx) + 1 }
 func ctrlSeqResult(jobIdx int) uint32 { return ctrlSeqJob(jobIdx) + 2 }
 func ctrlSeqDone(jobIdx int) uint32   { return ctrlSeqJob(jobIdx) + 3 }
+func ctrlSeqRows(jobIdx int) uint32   { return ctrlSeqJob(jobIdx) + 4 }
 func ctrlSeqPeers(jobIdx, epoch int) uint32 {
 	return ctrlSeqJob(jobIdx) + ctrlSeqPeersOff + uint32(epoch)%(ctrlSeqJobStride-ctrlSeqPeersOff)
 }
@@ -479,8 +471,9 @@ func decodePeers(payload []byte) (jobIdx, epoch int, addrs []string, err error) 
 }
 
 // jobSpec is the decoded KindJob payload: which operation to run, its
-// shape, and where this worker's input comes from — either raw rows in
-// the payload (srcRaw) or a declarative source the worker materializes
+// shape, and where this worker's input comes from — either raw rows
+// that follow on the same connection as a KindRows stream (srcRaw: only
+// their shape is here) or a declarative source the worker materializes
 // locally and slices round-robin by its node id (srcSynth, srcTPCHQ1).
 type jobSpec struct {
 	jobIdx      int
@@ -491,13 +484,13 @@ type jobSpec struct {
 	specs       []sqlagg.AggSpec // groupby only
 
 	source byte
-	// srcRaw: this worker's rows.
-	keys []uint32
-	cols [][]float64
+	// srcRaw: this worker's row count; srcTPCHQ1: the lineitem row count.
+	rows int
+	// srcRaw: value columns per row.
+	ncols int
 	// srcSynth: the dataset generator.
 	synth workload.Spec
-	// srcTPCHQ1: lineitem row count and seed.
-	rows int
+	// srcTPCHQ1: the generator seed.
 	seed uint64
 }
 
@@ -506,8 +499,8 @@ type jobSpec struct {
 //	4B job index, 4B incarnation, 1B op, 1B topology, 8B workers,
 //	[groupby: aggregate catalog (sqlagg.EncodeSpecs, self-delimiting)],
 //	1B source kind, then the source body:
-//	  srcRaw:    8B rows, 2B ncols, keys (4B each, groupby only),
-//	             columns (8B each, column-major)
+//	  srcRaw:    8B rows, 2B ncols (the rows themselves follow as
+//	             KindRows chunks, see rowStream)
 //	  srcSynth:  workload spec encoding (to end of payload)
 //	  srcTPCHQ1: 8B rows, 8B seed
 func encodeJobSpec(j jobSpec) ([]byte, error) {
@@ -525,22 +518,8 @@ func encodeJobSpec(j jobSpec) ([]byte, error) {
 	b = append(b, j.source)
 	switch j.source {
 	case srcRaw:
-		rows := 0
-		if len(j.cols) > 0 {
-			rows = len(j.cols[0])
-		}
-		b = appendI64(b, int64(rows))
-		b = appendU16(b, uint16(len(j.cols)))
-		if j.op == opGroupBy {
-			for _, k := range j.keys {
-				b = appendU32(b, k)
-			}
-		}
-		for _, col := range j.cols {
-			for _, v := range col {
-				b = appendU64(b, math.Float64bits(v))
-			}
-		}
+		b = appendI64(b, int64(j.rows))
+		b = appendU16(b, uint16(j.ncols))
 	case srcSynth:
 		var err error
 		if b, err = j.synth.AppendBinary(b); err != nil {
@@ -592,11 +571,14 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 	payload = payload[1:]
 	switch j.source {
 	case srcRaw:
-		keys, cols, err := decodeRawRows(j.op, payload)
-		if err != nil {
-			return j, err
+		if len(payload) != 10 {
+			return j, fmt.Errorf("proc: raw source body is %d bytes, want 10", len(payload))
 		}
-		j.keys, j.cols = keys, cols
+		rows := int64(binary.LittleEndian.Uint64(payload))
+		j.rows, j.ncols = int(rows), int(binary.LittleEndian.Uint16(payload[8:]))
+		if rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || j.op == opReduce && j.ncols != 1 {
+			return j, fmt.Errorf("%w: job declares %d rows × %d columns", dist.ErrBadFrame, rows, j.ncols)
+		}
 	case srcSynth:
 		spec, err := workload.DecodeSpec(payload)
 		if err != nil {
@@ -627,49 +609,183 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 	return j, nil
 }
 
-// decodeRawRows decodes a srcRaw source body: [8B row count]
-// [2B column count] keys (groupby) then column-major values, with
-// overflow-safe validation against hostile counts.
-func decodeRawRows(op byte, payload []byte) (keys []uint32, cols [][]float64, err error) {
-	if len(payload) < 10 {
-		return nil, nil, fmt.Errorf("proc: truncated job row header")
+// The rows stream of a raw-source job: node id's rows — shards id,
+// id+n, id+2n, … of the caller's RowShards/ValueShards, the keys first
+// (group-by only), then each value column — as KindRows frames numbered
+// by Frame.Chunk/Chunks within one (job, incarnation) stream. Each
+// payload is self-contained:
+//
+//	offset  size  field
+//	0       4     job index
+//	4       4     incarnation
+//	8       2     segment: 0 = keys, c+1 = value column c
+//	10      8     row offset of the first element within the node's rows
+//	18      4     element count (>= 1)
+//	22      …     count × 4B keys, or count × 8B float64 bits
+//
+// rowStream encodes from the caller's shards in place and rowSink
+// decodes into the arrays the job aggregates: one copy per side.
+const rowChunkHdr = 22
+
+// rowChunkBytes bounds the elements of one chunk: a quarter of the
+// cache the planner models per thread, so a chunk is encoded,
+// checksummed and written (or read, checksummed and decoded) while it
+// sits in L2, and a pong waits behind at most one. BenchmarkDispatch
+// sweeps it.
+const rowChunkBytes = agg.CacheBytesPerThread / 4
+
+// rowStream encodes one node's rows of a raw source chunk by chunk.
+type rowStream struct {
+	src            *Source
+	n, id, ncols   int
+	jobIdx, inc    int
+	rows           int // this node's row count
+	seg            int // next chunk's segment; > ncols once the rows are out
+	shard, at, off int // its first element: row at of shard shard, row off of the node
+}
+
+func newRowStream(src *Source, ncols, n, id, jobIdx, inc int) *rowStream {
+	st := &rowStream{src: src, n: n, id: id, ncols: ncols, jobIdx: jobIdx, inc: inc, shard: id}
+	for i := id; i < len(src.cols); i += n {
+		st.rows += st.shardRows(i)
 	}
-	rows := int(int64(binary.LittleEndian.Uint64(payload)))
-	ncols := int(binary.LittleEndian.Uint16(payload[8:]))
-	payload = payload[10:]
-	if ncols < 1 || ncols > maxJobCols {
-		return nil, nil, fmt.Errorf("proc: job declares %d columns", ncols)
+	if src.keys == nil {
+		st.seg = 1
 	}
-	if op == opReduce && ncols != 1 {
-		return nil, nil, fmt.Errorf("proc: reduction job declares %d columns, want 1", ncols)
+	return st
+}
+
+func (st *rowStream) shardRows(i int) int {
+	if st.src.keys != nil {
+		return len(st.src.keys[i])
 	}
-	// Bound the declared count by the bytes actually present before any
-	// multiplication or allocation: a hostile 2^61-row count must fail
-	// this check, not overflow `rows × width` into a passing comparison
-	// and panic in make(). ncols is already capped, so rows × width
-	// cannot overflow either.
-	width := 8 * ncols
-	if op == opGroupBy {
-		width += 4
+	return len(st.src.cols[i][0])
+}
+
+// size is the chunk count and the payload bytes of the whole stream
+// when cut at maxBytes.
+func (st *rowStream) size(maxBytes int) (chunks uint32, bytes int) {
+	per := func(elem int) int { return (st.rows*elem + maxBytes - 1) / maxBytes }
+	n, width := st.ncols*per(8), 8*st.ncols
+	if st.src.keys != nil {
+		n, width = n+per(4), width+4
 	}
-	if rows < 0 || rows > len(payload)/width || len(payload) != rows*width {
-		return nil, nil, fmt.Errorf("proc: job declares %d rows × %d columns but carries %d payload bytes", rows, ncols, len(payload))
+	return uint32(n), n*rowChunkHdr + st.rows*width
+}
+
+// next appends the stream's next chunk payload, of at most maxBytes (a
+// multiple of 8) of elements, to dst; ok is false once every row has
+// been produced.
+func (st *rowStream) next(dst []byte, maxBytes int) (_ []byte, ok bool) {
+	if st.seg > st.ncols || st.rows == 0 {
+		return dst, false
 	}
-	if op == opGroupBy {
-		keys = make([]uint32, rows)
-		for i := range keys {
-			keys[i] = binary.LittleEndian.Uint32(payload[i*4:])
+	elem := 8
+	if st.seg == 0 {
+		elem = 4
+	}
+	count := min(st.rows-st.off, maxBytes/elem)
+	dst = appendU32(appendU32(dst, uint32(st.jobIdx)), uint32(st.inc))
+	dst = appendU64(appendU16(dst, uint16(st.seg)), uint64(st.off))
+	dst = slices.Grow(appendU32(dst, uint32(count)), count*elem)
+	for need := count; need > 0; {
+		take := min(need, st.shardRows(st.shard)-st.at)
+		if st.seg == 0 {
+			for _, k := range st.src.keys[st.shard][st.at : st.at+take] {
+				dst = appendU32(dst, k)
+			}
+		} else if take > 0 { // an empty shard may omit its columns
+			for _, v := range st.src.cols[st.shard][st.seg-1][st.at : st.at+take] {
+				dst = appendU64(dst, math.Float64bits(v))
+			}
 		}
-		payload = payload[rows*4:]
+		need -= take
+		if st.at += take; st.at == st.shardRows(st.shard) {
+			st.shard, st.at = st.shard+st.n, 0
+		}
 	}
-	flat := make([]float64, ncols*rows)
-	cols = make([][]float64, ncols)
-	for c := range cols {
-		col := flat[c*rows : (c+1)*rows : (c+1)*rows]
+	if st.off += count; st.off == st.rows {
+		st.seg, st.shard, st.at, st.off = st.seg+1, st.id, 0, 0
+	}
+	return dst, true
+}
+
+// rowSink is the worker side of a rows stream: the job's input arrays,
+// allocated once from the shape KindJob declared and filled in place,
+// strictly in stream order.
+type rowSink struct {
+	jobIdx, inc, rows int
+	keys              []uint32 // nil for a reduction
+	cols              [][]float64
+	seg, off          int // the next chunk must start here; seg > len(cols) when complete
+}
+
+// newRowSink sizes the input arrays of a srcRaw job. The shape crossed
+// a trust boundary: rows × row width is charged against budget (the
+// connection's) before anything is allocated, so a hostile 2^61-row
+// header is a typed ErrChunkBudget, not an allocation.
+func newRowSink(js jobSpec, budget int) (*rowSink, error) {
+	s := &rowSink{jobIdx: js.jobIdx, inc: js.incarnation, rows: js.rows, seg: 1}
+	width := 8 * js.ncols
+	if js.op == opGroupBy {
+		width, s.seg = width+4, 0
+	}
+	if js.rows > budget/width {
+		return nil, fmt.Errorf("%w: job declares %d rows of %d bytes against a %d-byte budget",
+			dist.ErrChunkBudget, js.rows, width, budget)
+	}
+	if js.op == opGroupBy {
+		s.keys = make([]uint32, js.rows)
+	}
+	flat := make([]float64, js.ncols*js.rows)
+	for c := 0; c < js.ncols; c++ {
+		s.cols = append(s.cols, flat[c*js.rows:(c+1)*js.rows:(c+1)*js.rows])
+	}
+	return s, nil
+}
+
+func (s *rowSink) complete() bool { return s.rows == 0 || s.seg > len(s.cols) }
+
+// accept copies one KindRows chunk into place. A chunk of another
+// (job, incarnation) is a straggler of a stream this connection has
+// moved on from and is ignored; anything else that is not exactly the
+// next run of this stream — a gap, a repeat, an overrun, a chunk past
+// the end, a last chunk that leaves rows missing — is an ErrBadFrame.
+func (s *rowSink) accept(f dist.Frame) error {
+	p := f.Payload
+	if len(p) < rowChunkHdr {
+		return fmt.Errorf("%w: %d-byte row chunk", dist.ErrBadFrame, len(p))
+	}
+	if binary.LittleEndian.Uint32(p) != uint32(s.jobIdx) || binary.LittleEndian.Uint32(p[4:]) != uint32(s.inc) {
+		return nil
+	}
+	seg, off := int(binary.LittleEndian.Uint16(p[8:])), binary.LittleEndian.Uint64(p[10:])
+	count, data := uint64(binary.LittleEndian.Uint32(p[18:])), p[rowChunkHdr:]
+	elem := 8
+	if seg == 0 {
+		elem = 4
+	}
+	if s.complete() || seg != s.seg || off != uint64(s.off) ||
+		count < 1 || count > uint64(s.rows-s.off) || uint64(len(data)) != count*uint64(elem) {
+		return fmt.Errorf("%w: row chunk %d (segment %d, row %d, %d elements in %d bytes) does not continue the stream at segment %d row %d of %d",
+			dist.ErrBadFrame, f.Chunk, seg, off, count, len(data), s.seg, s.off, s.rows)
+	}
+	if seg == 0 {
+		for i := range s.keys[s.off : s.off+int(count)] {
+			s.keys[s.off+i], data = binary.LittleEndian.Uint32(data), data[4:]
+		}
+	} else {
+		col := s.cols[seg-1][s.off : s.off+int(count)]
 		for i := range col {
-			col[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[(c*rows+i)*8:]))
+			col[i], data = math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:]
 		}
-		cols[c] = col
 	}
-	return keys, cols, nil
+	if s.off += int(count); s.off == s.rows {
+		s.seg, s.off = s.seg+1, 0
+	}
+	if last := f.Chunk == f.Chunks-1; last != s.complete() {
+		return fmt.Errorf("%w: rows stream's chunk %d of %d ends at segment %d row %d of %d",
+			dist.ErrBadFrame, f.Chunk, f.Chunks, s.seg, s.off, s.rows)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,12 +32,15 @@ import (
 //     node slot in KindConf, and the full digested hello back on the
 //     same connection,
 //  2. waits for KindJob: the operation, its shape, and this node's
-//     input — raw rows, or a declarative source the worker
-//     materializes locally and slices by its node id,
+//     input — a declarative source the worker materializes locally and
+//     slices by its node id, or the count and width of raw rows, which
+//     it charges against the connection's budget, allocates once, and
+//     fills in place from the KindRows chunks that follow (rowSink),
 //  3. binds a fresh data-plane listener per job, announces it with
-//     KindReady, and on KindPeers runs its node's role of the
-//     aggregation protocol over real sockets — the root also ships the
-//     finalized result back as KindResult,
+//     KindReady at once (the peer-table round trip overlaps the rows
+//     stream), and when KindPeers and the last row are both in runs its
+//     node's role of the aggregation protocol over real sockets — the
+//     root also ships the finalized result back as KindResult,
 //  4. on a later KindPeers epoch re-points its peer table at a
 //     replacement's fresh listener (the reconnect-safe transport
 //     re-dials; per-chunk resends recover anything in flight),
@@ -219,42 +223,66 @@ func helloFields(raw []byte) (version, levels byte, digest uint64) {
 	return version, levels, digest
 }
 
-// ctlConn is one control connection. The worker's main loop owns the
-// read side; sends are serialized, because the main loop, the heartbeat
-// ticker, and a job's protocol goroutine all write.
+// ctlConn is one control connection, at either end. One goroutine owns
+// the read side; sends are serialized per message, because several
+// write (a worker's main loop, heartbeat ticker and protocol goroutine;
+// the supervisor's loop and row shippers). The write deadline is
+// re-armed for every frame: a peer is gone after writeTimeout without
+// progress, not for being slow over a large message.
 type ctlConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	asm  *dist.Reassembler
+	rbuf []byte // every frame is read into it; see read
 
-	mu       sync.Mutex
-	bw       *bufio.Writer
-	maxChunk int // 0 (the codec default) until KindConf sets the agreed size
+	mu           sync.Mutex
+	maxChunk     int // 0 (the codec default) until KindConf sets the agreed size
+	writeTimeout time.Duration
 }
 
+func newCtlConn(conn net.Conn, maxChunk int) *ctlConn {
+	return &ctlConn{
+		conn: conn, br: bufio.NewReaderSize(conn, sockBufSize), asm: dist.NewReassembler(ctlBudget),
+		maxChunk: maxChunk, writeTimeout: ctlWriteTimeout,
+	}
+}
+
+// send ships one control message, chunked like any other large message
+// (a KindRows frame already is one chunk of its stream).
 func (c *ctlConn) send(f dist.Frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ch := range dist.SplitFrame(f, c.maxChunk) {
-		if err := dist.WriteFrame(c.bw, ch); err != nil {
+	chunks := []dist.Frame{f}
+	if f.Kind != dist.KindRows {
+		chunks = dist.SplitFrame(f, c.maxChunk)
+	}
+	for _, ch := range chunks {
+		c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		if err := dist.WriteFrame(c.conn, ch); err != nil {
 			return err
 		}
 	}
-	return c.bw.Flush()
+	return nil
 }
 
-// read returns the next complete (reassembled) control message.
+// read returns the next control message. Two kinds go around the
+// reassembler, which swallows every frame after the first on a
+// completed (from, seq) stream: pings and their echoes reuse one stream
+// forever (and are single frames), and the chunks of a rows stream are
+// ordered and budgeted by their rowSink. A KindRows payload aliases the
+// read buffer until the next read; every other is copied out of it.
 func (c *ctlConn) read() (dist.Frame, error) {
 	for {
-		f, err := dist.ReadFrame(c.br)
+		f, buf, err := dist.ReadFrameBuf(c.br, c.rbuf)
+		c.rbuf = buf
 		if err != nil {
 			return dist.Frame{}, err
 		}
+		if f.Kind == dist.KindRows {
+			return f, nil
+		}
+		f.Payload = bytes.Clone(f.Payload)
 		if f.Kind == dist.KindPing {
-			// Pong echoes reuse one (from, seq) stream forever; the
-			// reassembler would swallow every echo after the first as a
-			// completed-stream duplicate. They are single-frame by
-			// construction (mirrors the supervisor's readConn bypass).
 			return f, nil
 		}
 		msg, complete, _, aerr := c.asm.Accept(f)
@@ -267,12 +295,16 @@ func (c *ctlConn) read() (dist.Frame, error) {
 	}
 }
 
-// Control-connection tuning. Dial attempts back off exponentially from
+// Control-connection tuning. ctlBudget bounds the partial messages, and
+// again the streamed-in rows, one connection can make its reader hold.
+// Dial attempts back off exponentially from
 // backoffBase to backoffCap with ±25% jitter; a detached worker keeps
 // redialing for at most reattachWindow before giving up.
 const (
-	sockBufSize = 64 << 10
-	dialTimeout = 5 * time.Second
+	sockBufSize     = 64 << 10
+	ctlBudget       = dist.DefaultReassemblyBudget
+	ctlWriteTimeout = 30 * time.Second
+	dialTimeout     = 5 * time.Second
 
 	backoffBase    = 100 * time.Millisecond
 	backoffCap     = 2 * time.Second
@@ -376,10 +408,7 @@ func runJoiner(control, advertise string, window time.Duration) error {
 // completes the admission. A nil ctlConn with a nil error means the
 // cluster shut down while the worker was parked.
 func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
-	c := &ctlConn{
-		conn: cc, br: bufio.NewReaderSize(cc, sockBufSize), asm: dist.NewReassembler(0),
-		bw: bufio.NewWriterSize(cc, sockBufSize), maxChunk: s.conf.MaxChunkPayload,
-	}
+	c := newCtlConn(cc, s.conf.MaxChunkPayload)
 	version, levels, digest := helloFields(s.raw)
 	h := hello{version: version, levels: levels, specver: specVersion, flags: helloJoin}
 	if s.id >= 0 {
@@ -430,12 +459,15 @@ func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
 	}
 }
 
-// workerJob is one job's worker-side state.
+// workerJob is one job's worker-side state. Its protocol goroutine
+// starts once the peers are known and a raw source's sink is complete.
 type workerJob struct {
 	spec    jobSpec
+	sink    *rowSink // srcRaw: fills keys and cols from the rows stream
 	keys    []uint32
 	cols    [][]float64
 	ep      *dist.Endpoint // this node's data plane, bound per job
+	peers   []string       // the latest KindPeers table, nil until the first
 	started bool
 	done    chan struct{} // closed when the protocol goroutine finishes
 }
@@ -492,6 +524,11 @@ func (s *workerSession) serve(c *ctlConn) error {
 			cur.stop()
 		}
 	}()
+	tryStart := func() {
+		if !cur.started && cur.peers != nil && (cur.sink == nil || cur.sink.complete()) {
+			startJob(cur, c, id, conf, cur.peers)
+		}
+	}
 	for {
 		msg, err := c.read()
 		if err != nil {
@@ -546,13 +583,25 @@ func (s *workerSession) serve(c *ctlConn) error {
 			if err != nil {
 				return fmt.Errorf("%w: %v", errCtlLost, err)
 			}
+		case dist.KindRows:
+			if cur == nil || cur.sink == nil {
+				continue // straggler of a job this worker is done with
+			}
+			if err := cur.sink.accept(msg); err != nil {
+				reportErr(c, id, cur.spec.jobIdx, err)
+				cur.stop()
+				cur = nil
+				continue
+			}
+			tryStart()
 		case dist.KindPeers:
 			jobIdx, _, addrs, err := decodePeers(msg.Payload)
 			if err != nil || cur == nil || jobIdx != cur.spec.jobIdx || len(addrs) != conf.N {
 				continue
 			}
 			if !cur.started {
-				startJob(cur, c, id, conf, addrs)
+				cur.peers = addrs
+				tryStart()
 				continue
 			}
 			// A later epoch: a replacement took over a slot; re-point
@@ -574,8 +623,9 @@ func reportErr(c *ctlConn, id, jobIdx int, err error) {
 	})
 }
 
-// prepareJob materializes the job's input for this node and binds the
-// job's data-plane endpoint on the control connection's local
+// prepareJob materializes the job's input for this node (for a raw
+// source: the arrays its rows stream fills) and binds the job's
+// data-plane endpoint on the control connection's local
 // interface (loopback for a local cluster, the routable interface the
 // worker joined over for a remote one). It returns the address to
 // announce to the peer table: the bound address by default, rewritten
@@ -585,7 +635,11 @@ func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise str
 	job := &workerJob{spec: js, done: make(chan struct{})}
 	switch js.source {
 	case srcRaw:
-		job.keys, job.cols = js.keys, js.cols
+		sink, err := newRowSink(js, ctlBudget)
+		if err != nil {
+			return nil, "", err
+		}
+		job.sink, job.keys, job.cols = sink, sink.keys, sink.cols
 	case srcSynth:
 		keys, cols, err := js.synth.Materialize()
 		if err != nil {

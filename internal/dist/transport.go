@@ -52,8 +52,8 @@ const (
 	// mismatch is rejected with a KindError carrying ErrHandshake.
 	KindHello
 	// KindJob carries the job spec (operation, aggregate catalog, and
-	// a declarative input source or raw shard) from the supervisor to
-	// a joined worker.
+	// a declarative input source or the shape of the raw rows that
+	// follow as KindRows) from the supervisor to a joined worker.
 	KindJob
 	// KindResult carries the root worker's finalized result back to
 	// the supervisor.
@@ -65,9 +65,10 @@ const (
 	// assigned node id and the raw cluster config; the joiner digests
 	// the bytes into a second, full hello.
 	KindConf
-	// KindReady is a worker's per-job acknowledgment: it has
-	// materialized its input and bound a fresh data-plane listener,
-	// whose address rides in the payload.
+	// KindReady is a worker's per-job acknowledgment: it has accepted
+	// the job (materialized a declarative input, or sized the arrays a
+	// raw one's KindRows stream will fill) and bound a fresh data-plane
+	// listener, whose address rides in the payload.
 	KindReady
 	// KindPeers broadcasts the per-job data-plane address table; a
 	// re-broadcast (higher epoch) re-points peers at a replacement
@@ -78,8 +79,12 @@ const (
 	KindJobDone
 	// KindPing is the worker → supervisor liveness heartbeat.
 	KindPing
+	// KindRows carries one self-contained chunk of a raw-row job's input
+	// (a run of keys or of one column) from the supervisor to a worker,
+	// which copies it into place instead of reassembling a message.
+	KindRows
 
-	kindMax = KindPing
+	kindMax = KindRows
 )
 
 // Frame is one wire message of the interconnect: a typed payload

@@ -166,18 +166,62 @@ type Tuple struct {
 // NewTuple returns an empty tuple with bsz-value summation buffers
 // (0: none, rows go straight into the sums).
 func (p *TuplePlan) NewTuple(bsz int) Tuple {
-	t := Tuple{sums: make([]rsum.State64, len(p.sums))}
+	s := TupleSlab{plan: p, bsz: bsz, per: 1}
+	return s.NewTuple()
+}
+
+// slabBytes caps one slab of a TupleSlab, so a table whose hint
+// overshoots its groups over-allocates by at most about this much.
+const slabBytes = 1 << 20
+
+// TupleSlab allocates the tuples of one aggregation table. A tuple's
+// sums (pointer-free), extrema and summation buffers are carved from
+// arrays shared by a slab of tuples instead of made per group, so a
+// table costs O(slabs) allocations and the collector traces a handful
+// of objects where it traced one or more per group.
+type TupleSlab struct {
+	plan     *TuplePlan
+	bsz, per int // summation buffer length; tuples per slab
+	sums     []rsum.State64
+	exts     []minmaxState
+	buf      []float64
+}
+
+// NewSlab returns the allocator for a table expected to hold about
+// hint tuples with bsz-value summation buffers: slabs hold hint tuples,
+// capped at slabBytes, so a four-group table allocates four tuples'
+// worth and a 2^16-group one a few dozen slabs.
+func (p *TuplePlan) NewSlab(bsz, hint int) *TupleSlab {
+	tuple := len(p.sums)*(int(unsafe.Sizeof(rsum.State64{}))+8*bsz) + len(p.exts)*int(unsafe.Sizeof(minmaxState{}))
+	return &TupleSlab{plan: p, bsz: bsz, per: max(1, min(hint, slabBytes/max(tuple, 1)))}
+}
+
+// NewTuple returns an empty tuple carved from the slab.
+func (s *TupleSlab) NewTuple() Tuple {
+	p := s.plan
+	ns, ne := len(p.sums), len(p.exts)
+	if len(s.sums) < ns {
+		s.sums = make([]rsum.State64, ns*s.per)
+	}
+	t := Tuple{sums: s.sums[:ns:ns]}
+	s.sums = s.sums[ns:]
 	for i, c := range p.sums {
 		t.sums[i].Reset(c.levels)
 	}
-	if len(p.exts) > 0 {
-		t.exts = make([]minmaxState, len(p.exts))
+	if ne > 0 {
+		if len(s.exts) < ne {
+			s.exts = make([]minmaxState, ne*s.per)
+		}
+		t.exts, s.exts = s.exts[:ne:ne], s.exts[ne:]
 		for i, c := range p.exts {
 			t.exts[i].isMax = c.isMax
 		}
 	}
-	if bsz > 0 && len(p.sums) > 0 {
-		t.bsz, t.buf = bsz, make([]float64, bsz*len(p.sums))
+	if nb := s.bsz * ns; nb > 0 {
+		if len(s.buf) < nb {
+			s.buf = make([]float64, nb*s.per)
+		}
+		t.bsz, t.buf, s.buf = s.bsz, s.buf[:nb:nb], s.buf[nb:]
 	}
 	return t
 }
