@@ -1,7 +1,9 @@
 // Benchmarks: one testing.B benchmark (family) per table and figure of
-// the paper's evaluation. These are the unit-sized counterparts of the
-// full sweeps in cmd/reprobench; benchmark/README.md maps each layer to
-// the paper figure it reproduces.
+// the paper's evaluation — the per-figure reproducer. Each family runs
+// one representative point per series; the at-scale GROUP BY crossover
+// curve is BenchmarkGroupByCrossover (internal/agg) plus the groupby_*
+// workloads of benchmark/, whose README maps each layer to the paper
+// figure it reproduces.
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -83,7 +85,8 @@ func BenchmarkFig4(b *testing.B) {
 
 // BenchmarkTab2 — Table II companion: throughput of the summation
 // routines whose accuracy the table reports (accuracy itself is checked
-// in the test suite and printed by `reprobench tab2`).
+// in the test suite: internal/rsum and internal/sqlagg differential
+// tests against internal/exact).
 func BenchmarkTab2(b *testing.B) {
 	xs := workload.Values64(3, benchN, workload.Exp1)
 	b.Run("conventional", func(b *testing.B) {
@@ -206,7 +209,8 @@ func BenchmarkFig9(b *testing.B) {
 }
 
 // BenchmarkFig10 — Figure 10: buffered vs unbuffered repro vs float at a
-// medium group count (the full sweep is `reprobench fig10`).
+// medium group count (the full sweep over group counts is
+// BenchmarkGroupByCrossover in internal/agg).
 func BenchmarkFig10(b *testing.B) {
 	const g = 4096
 	keys := workload.Keys(11, benchN, g)
@@ -228,8 +232,7 @@ func BenchmarkFig10(b *testing.B) {
 }
 
 // BenchmarkTab3 — Table III companion: the buffered slowdown at one
-// representative point per scalar type (geomean over the sweep is
-// `reprobench tab3`).
+// representative point per scalar type and level count.
 func BenchmarkTab3(b *testing.B) {
 	const g = 1024
 	keys := workload.Keys(13, benchN, g)
@@ -314,9 +317,11 @@ func BenchmarkPageRank(b *testing.B) {
 	})
 }
 
-// BenchmarkAblations — design-choice ablations called out in DESIGN.md:
-// identity vs multiplicative hashing, eager vs tiled propagation, lane
-// kernel vs scalar kernel, sort baseline.
+// BenchmarkAblations — design-choice ablations: identity vs
+// multiplicative hashing, eager vs tiled carry propagation, and
+// compensated (Neumaier) summation as the non-reproducible accuracy
+// reference. The sort-first baseline of Table IV is engine.SumSorted in
+// BenchmarkTab4.
 func BenchmarkAblations(b *testing.B) {
 	keys := workload.Keys(23, benchN, 4096)
 	f64 := workload.Values64(24, benchN, workload.Uniform12)
@@ -351,12 +356,6 @@ func BenchmarkAblations(b *testing.B) {
 	b.Run("neumaier", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink += exact.Neumaier64(f64)
-		}
-	})
-	b.Run("sort_aggregation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			entries := agg.SortAggregate64(keys, f64)
-			benchSink += float64(len(entries))
 		}
 	})
 }

@@ -80,8 +80,8 @@ func SyntheticSource(spec SyntheticSpec) Source { return proc.SyntheticSource(sp
 
 // TPCHQ1Source is a declarative TPC-H input: each worker generates the
 // seeded lineitem table, evaluates Q1's scan side, and keeps its slice.
-// Pair it with Q1 aggregate specs (tpch.Q1Specs via cmd/reprobench, or
-// your own catalog over the six Q1 columns).
+// Pair it with a catalog over the six Q1 columns (internal/tpch.Q1Specs
+// is the query's own: 4×SUM, 3×AVG, COUNT).
 func TPCHQ1Source(rows int, seed uint64) Source { return proc.TPCHQ1Source(rows, seed) }
 
 // SyntheticSpec describes a deterministic synthetic dataset: row

@@ -7,8 +7,8 @@
 //	reproworker -join 10.0.0.5:43117
 //
 // That is the line a supervisor — the repro facade's
-// WithProcessCluster option, repro.NewCluster, or the `reprobench dist
-// -procs` sweep — starts its own workers with, and the line an
+// WithProcessCluster option or repro.NewCluster — starts its own
+// workers with, and the line an
 // operator types to add capacity from another shell or another
 // machine; the cluster cannot tell the two apart. The worker dials the
 // address and introduces itself with a join hello carrying its frame

@@ -1,8 +1,9 @@
 // Package agg implements the paper's aggregation operators:
 // PARTITIONANDAGGREGATE (Algorithm 4) with and without summation
-// buffers, plain HASHAGGREGATION, the SORTAGGREGATION baseline, and the
-// tuning model for buffer size (Eq. 4) and partitioning depth
-// (Section V-C). The operators are generic over the aggregate payload,
+// buffers, and the tuning model for buffer size (Eq. 4) and
+// partitioning depth (Section V-C). Plain HASHAGGREGATION is
+// hashagg.Aggregate; the sort-first baseline of Table IV is
+// engine.SumSorted. The operators are generic over the aggregate payload,
 // so every data type of the evaluation — built-in floats, DECIMAL(p),
 // repro<ScalarT,L>, and buffered repro — runs through identical code.
 package agg
@@ -27,18 +28,6 @@ func (f *F64) MergeFrom(o *F64) { *f += *o }
 // Value returns the aggregate.
 func (f *F64) Value() float64 { return float64(*f) }
 
-// F32 is the built-in float accumulator (non-reproducible baseline).
-type F32 float32
-
-// Add folds one value in.
-func (f *F32) Add(v float32) { *f += F32(v) }
-
-// MergeFrom combines per-thread aggregates.
-func (f *F32) MergeFrom(o *F32) { *f += *o }
-
-// Value returns the aggregate.
-func (f *F32) Value() float32 { return float32(*f) }
-
 // U32 is the uint32 accumulator (the uint32_t reference of Figure 4).
 // Addition wraps, which keeps it associative and reproducible.
 type U32 uint32
@@ -48,17 +37,6 @@ func (u *U32) Add(v uint32) { *u += U32(v) }
 
 // MergeFrom combines per-thread aggregates.
 func (u *U32) MergeFrom(o *U32) { *u += *o }
-
-// D9 is the DECIMAL(9) accumulator: a 32-bit integer with wrapping
-// addition (reproducible; overflow is the application's concern, as in
-// the paper's "typical" implementation).
-type D9 decimal.Dec9
-
-// Add folds one value in.
-func (d *D9) Add(v int32) { *d += D9(v) }
-
-// MergeFrom combines per-thread aggregates.
-func (d *D9) MergeFrom(o *D9) { *d += *o }
 
 // D18 is the DECIMAL(18) accumulator: a 64-bit integer.
 type D18 decimal.Dec18
@@ -90,17 +68,9 @@ var (
 		MergeFrom(*F64)
 	} = (*F64)(nil)
 	_ interface {
-		Add(float32)
-		MergeFrom(*F32)
-	} = (*F32)(nil)
-	_ interface {
 		Add(uint32)
 		MergeFrom(*U32)
 	} = (*U32)(nil)
-	_ interface {
-		Add(int32)
-		MergeFrom(*D9)
-	} = (*D9)(nil)
 	_ interface {
 		Add(int64)
 		MergeFrom(*D18)

@@ -51,17 +51,6 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// HashAggregate runs plain HASHAGGREGATION (single thread, no
-// partitioning) — the operator of Figure 4.
-func HashAggregate[V any, A any, PA interface {
-	*A
-	hashagg.Adder[V]
-}](keys []uint32, vals []V, newA func() A, hint int, hash hashagg.Hash) []Entry[A] {
-	t := hashagg.New[A](hint, hash, newA)
-	hashagg.Aggregate[V, A, PA](t, keys, vals)
-	return collect(t)
-}
-
 // PartitionAndAggregate is Algorithm 4: the input is radix-partitioned
 // on the (identity) hash of the key with fan-out Fanout^Depth, every
 // partition is aggregated into a private hash table, and per-thread

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/hashagg"
 	"repro/internal/workload"
 )
 
@@ -20,24 +19,6 @@ func refGroupSums(keys []uint32, vals []float64) map[uint32]*[]float64 {
 		*ref[k] = append(*ref[k], vals[i])
 	}
 	return ref
-}
-
-func TestHashAggregateFloat(t *testing.T) {
-	keys := workload.Keys(1, 10000, 16)
-	vals := workload.Values64(2, 10000, workload.Uniform12)
-	entries := HashAggregate[float64, F64](keys, vals, func() F64 { return 0 }, 16, hashagg.Identity)
-	if len(entries) != 16 {
-		t.Fatalf("groups = %d", len(entries))
-	}
-	ref := make(map[uint32]float64)
-	for i, k := range keys {
-		ref[k] += vals[i]
-	}
-	for _, e := range entries {
-		if float64(e.Agg) != ref[e.Key] {
-			t.Errorf("group %d: %v != %v", e.Key, e.Agg, ref[e.Key])
-		}
-	}
 }
 
 func TestPartitionAndAggregateAllDepths(t *testing.T) {
@@ -169,63 +150,6 @@ func TestFloatNotReproducible(t *testing.T) {
 	}
 	if !diff {
 		t.Skip("float sum happened to be permutation-stable on this input")
-	}
-}
-
-func TestSortAggregate(t *testing.T) {
-	keys := workload.Keys(11, 20000, 64)
-	vals := workload.Values64(12, 20000, workload.MixedMag)
-	entries := SortAggregate64(keys, vals)
-	SortByKey(entries)
-	ref := refGroupSums(keys, vals)
-	if len(entries) != len(ref) {
-		t.Fatalf("groups = %d want %d", len(entries), len(ref))
-	}
-	for i := range entries {
-		e := &entries[i]
-		want := exact.SumFloat64(*ref[e.Key])
-		if math.Abs(float64(e.Agg)-want) > 1e-9*math.Abs(want)+1e-12 {
-			t.Errorf("group %d: %v vs %v", e.Key, e.Agg, want)
-		}
-	}
-	// Reproducible across permutations (its raison d'être).
-	pk := append([]uint32(nil), keys...)
-	pv := append([]float64(nil), vals...)
-	workload.ShufflePairs(13, pk, pv)
-	entries2 := SortAggregate64(pk, pv)
-	SortByKey(entries2)
-	for i := range entries {
-		if math.Float64bits(float64(entries[i].Agg)) != math.Float64bits(float64(entries2[i].Agg)) {
-			t.Fatalf("sort aggregation not permutation-stable at group %d", entries[i].Key)
-		}
-	}
-}
-
-func TestSortAggregateEdge(t *testing.T) {
-	if SortAggregate64(nil, nil) != nil {
-		t.Error("empty input should return nil")
-	}
-	e := SortAggregate64([]uint32{5}, []float64{2.5})
-	if len(e) != 1 || e[0].Key != 5 || e[0].Agg != 2.5 {
-		t.Errorf("single row: %+v", e)
-	}
-	// Negative values and signed zeros survive the bit transform.
-	e = SortAggregate64([]uint32{1, 1, 1}, []float64{-1.5, 0, 1.5})
-	if len(e) != 1 || e[0].Agg != 0 {
-		t.Errorf("mixed signs: %+v", e)
-	}
-}
-
-func TestOrderedBitsRoundtrip(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), 1.5, -1.5, math.MaxFloat64, -math.MaxFloat64, 0x1p-1074}
-	for _, v := range vals {
-		if got := fromOrderedBits(orderedBits(v)); math.Float64bits(got) != math.Float64bits(v) {
-			t.Errorf("roundtrip %v → %v", v, got)
-		}
-	}
-	// Order-preservation.
-	if orderedBits(-1) >= orderedBits(1) || orderedBits(1) >= orderedBits(2) {
-		t.Error("orderedBits not monotone")
 	}
 }
 
@@ -362,36 +286,6 @@ func TestFinalizeAndSort(t *testing.T) {
 	SortByKey(fin)
 	if fin[0].Key != 1 || fin[0].Agg != 10 || fin[1].Key != 3 {
 		t.Errorf("finalize/sort wrong: %+v", fin)
-	}
-}
-
-func TestSortAggregateSpecialValues(t *testing.T) {
-	keys := []uint32{1, 1, 2, 3, 3}
-	vals := []float64{1, math.NaN(), math.Inf(1), 5, -5}
-	entries := SortAggregate64(keys, vals)
-	SortByKey(entries)
-	if len(entries) != 3 {
-		t.Fatalf("groups = %d", len(entries))
-	}
-	if v := float64(entries[0].Agg); !math.IsNaN(v) {
-		t.Errorf("group 1 = %v, want NaN", v)
-	}
-	if v := float64(entries[1].Agg); !math.IsInf(v, 1) {
-		t.Errorf("group 2 = %v, want +Inf", v)
-	}
-	if v := float64(entries[2].Agg); v != 0 {
-		t.Errorf("group 3 = %v, want 0", v)
-	}
-	// Still reproducible under permutation.
-	pk := []uint32{3, 1, 2, 1, 3}
-	pv := []float64{5, math.NaN(), math.Inf(1), 1, -5}
-	entries2 := SortAggregate64(pk, pv)
-	SortByKey(entries2)
-	for i := range entries {
-		a, b := float64(entries[i].Agg), float64(entries2[i].Agg)
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Errorf("group %d: %v vs %v under permutation", entries[i].Key, a, b)
-		}
 	}
 }
 

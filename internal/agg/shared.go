@@ -19,6 +19,12 @@ import (
 // accumulator absorbs the same multiset of values no matter which
 // thread folds them in, and lock acquisition order cannot change the
 // bits (merging/adding is order-independent).
+//
+// SharedAggregate and AdaptiveAggregate (adaptive.go) are comparators,
+// not shipped paths: PartitionAndAggregate beats both on every ledger
+// workload. They stay because benchmark/probes.go times them
+// (agg.shared_op_ms, agg.adaptive_op_ms) and benchmark/ is frozen
+// outside benchmark-archetype PRs.
 
 // sharedStripes is the number of lock stripes.
 const sharedStripes = 64

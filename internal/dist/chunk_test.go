@@ -17,7 +17,8 @@ import (
 // seedSweep widens the chunked equivalence matrix to this many workload
 // seeds. CI runs the default single seed; the nightly workflow passes
 // -dist.seedsweep to sweep a larger family of inputs through the same
-// cells.
+// cells, and any value above 1 adds the 10^6-row GROUP BY cell per seed
+// (chunkedGroupByAtScale).
 var seedSweep = flag.Int("dist.seedsweep", 1, "workload seeds for the chunked transport matrix")
 
 // --- SplitFrame / reassembler units ---
@@ -303,6 +304,46 @@ func TestChunkedAggregateByKeyTransportMatrix(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+		if *seedSweep > 1 {
+			t.Run(fmt.Sprintf("seed%d/atscale", seed), func(t *testing.T) {
+				chunkedGroupByAtScale(t, seed)
+			})
+		}
+	}
+}
+
+// chunkedGroupByAtScale is the cardinality the per-PR matrix cannot
+// afford: 10^6 rows into 2048 keys with a 4 KiB chunk payload (~60 B
+// per ⟨key, state⟩ pair, so ≥ 7 chunks per (sender, owner) stream at 4
+// nodes), on a quiet and on a hostile link over both transports,
+// against the sequential per-key reference. A cell whose shuffle stayed
+// under 3 chunks fails: it would prove nothing about reassembly. Cells
+// run one at a time — each holds the dealt copy of the million rows.
+func chunkedGroupByAtScale(t *testing.T, seed uint64) {
+	const rows = 1_000_000
+	const distinct = 2048
+	keys := workload.Keys(seed, rows, distinct)
+	vals := workload.Values64(seed+1, rows, workload.MixedMag)
+	want := refGroups(keys, vals)
+	plans := faultPlans()
+	for _, nodes := range []int{2, 4} {
+		lk, lv := dealRows(keys, vals, nodes)
+		for tname, factory := range transportFactories() {
+			for _, pname := range []string{"none", "chaos"} {
+				var counters []*chunkCounter
+				var mu sync.Mutex
+				cfg := matrixConfig(countingFactory(factory, &counters, &mu), plans[pname])
+				cfg.MaxChunkPayload = 4096
+				out, err := AggregateByKeyConfig(lk, lv, 2, cfg)
+				if err != nil {
+					t.Fatalf("%s/%s n=%d: %v", tname, pname, nodes, err)
+				}
+				checkGroups(t, out, want, nodes, 2)
+				if mc := counters[0].max(KindGroups); mc < 3 {
+					t.Fatalf("%s/%s n=%d: shuffle peaked at %d chunks, want ≥3", tname, pname, nodes, mc)
+				}
 			}
 		}
 	}

@@ -61,8 +61,8 @@ type Options struct {
 	// scenario: node KillConnNode severs all its outgoing data-plane
 	// connections once, just before its KillConnAfter-th data frame.
 	// KillConnAfter == 0 disables. Recovery must be invisible in the
-	// result bits; reprobench's -procs sweep and the proc tests assert
-	// exactly that.
+	// result bits; TestProcKillReconnectEquivalence asserts exactly
+	// that.
 	KillConnNode  int
 	KillConnAfter int
 }

@@ -527,72 +527,6 @@ func probeJournalDir(dir string) error {
 	return os.Remove(probe)
 }
 
-// JournalBenchSetup populates dir with a synthetic supervisor journal of
-// records state transitions (a realistic admit/lost/job-cycle mix) and
-// returns its on-disk size in bytes. It exists for `reprobench dist`'s
-// recovery/replay cell; production journals are written by the clusterLoop.
-func JournalBenchSetup(dir string, records int) (int64, error) {
-	j, _, err := openJournal(dir)
-	if err != nil {
-		return 0, err
-	}
-	defer j.close()
-	if err := j.append(journalRecord{kind: jrEpoch, epoch: 1}); err != nil {
-		return 0, err
-	}
-	if err := j.append(journalRecord{kind: jrAddr, addr: "127.0.0.1:43117"}); err != nil {
-		return 0, err
-	}
-	const nodes = 8
-	for i := 2; i < records; i++ {
-		var rec journalRecord
-		switch i % 8 {
-		case 0:
-			rec = journalRecord{kind: jrGone, slot: int64(i % nodes)}
-		case 1:
-			rec = journalRecord{kind: jrPromote, slot: int64(i % nodes)}
-		case 2:
-			rec = journalRecord{kind: jrJobStart, job: int64(i / 8)}
-		case 3:
-			rec = journalRecord{kind: jrJobDone, job: int64(i / 8)}
-		case 4:
-			rec = journalRecord{kind: jrPark}
-		default:
-			rec = journalRecord{kind: jrAdmit, slot: int64(i % nodes), inc: int64(i / nodes)}
-		}
-		if err := j.append(rec); err != nil {
-			return 0, err
-		}
-	}
-	if err := j.sync(); err != nil {
-		return 0, err
-	}
-	fi, err := os.Stat(j.path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-// JournalBenchReplay replays the journal under dir through the exact
-// recovery path NewCluster runs at crash-restart, returning the number of
-// records recovered. The elapsed time of this call is what the
-// recovery/replay benchmark cell measures.
-func JournalBenchReplay(dir string) (int, error) {
-	data, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < journalHeaderLen {
-		return 0, fmt.Errorf("proc: journal too short")
-	}
-	st, _, err := replayJournal(data[journalHeaderLen:])
-	if err != nil {
-		return 0, err
-	}
-	return st.records, nil
-}
-
 // ErrRecovering marks a job failure caused by a recovery window: the cluster
 // is waiting for workers to re-attach (or be replaced) and could not fill
 // every slot in time. Serving layers map it to backpressure (503 +

@@ -234,24 +234,54 @@ func TestJournalAppendAfterFailure(t *testing.T) {
 	}
 }
 
-// TestJournalBench exercises the reprobench recovery/replay helpers.
-func TestJournalBench(t *testing.T) {
-	dir := t.TempDir()
-	size, err := JournalBenchSetup(dir, 500)
+// BenchmarkJournalReplay measures the fixed cost a crashed supervisor
+// pays before it can re-bind its address and re-admit workers:
+// openJournal — the recovery path NewCluster runs — reading,
+// CRC-checking and folding a 4096-record log (a realistic
+// admit/lost/job-cycle mix) back into state.
+func BenchmarkJournalReplay(b *testing.B) {
+	const records, nodes = 4096, 8
+	dir := b.TempDir()
+	j, _, err := openJournal(dir)
 	if err != nil {
-		t.Fatalf("JournalBenchSetup: %v", err)
+		b.Fatal(err)
 	}
-	if size <= int64(journalHeaderLen) {
-		t.Fatalf("journal size = %d", size)
+	for i := 0; i < records; i++ {
+		rec := journalRecord{kind: jrAdmit, slot: int64(i % nodes), inc: int64(i / nodes)}
+		switch {
+		case i == 0:
+			rec = journalRecord{kind: jrEpoch, epoch: 1}
+		case i == 1:
+			rec = journalRecord{kind: jrAddr, addr: "127.0.0.1:43117"}
+		case i%8 == 0:
+			rec = journalRecord{kind: jrGone, slot: int64(i % nodes)}
+		case i%8 == 1:
+			rec = journalRecord{kind: jrPromote, slot: int64(i % nodes)}
+		case i%8 == 2:
+			rec = journalRecord{kind: jrJobStart, job: int64(i / 8)}
+		case i%8 == 3:
+			rec = journalRecord{kind: jrJobDone, job: int64(i / 8)}
+		case i%8 == 4:
+			rec = journalRecord{kind: jrPark}
+		}
+		if err := j.append(rec); err != nil {
+			b.Fatal(err)
+		}
 	}
-	n, err := JournalBenchReplay(dir)
-	if err != nil {
-		t.Fatalf("JournalBenchReplay: %v", err)
+	if err := j.sync(); err != nil {
+		b.Fatal(err)
 	}
-	if n != 500 {
-		t.Fatalf("replayed %d records, want 500", n)
+	if err := j.close(); err != nil {
+		b.Fatal(err)
 	}
-	if _, err := JournalBenchReplay(t.TempDir()); err == nil {
-		t.Error("replay of a missing journal succeeded")
+	for b.Loop() {
+		j, st, err := openJournal(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		j.close()
+		if st.records != records {
+			b.Fatalf("replayed %d records, want %d", st.records, records)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package proc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -60,30 +61,48 @@ func shardRows(keys []uint32, vals []float64, n int) ([][]uint32, [][]float64) {
 	return ks, vs
 }
 
+// matrixShape sizes the cross-process equivalence tests. By default it
+// is the PR-sized shape the caller passes, at one workload seed.
+// REPRO_PROC_MATRIX=1 (CI nightly, with REPROWORKER_BIN pointing at the
+// separately built worker binary) widens every test to 131072 rows,
+// cluster sizes {2, 4, 8} and three workload seeds. It returns (seeds,
+// rows, sizes); seeds are offsets added to each test's own base seeds,
+// so offset 0 is the PR data.
+func matrixShape(rows int, sizes ...int) ([]uint64, int, []int) {
+	if os.Getenv("REPRO_PROC_MATRIX") == "1" {
+		return []uint64{1, 2, 3}, 1 << 17, []int{2, 4, 8}
+	}
+	return []uint64{0}, rows, sizes
+}
+
 // TestProcReduceEquivalenceMatrix: the multi-process reduction carries
 // exactly the bits of the in-process engine for every topology and
 // cluster size.
 func TestProcReduceEquivalenceMatrix(t *testing.T) {
-	const rows = 20000
-	vals := workload.Values64(7, rows, workload.MixedMag)
-	want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
-	if err != nil {
-		t.Fatalf("in-process reference: %v", err)
-	}
-	wantBits := math.Float64bits(want)
-
-	for _, n := range []int{1, 2, 4} {
-		shards := shardFloats(vals, n)
-		for _, topo := range []dist.Topology{dist.Binomial, dist.Chain, dist.Star} {
-			got, err := Reduce(shards, 2, topo, matrixConfig(), quietOpts())
+	seeds, rows, sizes := matrixShape(20000, 1, 2, 4)
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			vals := workload.Values64(7+seed, rows, workload.MixedMag)
+			want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
 			if err != nil {
-				t.Fatalf("n=%d topo=%v: %v", n, topo, err)
+				t.Fatalf("in-process reference: %v", err)
 			}
-			if math.Float64bits(got) != wantBits {
-				t.Errorf("n=%d topo=%v: got %016x, want %016x — cross-process run broke bit-reproducibility",
-					n, topo, math.Float64bits(got), wantBits)
+			wantBits := math.Float64bits(want)
+
+			for _, n := range sizes {
+				shards := shardFloats(vals, n)
+				for _, topo := range []dist.Topology{dist.Binomial, dist.Chain, dist.Star} {
+					got, err := Reduce(shards, 2, topo, matrixConfig(), quietOpts())
+					if err != nil {
+						t.Fatalf("n=%d topo=%v: %v", n, topo, err)
+					}
+					if math.Float64bits(got) != wantBits {
+						t.Errorf("n=%d topo=%v: got %016x, want %016x — cross-process run broke bit-reproducibility",
+							n, topo, math.Float64bits(got), wantBits)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -91,9 +110,6 @@ func TestProcReduceEquivalenceMatrix(t *testing.T) {
 // matches the in-process engine bit for bit, in the single-frame and
 // the forced multi-chunk regime.
 func TestProcGroupByEquivalenceMatrix(t *testing.T) {
-	const rows = 20000
-	vals := workload.Values64(11, rows, workload.MixedMag)
-
 	regimes := []struct {
 		name         string
 		distinct     uint32
@@ -102,22 +118,28 @@ func TestProcGroupByEquivalenceMatrix(t *testing.T) {
 		{"single", 128, 0},
 		{"multi", 2048, 2048}, // ~60 B/pair × hundreds of keys per (sender, owner) ⇒ many chunks
 	}
-	for _, reg := range regimes {
-		keys := workload.Keys(13, rows, reg.distinct)
-		ref, err := dist.AggregateByKeyConfig([][]uint32{keys}, [][]float64{vals}, 2, dist.Config{})
-		if err != nil {
-			t.Fatalf("%s: in-process reference: %v", reg.name, err)
-		}
-		for _, n := range []int{2, 4} {
-			ks, vs := shardRows(keys, vals, n)
-			cfg := matrixConfig()
-			cfg.MaxChunkPayload = reg.chunkPayload
-			got, err := AggregateByKey(ks, vs, 2, cfg, quietOpts())
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", reg.name, n, err)
+	seeds, rows, sizes := matrixShape(20000, 2, 4)
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			vals := workload.Values64(11+seed, rows, workload.MixedMag)
+			for _, reg := range regimes {
+				keys := workload.Keys(13+seed, rows, reg.distinct)
+				ref, err := dist.AggregateByKeyConfig([][]uint32{keys}, [][]float64{vals}, 2, dist.Config{})
+				if err != nil {
+					t.Fatalf("%s: in-process reference: %v", reg.name, err)
+				}
+				for _, n := range sizes {
+					ks, vs := shardRows(keys, vals, n)
+					cfg := matrixConfig()
+					cfg.MaxChunkPayload = reg.chunkPayload
+					got, err := AggregateByKey(ks, vs, 2, cfg, quietOpts())
+					if err != nil {
+						t.Fatalf("%s n=%d: %v", reg.name, n, err)
+					}
+					assertGroupsEqual(t, reg.name, n, got, ref)
+				}
 			}
-			assertGroupsEqual(t, reg.name, n, got, ref)
-		}
+		})
 	}
 }
 
@@ -141,47 +163,51 @@ func assertGroupsEqual(t *testing.T, name string, n int, got, want []dist.Group)
 // asserts the per-chunk resend path recovers over fresh connections
 // with zero effect on the result bits.
 func TestProcKillReconnectEquivalence(t *testing.T) {
-	const rows = 12000
-	vals := workload.Values64(17, rows, workload.MixedMag)
-	keys := workload.Keys(19, rows, 2048)
-	ref, err := dist.AggregateByKeyConfig([][]uint32{keys}, [][]float64{vals}, 2, dist.Config{})
-	if err != nil {
-		t.Fatalf("in-process reference: %v", err)
-	}
+	seeds, rows, _ := matrixShape(12000)
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			vals := workload.Values64(17+seed, rows, workload.MixedMag)
+			keys := workload.Keys(19+seed, rows, 2048)
+			ref, err := dist.AggregateByKeyConfig([][]uint32{keys}, [][]float64{vals}, 2, dist.Config{})
+			if err != nil {
+				t.Fatalf("in-process reference: %v", err)
+			}
 
-	const n = 4
-	ks, vs := shardRows(keys, vals, n)
-	cfg := matrixConfig()
-	cfg.MaxChunkPayload = 2048
-	cfg.Faults = &dist.FaultPlan{
-		Seed: 23, DropProb: 0.1, DupProb: 0.1, Reorder: true,
-		MaxDelay: 200 * time.Microsecond, RetryDelay: 100 * time.Microsecond,
-	}
-	opt := quietOpts()
-	opt.KillConnNode = 1
-	opt.KillConnAfter = 4
-	got, err := AggregateByKey(ks, vs, 2, cfg, opt)
-	if err != nil {
-		t.Fatalf("kill-reconnect run: %v", err)
-	}
-	assertGroupsEqual(t, "kill-reconnect", n, got, ref)
+			const n = 4
+			ks, vs := shardRows(keys, vals, n)
+			cfg := matrixConfig()
+			cfg.MaxChunkPayload = 2048
+			cfg.Faults = &dist.FaultPlan{
+				Seed: 23 + seed, DropProb: 0.1, DupProb: 0.1, Reorder: true,
+				MaxDelay: 200 * time.Microsecond, RetryDelay: 100 * time.Microsecond,
+			}
+			opt := quietOpts()
+			opt.KillConnNode = 1
+			opt.KillConnAfter = 4
+			got, err := AggregateByKey(ks, vs, 2, cfg, opt)
+			if err != nil {
+				t.Fatalf("kill-reconnect run: %v", err)
+			}
+			assertGroupsEqual(t, "kill-reconnect", n, got, ref)
 
-	// The same forced failure against the reduction tree.
-	wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
-	if err != nil {
-		t.Fatalf("in-process reduce reference: %v", err)
-	}
-	rcfg := matrixConfig()
-	ropt := quietOpts()
-	ropt.KillConnNode = 1
-	ropt.KillConnAfter = 1 // sever before the very first partial leaves
-	gotSum, err := Reduce(shardFloats(vals, n), 2, dist.Chain, rcfg, ropt)
-	if err != nil {
-		t.Fatalf("kill-reconnect reduce: %v", err)
-	}
-	if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
-		t.Errorf("kill-reconnect reduce: got %016x, want %016x",
-			math.Float64bits(gotSum), math.Float64bits(wantSum))
+			// The same forced failure against the reduction tree.
+			wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+			if err != nil {
+				t.Fatalf("in-process reduce reference: %v", err)
+			}
+			rcfg := matrixConfig()
+			ropt := quietOpts()
+			ropt.KillConnNode = 1
+			ropt.KillConnAfter = 1 // sever before the very first partial leaves
+			gotSum, err := Reduce(shardFloats(vals, n), 2, dist.Chain, rcfg, ropt)
+			if err != nil {
+				t.Fatalf("kill-reconnect reduce: %v", err)
+			}
+			if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
+				t.Errorf("kill-reconnect reduce: got %016x, want %016x",
+					math.Float64bits(gotSum), math.Float64bits(wantSum))
+			}
+		})
 	}
 }
 

@@ -98,7 +98,7 @@ const (
 // MaybeWorkerMain turns the current process into a cluster worker and
 // never returns when it was spawned as one (workerEnv is set);
 // otherwise it returns immediately. Programs that use the process
-// cluster through re-execution — tests, reprobench, anything calling
+// cluster through re-execution — tests, reproserve, anything calling
 // the facade's WithProcessCluster without a separate reproworker
 // binary — must call it at the top of main (or TestMain), before flag
 // parsing.

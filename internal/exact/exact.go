@@ -3,7 +3,7 @@
 // (the ground truth for accuracy experiments), the plain left-to-right
 // sum (the paper's std::accumulate baseline, "CONV"), Neumaier's
 // compensated sum (an accuracy reference that is fast but *not*
-// reproducible), and the analytic error bounds of Eq. 5 and Eq. 6.
+// reproducible), and the analytic error bound of Eq. 6.
 package exact
 
 import (
@@ -57,15 +57,6 @@ func Naive64(xs []float64) float64 {
 	return s
 }
 
-// Naive32 is the float32 conventional sum.
-func Naive32(xs []float32) float32 {
-	s := float32(0)
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Neumaier64 is Neumaier's improved Kahan–Babuška compensated sum.
 // It is far more accurate than Naive64 at roughly 4 FP ops per element,
 // but still order-dependent — included as an accuracy/performance
@@ -93,25 +84,6 @@ func Pairwise64(xs []float64) float64 {
 	}
 	mid := len(xs) / 2
 	return Pairwise64(xs[:mid]) + Pairwise64(xs[mid:])
-}
-
-// ConvBound returns the error bound of conventional summation (Eq. 5):
-// (n−1) · ε · Σ|b_i|, with ε the unit roundoff of float64.
-func ConvBound(xs []float64) float64 {
-	sumAbs := 0.0
-	for _, x := range xs {
-		sumAbs += math.Abs(x)
-	}
-	const eps = 0x1p-53
-	return float64(len(xs)-1) * eps * sumAbs
-}
-
-// ConvBoundExpected returns the Eq. 5 bound for n values with the given
-// expected Σ|b| per element, without materializing the data. Used by
-// the Table II harness.
-func ConvBoundExpected(n int, meanAbs float64) float64 {
-	const eps = 0x1p-53
-	return float64(n-1) * eps * float64(n) * meanAbs
 }
 
 // RSumBound returns the error bound of reproducible summation (Eq. 6):

@@ -21,15 +21,6 @@ func TestSumMatchesSimpleCases(t *testing.T) {
 	}
 }
 
-func TestNaiveVsExactErrorWithinBound(t *testing.T) {
-	xs := workload.Values64(1, 100000, workload.Uniform12)
-	e := Sum(xs)
-	naive := Naive64(xs)
-	if err := AbsError(naive, e); err > ConvBound(xs) {
-		t.Errorf("naive error %g exceeds Eq.5 bound %g", err, ConvBound(xs))
-	}
-}
-
 func TestNeumaierBeatsNaive(t *testing.T) {
 	xs := workload.Values64(2, 100000, workload.Exp1)
 	e := Sum(xs)
@@ -59,12 +50,6 @@ func TestPairwiseAccuracyBetween(t *testing.T) {
 	en := AbsError(Naive64(xs), e)
 	if ep > en+1e-9 {
 		t.Errorf("pairwise error %g worse than naive %g", ep, en)
-	}
-}
-
-func TestNaive32(t *testing.T) {
-	if got := Naive32([]float32{0.5, 0.25, 0.25}); got != 1 {
-		t.Errorf("Naive32 = %v", got)
 	}
 }
 

@@ -8,7 +8,7 @@
 // is not available offline, so a deterministic scale-free synthetic
 // graph (preferential attachment) provides the same phenomenon:
 // near-ties in rank whose order flips under permutation of the edge
-// list (see DESIGN.md §4).
+// list.
 package pagerank
 
 import (

@@ -12,7 +12,7 @@
 // the finalized sum is bit-reproducible for any execution over the same
 // multiset of inputs.
 //
-// Deviation from the paper's presentation (documented in DESIGN.md §2):
+// Deviation from the paper's presentation:
 // the paper extracts against the running sum S(l) itself; under
 // round-to-nearest-even the tie-break of that extraction depends on the
 // parity of the accumulated sum and hence on processing order. Following

@@ -78,7 +78,8 @@ func TestRepeatedRaises(t *testing.T) {
 
 // TestExtractionTies feeds values whose remainder at level 1 is exactly
 // half an ulp — the round-to-nearest-even tie case that motivates fixed
-// extractors (DESIGN.md §2). Any order must produce the same bits.
+// extractors (see the package comment). Any order must produce the same
+// bits.
 func TestExtractionTies(t *testing.T) {
 	s := NewState64(2)
 	s.Add(1.0) // eTop = 40, ulp(E1) = 2^-12

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -309,9 +311,12 @@ func TestCacheHitByteIdenticalToRecomputation(t *testing.T) {
 // the same query answered from N goroutines — cache cold and warm, on
 // the local engine and the distributed backend — returns bit-identical
 // results everywhere. Run under -race in CI.
+//
+// One PR-sized shape runs by default: 8 goroutines, each query once.
+// REPRO_SERVE_MATRIX=1 (CI nightly) widens it to 2^20 rows into 4096
+// groups under 1, 8 and 32 clients issuing 64 queries each (dealt over
+// the query list), for dataset seeds 1–3.
 func TestConcurrentEquivalenceMatrix(t *testing.T) {
-	const goroutines = 8
-	ds := testDataset(t, 1<<12, 256, 3)
 	queries := []Query{
 		GroupBy(testSpecs()...),
 		GroupBy(
@@ -320,7 +325,28 @@ func TestConcurrentEquivalenceMatrix(t *testing.T) {
 		),
 		WindowTotals(2, 0),
 	}
+	if os.Getenv("REPRO_SERVE_MATRIX") != "1" {
+		concurrentEquivalence(t, testDataset(t, 1<<12, 256, 3), queries, 8, len(queries))
+		return
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		ds, err := SyntheticDataset(seed, 1<<20, 4096, 3, workload.MixedMag, DatasetOptions{Shards: 3})
+		if err != nil {
+			t.Fatalf("SyntheticDataset: %v", err)
+		}
+		for _, clients := range []int{1, 8, 32} {
+			// A subtest per cell, so its four servers close with it.
+			t.Run(fmt.Sprintf("seed%d/clients%d", seed, clients), func(t *testing.T) {
+				concurrentEquivalence(t, ds, queries, clients, 64)
+			})
+		}
+	}
+}
 
+// concurrentEquivalence runs every backend × cache temperature over ds
+// with `goroutines` concurrent clients, each issuing perClient queries
+// in total, dealt evenly over the query list.
+func concurrentEquivalence(t *testing.T, ds *Dataset, queries []Query, goroutines, perClient int) {
 	backends := []struct {
 		name string
 		opts Options
@@ -348,6 +374,7 @@ func TestConcurrentEquivalenceMatrix(t *testing.T) {
 				}
 			}
 			for qi, q := range queries {
+				rounds := (perClient + len(queries) - 1 - qi) / len(queries)
 				got := make([][]byte, goroutines)
 				errs := make([]error, goroutines)
 				var wg sync.WaitGroup
@@ -355,11 +382,19 @@ func TestConcurrentEquivalenceMatrix(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						r, err := s.Do(q)
-						if err == nil {
-							got[g] = r.Bytes
+						// got[g] keeps the first answer; a later round that
+						// differs from it is this goroutine's error.
+						for i := 0; i < rounds && errs[g] == nil; i++ {
+							r, err := s.Do(q)
+							switch {
+							case err != nil:
+								errs[g] = err
+							case got[g] == nil:
+								got[g] = r.Bytes
+							case !bytes.Equal(r.Bytes, got[g]):
+								errs[g] = fmt.Errorf("round %d bytes diverge from round 0", i)
+							}
 						}
-						errs[g] = err
 					}(g)
 				}
 				wg.Wait()
