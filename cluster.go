@@ -7,13 +7,14 @@ import (
 
 // The cluster API: a long-lived handle over a real multi-process
 // cluster that runs a sequence of typed aggregation jobs with
-// bit-identical results to the in-process engine. The one-shot
-// distributed operators (DistributedSum, DistributedGroupBySum,
-// DistributedAggregateByKey with WithProcessCluster) are thin wrappers
-// that form a cluster, run one job, and tear it down; this API keeps
-// the cluster — its worker processes, sockets, and handshakes — alive
-// across jobs, admits operator-started workers (reproworker -join),
-// and with ClusterSpec.ReplaceDead survives worker death mid-run.
+// bit-identical results to the in-process engine. It is the only way
+// to run a job across processes: the distributed operators
+// (DistributedSum, DistributedGroupBySum, DistributedAggregateByKey)
+// with WithProcessCluster call NewCluster, Run and Close for their one
+// job (runOnProcessCluster in repro.go); this API keeps the cluster —
+// its worker processes, sockets, and handshakes — alive across jobs,
+// admits operator-started workers (reproworker -join), and with
+// ClusterSpec.ReplaceDead survives worker death mid-run.
 
 // ErrClusterClosed is returned by Cluster.Run on a closed cluster.
 var ErrClusterClosed = proc.ErrClusterClosed

@@ -125,10 +125,3 @@ func adaptiveLevel[V any, A any, PA interface {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,18 +1,13 @@
 package dist
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 
-	"repro/internal/agg"
-	"repro/internal/hashagg"
+	"repro/internal/groupby"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/sqlagg"
 )
 
@@ -24,7 +19,7 @@ func sumSpecs() []sqlagg.AggSpec {
 }
 
 // shuffleFanout is the radix fan-out of the hash shuffle. Keys are
-// routed by partition.Do on their low byte; partition p is owned by
+// routed by groupby.Partition on their low byte; partition p is owned by
 // node p mod n, so every key has exactly one owner for a given cluster
 // size and GROUP BY needs no cross-node post-merge per key.
 const shuffleFanout = 256
@@ -42,10 +37,7 @@ const (
 
 // TupleGroup is one output row of a multi-aggregate GROUP BY: the group
 // key plus one finalized value per aggregate spec, in spec order.
-type TupleGroup struct {
-	Key  uint32
-	Aggs []float64
-}
+type TupleGroup = groupby.Group
 
 // planShard builds the physical tuple plan for specs after checking
 // that the shard's columns fit it.
@@ -54,29 +46,6 @@ func planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*sqlagg
 		return nil, err
 	}
 	return sqlagg.NewTuplePlan(specs)
-}
-
-// tupleTable is the one aggregation table of the tuple pipeline: key →
-// sqlagg.Tuple, the plan's physical components (one reproducible sum
-// per distinct (column, x|x², levels), one shared row count, one
-// extremum per (column, MIN|MAX)) behind bsz-value summation buffers.
-// combineShard, TupleGrouper and the owner-side merge all aggregate
-// into it; keys that agree on their low lowBits bits index above them.
-type tupleTable = hashagg.Table[sqlagg.Tuple]
-
-// newTupleTable builds one. Its tuples come from one sqlagg.TupleSlab
-// sized from the same hint as the slots, so a table is a handful of
-// allocations whatever its group count.
-func newTupleTable(plan *sqlagg.TuplePlan, hint int, lowBits uint, bsz int) *tupleTable {
-	return hashagg.NewPartitioned(hint, hashagg.Identity, plan.NewSlab(bsz, hint).NewTuple, lowBits)
-}
-
-// addRows is the row loop of the tuple pipeline: row i of cols folds
-// into the tuple of keys[i].
-func addRows(table *tupleTable, plan *sqlagg.TuplePlan, keys []uint32, cols [][]float64) {
-	for i, k := range keys {
-		plan.AddRow(table.Upsert(k), cols, i)
-	}
 }
 
 // appendTuple appends one ⟨key, tuple⟩ record to a shuffle frame:
@@ -111,7 +80,7 @@ func recordSize(plan *sqlagg.TuplePlan) int { return 8 + plan.Width() }
 type ownerMerge struct {
 	plan    *sqlagg.TuplePlan
 	senders int
-	table   *tupleTable
+	table   *groupby.Table
 }
 
 // merge folds one sender's shuffle payload in.
@@ -120,10 +89,10 @@ func (o *ownerMerge) merge(payload []byte) error {
 		if len(payload) == 0 {
 			return nil
 		}
-		o.table = newTupleTable(o.plan, len(payload)/recordSize(o.plan)*o.senders, 0, 0)
+		o.table = groupby.NewTable(o.plan, len(payload)/recordSize(o.plan)*o.senders, 0, 0)
 	}
 	return walkFrame(payload, func(key uint32, enc []byte) error {
-		if err := o.plan.MergeBinary(o.table.Upsert(key), enc); err != nil {
+		if err := o.table.MergeBinary(key, enc); err != nil {
 			return fmt.Errorf("group %d: %w", key, err)
 		}
 		return nil
@@ -199,10 +168,6 @@ func AggregateTuplesConfig(localKeys [][]uint32, localCols [][][]float64, worker
 	if n == 0 {
 		return nil, ErrNoShards
 	}
-	if len(localCols) != n {
-		return nil, fmt.Errorf("%w: %d key shards vs %d column shards",
-			ErrShardMismatch, n, len(localCols))
-	}
 	if err := ValidateShardColumns(localKeys, localCols, specs); err != nil {
 		return nil, err
 	}
@@ -240,10 +205,15 @@ type tupleResult struct {
 }
 
 // ValidateShardColumns checks the shard shape of a multi-aggregate
-// GROUP BY input: specs must be valid, every column of a shard must be
-// as long as its key slice, and every shard with rows must carry every
-// column any spec reads. Shards without rows may omit their columns.
+// GROUP BY input: as many column shards as key shards, specs must be
+// valid, every column of a shard must be as long as its key slice, and
+// every shard with rows must carry every column any spec reads. Shards
+// without rows may omit their columns.
 func ValidateShardColumns(localKeys [][]uint32, localCols [][][]float64, specs []sqlagg.AggSpec) error {
+	if len(localCols) != len(localKeys) {
+		return fmt.Errorf("%w: %d key shards vs %d column shards",
+			ErrShardMismatch, len(localKeys), len(localCols))
+	}
 	if len(specs) == 0 {
 		return fmt.Errorf("%w: empty spec list", sqlagg.ErrBadSpec)
 	}
@@ -369,7 +339,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	// into a key-sorted run.
 	var local []TupleGroup
 	if ownErr == nil {
-		local = finalizeTuples(plan, owner.table, len(specs))
+		local = owner.table.Groups()
 	}
 
 	if id != 0 {
@@ -410,67 +380,6 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	return mergeSortedRuns(runs), nil
 }
 
-// TupleGrouper is the local form of the owner-side aggregation: it
-// folds rows ⟨keys[i], cols[·][i]⟩ into one physical tuple per distinct
-// key — the same table, plan, row loop and finalization the distributed
-// operator runs — and returns the finalized groups key-sorted. One
-// grouper serves any number of GroupTuples calls (a worker draining
-// partitions keeps one): the table is cleared, not reallocated, and the
-// tuples with their summation buffers are recycled in place. Not safe
-// for concurrent use.
-type TupleGrouper struct {
-	specs []sqlagg.AggSpec
-	plan  *sqlagg.TuplePlan
-	table *tupleTable
-}
-
-// NewTupleGrouper sizes a grouper for calls that see at most groups
-// distinct keys each — a bound that never undercounts (the largest
-// partition.Output.DistinctBound) means the table never rehashes — and
-// about perGroup rows per key, which with groups decides the summation
-// buffers (sqlagg.TuplePlan.BufferSize). stride is the gap between
-// distinct keys DistinctBound also takes (the fan-out for partitions of
-// a low-byte radix pass, else 1): such keys agree on their low
-// log2(stride) bits and the table indexes above them.
-func NewTupleGrouper(specs []sqlagg.AggSpec, groups, perGroup int, stride uint32) (*TupleGrouper, error) {
-	plan, err := sqlagg.NewTuplePlan(specs)
-	if err != nil {
-		return nil, err
-	}
-	lowBits := uint(bits.TrailingZeros32(max(stride, 1)))
-	return &TupleGrouper{
-		specs: specs,
-		plan:  plan,
-		table: newTupleTable(plan, groups, lowBits, plan.BufferSize(groups, perGroup)),
-	}, nil
-}
-
-// GroupTuples aggregates one batch of rows; see TupleGrouper.
-func (g *TupleGrouper) GroupTuples(keys []uint32, cols [][]float64) ([]TupleGroup, error) {
-	if err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, g.specs); err != nil {
-		return nil, err
-	}
-	g.table.Clear()
-	addRows(g.table, g.plan, keys, cols)
-	return finalizeTuples(g.plan, g.table, len(g.specs)), nil
-}
-
-// finalizeTuples drains an aggregation table (nil: no groups) into a
-// key-sorted group run.
-func finalizeTuples(plan *sqlagg.TuplePlan, table *tupleTable, nspecs int) []TupleGroup {
-	if table == nil {
-		return nil
-	}
-	local := make([]TupleGroup, 0, table.Len())
-	vals := make([]float64, 0, table.Len()*nspecs)
-	table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
-		vals = plan.Finalize(vals, tup)
-		local = append(local, TupleGroup{Key: key, Aggs: vals[len(vals)-nspecs:]})
-	})
-	slices.SortFunc(local, func(a, b TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
-	return local
-}
-
 // mergeSortedRuns merges key-sorted runs over pairwise disjoint key
 // sets into one key-sorted result. Runs are small in number (one per
 // node), so a linear scan per output group beats heap bookkeeping.
@@ -500,15 +409,14 @@ func mergeSortedRuns(runs [][]TupleGroup) []TupleGroup {
 // combineShard pre-aggregates one node's rows into per-key physical
 // tuples and returns one encoded logical shuffle payload per
 // destination node (owner says which). Like the paper's operator it
-// partitions only when it has to: if one table of all the shard's keys
-// stays in cache (wholeTableFits) the rows are folded into that table
+// partitions only when it has to (groupby.Layout): if one table of all
+// the shard's keys stays in cache the rows are folded into that table
 // where they lie, every column read once and in order, and the tuples
 // are routed as they are encoded. Otherwise the shard is
-// radix-partitioned on the shuffle byte (partitionShard) and one
-// partition-sized table is reused across the partitions. Either way few
-// keys with many rows each buffer and sum through the vectorised
-// kernel, many keys with few rows each add eagerly
-// (sqlagg.TuplePlan.BufferSize). maxMessage is the configuration's
+// radix-partitioned on the shuffle byte, the columns the plan reads
+// beside the keys, and one partition-sized table is reused across the
+// partitions. The combine is serial either way: workers parallelises
+// the radix pass only. maxMessage is the configuration's
 // Config.maxMessage bound.
 func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers, maxMessage int) ([][]byte, error) {
 	frames := make([][]byte, n)
@@ -516,11 +424,13 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 		return frames, nil // no rows: every shuffle message is empty
 	}
 	var err error
-	if groups := keyBound(keys); wholeTableFits(plan, groups) {
-		err = combineWhole(frames, keys, cols, plan, groups, plan.BufferSize(groups, len(keys)/groups))
+	groups := groupby.KeyBound(keys)
+	if partition, bsz := groupby.Layout(plan, groups, len(keys)/groups); !partition {
+		err = combineWhole(frames, keys, cols, plan, groups, bsz)
 	} else {
-		sh := partitionShard(keys, cols, plan, workers)
-		err = sh.combine(frames, plan, plan.BufferSize(sh.maxBound, len(keys)/sh.sumBound))
+		ps := groupby.Partition(keys, cols, plan.Reads, shuffleFanout, workers)
+		_, bsz = groupby.Layout(plan, ps.MaxBound, len(keys)/ps.SumBound)
+		err = combineParts(frames, ps, plan, bsz)
 	}
 	if err != nil {
 		return nil, err
@@ -541,30 +451,6 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 	return frames, nil
 }
 
-// wholeTableFits is the model behind combineShard's choice: a table
-// keeps at least two slots per key, and groups keys at two tuples each
-// must fit agg.CacheBytesPerThread (the summation buffers are held to
-// that budget once more by BufferSize). BenchmarkTupleCombine runs both
-// layouts on either side of it: for the Q1 catalog (696-byte tuples)
-// they cross near 2^10 groups and the model says 753.
-func wholeTableFits(plan *sqlagg.TuplePlan, groups int) bool {
-	return groups <= agg.CacheBytesPerThread/(2*plan.TupleBytes())
-}
-
-// keyBound bounds the distinct keys of a non-empty key column: its
-// length or the width of its key range, whichever is less — tight for
-// dense domain-encoded keys, never an undercount.
-func keyBound(keys []uint32) int {
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	if span := uint64(hi-lo) + 1; span < uint64(len(keys)) {
-		return int(span)
-	}
-	return len(keys)
-}
-
 // owner is the node whose shuffle message carries key: the owner of the
 // partition the key's low byte names.
 func owner(key uint32, n int) int { return int(key%shuffleFanout) % n }
@@ -575,7 +461,7 @@ func owner(key uint32, n int) int { return int(key%shuffleFanout) % n }
 // frames' capacity sized beforehand the loop allocates nothing; if a
 // size were ever wrong, append inside appendTuple grows geometrically
 // as usual.
-func appendTable(frames [][]byte, plan *sqlagg.TuplePlan, table *tupleTable) error {
+func appendTable(frames [][]byte, plan *sqlagg.TuplePlan, table *groupby.Table) error {
 	var err error
 	table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
 		if err == nil {
@@ -586,116 +472,41 @@ func appendTable(frames [][]byte, plan *sqlagg.TuplePlan, table *tupleTable) err
 	return err
 }
 
+// sizeFrames gives every destination's frame the capacity for
+// records[d] records.
+func sizeFrames(frames [][]byte, plan *sqlagg.TuplePlan, records []int) {
+	for d, c := range records {
+		if c > 0 {
+			frames[d] = make([]byte, 0, c*recordSize(plan))
+		}
+	}
+}
+
 // combineWhole is the unpartitioned combine: one table hinted at groups
 // (never an undercount, so it does not rehash) of bsz-buffered tuples
 // over all the rows, then a count of each owner's tuples to size its
 // frame exactly.
 func combineWhole(frames [][]byte, keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, groups, bsz int) error {
-	table := newTupleTable(plan, groups, 0, bsz)
-	addRows(table, plan, keys, cols)
+	table := groupby.NewTable(plan, groups, 0, bsz)
+	table.AddRows(keys, cols)
 	counts := make([]int, len(frames))
 	table.ForEach(func(key uint32, _ *sqlagg.Tuple) { counts[owner(key, len(frames))]++ })
-	for d, c := range counts {
-		if c > 0 {
-			frames[d] = make([]byte, 0, c*recordSize(plan))
-		}
-	}
+	sizeFrames(frames, plan, counts)
 	return appendTable(frames, plan, table)
 }
 
-// shardParts is one node's rows radix-partitioned on the shuffle byte:
-// partition p's keys are keys[off[p]:off[p+1]] and its values of column
-// c, for every column the plan reads, cols[c][off[p]:off[p+1]] (columns
-// it does not read stay nil). The values move with the keys so that the
-// pre-aggregation pass reads a partition sequentially: gathering them
-// from the caller's columns through partitioned row indices fetches
-// each cache line once per partition owning a value in it, with nothing
-// to prefetch — at 256 partitions two thirds of the pass, and the part
-// whose duration follows whatever else is using the memory system.
-type shardParts struct {
-	keys []uint32
-	off  []int
-	cols [][]float64
-	// bounds[p] is partition p's DistinctBound — never an undercount —
-	// maxBound the largest and sumBound their total.
-	bounds             []int
-	maxBound, sumBound int
-}
-
-func partitionShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, workers int) *shardParts {
-	sh := &shardParts{cols: make([][]float64, len(cols))}
-	for c, col := range cols {
-		switch {
-		case !plan.Reads(c):
-		case sh.keys == nil:
-			sh.cols[c] = setParts(sh, partition.Do(keys, col, 0, shuffleFanout, workers))
-		default:
-			sh.cols[c] = partition.Scatter(keys, sh.off, col, 0)
-		}
-	}
-	if sh.keys == nil { // COUNT only: no column to carry, but the keys
-		setParts(sh, partition.Do(keys, make([]struct{}, len(keys)), 0, shuffleFanout, workers))
-	}
-	return sh
-}
-
-// setParts records out's keys, offsets and distinct-key bounds in sh
-// and returns its partitioned values.
-func setParts[V any](sh *shardParts, out partition.Output[V]) []V {
-	sh.keys, sh.off = out.Keys, out.Off
-	sh.bounds = make([]int, out.NumPartitions())
-	for p := range sh.bounds {
-		b := out.DistinctBound(p, shuffleFanout)
-		sh.bounds[p] = b
-		sh.maxBound = max(sh.maxBound, b)
-		sh.sumBound += b
-	}
-	return out.Vals
-}
-
-// combine pre-aggregates every non-empty partition through one table
-// of bsz-buffered tuples and encodes the tuples into the frame of the
-// partition's owner.
-func (sh *shardParts) combine(frames [][]byte, plan *sqlagg.TuplePlan, bsz int) error {
-	// DistinctBound never undercounts, so frames sized from the bounds
-	// summed per destination never grow, and a table hinted at the
-	// largest bound never rehashes mid-partition (the old fixed len/8
-	// heuristic caused rehash storms on skewed keys where most rows
-	// carried distinct keys).
+// combineParts is the partitioned combine: every partition's table goes
+// into the frame of the partition's owner. The bounds never undercount,
+// so frames sized from them summed per destination never grow.
+func combineParts(frames [][]byte, ps *groupby.Parts, plan *sqlagg.TuplePlan, bsz int) error {
 	est := make([]int, len(frames))
-	for p, b := range sh.bounds {
+	for p, b := range ps.Bounds {
 		est[p%len(frames)] += b
 	}
-	for d := range frames {
-		if est[d] > 0 {
-			frames[d] = make([]byte, 0, est[d]*recordSize(plan))
-		}
-	}
-
-	// One table, reused across partitions: Clear keeps the slot arrays
-	// allocated and Reset recycles the tuples (and their buffers) in
-	// place, so per-partition pre-aggregation costs no allocation after
-	// the first partition. Its keys agree on the byte partition.Do routed
-	// on, so the table indexes by the bits above it.
-	table := newTupleTable(plan, sh.maxBound, uint(bits.TrailingZeros(shuffleFanout)), bsz)
-	part := make([][]float64, len(sh.cols))
-	for p := range sh.bounds {
-		lo, hi := sh.off[p], sh.off[p+1]
-		if lo == hi {
-			continue
-		}
-		for c, col := range sh.cols {
-			if col != nil {
-				part[c] = col[lo:hi]
-			}
-		}
-		table.Clear()
-		addRows(table, plan, sh.keys[lo:hi], part)
-		if err := appendTable(frames, plan, table); err != nil {
-			return err
-		}
-	}
-	return nil
+	sizeFrames(frames, plan, est)
+	return ps.Each(plan, bsz, 1, func(_ int, table *groupby.Table) error {
+		return appendTable(frames, plan, table)
+	})
 }
 
 // gatherRecordSize is the fixed byte width of one finalized group in a

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
-	"maps"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
-	"repro/internal/partition"
+	"repro/internal/groupby"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
@@ -264,13 +262,18 @@ func TestTupleGroupsCodec(t *testing.T) {
 
 // TestPartitionedTablesSameGroups pins that indexing partition-local
 // tables by the bits above the shuffle byte changes slot order only:
-// combineShard → owner merge, a TupleGrouper told the partition stride
-// (one call per partition, runs concatenated) and one told nothing
-// (stride 1, plain identity over all rows) return the same
-// TupleGroups as the sequential reference, whatever the key layout.
+// combineShard → owner merge, the partition loop over the shard's
+// radix partitions (one table told the partition bits, runs
+// concatenated) and one table told nothing (plain identity over all
+// rows) return the same TupleGroups as the sequential reference,
+// whatever the key layout.
 func TestPartitionedTablesSameGroups(t *testing.T) {
 	const rows = 6000
 	specs := tupleSpecs()
+	plan, err := sqlagg.NewTuplePlan(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c0 := workload.Values64(31, rows, workload.MixedMag)
 	c1 := workload.Values64(32, rows, workload.Uniform12)
 	dense := workload.Keys(33, rows, 3000)
@@ -291,53 +294,27 @@ func TestPartitionedTablesSameGroups(t *testing.T) {
 		want := refTuples(t, keys, c0, c1, specs)
 
 		// Hinted below the true group count: the table grows mid-batch.
-		whole, err := NewTupleGrouper(specs, 64, rows/64, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unshifted, err := whole.GroupTuples(keys, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTuples(t, unshifted, want, tc.name+": GroupTuples, stride 1")
+		_, bsz := groupby.Layout(plan, 64, rows/64)
+		whole := groupby.NewTable(plan, 64, 0, bsz)
+		whole.AddRows(keys, cols)
+		checkTuples(t, whole.Groups(), want, tc.name+": one table, no partition bits")
 
-		idx := make([]int32, rows)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		part := partition.Do(keys, idx, 0, shuffleFanout, 2)
-		// One grouper for every partition, as a serving worker keeps it:
+		// One table for every partition, as a serving worker keeps it:
 		// sized for the largest, cleared and recycled in between, with
-		// summation buffers forced on by the claimed rows per key.
-		maxBound := 0
-		for p := 0; p < part.NumPartitions(); p++ {
-			maxBound = max(maxBound, part.DistinctBound(p, shuffleFanout))
-		}
-		perPart, err := NewTupleGrouper(specs, maxBound, 64, shuffleFanout)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// summation buffers (where they fit) by the claimed rows per key.
+		ps := groupby.Partition(keys, cols, plan.Reads, shuffleFanout, 2)
+		_, bsz = groupby.Layout(plan, ps.MaxBound, 64)
 		var shifted []TupleGroup
-		for p := 0; p < part.NumPartitions(); p++ {
-			pk, pi := part.Partition(p)
-			pc := [][]float64{make([]float64, len(pk)), make([]float64, len(pk))}
-			for i, row := range pi {
-				pc[0][i], pc[1][i] = c0[row], c1[row]
-			}
-			run, err := perPart.GroupTuples(pk, pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shifted = append(shifted, run...)
+		if err := ps.Each(plan, bsz, 1, func(_ int, table *groupby.Table) error {
+			shifted = append(shifted, table.Groups()...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		slices.SortFunc(shifted, func(a, b TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
-		checkTuples(t, shifted, want, tc.name+": GroupTuples per partition, stride 256")
+		checkTuples(t, shifted, want, tc.name+": a table per partition, above the shuffle byte")
 
 		for _, nodes := range []int{1, 3} {
-			plan, err := sqlagg.NewTuplePlan(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			frames, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage())
 			if err != nil {
 				t.Fatal(err)
@@ -348,7 +325,7 @@ func TestPartitionedTablesSameGroups(t *testing.T) {
 				if err := owner.merge(frame); err != nil {
 					t.Fatalf("%s: owner %d: %v", tc.name, d, err)
 				}
-				runs[d] = finalizeTuples(plan, owner.table, len(specs))
+				runs[d] = owner.table.Groups()
 			}
 			checkTuples(t, mergeSortedRuns(runs), want, tc.name+": combineShard → owner merge")
 		}
@@ -396,153 +373,6 @@ func TestOwnerMergeTableDoesNotGrow(t *testing.T) {
 		}
 		if owner.table.Len() < groups/nodes*9/10 {
 			t.Errorf("owner %d holds %d keys, expected about %d", d, owner.table.Len(), groups/nodes)
-		}
-	}
-}
-
-// TestPartitionShardCarriesReadColumns: partitioning a shard moves
-// every column the plan reads — and only those — with the keys, row for
-// row, whatever the worker count; a plan that reads no column still
-// gets its keys partitioned.
-func TestPartitionShardCarriesReadColumns(t *testing.T) {
-	const rows, ncols = 5000, 3
-	// Row r carries r*ncols+c in column c, so a partitioned value names
-	// the source row it came from.
-	cols := make([][]float64, ncols)
-	for c := range cols {
-		cols[c] = make([]float64, rows)
-		for r := range cols[c] {
-			cols[c][r] = float64(r*ncols + c)
-		}
-	}
-	keys := workload.Keys(77, rows, 1<<12)
-	distinct := make(map[uint32]bool)
-	for _, k := range keys {
-		distinct[k] = true
-	}
-	sum := func(c int) sqlagg.AggSpec { return sqlagg.AggSpec{Kind: sqlagg.AggSum, Levels: levels, Col: c} }
-	for _, tc := range []struct {
-		name  string
-		specs []sqlagg.AggSpec
-		read  []int
-	}{
-		{"two of three", []sqlagg.AggSpec{sum(0), sum(2)}, []int{0, 2}},
-		{"all three", []sqlagg.AggSpec{sum(1), {Kind: sqlagg.AggMin, Col: 0}, {Kind: sqlagg.AggAvg, Levels: levels, Col: 2}}, []int{0, 1, 2}},
-		{"one, twice", []sqlagg.AggSpec{sum(1), {Kind: sqlagg.AggAvg, Levels: levels, Col: 1}}, []int{1}},
-		{"COUNT only", []sqlagg.AggSpec{{Kind: sqlagg.AggCount}}, nil},
-	} {
-		plan, err := sqlagg.NewTuplePlan(tc.specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 3} {
-			sh := partitionShard(keys, cols, plan, workers)
-			if len(sh.keys) != rows || sh.off[len(sh.off)-1] != rows || sh.sumBound < len(distinct) {
-				t.Fatalf("%s: %d keys, offsets end at %d, bounds sum to %d for %d distinct keys", tc.name, len(sh.keys), sh.off[len(sh.off)-1], sh.sumBound, len(distinct))
-			}
-			for c := range cols {
-				if want := slices.Contains(tc.read, c); (sh.cols[c] != nil) != want {
-					t.Errorf("%s: column %d partitioned = %v, want %v", tc.name, c, sh.cols[c] != nil, want)
-				}
-			}
-			for i := range sh.keys {
-				if p := sort.SearchInts(sh.off, i+1) - 1; sh.keys[i]%shuffleFanout != uint32(p) {
-					t.Fatalf("%s: key %d at position %d of partition %d", tc.name, sh.keys[i], i, p)
-				}
-				if len(tc.read) == 0 {
-					continue
-				}
-				r := int(sh.cols[tc.read[0]][i]) / ncols
-				if sh.keys[i] != keys[r] {
-					t.Fatalf("%s, %d workers: position %d holds key %d beside a value of row %d (key %d)", tc.name, workers, i, sh.keys[i], r, keys[r])
-				}
-				for _, c := range tc.read {
-					if got := sh.cols[c][i]; got != cols[c][r] {
-						t.Fatalf("%s, %d workers: position %d column %d holds %v, row %d has %v", tc.name, workers, i, c, got, r, cols[c][r])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCombineLayoutsSameRecords: the unpartitioned combine and the
-// partitioned one put byte-identical ⟨key, tuple⟩ records into the same
-// owners' frames (in an order of their own), with buffers and without —
-// so which of them combineShard picks is a matter of cache footprint
-// only. keyBound, which it picks by, never undercounts.
-func TestCombineLayoutsSameRecords(t *testing.T) {
-	const rows, nodes = 20000, 3
-	specs := tupleSpecs()
-	plan, err := sqlagg.NewTuplePlan(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := [][]float64{
-		workload.Values64(81, rows, workload.MixedMag),
-		workload.Values64(82, rows, workload.Uniform12),
-	}
-	records := func(frames [][]byte) []map[uint32]string {
-		out := make([]map[uint32]string, len(frames))
-		for d, frame := range frames {
-			out[d] = make(map[uint32]string)
-			if err := walkFrame(frame, func(key uint32, enc []byte) error {
-				out[d][key] = string(enc)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name   string
-		groups uint32
-		key    func(k uint32) uint32
-		bound  int
-	}{
-		{"4 dense", 4, func(k uint32) uint32 { return k }, 4},
-		{"700 dense", 700, func(k uint32) uint32 { return k + 1000 }, 700},
-		{"one partition", 300, func(k uint32) uint32 { return k<<8 | 5 }, 299<<8 + 1},
-		{"sparse", 3000, func(k uint32) uint32 { return k * 2654435761 }, rows},
-	} {
-		keys := workload.Keys(83, rows, tc.groups)
-		distinct := make(map[uint32]bool)
-		for i, k := range keys {
-			keys[i] = tc.key(k)
-			distinct[keys[i]] = true
-		}
-		bound := keyBound(keys)
-		if bound < len(distinct) || bound > tc.bound {
-			t.Errorf("%s: keyBound %d for %d distinct keys, want at most %d", tc.name, bound, len(distinct), tc.bound)
-		}
-		for _, bsz := range []int{0, 64} {
-			whole := make([][]byte, nodes)
-			if err := combineWhole(whole, keys, cols, plan, bound, bsz); err != nil {
-				t.Fatal(err)
-			}
-			parted := make([][]byte, nodes)
-			if err := partitionShard(keys, cols, plan, 2).combine(parted, plan, bsz); err != nil {
-				t.Fatal(err)
-			}
-			w, p := records(whole), records(parted)
-			for d := range w {
-				if len(w[d]) == 0 && len(distinct) >= nodes*shuffleFanout {
-					t.Errorf("%s: no records for owner %d", tc.name, d)
-				}
-				if !maps.Equal(w[d], p[d]) {
-					t.Errorf("%s, bsz %d: owner %d gets %d records unpartitioned, %d partitioned, or different bytes", tc.name, bsz, d, len(w[d]), len(p[d]))
-				}
-			}
-			picked, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for d, recs := range records(picked) {
-				if !maps.Equal(recs, w[d]) {
-					t.Errorf("%s: combineShard's records for owner %d differ", tc.name, d)
-				}
-			}
 		}
 	}
 }

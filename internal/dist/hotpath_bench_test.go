@@ -2,11 +2,10 @@ package dist
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
+	"repro/internal/groupby"
 	"repro/internal/sqlagg"
-	"repro/internal/workload"
 )
 
 // Hot-path benchmarks of the shuffle data plane. The reassembly
@@ -25,10 +24,10 @@ func benchEncode(b *testing.B, specs []sqlagg.AggSpec) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := newTupleTable(plan, groups, 0, 0)
+	table := groupby.NewTable(plan, groups, 0, 0)
 	for k := 0; k < groups; k++ {
 		col := []float64{float64(k)*1.5 + 0.25, 0x1p-40 * float64(k+1)}
-		addRows(table, plan, []uint32{uint32(k) * 256, uint32(k) * 256}, [][]float64{col, col})
+		table.AddRows([]uint32{uint32(k) * 256, uint32(k) * 256}, [][]float64{col, col})
 	}
 	want := groups * recordSize(plan)
 
@@ -163,89 +162,4 @@ func BenchmarkReassembly(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTupleCombine re-derives the combine pass's two decisions on
-// one 2^19-row shard, for the Q1 catalog (5 sums + count) and a narrow
-// one (1 sum + count): where buffering the physical tuple stops paying
-// (the buffer size the plan picks against buffers forced off) and where
-// partitioning starts to (one table over the rows as they lie against
-// radix partitioning — timed, it is part of the choice — and a table
-// per partition; the whole layout is skipped once its table is past
-// four times what wholeTableFits allows). ns/row is the figure to
-// compare; the sub-benchmark name carries the layout and the bsz, and
-// "picked" marks the layout combineShard uses at that group count.
-//
-//	go test ./internal/dist -run '^$' -bench TupleCombine -benchtime 5x
-func BenchmarkTupleCombine(b *testing.B) {
-	const rows = 1 << 19
-	q1 := []sqlagg.AggSpec{
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 1},
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 2},
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 3},
-		{Kind: sqlagg.AggAvg, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggAvg, Levels: levels, Col: 1},
-		{Kind: sqlagg.AggAvg, Levels: levels, Col: 4},
-		{Kind: sqlagg.AggCount, Levels: levels, Col: 0},
-	}
-	narrow := []sqlagg.AggSpec{
-		{Kind: sqlagg.AggSum, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggAvg, Levels: levels, Col: 0},
-		{Kind: sqlagg.AggCount, Levels: levels, Col: 0},
-	}
-	cols := make([][]float64, 5)
-	for c := range cols {
-		cols[c] = workload.Values64(uint64(90+c), rows, workload.MixedMag)
-	}
-	for _, cat := range []struct {
-		name  string
-		specs []sqlagg.AggSpec
-	}{{"q1", q1}, {"sum-avg-count", narrow}} {
-		plan, err := sqlagg.NewTuplePlan(cat.specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, groups := range []int{4, 1 << 9, 1 << 10, 1 << 12, 1 << 16} {
-			keys := workload.Keys(89, rows, uint32(groups))
-			bound := keyBound(keys)
-			sh := partitionShard(keys, cols, plan, 1)
-			for _, layout := range []struct {
-				name    string
-				planned int
-				combine func(frames [][]byte, bsz int) error
-			}{
-				{"whole", plan.BufferSize(bound, rows/bound), func(frames [][]byte, bsz int) error {
-					return combineWhole(frames, keys, cols, plan, bound, bsz)
-				}},
-				{"partitioned", plan.BufferSize(sh.maxBound, rows/sh.sumBound), func(frames [][]byte, bsz int) error {
-					return partitionShard(keys, cols, plan, 1).combine(frames, plan, bsz)
-				}},
-			} {
-				picked := wholeTableFits(plan, bound) == (layout.name == "whole")
-				if !picked && !wholeTableFits(plan, bound/4) {
-					continue
-				}
-				cells := []int{layout.planned}
-				if layout.planned != 0 && picked {
-					cells = append(cells, 0) // the plan buffers: also run it forced off
-				}
-				for _, bsz := range cells {
-					name := fmt.Sprintf("%s/groups=%d/%s/bsz=%d", cat.name, groups, layout.name, bsz)
-					if picked {
-						name += "/picked"
-					}
-					b.Run(name, func(b *testing.B) {
-						b.ReportAllocs()
-						for i := 0; i < b.N; i++ {
-							if err := layout.combine(make([][]byte, 2), bsz); err != nil {
-								b.Fatal(err)
-							}
-						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-					})
-				}
-			}
-		}
-	}
 }

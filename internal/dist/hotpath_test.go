@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/groupby"
 	"repro/internal/hashagg"
 	"repro/internal/partition"
 	"repro/internal/rsum"
@@ -39,13 +40,13 @@ func TestShuffleEncodeZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			table := newTupleTable(plan, 512, 0, 0)
+			table := groupby.NewTable(plan, 512, 0, 0)
 			for k := uint32(0); k < 500; k++ {
 				cols := [][]float64{
 					{float64(k) * 1.5, -0x1p-30 * float64(k+1)},
 					{float64(k)*1.5 - 1, -0x1p-30 * float64(k+1)},
 				}
-				addRows(table, plan, []uint32{k * 256, k * 256}, cols)
+				table.AddRows([]uint32{k * 256, k * 256}, cols)
 			}
 			frame := make([]byte, 0, table.Len()*recordSize(plan))
 			var encErr error
@@ -335,16 +336,16 @@ func TestCombineLoopZeroAlloc(t *testing.T) {
 		workload.Values64(41, rows, workload.MixedMag),
 		workload.Values64(42, rows, workload.MixedMag),
 	}
-	planned := plan.BufferSize(groups, rows/groups)
+	_, planned := groupby.Layout(plan, groups, rows/groups)
 	if planned == 0 {
 		t.Fatalf("no buffers planned for %d groups of %d rows", groups, rows/groups)
 	}
 	for _, bsz := range []int{planned, 0} {
-		table := newTupleTable(plan, groups, 8, bsz)
-		addRows(table, plan, keys, cols)
+		table := groupby.NewTable(plan, groups, 8, bsz)
+		table.AddRows(keys, cols)
 		allocs := testing.AllocsPerRun(20, func() {
 			table.Clear()
-			addRows(table, plan, keys, cols)
+			table.AddRows(keys, cols)
 		})
 		if allocs != 0 {
 			t.Errorf("bsz %d: %v allocs per %d-row partition, want 0", bsz, allocs, rows)
@@ -366,7 +367,7 @@ func TestOwnerMergeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const groups = 1 << 15
-	src := newTupleTable(plan, groups, 0, 0)
+	src := groupby.NewTable(plan, groups, 0, 0)
 	cols := [][]float64{
 		workload.Values64(43, groups, workload.MixedMag),
 		workload.Values64(44, groups, workload.MixedMag),
@@ -375,7 +376,7 @@ func TestOwnerMergeAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint32(i) << 1
 	}
-	addRows(src, plan, keys, cols)
+	src.AddRows(keys, cols)
 	var frame []byte
 	src.ForEach(func(key uint32, tup *sqlagg.Tuple) {
 		if frame, err = appendTuple(frame, key, plan, tup); err != nil {

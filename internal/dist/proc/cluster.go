@@ -22,10 +22,9 @@
 // separate processes with nothing shared but the wire, some of them
 // dying halfway through.
 //
-// Reduce, AggregateByKey, and AggregateTuples below are the original
-// one-shot entry points, kept as thin wrappers: each forms a cluster,
-// runs a single raw-shard job, and tears the cluster down, preserving
-// the exact validation order and failure surface they always had.
+// A Cluster is the only way to run a job across processes: the facade's
+// Distributed* operators with WithProcessCluster form one, run a single
+// raw-shard job and close it.
 package proc
 
 import (
@@ -33,11 +32,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/sqlagg"
 )
 
 // Options configures the supervisor side of a multi-process run. The
@@ -54,9 +51,6 @@ type Options struct {
 	Env []string
 	// LogWriter receives the workers' stderr (default os.Stderr).
 	LogWriter io.Writer
-	// JoinTimeout bounds the whole join phase: spawn through last
-	// handshake (default 15s).
-	JoinTimeout time.Duration
 	// KillConnNode / KillConnAfter force the socket-kill-and-reconnect
 	// scenario: node KillConnNode severs all its outgoing data-plane
 	// connections once, just before its KillConnAfter-th data frame.
@@ -67,143 +61,11 @@ type Options struct {
 	KillConnAfter int
 }
 
-func (o Options) joinTimeout() time.Duration {
-	if o.JoinTimeout <= 0 {
-		return 15 * time.Second
-	}
-	return o.JoinTimeout
-}
-
 func (o Options) logWriter() io.Writer {
 	if o.LogWriter == nil {
 		return os.Stderr
 	}
 	return o.LogWriter
-}
-
-// clusterSize resolves the worker-process count: an explicit
-// cfg.Procs, else one process per shard.
-func clusterSize(cfg dist.Config, shards int) int {
-	if cfg.Procs > 0 {
-		return cfg.Procs
-	}
-	return shards
-}
-
-// runOneShot is the shared tail of the one-shot wrappers: form a
-// cluster, run the single job, tear the cluster down. A run error
-// outranks a teardown error (the former usually causes the latter).
-func runOneShot(n int, cfg dist.Config, opt Options, job Job) (*Result, error) {
-	c, err := NewCluster(ClusterSpec{
-		Nodes:       n,
-		JoinTimeout: opt.joinTimeout(),
-		Config:      cfg,
-		Options:     opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run(job)
-	cerr := c.Close()
-	if err != nil {
-		return nil, err
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	return res, nil
-}
-
-// Reduce computes the reproducible global SUM across a cluster of
-// spawned worker processes — the multi-process counterpart of
-// dist.ReduceConfig, bit-identical to it (and to every in-process
-// transport) by construction. When cfg.Procs differs from len(shards),
-// the shards are re-dealt round-robin across the cfg.Procs worker
-// nodes; reproducibility makes any re-dealing invisible in the bits.
-func Reduce(shards [][]float64, workers int, topo dist.Topology, cfg dist.Config, opt Options) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if len(shards) == 0 {
-		return 0, dist.ErrNoShards
-	}
-	if workers < 1 {
-		return 0, fmt.Errorf("%w (got %d)", dist.ErrWorkers, workers)
-	}
-	if !topo.Valid() {
-		return 0, fmt.Errorf("%w (got %d)", dist.ErrTopology, int(topo))
-	}
-	res, err := runOneShot(clusterSize(cfg, len(shards)), cfg, opt, Job{
-		Topo:    topo,
-		Workers: workers,
-		Source:  ValueShards(shards),
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Sum, nil
-}
-
-// AggregateByKey computes the reproducible distributed GROUP BY SUM
-// across spawned worker processes — the multi-process counterpart of
-// dist.AggregateByKeyConfig, bit-identical to it for every sharding,
-// topology of arrival, chunk regime, and injected failure. It is the
-// single-aggregate special case of AggregateTuples.
-func AggregateByKey(shardKeys [][]uint32, shardVals [][]float64, workers int, cfg dist.Config, opt Options) ([]dist.Group, error) {
-	if len(shardVals) != len(shardKeys) {
-		return nil, fmt.Errorf("%w: %d key shards vs %d value shards",
-			dist.ErrShardMismatch, len(shardKeys), len(shardVals))
-	}
-	shardCols := make([][][]float64, len(shardVals))
-	for i, vals := range shardVals {
-		shardCols[i] = [][]float64{vals}
-	}
-	specs := []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: core.DefaultLevels, Col: 0}}
-	tuples, err := AggregateTuples(shardKeys, shardCols, workers, specs, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	groups := make([]dist.Group, len(tuples))
-	for i, t := range tuples {
-		groups[i] = dist.Group{Key: t.Key, Sum: t.Aggs[0]}
-	}
-	return groups, nil
-}
-
-// AggregateTuples computes a reproducible distributed multi-aggregate
-// GROUP BY across spawned worker processes — the multi-process
-// counterpart of dist.AggregateTuplesConfig, bit-identical to it for
-// every sharding, chunk regime, and injected failure. Each shard
-// carries its keys plus one value column per distinct column the
-// aggregate catalog reads; the catalog travels in the job spec of the
-// versioned control plane, and the cluster config is digested into the
-// join handshake, so a mismatched worker is rejected at admission.
-func AggregateTuples(shardKeys [][]uint32, shardCols [][][]float64, workers int, specs []sqlagg.AggSpec, cfg dist.Config, opt Options) ([]dist.TupleGroup, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(shardKeys) == 0 {
-		return nil, dist.ErrNoShards
-	}
-	if len(shardCols) != len(shardKeys) {
-		return nil, fmt.Errorf("%w: %d key shards vs %d column shards",
-			dist.ErrShardMismatch, len(shardKeys), len(shardCols))
-	}
-	if err := dist.ValidateShardColumns(shardKeys, shardCols, specs); err != nil {
-		return nil, err
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("%w (got %d)", dist.ErrWorkers, workers)
-	}
-	res, err := runOneShot(clusterSize(cfg, len(shardKeys)), cfg, opt, Job{
-		Workers: workers,
-		Specs:   specs,
-		Source:  RowShards(shardKeys, shardCols),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Groups, nil
 }
 
 // resolveWorker picks the worker binary: explicit option, then the

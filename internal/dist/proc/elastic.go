@@ -81,7 +81,7 @@ type ClusterSpec struct {
 	// semantics: any death fails the run and breaks the cluster.
 	ReplaceDead bool
 	// JoinTimeout bounds formation and each replacement wait
-	// (default: Options.JoinTimeout, then 15s).
+	// (default 15s).
 	JoinTimeout time.Duration
 	// Heartbeat is the workers' control-plane ping interval (0 = no
 	// heartbeats). Required when Liveness is set.
@@ -145,16 +145,13 @@ func (s ClusterSpec) Validate() error {
 	if s.Options.KillConnAfter < 0 {
 		return fmt.Errorf("%w: injected-kill frame count must be >= 0 (Options.KillConnAfter, got %d)", dist.ErrConfig, s.Options.KillConnAfter)
 	}
-	if s.Options.JoinTimeout < 0 {
-		return fmt.Errorf("%w: join timeout must be >= 0 (Options.JoinTimeout, got %v)", dist.ErrConfig, s.Options.JoinTimeout)
-	}
 	return s.Config.Validate()
 }
 
 // withDefaults resolves the defaulted fields.
 func (s ClusterSpec) withDefaults() ClusterSpec {
 	if s.JoinTimeout == 0 {
-		s.JoinTimeout = s.Options.joinTimeout()
+		s.JoinTimeout = 15 * time.Second
 	}
 	if s.MaxStandby == 0 {
 		s.MaxStandby = s.SpawnStandby
@@ -867,10 +864,6 @@ func (rs *runState) validateRaw() error {
 	}
 	if len(src.keys) == 0 {
 		return dist.ErrNoShards
-	}
-	if len(src.cols) != len(src.keys) {
-		return fmt.Errorf("%w: %d key shards vs %d column shards",
-			dist.ErrShardMismatch, len(src.keys), len(src.cols))
 	}
 	if err := dist.ValidateShardColumns(src.keys, src.cols, rs.specs); err != nil {
 		return err

@@ -667,7 +667,6 @@ func TestClusterSpecValidation(t *testing.T) {
 		{"negative die frames", func(s *ClusterSpec) { s.DieAfter = -1 }, "ClusterSpec.DieAfter"},
 		{"die node outside cluster", func(s *ClusterSpec) { s.DieNode, s.DieAfter = 5, 1 }, "ClusterSpec.DieNode"},
 		{"negative kill frames", func(s *ClusterSpec) { s.Options.KillConnAfter = -1 }, "Options.KillConnAfter"},
-		{"negative option timeout", func(s *ClusterSpec) { s.Options.JoinTimeout = -time.Second }, "Options.JoinTimeout"},
 		{"bad config", func(s *ClusterSpec) { s.Config.MaxChunkPayload = -1 }, "chunk payload"},
 		{"unwritable journal dir", func(s *ClusterSpec) { s.Journal = "/dev/null/journal" }, "ClusterSpec.Journal"},
 	}

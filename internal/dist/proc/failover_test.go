@@ -85,7 +85,7 @@ func supervisorMain() int {
 		Config:      cfg,
 		// Workers inherit this process's stderr fd directly (no pipe a
 		// supervisor kill could break mid-test, which would SIGPIPE them).
-		Options: Options{LogWriter: os.Stderr, JoinTimeout: 60 * time.Second},
+		Options: Options{LogWriter: os.Stderr},
 	})
 	if err != nil {
 		return fail("NewCluster", err)

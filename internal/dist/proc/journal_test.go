@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -163,6 +166,68 @@ func TestJournalRoundTrip(t *testing.T) {
 	os.WriteFile(path, []byte("definitely not a journal"), 0o644)
 	if _, _, err := openJournal(dir); err == nil {
 		t.Error("non-journal file opened without error")
+	}
+}
+
+// TestJournalTornAtEveryByte cuts a multi-record journal (epoch, addr,
+// admits, a job, a compaction snapshot, more of each) at every prefix
+// length — a crash can stop a write anywhere. openJournal must yield
+// exactly the state folded from the records complete before the cut and
+// truncate the file back to that record boundary: a fresh journal at
+// length 0, the not-a-journal error inside the file header, never a
+// panic and never a state that includes a partial record.
+func TestJournalTornAtEveryByte(t *testing.T) {
+	recs := []journalRecord{
+		{kind: jrEpoch, epoch: 1},
+		{kind: jrAddr, addr: "127.0.0.1:50000"},
+		{kind: jrAdmit, slot: 0, inc: 0},
+		{kind: jrAdmit, slot: 1, inc: 0},
+		{kind: jrJobStart, job: 0},
+		{kind: jrJobDone, job: 0},
+		{kind: jrSnapshot, snap: journalSnap{
+			epoch: 1, nextJob: 1, inFlight: -1, addr: "127.0.0.1:50000",
+			incs: []int64{1, 1}, members: []bool{true, true},
+		}},
+		{kind: jrGone, slot: 1},
+		{kind: jrAdmit, slot: 1, inc: 1},
+		{kind: jrJobStart, job: 1},
+	}
+	full := journalHeader()
+	ends := []int{len(full)} // ends[i]: the file length once i records are complete
+	for _, rec := range recs {
+		full = appendJournalRecord(full, rec)
+		ends = append(ends, len(full))
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalFile)
+	for cut := 0; cut <= len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, st, err := openJournal(dir)
+		if cut > 0 && cut < journalHeaderLen {
+			if err == nil || !strings.Contains(err.Error(), "not a supervisor journal") {
+				t.Fatalf("cut at %d, inside the header: err = %v", cut, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		j.close()
+		complete := max(sort.SearchInts(ends, cut+1)-1, 0)
+		want := newJournalState()
+		for _, rec := range recs[:complete] {
+			if err := want.apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Fatalf("cut at %d: state %+v, want the fold of the first %d records %+v", cut, *st, complete, *want)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(ends[complete]) {
+			t.Fatalf("cut at %d: file left at %d bytes (err %v), want the record boundary %d", cut, fi.Size(), err, ends[complete])
+		}
 	}
 }
 

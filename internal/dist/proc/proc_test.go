@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,8 +32,43 @@ func TestMain(m *testing.M) {
 
 // quietOpts discards worker stderr: failure paths under test would
 // otherwise spray expected error messages into the test log.
-func quietOpts() Options {
-	return Options{LogWriter: io.Discard, JoinTimeout: 30 * time.Second}
+func quietOpts() Options { return Options{LogWriter: io.Discard} }
+
+// oneShot runs job on a cluster formed for it — cfg.Procs nodes, else
+// one per shard — and closed after, as the facade does for
+// WithProcessCluster; like the facade it refuses workers < 1, which
+// Job.Workers alone would read as 1.
+func oneShot(shards int, cfg dist.Config, opt Options, job Job) (res Result, err error) {
+	if job.Workers < 1 {
+		return res, fmt.Errorf("%w (got %d)", dist.ErrWorkers, job.Workers)
+	}
+	c, err := NewCluster(ClusterSpec{Nodes: max(cmp.Or(cfg.Procs, shards), 1), JoinTimeout: 30 * time.Second, Config: cfg, Options: opt})
+	if err != nil {
+		return res, err
+	}
+	r, err := c.Run(job)
+	if cerr := c.Close(); err == nil {
+		res, err = *r, cerr
+	}
+	return res, err
+}
+
+func Reduce(shards [][]float64, workers int, topo dist.Topology, cfg dist.Config, opt Options) (float64, error) {
+	res, err := oneShot(len(shards), cfg, opt, Job{Topo: topo, Workers: workers, Source: ValueShards(shards)})
+	return res.Sum, err
+}
+
+func AggregateByKey(keys [][]uint32, vals [][]float64, workers int, cfg dist.Config, opt Options) ([]dist.Group, error) {
+	cols := make([][][]float64, len(vals))
+	for i, v := range vals {
+		cols[i] = [][]float64{v}
+	}
+	res, err := oneShot(len(keys), cfg, opt, Job{Workers: workers, Specs: []sqlagg.AggSpec{{Kind: sqlagg.AggSum}}, Source: RowShards(keys, cols)})
+	groups := make([]dist.Group, len(res.Groups))
+	for i, t := range res.Groups {
+		groups[i] = dist.Group{Key: t.Key, Sum: t.Aggs[0]}
+	}
+	return groups, err
 }
 
 // matrixConfig is the protocol configuration of the equivalence tests:
@@ -277,7 +313,6 @@ func TestProcValidation(t *testing.T) {
 func TestWorkerBinaryMissing(t *testing.T) {
 	opt := quietOpts()
 	opt.WorkerPath = "/nonexistent/reproworker"
-	opt.JoinTimeout = 2 * time.Second
 	_, err := Reduce([][]float64{{1, 2}}, 1, dist.Binomial, dist.Config{}, opt)
 	if err == nil || !strings.Contains(err.Error(), "spawning worker") {
 		t.Fatalf("err = %v, want a spawn failure", err)

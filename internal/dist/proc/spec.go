@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/dist"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
@@ -628,11 +627,11 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 const rowChunkHdr = 22
 
 // rowChunkBytes bounds the elements of one chunk: a quarter of the
-// cache the planner models per thread, so a chunk is encoded,
-// checksummed and written (or read, checksummed and decoded) while it
-// sits in L2, and a pong waits behind at most one. BenchmarkDispatch
-// sweeps it.
-const rowChunkBytes = agg.CacheBytesPerThread / 4
+// 1 MiB of cache the GROUP BY model budgets per thread, so a chunk is
+// encoded, checksummed and written (or read, checksummed and decoded)
+// while it sits in L2, and a pong waits behind at most one.
+// BenchmarkDispatch sweeps it.
+const rowChunkBytes = 256 << 10
 
 // rowStream encodes one node's rows of a raw source chunk by chunk.
 type rowStream struct {

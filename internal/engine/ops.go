@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 )
 
@@ -119,22 +120,9 @@ func (c GroupByConfig) withDefaults(ngroups int) GroupByConfig {
 	}
 	if c.BufferSize == 0 {
 		// Eq. 4 with F = 1 and float64 payloads.
-		c.BufferSize = 1 << 20 / (maxInt(ngroups, 1) * 8)
-		if c.BufferSize > 1024 {
-			c.BufferSize = 1024
-		}
-		if c.BufferSize < 8 {
-			c.BufferSize = 8
-		}
+		c.BufferSize = agg.BufferSize(ngroups, 1, 8)
 	}
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // GroupedSum computes, for each group g in [0, ngroups), the sum of

@@ -19,7 +19,7 @@
 //     scheduling decision;
 //   - memory admission that can reason before running: the partitioned
 //     layout bounds the distinct-key count of any GROUP BY up front
-//     (partition.Output.DistinctBound), and the spec catalog prices
+//     (groupby.Parts.SumBound), and the spec catalog prices
 //     each group's state tuple (sqlagg.TupleSize), so a query's working
 //     memory is estimated — and over-budget queries rejected with a
 //     typed error — before the first row is touched.
@@ -32,7 +32,7 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/partition"
+	"repro/internal/groupby"
 	"repro/internal/sqlagg"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -100,19 +100,12 @@ type Dataset struct {
 	keys []uint32
 	cols [][]float64
 
-	// Local-engine layout: keys partitioned on the low key byte; pcols
-	// holds each value column permuted into the same partitioned order.
-	part   partition.Output[int32]
-	pcols  [][]float64
-	fanout int
-
-	// distinctBound is Σ_p DistinctBound(p, fanout): a precomputed upper
-	// bound on the number of groups any GROUP BY over this data can
-	// produce. Memory admission prices queries with it. maxPartBound is
-	// the largest single term: what one partition's aggregation table
-	// must hold, so a worker sizes one table for all its partitions.
-	distinctBound int
-	maxPartBound  int
+	// Local-engine layout: keys partitioned on the low key bits, every
+	// value column beside them. Its SumBound — Σ_p DistinctBound(p,
+	// fanout) — is a precomputed upper bound on the number of groups any
+	// GROUP BY over this data can produce; memory admission prices
+	// queries with it.
+	parts *groupby.Parts
 
 	// Distributed-backend layout.
 	shardKeys [][]uint32
@@ -148,45 +141,12 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 		return nil, fmt.Errorf("%w: shard count %d", ErrDataset, o.Shards)
 	}
 
-	d := &Dataset{keys: keys, cols: cols, fanout: o.Fanout}
-
-	// Local layout: partition row indexes alongside the keys, then
-	// gather every value column into partitioned order once, at load
-	// time — queries only ever stream sequentially after this.
-	idx := make([]int32, len(keys))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	d.part = partition.Do(keys, idx, 0, o.Fanout, o.Workers)
-	d.pcols = make([][]float64, len(cols))
-	for c := range cols {
-		pc := make([]float64, len(keys))
-		for j, ri := range d.part.Vals {
-			pc[j] = cols[c][ri]
-		}
-		d.pcols[c] = pc
-	}
-	for p := 0; p < d.part.NumPartitions(); p++ {
-		b := d.part.DistinctBound(p, uint32(o.Fanout))
-		d.distinctBound += b
-		d.maxPartBound = max(d.maxPartBound, b)
-	}
-
-	// Distributed layout: round-robin deal, the same sharding the
-	// equivalence tests and benchmarks use elsewhere in the repo.
-	d.shardKeys = make([][]uint32, o.Shards)
-	d.shardCols = make([][][]float64, o.Shards)
-	for s := range d.shardCols {
-		d.shardCols[s] = make([][]float64, len(cols))
-	}
-	for i, k := range keys {
-		s := i % o.Shards
-		d.shardKeys[s] = append(d.shardKeys[s], k)
-		for c := range cols {
-			d.shardCols[s][c] = append(d.shardCols[s][c], cols[c][i])
-		}
-	}
-
+	// Local layout: every value column is partitioned beside the keys
+	// once, at load time — queries only ever stream sequentially after
+	// this. Distributed layout: round-robin deal.
+	d := &Dataset{keys: keys, cols: cols}
+	d.parts = groupby.Partition(keys, cols, func(int) bool { return true }, o.Fanout, o.Workers)
+	d.shardKeys, d.shardCols = groupby.Deal(keys, cols, o.Shards)
 	d.version = digestRows(keys, cols)
 	return d, nil
 }
@@ -232,7 +192,7 @@ func (d *Dataset) Version() uint64 { return d.version }
 // distinct keys — the group count no GROUP BY over this data can
 // exceed, and the factor memory admission multiplies by the per-group
 // tuple price.
-func (d *Dataset) DistinctBound() int { return d.distinctBound }
+func (d *Dataset) DistinctBound() int { return d.parts.SumBound }
 
 // EstimateBytes returns the estimated peak working memory of q on this
 // dataset: the admission-control price a server compares against its
@@ -263,7 +223,7 @@ func (d *Dataset) EstimateBytes(q Query) (int, error) {
 			return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
 		rowWidth := 4 + 8*len(q.Specs)
-		return d.distinctBound * (ts + 2*rowWidth), nil
+		return d.DistinctBound() * (ts + 2*rowWidth), nil
 	case QueryWindowTotals:
 		// Per-key summation states plus the per-row totals column and
 		// its 8-byte-per-row canonical encoding.
@@ -272,7 +232,7 @@ func (d *Dataset) EstimateBytes(q Query) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
-		return d.distinctBound*sz + 16*d.Rows(), nil
+		return d.DistinctBound()*sz + 16*d.Rows(), nil
 	default:
 		return 0, fmt.Errorf("%w: unknown query kind %d", ErrBadQuery, byte(q.Kind))
 	}

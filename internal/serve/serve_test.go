@@ -531,12 +531,12 @@ func TestGroupByLocalAllocations(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	parts := ds.part.NumPartitions()
+	parts := len(ds.parts.Bounds)
 	// Per worker: the table's slot arrays and one tuple of ≤ 3
-	// allocations per slot ever used (under 4 × maxPartBound slots, at
+	// allocations per slot ever used (under 4 × MaxBound slots, at
 	// least 16); per partition: its key-sorted run and the run's values;
 	// a constant for the pool and the merged result.
-	slots := max(16, 4*ds.maxPartBound)
+	slots := max(16, 4*ds.parts.MaxBound)
 	bound := float64(workers*(8+3*slots) + 2*parts + 16)
 	if allocs > bound {
 		t.Fatalf("%v allocations for %d groups in %d partitions on %d workers, want ≤ %v", allocs, groups, parts, workers, bound)

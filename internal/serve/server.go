@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/proc"
+	"repro/internal/groupby"
 	"repro/internal/obs"
 	"repro/internal/sqlagg"
 )
@@ -382,7 +383,7 @@ func (s *Server) do(q Query, tr *obs.Trace) (*Result, string, error) {
 		}
 		if over {
 			return nil, outRejBudget, fmt.Errorf("%w: estimated %d bytes over budget %d (distinct-key bound %d)",
-				ErrOverBudget, est, s.opt.MemoryBudget, s.ds.distinctBound)
+				ErrOverBudget, est, s.opt.MemoryBudget, s.ds.DistinctBound())
 		}
 	}
 
@@ -546,68 +547,30 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 	}
 }
 
-// groupByLocal is the local GROUP BY engine: each resident partition is
-// aggregated independently (keys only collide within their partition)
-// through a dist.TupleGrouper — the same tuple table the distributed
-// plane runs. A worker pool walks the partitions; each worker keeps one
-// grouper for all the partitions it drains, sized from the largest
-// DistinctBound so it never rehashes, with summation buffers planned
-// from the dataset's rows per key, so a query allocates O(workers +
-// groups), not O(partitions × groups). The per-partition key-sorted
-// runs are concatenated and sorted. The result bits are identical to
-// the distributed plane's: the aggregate states are order-independent,
-// so it does not matter which backend folded which row first.
+// groupByLocal is the local GROUP BY engine: groupby's partition loop
+// over the resident partitions (keys only collide within their
+// partition) — the same table, plan and row loop the distributed plane
+// runs — with one table per worker and summation buffers planned from
+// the dataset's rows per key, so a query allocates O(workers + groups),
+// not O(partitions × groups). The per-partition key-sorted runs are
+// concatenated and sorted. The result bits are identical to the
+// distributed plane's: the aggregate states are order-independent, so
+// it does not matter which backend folded which row first.
 func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error) {
-	part := &s.ds.part
-	nparts := part.NumPartitions()
-	perPart := make([][]dist.TupleGroup, nparts)
-	errs := make([]error, nparts)
-
-	workers := min(s.opt.Workers, nparts)
-	groupers := make([]*dist.TupleGrouper, workers)
-	for w := range groupers {
-		g, err := dist.NewTupleGrouper(specs, s.ds.maxPartBound, s.ds.Rows()/s.ds.distinctBound, uint32(s.ds.fanout))
-		if err != nil {
-			return nil, err
-		}
-		groupers[w] = g
+	plan, err := sqlagg.NewTuplePlan(specs)
+	if err != nil {
+		return nil, err
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, g := range groupers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cols := make([][]float64, len(s.ds.pcols))
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= nparts {
-					return
-				}
-				pk, _ := part.Partition(p)
-				if len(pk) == 0 {
-					continue
-				}
-				for c, col := range s.ds.pcols {
-					cols[c] = col[part.Off[p]:part.Off[p+1]]
-				}
-				perPart[p], errs[p] = g.GroupTuples(pk, cols)
-			}
-		}()
+	ps := s.ds.parts
+	_, bsz := groupby.Layout(plan, ps.MaxBound, s.ds.Rows()/ps.SumBound)
+	runs := make([][]dist.TupleGroup, len(ps.Bounds))
+	if err := ps.Each(plan, bsz, s.opt.Workers, func(p int, t *groupby.Table) error {
+		runs[p] = t.Groups()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	total := 0
-	for p := range perPart {
-		if errs[p] != nil {
-			return nil, errs[p]
-		}
-		total += len(perPart[p])
-	}
-	out := make([]dist.TupleGroup, 0, total)
-	for p := range perPart {
-		out = append(out, perPart[p]...)
-	}
+	out := slices.Concat(runs...)
 	slices.SortFunc(out, func(a, b dist.TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
 }

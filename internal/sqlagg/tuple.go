@@ -5,7 +5,6 @@ import (
 	"math"
 	"unsafe"
 
-	"repro/internal/agg"
 	"repro/internal/rsum"
 )
 
@@ -137,19 +136,14 @@ func (p *TuplePlan) Reads(col int) bool {
 	return false
 }
 
-// BufferSize plans the summation buffers of a table that holds groups
-// tuples at once, each expected to receive perGroup rows: the buffer
-// length per summed column, or 0 for none. Every row appends one value
-// per sum, so the model (agg.PlanBuffer, Eq. 4) runs at 8 bytes × the
-// number of sums: a table's buffers never outgrow its cache budget
-// whatever the group count, and a catalog too wide for MinBufferSize
-// values per sum gets no buffers rather than tiny ones.
-func (p *TuplePlan) BufferSize(groups, perGroup int) int {
-	if len(p.sums) == 0 {
-		return 0
-	}
-	return agg.PlanBuffer(groups, perGroup, 8*len(p.sums))
-}
+// RowBytes returns the bytes one row appends to a tuple's summation
+// buffers — 8 per sum, 0 for a plan without sums, which never buffers:
+// what a table's buffer length is planned from.
+func (p *TuplePlan) RowBytes() int { return 8 * len(p.sums) }
+
+// Specs returns the number of specs planned: the values Finalize
+// appends per tuple.
+func (p *TuplePlan) Specs() int { return len(p.fins) }
 
 // Tuple is one group's physical aggregate state.
 type Tuple struct {

@@ -27,19 +27,17 @@ func q1Catalog(levels int) []AggSpec {
 }
 
 // TestTuplePlanDecisions is the plan's decision table: which physical
-// components a spec list maps to, how wide they encode, and when their
-// summation buffers are planned.
+// components a spec list maps to and how wide they encode. (When their
+// summation buffers are planned is groupby's TestLayoutDecisions.)
 func TestTuplePlanDecisions(t *testing.T) {
 	const sum2 = 52 // encoded rsum.State64 at 2 levels
-	type buffer struct{ groups, perGroup, want int }
 	for _, tc := range []struct {
-		name    string
-		specs   []AggSpec
-		sums    []sumComp
-		count   bool
-		exts    []extComp
-		width   int
-		buffers []buffer
+		name  string
+		specs []AggSpec
+		sums  []sumComp
+		count bool
+		exts  []extComp
+		width int
 	}{
 		{
 			name:  "Q1 catalog: five sums and one count, not eleven states and four counts",
@@ -47,21 +45,12 @@ func TestTuplePlanDecisions(t *testing.T) {
 			sums:  []sumComp{{0, 2, false}, {1, 2, false}, {2, 2, false}, {3, 2, false}, {4, 2, false}},
 			count: true,
 			width: 5*sum2 + 8, // 268; the logical TupleSize is 396
-			buffers: []buffer{
-				{4, 1 << 17, 1024},    // few groups, many rows: bszmax
-				{4, 100, 128},         // capped by what a group receives
-				{256, 8, 0},           // fewer than MinBufferSize rows per group
-				{512, 1 << 12, 32},    // 5 × 32 × 8 × 512 = 640 KiB fits the budget
-				{1024, 1 << 12, 0},    // 5 × 32 × 8 × 1024 exceeds it: none, not a 16-value buffer
-				{1 << 16, 1 << 12, 0}, // far beyond
-			},
 		},
 		{
-			name:    "single SUM: one bare state, no count",
-			specs:   []AggSpec{{Kind: AggSum, Levels: 2, Col: 0}},
-			sums:    []sumComp{{0, 2, false}},
-			width:   sum2,
-			buffers: []buffer{{1024, 1 << 12, 128}, {4096, 1 << 12, 32}, {8192, 1 << 12, 0}},
+			name:  "single SUM: one bare state, no count",
+			specs: []AggSpec{{Kind: AggSum, Levels: 2, Col: 0}},
+			sums:  []sumComp{{0, 2, false}},
+			width: sum2,
 		},
 		{
 			name: "AVG, VAR_POP, STDDEV_SAMP and SUM of one column share Σx, Σx², n",
@@ -74,11 +63,10 @@ func TestTuplePlanDecisions(t *testing.T) {
 			width: 2*sum2 + 8,
 		},
 		{
-			name:    "COUNT only: no sums, so never a buffer",
-			specs:   []AggSpec{{Kind: AggCount, Col: 9}},
-			count:   true,
-			width:   8,
-			buffers: []buffer{{4, 1 << 17, 0}},
+			name:  "COUNT only: no sums, so never a buffer",
+			specs: []AggSpec{{Kind: AggCount, Col: 9}},
+			count: true,
+			width: 8,
 		},
 		{
 			name:  "MIN and MAX of one column, each once",
@@ -112,10 +100,8 @@ func TestTuplePlanDecisions(t *testing.T) {
 			if err != nil || logical < p.Width() {
 				t.Errorf("TupleSize = %d (%v): must stay an upper bound of the physical width %d", logical, err, p.Width())
 			}
-			for _, b := range tc.buffers {
-				if got := p.BufferSize(b.groups, b.perGroup); got != b.want {
-					t.Errorf("BufferSize(%d groups, %d rows each) = %d, want %d", b.groups, b.perGroup, got, b.want)
-				}
+			if rb := p.RowBytes(); rb != 8*len(tc.sums) {
+				t.Errorf("RowBytes = %d for %d sums", rb, len(tc.sums))
 			}
 		})
 	}

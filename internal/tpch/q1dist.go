@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/groupby"
 	"repro/internal/sqlagg"
 )
 
@@ -109,19 +110,7 @@ func Q1Input(t *engine.Table) (keys []uint32, cols [][]float64, err error) {
 // ShardQ1Input deals Q1Input's rows round-robin into n shards, the
 // sharding the distributed equivalence tests and benchmarks use.
 func ShardQ1Input(keys []uint32, cols [][]float64, n int) (shardKeys [][]uint32, shardCols [][][]float64) {
-	shardKeys = make([][]uint32, n)
-	shardCols = make([][][]float64, n)
-	for s := range shardCols {
-		shardCols[s] = make([][]float64, len(cols))
-	}
-	for i, k := range keys {
-		s := i % n
-		shardKeys[s] = append(shardKeys[s], k)
-		for c := range cols {
-			shardCols[s][c] = append(shardCols[s][c], cols[c][i])
-		}
-	}
-	return shardKeys, shardCols
+	return groupby.Deal(keys, cols, n)
 }
 
 // Q1FromTuples finalizes multi-aggregate GROUP BY tuples (produced by a

@@ -34,6 +34,7 @@ package repro
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"time"
 
@@ -363,6 +364,44 @@ func distConfig(opts []DistOption) dist.Config {
 	return cfg
 }
 
+// runOnProcessCluster is WithProcessCluster's execution path: it forms
+// a cluster of cfg.Procs worker processes, runs the one raw-shard job
+// over it and closes it (a run error outranks a teardown error — the
+// former usually causes the latter). Bad input fails before any process
+// starts, with the in-process engine's sentinels in its order: the
+// configuration, no shards, the caller's finding about the shards'
+// shape, then worker count — Cluster.Run alone would take 0 workers for
+// 1 — and topology.
+func runOnProcessCluster(cfg dist.Config, shards int, shape error, job proc.Job) (*proc.Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if shards == 0 {
+		return nil, ErrNoShards
+	}
+	if shape != nil {
+		return nil, shape
+	}
+	if job.Workers < 1 {
+		return nil, fmt.Errorf("%w (got %d)", ErrWorkers, job.Workers)
+	}
+	if !job.Topo.Valid() {
+		return nil, fmt.Errorf("%w (got %d)", ErrTopology, int(job.Topo))
+	}
+	c, err := proc.NewCluster(proc.ClusterSpec{Nodes: cfg.Procs, Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.Run(job)
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // DistributedSum computes the reproducible SUM of a sharded input on a
 // simulated cluster with one node per shard: every node sums its shard
 // locally (with the given per-node worker count), and the partial
@@ -374,37 +413,45 @@ func distConfig(opts []DistOption) dist.Config {
 // (WithTCPTransport), and fault plan (WithFaults).
 func DistributedSum(shards [][]float64, workers int, topo Topology, opts ...DistOption) (float64, error) {
 	cfg := distConfig(opts)
-	if cfg.Procs != 0 {
-		// proc validates the config, so a poisoned WithProcessCluster
-		// argument surfaces as ErrConfig here too.
-		return proc.Reduce(shards, workers, topo, cfg, proc.Options{})
+	if cfg.Procs == 0 {
+		return dist.ReduceConfig(shards, workers, topo, cfg)
 	}
-	return dist.ReduceConfig(shards, workers, topo, cfg)
+	// A poisoned WithProcessCluster argument surfaces as ErrConfig here
+	// too: the helper validates the config first.
+	res, err := runOnProcessCluster(cfg, len(shards), nil,
+		proc.Job{Topo: topo, Workers: workers, Source: proc.ValueShards(shards)})
+	if err != nil {
+		return 0, err
+	}
+	return res.Sum, nil
 }
 
 // DistributedGroupBySum computes a reproducible GROUP BY SUM over rows
 // sharded across a simulated cluster: shardKeys[i] and shardVals[i]
-// are node i's rows. A hash shuffle routes each key to a unique owner
+// are node i's rows. It is DistributedAggregateByKey with the single
+// spec SUM(column 0): a hash shuffle routes each key to a unique owner
 // node, senders pre-aggregate into per-key partial states, and owners
 // merge the shipped states in arrival order. The returned groups are
 // sorted by key and bit-identical to GroupBySum over the concatenated
 // rows, for every sharding, cluster size, worker count, transport, and
 // fault plan.
 func DistributedGroupBySum(shardKeys [][]uint32, shardVals [][]float64, workers int, opts ...DistOption) ([]Group, error) {
-	cfg := distConfig(opts)
-	var gs []dist.Group
-	var err error
-	if cfg.Procs != 0 {
-		gs, err = proc.AggregateByKey(shardKeys, shardVals, workers, cfg, proc.Options{})
-	} else {
-		gs, err = dist.AggregateByKeyConfig(shardKeys, shardVals, workers, cfg)
+	if len(shardVals) != len(shardKeys) {
+		return nil, fmt.Errorf("%w: %d key shards vs %d value shards",
+			ErrShardMismatch, len(shardKeys), len(shardVals))
 	}
+	shardCols := make([][][]float64, len(shardVals))
+	for i, vals := range shardVals {
+		shardCols[i] = [][]float64{vals}
+	}
+	tuples, err := DistributedAggregateByKey(shardKeys, shardCols, workers,
+		[]AggSpec{{Kind: AggSum, Levels: DefaultLevels, Col: 0}}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Group, len(gs))
-	for i, g := range gs {
-		out[i] = Group{Key: g.Key, Sum: g.Sum}
+	out := make([]Group, len(tuples))
+	for i, t := range tuples {
+		out[i] = Group{Key: t.Key, Sum: t.Aggs[0]}
 	}
 	return out, nil
 }
@@ -454,10 +501,16 @@ type TupleGroup = dist.TupleGroup
 // (WithProcessCluster), and fault plan (WithFaults).
 func DistributedAggregateByKey(shardKeys [][]uint32, shardCols [][][]float64, workers int, specs []AggSpec, opts ...DistOption) ([]TupleGroup, error) {
 	cfg := distConfig(opts)
-	if cfg.Procs != 0 {
-		return proc.AggregateTuples(shardKeys, shardCols, workers, specs, cfg, proc.Options{})
+	if cfg.Procs == 0 {
+		return dist.AggregateTuplesConfig(shardKeys, shardCols, workers, specs, cfg)
 	}
-	return dist.AggregateTuplesConfig(shardKeys, shardCols, workers, specs, cfg)
+	res, err := runOnProcessCluster(cfg, len(shardKeys),
+		dist.ValidateShardColumns(shardKeys, shardCols, specs),
+		proc.Job{Workers: workers, Specs: specs, Source: proc.RowShards(shardKeys, shardCols)})
+	if err != nil {
+		return nil, err
+	}
+	return res.Groups, nil
 }
 
 // DotProduct returns the bit-reproducible dot product Σ x[i]·y[i] with
