@@ -50,7 +50,8 @@
 //	                 of this many workers (0 disables; implies -cluster
 //	                 semantics over processes)
 //	-journal         journal directory for the -proc-nodes supervisor:
-//	                 the cluster's control-plane state is logged there,
+//	                 a snapshot of the cluster's control-plane state is
+//	                 kept there, replaced at every transition,
 //	                 and a restarted reproserve pointed at the same
 //	                 directory recovers it — same control address, same
 //	                 workers re-attached, same result bytes. While such
@@ -98,7 +99,7 @@ func main() {
 	cluster := flag.Bool("cluster", false, "answer GROUP BY on the distributed backend")
 	shards := flag.Int("shards", 4, "cluster size for -cluster")
 	procNodes := flag.Int("proc-nodes", 0, "answer GROUP BY on a spawned multi-process cluster of this many workers (0 disables)")
-	journal := flag.String("journal", "", "journal directory for the -proc-nodes supervisor (enables crash-restart recovery)")
+	journal := flag.String("journal", "", "directory for the -proc-nodes supervisor's state snapshot (enables crash-restart recovery)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "executing-query cap")
 	maxQueue := flag.Int("max-queue", 64, "admission queue depth")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "queued-query wait bound")

@@ -38,15 +38,6 @@ func (u *U32) Add(v uint32) { *u += U32(v) }
 // MergeFrom combines per-thread aggregates.
 func (u *U32) MergeFrom(o *U32) { *u += *o }
 
-// D18 is the DECIMAL(18) accumulator: a 64-bit integer.
-type D18 decimal.Dec18
-
-// Add folds one value in.
-func (d *D18) Add(v int64) { *d += D18(v) }
-
-// MergeFrom combines per-thread aggregates.
-func (d *D18) MergeFrom(o *D18) { *d += *o }
-
 // D38 is the DECIMAL(38) accumulator: a 128-bit integer fed by 64-bit
 // values (the paper's __int128).
 type D38 struct{ v decimal.Int128 }
@@ -71,10 +62,6 @@ var (
 		Add(uint32)
 		MergeFrom(*U32)
 	} = (*U32)(nil)
-	_ interface {
-		Add(int64)
-		MergeFrom(*D18)
-	} = (*D18)(nil)
 	_ interface {
 		Add(int64)
 		MergeFrom(*D38)

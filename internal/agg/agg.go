@@ -1,10 +1,8 @@
 package agg
 
 import (
-	"cmp"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/hashagg"
@@ -206,21 +204,5 @@ func collect[A any](t *hashagg.Table[A]) []Entry[A] {
 		}
 		out = append(out, Entry[A]{Key: key, Agg: *a})
 	})
-	return out
-}
-
-// SortByKey orders entries by key, giving results a canonical order for
-// comparison (the operator itself returns groups as an unordered set).
-func SortByKey[A any](entries []Entry[A]) {
-	slices.SortFunc(entries, func(a, b Entry[A]) int { return cmp.Compare(a.Key, b.Key) })
-}
-
-// Finalize maps the aggregate payloads of entries through fn, producing
-// the user-visible column (e.g. repro state → float64).
-func Finalize[A any, R any](entries []Entry[A], fn func(*A) R) []Entry[R] {
-	out := make([]Entry[R], len(entries))
-	for i := range entries {
-		out[i] = Entry[R]{Key: entries[i].Key, Agg: fn(&entries[i].Agg)}
-	}
 	return out
 }

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -15,18 +16,19 @@ import (
 // unbuffered payload, as in Plan — and returns its groups key-sorted,
 // sums as bits.
 func groupBits(keys []uint32, vals []float64, opt Options, bsz int) []Entry[uint64] {
-	bits := func(v float64) uint64 { return math.Float64bits(v) }
 	var out []Entry[uint64]
 	if bsz == 0 {
-		out = Finalize(PartitionAndAggregate[float64, core.Sum64](keys, vals,
-			func() core.Sum64 { return core.NewSum64(core.DefaultLevels) }, opt),
-			func(s *core.Sum64) uint64 { return bits(s.Value()) })
+		for _, e := range PartitionAndAggregate[float64, core.Sum64](keys, vals,
+			func() core.Sum64 { return core.NewSum64(core.DefaultLevels) }, opt) {
+			out = append(out, Entry[uint64]{Key: e.Key, Agg: math.Float64bits(e.Agg.Value())})
+		}
 	} else {
-		out = Finalize(PartitionAndAggregate[float64, core.Buffered64](keys, vals,
-			func() core.Buffered64 { return core.NewBuffered64(core.DefaultLevels, bsz) }, opt),
-			func(b *core.Buffered64) uint64 { return bits(b.Value()) })
+		for _, e := range PartitionAndAggregate[float64, core.Buffered64](keys, vals,
+			func() core.Buffered64 { return core.NewBuffered64(core.DefaultLevels, bsz) }, opt) {
+			out = append(out, Entry[uint64]{Key: e.Key, Agg: math.Float64bits(e.Agg.Value())})
+		}
 	}
-	SortByKey(out)
+	slices.SortFunc(out, func(a, b Entry[uint64]) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 

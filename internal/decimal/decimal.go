@@ -1,141 +1,11 @@
 package decimal
 
-import (
-	"errors"
-	"fmt"
-	"math/big"
-	"strings"
-)
-
-// The DECIMAL(p) types of the paper's evaluation, implemented "the
-// typical way" as built-in integers of 32, 64, and 128 bits for p = 9,
-// 18, and 38 decimal digits. A value carries an implicit scale (number
-// of fractional decimal digits) fixed by the column type — exactly the
-// fixed-point arithmetic of Section II-C, which is reproducible but not
-// flexible enough for data of unknown or mixed magnitude.
-
-// Dec9 is DECIMAL(9): up to 9 decimal digits in an int32.
-type Dec9 int32
-
-// Dec18 is DECIMAL(18): up to 18 decimal digits in an int64.
-type Dec18 int64
+// The widest DECIMAL(p) type of the paper's evaluation, implemented "the
+// typical way" as a built-in integer: 128 bits for p = 38 decimal
+// digits. A value carries an implicit scale (number of fractional
+// decimal digits) fixed by the column type — exactly the fixed-point
+// arithmetic of Section II-C, which is reproducible but not flexible
+// enough for data of unknown or mixed magnitude.
 
 // Dec38 is DECIMAL(38): up to 38 decimal digits in an Int128.
 type Dec38 = Int128
-
-// Pow10 returns 10^e as an int64 for 0 ≤ e ≤ 18.
-func Pow10(e int) int64 {
-	if e < 0 || e > 18 {
-		panic("decimal: Pow10 exponent out of range")
-	}
-	p := int64(1)
-	for i := 0; i < e; i++ {
-		p *= 10
-	}
-	return p
-}
-
-// ErrOverflow reports that a checked fixed-point operation overflowed
-// its precision.
-var ErrOverflow = errors.New("decimal: overflow")
-
-// ParseDec18 parses a decimal literal like "-123.45" into a Dec18 with
-// the given scale (count of fractional digits kept). Excess fractional
-// digits are an error rather than being silently rounded: fixed-point
-// columns in a database reject values that do not fit the declared type.
-func ParseDec18(s string, scale int) (Dec18, error) {
-	if scale < 0 || scale > 18 {
-		return 0, fmt.Errorf("decimal: invalid scale %d", scale)
-	}
-	neg := false
-	switch {
-	case strings.HasPrefix(s, "-"):
-		neg = true
-		s = s[1:]
-	case strings.HasPrefix(s, "+"):
-		s = s[1:]
-	}
-	intPart, fracPart := s, ""
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		intPart, fracPart = s[:i], s[i+1:]
-	}
-	if intPart == "" && fracPart == "" {
-		return 0, fmt.Errorf("decimal: empty literal %q", s)
-	}
-	if len(fracPart) > scale {
-		return 0, fmt.Errorf("decimal: %q has more than %d fractional digits", s, scale)
-	}
-	var v int64
-	for _, c := range intPart {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("decimal: bad digit in %q", s)
-		}
-		nv := v*10 + int64(c-'0')
-		if nv < v {
-			return 0, ErrOverflow
-		}
-		v = nv
-	}
-	for i := 0; i < scale; i++ {
-		var d int64
-		if i < len(fracPart) {
-			c := fracPart[i]
-			if c < '0' || c > '9' {
-				return 0, fmt.Errorf("decimal: bad digit in %q", s)
-			}
-			d = int64(c - '0')
-		}
-		nv := v*10 + d
-		if nv < v {
-			return 0, ErrOverflow
-		}
-		v = nv
-	}
-	if neg {
-		v = -v
-	}
-	return Dec18(v), nil
-}
-
-// FormatDec18 renders v with the given scale, e.g. 12345 at scale 2 →
-// "123.45".
-func FormatDec18(v Dec18, scale int) string {
-	neg := v < 0
-	u := int64(v)
-	if neg {
-		u = -u
-	}
-	p := Pow10(scale)
-	intPart, frac := u/p, u%p
-	var b strings.Builder
-	if neg {
-		b.WriteByte('-')
-	}
-	fmt.Fprintf(&b, "%d", intPart)
-	if scale > 0 {
-		fmt.Fprintf(&b, ".%0*d", scale, frac)
-	}
-	return b.String()
-}
-
-// Float64 converts a scaled Dec18 to float64 (lossy).
-func (v Dec18) Float64(scale int) float64 {
-	return float64(v) / float64(Pow10(scale))
-}
-
-// Big returns the unscaled integer value.
-func (v Dec18) Big() *big.Int { return new(big.Int).SetInt64(int64(v)) }
-
-// AddChecked returns v + w, reporting overflow of the 64-bit range.
-func (v Dec18) AddChecked(w Dec18) (Dec18, bool) {
-	r := v + w
-	overflow := (v < 0) == (w < 0) && (r < 0) != (v < 0)
-	return r, overflow
-}
-
-// AddChecked returns v + w, reporting overflow of the 32-bit range.
-func (v Dec9) AddChecked(w Dec9) (Dec9, bool) {
-	r := v + w
-	overflow := (v < 0) == (w < 0) && (r < 0) != (v < 0)
-	return r, overflow
-}

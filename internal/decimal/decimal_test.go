@@ -142,86 +142,3 @@ func TestInt128Float64(t *testing.T) {
 		t.Errorf("Float64(2^64) = %g", got)
 	}
 }
-
-func TestParseFormatDec18(t *testing.T) {
-	cases := []struct {
-		in    string
-		scale int
-		want  Dec18
-	}{
-		{"0", 2, 0},
-		{"1", 2, 100},
-		{"1.5", 2, 150},
-		{"-1.55", 2, -155},
-		{"123.45", 2, 12345},
-		{"+0.01", 2, 1},
-		{"42", 0, 42},
-		{".5", 1, 5},
-	}
-	for _, c := range cases {
-		got, err := ParseDec18(c.in, c.scale)
-		if err != nil {
-			t.Errorf("ParseDec18(%q,%d): %v", c.in, c.scale, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseDec18(%q,%d) = %d, want %d", c.in, c.scale, got, c.want)
-		}
-	}
-	if s := FormatDec18(12345, 2); s != "123.45" {
-		t.Errorf("FormatDec18 = %q", s)
-	}
-	if s := FormatDec18(-155, 2); s != "-1.55" {
-		t.Errorf("FormatDec18 = %q", s)
-	}
-	if s := FormatDec18(42, 0); s != "42" {
-		t.Errorf("FormatDec18 = %q", s)
-	}
-	for _, bad := range []string{"", "-", "1.234", "12a", "1..2"} {
-		if _, err := ParseDec18(bad, 2); err == nil {
-			t.Errorf("ParseDec18(%q) accepted", bad)
-		}
-	}
-}
-
-func TestParseFormatRoundtrip(t *testing.T) {
-	f := func(v int64) bool {
-		d := Dec18(v % 1e15)
-		s := FormatDec18(d, 3)
-		back, err := ParseDec18(s, 3)
-		return err == nil && back == d
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecAddChecked(t *testing.T) {
-	if _, ov := Dec18(math.MaxInt64).AddChecked(1); !ov {
-		t.Error("Dec18 overflow not detected")
-	}
-	if r, ov := Dec18(5).AddChecked(-7); ov || r != -2 {
-		t.Error("Dec18 5+(-7) misbehaved")
-	}
-	if _, ov := Dec9(math.MaxInt32).AddChecked(1); !ov {
-		t.Error("Dec9 overflow not detected")
-	}
-}
-
-func TestPow10(t *testing.T) {
-	want := int64(1)
-	for e := 0; e <= 18; e++ {
-		if got := Pow10(e); got != want {
-			t.Errorf("Pow10(%d) = %d, want %d", e, got, want)
-		}
-		if e < 18 {
-			want *= 10
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Pow10(19) did not panic")
-		}
-	}()
-	Pow10(19)
-}

@@ -68,12 +68,14 @@ type ClusterSpec struct {
 	// Bind a routable address to accept joiners from other machines.
 	Addr string
 	// Journal, when non-empty, names a directory for the supervisor's
-	// write-ahead journal: every membership and job transition is
-	// recorded so a crashed supervisor can be restarted against the
-	// same directory and recover — it re-binds the journaled control
-	// address (when Addr is empty), restores slot incarnations and the
-	// fencing epoch, and re-admits its workers as they re-attach
-	// instead of respawning them. Empty disables journaling.
+	// journal: one snapshot file of the control-plane state (epoch,
+	// control address, job cursor, slot incarnations), replaced
+	// atomically at every membership and job transition, so a crashed
+	// supervisor can be restarted against the same directory and
+	// recover — it re-binds the journaled control address (when Addr is
+	// empty), restores slot incarnations and the fencing epoch, and
+	// re-admits its workers as they re-attach instead of respawning
+	// them. Empty disables journaling.
 	Journal string
 	// ReplaceDead keeps a run alive through worker death: the lost
 	// worker's job spec is re-shipped to a promoted standby (or the
@@ -309,12 +311,8 @@ type ClusterStats struct {
 	// its journal — so epoch > 1 means this cluster has recovered from
 	// a supervisor crash at least once.
 	Epoch uint64
-	// JournalRecords is the current record count of the supervisor
-	// journal (0 when journaling is disabled). It shrinks at snapshot
-	// compaction.
-	JournalRecords int
-	// LastRecovery is when the supervisor last replayed a non-empty
-	// journal at startup (zero if it never has).
+	// LastRecovery is when the supervisor started from a journal a
+	// previous incarnation left behind (zero if it did not).
 	LastRecovery time.Time
 	// Jobs counts jobs dispatched to the cluster.
 	Jobs int
@@ -359,10 +357,9 @@ type Cluster struct {
 
 	jnl          *journal
 	epochGauge   atomic.Uint64
-	journalRecs  atomic.Int64
-	lastRecovery atomic.Int64 // unix nanos of the last journal replay
+	lastRecovery atomic.Int64 // unix nanos of the start from a previous journal
 	missingGauge atomic.Int64 // empty node slots (N until formation)
-	recovering   atomic.Bool  // journal replayed, membership not yet whole
+	recovering   atomic.Bool  // started from a previous journal, membership not yet whole
 
 	// Observability plane: the structured event log (see Events) and
 	// the heartbeat-telemetry aggregates Stats folds in. workerWire
@@ -439,11 +436,10 @@ type runReply struct {
 // supervisor loop. It does not wait for formation — Run does, bounded
 // by JoinTimeout.
 //
-// With ClusterSpec.Journal set and a non-empty journal present, this
-// is also the crash-restart recovery path: the journal is replayed,
-// the fencing epoch is bumped, the journaled control address is
-// re-bound, and one fewer worker is started per slot that was admitted
-// before the crash — those orphaned worker processes are expected to
+// With ClusterSpec.Journal set and a journal present, this is also the
+// crash-restart recovery path: the snapshot is read, the fencing epoch
+// is bumped, the journaled control address is re-bound, and one fewer
+// worker is started per slot that was admitted before the crash — those orphaned worker processes are expected to
 // attach again on their own, naming the slot they held (a worker that
 // truly died surfaces as a replacement timeout instead).
 func NewCluster(spec ClusterSpec) (*Cluster, error) {
@@ -455,54 +451,31 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	raw := encodeConf(conf)
 
 	var jnl *journal
-	var rec *journalState
+	var rec journalSnap
+	var recovering bool
 	if spec.Journal != "" {
 		var err error
-		jnl, rec, err = openJournal(spec.Journal)
+		jnl, rec, recovering, err = openJournal(spec.Journal)
 		if err != nil {
 			return nil, err
 		}
 		if len(rec.incs) > conf.N {
-			jnl.close()
 			return nil, fmt.Errorf("%w: journal describes %d node slots but the spec declares %d (ClusterSpec.Journal)",
 				dist.ErrConfig, len(rec.incs), conf.N)
 		}
 	}
-	recovering := rec != nil && rec.records > 0
 
 	addr := spec.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
-		if recovering && rec.addr != "" {
+		if rec.addr != "" {
 			// Re-bind where the orphaned workers are redialing.
 			addr = rec.addr
 		}
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if jnl != nil {
-			jnl.close()
-		}
 		return nil, fmt.Errorf("proc: control listener: %w", err)
-	}
-
-	var epoch uint64
-	if jnl != nil {
-		// Each journal open is a new supervisor incarnation; the bumped
-		// epoch fences every hello against stale counterparts.
-		epoch = rec.epoch + 1
-		err := jnl.append(journalRecord{kind: jrEpoch, epoch: epoch})
-		if err == nil {
-			err = jnl.append(journalRecord{kind: jrAddr, addr: ln.Addr().String()})
-		}
-		if err == nil {
-			err = jnl.sync()
-		}
-		if err != nil {
-			ln.Close()
-			jnl.close()
-			return nil, err
-		}
 	}
 
 	c := &Cluster{
@@ -517,21 +490,9 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		conns:  make(map[net.Conn]struct{}),
 		elog:   obs.NewEventLog(512),
 	}
-	c.epochGauge.Store(epoch)
 	c.missingGauge.Store(int64(conf.N))
-	if jnl != nil {
-		c.journalRecs.Store(int64(jnl.records))
-		c.elog.Append("epoch", -1, fmt.Sprintf("fencing epoch %d (journal opened)", epoch))
-		mEpochBumps.Inc()
-	}
-	if recovering {
-		c.lastRecovery.Store(lastRecoveryClock().UnixNano())
-		c.recovering.Store(true)
-		c.elog.Append("replay", -1, fmt.Sprintf("journal replayed: %d records, next job %d", rec.records, rec.nextJob))
-	}
 	l := &clusterLoop{
 		c:        c,
-		epoch:    epoch,
 		members:  make([]*connState, conf.N),
 		incs:     make([]int, conf.N),
 		procs:    make(map[*exec.Cmd]bool),
@@ -546,13 +507,22 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		// run), and job stream ids are never reused on a connection.
 		copy(l.incs, rec.incs)
 		l.nextJob = rec.nextJob
-		l.everFormed = true
-		for _, inc := range l.incs {
-			if inc == 0 {
-				l.everFormed = false
-				break
-			}
+		l.everFormed = !slices.Contains(l.incs, 0)
+		c.lastRecovery.Store(time.Now().UnixNano())
+		c.recovering.Store(true)
+		c.elog.Append("replay", -1, fmt.Sprintf("journal read: epoch %d, next job %d", rec.epoch, rec.nextJob))
+	}
+	if jnl != nil {
+		// Each journal open is a new supervisor incarnation; the bumped
+		// epoch fences every hello against stale counterparts.
+		l.epoch = rec.epoch + 1
+		if err := jnl.write(l.snapshot(), true); err != nil {
+			ln.Close()
+			return nil, err
 		}
+		c.epochGauge.Store(l.epoch)
+		c.elog.Append("epoch", -1, fmt.Sprintf("fencing epoch %d (journal opened)", l.epoch))
+		mEpochBumps.Inc()
 	}
 
 	// Every local worker is started with the one line an operator would
@@ -562,11 +532,10 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	spawnN := spec.Nodes - spec.Join
 	if !recovering {
 		spawnN += spec.SpawnStandby
-	} else {
-		for _, inc := range rec.incs {
-			if inc > 0 {
-				spawnN--
-			}
+	}
+	for _, inc := range rec.incs {
+		if inc > 0 {
+			spawnN--
 		}
 	}
 	if spawnN > 0 {
@@ -581,9 +550,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		}
 		if err != nil {
 			ln.Close()
-			if jnl != nil {
-				jnl.close()
-			}
 			for cmd := range l.procs {
 				_ = cmd.Process.Kill()
 				_ = cmd.Wait()
@@ -617,11 +583,10 @@ func (c *Cluster) Addr() string { return c.ln.Addr().String() }
 // Stats reports cluster membership and recovery counters.
 func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{
-		Joined:         int(c.joined.Load()),
-		Replaced:       int(c.replaced.Load()),
-		Standbys:       int(c.standbyGauge.Load()),
-		Epoch:          c.epochGauge.Load(),
-		JournalRecords: int(c.journalRecs.Load()),
+		Joined:   int(c.joined.Load()),
+		Replaced: int(c.replaced.Load()),
+		Standbys: int(c.standbyGauge.Load()),
+		Epoch:    c.epochGauge.Load(),
 	}
 	if ns := c.lastRecovery.Load(); ns != 0 {
 		st.LastRecovery = time.Unix(0, ns)
@@ -638,7 +603,7 @@ func (c *Cluster) Stats() ClusterStats {
 
 // Events snapshots the cluster's structured event log: admissions,
 // departures, standby promotions, re-attaches, epoch bumps, journal
-// replays, and job dispatches, each with a monotonic sequence number —
+// recoveries, and job dispatches, each with a monotonic sequence number —
 // the ordered story Stats' counters only summarize.
 func (c *Cluster) Events() []obs.Event { return c.elog.Events() }
 
@@ -650,8 +615,8 @@ func (c *Cluster) Events() []obs.Event { return c.elog.Events() }
 func (c *Cluster) Ready() bool { return c.missingGauge.Load() == 0 }
 
 // Recovering reports whether the cluster is inside a crash-recovery
-// window: a journal was replayed at startup and the previous members
-// have not all re-attached yet. Unlike Ready it stays false during
+// window: a previous incarnation's journal was found at startup and its
+// members have not all re-attached yet. Unlike Ready it stays false during
 // first-time formation and during ordinary mid-run replacement, so a
 // serving layer can shed load only when the cluster is provably
 // post-crash — not merely young. It latches false for good once the
@@ -922,9 +887,6 @@ type clusterLoop struct {
 
 func (l *clusterLoop) run() {
 	defer close(l.c.done)
-	if l.c.jnl != nil {
-		defer l.c.jnl.close()
-	}
 	l.waitT = time.NewTimer(time.Hour)
 	l.waitT.Stop()
 	var tickC <-chan time.Time
@@ -1012,44 +974,35 @@ func (l *clusterLoop) missingCount() int {
 
 func (l *clusterLoop) allPresent() bool { return l.missingCount() == 0 }
 
-// journal appends one record to the supervisor journal (compacting
-// when due) and keeps the stats gauge fresh. A journal that stops
-// accepting appends breaks the cluster: continuing would leave a hole
-// that a later recovery replays as consistent state.
-func (l *clusterLoop) journal(rec journalRecord) {
+// persist replaces the supervisor journal with the loop's current state.
+// A journal that stops accepting writes breaks the cluster: continuing
+// would let a later recovery take a stale snapshot for the last
+// consistent state.
+func (l *clusterLoop) persist() {
 	j := l.c.jnl
 	if j == nil || j.failed {
 		return
 	}
-	if err := j.append(rec); err != nil {
+	if err := j.write(l.snapshot(), false); err != nil {
 		l.fatal(err)
-		return
 	}
-	if j.sinceSnap >= journalCompactEvery {
-		if err := j.compact(l.snapshot()); err != nil {
-			l.fatal(err)
-			return
-		}
-	}
-	l.c.journalRecs.Store(int64(j.records))
 }
 
-// snapshot folds the loop's journaled state into one compaction record.
+// snapshot is the loop's journaled state.
 func (l *clusterLoop) snapshot() journalSnap {
 	snap := journalSnap{
 		epoch:    l.epoch,
-		nextJob:  int64(l.nextJob),
+		nextJob:  l.nextJob,
 		inFlight: -1,
 		addr:     l.c.ln.Addr().String(),
-		incs:     make([]int64, len(l.incs)),
+		incs:     l.incs,
 		members:  make([]bool, len(l.members)),
 	}
 	if l.cur != nil {
-		snap.inFlight = int64(l.cur.jobIdx)
+		snap.inFlight = l.cur.jobIdx
 	}
-	for i, inc := range l.incs {
-		snap.incs[i] = int64(inc)
-		snap.members[i] = l.members[i] != nil
+	for i, m := range l.members {
+		snap.members[i] = m != nil
 	}
 	return snap
 }
@@ -1145,7 +1098,6 @@ func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 		l.standbys = append(l.standbys, cs)
 		l.c.standbyGauge.Store(int64(len(l.standbys)))
 		l.c.elog.Append("park", -1, fmt.Sprintf("joiner parked as standby (%d on the bench)", len(l.standbys)))
-		l.journal(journalRecord{kind: jrPark})
 	default:
 		l.reject(cs, fmt.Errorf("%w: cluster is full: all %d node slots are taken and %d standbys are parked",
 			dist.ErrHandshake, l.c.conf.N, len(l.standbys)))
@@ -1217,7 +1169,6 @@ func (l *clusterLoop) fillSlot(id int) {
 		l.c.standbyGauge.Store(int64(len(l.standbys)))
 		mPromotions.Inc()
 		l.c.elog.Append("promote", id, "standby promoted into empty slot")
-		l.journal(journalRecord{kind: jrPromote, slot: int64(id)})
 		l.reserve(sb, id)
 		return
 	}
@@ -1236,13 +1187,13 @@ func (l *clusterLoop) admit(cs *connState) {
 	l.c.joined.Add(1)
 	mJoins.Inc()
 	l.c.elog.Append("join", id, fmt.Sprintf("incarnation %d admitted", cs.inc))
-	l.journal(journalRecord{kind: jrAdmit, slot: int64(id), inc: int64(cs.inc)})
+	l.persist()
 	l.c.missingGauge.Store(int64(l.missingCount()))
 	if l.missingCount() == 0 && l.c.recovering.CompareAndSwap(true, false) {
 		if ns := l.c.lastRecovery.Load(); ns != 0 {
 			d := time.Since(time.Unix(0, ns))
 			mRecoverySecs.Observe(d.Seconds())
-			l.c.elog.Append("recovered", -1, fmt.Sprintf("membership whole %v after journal replay", d.Round(time.Millisecond)))
+			l.c.elog.Append("recovered", -1, fmt.Sprintf("membership whole %v after journal recovery", d.Round(time.Millisecond)))
 		}
 	}
 	if cs.inc > 0 {
@@ -1330,7 +1281,7 @@ func (l *clusterLoop) memberGone(m *connState, cause error) {
 	l.members[m.id] = nil
 	mDeparts.Inc()
 	l.c.elog.Append("depart", m.id, cause.Error())
-	l.journal(journalRecord{kind: jrGone, slot: int64(m.id)})
+	l.persist()
 	l.c.missingGauge.Store(int64(l.missingCount()))
 	if !l.c.spec.ReplaceDead {
 		l.fatal(cause)
@@ -1384,7 +1335,7 @@ func (l *clusterLoop) startRun(e evRun) {
 	mJobsStarted.Inc()
 	l.c.jobsStarted.Add(1)
 	l.c.elog.Append("job", -1, fmt.Sprintf("job %d dispatched", rs.jobIdx))
-	l.journal(journalRecord{kind: jrJobStart, job: int64(rs.jobIdx)})
+	l.persist()
 	for _, m := range l.members {
 		if m != nil {
 			l.shipJob(m)
@@ -1562,7 +1513,7 @@ func (l *clusterLoop) endJob(r runReply) {
 // jobDone tells every member to tear down the job's data plane and
 // await the next job.
 func (l *clusterLoop) jobDone(jobIdx int) {
-	l.journal(journalRecord{kind: jrJobDone, job: int64(jobIdx)})
+	l.persist()
 	for _, m := range l.members {
 		if m == nil {
 			continue

@@ -120,8 +120,8 @@ func supervisorMain() int {
 		fmt.Printf("RESULT %s\n", hex.EncodeToString(res.Payload))
 	}
 	st := c.Stats()
-	fmt.Printf("STATS epoch=%d joined=%d journal=%d recovered=%t\n",
-		st.Epoch, st.Joined, st.JournalRecords, !st.LastRecovery.IsZero())
+	fmt.Printf("STATS epoch=%d joined=%d recovered=%t\n",
+		st.Epoch, st.Joined, !st.LastRecovery.IsZero())
 	if err := c.Close(); err != nil {
 		return fail("Close", err)
 	}

@@ -2,351 +2,218 @@ package proc
 
 import (
 	"bytes"
+	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 )
 
-// journalTestRecords is one record of every kind, with representative
-// payloads — shared by the round-trip test and the fuzz seed corpus.
-func journalTestRecords() []journalRecord {
-	return []journalRecord{
-		{kind: jrEpoch, epoch: 3},
-		{kind: jrAddr, addr: "127.0.0.1:43117"},
-		{kind: jrAdmit, slot: 2, inc: 5},
-		{kind: jrGone, slot: 2},
-		{kind: jrPark},
-		{kind: jrPromote, slot: 1},
-		{kind: jrJobStart, job: 7},
-		{kind: jrJobDone, job: 7},
-		{kind: jrSnapshot, snap: journalSnap{
-			epoch: 4, nextJob: 8, inFlight: -1, addr: "10.0.0.2:9000",
-			incs: []int64{3, 1, 6}, members: []bool{true, false, true},
-		}},
+// journalTestSnap is a representative snapshot: a recovered epoch, a job in
+// flight, one slot never admitted, one occupied, one vacated.
+func journalTestSnap() journalSnap {
+	return journalSnap{
+		epoch: 4, nextJob: 8, inFlight: 7, addr: "10.0.0.2:9000",
+		incs: []int{3, 0, 6}, members: []bool{true, false, false},
 	}
 }
 
-// TestJournalRoundTrip: every record kind encodes and decodes losslessly,
-// replay reconstructs the folded state, a reopened journal resumes where
-// the last one stopped, a torn tail is truncated away, and compaction
-// folds the log into a snapshot that replays to the same state.
-func TestJournalRoundTrip(t *testing.T) {
-	// Per-record codec round trip, and the byte fixpoint.
-	for _, rec := range journalTestRecords() {
-		b := appendJournalRecord(nil, rec)
-		got, n, err := decodeJournalRecord(b)
-		if err != nil {
-			t.Fatalf("kind %d: decode: %v", rec.kind, err)
-		}
-		if n != len(b) {
-			t.Fatalf("kind %d: consumed %d of %d bytes", rec.kind, n, len(b))
-		}
-		if re := appendJournalRecord(nil, got); !bytes.Equal(re, b) {
-			t.Fatalf("kind %d: decode→encode is not a fixpoint", rec.kind)
-		}
-	}
-
-	// A journal written through the file layer replays to the expected
-	// state across a close and reopen.
-	dir := t.TempDir()
-	j, st, err := openJournal(dir)
+// reopen reads dir's journal back, failing the test on any error.
+func reopen(t *testing.T, dir string) (*journal, journalSnap, bool) {
+	t.Helper()
+	j, prev, found, err := openJournal(dir)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
-	if st.records != 0 {
-		t.Fatalf("fresh journal replayed %d records", st.records)
+	return j, prev, found
+}
+
+// TestJournalRoundTrip: decode(encode(s)) == s for every field — including
+// no slots at all and the 65 535 the format can carry — through the codec
+// and through the file; the image is a byte fixpoint; a file that is not a
+// journal, a stale format version, a flipped bit and an out-of-range counter
+// are all errBadJournal; and a journal opened, epoch written and closed
+// 1 000 times stays one snapshot long while the epoch climbs.
+func TestJournalRoundTrip(t *testing.T) {
+	wide := journalSnap{epoch: math.MaxUint64, nextJob: math.MaxInt32, inFlight: -1,
+		incs: make([]int, maxJournalSlots), members: make([]bool, maxJournalSlots)}
+	for i := range wide.incs {
+		wide.incs[i], wide.members[i] = i, i%3 == 0
 	}
-	writes := []journalRecord{
-		{kind: jrEpoch, epoch: 1},
-		{kind: jrAddr, addr: "127.0.0.1:50000"},
-		{kind: jrAdmit, slot: 0, inc: 0},
-		{kind: jrAdmit, slot: 1, inc: 0},
-		{kind: jrJobStart, job: 0},
-		{kind: jrJobDone, job: 0},
-		{kind: jrGone, slot: 1},
-		{kind: jrAdmit, slot: 1, inc: 1},
-		{kind: jrJobStart, job: 1},
-	}
-	for _, rec := range writes {
-		if err := j.append(rec); err != nil {
-			t.Fatalf("append kind %d: %v", rec.kind, err)
+	dir := t.TempDir()
+	for name, s := range map[string]journalSnap{
+		"typical":  journalTestSnap(),
+		"no slots": {epoch: 1, inFlight: -1, addr: "127.0.0.1:50000", incs: []int{}, members: []bool{}},
+		"widest":   wide,
+	} {
+		img := encodeJournalSnap(s)
+		got, err := decodeJournalSnap(img)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
 		}
-	}
-	if err := j.sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	if err := j.close(); err != nil {
-		t.Fatalf("close: %v", err)
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("%s: round trip changed the state:\n got  %+v\n want %+v", name, got, s)
+		}
+		if !bytes.Equal(encodeJournalSnap(got), img) {
+			t.Fatalf("%s: decode→encode is not a fixpoint", name)
+		}
+		j, _, _ := reopen(t, dir)
+		if err := j.write(s, true); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		if _, back, found := reopen(t, dir); !found || !reflect.DeepEqual(back, s) {
+			t.Fatalf("%s: file round trip: found %t, state %+v", name, found, back)
+		}
 	}
 
-	check := func(t *testing.T, st *journalState, records int) {
-		t.Helper()
-		if st.epoch != 1 || st.addr != "127.0.0.1:50000" {
-			t.Errorf("epoch/addr = %d/%q", st.epoch, st.addr)
-		}
-		if st.nextJob != 2 || st.inFlight != 1 {
-			t.Errorf("nextJob/inFlight = %d/%d, want 2/1", st.nextJob, st.inFlight)
-		}
-		if len(st.incs) != 2 || st.incs[0] != 1 || st.incs[1] != 2 {
-			t.Errorf("incs = %v, want [1 2]", st.incs)
-		}
-		if !st.members[0] || !st.members[1] {
-			t.Errorf("members = %v, want both true", st.members)
-		}
-		if st.records != records {
-			t.Errorf("records = %d, want %d", st.records, records)
-		}
+	good := encodeJournalSnap(journalTestSnap())
+	reseal := func(b []byte) []byte {
+		return appendU32(b[:len(b)-4:len(b)-4], crc32.ChecksumIEEE(b[:len(b)-4]))
 	}
-	j2, st, err := openJournal(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	check(t, st, len(writes))
-
-	// Compaction folds the same state into one snapshot record.
-	snap := journalSnap{
-		epoch: st.epoch, nextJob: int64(st.nextJob), inFlight: int64(st.inFlight),
-		addr: st.addr, incs: []int64{1, 2}, members: []bool{true, true},
-	}
-	if err := j2.compact(snap); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if err := j2.close(); err != nil {
-		t.Fatalf("close after compact: %v", err)
-	}
-	j3, st, err := openJournal(dir)
-	if err != nil {
-		t.Fatalf("reopen after compact: %v", err)
-	}
-	check(t, st, 1)
-
-	// Appends after compaction land on the snapshot cleanly.
-	if err := j3.append(journalRecord{kind: jrJobDone, job: 1}); err != nil {
-		t.Fatalf("append after compact: %v", err)
-	}
-	j3.close()
-
-	// A torn tail — half an append, the kill -9 signature — is tolerated
-	// and truncated back to the last record boundary.
+	stale := append([]byte(nil), good...)
+	stale[len(journalMagic)] = journalVersion - 1
+	flipped := append([]byte(nil), good...)
+	flipped[journalHeaderLen+3] ^= 0x10
+	negative := append([]byte(nil), good...)
+	negative[journalHeaderLen+8+7] = 0x80 // nextJob's sign bit
+	flag := append([]byte(nil), good...)
+	flag[len(flag)-5] = 2 // the last slot's occupied flag
 	path := filepath.Join(dir, journalFile)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
-	}
-	if err := os.WriteFile(path, full[:len(full)-3], 0o644); err != nil {
-		t.Fatalf("tear journal: %v", err)
-	}
-	j4, st, err := openJournal(dir)
-	if err != nil {
-		t.Fatalf("reopen torn journal: %v", err)
-	}
-	j4.close()
-	if st.inFlight != 1 {
-		t.Errorf("torn tail replay: inFlight = %d, want 1 (jrJobDone was torn off)", st.inFlight)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(full)-appendedLen(journalRecord{kind: jrJobDone, job: 1})) {
-		t.Errorf("torn tail not truncated to record boundary")
+	for name, bad := range map[string][]byte{
+		"not a journal":        []byte("definitely not a journal"),
+		"stale version":        reseal(stale),
+		"flipped bit":          flipped,
+		"negative counter":     reseal(negative),
+		"non-canonical flag":   reseal(flag),
+		"trailing byte":        reseal(append(append([]byte(nil), good[:len(good)-4]...), 0, 0, 0, 0, 0)),
+		"slot count too large": reseal(append(append([]byte(nil), good[:len(good)-4-9]...), 0, 0, 0, 0)),
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := openJournal(dir); !errors.Is(err, errBadJournal) {
+			t.Errorf("%s: openJournal = %v, want errBadJournal", name, err)
+		}
 	}
 
-	// Corruption before the tail (a flipped byte in a complete record) is
-	// a hard error, not a silent partial recovery.
-	bad := append([]byte(nil), full...)
-	bad[journalHeaderLen+journalRecHeaderLen] ^= 0xFF
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatalf("corrupt journal: %v", err)
-	}
-	if _, _, err := openJournal(dir); err == nil {
-		t.Error("mid-file corruption opened without error")
-	}
-
-	// A file that is not a journal at all is rejected by name.
-	os.WriteFile(path, []byte("definitely not a journal"), 0o644)
-	if _, _, err := openJournal(dir); err == nil {
-		t.Error("non-journal file opened without error")
+	// The epoch-open cycle NewCluster runs, with no cluster formed: the
+	// file is replaced, never grown.
+	dir = t.TempDir()
+	var size int64
+	for i := uint64(1); i <= 1000; i++ {
+		j, prev, found := reopen(t, dir)
+		if found != (i > 1) || prev.epoch != i-1 {
+			t.Fatalf("open %d: found %t, previous epoch %d", i, found, prev.epoch)
+		}
+		prev.epoch, prev.addr = prev.epoch+1, "127.0.0.1:50000"
+		if err := j.write(prev, true); err != nil {
+			t.Fatalf("open %d: write: %v", i, err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 1 && fi.Size() != size {
+			t.Fatalf("open %d: journal is %d bytes, was %d", i, fi.Size(), size)
+		}
+		size = fi.Size()
 	}
 }
 
-// TestJournalTornAtEveryByte cuts a multi-record journal (epoch, addr,
-// admits, a job, a compaction snapshot, more of each) at every prefix
-// length — a crash can stop a write anywhere. openJournal must yield
-// exactly the state folded from the records complete before the cut and
-// truncate the file back to that record boundary: a fresh journal at
-// length 0, the not-a-journal error inside the file header, never a
-// panic and never a state that includes a partial record.
+// TestJournalTornAtEveryByte cuts the journal file at every prefix length:
+// empty is a fresh journal, every other cut is errBadJournal — never a
+// panic and never a state read from part of a snapshot — and the whole file
+// is the snapshot.
 func TestJournalTornAtEveryByte(t *testing.T) {
-	recs := []journalRecord{
-		{kind: jrEpoch, epoch: 1},
-		{kind: jrAddr, addr: "127.0.0.1:50000"},
-		{kind: jrAdmit, slot: 0, inc: 0},
-		{kind: jrAdmit, slot: 1, inc: 0},
-		{kind: jrJobStart, job: 0},
-		{kind: jrJobDone, job: 0},
-		{kind: jrSnapshot, snap: journalSnap{
-			epoch: 1, nextJob: 1, inFlight: -1, addr: "127.0.0.1:50000",
-			incs: []int64{1, 1}, members: []bool{true, true},
-		}},
-		{kind: jrGone, slot: 1},
-		{kind: jrAdmit, slot: 1, inc: 1},
-		{kind: jrJobStart, job: 1},
-	}
-	full := journalHeader()
-	ends := []int{len(full)} // ends[i]: the file length once i records are complete
-	for _, rec := range recs {
-		full = appendJournalRecord(full, rec)
-		ends = append(ends, len(full))
-	}
+	want := journalTestSnap()
+	full := encodeJournalSnap(want)
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalFile)
 	for cut := 0; cut <= len(full); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, st, err := openJournal(dir)
-		if cut > 0 && cut < journalHeaderLen {
-			if err == nil || !strings.Contains(err.Error(), "not a supervisor journal") {
-				t.Fatalf("cut at %d, inside the header: err = %v", cut, err)
+		_, got, found, err := openJournal(dir)
+		switch {
+		case cut == 0:
+			if err != nil || found || got.epoch != 0 || got.incs != nil {
+				t.Fatalf("empty file: found %t, state %+v, err %v; want a fresh journal", found, got, err)
 			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		j.close()
-		complete := max(sort.SearchInts(ends, cut+1)-1, 0)
-		want := newJournalState()
-		for _, rec := range recs[:complete] {
-			if err := want.apply(rec); err != nil {
-				t.Fatal(err)
+		case cut < len(full):
+			if !errors.Is(err, errBadJournal) || found || !reflect.DeepEqual(got, journalSnap{}) {
+				t.Fatalf("cut at %d of %d: found %t, state %+v, err %v; want errBadJournal and no state", cut, len(full), found, got, err)
 			}
-		}
-		if !reflect.DeepEqual(st, want) {
-			t.Fatalf("cut at %d: state %+v, want the fold of the first %d records %+v", cut, *st, complete, *want)
-		}
-		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(ends[complete]) {
-			t.Fatalf("cut at %d: file left at %d bytes (err %v), want the record boundary %d", cut, fi.Size(), err, ends[complete])
+		default:
+			if err != nil || !found || !reflect.DeepEqual(got, want) {
+				t.Fatalf("whole file: found %t, state %+v, err %v", found, got, err)
+			}
 		}
 	}
 }
 
-func appendedLen(r journalRecord) int {
-	return len(appendJournalRecord(nil, r))
-}
-
-// FuzzJournalDecode: hostile journal bytes never panic the decoder, and
-// every successful decode re-encodes to exactly the bytes consumed.
-func FuzzJournalDecode(f *testing.F) {
-	for _, rec := range journalTestRecords() {
-		f.Add(appendJournalRecord(nil, rec))
-	}
-	// Structured corruption seeds: truncations, a bit flip, a bogus kind,
-	// an oversized length field, and two records back to back.
-	base := appendJournalRecord(nil, journalRecord{kind: jrAdmit, slot: 1, inc: 2})
-	f.Add(base[:3])
-	f.Add(base[:len(base)-1])
-	flipped := append([]byte(nil), base...)
-	flipped[journalRecHeaderLen] ^= 0x01
-	f.Add(flipped)
-	f.Add([]byte{0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{jrEpoch, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(appendJournalRecord(appendJournalRecord(nil, journalRecord{kind: jrPark}), journalRecord{kind: jrGone, slot: 3}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := decodeJournalRecord(data)
-		if err != nil {
-			if n != 0 {
-				t.Fatalf("decode error consumed %d bytes", n)
-			}
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		if re := appendJournalRecord(nil, rec); !bytes.Equal(re, data[:n]) {
-			t.Fatalf("decode→encode not a fixpoint:\n in  %x\n out %x", data[:n], re)
-		}
-		// The replay layer over the same bytes must also never panic, and
-		// must stop cleanly at a torn tail.
-		if _, off, err := replayJournal(data); err == nil && off > len(data) {
-			t.Fatalf("replay consumed %d of %d bytes", off, len(data))
-		}
-	})
-}
-
-// TestJournalAppendAfterFailure: the first append failure is sticky, so a
-// hole in the log can never be followed by records that replay past it.
-func TestJournalAppendAfterFailure(t *testing.T) {
+// TestJournalCrashBeforeRename: a supervisor killed between writing the
+// temp file and renaming it leaves the previous snapshot in place, whatever
+// the temp file holds, and the next write replaces both.
+func TestJournalCrashBeforeRename(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := openJournal(dir)
-	if err != nil {
-		t.Fatalf("openJournal: %v", err)
+	j, _, _ := reopen(t, dir)
+	first := journalTestSnap()
+	if err := j.write(first, false); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	defer j.close()
-	j.f.Close() // force the next write to fail
-	if err := j.append(journalRecord{kind: jrPark}); err == nil {
-		t.Fatal("append on closed file succeeded")
+	next := journalTestSnap()
+	next.nextJob, next.inFlight = 9, -1
+	img := encodeJournalSnap(next)
+	for name, tmp := range map[string][]byte{"whole": img, "torn": img[:len(img)/2], "empty": nil} {
+		if err := os.WriteFile(j.path+".tmp", tmp, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, got, found := reopen(t, dir)
+		if !found || !reflect.DeepEqual(got, first) {
+			t.Fatalf("%s temp file left behind: found %t, state %+v; want the previous snapshot", name, found, got)
+		}
+		if err := j2.write(next, false); err != nil {
+			t.Fatalf("%s: write over a stale temp file: %v", name, err)
+		}
+		if _, got, _ := reopen(t, dir); !reflect.DeepEqual(got, next) {
+			t.Fatalf("%s: state after the next write %+v, want %+v", name, got, next)
+		}
+		if err := j2.write(first, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJournalWriteAfterFailure: the first write failure is sticky — the
+// file holds the state before the transition that was lost, so nothing
+// later is recorded over it, even once the cause is gone.
+func TestJournalWriteAfterFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	j, _, _ := reopen(t, dir)
+	if err := j.write(journalTestSnap(), false); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := os.RemoveAll(dir); err != nil { // the next temp file cannot be created
+		t.Fatal(err)
+	}
+	if err := j.write(journalTestSnap(), false); err == nil {
+		t.Fatal("write into a removed directory succeeded")
 	}
 	if !j.failed {
 		t.Fatal("journal not marked failed")
 	}
-	if err := j.append(journalRecord{kind: jrPark}); err == nil {
-		t.Fatal("append after failure succeeded")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if err := j.sync(); err != nil {
-		t.Fatalf("sync after failure should be a no-op, got %v", err)
+	if err := j.write(journalTestSnap(), false); err == nil {
+		t.Fatal("write after a failure succeeded")
 	}
-}
-
-// BenchmarkJournalReplay measures the fixed cost a crashed supervisor
-// pays before it can re-bind its address and re-admit workers:
-// openJournal — the recovery path NewCluster runs — reading,
-// CRC-checking and folding a 4096-record log (a realistic
-// admit/lost/job-cycle mix) back into state.
-func BenchmarkJournalReplay(b *testing.B) {
-	const records, nodes = 4096, 8
-	dir := b.TempDir()
-	j, _, err := openJournal(dir)
-	if err != nil {
-		b.Fatal(err)
+	if _, err := os.Stat(j.path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused write left a journal file behind (stat err %v)", err)
 	}
-	for i := 0; i < records; i++ {
-		rec := journalRecord{kind: jrAdmit, slot: int64(i % nodes), inc: int64(i / nodes)}
-		switch {
-		case i == 0:
-			rec = journalRecord{kind: jrEpoch, epoch: 1}
-		case i == 1:
-			rec = journalRecord{kind: jrAddr, addr: "127.0.0.1:43117"}
-		case i%8 == 0:
-			rec = journalRecord{kind: jrGone, slot: int64(i % nodes)}
-		case i%8 == 1:
-			rec = journalRecord{kind: jrPromote, slot: int64(i % nodes)}
-		case i%8 == 2:
-			rec = journalRecord{kind: jrJobStart, job: int64(i / 8)}
-		case i%8 == 3:
-			rec = journalRecord{kind: jrJobDone, job: int64(i / 8)}
-		case i%8 == 4:
-			rec = journalRecord{kind: jrPark}
-		}
-		if err := j.append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := j.sync(); err != nil {
-		b.Fatal(err)
-	}
-	if err := j.close(); err != nil {
-		b.Fatal(err)
-	}
-	for b.Loop() {
-		j, st, err := openJournal(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		j.close()
-		if st.records != records {
-			b.Fatalf("replayed %d records, want %d", st.records, records)
-		}
+	if err := (&journal{path: j.path}).write(journalSnap{incs: make([]int, maxJournalSlots+1)}, false); err == nil {
+		t.Fatal("a snapshot of more slots than the format carries was written")
 	}
 }

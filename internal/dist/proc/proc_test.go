@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -373,6 +374,11 @@ func TestSpecRoundTrip(t *testing.T) {
 	if _, err := decodeConf(stale); err == nil {
 		t.Error("stale-spec-version conf decoded without error")
 	}
+	sloppy := append([]byte(nil), raw...)
+	sloppy[len(sloppy)-1] = 2 // Faults.Reorder, canonically 0 or 1
+	if _, err := decodeConf(sloppy); err == nil {
+		t.Error("conf with a non-canonical boolean decoded without error")
+	}
 
 	// A raw-shard group-by job spec carries the catalog and only the
 	// shape of the rows (they follow as a KindRows stream).
@@ -530,6 +536,103 @@ func TestPingOneVersion(t *testing.T) {
 	if cs.lastSeen.IsZero() || l.c.heartbeats.Load() != 0 {
 		t.Fatalf("stale ping: lastSeen %v, heartbeats %d; want liveness advanced, no stats folded", cs.lastSeen, l.c.heartbeats.Load())
 	}
+}
+
+// controlCodecs is every control-plane decoder paired with its encoder:
+// recode decodes a payload and encodes what it got.
+var controlCodecs = []struct {
+	name   string
+	recode func([]byte) ([]byte, error)
+}{
+	{"conf", func(b []byte) ([]byte, error) {
+		c, err := decodeConf(b)
+		return encodeConf(c), err
+	}},
+	{"hello", func(b []byte) ([]byte, error) {
+		h, err := decodeHello(b)
+		return encodeHello(h), err
+	}},
+	{"ping", func(b []byte) ([]byte, error) {
+		p, err := decodePingStats(b)
+		return encodePingStats(p), err
+	}},
+	{"conf frame", func(b []byte) ([]byte, error) {
+		id, epoch, raw, err := decodeConfFrame(b)
+		return encodeConfFrame(id, epoch, raw), err
+	}},
+	{"ready", func(b []byte) ([]byte, error) {
+		jobIdx, addr, err := decodeReady(b)
+		return encodeReady(jobIdx, addr), err
+	}},
+	{"peers", func(b []byte) ([]byte, error) {
+		jobIdx, epoch, addrs, err := decodePeers(b)
+		return encodePeers(jobIdx, epoch, addrs), err
+	}},
+	{"job spec", func(b []byte) ([]byte, error) {
+		j, err := decodeJobSpec(b)
+		if err != nil {
+			return nil, err
+		}
+		return encodeJobSpec(j)
+	}},
+	{"journal snapshot", func(b []byte) ([]byte, error) {
+		s, err := decodeJournalSnap(b)
+		return encodeJournalSnap(s), err
+	}},
+}
+
+// FuzzControlDecode: hostile bytes never panic a control-plane decoder
+// (codec picks which), and whatever one accepts re-encodes to exactly
+// the bytes it read — no two payloads mean the same message.
+func FuzzControlDecode(f *testing.F) {
+	specs := []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: 2, Col: 0}, {Kind: sqlagg.AggAvg, Levels: 2, Col: 1}}
+	jobs := []jobSpec{
+		{jobIdx: 3, incarnation: 2, op: opGroupBy, topo: dist.Binomial, workers: 4, specs: specs, source: srcRaw, rows: 3, ncols: 2},
+		{op: opReduce, topo: dist.Chain, workers: 1, source: srcSynth,
+			synth: workload.Spec{Rows: 100, Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}}}},
+		{jobIdx: 1, op: opGroupBy, topo: dist.Star, workers: 2, specs: specs, source: srcTPCHQ1, rows: 12345, seed: 99},
+	}
+	conf := encodeConf(clusterConf{N: 3, MaxChunkPayload: 4096, KillNode: -1, DieNode: -1,
+		Faults: dist.FaultPlan{Seed: 42, DropProb: 0.25, Reorder: true}})
+	valid := map[string][][]byte{
+		"conf":             {conf},
+		"hello":            {encodeHello(hello{version: 2, levels: 2, specver: specVersion, flags: helloHasDigest | helloJoin, digest: 0xABCDEF, epoch: 3})},
+		"ping":             {encodePingStats(pingStats{sentNanos: 5, rttNanos: 7, jobsRun: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}})},
+		"conf frame":       {encodeConfFrame(4, 9, conf)},
+		"ready":            {encodeReady(7, "10.1.2.3:4567")},
+		"peers":            {encodePeers(7, 3, []string{"127.0.0.1:1", "127.0.0.1:22"})},
+		"journal snapshot": {encodeJournalSnap(journalTestSnap())},
+	}
+	for _, j := range jobs {
+		b, err := encodeJobSpec(j)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid["job spec"] = append(valid["job spec"], b)
+	}
+	// Each codec is seeded with valid payloads and two structured
+	// corruptions of each: a truncation and a raised last byte (conf's
+	// boolean, the snapshot's CRC, an address, a count).
+	for which, c := range controlCodecs {
+		if len(valid[c.name]) == 0 {
+			f.Fatalf("no seed for the %s codec", c.name)
+		}
+		for _, b := range valid[c.name] {
+			raised := append([]byte(nil), b...)
+			raised[len(raised)-1] += 2
+			f.Add(uint8(which), b)
+			f.Add(uint8(which), b[:len(b)-1])
+			f.Add(uint8(which), raised)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		c := controlCodecs[int(which)%len(controlCodecs)]
+		out, err := c.recode(append([]byte(nil), data...))
+		if err == nil && !bytes.Equal(out, data) {
+			t.Fatalf("%s: decode→encode is not a fixpoint:\n in  %x\n out %x", c.name, data, out)
+		}
+	})
 }
 
 // encodeAndDecode round-trips a jobSpec through the wire codec,

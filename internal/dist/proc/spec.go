@@ -116,6 +116,75 @@ func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 
+// appendString appends s behind its 2-byte length.
+func appendString(b []byte, s string) []byte { return append(appendU16(b, uint16(len(s))), s...) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// confReader walks one control-plane encoding — the conf blob, a control
+// frame's payload, the journal snapshot — remembering the first error;
+// what names the encoding in it.
+type confReader struct {
+	b    []byte
+	what string
+	err  error
+}
+
+// take cuts the next n bytes off the front. Past the end — which becomes
+// the error — and after any error it yields zeroes, so the fixed-width
+// getters need no check of their own: at most the 8 bytes the widest of
+// them reads, never an allocation sized by the input.
+func (r *confReader) take(n int) []byte {
+	if r.err == nil && len(r.b) < n {
+		r.err = fmt.Errorf("proc: truncated %s", r.what)
+	}
+	if r.err != nil {
+		return make([]byte, min(n, 8))
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *confReader) byteVal() byte { return r.take(1)[0] }
+func (r *confReader) u16() uint16   { return binary.LittleEndian.Uint16(r.take(2)) }
+func (r *confReader) u32() uint32   { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *confReader) u64() uint64   { return binary.LittleEndian.Uint64(r.take(8)) }
+func (r *confReader) i64() int64    { return int64(r.u64()) }
+
+// str reads a 2-byte-length-prefixed string.
+func (r *confReader) str() string { return string(r.take(int(r.u16()))) }
+
+// flag reads a canonical boolean: any byte but 0 or 1 is an error, so
+// distinct encodings never decode to one value.
+func (r *confReader) flag() bool {
+	v := r.byteVal()
+	if r.err == nil && v > 1 {
+		r.err = fmt.Errorf("proc: %s carries boolean byte %d, want 0 or 1", r.what, v)
+	}
+	return v == 1
+}
+
+// version reads the leading spec-version byte.
+func (r *confReader) version() {
+	if v := r.byteVal(); r.err == nil && v != specVersion {
+		r.err = fmt.Errorf("proc: %s spec version %d, this build speaks %d", r.what, v, specVersion)
+	}
+}
+
+// done ends the walk: the first error, or an error for bytes left over.
+func (r *confReader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("proc: %d trailing bytes after %s", len(r.b), r.what)
+	}
+	return r.err
+}
+
 // encodeConf flattens the cluster config canonically (field order is
 // part of the digest contract).
 func encodeConf(c clusterConf) []byte {
@@ -138,56 +207,15 @@ func encodeConf(c clusterConf) []byte {
 	b = appendI64(b, int64(c.Faults.RetryDelay))
 	b = appendU64(b, math.Float64bits(c.Faults.DupProb))
 	b = appendI64(b, int64(c.Faults.MaxDelay))
-	if c.Faults.Reorder {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return b
-}
-
-// confReader walks an encoded conf, remembering the first error.
-type confReader struct {
-	b   []byte
-	err error
-}
-
-func (r *confReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = fmt.Errorf("proc: truncated cluster config")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *confReader) i64() int64 { return int64(r.u64()) }
-
-func (r *confReader) byteVal() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.err = fmt.Errorf("proc: truncated cluster config")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
+	return appendBool(b, c.Faults.Reorder)
 }
 
 // decodeConf inverts encodeConf, validating the spec version and the
 // decoded shape.
 func decodeConf(raw []byte) (clusterConf, error) {
 	var c clusterConf
-	r := &confReader{b: raw}
-	if v := r.byteVal(); r.err == nil && v != specVersion {
-		return c, fmt.Errorf("proc: cluster config spec version %d, this build speaks %d", v, specVersion)
-	}
+	r := &confReader{b: raw, what: "cluster config"}
+	r.version()
 	c.N = int(r.i64())
 	c.MaxChunkPayload = int(r.i64())
 	c.ReassemblyBudget = int(r.i64())
@@ -205,12 +233,9 @@ func decodeConf(raw []byte) (clusterConf, error) {
 	c.Faults.RetryDelay = time.Duration(r.i64())
 	c.Faults.DupProb = math.Float64frombits(r.u64())
 	c.Faults.MaxDelay = time.Duration(r.i64())
-	c.Faults.Reorder = r.byteVal() == 1
-	if r.err != nil {
-		return c, r.err
-	}
-	if len(r.b) != 0 {
-		return c, fmt.Errorf("proc: %d trailing bytes after cluster config", len(r.b))
+	c.Faults.Reorder = r.flag()
+	if err := r.done(); err != nil {
+		return c, err
 	}
 	if c.N < 1 {
 		return c, fmt.Errorf("proc: cluster config declares %d nodes", c.N)
@@ -302,16 +327,14 @@ func encodeHello(h hello) []byte {
 
 // decodeHello inverts encodeHello.
 func decodeHello(payload []byte) (hello, error) {
-	var h hello
-	if len(payload) != 20 {
-		return h, fmt.Errorf("proc: hello payload is %d bytes, want 20", len(payload))
+	r := &confReader{b: payload, what: "hello"}
+	h := hello{
+		version: r.byteVal(), levels: r.byteVal(), specver: r.byteVal(), flags: r.byteVal(),
+		digest: r.u64(), epoch: r.u64(),
 	}
-	h.version = payload[0]
-	h.levels = payload[1]
-	h.specver = payload[2]
-	h.flags = payload[3]
-	h.digest = binary.LittleEndian.Uint64(payload[4:])
-	h.epoch = binary.LittleEndian.Uint64(payload[12:])
+	if err := r.done(); err != nil {
+		return h, err
+	}
 	if h.flags&(helloHasDigest|helloJoin) == 0 || h.flags&^(helloHasDigest|helloJoin) != 0 {
 		return h, fmt.Errorf("proc: hello carries invalid flags %#x", h.flags)
 	}
@@ -329,6 +352,15 @@ type pingStats struct {
 	wire      dist.WireStats
 }
 
+// wireFields lists the heartbeat's wire counters in payload order.
+func (p *pingStats) wireFields() [9]*uint64 {
+	w := &p.wire
+	return [...]*uint64{
+		&w.FramesOut, &w.FramesIn, &w.BytesOut, &w.BytesIn, &w.ChanFrames,
+		&w.ChunksSplit, &w.Retransmits, &w.ResendRequests, &w.ReassemblyRejects,
+	}
+}
+
 // encodePingStats flattens a heartbeat payload:
 //
 //	offset  size  field
@@ -343,14 +375,8 @@ func encodePingStats(p pingStats) []byte {
 	b = appendU64(b, uint64(p.sentNanos))
 	b = appendU64(b, uint64(p.rttNanos))
 	b = appendU64(b, p.jobsRun)
-	for _, v := range [...]uint64{
-		p.wire.FramesOut, p.wire.FramesIn,
-		p.wire.BytesOut, p.wire.BytesIn,
-		p.wire.ChanFrames, p.wire.ChunksSplit,
-		p.wire.Retransmits, p.wire.ResendRequests,
-		p.wire.ReassemblyRejects,
-	} {
-		b = appendU64(b, v)
+	for _, f := range p.wireFields() {
+		b = appendU64(b, *f)
 	}
 	return b
 }
@@ -360,25 +386,13 @@ func encodePingStats(p pingStats) []byte {
 // layout is a protocol error, not a dialect.
 func decodePingStats(payload []byte) (pingStats, error) {
 	var p pingStats
-	if len(payload) != 1+3*8+9*8 || payload[0] != specVersion {
-		return p, fmt.Errorf("proc: ping payload of %d bytes is not the spec-%d heartbeat layout", len(payload), specVersion)
+	r := &confReader{b: payload, what: "ping"}
+	r.version()
+	p.sentNanos, p.rttNanos, p.jobsRun = r.i64(), r.i64(), r.u64()
+	for _, f := range p.wireFields() {
+		*f = r.u64()
 	}
-	u := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-	p.sentNanos = int64(u(1))
-	p.rttNanos = int64(u(9))
-	p.jobsRun = u(17)
-	p.wire = dist.WireStats{
-		FramesOut:         u(25),
-		FramesIn:          u(33),
-		BytesOut:          u(41),
-		BytesIn:           u(49),
-		ChanFrames:        u(57),
-		ChunksSplit:       u(65),
-		Retransmits:       u(73),
-		ResendRequests:    u(81),
-		ReassemblyRejects: u(89),
-	}
-	return p, nil
+	return p, r.done()
 }
 
 // encodeConfFrame flattens a KindConf payload: the node id the
@@ -393,34 +407,26 @@ func encodeConfFrame(id int, epoch uint64, raw []byte) []byte {
 
 // decodeConfFrame inverts encodeConfFrame.
 func decodeConfFrame(payload []byte) (id int, epoch uint64, raw []byte, err error) {
-	if len(payload) < 12 {
-		return 0, 0, nil, fmt.Errorf("proc: truncated conf frame")
-	}
-	id = int(int32(binary.LittleEndian.Uint32(payload)))
-	epoch = binary.LittleEndian.Uint64(payload[4:])
-	return id, epoch, payload[12:], nil
+	r := &confReader{b: payload, what: "conf frame"}
+	id, epoch = int(int32(r.u32())), r.u64()
+	return id, epoch, r.b, r.err
 }
 
 // encodeReady flattens a KindReady payload: the job index and the
 // worker's freshly bound data-plane listen address.
 func encodeReady(jobIdx int, addr string) []byte {
-	b := make([]byte, 0, 6+len(addr))
-	b = appendU32(b, uint32(jobIdx))
-	b = appendU16(b, uint16(len(addr)))
-	return append(b, addr...)
+	b := appendU32(make([]byte, 0, 6+len(addr)), uint32(jobIdx))
+	return appendString(b, addr)
 }
 
 // decodeReady inverts encodeReady.
 func decodeReady(payload []byte) (jobIdx int, addr string, err error) {
-	if len(payload) < 6 {
-		return 0, "", fmt.Errorf("proc: truncated ready payload")
+	r := &confReader{b: payload, what: "ready payload"}
+	jobIdx, addr = int(r.u32()), r.str()
+	if r.done() == nil && addr == "" {
+		r.err = fmt.Errorf("proc: ready declares an empty address")
 	}
-	jobIdx = int(binary.LittleEndian.Uint32(payload))
-	alen := int(binary.LittleEndian.Uint16(payload[4:]))
-	if alen == 0 || len(payload) != 6+alen {
-		return 0, "", fmt.Errorf("proc: ready declares a %d-byte address in a %d-byte payload", alen, len(payload))
-	}
-	return jobIdx, string(payload[6:]), nil
+	return jobIdx, addr, r.err
 }
 
 // encodePeers flattens a KindPeers payload: job index, epoch, and the
@@ -435,36 +441,25 @@ func encodePeers(jobIdx, epoch int, addrs []string) []byte {
 	b = appendU32(b, uint32(epoch))
 	b = appendU16(b, uint16(len(addrs)))
 	for _, a := range addrs {
-		b = appendU16(b, uint16(len(a)))
-		b = append(b, a...)
+		b = appendString(b, a)
 	}
 	return b
 }
 
 // decodePeers inverts encodePeers.
 func decodePeers(payload []byte) (jobIdx, epoch int, addrs []string, err error) {
-	if len(payload) < 10 {
-		return 0, 0, nil, fmt.Errorf("proc: truncated peers payload")
-	}
-	jobIdx = int(binary.LittleEndian.Uint32(payload))
-	epoch = int(binary.LittleEndian.Uint32(payload[4:]))
-	n := int(binary.LittleEndian.Uint16(payload[8:]))
-	payload = payload[10:]
-	addrs = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(payload) < 2 {
-			return 0, 0, nil, fmt.Errorf("proc: truncated peers address table")
+	r := &confReader{b: payload, what: "peers payload"}
+	jobIdx, epoch = int(r.u32()), int(r.u32())
+	n := int(r.u16())
+	for i := 0; i < n && r.err == nil; i++ {
+		a := r.str()
+		if r.err == nil && a == "" {
+			r.err = fmt.Errorf("proc: peers address %d is empty", i)
 		}
-		alen := int(binary.LittleEndian.Uint16(payload))
-		payload = payload[2:]
-		if alen == 0 || len(payload) < alen {
-			return 0, 0, nil, fmt.Errorf("proc: peers address %d declares %d bytes, %d remain", i, alen, len(payload))
-		}
-		addrs = append(addrs, string(payload[:alen]))
-		payload = payload[alen:]
+		addrs = append(addrs, a)
 	}
-	if len(payload) != 0 {
-		return 0, 0, nil, fmt.Errorf("proc: %d trailing bytes after peers table", len(payload))
+	if err := r.done(); err != nil {
+		return 0, 0, nil, err
 	}
 	return jobIdx, epoch, addrs, nil
 }
@@ -536,16 +531,14 @@ func encodeJobSpec(j jobSpec) ([]byte, error) {
 // decodeJobSpec inverts encodeJobSpec, validating every length against
 // the remaining bytes.
 func decodeJobSpec(payload []byte) (jobSpec, error) {
-	var j jobSpec
-	if len(payload) < 19 {
-		return j, fmt.Errorf("proc: truncated job spec")
+	r := &confReader{b: payload, what: "job spec"}
+	j := jobSpec{
+		jobIdx: int(r.u32()), incarnation: int(r.u32()),
+		op: r.byteVal(), topo: dist.Topology(r.byteVal()), workers: int(r.i64()),
 	}
-	j.jobIdx = int(binary.LittleEndian.Uint32(payload))
-	j.incarnation = int(binary.LittleEndian.Uint32(payload[4:]))
-	j.op = payload[8]
-	j.topo = dist.Topology(payload[9])
-	j.workers = int(int64(binary.LittleEndian.Uint64(payload[10:])))
-	payload = payload[18:]
+	if r.err != nil {
+		return j, r.err
+	}
 	if j.op != opReduce && j.op != opGroupBy {
 		return j, fmt.Errorf("proc: unknown operation %d in job spec", j.op)
 	}
@@ -556,30 +549,23 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 		return j, fmt.Errorf("proc: job spec declares %d worker goroutines", j.workers)
 	}
 	if j.op == opGroupBy {
-		specs, n, err := sqlagg.DecodeSpecsPrefix(payload)
+		specs, n, err := sqlagg.DecodeSpecsPrefix(r.b)
 		if err != nil {
 			return j, fmt.Errorf("proc: job spec aggregate catalog: %w", err)
 		}
 		j.specs = specs
-		payload = payload[n:]
+		r.take(n)
 	}
-	if len(payload) < 1 {
-		return j, fmt.Errorf("proc: job spec missing input source")
-	}
-	j.source = payload[0]
-	payload = payload[1:]
+	j.source = r.byteVal()
 	switch j.source {
 	case srcRaw:
-		if len(payload) != 10 {
-			return j, fmt.Errorf("proc: raw source body is %d bytes, want 10", len(payload))
-		}
-		rows := int64(binary.LittleEndian.Uint64(payload))
-		j.rows, j.ncols = int(rows), int(binary.LittleEndian.Uint16(payload[8:]))
-		if rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || j.op == opReduce && j.ncols != 1 {
+		rows := r.i64()
+		j.rows, j.ncols = int(rows), int(r.u16())
+		if r.done() == nil && (rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || j.op == opReduce && j.ncols != 1) {
 			return j, fmt.Errorf("%w: job declares %d rows × %d columns", dist.ErrBadFrame, rows, j.ncols)
 		}
 	case srcSynth:
-		spec, err := workload.DecodeSpec(payload)
+		spec, err := workload.DecodeSpec(r.b)
 		if err != nil {
 			return j, fmt.Errorf("proc: job spec source: %w", err)
 		}
@@ -591,21 +577,19 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 		}
 		j.synth = spec
 	case srcTPCHQ1:
-		if len(payload) != 16 {
-			return j, fmt.Errorf("proc: tpch source body is %d bytes, want 16", len(payload))
-		}
-		j.rows = int(int64(binary.LittleEndian.Uint64(payload)))
-		j.seed = binary.LittleEndian.Uint64(payload[8:])
-		if j.rows < 1 {
+		j.rows, j.seed = int(r.i64()), r.u64()
+		if r.done() == nil && j.rows < 1 {
 			return j, fmt.Errorf("proc: tpch source declares %d rows", j.rows)
 		}
 		if j.op != opGroupBy {
 			return j, fmt.Errorf("proc: tpch source on a non-group-by job")
 		}
 	default:
-		return j, fmt.Errorf("proc: unknown job source kind %d", j.source)
+		if r.err == nil {
+			r.err = fmt.Errorf("proc: unknown job source kind %d", j.source)
+		}
 	}
-	return j, nil
+	return j, r.err
 }
 
 // The rows stream of a raw-source job: node id's rows — shards id,

@@ -185,19 +185,6 @@ func TestSumKindString(t *testing.T) {
 	}
 }
 
-func TestGroupedMinMax(t *testing.T) {
-	groups := []uint32{0, 1, 0, 1, 2}
-	vals := []float64{5, -2, 3, 8, 1}
-	mins, maxs := GroupedMinMax(groups, 4, vals, NewProfiler())
-	if mins[0] != 3 || maxs[0] != 5 || mins[1] != -2 || maxs[1] != 8 || mins[2] != 1 {
-		t.Errorf("minmax wrong: %v %v", mins, maxs)
-	}
-	// Empty group: ±Inf sentinels.
-	if !math.IsInf(mins[3], 1) || !math.IsInf(maxs[3], -1) {
-		t.Error("empty group sentinels wrong")
-	}
-}
-
 func TestGroupedAvg(t *testing.T) {
 	avg := GroupedAvg([]float64{10, 0}, []int64{4, 0})
 	if avg[0] != 2.5 {

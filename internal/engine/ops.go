@@ -229,37 +229,6 @@ func GroupedCount(groups []uint32, ngroups int, prof *Profiler) []int64 {
 	return out
 }
 
-// GroupedMinMax computes per-group MIN and MAX. Min/max are intrinsically
-// order-independent (the paper's footnote 2: such aggregates need no
-// floating-point arithmetic beyond comparison), included so the engine
-// covers the full standard aggregate set. Empty groups report
-// (+Inf, −Inf).
-func GroupedMinMax(groups []uint32, ngroups int, vals []float64, prof *Profiler) (mins, maxs []float64) {
-	mins = make([]float64, ngroups)
-	maxs = make([]float64, ngroups)
-	for g := range mins {
-		mins[g] = math.Inf(1)
-		maxs[g] = math.Inf(-1)
-	}
-	fn := func() {
-		for i, g := range groups {
-			v := vals[i]
-			if v < mins[g] {
-				mins[g] = v
-			}
-			if v > maxs[g] {
-				maxs[g] = v
-			}
-		}
-	}
-	if prof != nil {
-		prof.Measure("aggregation", fn)
-	} else {
-		fn()
-	}
-	return mins, maxs
-}
-
 // GroupedAvg divides per-group sums by counts; NaN for empty groups
 // (SQL NULL semantics).
 func GroupedAvg(sums []float64, counts []int64) []float64 {

@@ -11,8 +11,6 @@
 // Section IV.
 package hashagg
 
-import "math/bits"
-
 // Hash selects the hash function applied to keys.
 type Hash int
 
@@ -209,15 +207,6 @@ func MergeTables[A any, PA interface {
 	src.ForEach(func(key uint32, a *A) {
 		PA(dst.Upsert(key)).MergeFrom(a)
 	})
-}
-
-// SizeHint returns a capacity hint that avoids growth for n expected
-// groups.
-func SizeHint(n int) int {
-	if n < 8 {
-		return 8
-	}
-	return 1 << bits.Len(uint(n))
 }
 
 // Resettable payloads can be recycled in place when a table is reused

@@ -135,15 +135,6 @@ func TestAggregateLengthMismatchPanics(t *testing.T) {
 	Aggregate[float64, sumAcc](tb, []uint32{1}, []float64{1, 2})
 }
 
-func TestSizeHint(t *testing.T) {
-	if SizeHint(0) != 8 || SizeHint(7) != 8 {
-		t.Error("small hints")
-	}
-	if SizeHint(100) < 100 {
-		t.Error("hint too small")
-	}
-}
-
 func TestHashFunctions(t *testing.T) {
 	// Multiplicative must spread consecutive keys; identity must not.
 	mul := New[sumAcc](128, Multiplicative, newSum) // 256 slots

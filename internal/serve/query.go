@@ -84,9 +84,8 @@ func resolvedLevels(l int) int {
 	return l
 }
 
-// Encode returns the query's canonical encoding — the cache key and
-// the form a query travels in. Two queries that mean the same thing
-// encode identically: level 0 encodes as the resolved default, so
+// Encode returns the query's canonical encoding — the cache key. Two
+// queries that mean the same thing encode identically: level 0 encodes as the resolved default, so
 // Levels 0 and an explicit DefaultLevels share one cache entry. The
 // layout is [1B kind] followed by the kind's body: the sqlagg spec
 // wire form for GROUP BY, [1B levels][2B col LE] for window totals.
@@ -118,37 +117,6 @@ func (q Query) Encode() ([]byte, error) {
 		return b[:], nil
 	default:
 		return nil, fmt.Errorf("%w: unknown query kind %d", ErrBadQuery, byte(q.Kind))
-	}
-}
-
-// DecodeQuery inverts Encode, rejecting malformed bytes with
-// ErrBadQuery (never a panic — encodings cross a trust boundary).
-func DecodeQuery(data []byte) (Query, error) {
-	if len(data) == 0 {
-		return Query{}, fmt.Errorf("%w: empty encoding", ErrBadQuery)
-	}
-	switch QueryKind(data[0]) {
-	case QueryGroupBy:
-		specs, err := sqlagg.DecodeSpecs(data[1:])
-		if err != nil {
-			return Query{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-		}
-		return Query{Kind: QueryGroupBy, Specs: specs}, nil
-	case QueryWindowTotals:
-		if len(data) != 4 {
-			return Query{}, fmt.Errorf("%w: window encoding length %d", ErrBadQuery, len(data))
-		}
-		q := Query{
-			Kind:   QueryWindowTotals,
-			Levels: int(data[1]),
-			Col:    int(binary.LittleEndian.Uint16(data[2:])),
-		}
-		if q.Levels < 1 || q.Levels > core.MaxLevels {
-			return Query{}, fmt.Errorf("%w: unresolved or out-of-range level count on the wire", ErrBadQuery)
-		}
-		return q, nil
-	default:
-		return Query{}, fmt.Errorf("%w: unknown query kind %d", ErrBadQuery, data[0])
 	}
 }
 

@@ -59,31 +59,6 @@ func TestQueryEncodeCanonical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("level 0 and explicit default levels encode differently")
 	}
-
-	for _, q := range []Query{GroupBy(testSpecs()...), WindowTotals(1, 3)} {
-		enc, err := q.Encode()
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		back, err := DecodeQuery(enc)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		enc2, err := back.Encode()
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatal("encode → decode → encode is not a fixed point")
-		}
-	}
-
-	// Malformed encodings are errors, never panics.
-	for _, bad := range [][]byte{nil, {0}, {9, 1, 2}, {byte(QueryWindowTotals), 0, 0, 0}, {byte(QueryWindowTotals), 1}} {
-		if _, err := DecodeQuery(bad); !errors.Is(err, ErrBadQuery) {
-			t.Fatalf("DecodeQuery(%v) = %v, want ErrBadQuery", bad, err)
-		}
-	}
 }
 
 func TestBadQueries(t *testing.T) {

@@ -4,8 +4,8 @@
 // needs floating-point arithmetic can be made reproducible, because they
 // are all computable from SUMs: AVG, VARIANCE, STDDEV, COVAR, CORR, and
 // the regression aggregates. The paper's future work names "operators
-// for machine learning and vector manipulation"; DotProduct and Norm2
-// cover the corresponding kernels.
+// for machine learning and vector manipulation"; DotProduct covers the
+// corresponding kernel.
 //
 // Each aggregate keeps one or more reproducible accumulators plus an
 // exact row counter, so any permutation of the input and any merge tree
@@ -254,11 +254,6 @@ func DotProduct(x, y []float64, levels int) float64 {
 		s.Add(x[i] * y[i])
 	}
 	return s.Value()
-}
-
-// Norm2 returns the reproducible squared Euclidean norm Σ x_i².
-func Norm2(x []float64, levels int) float64 {
-	return DotProduct(x, x, levels)
 }
 
 // DotProductExact returns the reproducible dot product with error-free

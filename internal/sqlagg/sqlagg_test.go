@@ -196,9 +196,6 @@ func TestDotProduct(t *testing.T) {
 	if got := DotProduct(x, y, 2); got != 32 {
 		t.Errorf("DotProduct = %v", got)
 	}
-	if got := Norm2([]float64{3, 4}, 2); got != 25 {
-		t.Errorf("Norm2 = %v", got)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("length mismatch did not panic")
@@ -284,21 +281,4 @@ func TestWindowTotals(t *testing.T) {
 		}
 	}()
 	WindowTotals([]uint32{1}, []float64{1, 2}, 2)
-}
-
-func TestRunningSums(t *testing.T) {
-	out := RunningSum([]float64{1, 2, 3})
-	if out[0] != 1 || out[1] != 3 || out[2] != 6 {
-		t.Errorf("RunningSum = %v", out)
-	}
-	pk := RunningSumByKey([]uint32{1, 2, 1, 2}, []float64{1, 10, 2, 20})
-	want := []float64{1, 10, 3, 30}
-	for i := range want {
-		if pk[i] != want[i] {
-			t.Fatalf("RunningSumByKey = %v", pk)
-		}
-	}
-	if len(RunningSum(nil)) != 0 {
-		t.Error("empty running sum")
-	}
 }

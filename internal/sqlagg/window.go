@@ -36,32 +36,3 @@ func WindowTotals(keys []uint32, vals []float64, levels int) []float64 {
 	}
 	return out
 }
-
-// RunningSum computes SUM(val) OVER (ORDER BY <input order>): prefix
-// sums in the given (already ordered) sequence. With a defined order,
-// plain floating-point prefix sums are intrinsically reproducible; no
-// reproducible accumulator is needed.
-func RunningSum(vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	acc := 0.0
-	for i, v := range vals {
-		acc += v
-		out[i] = acc
-	}
-	return out
-}
-
-// RunningSumByKey computes SUM(val) OVER (PARTITION BY key ORDER BY
-// <input order>): per-partition prefix sums.
-func RunningSumByKey(keys []uint32, vals []float64) []float64 {
-	if len(keys) != len(vals) {
-		panic("sqlagg: window keys and values must have equal length")
-	}
-	out := make([]float64, len(vals))
-	accs := make(map[uint32]float64)
-	for i, k := range keys {
-		accs[k] += vals[i]
-		out[i] = accs[k]
-	}
-	return out
-}
