@@ -106,7 +106,13 @@ func BenchmarkTab2(b *testing.B) {
 }
 
 // BenchmarkFig6 — Figure 6: chunked summation, scalar vs vectorized
-// kernel vs conventional, for small and large chunk sizes.
+// kernel vs conventional, for small and large chunk sizes. The start-up
+// overhead the figure shows for small chunks was, in the paper, the V×
+// larger per-call state; the lanes here start at zero and fold into the
+// state with one addition per level, so what is left per call is the
+// tile scan, two calls through the kernel's func values and the lane
+// fold — tens of nanoseconds, visible at c8, gone by c512
+// (BenchmarkKernel in internal/rsum prices it per implementation).
 func BenchmarkFig6(b *testing.B) {
 	xs := workload.Values64(4, benchN, workload.Uniform12)
 	for _, c := range []int{8, 64, 512} {

@@ -36,10 +36,21 @@ const TableBytesPerThread = 4 << 20
 const MaxBufferSize = 1024
 
 // MinBufferSize is the smallest summation buffer worth having. Measured
-// (BenchmarkGroupByCrossover, partitions in cache): 8-value buffers
-// lose to the unbuffered accumulator at every group count, 16 lose or
-// tie, 32 tie, 64 and up win. BufferSize never returns less; Plan
-// returns 0 — unbuffered — instead.
+// (BenchmarkGroupByCrossover, partitions in cache) against the scalar-lane
+// AddSliceVec it was set for: 8-value buffers lose to the unbuffered
+// accumulator at every group count, 16 lose or tie, 32 tie, 64 and up
+// win. BufferSize never returns less; Plan returns 0 — unbuffered —
+// instead.
+//
+// Re-measured on the AVX2 tile kernel (PR 23; floor runs, ns/row, best
+// of 3, bsz 8 / 16 / 32 / 64 vs unbuffered at the same depth): 2^10
+// groups d0 8.7 / 5.6 / 4.3 / 4.4 vs 11.0; 2^12 d0 8.6 / 8.1 / 7.8 / 7.5
+// vs 10.4; 2^14 d1 13.6 / 12.2 / 11.6 / 11.1 vs 15.5; 2^16 d1 15.9 /
+// 14.6 / 14.8 / 13.0 vs 17.7 — every buffer size now wins, and at 2^13
+// groups the d0 bsz-32 operator (8.8) is ahead of the unbuffered plan
+// (11.2). The constant has not been moved: where the floor and the
+// buffered/unbuffered crossover belong with this kernel is a planner
+// change with its own measurement (ROADMAP item 2).
 const MinBufferSize = 32
 
 // DefaultFanout is the per-pass radix fan-out f ("modern hardware runs

@@ -28,6 +28,7 @@ func addFuzzSeeds(f *testing.F) {
 			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 		}
 		f.Add(buf, uint8(3))
+		f.Add(buf, uint8(0x83)) // FuzzKernelConsistency: the other tile kernel
 	}
 	seed(1, 2, 3)
 	seed(2.5e-16, 0.999999999999999, 2.5e-16)
@@ -68,13 +69,20 @@ func FuzzPermutationInvariance(f *testing.F) {
 }
 
 // FuzzKernelConsistency: Add, AddEager, AddSlice, AddSliceVec, and a
-// split+Merge must all produce the same normalized state.
+// split+Merge must all produce the same normalized state. The top bit of
+// cut picks the tile kernel under AddSliceVec (the generic one, or the
+// one init installed — the same where there is no assembly), the rest
+// the split point.
 func FuzzKernelConsistency(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
 		xs := bytesToFloats(data)
 		if len(xs) == 0 {
 			return
+		}
+		k := &kernel
+		if cut&0x80 != 0 {
+			k = &genericKernel
 		}
 		ref := NewState64(2)
 		for _, x := range xs {
@@ -93,18 +101,18 @@ func FuzzKernelConsistency(f *testing.F) {
 			t.Fatal("AddSlice differs")
 		}
 		vec := NewState64(2)
-		vec.AddSliceVec(xs)
+		vec.addSliceVec(xs, k)
 		if !ref.Equal(&vec) {
-			t.Fatal("AddSliceVec differs")
+			t.Fatalf("AddSliceVec (%s) differs", k.name)
 		}
-		k := int(cut) % len(xs)
+		split := int(cut&0x7f) % len(xs)
 		left := NewState64(2)
-		left.AddSlice(xs[:k])
+		left.AddSlice(xs[:split])
 		right := NewState64(2)
-		right.AddSliceVec(xs[k:])
+		right.addSliceVec(xs[split:], k)
 		left.Merge(&right)
 		if !ref.Equal(&left) {
-			t.Fatal("split+Merge differs")
+			t.Fatalf("split+Merge (%s) differs", k.name)
 		}
 	})
 }

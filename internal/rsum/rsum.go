@@ -20,6 +20,18 @@
 // constant of the level instead, which makes the split deterministic at
 // identical cost.
 //
+// Kernels. Add is Algorithm 2; AddSlice and AddSliceVec are Algorithm
+// 3's tiling: one scan of at most NB values for their largest magnitude
+// replaces the per-value level check, and carries propagate once per NB
+// values. AddSliceVec is the vector kernel (vec64.go): each level's
+// contributions are summed in V = 4 lanes that start at zero — AVX2
+// registers on amd64, Go locals elsewhere — and the lane total is added
+// to S(l) once per tile. Every contribution is a multiple of ulp(S(l))
+// no larger than 2^(e_l−13), and at most NB = 2^11 of them arrive
+// between propagations, so lane partials, lane totals and the updated
+// S(l) are all exactly representable: the lane layout can change the
+// cost of a sum, never a bit of it.
+//
 // Special values are handled reproducibly: NaNs and infinities are
 // tracked in order-independent counters and resolved at finalization
 // (NaN dominates; +Inf and −Inf together yield NaN). Inputs with
@@ -122,7 +134,14 @@ func (s *State64) Add(b float64) {
 		s.raise(eb)
 	}
 	s.extract(b)
-	s.nAdds++
+	s.spend(1)
+}
+
+// spend charges n extractions to the carry budget and propagates once it
+// is used up: a call never returns with the budget spent, so the next one
+// may extract a value before it looks at the budget, as Add does.
+func (s *State64) spend(n int) {
+	s.nAdds += int32(n)
 	if s.nAdds >= floatbits.NB64 {
 		s.propagate()
 	}
@@ -358,29 +377,11 @@ func (s *State64) Equal(o *State64) bool {
 // propagated once per NB values.
 func (s *State64) AddSlice(bs []float64) {
 	for len(bs) > 0 {
-		n := len(bs)
-		if n > floatbits.NB64 {
-			n = floatbits.NB64
-		}
+		n := min(len(bs), floatbits.NB64)
 		chunk := bs[:n]
 		bs = bs[n:]
-
-		maxExp, ok := chunkMaxExp64(chunk)
-		if !ok {
-			// Chunk contains specials or out-of-range values: slow path.
-			for _, b := range chunk {
-				s.Add(b)
-			}
+		if !s.admit(chunk, &kernel) {
 			continue
-		}
-		if maxExp == minInt {
-			continue // all zeros
-		}
-		if !s.init || maxExp >= int(s.eTop)-floatbits.MantBits64+floatbits.W64-1 {
-			s.raise(maxExp)
-		}
-		if s.nAdds+int32(n) > floatbits.NB64 {
-			s.propagate()
 		}
 		for _, b := range chunk {
 			if b == 0 {
@@ -388,33 +389,8 @@ func (s *State64) AddSlice(bs []float64) {
 			}
 			s.extract(b)
 		}
-		s.nAdds += int32(n)
+		s.spend(n)
 	}
-}
-
-const minInt = -1 << 31
-
-// chunkMaxExp64 scans a chunk and returns the maximum unbiased exponent
-// of its finite non-zero values (minInt if all zero). ok is false if the
-// chunk contains NaN, Inf, or values beyond the supported input range.
-func chunkMaxExp64(chunk []float64) (maxExp int, ok bool) {
-	m := 0.0
-	for _, b := range chunk {
-		a := math.Abs(b)
-		if a > m {
-			m = a
-		}
-		if b != b { // NaN never wins the max comparison; check explicitly
-			return 0, false
-		}
-	}
-	if m >= 0x1p987 { // too large to extract, or Inf
-		return 0, false
-	}
-	if m == 0 {
-		return minInt, true
-	}
-	return floatbits.Exponent64(m), true
 }
 
 // AddEager absorbs one value with per-element carry-bit propagation —

@@ -77,7 +77,12 @@ func (s *State32) Add(b float32) {
 		s.raise(eb)
 	}
 	s.extract(b)
-	s.nAdds++
+	s.spend(1)
+}
+
+// spend charges n extractions to the carry budget; see State64.spend.
+func (s *State32) spend(n int) {
+	s.nAdds += int32(n)
 	if s.nAdds >= floatbits.NB32 {
 		s.propagate()
 	}
@@ -267,28 +272,11 @@ func (s *State32) Equal(o *State32) bool {
 // AddSlice absorbs a slice of values with the tiling optimization.
 func (s *State32) AddSlice(bs []float32) {
 	for len(bs) > 0 {
-		n := len(bs)
-		if n > floatbits.NB32 {
-			n = floatbits.NB32
-		}
+		n := min(len(bs), floatbits.NB32)
 		chunk := bs[:n]
 		bs = bs[n:]
-
-		maxExp, ok := chunkMaxExp32(chunk)
-		if !ok {
-			for _, b := range chunk {
-				s.Add(b)
-			}
+		if !s.admit(chunk) {
 			continue
-		}
-		if maxExp == minInt {
-			continue
-		}
-		if !s.init || maxExp >= int(s.eTop)-floatbits.MantBits32+floatbits.W32-1 {
-			s.raise(maxExp)
-		}
-		if s.nAdds+int32(n) > floatbits.NB32 {
-			s.propagate()
 		}
 		for _, b := range chunk {
 			if b == 0 {
@@ -296,13 +284,36 @@ func (s *State32) AddSlice(bs []float32) {
 			}
 			s.extract(b)
 		}
-		s.nAdds += int32(n)
+		s.spend(n)
 	}
 }
 
-func chunkMaxExp32(chunk []float32) (maxExp int, ok bool) {
-	m := float32(0)
-	for _, b := range chunk {
+// admit prepares the state to extract a tile of at most NB32 values
+// without a per-value check; see State64.admit. The magnitude bound of
+// the slow path is 2^120.
+func (s *State32) admit(tile []float32) bool {
+	m, nan := scanTile32(tile)
+	if nan || m >= 0x1p120 {
+		for _, b := range tile {
+			s.Add(b)
+		}
+		return false
+	}
+	if m == 0 {
+		return false
+	}
+	if e := floatbits.Exponent32(m); !s.init || e >= int(s.eTop)-floatbits.MantBits32+floatbits.W32-1 {
+		s.raise(e)
+	}
+	if s.nAdds+int32(len(tile)) > floatbits.NB32 {
+		s.propagate()
+	}
+	return true
+}
+
+// scanTile32 returns the largest |x| of tile and whether it holds a NaN.
+func scanTile32(tile []float32) (m float32, nan bool) {
+	for _, b := range tile {
 		a := b
 		if a < 0 {
 			a = -a
@@ -311,16 +322,10 @@ func chunkMaxExp32(chunk []float32) (maxExp int, ok bool) {
 			m = a
 		}
 		if b != b { // NaN never wins the max comparison; check explicitly
-			return 0, false
+			return 0, true
 		}
 	}
-	if m >= 0x1p120 {
-		return 0, false
-	}
-	if m == 0 {
-		return minInt, true
-	}
-	return floatbits.Exponent32(m), true
+	return m, false
 }
 
 // AddEager absorbs one value with per-element carry-bit propagation;

@@ -1,195 +1,36 @@
 package rsum
 
-import (
-	"math"
-
-	"repro/internal/floatbits"
-)
+import "repro/internal/floatbits"
 
 // AddSliceVec absorbs a slice of float32 values using the vectorized
-// kernel (Algorithm 3); see State64.AddSliceVec for the structure.
-// Single precision uses the same lane count V; NB is 16 (2^(m−W−1) for
-// m = 23, W = 18), so carry propagation runs every V·16 values.
+// kernel (Algorithm 3); see vec64.go for the structure and the exactness
+// argument. Single precision uses the same lane count V and tiles of
+// NB32 = 16 values (2^(m−W−1) for m = 23, W = 18): 16 contributions of at
+// most 2^(e−6) total at most 0.25·ufp, exact in 24 bits. The tile
+// primitive is the Go one only — nothing on a hot path sums float32.
 func (s *State32) AddSliceVec(bs []float32) {
-	if len(bs) == 0 {
-		return
-	}
-
-	var lanes [MaxLevels][V]float32
-	var carries [MaxLevels][V]int64
-	loaded := false
-	L := int(s.levels)
-
-	load := func() {
-		for l := 0; l < L; l++ {
-			fresh := s.freshLevel(l)
-			lanes[l][0] = s.s[l]
-			carries[l][0] = s.c[l]
-			for v := 1; v < V; v++ {
-				lanes[l][v] = fresh
-				carries[l][v] = 0
-			}
-		}
-		loaded = true
-	}
-
-	propagateLanes := func() {
-		for l := 0; l < L; l++ {
-			e := s.levelExp(l)
-			if e < LowestLevelExp32 {
-				break
-			}
-			ufp := floatbits.Pow2_32(e)
-			anchor := 1.5 * ufp
-			quarter := 0.25 * ufp
-			for v := 0; v < V; v++ {
-				delta := lanes[l][v] - anchor
-				d := float32(math.Floor(float64(delta / quarter)))
-				if d != 0 {
-					lanes[l][v] -= d * quarter
-					carries[l][v] += int64(d)
-				}
-			}
-		}
-	}
-
-	raiseLanes := func(eNeed int) {
-		shift := (eNeed - int(s.eTop)) / floatbits.W32
-		s.eTop = int32(eNeed)
-		for l := L - 1; l >= 0; l-- {
-			if l >= shift {
-				lanes[l] = lanes[l-shift]
-				carries[l] = carries[l-shift]
-			} else {
-				fresh := s.freshLevel(l)
-				for v := 0; v < V; v++ {
-					lanes[l][v] = fresh
-					carries[l][v] = 0
-				}
-			}
-		}
-	}
-
-	steps := int32(0)
-	input := bs
-	for len(input) > 0 {
-		n := len(input)
-		if n > V*(floatbits.NB32-1) {
-			n = V * (floatbits.NB32 - 1)
-		}
-		tile := input[:n]
-		input = input[n:]
-
-		maxExp, ok := chunkMaxExp32(tile)
-		if !ok {
-			if loaded {
-				s.storeLanes32(&lanes, &carries)
-				loaded = false
-			}
-			for _, b := range tile {
-				s.Add(b)
-			}
+	var ext [MaxLevels]float32
+	for len(bs) > 0 {
+		n := min(len(bs), floatbits.NB32)
+		tile := bs[:n]
+		bs = bs[n:]
+		if !s.admit(tile) {
 			continue
 		}
-		if maxExp == minInt {
-			continue
-		}
-		if !s.init {
-			s.raise(maxExp)
-		}
-		if !loaded {
-			load()
-		}
-		if maxExp >= int(s.eTop)-floatbits.MantBits32+floatbits.W32-1 {
-			raiseLanes(floatbits.TopLevelExp32(maxExp))
-		}
-		// +1 covers the ≤ V−1 tail values of the final tile, which are
-		// spread round-robin over the lanes (≤ 1 extra extraction each).
-		if steps+int32((n+V-1)/V)+1 > floatbits.NB32 {
-			propagateLanes()
-			steps = 0
-		}
-
-		i := 0
-		for ; i+V <= n; i += V {
-			r0, r1, r2, r3 := tile[i], tile[i+1], tile[i+2], tile[i+3]
-			for l := 0; l < L; l++ {
-				e := s.levelExp(l)
-				if e < LowestLevelExp32 {
-					break
-				}
-				ext := floatbits.Extractor32(e)
-				q0 := (r0 + ext) - ext
-				q1 := (r1 + ext) - ext
-				q2 := (r2 + ext) - ext
-				q3 := (r3 + ext) - ext
-				lanes[l][0] += q0
-				lanes[l][1] += q1
-				lanes[l][2] += q2
-				lanes[l][3] += q3
-				r0 -= q0
-				r1 -= q1
-				r2 -= q2
-				r3 -= q3
+		body := n &^ (V - 1)
+		if body > 0 {
+			live := 0
+			for ; live < int(s.levels) && s.levelExp(live) >= LowestLevelExp32; live++ {
+				ext[live] = floatbits.Extractor32(s.levelExp(live))
+			}
+			sum := extractLanes(tile[:body], &ext, live)
+			for l := 0; l < live; l++ {
+				s.s[l] += sum[l] // exact
 			}
 		}
-		// Tail of the tile: scalar extraction, spread round-robin over
-		// the lanes so no lane exceeds its carry-propagation budget.
-		for lane := 0; i < n; i, lane = i+1, lane+1 {
-			b := tile[i]
-			if b == 0 {
-				continue
-			}
-			r := b
-			for l := 0; l < L; l++ {
-				e := s.levelExp(l)
-				if e < LowestLevelExp32 {
-					break
-				}
-				ext := floatbits.Extractor32(e)
-				q := (r + ext) - ext
-				lanes[l][lane%V] += q
-				r -= q
-				if r == 0 {
-					break
-				}
-			}
+		for _, b := range tile[body:] {
+			s.extract(b)
 		}
-		steps += int32((n + V - 1) / V)
+		s.spend(n)
 	}
-
-	if loaded {
-		propagateLanes()
-		s.storeLanes32(&lanes, &carries)
-	}
-}
-
-// storeLanes32 is the horizontal reduction of Eq. 2–3 for float32.
-func (s *State32) storeLanes32(lanes *[MaxLevels][V]float32, carries *[MaxLevels][V]int64) {
-	L := int(s.levels)
-	for l := 0; l < L; l++ {
-		e := s.levelExp(l)
-		if e < LowestLevelExp32 {
-			s.s[l] = 0
-			s.c[l] = 0
-			continue
-		}
-		ufp := floatbits.Pow2_32(e)
-		anchor := 1.5 * ufp
-		quarter := 0.25 * ufp
-		sum := lanes[l][0]
-		carry := carries[l][0]
-		for v := 1; v < V; v++ {
-			net := lanes[l][v] - anchor
-			sum += net
-			if sum-anchor >= quarter {
-				sum -= quarter
-				carry++
-			}
-			carry += carries[l][v]
-		}
-		s.s[l] = sum
-		s.c[l] = carry
-	}
-	s.nAdds = 0
 }

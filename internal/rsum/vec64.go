@@ -1,214 +1,101 @@
 package rsum
 
-import (
-	"math"
-
-	"repro/internal/floatbits"
-)
+import "repro/internal/floatbits"
 
 // V is the number of accumulator lanes of the vectorized kernel,
 // matching the paper's V = 4 (double-precision values on AVX).
-// Go has no stdlib SIMD intrinsics, so the lanes are realized as four
-// independent dependency chains that superscalar hardware executes in
-// parallel; the algorithmic structure (per-lane state, tiling, the
-// horizontal reduction of Eq. 2–3) is exactly Algorithm 3.
 const V = 4
+
+// The vectorized kernel (RSUM SIMD, Algorithm 3) is one driver, pure Go
+// on every architecture, over a tile primitive with two implementations:
+// AVX2 assembly (vec64_amd64.s, picked at init where CPUID has it) and Go
+// (vec64_generic.go, the only one elsewhere and the oracle the tests hold
+// the assembly to).
+//
+// A tile is at most NB64 values that share one carry budget. The driver
+// scans it once for its largest magnitude, raises the top level and
+// propagates carries if the budget demands it, and hands the tile's
+// whole groups of V values to the primitive, which sums each level's
+// contributions q into V lanes that start at zero — not at the level's
+// 1.5·ufp anchor. Nothing rounds on the way: every q is a multiple of
+// ulp = 2^(e−52) with |q| ≤ 2^(e−13), and at most NB64 = 2^11 of them
+// share the budget, so each lane partial and the V-lane total are
+// multiples of ulp bounded by 0.25·ufp (50 bits); adding that total to a
+// running sum S ∈ [1.5, 1.75)·ufp that has already taken the budget's
+// earlier q's lands in [1.25, 2)·ufp, S's own binade — the argument
+// AddSlice relies on. How the q's are laid out in lanes therefore cannot
+// change a bit of the state, only the cost: the lanes carry no anchor, no
+// carry counter and no renormalization of their own; the primitive adds
+// them up (the horizontal reduction of Eq. 2–3) and the driver adds the
+// total to S, once per level and tile.
+
+// tileKernel is one implementation of the tile primitive.
+type tileKernel struct {
+	name string
+	// scan returns the largest |x| of tile (0 for an empty or all-zero
+	// one; unspecified once nan is set) and whether it holds a NaN.
+	scan func(tile []float64) (m float64, nan bool)
+	// extract splits every value of tile, whose length is a multiple of
+	// V, against the extractors of live levels — ext0 the first, each
+	// next one 2^W64 times smaller — and returns in sum[l], l < live, the
+	// total of the level-l contributions, formed in V lanes that start
+	// at zero. (Scalars in, an array out by value: memory handed through
+	// a func value escapes, and a scratch array in the driver would be
+	// heap-allocated on every call.)
+	extract func(tile []float64, ext0 float64, live int) (sum [MaxLevels]float64)
+}
 
 // AddSliceVec absorbs a slice of values using the vectorized summation
 // kernel (RSUM SIMD, Algorithm 3). It produces the same bits as Add and
 // AddSlice applied to any permutation of the same values.
-//
-// Per call, the kernel expands the state into V lanes and horizontally
-// reduces them back at the end — the V× larger per-call state the paper
-// measures as start-up overhead for small chunks (Figure 6).
-func (s *State64) AddSliceVec(bs []float64) {
-	if len(bs) == 0 {
-		return
-	}
+func (s *State64) AddSliceVec(bs []float64) { s.addSliceVec(bs, &kernel) }
 
-	var lanes [MaxLevels][V]float64
-	var carries [MaxLevels][V]int64
-	loaded := false
-	L := int(s.levels)
-
-	load := func() {
-		for l := 0; l < L; l++ {
-			fresh := s.freshLevel(l)
-			lanes[l][0] = s.s[l]
-			carries[l][0] = s.c[l]
-			for v := 1; v < V; v++ {
-				lanes[l][v] = fresh
-				carries[l][v] = 0
-			}
-		}
-		loaded = true
-	}
-
-	// propagateLanes renormalizes every live lane of every level.
-	propagateLanes := func() {
-		for l := 0; l < L; l++ {
-			e := s.levelExp(l)
-			if e < LowestLevelExp64 {
-				break
-			}
-			ufp := floatbits.Pow2_64(e)
-			anchor := 1.5 * ufp
-			quarter := 0.25 * ufp
-			for v := 0; v < V; v++ {
-				delta := lanes[l][v] - anchor
-				d := math.Floor(delta / quarter)
-				if d != 0 {
-					lanes[l][v] -= d * quarter
-					carries[l][v] += int64(d)
-				}
-			}
-		}
-	}
-
-	// raiseLanes shifts the lane arrays when the top level rises,
-	// mirroring State64.raise for the expanded representation.
-	raiseLanes := func(eNeed int) {
-		shift := (eNeed - int(s.eTop)) / floatbits.W64
-		s.eTop = int32(eNeed)
-		for l := L - 1; l >= 0; l-- {
-			if l >= shift {
-				lanes[l] = lanes[l-shift]
-				carries[l] = carries[l-shift]
-			} else {
-				fresh := s.freshLevel(l)
-				for v := 0; v < V; v++ {
-					lanes[l][v] = fresh
-					carries[l][v] = 0
-				}
-			}
-		}
-	}
-
-	steps := int32(0) // per-lane extractions since the last propagation
-
-	input := bs
-	for len(input) > 0 {
-		n := len(input)
-		if n > V*(floatbits.NB64-1) {
-			n = V * (floatbits.NB64 - 1)
-		}
-		tile := input[:n]
-		input = input[n:]
-
-		maxExp, ok := chunkMaxExp64(tile)
-		if !ok {
-			// Specials in the tile: collapse lanes and take the slow path.
-			if loaded {
-				s.storeLanes(&lanes, &carries)
-				loaded = false
-			}
-			for _, b := range tile {
-				s.Add(b)
-			}
+func (s *State64) addSliceVec(bs []float64, k *tileKernel) {
+	for len(bs) > 0 {
+		n := min(len(bs), floatbits.NB64)
+		tile := bs[:n]
+		bs = bs[n:]
+		if !s.admit(tile, k) {
 			continue
 		}
-		if maxExp == minInt {
-			continue // all zeros
-		}
-		if !s.init {
-			s.raise(maxExp)
-		}
-		if !loaded {
-			load()
-		}
-		if maxExp >= int(s.eTop)-floatbits.MantBits64+floatbits.W64-1 {
-			raiseLanes(floatbits.TopLevelExp64(maxExp))
-		}
-		// +1 covers the ≤ V−1 tail values of the final tile, which are
-		// spread round-robin over the lanes (≤ 1 extra extraction each).
-		if steps+int32((n+V-1)/V)+1 > floatbits.NB64 {
-			propagateLanes()
-			steps = 0
-		}
-
-		i := 0
-		for ; i+V <= n; i += V {
-			r0, r1, r2, r3 := tile[i], tile[i+1], tile[i+2], tile[i+3]
-			for l := 0; l < L; l++ {
-				e := s.levelExp(l)
-				if e < LowestLevelExp64 {
-					break
-				}
-				ext := floatbits.Extractor64(e)
-				q0 := (r0 + ext) - ext
-				q1 := (r1 + ext) - ext
-				q2 := (r2 + ext) - ext
-				q3 := (r3 + ext) - ext
-				lanes[l][0] += q0
-				lanes[l][1] += q1
-				lanes[l][2] += q2
-				lanes[l][3] += q3
-				r0 -= q0
-				r1 -= q1
-				r2 -= q2
-				r3 -= q3
+		body := n &^ (V - 1)
+		if body > 0 {
+			live := min(int(s.levels), (int(s.eTop)-LowestLevelExp64)/floatbits.W64+1)
+			sum := k.extract(tile[:body], floatbits.Extractor64(int(s.eTop)), live)
+			for l := 0; l < live; l++ {
+				s.s[l] += sum[l] // exact, see above
 			}
 		}
-		// Tail of the tile: scalar extraction, spread round-robin over
-		// the lanes so no lane exceeds its carry-propagation budget.
-		for lane := 0; i < n; i, lane = i+1, lane+1 {
-			b := tile[i]
-			if b == 0 {
-				continue
-			}
-			r := b
-			for l := 0; l < L; l++ {
-				e := s.levelExp(l)
-				if e < LowestLevelExp64 {
-					break
-				}
-				ext := floatbits.Extractor64(e)
-				q := (r + ext) - ext
-				lanes[l][lane%V] += q
-				r -= q
-				if r == 0 {
-					break
-				}
-			}
+		for _, b := range tile[body:] {
+			s.extract(b)
 		}
-		steps += int32((n + V - 1) / V)
-	}
-
-	if loaded {
-		propagateLanes()
-		s.storeLanes(&lanes, &carries)
+		s.spend(n)
 	}
 }
 
-// storeLanes performs the horizontal summation of Eq. 2–3: the per-lane
-// net values (all in [0, 0.25)·ufp after propagation) are folded into
-// lane 0 with exact arithmetic, spilling quarters into the carry
-// counter, and the result becomes the state's running sums.
-func (s *State64) storeLanes(lanes *[MaxLevels][V]float64, carries *[MaxLevels][V]int64) {
-	L := int(s.levels)
-	for l := 0; l < L; l++ {
-		e := s.levelExp(l)
-		if e < LowestLevelExp64 {
-			s.s[l] = 0
-			s.c[l] = 0
-			continue
+// admit prepares the state to extract a tile of at most NB64 values
+// without a per-value check: the top level is raised to the tile's
+// largest magnitude and carries are propagated if the tile does not fit
+// the remaining budget (the caller spends len(tile) of it). It reports
+// false when nothing is left to extract — the tile is all zeros, or it
+// holds a NaN, an infinity or a magnitude ≥ 2^987 and went through Add
+// value by value.
+func (s *State64) admit(tile []float64, k *tileKernel) bool {
+	m, nan := k.scan(tile)
+	if nan || m >= 0x1p987 {
+		for _, b := range tile {
+			s.Add(b)
 		}
-		ufp := floatbits.Pow2_64(e)
-		anchor := 1.5 * ufp
-		quarter := 0.25 * ufp
-		sum := lanes[l][0]
-		carry := carries[l][0]
-		for v := 1; v < V; v++ {
-			net := lanes[l][v] - anchor // exact, ∈ [0, 0.25)·ufp after propagation
-			sum += net                  // exact: sum < 2·ufp
-			if sum-anchor >= quarter {  // renormalize to [1.5, 1.75)·ufp
-				sum -= quarter
-				carry++
-			}
-			carry += carries[l][v]
-		}
-		s.s[l] = sum
-		s.c[l] = carry
+		return false
 	}
-	s.nAdds = 0
+	if m == 0 {
+		return false
+	}
+	if e := floatbits.Exponent64(m); !s.init || e >= int(s.eTop)-floatbits.MantBits64+floatbits.W64-1 {
+		s.raise(e)
+	}
+	if s.nAdds+int32(len(tile)) > floatbits.NB64 {
+		s.propagate()
+	}
+	return true
 }
