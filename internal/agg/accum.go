@@ -1,7 +1,13 @@
-// Package agg implements the paper's aggregation operators:
+// Package agg implements the paper's aggregation operator,
 // PARTITIONANDAGGREGATE (Algorithm 4) with and without summation
 // buffers, and the tuning model for buffer size (Eq. 4) and
-// partitioning depth (Section V-C). Plain HASHAGGREGATION is
+// partitioning depth (Section V-C). Aggregate is the operator: rows
+// partitioned into ascending key ranges, a private table per worker,
+// every group handed to the caller's finish in key order — the result
+// is sorted by key by construction, and what leaves a table is what
+// finish makes of the group (a ⟨key, sum⟩ pair for the facade), never a
+// copy of the accumulator. PartitionAndAggregate is Aggregate for
+// callers that do want the accumulators. Plain HASHAGGREGATION is
 // hashagg.Aggregate; the sort-first baseline of Table IV is
 // engine.SumSorted. The operators are generic over the aggregate payload,
 // so every data type of the evaluation — built-in floats, DECIMAL(p),

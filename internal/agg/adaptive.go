@@ -82,7 +82,7 @@ func adaptiveLevel[V any, A any, PA interface {
 	}
 	if i == len(keys) || level >= opt.MaxDepth {
 		// Fit in the table (or out of radix bytes): done at this level.
-		return collect(t)
+		return drain(t, entryOf[A]())
 	}
 
 	// Phase 2: threshold crossed. Partition the remaining input by the
@@ -112,7 +112,7 @@ func adaptiveLevel[V any, A any, PA interface {
 		out = append(out, adaptiveLevel[V, A, PA](parts[p].keys, parts[p].vals, newA, opt, level+1)...)
 	}
 	// Merge the sampled prefix group-wise into the partitioned result.
-	prefix := collect(t)
+	prefix := drain(t, entryOf[A]())
 	if len(prefix) > 0 {
 		merged := hashagg.New[A](len(out)+len(prefix), opt.Hash, newA)
 		for i := range out {
@@ -121,7 +121,7 @@ func adaptiveLevel[V any, A any, PA interface {
 		for i := range prefix {
 			PA(merged.Upsert(prefix[i].Key)).MergeFrom(&prefix[i].Agg)
 		}
-		return collect(merged)
+		return drain(merged, entryOf[A]())
 	}
 	return out
 }

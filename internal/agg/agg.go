@@ -1,9 +1,10 @@
 package agg
 
 import (
-	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hashagg"
 	"repro/internal/partition"
@@ -28,8 +29,8 @@ type Options struct {
 	Workers int
 	// Hash selects the table hash function (default Identity).
 	Hash hashagg.Hash
-	// GroupHint pre-sizes hash tables (total expected groups; divided
-	// by the fan-out for per-partition tables).
+	// GroupHint pre-sizes the Depth 0 tables (total expected groups).
+	// A partition's table is sized from the partition's own keys.
 	GroupHint int
 }
 
@@ -49,160 +50,130 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// PartitionAndAggregate is Algorithm 4: the input is radix-partitioned
-// on the (identity) hash of the key with fan-out Fanout^Depth, every
-// partition is aggregated into a private hash table, and per-thread
-// results are merged without synchronization (partitions are disjoint
-// in key space).
+// Aggregate is Algorithm 4: the input is radix-partitioned into
+// ascending key ranges (partition.Recursive: the high bits in which the
+// keys differ, Fanout^Depth ways), every partition is aggregated into a
+// private hash table, and per-thread results are put together without
+// synchronization (partitions are disjoint in key space).
+//
+// A group leaves its table through finish and nowhere else: a worker
+// drains each partition's table in key order into that partition's run
+// of results, and the runs, concatenated in partition order, are the
+// result — sorted by key at every Depth (0 drains the one merged table),
+// without a payload having been copied or the groups sorted as a whole.
+// finish may read and flush the payload but must not keep the pointer:
+// the slot is recycled for the next partition.
+//
+// A worker's table is sized from its partition's KeyBound, never
+// from GroupHint, so it cannot rehash mid-partition however wrong the
+// hint, and is cleared, not reallocated, between partitions: payloads
+// implementing hashagg.Resettable — the buffered reproducible
+// accumulators in particular — keep their buffers, as in the paper's
+// implementation.
 //
 // With reproducible payloads (core.Sum64, core.Buffered64, …) the
 // result is bit-identical for every permutation of the input, every
 // Depth, and every worker count. With float payloads it is not — that
 // contrast is the paper's motivation.
+func Aggregate[V any, A any, PA interface {
+	*A
+	hashagg.Adder[V]
+	hashagg.Merger[A]
+}, R any](keys []uint32, vals []V, newA func() A, opt Options, finish func(key uint32, a *A) R) []R {
+	if len(keys) != len(vals) {
+		panic("agg: keys and values must have equal length")
+	}
+	opt = opt.withDefaults(len(keys))
+	if opt.Depth == 0 {
+		return drain(aggregateUnpartitioned[V, A, PA](keys, vals, newA, opt), finish)
+	}
+
+	parts := partition.Recursive(keys, vals, opt.Depth, opt.Fanout, opt.Workers)
+	runs := make([][]R, len(parts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(opt.Workers, len(parts)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var t *hashagg.Table[A]
+			for p := int(next.Add(1)) - 1; p < len(parts); p = int(next.Add(1)) - 1 {
+				pt := parts[p]
+				parts[p] = partition.Part[V]{} // aggregated rows are garbage while the rest still run
+				if bound := partition.KeyBound(pt.Keys, 1); t == nil || t.Cap() < 2*bound {
+					t = hashagg.New[A](bound, opt.Hash, newA)
+				} else {
+					t.Clear()
+				}
+				hashagg.Aggregate[V, A, PA](t, pt.Keys, pt.Vals)
+				runs[p] = drain(t, finish)
+			}
+		}()
+	}
+	wg.Wait()
+	return slices.Concat(runs...)
+}
+
+// drain finishes every group of t, in key order.
+func drain[A, R any](t *hashagg.Table[A], finish func(key uint32, a *A) R) []R {
+	run := make([]R, 0, t.Len())
+	t.ForEachSorted(func(key uint32, a *A) { run = append(run, finish(key, a)) })
+	return run
+}
+
+// PartitionAndAggregate is Aggregate with the groups copied out of
+// their tables whole, payload and all, sorted by key.
 func PartitionAndAggregate[V any, A any, PA interface {
 	*A
 	hashagg.Adder[V]
 	hashagg.Merger[A]
 }](keys []uint32, vals []V, newA func() A, opt Options) []Entry[A] {
-	opt = opt.withDefaults(len(keys))
-	if opt.Depth == 0 {
-		return aggregateUnpartitioned[V, A, PA](keys, vals, newA, opt)
-	}
+	return Aggregate[V, A, PA](keys, vals, newA, opt, entryOf[A]())
+}
 
-	parts := partition.Recursive(keys, vals, opt.Depth, opt.Fanout, opt.Workers)
-	np := parts.NumPartitions()
-	perPartHint := opt.GroupHint / np
-	if perPartHint < 8 {
-		perPartHint = 8
-	}
-
-	// Each worker aggregates a contiguous range of partitions into a
-	// private table per partition and emits that partition's entries.
-	results := make([][]Entry[A], np)
-	var wg sync.WaitGroup
-	// Hand out contiguous ranges of partitions (not single partitions):
-	// with 256^2 partitions, per-partition channel traffic would dominate.
-	batch := np / (opt.Workers * 8)
-	if batch < 1 {
-		batch = 1
-	}
-	// The radix passes consumed the low Depth × log2(Fanout) key bits,
-	// so partition-local tables index by the bits above them.
-	lowBits := uint(opt.Depth * bits.TrailingZeros(uint(opt.Fanout)))
-	next := make(chan [2]int, np/batch+1)
-	for p := 0; p < np; p += batch {
-		hi := p + batch
-		if hi > np {
-			hi = np
+// entryOf returns the finish that copies a group into an Entry. A
+// buffered payload (one with a Flush method) is drained first: the copy
+// shares the buffer slice, and the table recycles it for the next
+// partition.
+func entryOf[A any]() func(key uint32, a *A) Entry[A] {
+	if _, buffered := any((*A)(nil)).(interface{ Flush() }); buffered {
+		return func(key uint32, a *A) Entry[A] {
+			any(a).(interface{ Flush() }).Flush()
+			return Entry[A]{Key: key, Agg: *a}
 		}
-		next <- [2]int{p, hi}
 	}
-	close(next)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One table per worker, cleared (not reallocated) between
-			// partitions: payloads implementing hashagg.Resettable — the
-			// buffered reproducible accumulators in particular — keep
-			// their buffers across partitions, as in the paper's
-			// implementation.
-			t := hashagg.NewPartitioned[A](perPartHint, opt.Hash, newA, lowBits)
-			for r := range next {
-				for p := r[0]; p < r[1]; p++ {
-					pk, pv := parts.Partition(p)
-					if len(pk) == 0 {
-						continue
-					}
-					hashagg.Aggregate[V, A, PA](t, pk, pv)
-					results[p] = collect(t)
-					t.Clear()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Concatenate in partition order (deterministic layout).
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]Entry[A], 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
+	return func(key uint32, a *A) Entry[A] { return Entry[A]{Key: key, Agg: *a} }
 }
 
 // aggregateUnpartitioned implements the Depth = 0 case: workers
 // aggregate chunks of the input into private tables, which are then
-// merged into a single shared table. The merge order is fixed (worker
-// 0, 1, …), and with reproducible payloads the merged result does not
-// depend on the chunking at all.
+// merged into the first of them. The merge order is fixed (worker 0, 1,
+// …), and with reproducible payloads the merged result does not depend
+// on the chunking at all.
 func aggregateUnpartitioned[V any, A any, PA interface {
 	*A
 	hashagg.Adder[V]
 	hashagg.Merger[A]
-}](keys []uint32, vals []V, newA func() A, opt Options) []Entry[A] {
-	n := len(keys)
-	w := opt.Workers
-	if w > 1 && n >= 2*w {
-		tables := make([]*hashagg.Table[A], w)
-		var wg sync.WaitGroup
-		chunk := (n + w - 1) / w
-		for i := 0; i < w; i++ {
-			lo, hi := i*chunk, (i+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				t := hashagg.New[A](opt.GroupHint, opt.Hash, newA)
-				hashagg.Aggregate[V, A, PA](t, keys[lo:hi], vals[lo:hi])
-				tables[i] = t
-			}(i, lo, hi)
-		}
-		wg.Wait()
-		var dst *hashagg.Table[A]
-		for _, t := range tables {
-			if t == nil {
-				continue
-			}
-			if dst == nil {
-				dst = t
-				continue
-			}
-			hashagg.MergeTables[A, PA](dst, t)
-		}
-		if dst == nil {
-			return nil
-		}
-		return collect(dst)
+}](keys []uint32, vals []V, newA func() A, opt Options) *hashagg.Table[A] {
+	n, w := len(keys), opt.Workers
+	if n < 2*w {
+		w = 1
 	}
-	t := hashagg.New[A](opt.GroupHint, opt.Hash, newA)
-	hashagg.Aggregate[V, A, PA](t, keys, vals)
-	return collect(t)
-}
-
-// flusher is implemented by buffered payloads that must drain their
-// summation buffer before the payload value can be copied out of the
-// table (the copy shares the buffer slice, and the table may recycle it
-// for the next partition).
-type flusher interface{ Flush() }
-
-func collect[A any](t *hashagg.Table[A]) []Entry[A] {
-	out := make([]Entry[A], 0, t.Len())
-	_, needFlush := any((*A)(nil)).(flusher)
-	t.ForEach(func(key uint32, a *A) {
-		if needFlush {
-			any(a).(flusher).Flush()
-		}
-		out = append(out, Entry[A]{Key: key, Agg: *a})
-	})
-	return out
+	tables := make([]*hashagg.Table[A], w)
+	chunk := (n + w - 1) / w
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := min(i*chunk, n), min((i+1)*chunk, n)
+			tables[i] = hashagg.New[A](opt.GroupHint, opt.Hash, newA)
+			hashagg.Aggregate[V, A, PA](tables[i], keys[lo:hi], vals[lo:hi])
+		}()
+	}
+	wg.Wait()
+	for _, t := range tables[1:] {
+		hashagg.MergeTables[A, PA](tables[0], t)
+	}
+	return tables[0]
 }

@@ -74,8 +74,9 @@ func SharedAggregate[V any, A any, PA interface {
 	wg.Wait()
 
 	var out []Entry[A]
+	entry := entryOf[A]()
 	for i := range stripes {
-		out = append(out, collect(stripes[i].t)...)
+		out = append(out, drain(stripes[i].t, entry)...)
 	}
 	return out
 }

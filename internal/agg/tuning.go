@@ -28,7 +28,11 @@ const CacheBytesPerThread = 1 << 20
 // BenchmarkGroupByCrossover finds it for both reproducible payloads on
 // the development machine (2 MiB private L2, large shared L3) —
 // between 2^15 and 2^16 groups unbuffered, between 2^13 and 2^14 with
-// buffers.
+// buffers. Re-measured with the pass on the key's high bits and groups
+// finished in place (ns/row, best of 3, depth 0 / depth 1): buffered
+// 2^13 7.6 / 11.1, 2^14 9.8 / 10.4, 2^15 14.4 / 10.9; unbuffered 2^15
+// 14.6 / 14.5, 2^16 19.5 / 16.4 — the unbuffered crossover where it was,
+// the buffered one read half an octave later, inside this VM's ±20 %.
 const TableBytesPerThread = 4 << 20
 
 // MaxBufferSize is bszmax, the largest summation buffer used
@@ -45,12 +49,13 @@ const MaxBufferSize = 1024
 // Re-measured on the AVX2 tile kernel (PR 23; floor runs, ns/row, best
 // of 3, bsz 8 / 16 / 32 / 64 vs unbuffered at the same depth): 2^10
 // groups d0 8.7 / 5.6 / 4.3 / 4.4 vs 11.0; 2^12 d0 8.6 / 8.1 / 7.8 / 7.5
-// vs 10.4; 2^14 d1 13.6 / 12.2 / 11.6 / 11.1 vs 15.5; 2^16 d1 15.9 /
-// 14.6 / 14.8 / 13.0 vs 17.7 — every buffer size now wins, and at 2^13
-// groups the d0 bsz-32 operator (8.8) is ahead of the unbuffered plan
-// (11.2). The constant has not been moved: where the floor and the
-// buffered/unbuffered crossover belong with this kernel is a planner
-// change with its own measurement (ROADMAP item 2).
+// vs 10.4; 2^14 d1 12.1 / 10.9 / 11.0 / 10.1 vs 13.5; 2^16 d1 14.3 /
+// 12.8 / 12.7 / 13.0 vs 16.4 (the d1 cells re-run on the high-bit pass)
+// — every buffer size now wins, and at 2^13 groups the d0 bsz-32
+// operator (7.6) is ahead of the unbuffered plan (8.4). The constant
+// has not been moved: where the floor and the buffered/unbuffered
+// crossover belong with this kernel is a planner change with its own
+// measurement (ROADMAP item 2).
 const MinBufferSize = 32
 
 // DefaultFanout is the per-pass radix fan-out f ("modern hardware runs

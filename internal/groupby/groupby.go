@@ -98,19 +98,10 @@ func Layout(plan *sqlagg.TuplePlan, groups, perGroup int) (partition bool, bsz i
 	return groups > agg.CacheBytesPerThread/(2*plan.TupleBytes()), bsz
 }
 
-// KeyBound bounds the distinct keys of a non-empty key column: its
+// KeyBound bounds the distinct keys of a key column: its
 // length or the width of its key range, whichever is less — tight for
 // dense domain-encoded keys, never an undercount.
-func KeyBound(keys []uint32) int {
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	if span := uint64(hi-lo) + 1; span < uint64(len(keys)) {
-		return int(span)
-	}
-	return len(keys)
-}
+func KeyBound(keys []uint32) int { return partition.KeyBound(keys, 1) }
 
 // Parts is rows radix-partitioned on the low key bits: partition p's
 // keys are Keys[Off[p]:Off[p+1]] and its values of every carried column

@@ -11,6 +11,11 @@
 // Section IV.
 package hashagg
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Hash selects the hash function applied to keys.
 type Hash int
 
@@ -46,7 +51,8 @@ type Table[A any] struct {
 	hash  Hash
 	shift uint // identityAbove only: low key bits constant in this partition
 	newA  func() A
-	stale []bool // slots with a recyclable (allocated but cleared) payload
+	stale []bool   // slots with a recyclable (allocated but cleared) payload
+	order []uint32 // ForEachSorted's scratch: the used slots, by key
 }
 
 // home returns key's home slot. Identity is tested first and touches
@@ -180,6 +186,30 @@ func (t *Table[A]) ForEach(fn func(key uint32, a *A)) {
 		if u {
 			fn(t.keys[i], &t.aggs[i])
 		}
+	}
+}
+
+// ForEachSorted visits every (key, payload) pair in ascending key
+// order. Identity tables over a key range no wider than the table — the
+// dense domain-encoded keys of a column store, whole or one range
+// partition of them — already hold their keys in slot order, which one
+// pass over the slots establishes; only otherwise are the used slots
+// (4 bytes each, not the payloads) sorted.
+func (t *Table[A]) ForEachSorted(fn func(key uint32, a *A)) {
+	t.order = t.order[:0]
+	sorted, prev := true, uint32(0)
+	for i, u := range t.used {
+		if u {
+			sorted = sorted && prev <= t.keys[i]
+			prev = t.keys[i]
+			t.order = append(t.order, uint32(i))
+		}
+	}
+	if !sorted {
+		slices.SortFunc(t.order, func(a, b uint32) int { return cmp.Compare(t.keys[a], t.keys[b]) })
+	}
+	for _, i := range t.order {
+		fn(t.keys[i], &t.aggs[i])
 	}
 }
 

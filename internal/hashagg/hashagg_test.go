@@ -267,3 +267,39 @@ func TestClearRepeatedPartitions(t *testing.T) {
 		tb.Clear()
 	}
 }
+
+// TestForEachSorted: keys are visited in ascending order with their own
+// payloads whatever order the slots hold them in — in slot order for a
+// dense range (also after Clear and reuse), wrapped around the table's
+// end, displaced by collisions, and scattered by the multiplicative
+// hash.
+func TestForEachSorted(t *testing.T) {
+	for name, tc := range map[string]struct {
+		hash Hash
+		key  func(i uint32) uint32
+	}{
+		"dense":          {Identity, func(i uint32) uint32 { return i }},
+		"wrapped":        {Identity, func(i uint32) uint32 { return 1000 + i }}, // 200 keys across a multiple of the 512 slots
+		"colliding":      {Identity, func(i uint32) uint32 { return i << 9 }},
+		"multiplicative": {Multiplicative, func(i uint32) uint32 { return i * 7 }},
+	} {
+		tb := New[sumAcc](200, tc.hash, newSum)
+		for round := 0; round < 2; round++ {
+			tb.Clear()
+			for i := uint32(0); i < 200; i++ {
+				*tb.Upsert(tc.key(199 - i)) += sumAcc(tc.key(199 - i))
+			}
+			var prev int64 = -1
+			n := 0
+			tb.ForEachSorted(func(key uint32, a *sumAcc) {
+				if int64(key) <= prev || *a != sumAcc(key) {
+					t.Fatalf("%s: key %d (payload %v) visited after %d", name, key, *a, prev)
+				}
+				prev, n = int64(key), n+1
+			})
+			if n != 200 {
+				t.Fatalf("%s: visited %d of 200 keys", name, n)
+			}
+		}
+	}
+}

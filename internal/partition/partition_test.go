@@ -1,7 +1,7 @@
 package partition
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -96,43 +96,76 @@ func TestStableWithinWorkerChunks(t *testing.T) {
 	}
 }
 
+// TestRecursiveDepths: at every depth the partitions are non-empty,
+// disjoint key ranges that ascend with the partition index, their
+// concatenation is a permutation of the input pairs, and no partition
+// that a scatter produced holds more than half the input unless it
+// holds a single key — also for key sets whose high digit does not
+// spread them.
 func TestRecursiveDepths(t *testing.T) {
-	keys := workload.Keys(5, 20000, 1<<16)
-	vals := workload.Values64(6, 20000, workload.Uniform12)
-	for _, depth := range []int{0, 1, 2} {
-		out := Recursive(keys, vals, depth, 256, 2)
-		wantParts := 1
-		for i := 0; i < depth; i++ {
-			wantParts *= 256
+	const n = 20000
+	shapes := map[string]func(i int, k uint32) uint32{
+		"dense":    func(_ int, k uint32) uint32 { return k },
+		"based":    func(_ int, k uint32) uint32 { return 1<<31 + 12345 + k },
+		"strided":  func(_ int, k uint32) uint32 { return k << 8 },
+		"below256": func(_ int, k uint32) uint32 { return k & 255 },
+		"single":   func(int, uint32) uint32 { return 7 },
+		"outlier": func(i int, k uint32) uint32 {
+			if i == n/2 {
+				return 0xFFFFFFFF
+			}
+			return k
+		},
+		"clusters": func(i int, k uint32) uint32 { return uint32(i%3)<<30 | k>>uint(i%3) },
+		"heavy": func(i int, k uint32) uint32 {
+			if i%2 == 0 {
+				return 1 << 15
+			}
+			return k
+		},
+	}
+	base := workload.Keys(5, n, 1<<16)
+	for name, shape := range shapes {
+		keys := make([]uint32, n)
+		tags := make([]int, n) // unique, to verify the pairing
+		for i := range keys {
+			keys[i], tags[i] = shape(i, base[i]), i
 		}
-		if out.NumPartitions() != wantParts {
-			t.Fatalf("depth %d: partitions = %d, want %d", depth, out.NumPartitions(), wantParts)
-		}
-		if len(out.Keys) != len(keys) {
-			t.Fatalf("depth %d: lost rows", depth)
-		}
-		// Depth-2 property: within a partition all keys share their low
-		// 16 bits, and the partition index is byte0·256 + byte1.
-		if depth == 2 {
-			for p := 0; p < out.NumPartitions(); p++ {
-				pk, _ := out.Partition(p)
-				for _, k := range pk {
-					if int(k&255)*256+int((k>>8)&255) != p {
-						t.Fatalf("depth-2 partition %d contains key %d", p, k)
+		for _, depth := range []int{0, 1, 2} {
+			for _, workers := range []int{1, 3} {
+				parts := Recursive(keys, tags, depth, 256, workers)
+				seen := make([]bool, n)
+				prevHi := int64(-1)
+				for p, pt := range parts {
+					if len(pt.Keys) == 0 || len(pt.Keys) != len(pt.Vals) {
+						t.Fatalf("%s depth %d: partition %d has %d keys, %d values", name, depth, p, len(pt.Keys), len(pt.Vals))
 					}
+					for i, k := range pt.Keys {
+						if tag := pt.Vals[i]; seen[tag] || keys[tag] != k {
+							t.Fatalf("%s depth %d: pair %d broken or duplicated", name, depth, tag)
+						} else {
+							seen[tag] = true
+						}
+					}
+					lo, hi := keyRange(pt.Keys, 1)
+					if int64(lo) <= prevHi {
+						t.Fatalf("%s depth %d workers %d: partition %d starts at key %d, the one before ends at %d",
+							name, depth, workers, p, lo, prevHi)
+					}
+					prevHi = int64(hi)
+					if depth > 0 && 2*len(pt.Keys) > n && lo != hi {
+						t.Fatalf("%s depth %d: partition %d holds %d of %d rows over keys %d..%d",
+							name, depth, p, len(pt.Keys), n, lo, hi)
+					}
+				}
+				if i := slices.Index(seen, false); i >= 0 {
+					t.Fatalf("%s depth %d workers %d: row %d is in no partition", name, depth, workers, i)
 				}
 			}
 		}
-		// Multiset preserved.
-		got := append([]uint32(nil), out.Keys...)
-		want := append([]uint32(nil), keys...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("depth %d: key multiset changed", depth)
-			}
-		}
+	}
+	if parts := Recursive([]uint32{}, []int{}, 2, 256, 2); len(parts) != 0 {
+		t.Errorf("empty input: %d partitions", len(parts))
 	}
 }
 

@@ -33,9 +33,7 @@
 package repro
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -155,7 +153,11 @@ func (o *GroupByOptions) withDefaults() GroupByOptions {
 // GroupBySum aggregates values by key with reproducible SUM: the result
 // (as a set of groups) is bit-identical for any permutation of the
 // input, any worker count, and any options with the same Levels.
-// The returned groups are sorted by key.
+// The returned groups are sorted by key — by construction, not by a
+// sort: a partitioned run (agg.Aggregate) splits the rows into ascending
+// key ranges, and every range's groups leave their table in key order
+// as finished ⟨key, sum⟩ pairs. It panics if keys and values differ in
+// length.
 func GroupBySum(keys []uint32, values []float64, opts *GroupByOptions) []Group {
 	o := opts.withDefaults()
 	o.Groups = min(o.Groups, max(len(keys), 1))
@@ -169,27 +171,14 @@ func GroupBySum(keys []uint32, values []float64, opts *GroupByOptions) []Group {
 		GroupHint: o.Groups,
 		Hash:      hashagg.Identity,
 	}
-	var out []Group
 	if bsz == 0 {
-		out = finalizeGroups(agg.PartitionAndAggregate[float64, core.Sum64](
-			keys, values, func() core.Sum64 { return core.NewSum64(o.Levels) }, options))
-	} else {
-		out = finalizeGroups(agg.PartitionAndAggregate[float64, core.Buffered64](
-			keys, values, func() core.Buffered64 { return core.NewBuffered64(o.Levels, bsz) }, options))
+		return agg.Aggregate[float64, core.Sum64](keys, values,
+			func() core.Sum64 { return core.NewSum64(o.Levels) }, options,
+			func(key uint32, a *core.Sum64) Group { return Group{Key: key, Sum: a.Value()} })
 	}
-	slices.SortFunc(out, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
-	return out
-}
-
-func finalizeGroups[A any, PA interface {
-	*A
-	Value() float64
-}](entries []agg.Entry[A]) []Group {
-	out := make([]Group, len(entries))
-	for i := range entries {
-		out[i] = Group{Key: entries[i].Key, Sum: PA(&entries[i].Agg).Value()}
-	}
-	return out
+	return agg.Aggregate[float64, core.Buffered64](keys, values,
+		func() core.Buffered64 { return core.NewBuffered64(o.Levels, bsz) }, options,
+		func(key uint32, a *core.Buffered64) Group { return Group{Key: key, Sum: a.Value()} })
 }
 
 // BufferSizeFor evaluates the paper's cache-footprint model (Eq. 4):
