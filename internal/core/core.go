@@ -5,8 +5,10 @@
 //     Section IV: associative, bit-reproducible accumulators whose only
 //     arithmetic operation is addition (with scalars and with each
 //     other). Using them in place of a float running sum makes any
-//     GROUPBY operator bit-reproducible with no structural change — at
-//     the 4×–12× cost the paper measures in Figure 4.
+//     GROUPBY operator bit-reproducible with no structural change. The
+//     paper measures 4×–12× for them in Figure 4, with carries propagated
+//     after every value; these propagate once per NB values, which keeps
+//     the bits and drops the division and floor from the per-value path.
 //
 //   - Buffered64 / Buffered32 add the summation buffer of Section V-A
 //     (Figure 5): input values are buffered per group and aggregated in
@@ -40,12 +42,14 @@ func NewSum64(levels int) Sum64 {
 	return Sum64{st: rsum.NewState64(levels)}
 }
 
-// Add folds one value into the accumulator (operator+=(double)).
-// It follows Algorithm 2 faithfully, including the per-element
-// carry-bit propagation — the cost the paper measures for the drop-in
-// type in Figures 4 and 7. Batch paths (AddSlice, the buffered type)
-// amortize that cost instead.
-func (s *Sum64) Add(v float64) { s.st.AddEager(v) }
+// Add folds one value into the accumulator (operator+=(double)): the
+// value is extracted now (Algorithm 2) and carries propagate once per
+// NB = 2^11 values, so between propagations the state is un-normalized
+// like a buffered one between flushes; every operation reads it
+// correctly. The paper's per-value propagation (its Figures 4 and 7) is
+// rsum.State64.AddEager. Batch paths (AddSlice, the buffered type) also
+// drop the per-value level check.
+func (s *Sum64) Add(v float64) { s.st.Add(v) }
 
 // AddSlice folds a batch of values using the tiled scalar kernel.
 func (s *Sum64) AddSlice(vs []float64) { s.st.AddSlice(vs) }
@@ -77,8 +81,9 @@ func NewSum32(levels int) Sum32 {
 	return Sum32{st: rsum.NewState32(levels)}
 }
 
-// Add folds one value into the accumulator; see Sum64.Add.
-func (s *Sum32) Add(v float32) { s.st.AddEager(v) }
+// Add folds one value into the accumulator, propagating carries once
+// per NB32 = 16 values; see Sum64.Add.
+func (s *Sum32) Add(v float32) { s.st.Add(v) }
 
 // AddSlice folds a batch of values.
 func (s *Sum32) AddSlice(vs []float32) { s.st.AddSlice(vs) }

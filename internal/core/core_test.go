@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/exact"
+	"repro/internal/rsum"
 	"repro/internal/workload"
 )
 
@@ -194,6 +196,101 @@ func TestSum32AddSlice(t *testing.T) {
 	b.AddSlice(vs)
 	if math.Float32bits(a.Value()) != math.Float32bits(b.Value()) {
 		t.Error("Sum32 AddSlice differs from Add")
+	}
+}
+
+// budgetEdgeCounts are the values per group TestBudgetEdgesAcrossPaths
+// runs: either side of NB32 = 16 and NB64 = 2048, and several budgets.
+var budgetEdgeCounts = []int{1, 15, 16, 17, 2047, 2048, 2049, 3*2048 + 5}
+
+// edgeValues64 returns n values of one sign that spend the carry budget
+// at its bound: maximal contributions 2^(e−13) to the top level of
+// exponent e = 40, a raise to e = 80 half-way, then maximal contributions
+// to the new top level and to the demoted one, alternately.
+func edgeValues64(n int, sign float64) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		switch {
+		case i < n/2:
+			vs[i] = math.Nextafter(0x1p27, 0) // contributes 2^27 at e = 40
+		case i == n/2:
+			vs[i] = 0x1p30 // raises the top level to e = 80
+		case i%2 == 0:
+			vs[i] = math.Nextafter(0x1p67, 0) // 2^67 at e = 80
+		default:
+			vs[i] = 0x1p40 + 0x1p27 // 2^27 to the demoted level
+		}
+		vs[i] *= sign
+	}
+	return vs
+}
+
+// edgeValues32 is edgeValues64 for float32: e = 18, then 36.
+func edgeValues32(n int, sign float32) []float32 {
+	vs := make([]float32, n)
+	for i := range vs {
+		switch {
+		case i < n/2:
+			vs[i] = math.Nextafter32(0x1p12, 0)
+		case i == n/2:
+			vs[i] = 0x1p13
+		case i%2 == 0:
+			vs[i] = math.Nextafter32(0x1p30, 0)
+		default:
+			vs[i] = 0x1p18 + 0x1p12
+		}
+		vs[i] *= sign
+	}
+	return vs
+}
+
+// TestBudgetEdgesAcrossPaths: at and around the carry budget's edges,
+// Sum.Add (budgeted), a state fed through AddEager (the paper's
+// per-value propagation) and a Buffered accumulator at bsz 32 (the
+// vector kernel) encode to the same bytes and finalize to the same bits.
+func TestBudgetEdgesAcrossPaths(t *testing.T) {
+	for _, L := range []int{1, 2, 3} {
+		for _, n := range budgetEdgeCounts {
+			for _, sign := range []float64{1, -1} {
+				vs := edgeValues64(n, sign)
+				sum, eager, buf := NewSum64(L), rsum.NewState64(L), NewBuffered64(L, 32)
+				for _, v := range vs {
+					sum.Add(v)
+					eager.AddEager(v)
+					buf.Add(v)
+				}
+				viaBuf := NewSum64(L)
+				buf.MergeIntoSum(&viaBuf)
+				want, _ := eager.AppendBinary(nil)
+				for name, s := range map[string]*Sum64{"Sum64.Add": &sum, "Buffered64": &viaBuf} {
+					if got, _ := s.State().AppendBinary(nil); !bytes.Equal(got, want) {
+						t.Errorf("L=%d n=%d sign %v: %s bytes differ from AddEager's", L, n, sign, name)
+					}
+					if math.Float64bits(s.Value()) != math.Float64bits(eager.Value()) {
+						t.Errorf("L=%d n=%d sign %v: %s value differs from AddEager's", L, n, sign, name)
+					}
+				}
+
+				vs32 := edgeValues32(n, float32(sign))
+				sum32, eager32, buf32 := NewSum32(L), rsum.NewState32(L), NewBuffered32(L, 32)
+				for _, v := range vs32 {
+					sum32.Add(v)
+					eager32.AddEager(v)
+					buf32.Add(v)
+				}
+				viaBuf32 := NewSum32(L)
+				buf32.MergeIntoSum(&viaBuf32)
+				want, _ = eager32.AppendBinary(nil)
+				for name, s := range map[string]*Sum32{"Sum32.Add": &sum32, "Buffered32": &viaBuf32} {
+					if got, _ := s.State().AppendBinary(nil); !bytes.Equal(got, want) {
+						t.Errorf("L=%d n=%d sign %v: %s bytes differ from AddEager's", L, n, sign, name)
+					}
+					if math.Float32bits(s.Value()) != math.Float32bits(eager32.Value()) {
+						t.Errorf("L=%d n=%d sign %v: %s value differs from AddEager's", L, n, sign, name)
+					}
+				}
+			}
+		}
 	}
 }
 

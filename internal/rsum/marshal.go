@@ -323,6 +323,11 @@ func (t *State32) validate() error {
 		if t.eTop != 0 {
 			return errCorrupt
 		}
+		for l := range t.s {
+			if math.Float32bits(t.s[l]) != 0 || t.c[l] != 0 {
+				return errCorrupt // an empty sum has one encoding
+			}
+		}
 		return nil
 	}
 	e := int(t.eTop)

@@ -20,17 +20,31 @@
 // constant of the level instead, which makes the split deterministic at
 // identical cost.
 //
-// Kernels. Add is Algorithm 2; AddSlice and AddSliceVec are Algorithm
-// 3's tiling: one scan of at most NB values for their largest magnitude
-// replaces the per-value level check, and carries propagate once per NB
-// values. AddSliceVec is the vector kernel (vec64.go): each level's
-// contributions are summed in V = 4 lanes that start at zero — AVX2
-// registers on amd64, Go locals elsewhere — and the lane total is added
-// to S(l) once per tile. Every contribution is a multiple of ulp(S(l))
-// no larger than 2^(e_l−13), and at most NB = 2^11 of them arrive
-// between propagations, so lane partials, lane totals and the updated
-// S(l) are all exactly representable: the lane layout can change the
-// cost of a sum, never a bit of it.
+// The carry budget. Every contribution q a value makes to level l is a
+// multiple of ulp(S(l)) with |q| ≤ 2^(e_l−13) (float32: 2^(e_l−6)), and
+// at most NB = 2^11 (float32: 16) of them arrive between two carry
+// propagations, so together they move S(l) by at most 0.25·ufp. A
+// propagation leaves every live S(l) in [1.5, 1.75)·ufp; hence
+//
+//	S(l) ∈ [1.25, 2)·ufp at all times,
+//
+// its own binade, where every multiple of ulp is representable and no
+// addition rounds. Merge keeps the same window: it adds a net in
+// [−0.25, 0.25)·ufp to a propagated S(l). The carry step (carry64,
+// carry32) relies on it: from [1.25, 2)·ufp one ±quarter reaches
+// [1.5, 1.75)·ufp, so propagation is two comparisons, not a division.
+//
+// Kernels. Add is Algorithm 2 with the budget: each value is extracted
+// and charged one unit, and carries propagate once per NB values;
+// AddEager is Algorithm 2 as the paper writes it, propagating after
+// every value. AddSlice and AddSliceVec are Algorithm 3's tiling: one
+// scan of at most NB values for their largest magnitude replaces the
+// per-value level check. AddSliceVec is the vector kernel (vec64.go):
+// each level's contributions are summed in V = 4 lanes that start at
+// zero — AVX2 registers on amd64, Go locals elsewhere — and the lane
+// total is added to S(l) once per tile. By the budget, lane partials,
+// lane totals and the updated S(l) are all exactly representable: the
+// lane layout can change the cost of a sum, never a bit of it.
 //
 // Special values are handled reproducibly: NaNs and infinities are
 // tracked in order-independent counters and resolved at finalization
@@ -111,6 +125,31 @@ func (s *State64) levelExp(l int) int {
 	return int(s.eTop) - l*floatbits.W64
 }
 
+// down64 is the ratio between the ufps (and the extractors) of two
+// consecutive levels; multiplying a live level's power of two by it is
+// exact.
+const down64 = 1.0 / (1 << floatbits.W64)
+
+// live returns the number of leading levels at or above
+// LowestLevelExp64; the levels below them are dead. The state must be
+// initialized.
+func (s *State64) live() int {
+	return min(int(s.levels), (int(s.eTop)-LowestLevelExp64)/floatbits.W64+1)
+}
+
+// carry64 is one carry step on a running sum S ∈ [1.25, 2)·ufp, the
+// window the package doc proves: at most one quarter moves between S and
+// its carry counter C to bring S into [1.5, 1.75)·ufp, exactly.
+func carry64(s float64, c int64, ufp float64) (float64, int64) {
+	if s < 1.5*ufp {
+		return s + 0.25*ufp, c - 1
+	}
+	if s >= 1.75*ufp {
+		return s - 0.25*ufp, c + 1
+	}
+	return s, c
+}
+
 // Add absorbs one value into the state.
 func (s *State64) Add(b float64) {
 	// Specials are tracked by counters; counting is order-independent.
@@ -163,21 +202,7 @@ func (s *State64) raise(eb int) {
 		}
 		return
 	}
-	if eNeed <= int(s.eTop) {
-		return
-	}
-	shift := (eNeed - int(s.eTop)) / floatbits.W64
-	s.eTop = int32(eNeed)
-	L := int(s.levels)
-	for l := L - 1; l >= 0; l-- {
-		if l >= shift {
-			s.s[l] = s.s[l-shift]
-			s.c[l] = s.c[l-shift]
-		} else {
-			s.s[l] = s.freshLevel(l)
-			s.c[l] = 0
-		}
-	}
+	s.raiseTo(eNeed)
 }
 
 // freshLevel returns the initial running sum of level l: the extractor
@@ -210,24 +235,15 @@ func (s *State64) extract(b float64) {
 	}
 }
 
-// propagate performs carry-bit propagation on every level (Algorithm 2,
-// lines 14–18): the running sum is renormalized into
-// [1.5·ufp, 1.75·ufp) and whole multiples of 0.25·ufp move into the
+// propagate performs carry-bit propagation on every live level
+// (Algorithm 2, lines 14–18): the running sum is renormalized into
+// [1.5·ufp, 1.75·ufp) and the quarter it lost or gained moves into the
 // carry counter. All operations are exact.
 func (s *State64) propagate() {
-	for l := 0; l < int(s.levels); l++ {
-		e := s.levelExp(l)
-		if e < LowestLevelExp64 {
-			break
-		}
-		ufp := floatbits.Pow2_64(e)
-		quarter := 0.25 * ufp
-		delta := s.s[l] - 1.5*ufp // exact (Sterbenz)
-		d := math.Floor(delta / quarter)
-		if d != 0 {
-			s.s[l] -= d * quarter // exact
-			s.c[l] += int64(d)
-		}
+	ufp := floatbits.Pow2_64(int(s.eTop))
+	for l := range s.live() {
+		s.s[l], s.c[l] = carry64(s.s[l], s.c[l], ufp)
+		ufp *= down64
 	}
 	s.nAdds = 0
 }
@@ -258,38 +274,25 @@ func (s *State64) Merge(o *State64) {
 		s.raiseTo(int(o.eTop))
 	}
 	s.propagate() // make room: S ∈ [1.5, 1.75)·ufp before adding nets
+	// Level l of s is level l−shift of o, at the same exponent; o's levels
+	// below the union's top L are dropped (the same set for any merge
+	// order).
 	shift := (int(s.eTop) - int(o.eTop)) / floatbits.W64
-	for lo := 0; lo < int(o.levels); lo++ {
-		l := lo + shift
-		if l >= int(s.levels) {
-			break // below the union's top-L levels: dropped (same set for any merge order)
-		}
-		e := s.levelExp(l)
-		if e < LowestLevelExp64 {
-			break
-		}
-		ufp := floatbits.Pow2_64(e)
-		if o.s[lo] == 0 {
-			continue // dead level in o
-		}
+	ufp := floatbits.Pow2_64(int(o.eTop))
+	for l, live := shift, s.live(); l < live; l++ {
 		quarter := 0.25 * ufp
-		net := o.s[lo] - 1.5*ufp // exact net value of o's level, ∈ [−0.25, 0.5)·ufp
+		net := o.s[l-shift] - 1.5*ufp // exact net value of o's level, ∈ [−0.25, 0.5)·ufp
+		c := s.c[l] + o.c[l-shift]
 		if net >= quarter {
 			// Spill a whole quarter into the carry counter first so the
 			// following addition stays strictly below 2·ufp and therefore
 			// exact (multiples of ulp are representable only up to 2·ufp).
 			net -= quarter // exact
-			s.c[l]++
+			c++
 		}
-		s.s[l] += net // exact: S ∈ [1.5,1.75)·ufp, |net| < 0.25·ufp ⇒ sum ∈ [1.25, 2)·ufp
-		s.c[l] += o.c[lo]
-		// Renormalize so the invariant holds for subsequent Adds.
-		delta := s.s[l] - 1.5*ufp
-		d := math.Floor(delta / quarter)
-		if d != 0 {
-			s.s[l] -= d * quarter
-			s.c[l] += int64(d)
-		}
+		// Exact: S ∈ [1.5, 1.75)·ufp, |net| ≤ 0.25·ufp ⇒ sum ∈ [1.25, 2)·ufp.
+		s.s[l], s.c[l] = carry64(s.s[l]+net, c, ufp)
+		ufp *= down64
 	}
 	s.nAdds = 0
 }
@@ -330,18 +333,16 @@ func (s *State64) Value() float64 {
 	if !s.init {
 		return 0
 	}
-	t := *s
-	t.propagate()
-	// Fixed evaluation order, last (smallest) level first, per the paper.
+	// Fixed evaluation order, last (smallest) level first, per the paper;
+	// each level is normalized as propagate would, without a copy.
+	live := s.live()
+	ufp := floatbits.Pow2_64(s.levelExp(live - 1))
 	q := 0.0
-	for l := int(t.levels) - 1; l >= 0; l-- {
-		e := t.levelExp(l)
-		if e < LowestLevelExp64 {
-			continue
-		}
-		ufp := floatbits.Pow2_64(e)
-		term := (t.s[l] - 1.5*ufp) + 0.25*ufp*float64(t.c[l])
+	for l := live - 1; l >= 0; l-- {
+		sl, c := carry64(s.s[l], s.c[l], ufp)
+		term := (sl - 1.5*ufp) + 0.25*ufp*float64(c)
 		q += term
+		ufp *= 1 << floatbits.W64
 	}
 	return q
 }
@@ -395,10 +396,11 @@ func (s *State64) AddSlice(bs []float64) {
 
 // AddEager absorbs one value with per-element carry-bit propagation —
 // Algorithm 2 exactly as written in the paper, where lines 14–18 run for
-// every input value (≈ 12 FP ops per level). This is the cost model of
-// the drop-in repro<ScalarT,L> data type of Section IV; the batched
-// kernels (AddSlice, AddSliceVec) amortize the propagation over NB
-// values instead (the tiling of Algorithm 3).
+// every input value (≈ 12 FP ops per level, a division and a floor
+// among them): the cost the paper measures for the drop-in
+// repro<ScalarT,L> type in Figure 4. No operator runs it; Add spends the
+// carry budget instead. It stays as the independent oracle the tests
+// hold Add and the tiled kernels to, and as the ablation's subject.
 //
 // AddEager and Add produce bit-identical normalized states: carry
 // propagation only moves whole multiples of 0.25·ufp between S(l) and

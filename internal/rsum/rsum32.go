@@ -55,6 +55,25 @@ func (s *State32) levelExp(l int) int {
 	return int(s.eTop) - l*floatbits.W32
 }
 
+// down32 is the single-precision down64.
+const down32 = 1.0 / (1 << floatbits.W32)
+
+// live returns the number of live leading levels; see State64.live.
+func (s *State32) live() int {
+	return min(int(s.levels), (int(s.eTop)-LowestLevelExp32)/floatbits.W32+1)
+}
+
+// carry32 is the single-precision carry64.
+func carry32(s float32, c int64, ufp float32) (float32, int64) {
+	if s < 1.5*ufp {
+		return s + 0.25*ufp, c - 1
+	}
+	if s >= 1.75*ufp {
+		return s - 0.25*ufp, c + 1
+	}
+	return s, c
+}
+
 // Add absorbs one value into the state.
 func (s *State32) Add(b float32) {
 	if b != b {
@@ -97,9 +116,6 @@ func (s *State32) raise(eb int) {
 			s.s[l] = s.freshLevel(l)
 			s.c[l] = 0
 		}
-		return
-	}
-	if eNeed <= int(s.eTop) {
 		return
 	}
 	s.raiseTo(eNeed)
@@ -149,19 +165,10 @@ func (s *State32) extract(b float32) {
 }
 
 func (s *State32) propagate() {
-	for l := 0; l < int(s.levels); l++ {
-		e := s.levelExp(l)
-		if e < LowestLevelExp32 {
-			break
-		}
-		ufp := floatbits.Pow2_32(e)
-		quarter := 0.25 * ufp
-		delta := s.s[l] - 1.5*ufp
-		d := float32(math.Floor(float64(delta / quarter)))
-		if d != 0 {
-			s.s[l] -= d * quarter
-			s.c[l] += int64(d)
-		}
+	ufp := floatbits.Pow2_32(int(s.eTop))
+	for l := range s.live() {
+		s.s[l], s.c[l] = carry32(s.s[l], s.c[l], ufp)
+		ufp *= down32
 	}
 	s.nAdds = 0
 }
@@ -186,33 +193,17 @@ func (s *State32) Merge(o *State32) {
 	}
 	s.propagate()
 	shift := (int(s.eTop) - int(o.eTop)) / floatbits.W32
-	for lo := 0; lo < int(o.levels); lo++ {
-		l := lo + shift
-		if l >= int(s.levels) {
-			break
-		}
-		e := s.levelExp(l)
-		if e < LowestLevelExp32 {
-			break
-		}
-		if o.s[lo] == 0 {
-			continue
-		}
-		ufp := floatbits.Pow2_32(e)
+	ufp := floatbits.Pow2_32(int(o.eTop))
+	for l, live := shift, s.live(); l < live; l++ {
 		quarter := 0.25 * ufp
-		net := o.s[lo] - 1.5*ufp
+		net := o.s[l-shift] - 1.5*ufp
+		c := s.c[l] + o.c[l-shift]
 		if net >= quarter {
 			net -= quarter
-			s.c[l]++
+			c++
 		}
-		s.s[l] += net
-		s.c[l] += o.c[lo]
-		delta := s.s[l] - 1.5*ufp
-		d := float32(math.Floor(float64(delta / quarter)))
-		if d != 0 {
-			s.s[l] -= d * quarter
-			s.c[l] += int64(d)
-		}
+		s.s[l], s.c[l] = carry32(s.s[l]+net, c, ufp)
+		ufp *= down32
 	}
 	s.nAdds = 0
 }
@@ -231,17 +222,14 @@ func (s *State32) Value() float32 {
 	if !s.init {
 		return 0
 	}
-	t := *s
-	t.propagate()
+	live := s.live()
+	ufp := floatbits.Pow2_32(s.levelExp(live - 1))
 	q := float32(0)
-	for l := int(t.levels) - 1; l >= 0; l-- {
-		e := t.levelExp(l)
-		if e < LowestLevelExp32 {
-			continue
-		}
-		ufp := floatbits.Pow2_32(e)
-		term := (t.s[l] - 1.5*ufp) + 0.25*ufp*float32(t.c[l])
+	for l := live - 1; l >= 0; l-- {
+		sl, c := carry32(s.s[l], s.c[l], ufp)
+		term := (sl - 1.5*ufp) + 0.25*ufp*float32(c)
 		q += term
+		ufp *= 1 << floatbits.W32
 	}
 	return q
 }

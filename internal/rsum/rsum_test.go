@@ -617,6 +617,39 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsNonCanonicalEmpty: an empty sum has one encoding.
+// A bit set in a level of an uninitialized state — running sum or carry,
+// either precision — is rejected, or decode → encode would not be a
+// fixpoint.
+func TestUnmarshalRejectsNonCanonicalEmpty(t *testing.T) {
+	e64, e32 := NewState64(2), NewState32(2)
+	for name, c := range map[string]struct {
+		enc    []byte
+		decode func([]byte) error
+	}{
+		"State64": {must(e64.MarshalBinary()), func(b []byte) error { var s State64; return s.UnmarshalBinary(b) }},
+		"State32": {must(e32.MarshalBinary()), func(b []byte) error { var s State32; return s.UnmarshalBinary(b) }},
+	} {
+		if err := c.decode(c.enc); err != nil {
+			t.Fatalf("%s: canonical empty state rejected: %v", name, err)
+		}
+		for bit := 8 * headerSize; bit < 8*len(c.enc); bit++ {
+			mut := append([]byte(nil), c.enc...)
+			mut[bit/8] ^= 1 << (bit % 8)
+			if c.decode(mut) == nil {
+				t.Errorf("%s: empty state with level bit %d set accepted", name, bit-8*headerSize)
+			}
+		}
+	}
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestAddSliceSplitsArbitrarily(t *testing.T) {
 	f := func(seed int64, cut uint16) bool {
 		rng := rand.New(rand.NewSource(seed))

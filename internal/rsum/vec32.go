@@ -19,9 +19,9 @@ func (s *State32) AddSliceVec(bs []float32) {
 		}
 		body := n &^ (V - 1)
 		if body > 0 {
-			live := 0
-			for ; live < int(s.levels) && s.levelExp(live) >= LowestLevelExp32; live++ {
-				ext[live] = floatbits.Extractor32(s.levelExp(live))
+			live := s.live()
+			for l := range live {
+				ext[l] = floatbits.Extractor32(s.levelExp(l))
 			}
 			sum := extractLanes(tile[:body], &ext, live)
 			for l := 0; l < live; l++ {

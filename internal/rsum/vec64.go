@@ -60,7 +60,7 @@ func (s *State64) addSliceVec(bs []float64, k *tileKernel) {
 		}
 		body := n &^ (V - 1)
 		if body > 0 {
-			live := min(int(s.levels), (int(s.eTop)-LowestLevelExp64)/floatbits.W64+1)
+			live := s.live()
 			sum := k.extract(tile[:body], floatbits.Extractor64(int(s.eTop)), live)
 			for l := 0; l < live; l++ {
 				s.s[l] += sum[l] // exact, see above

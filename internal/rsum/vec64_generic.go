@@ -1,10 +1,6 @@
 package rsum
 
-import (
-	"math"
-
-	"repro/internal/floatbits"
-)
+import "math"
 
 // genericKernel is the tile primitive in Go: compiled everywhere, the
 // only implementation off amd64 and the oracle for the assembly on it.
@@ -28,9 +24,8 @@ func scanTileGeneric(tile []float64) (m float64, nan bool) {
 
 func extractTileGeneric(tile []float64, ext0 float64, live int) (sum [MaxLevels]float64) {
 	// Exact: the extractors of live levels are normal numbers.
-	const down = 1.0 / (1 << floatbits.W64)
 	var ext [MaxLevels]float64
-	for l, e := 0, ext0; l < live; l, e = l+1, e*down {
+	for l, e := 0, ext0; l < live; l, e = l+1, e*down64 {
 		ext[l] = e
 	}
 	return extractLanes(tile, &ext, live)

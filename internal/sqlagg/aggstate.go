@@ -469,7 +469,7 @@ func newSumState(levels int) *sumState {
 	return &sumState{st: rsum.NewState64(levels)}
 }
 
-func (s *sumState) Add(x float64) { s.st.AddEager(x) }
+func (s *sumState) Add(x float64) { s.st.Add(x) }
 
 func (s *sumState) MergeFrom(o AggState) error {
 	t, ok := o.(*sumState)

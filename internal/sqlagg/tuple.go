@@ -243,7 +243,7 @@ func (p *TuplePlan) AddRow(t *Tuple, cols [][]float64, row int) {
 			v *= v
 		}
 		if t.bsz == 0 {
-			t.sums[j].AddEager(v)
+			t.sums[j].Add(v)
 		} else {
 			buf[j*t.bsz] = v
 		}

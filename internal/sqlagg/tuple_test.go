@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rsum"
 	"repro/internal/workload"
 )
 
@@ -239,6 +240,55 @@ func TestTupleMatchesPerSpecStates(t *testing.T) {
 			} else if !bytes.Equal(enc, canonical) {
 				t.Errorf("%s bsz %d: tuple bytes differ from bsz 0's", name, bsz)
 			}
+		}
+	}
+}
+
+// TestBudgetEdgesTupleAndSumState: around the carry budget's edge
+// (NB64 = 2048 values per group), with a level raise half-way and
+// maximal contributions of one sign, an unbuffered tuple (which spends
+// the budget value by value) encodes to the bytes of a bsz-32 one (the
+// vector kernel), and the SUM AggState to the bytes of a state fed
+// through AddEager (per-value propagation).
+func TestBudgetEdgesTupleAndSumState(t *testing.T) {
+	p, err := NewTuplePlan([]AggSpec{
+		{Kind: AggSum, Levels: 2, Col: 0}, {Kind: AggAvg, Levels: 3, Col: 1}, {Kind: AggVarPop, Levels: 2, Col: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := func(n int, sign float64) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = sign * math.Nextafter(0x1p27, 0) // contributes 2^(40−13)
+			if i == n/2 {
+				vs[i] = sign * 0x1p30 // raises the top level to 2^80
+			} else if i > n/2 && i%2 == 0 {
+				vs[i] = sign * math.Nextafter(0x1p67, 0) // 2^(80−13)
+			}
+		}
+		return vs
+	}
+	for _, n := range []int{1, 15, 16, 17, 2047, 2048, 2049, 3*2048 + 5} {
+		cols := [][]float64{edge(n, 1), edge(n, -1)}
+		flat, buffered := p.NewTuple(0), p.NewTuple(32)
+		sum, _ := AggSpec{Kind: AggSum, Levels: 2}.New()
+		eager := rsum.NewState64(2)
+		for i := 0; i < n; i++ {
+			p.AddRow(&flat, cols, i)
+			p.AddRow(&buffered, cols, i)
+			sum.Add(cols[0][i])
+			eager.AddEager(cols[0][i])
+		}
+		a, _ := p.AppendBinary(nil, &flat)
+		b, _ := p.AppendBinary(nil, &buffered)
+		if !bytes.Equal(a, b) {
+			t.Errorf("n=%d: bsz-0 tuple bytes differ from bsz 32's", n)
+		}
+		got, _ := sum.AppendBinary(nil)
+		want, _ := eager.AppendBinary(nil)
+		if !bytes.Equal(got, want) {
+			t.Errorf("n=%d: SUM state bytes differ from AddEager's", n)
 		}
 	}
 }
