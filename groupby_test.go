@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -22,7 +23,7 @@ func TestGroupBySumKeyShape(t *testing.T) {
 	keys[rows/3] = 0xFFFFFFFF
 	vals := workload.Values64(22, rows, workload.MixedMag)
 	want := repro.GroupBySum(keys, vals, &repro.GroupByOptions{Groups: 1, Workers: 1, Unbuffered: true})
-	if !slices.IsSortedFunc(want, func(a, b repro.Group) int { return int(int64(a.Key) - int64(b.Key)) }) ||
+	if !slices.IsSortedFunc(want, func(a, b repro.Group) int { return cmp.Compare(a.Key, b.Key) }) ||
 		want[len(want)-1].Key != 0xFFFFFFFF {
 		t.Fatalf("reference: %d groups, not in key order or without the sentinel last", len(want))
 	}

@@ -6,7 +6,9 @@
 // every group handed to the caller's finish in key order — the result
 // is sorted by key by construction, and what leaves a table is what
 // finish makes of the group (a ⟨key, sum⟩ pair for the facade), never a
-// copy of the accumulator. PartitionAndAggregate is Aggregate for
+// copy of the accumulator. Its partition loop, AggregateParts, is the
+// only one in the repository: the tuple GROUP BY of dist and serve runs
+// it over its own tables. PartitionAndAggregate is Aggregate for
 // callers that do want the accumulators. Plain HASHAGGREGATION is
 // hashagg.Aggregate; the sort-first baseline of Table IV is
 // engine.SumSorted. The operators are generic over the aggregate payload,

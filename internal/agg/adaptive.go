@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"math/bits"
+
 	"repro/internal/hashagg"
 )
 
@@ -23,8 +25,6 @@ type AdaptiveOptions struct {
 	// partitioning pass (default 1<<17; the planner's own crossovers
 	// are the model-derived DepthThresholds in tuning.go).
 	MaxTableGroups int
-	// Fanout is the per-pass radix fan-out (default 256).
-	Fanout int
 	// Workers bounds goroutines (default GOMAXPROCS).
 	Workers int
 	// Hash selects the table hash function.
@@ -37,9 +37,6 @@ type AdaptiveOptions struct {
 func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 	if o.MaxTableGroups <= 0 {
 		o.MaxTableGroups = 1 << 17
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 256
 	}
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 4
@@ -89,18 +86,14 @@ func adaptiveLevel[V any, A any, PA interface {
 	// key byte of this level and recurse; the partial table becomes one
 	// more "partition" merged at the end (its groups overlap all
 	// partitions, so it is merged group-wise).
-	radixBits := uint(0)
-	for f := opt.Fanout; f > 1; f >>= 1 {
-		radixBits++
-	}
-	shift := uint(level) * radixBits
+	shift := uint(level * bits.TrailingZeros(DefaultFanout))
 
 	type part struct {
 		keys []uint32
 		vals []V
 	}
-	parts := make([]part, opt.Fanout)
-	mask := uint32(opt.Fanout - 1)
+	parts := make([]part, DefaultFanout)
+	mask := uint32(DefaultFanout - 1)
 	for j := i; j < len(keys); j++ {
 		p := (keys[j] >> shift) & mask
 		parts[p].keys = append(parts[p].keys, keys[j])

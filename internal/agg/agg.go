@@ -19,12 +19,8 @@ type Entry[A any] struct {
 // Options configures PartitionAndAggregate.
 type Options struct {
 	// Depth is the number of partitioning passes d; the effective
-	// fan-out is Fanout^Depth. Depth 0 aggregates directly.
+	// fan-out is DefaultFanout^Depth. Depth 0 aggregates directly.
 	Depth int
-	// Fanout is the per-pass fan-out f (default 256; the paper's
-	// "modern hardware runs partitioning efficiently only up to a
-	// certain fan-out").
-	Fanout int
 	// Workers is the goroutine count (default GOMAXPROCS).
 	Workers int
 	// Hash selects the table hash function (default Identity).
@@ -35,9 +31,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults(n int) Options {
-	if o.Fanout == 0 {
-		o.Fanout = DefaultFanout
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -52,9 +45,10 @@ func (o Options) withDefaults(n int) Options {
 
 // Aggregate is Algorithm 4: the input is radix-partitioned into
 // ascending key ranges (partition.Recursive: the high bits in which the
-// keys differ, Fanout^Depth ways), every partition is aggregated into a
-// private hash table, and per-thread results are put together without
-// synchronization (partitions are disjoint in key space).
+// keys differ, DefaultFanout^Depth ways), every partition is aggregated
+// into a private hash table (AggregateParts), and per-thread results
+// are put together without synchronization (partitions are disjoint in
+// key space).
 //
 // A group leaves its table through finish and nowhere else: a worker
 // drains each partition's table in key order into that partition's run
@@ -63,13 +57,6 @@ func (o Options) withDefaults(n int) Options {
 // without a payload having been copied or the groups sorted as a whole.
 // finish may read and flush the payload but must not keep the pointer:
 // the slot is recycled for the next partition.
-//
-// A worker's table is sized from its partition's KeyBound, never
-// from GroupHint, so it cannot rehash mid-partition however wrong the
-// hint, and is cleared, not reallocated, between partitions: payloads
-// implementing hashagg.Resettable — the buffered reproducible
-// accumulators in particular — keep their buffers, as in the paper's
-// implementation.
 //
 // With reproducible payloads (core.Sum64, core.Buffered64, …) the
 // result is bit-identical for every permutation of the input, every
@@ -88,30 +75,55 @@ func Aggregate[V any, A any, PA interface {
 		return drain(aggregateUnpartitioned[V, A, PA](keys, vals, newA, opt), finish)
 	}
 
-	parts := partition.Recursive(keys, vals, opt.Depth, opt.Fanout, opt.Workers)
+	parts := partition.Recursive(keys, [][]V{vals}, opt.Depth, DefaultFanout, opt.Workers)
 	runs := make([][]R, len(parts))
+	AggregateParts(parts, opt.Workers,
+		func(bound int) *hashagg.Table[A] { return hashagg.New[A](bound, opt.Hash, newA) },
+		func(t *hashagg.Table[A], keys []uint32, cols [][]V) { hashagg.Aggregate[V, A, PA](t, keys, cols[0]) },
+		func(p int, t *hashagg.Table[A]) {
+			runs[p] = drain(t, finish)
+			parts[p] = partition.Part[V]{} // aggregated rows are garbage while the rest still run
+		})
+	return slices.Concat(runs...)
+}
+
+// AggregateParts is the partition loop of every GROUP BY: workers
+// goroutines share parts — rows already partitioned into key ranges —
+// and each folds a part's rows into its table with fold, then hands the
+// table to drain with the part's index. A worker keeps one table for
+// every part it aggregates: made by newTable for the part's Bound, so
+// it cannot rehash mid-part however many groups the whole input has,
+// remade only for a part that bound outgrows, and otherwise cleared, not
+// reallocated — payloads implementing hashagg.Resettable, the buffered
+// accumulators in particular, keep their buffers, as in the paper's
+// implementation. drain may read and flush the payloads but must not
+// keep the table. One worker — also what a count below one runs —
+// visits the parts in order.
+func AggregateParts[V any, T interface {
+	Cap() int
+	Clear()
+}](parts []partition.Part[V], workers int, newTable func(bound int) T, fold func(t T, keys []uint32, cols [][]V), drain func(p int, t T)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(opt.Workers, len(parts)); w++ {
+	for range min(max(workers, 1), len(parts)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var t *hashagg.Table[A]
+			var t T
+			made := false
 			for p := int(next.Add(1)) - 1; p < len(parts); p = int(next.Add(1)) - 1 {
 				pt := parts[p]
-				parts[p] = partition.Part[V]{} // aggregated rows are garbage while the rest still run
-				if bound := partition.KeyBound(pt.Keys, 1); t == nil || t.Cap() < 2*bound {
-					t = hashagg.New[A](bound, opt.Hash, newA)
+				if bound := pt.Bound(); !made || t.Cap() < 2*bound {
+					t, made = newTable(bound), true
 				} else {
 					t.Clear()
 				}
-				hashagg.Aggregate[V, A, PA](t, pt.Keys, pt.Vals)
-				runs[p] = drain(t, finish)
+				fold(t, pt.Keys, pt.Cols)
+				drain(p, t)
 			}
 		}()
 	}
 	wg.Wait()
-	return slices.Concat(runs...)
 }
 
 // drain finishes every group of t, in key order.

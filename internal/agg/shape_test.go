@@ -110,8 +110,8 @@ func TestKeyShapes(t *testing.T) {
 			}
 			for depth := 0; depth <= 2; depth++ {
 				if shape.spreads && depth > 0 {
-					for p, pt := range partition.Recursive(keys, vals, depth, DefaultFanout, workers) {
-						if 2*len(pt.Keys) > len(keys) && partition.KeyBound(pt.Keys, 1) > 1 {
+					for p, pt := range partition.Recursive(keys, [][]float64{vals}, depth, DefaultFanout, workers) {
+						if 2*len(pt.Keys) > len(keys) && pt.Bound() > 1 {
 							t.Fatalf("%s, depth %d, %d workers: partition %d holds %d of %d rows over several keys",
 								shape.name, depth, workers, p, len(pt.Keys), len(keys))
 						}

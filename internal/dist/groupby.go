@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/agg"
 	"repro/internal/groupby"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 )
 
@@ -18,10 +20,12 @@ func sumSpecs() []sqlagg.AggSpec {
 	return []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: levels, Col: 0}}
 }
 
-// shuffleFanout is the radix fan-out of the hash shuffle. Keys are
-// routed by groupby.Partition on their low byte; partition p is owned by
-// node p mod n, so every key has exactly one owner for a given cluster
-// size and GROUP BY needs no cross-node post-merge per key.
+// shuffleFanout is the radix fan-out of the hash shuffle: a key's low
+// byte b names its owner, node b mod n (owner), so every key has exactly
+// one owner for a given cluster size and GROUP BY needs no cross-node
+// post-merge per key. The combiner's partitions are key ranges
+// (partition.Recursive), not owners: each spreads its keys over every
+// owner by their low bytes.
 const shuffleFanout = 256
 
 var errFrame = errors.New("dist: corrupt shuffle frame")
@@ -89,7 +93,7 @@ func (o *ownerMerge) merge(payload []byte) error {
 		if len(payload) == 0 {
 			return nil
 		}
-		o.table = groupby.NewTable(o.plan, len(payload)/recordSize(o.plan)*o.senders, 0, 0)
+		o.table = groupby.NewTable(o.plan, len(payload)/recordSize(o.plan)*o.senders, 0)
 	}
 	return walkFrame(payload, func(key uint32, enc []byte) error {
 		if err := o.table.MergeBinary(key, enc); err != nil {
@@ -336,7 +340,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	}
 
 	// Finalize this owner's groups (disjoint from every other owner's)
-	// into a key-sorted run.
+	// into a run in key order.
 	var local []TupleGroup
 	if ownErr == nil {
 		local = owner.table.Groups()
@@ -411,27 +415,53 @@ func mergeSortedRuns(runs [][]TupleGroup) []TupleGroup {
 // destination node (owner says which). Like the paper's operator it
 // partitions only when it has to (groupby.Layout): if one table of all
 // the shard's keys stays in cache the rows are folded into that table
-// where they lie, every column read once and in order, and the tuples
-// are routed as they are encoded. Otherwise the shard is
-// radix-partitioned on the shuffle byte, the columns the plan reads
+// where they lie, every column read once and in order. Otherwise the
+// shard is radix-partitioned into key ranges, the columns the plan reads
 // beside the keys, and one partition-sized table is reused across the
-// partitions. The combine is serial either way: workers parallelises
-// the radix pass only. maxMessage is the configuration's
-// Config.maxMessage bound.
+// partitions. Either way the rows run through agg.AggregateParts on one
+// worker: workers parallelises the radix pass only. Every owner's frame
+// is sized once, before the loop, from the partitions (ownerBounds), and
+// each table's tuples are encoded into their owners' frames. maxMessage
+// is the configuration's Config.maxMessage bound.
 func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers, maxMessage int) ([][]byte, error) {
 	frames := make([][]byte, n)
 	if len(keys) == 0 {
 		return frames, nil // no rows: every shuffle message is empty
 	}
-	var err error
-	groups := groupby.KeyBound(keys)
-	if partition, bsz := groupby.Layout(plan, groups, len(keys)/groups); !partition {
-		err = combineWhole(frames, keys, cols, plan, groups, bsz)
-	} else {
-		ps := groupby.Partition(keys, cols, plan.Reads, shuffleFanout, workers)
-		_, bsz = groupby.Layout(plan, ps.MaxBound, len(keys)/ps.SumBound)
-		err = combineParts(frames, ps, plan, bsz)
+	read := make([][]float64, len(cols))
+	for c := range cols {
+		if plan.Reads(c) {
+			read[c] = cols[c]
+		}
 	}
+	parts := partition.Recursive(keys, read, 0, agg.DefaultFanout, workers)
+	if part, _ := groupby.Layout(plan, parts[0].Bound(), 1); part {
+		parts = partition.Recursive(keys, read, 1, agg.DefaultFanout, workers)
+	}
+	est := make([]int, n)
+	maxBound, sumBound := 0, 0
+	for _, pt := range parts {
+		maxBound, sumBound = max(maxBound, pt.Bound()), sumBound+pt.Bound()
+		ownerBounds(est, pt)
+	}
+	for d, records := range est {
+		frames[d] = make([]byte, 0, records*recordSize(plan))
+	}
+	_, bsz := groupby.Layout(plan, maxBound, len(keys)/sumBound)
+	// Slot order fixes the frames' record order; the owners' per-key
+	// merges commute, so it is immaterial to the bits.
+	var err error
+	agg.AggregateParts(parts, 1,
+		func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
+		(*groupby.Table).AddRows,
+		func(_ int, t *groupby.Table) {
+			t.ForEach(func(key uint32, tup *sqlagg.Tuple) {
+				if err == nil {
+					d := owner(key, n)
+					frames[d], err = appendTuple(frames[d], key, plan, tup)
+				}
+			})
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -451,62 +481,34 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 	return frames, nil
 }
 
-// owner is the node whose shuffle message carries key: the owner of the
-// partition the key's low byte names.
+// owner is the node whose shuffle message carries key: its low byte's.
 func owner(key uint32, n int) int { return int(key%shuffleFanout) % n }
 
-// appendTable encodes every tuple of table into the frame of its key's
-// owner. Slot order fixes the frame layout, but the owner's per-key
-// merges commute, so layout is immaterial to the final bits. With the
-// frames' capacity sized beforehand the loop allocates nothing; if a
-// size were ever wrong, append inside appendTuple grows geometrically
-// as usual.
-func appendTable(frames [][]byte, plan *sqlagg.TuplePlan, table *groupby.Table) error {
-	var err error
-	table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
-		if err == nil {
-			d := owner(key, len(frames))
-			frames[d], err = appendTuple(frames[d], key, plan, tup)
-		}
-	})
-	return err
-}
-
-// sizeFrames gives every destination's frame the capacity for
-// records[d] records.
-func sizeFrames(frames [][]byte, plan *sqlagg.TuplePlan, records []int) {
-	for d, c := range records {
-		if c > 0 {
-			frames[d] = make([]byte, 0, c*recordSize(plan))
+// ownerBounds adds to est[d] a bound on the distinct keys of pt that
+// owner d receives. Per low byte b those are at most the keys of
+// [pt.Lo, pt.Hi] congruent to b modulo shuffleFanout — exact for dense
+// keys — and, where the range is wider than the rows, at most the rows
+// carrying b, so a part's bounds sum to no more than pt.Bound(). They
+// never undercount: frames sized from them never grow.
+func ownerBounds(est []int, pt partition.Part[float64]) {
+	span := uint64(pt.Hi - pt.Lo)
+	sparse := span >= uint64(len(pt.Keys))
+	var rows [shuffleFanout]uint64
+	if sparse {
+		for _, k := range pt.Keys {
+			rows[k%shuffleFanout]++
 		}
 	}
-}
-
-// combineWhole is the unpartitioned combine: one table hinted at groups
-// (never an undercount, so it does not rehash) of bsz-buffered tuples
-// over all the rows, then a count of each owner's tuples to size its
-// frame exactly.
-func combineWhole(frames [][]byte, keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, groups, bsz int) error {
-	table := groupby.NewTable(plan, groups, 0, bsz)
-	table.AddRows(keys, cols)
-	counts := make([]int, len(frames))
-	table.ForEach(func(key uint32, _ *sqlagg.Tuple) { counts[owner(key, len(frames))]++ })
-	sizeFrames(frames, plan, counts)
-	return appendTable(frames, plan, table)
-}
-
-// combineParts is the partitioned combine: every partition's table goes
-// into the frame of the partition's owner. The bounds never undercount,
-// so frames sized from them summed per destination never grow.
-func combineParts(frames [][]byte, ps *groupby.Parts, plan *sqlagg.TuplePlan, bsz int) error {
-	est := make([]int, len(frames))
-	for p, b := range ps.Bounds {
-		est[p%len(frames)] += b
+	for b := range uint64(shuffleFanout) {
+		// The range's first key with low byte b is pt.Lo + off.
+		if off := (b - uint64(pt.Lo)) % shuffleFanout; off <= span {
+			keys := (span-off)/shuffleFanout + 1
+			if sparse {
+				keys = min(keys, rows[b])
+			}
+			est[b%uint64(len(est))] += int(keys)
+		}
 	}
-	sizeFrames(frames, plan, est)
-	return ps.Each(plan, bsz, 1, func(_ int, table *groupby.Table) error {
-		return appendTable(frames, plan, table)
-	})
 }
 
 // gatherRecordSize is the fixed byte width of one finalized group in a

@@ -2,13 +2,13 @@ package dist
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/groupby"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
@@ -260,13 +260,13 @@ func TestTupleGroupsCodec(t *testing.T) {
 	}
 }
 
-// TestPartitionedTablesSameGroups pins that indexing partition-local
-// tables by the bits above the shuffle byte changes slot order only:
-// combineShard → owner merge, the partition loop over the shard's
-// radix partitions (one table told the partition bits, runs
-// concatenated) and one table told nothing (plain identity over all
-// rows) return the same TupleGroups as the sequential reference,
-// whatever the key layout.
+// TestPartitionedTablesSameGroups pins that the partitioning changes
+// where groups are folded, never what they hold or their order:
+// combineShard → owner merge, agg's partition loop over the shard's
+// key-range partitions (one table recycled across them, runs
+// concatenated unsorted) and one table over all rows return the same
+// key-sorted TupleGroups as the sequential reference, whatever the key
+// layout.
 func TestPartitionedTablesSameGroups(t *testing.T) {
 	const rows = 6000
 	specs := tupleSpecs()
@@ -295,24 +295,23 @@ func TestPartitionedTablesSameGroups(t *testing.T) {
 
 		// Hinted below the true group count: the table grows mid-batch.
 		_, bsz := groupby.Layout(plan, 64, rows/64)
-		whole := groupby.NewTable(plan, 64, 0, bsz)
+		whole := groupby.NewTable(plan, 64, bsz)
 		whole.AddRows(keys, cols)
 		checkTuples(t, whole.Groups(), want, tc.name+": one table, no partition bits")
 
 		// One table for every partition, as a serving worker keeps it:
 		// sized for the largest, cleared and recycled in between, with
 		// summation buffers (where they fit) by the claimed rows per key.
-		ps := groupby.Partition(keys, cols, plan.Reads, shuffleFanout, 2)
-		_, bsz = groupby.Layout(plan, ps.MaxBound, 64)
-		var shifted []TupleGroup
-		if err := ps.Each(plan, bsz, 1, func(_ int, table *groupby.Table) error {
-			shifted = append(shifted, table.Groups()...)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		parts := partition.Recursive(keys, cols, 1, agg.DefaultFanout, 2)
+		maxBound := 0
+		for _, pt := range parts {
+			maxBound = max(maxBound, pt.Bound())
 		}
-		slices.SortFunc(shifted, func(a, b TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
-		checkTuples(t, shifted, want, tc.name+": a table per partition, above the shuffle byte")
+		_, bsz = groupby.Layout(plan, maxBound, 64)
+		var ranged []TupleGroup
+		agg.AggregateParts(parts, 1, func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
+			(*groupby.Table).AddRows, func(_ int, table *groupby.Table) { ranged = append(ranged, table.Groups()...) })
+		checkTuples(t, ranged, want, tc.name+": a table per key-range partition")
 
 		for _, nodes := range []int{1, 3} {
 			frames, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage())

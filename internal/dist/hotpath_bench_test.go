@@ -24,7 +24,7 @@ func benchEncode(b *testing.B, specs []sqlagg.AggSpec) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := groupby.NewTable(plan, groups, 0, 0)
+	table := groupby.NewTable(plan, groups, 0)
 	for k := 0; k < groups; k++ {
 		col := []float64{float64(k)*1.5 + 0.25, 0x1p-40 * float64(k+1)}
 		table.AddRows([]uint32{uint32(k) * 256, uint32(k) * 256}, [][]float64{col, col})

@@ -40,7 +40,7 @@ func TestShuffleEncodeZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			table := groupby.NewTable(plan, 512, 0, 0)
+			table := groupby.NewTable(plan, 512, 0)
 			for k := uint32(0); k < 500; k++ {
 				cols := [][]float64{
 					{float64(k) * 1.5, -0x1p-30 * float64(k+1)},
@@ -330,7 +330,7 @@ func TestCombineLoopZeroAlloc(t *testing.T) {
 	const rows, groups = 4096, 16
 	keys := make([]uint32, rows)
 	for i := range keys {
-		keys[i] = uint32(i%groups)<<8 | 7
+		keys[i] = 7<<8 | uint32(i%groups) // one key-range partition's keys
 	}
 	cols := [][]float64{
 		workload.Values64(41, rows, workload.MixedMag),
@@ -341,7 +341,7 @@ func TestCombineLoopZeroAlloc(t *testing.T) {
 		t.Fatalf("no buffers planned for %d groups of %d rows", groups, rows/groups)
 	}
 	for _, bsz := range []int{planned, 0} {
-		table := groupby.NewTable(plan, groups, 8, bsz)
+		table := groupby.NewTable(plan, groups, bsz)
 		table.AddRows(keys, cols)
 		allocs := testing.AllocsPerRun(20, func() {
 			table.Clear()
@@ -367,7 +367,7 @@ func TestOwnerMergeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const groups = 1 << 15
-	src := groupby.NewTable(plan, groups, 0, 0)
+	src := groupby.NewTable(plan, groups, 0)
 	cols := [][]float64{
 		workload.Values64(43, groups, workload.MixedMag),
 		workload.Values64(44, groups, workload.MixedMag),

@@ -7,18 +7,20 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/agg"
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
 
 const (
 	levels = core.DefaultLevels
-	fanout = 256 // the radix fan-out dist shuffles on and serve loads at
+	fanout = 256 // the radix fan-out dist shuffles on: a key's owner is its low byte's
 )
 
 // tupleSpecs is a mix of state shapes (rsum-backed SUM/AVG/VAR, the
@@ -110,82 +112,25 @@ func TestLayoutDecisions(t *testing.T) {
 
 	// The fits side, at the distributed plane's level count: 4 groups
 	// (dist_q1), the model's boundary and one past it, 2^16 groups
-	// (cluster_shuffle).
+	// (cluster_shuffle). The boundary is the budget over two tuples; the
+	// tuple sizes (and so the boundary) are pinned where pointers are 64
+	// bits wide — slice headers are narrower on 32-bit builds.
 	for _, tc := range []struct {
-		name  string
-		specs []sqlagg.AggSpec
-		fits  int // the most groups one table holds
+		name        string
+		specs       []sqlagg.AggSpec
+		bytes, fits int // on 64-bit builds: the tuple size, the most groups one table holds
 	}{
-		{"Q1 catalog, 696-byte tuples", q1Catalog(levels), 753},
-		{"narrow catalog, 216-byte tuples", narrowCatalog(levels), 2427},
+		{"Q1 catalog", q1Catalog(levels), 696, 753},
+		{"narrow catalog", narrowCatalog(levels), 216, 2427},
 	} {
 		plan := mustPlan(t, tc.specs)
-		for groups, want := range map[int]bool{4: false, tc.fits: false, tc.fits + 1: true, 1 << 16: true} {
+		fits := agg.CacheBytesPerThread / (2 * plan.TupleBytes())
+		if unsafe.Sizeof(uintptr(0)) == 8 && (plan.TupleBytes() != tc.bytes || fits != tc.fits) {
+			t.Errorf("%s: %d-byte tuples, %d groups fit; want %d and %d", tc.name, plan.TupleBytes(), fits, tc.bytes, tc.fits)
+		}
+		for groups, want := range map[int]bool{4: false, fits: false, fits + 1: true, 1 << 16: true} {
 			if got, _ := Layout(plan, groups, 1<<20/groups); got != want {
 				t.Errorf("%s: partition at %d groups = %v, want %v", tc.name, groups, got, want)
-			}
-		}
-	}
-}
-
-// TestPartitionShardCarriesReadColumns: partitioning a shard moves
-// every column the plan reads — and only those — with the keys, row for
-// row, whatever the worker count; a plan that reads no column still
-// gets its keys partitioned.
-func TestPartitionShardCarriesReadColumns(t *testing.T) {
-	const rows, ncols = 5000, 3
-	// Row r carries r*ncols+c in column c, so a partitioned value names
-	// the source row it came from.
-	cols := make([][]float64, ncols)
-	for c := range cols {
-		cols[c] = make([]float64, rows)
-		for r := range cols[c] {
-			cols[c][r] = float64(r*ncols + c)
-		}
-	}
-	keys := workload.Keys(77, rows, 1<<12)
-	distinct := make(map[uint32]bool)
-	for _, k := range keys {
-		distinct[k] = true
-	}
-	sum := func(c int) sqlagg.AggSpec { return sqlagg.AggSpec{Kind: sqlagg.AggSum, Levels: levels, Col: c} }
-	for _, tc := range []struct {
-		name  string
-		specs []sqlagg.AggSpec
-		read  []int
-	}{
-		{"two of three", []sqlagg.AggSpec{sum(0), sum(2)}, []int{0, 2}},
-		{"all three", []sqlagg.AggSpec{sum(1), {Kind: sqlagg.AggMin, Col: 0}, {Kind: sqlagg.AggAvg, Levels: levels, Col: 2}}, []int{0, 1, 2}},
-		{"one, twice", []sqlagg.AggSpec{sum(1), {Kind: sqlagg.AggAvg, Levels: levels, Col: 1}}, []int{1}},
-		{"COUNT only", []sqlagg.AggSpec{{Kind: sqlagg.AggCount}}, nil},
-	} {
-		plan := mustPlan(t, tc.specs)
-		for _, workers := range []int{1, 3} {
-			sh := Partition(keys, cols, plan.Reads, fanout, workers)
-			if len(sh.Keys) != rows || sh.Off[len(sh.Off)-1] != rows || sh.SumBound < len(distinct) {
-				t.Fatalf("%s: %d keys, offsets end at %d, bounds sum to %d for %d distinct keys", tc.name, len(sh.Keys), sh.Off[len(sh.Off)-1], sh.SumBound, len(distinct))
-			}
-			for c := range cols {
-				if want := slices.Contains(tc.read, c); (sh.Cols[c] != nil) != want {
-					t.Errorf("%s: column %d partitioned = %v, want %v", tc.name, c, sh.Cols[c] != nil, want)
-				}
-			}
-			for i := range sh.Keys {
-				if p := sort.SearchInts(sh.Off, i+1) - 1; sh.Keys[i]%fanout != uint32(p) {
-					t.Fatalf("%s: key %d at position %d of partition %d", tc.name, sh.Keys[i], i, p)
-				}
-				if len(tc.read) == 0 {
-					continue
-				}
-				r := int(sh.Cols[tc.read[0]][i]) / ncols
-				if sh.Keys[i] != keys[r] {
-					t.Fatalf("%s, %d workers: position %d holds key %d beside a value of row %d (key %d)", tc.name, workers, i, sh.Keys[i], r, keys[r])
-				}
-				for _, c := range tc.read {
-					if got := sh.Cols[c][i]; got != cols[c][r] {
-						t.Fatalf("%s, %d workers: position %d column %d holds %v, row %d has %v", tc.name, workers, i, c, got, r, cols[c][r])
-					}
-				}
 			}
 		}
 	}
@@ -196,36 +141,59 @@ func TestPartitionShardCarriesReadColumns(t *testing.T) {
 // among len(records) nodes.
 type records []map[uint32]string
 
-// sink returns an Each sink (safe for any worker count) that encodes
-// every tuple of a table into its owner's records and fails on a key
+// sink returns a drain (safe for any worker count) that encodes every
+// tuple of a table into its owner's records and fails the test on a key
 // seen before, so the maps hold the multiset of records.
-func (r records) sink(plan *sqlagg.TuplePlan) func(int, *Table) error {
+func (r records) sink(t *testing.T, plan *sqlagg.TuplePlan) func(int, *Table) {
 	var mu sync.Mutex
-	return func(_ int, table *Table) error {
+	return func(_ int, table *Table) {
 		mu.Lock()
 		defer mu.Unlock()
-		var err error
 		table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
-			enc, e := plan.AppendBinary(nil, tup)
+			enc, err := plan.AppendBinary(nil, tup)
 			d := int(key%fanout) % len(r)
-			if _, dup := r[d][key]; dup || e != nil {
-				err = fmt.Errorf("key %d: second record %v, encode error %v", key, dup, e)
+			if _, dup := r[d][key]; dup || err != nil {
+				t.Errorf("key %d: second record %v, encode error %v", key, dup, err)
 			}
 			r[d][key] = string(enc)
 		})
-		return err
 	}
 }
 
+// aggregate is agg's partition loop over parts with this package's
+// table and row fold, as dist's combiner and serve's local engine run it.
+func aggregate(plan *sqlagg.TuplePlan, parts []partition.Part[float64], bsz, workers int, drain func(int, *Table)) {
+	agg.AggregateParts(parts, workers, func(bound int) *Table { return NewTable(plan, bound, bsz) }, (*Table).AddRows, drain)
+}
+
+// readColumns is cols with every column the plan does not read nil: what
+// dist's combiner carries through the partitioning pass.
+func readColumns(plan *sqlagg.TuplePlan, cols [][]float64) [][]float64 {
+	read := make([][]float64, len(cols))
+	for c := range cols {
+		if plan.Reads(c) {
+			read[c] = cols[c]
+		}
+	}
+	return read
+}
+
 // TestCombineLayoutsSameRecords: the executor's three entries — one
-// table over the rows as they lie, the partition loop over rows
-// partitioned on the fly with the columns the plan reads (dist's
-// combiner either way), and the loop over a resident Parts that carries
-// every column (serve's) — produce byte-identical ⟨key, tuple⟩ records
-// for the same owners (in an order of their own), with buffers and
-// without, for every loop worker count — so which of them runs is a
-// matter of cache footprint and of where the rows are only. KeyBound,
-// which Layout is asked with, never undercounts.
+// table over the rows as they lie, agg's partition loop over rows
+// partitioned on the fly into key ranges with the columns the plan
+// reads (dist's combiner either way), and the loop over resident parts
+// that carry every column (serve's) — produce byte-identical ⟨key,
+// tuple⟩ records for the same owners (in an order of their own), with
+// buffers and without, for every loop worker count — so which of them
+// runs is a matter of cache footprint and of where the rows are only.
+// The key shapes are internal/agg's TestKeyShapes' beside the dense
+// ones: the high-bit pass leaves an outlier, two clusters or a heavy key
+// with most rows behind one digit, which only its repair of overfull
+// partitions spreads. Strided keys inside one key range collide in an
+// identity table — on agg's path as much as here (ROADMAP item 2,
+// "known and left"); sizing each table from its partition's Bound is the
+// mitigation both share. The depth-0 Bound, which Layout is asked with,
+// never undercounts.
 func TestCombineLayoutsSameRecords(t *testing.T) {
 	const rows, nodes = 20000, 3
 	cols := make([][]float64, 5)
@@ -242,55 +210,84 @@ func TestCombineLayoutsSameRecords(t *testing.T) {
 			special[c][i] = classes[(i/7+c)%len(classes)]
 		}
 	}
+	same := func(_ int, k uint32) uint32 { return k }
 	for _, tc := range []struct {
 		name   string
 		groups uint32
-		key    func(k uint32) uint32
+		key    func(i int, k uint32) uint32 // nil: no rows
 		bound  int
 		cols   [][]float64
 	}{
-		{"4 dense", 4, func(k uint32) uint32 { return k }, 4, cols},
-		{"700 dense", 700, func(k uint32) uint32 { return k + 1000 }, 700, cols},
-		{"one partition", 300, func(k uint32) uint32 { return k<<8 | 5 }, 299<<8 + 1, cols},
-		{"sparse", 3000, func(k uint32) uint32 { return k * 2654435761 }, rows, cols},
-		{"special values", 900, func(k uint32) uint32 { return k }, 900, special},
+		{"4 dense", 4, same, 4, cols},
+		{"700 dense", 700, func(_ int, k uint32) uint32 { return k + 1000 }, 700, cols},
+		{"one partition", 300, func(_ int, k uint32) uint32 { return k<<8 | 5 }, 299<<8 + 1, cols},
+		{"sparse", 3000, func(_ int, k uint32) uint32 { return k * 2654435761 }, rows, cols},
+		{"special values", 900, same, 900, special},
+		{"based 2^31", 1 << 12, func(_ int, k uint32) uint32 { return 1<<31 + k }, 1 << 12, cols},
+		{"stride 256", 1 << 9, func(_ int, k uint32) uint32 { return k << 8 }, rows, cols}, // every low byte 0: one owner gets all
+		{"outlier", 1 << 16, func(i int, k uint32) uint32 {
+			if i == 12345 {
+				return 0xFFFFFFFF
+			}
+			return k
+		}, rows, cols},
+		{"clusters", 1 << 13, func(i int, k uint32) uint32 {
+			if i%8 < 5 {
+				return k
+			}
+			return 0xF0000000 + 1<<13 + k
+		}, rows, cols},
+		{"heavy key", 1 << 14, func(i int, k uint32) uint32 {
+			if i%2 == 0 {
+				return 1 << 13
+			}
+			return k
+		}, 1 << 14, cols},
+		{"below 256", 200, same, 200, cols},
+		{"single key", 1, func(int, uint32) uint32 { return 7 }, 1, cols},
+		{"no rows", 1, nil, 0, cols},
 	} {
 		keys := workload.Keys(83, rows, tc.groups)
+		tcCols := tc.cols
+		if tc.key == nil {
+			keys, tcCols = nil, make([][]float64, len(cols))
+		}
 		distinct := make(map[uint32]bool)
 		for i, k := range keys {
-			keys[i] = tc.key(k)
+			keys[i] = tc.key(i, k)
 			distinct[keys[i]] = true
 		}
-		bound := KeyBound(keys)
+		bound := 0
+		if parts := partition.Recursive(keys, tcCols, 0, agg.DefaultFanout, 1); len(parts) > 0 {
+			bound = parts[0].Bound()
+		}
 		if bound < len(distinct) || bound > tc.bound {
 			t.Errorf("%s: keyBound %d for %d distinct keys, want at most %d", tc.name, bound, len(distinct), tc.bound)
 		}
-		resident := Partition(keys, tc.cols, func(int) bool { return true }, fanout, 3)
+		resident := partition.Recursive(keys, tcCols, 1, agg.DefaultFanout, 3)
 		for cat, specs := range map[string][]sqlagg.AggSpec{"mixed": tupleSpecs(), "q1": q1Catalog(levels), "narrow": narrowCatalog(levels)} {
 			plan := mustPlan(t, specs)
-			onTheFly := Partition(keys, tc.cols, plan.Reads, fanout, 2)
-			run := func(fill func(sink func(int, *Table) error) error) records {
+			onTheFly := partition.Recursive(keys, readColumns(plan, tcCols), 1, agg.DefaultFanout, 2)
+			run := func(fill func(sink func(int, *Table))) records {
 				r := make(records, nodes)
 				for d := range r {
 					r[d] = make(map[uint32]string)
 				}
-				if err := fill(r.sink(plan)); err != nil {
-					t.Fatalf("%s, %s: %v", tc.name, cat, err)
-				}
+				fill(r.sink(t, plan))
 				return r
 			}
 			whole := func(bsz int) records {
-				return run(func(sink func(int, *Table) error) error {
-					table := NewTable(plan, bound, 0, bsz)
-					table.AddRows(keys, tc.cols)
-					return sink(0, table)
+				return run(func(sink func(int, *Table)) {
+					table := NewTable(plan, bound, bsz)
+					table.AddRows(keys, tcCols)
+					sink(0, table)
 				})
 			}
 			for _, bsz := range []int{0, 64} {
 				w := whole(bsz)
 				for _, workers := range []int{1, 3, 8} {
-					for entry, ps := range map[string]*Parts{"on the fly": onTheFly, "resident": resident} {
-						p := run(func(sink func(int, *Table) error) error { return ps.Each(plan, bsz, workers, sink) })
+					for entry, parts := range map[string][]partition.Part[float64]{"on the fly": onTheFly, "resident": resident} {
+						p := run(func(sink func(int, *Table)) { aggregate(plan, parts, bsz, workers, sink) })
 						name := fmt.Sprintf("%s, %s, %s × %d", tc.name, cat, entry, workers)
 						for d := range w {
 							if len(w[d]) == 0 && len(distinct) >= nodes*fanout {
@@ -302,13 +299,20 @@ func TestCombineLayoutsSameRecords(t *testing.T) {
 						}
 					}
 				}
+				if len(keys) == 0 {
+					continue // dist's combiner ships empty frames without planning
+				}
 				// What dist's combiner does with the model's answers.
 				var picked records
-				if partition, planned := Layout(plan, bound, rows/bound); !partition {
+				if split, planned := Layout(plan, bound, rows/bound); !split {
 					picked = whole(planned)
 				} else {
-					_, planned = Layout(plan, onTheFly.MaxBound, rows/onTheFly.SumBound)
-					picked = run(func(sink func(int, *Table) error) error { return onTheFly.Each(plan, planned, 1, sink) })
+					maxBound, sumBound := 0, 0
+					for _, pt := range onTheFly {
+						maxBound, sumBound = max(maxBound, pt.Bound()), sumBound+pt.Bound()
+					}
+					_, planned = Layout(plan, maxBound, rows/sumBound)
+					picked = run(func(sink func(int, *Table)) { aggregate(plan, onTheFly, planned, 1, sink) })
 				}
 				for d, recs := range picked {
 					if !maps.Equal(recs, w[d]) {
@@ -329,13 +333,13 @@ func TestMergeBinaryThenGroups(t *testing.T) {
 	plan := mustPlan(t, tupleSpecs())
 	keys := workload.Keys(51, rows, 500)
 	cols := [][]float64{workload.Values64(52, rows, workload.MixedMag), workload.Values64(53, rows, workload.Uniform12)}
-	all := NewTable(plan, 500, 0, 64)
+	all := NewTable(plan, 500, 64)
 	all.AddRows(keys, cols)
 	want := all.Groups()
 
-	merged := NewTable(plan, 16, 0, 0) // under-hinted: grows while merging
+	merged := NewTable(plan, 16, 0) // under-hinted: grows while merging
 	for _, half := range [][2]int{{0, rows / 2}, {rows / 2, rows}} {
-		part := NewTable(plan, 500, 0, 0)
+		part := NewTable(plan, 500, 0)
 		part.AddRows(keys[half[0]:half[1]], [][]float64{cols[0][half[0]:half[1]], cols[1][half[0]:half[1]]})
 		part.ForEach(func(key uint32, tup *sqlagg.Tuple) {
 			enc, err := plan.AppendBinary(nil, tup)
@@ -361,28 +365,6 @@ func TestMergeBinaryThenGroups(t *testing.T) {
 	}
 	if gs := (*Table)(nil).Groups(); gs != nil {
 		t.Errorf("nil table has %d groups", len(gs))
-	}
-}
-
-// TestEachStopsAtSinkError: a failing sink ends the loop with its
-// error; with one worker no later partition is visited.
-func TestEachStopsAtSinkError(t *testing.T) {
-	keys := workload.Keys(5, 4000, 1<<10)
-	plan := mustPlan(t, narrowCatalog(levels))
-	ps := Partition(keys, [][]float64{workload.Values64(6, len(keys), workload.MixedMag)}, plan.Reads, fanout, 1)
-	boom := errors.New("boom")
-	var seen []int
-	err := ps.Each(plan, 0, 1, func(p int, _ *Table) error {
-		if seen = append(seen, p); p == 7 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || len(seen) != 8 || !sort.IntsAreSorted(seen) {
-		t.Fatalf("err %v after partitions %v, want boom after 0..7 in order", err, seen)
-	}
-	if err := ps.Each(plan, 0, 4, func(int, *Table) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("4 workers: err %v, want boom", err)
 	}
 }
 
@@ -438,35 +420,39 @@ func BenchmarkTupleCombine(b *testing.B) {
 	}{{"q1", q1Catalog(levels)}, {"sum-avg-count", narrowCatalog(levels)}} {
 		plan := mustPlan(b, cat.specs)
 		var frame []byte
-		encode := func(_ int, table *Table) (err error) {
+		var encErr error
+		encode := func(_ int, table *Table) {
 			table.ForEach(func(_ uint32, tup *sqlagg.Tuple) {
-				if err == nil {
-					frame, err = plan.AppendBinary(frame, tup)
+				if encErr == nil {
+					frame, encErr = plan.AppendBinary(frame, tup)
 				}
 			})
-			return err
 		}
+		read := readColumns(plan, cols)
 		for _, groups := range []int{4, 1 << 9, 1 << 10, 1 << 12, 1 << 16} {
 			keys := workload.Keys(89, rows, uint32(groups))
-			bound := KeyBound(keys)
-			ps := Partition(keys, cols, plan.Reads, fanout, 1)
-			partition, wholeBsz := Layout(plan, bound, rows/bound)
-			_, partBsz := Layout(plan, ps.MaxBound, rows/ps.SumBound)
+			bound := partition.Recursive(keys, read, 0, agg.DefaultFanout, 1)[0].Bound()
+			maxBound, sumBound := 0, 0
+			for _, pt := range partition.Recursive(keys, read, 1, agg.DefaultFanout, 1) {
+				maxBound, sumBound = max(maxBound, pt.Bound()), sumBound+pt.Bound()
+			}
+			split, wholeBsz := Layout(plan, bound, rows/bound)
+			_, partBsz := Layout(plan, maxBound, rows/sumBound)
 			for _, layout := range []struct {
 				name    string
 				planned int
-				combine func(bsz int) error
+				combine func(bsz int)
 			}{
-				{"whole", wholeBsz, func(bsz int) error {
-					table := NewTable(plan, bound, 0, bsz)
+				{"whole", wholeBsz, func(bsz int) {
+					table := NewTable(plan, bound, bsz)
 					table.AddRows(keys, cols)
-					return encode(0, table)
+					encode(0, table)
 				}},
-				{"partitioned", partBsz, func(bsz int) error {
-					return Partition(keys, cols, plan.Reads, fanout, 1).Each(plan, bsz, 1, encode)
+				{"partitioned", partBsz, func(bsz int) {
+					aggregate(plan, partition.Recursive(keys, read, 1, agg.DefaultFanout, 1), bsz, 1, encode)
 				}},
 			} {
-				picked := partition == (layout.name == "partitioned")
+				picked := split == (layout.name == "partitioned")
 				if tooBig, _ := Layout(plan, bound/4, 1); !picked && tooBig {
 					continue
 				}
@@ -483,8 +469,8 @@ func BenchmarkTupleCombine(b *testing.B) {
 						b.ReportAllocs()
 						for i := 0; i < b.N; i++ {
 							frame = frame[:0]
-							if err := layout.combine(bsz); err != nil {
-								b.Fatal(err)
+							if layout.combine(bsz); encErr != nil {
+								b.Fatal(encErr)
 							}
 						}
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")

@@ -28,10 +28,6 @@ const (
 	Multiplicative
 )
 
-// identityAbove is Identity over the key bits above Table.shift, for a
-// table that only sees one radix partition; set by NewPartitioned.
-const identityAbove Hash = -1
-
 // Adder is the interface the aggregation loop requires from a pointer
 // to an aggregate payload: fold one value in.
 type Adder[V any] interface{ Add(V) }
@@ -49,21 +45,15 @@ type Table[A any] struct {
 	mask  uint32
 	n     int
 	hash  Hash
-	shift uint // identityAbove only: low key bits constant in this partition
 	newA  func() A
 	stale []bool   // slots with a recyclable (allocated but cleared) payload
 	order []uint32 // ForEachSorted's scratch: the used slots, by key
 }
 
-// home returns key's home slot. Identity is tested first and touches
-// nothing but the mask, so the unpartitioned aggregation loop does not
-// pay for the shift.
+// home returns key's home slot.
 func (t *Table[A]) home(key uint32) uint32 {
 	if t.hash == Identity {
 		return key & t.mask
-	}
-	if t.hash == identityAbove {
-		return (key >> t.shift) & t.mask
 	}
 	return (key * 2654435761) >> 7 & t.mask
 }
@@ -84,20 +74,6 @@ func New[A any](hint int, hash Hash, newA func() A) *Table[A] {
 		hash:  hash,
 		newA:  newA,
 	}
-}
-
-// NewPartitioned is New for a table that aggregates one radix partition
-// at a time: every key it sees agrees on its low lowBits bits (the
-// partitioning passes routed on them). An Identity table indexed by
-// those bits would send a partition of dense keys to a couple of home
-// slots and turn every Upsert into a probe-chain walk, so it indexes
-// by the bits above them. Multiplicative ignores lowBits.
-func NewPartitioned[A any](hint int, hash Hash, newA func() A, lowBits uint) *Table[A] {
-	t := New(hint, hash, newA)
-	if hash == Identity && lowBits > 0 {
-		t.hash, t.shift = identityAbove, lowBits
-	}
-	return t
 }
 
 // Len returns the number of distinct keys in the table.

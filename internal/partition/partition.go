@@ -5,14 +5,16 @@
 // are realized recursively with several passes, matching the paper's
 // F = f^d for f = 256 and d = 0, 1, 2, …
 //
-// Do routes on the digit its caller names. Recursive, the aggregation
-// operator's pass, routes on the key's high bits — the highest lg f
-// bits in which the keys it is given differ — so that a partition is a
-// key range and the ranges ascend with the partition index. An operator
-// that aggregates partition by partition and emits each one's groups in
-// key order has then produced the whole result in key order, with no
-// sort of all groups on one core afterwards (at 2^20 groups that sort
-// cost more than the aggregation). A low digit spreads any key set
+// Do routes on the digit its caller names; the ablations and the
+// benchmark time it. Recursive, the pass of every GROUP BY, routes on
+// the key's high bits — the highest lg f bits in which the keys it is
+// given differ — so that a partition is a key range and the ranges
+// ascend with the partition index, and carries any number of value
+// columns beside the keys. An operator that aggregates partition by
+// partition and emits each one's groups in key order has then produced
+// the whole result in key order, with no sort of all groups on one core
+// afterwards (at 2^20 groups that sort cost more than the
+// aggregation). A low digit spreads any key set
 // evenly but interleaves the partitions' key ranges; a high digit can
 // fail to spread (a far outlier, two clusters), and Recursive repairs
 // that by splitting an overfull partition again on its own bits.
@@ -47,29 +49,6 @@ func (o *Output[V]) NumPartitions() int { return len(o.Off) - 1 }
 // Partition returns the key and value slices of partition p.
 func (o *Output[V]) Partition(p int) ([]uint32, []V) {
 	return o.Keys[o.Off[p]:o.Off[p+1]], o.Vals[o.Off[p]:o.Off[p+1]]
-}
-
-// DistinctBound is KeyBound of partition p's keys.
-func (o *Output[V]) DistinctBound(p int, stride uint32) int {
-	pk, _ := o.Partition(p)
-	return KeyBound(pk, stride)
-}
-
-// KeyBound returns an upper bound on the number of distinct keys in
-// keys. stride is the guaranteed minimum gap between two distinct keys:
-// when Do routed on the low key byte (shift == 0), the keys of one
-// partition are congruent modulo the fan-out, so stride is the fan-out;
-// pass 1 when no such gap is known (Recursive's key ranges). The bound
-// is min(len(keys), (maxKey−minKey)/stride + 1) — tight for the dense
-// domain-encoded key ranges common in column stores, and never below
-// the true distinct count, so an aggregation table sized from it cannot
-// rehash mid-partition.
-func KeyBound(keys []uint32, stride uint32) int {
-	lo, hi := keyRange(keys, 1)
-	if b := uint64(hi-lo)/uint64(max(stride, 1)) + 1; b < uint64(len(keys)) {
-		return int(b)
-	}
-	return len(keys)
 }
 
 // eachChunk cuts [0, n) into workers contiguous chunks and runs fn on
@@ -178,35 +157,24 @@ func Do[V any](keys []uint32, vals []V, shift uint, fanout, workers int) Output[
 	return out
 }
 
-// Scatter places vals as Do(keys, vals, shift, len(off)−1, w) does for
-// every worker count w, given only the offsets of such a call over the
-// same keys. Do is stable — worker chunks are input ranges and a
-// partition is their segments in worker order, so it holds its rows in
-// input order — hence one sequential pass with the offsets as cursors
-// reproduces the placement. It carries a further value column beside an
-// existing partitioning without a histogram or another copy of the keys.
-func Scatter[V any](keys []uint32, off []int, vals []V, shift uint) []V {
-	if len(keys) != len(vals) {
-		panic("partition: keys and values must have equal length")
-	}
-	mask := uint32(len(off) - 2)
-	cur := append([]int(nil), off[:len(off)-1]...)
-	out := make([]V, len(vals))
-	for i, k := range keys {
-		p := (k >> shift) & mask
-		out[cur[p]] = vals[i]
-		cur[p]++
-	}
-	return out
+// Part is one partition of Recursive: a key column and its value
+// columns, of their own, so that whoever consumes the partitions one by
+// one can drop each when done with it and have its memory back before
+// the last is reached. Cols[c] is nil where the input's column c was.
+// Every key lies in [Lo, Hi]: the keys' own range where Recursive has
+// it, else the key range its scatter routed into the partition.
+type Part[V any] struct {
+	Keys   []uint32
+	Cols   [][]V
+	Lo, Hi uint32
 }
 
-// Part is one partition of Recursive: parallel key and value columns
-// of their own, so that whoever consumes the partitions one by one can
-// drop each when done with it and have its memory back before the last
-// is reached.
-type Part[V any] struct {
-	Keys []uint32
-	Vals []V
+// Bound returns an upper bound on the part's distinct keys: its row
+// count or the width of [Lo, Hi], whichever is less — tight for the
+// dense domain-encoded keys common in column stores, and never an
+// undercount, so an aggregation table sized from it cannot rehash.
+func (pt Part[V]) Bound() int {
+	return int(min(uint64(pt.Hi-pt.Lo)+1, uint64(len(pt.Keys))))
 }
 
 // Recursive is the paper's recursive PARTITIONING with F = f^d, on the
@@ -215,9 +183,10 @@ type Part[V any] struct {
 // lg fanout bits in which that partition's keys differ. The partitions
 // it returns are therefore disjoint key ranges that ascend with the
 // index, none of them empty, and for dense keys the d-th pass routes on
-// the d-th digit from the top of the key range. Rows whose keys cannot
-// be told apart any further are not copied again: depth 0 and a single
-// key return the input itself.
+// the d-th digit from the top of the key range. Every non-nil column of
+// cols moves with the keys (none, for a COUNT); a nil one is not
+// carried. Rows whose keys cannot be told apart any further are not
+// copied again: depth 0 and a single key return the input itself.
 //
 // A high digit does not spread every key set: one 0xFFFFFFFF NULL
 // sentinel beside 2^16 dense ids leaves all but one row in partition 0.
@@ -225,11 +194,21 @@ type Part[V any] struct {
 // scattered rows is therefore split again on its own bits (which leaves
 // it whole if it holds a single key). Every such split consumes
 // lg fanout more key bits, so the key width bounds them.
-func Recursive[V any](keys []uint32, vals []V, depth, fanout, workers int) []Part[V] {
-	if len(keys) != len(vals) {
-		panic("partition: keys and values must have equal length")
+func Recursive[V any](keys []uint32, cols [][]V, depth, fanout, workers int) []Part[V] {
+	for _, col := range cols {
+		if col != nil && len(col) != len(keys) {
+			panic("partition: keys and values must have equal length")
+		}
 	}
-	parts := []Part[V]{{keys, vals}}
+	if len(keys) == 0 {
+		return nil
+	}
+	whole := Part[V]{Keys: keys, Cols: cols}
+	if depth == 0 {
+		whole.Lo, whole.Hi = keyRange(keys, workers)
+		return []Part[V]{whole}
+	}
+	parts := []Part[V]{whole}
 	for d := 0; d < depth; d++ {
 		var next []Part[V]
 		for _, pt := range parts {
@@ -243,35 +222,50 @@ func Recursive[V any](keys []uint32, vals []V, depth, fanout, workers int) []Par
 // split appends to out the non-empty partitions of pt on the highest
 // lg fanout bits in which its keys differ: pt itself if none do.
 func split[V any](out []Part[V], pt Part[V], fanout, workers int) []Part[V] {
-	lo, hi := keyRange(pt.Keys, workers)
-	if lo == hi || fanout == 1 {
-		if len(pt.Keys) > 0 {
-			out = append(out, pt)
-		}
-		return out
+	pt.Lo, pt.Hi = keyRange(pt.Keys, workers)
+	if pt.Lo == pt.Hi || fanout == 1 {
+		return append(out, pt)
 	}
-	shift := max(bits.Len32(lo^hi)-bits.TrailingZeros(uint(fanout)), 0)
-	for _, sub := range scatter(pt, uint(shift), fanout, workers) {
+	lg := bits.TrailingZeros(uint(fanout))
+	shift := max(bits.Len32(pt.Lo^pt.Hi)-lg, 0)
+	// Partition p's keys agree with pt.Lo above bit shift+lg and read p
+	// in the lg bits below it: a range of width 2^shift.
+	base := uint64(pt.Lo) >> (shift + lg) << (shift + lg)
+	for p, sub := range scatter(pt, uint(shift), fanout, workers) {
 		switch {
 		case len(sub.Keys) == 0:
 		case 2*len(sub.Keys) > len(pt.Keys):
 			out = split(out, sub, fanout, workers)
 		default:
+			lo := base + uint64(p)<<shift
+			sub.Lo, sub.Hi = max(pt.Lo, uint32(lo)), min(pt.Hi, uint32(lo+1<<shift-1))
 			out = append(out, sub)
 		}
 	}
 	return out
 }
 
-// scatter is Do into one pair of columns per partition, allocated (and
-// zeroed) by the workers side by side.
+// scatter is Do into columns of their own per partition, allocated (and
+// zeroed) by the workers side by side. Each worker moves its chunk's
+// keys together with the first carried column — the loop the one-column
+// operator runs — and every further column in a pass of its own from
+// the same starting cursors.
 func scatter[V any](pt Part[V], shift uint, fanout, workers int) []Part[V] {
-	off, cur, workers := cursors(pt.Keys, len(pt.Vals), shift, fanout, workers)
+	off, cur, workers := cursors(pt.Keys, len(pt.Keys), shift, fanout, workers)
+	var carried []int
+	for c, col := range pt.Cols {
+		if col != nil {
+			carried = append(carried, c)
+		}
+	}
 	parts := make([]Part[V], fanout)
 	eachChunk(fanout, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			n := off[p+1] - off[p]
-			parts[p] = Part[V]{make([]uint32, n), make([]V, n)}
+			parts[p] = Part[V]{Keys: make([]uint32, n), Cols: make([][]V, len(pt.Cols))}
+			for _, c := range carried {
+				parts[p].Cols[c] = make([]V, n)
+			}
 			for w := 0; w < workers; w++ {
 				cur[w*fanout+p] -= off[p]
 			}
@@ -280,16 +274,65 @@ func scatter[V any](pt Part[V], shift uint, fanout, workers int) []Part[V] {
 	mask := uint32(fanout - 1)
 	eachChunk(len(pt.Keys), workers, func(w, lo, hi int) {
 		cur := cur[w*fanout : (w+1)*fanout]
-		for i := lo; i < hi; i++ {
-			k := pt.Keys[i]
-			p := (k >> shift) & mask
-			j := cur[p]
-			cur[p] = j + 1
-			parts[p].Keys[j] = k
-			parts[p].Vals[j] = pt.Vals[i]
+		keys := pt.Keys[lo:hi]
+		if len(carried) == 0 {
+			dst := make([][]uint32, fanout)
+			for p := range dst {
+				dst[p] = parts[p].Keys
+			}
+			scatterCol(dst, keys, keys, cur, shift, mask)
+			return
+		}
+		start := append([]int(nil), cur...)
+		pairs := make([]lane[V], fanout)
+		for p := range pairs {
+			pairs[p] = lane[V]{parts[p].Keys, parts[p].Cols[carried[0]]}
+		}
+		scatterPairs(pairs, keys, pt.Cols[carried[0]][lo:hi], cur, shift, mask)
+		dst := make([][]V, fanout)
+		for _, c := range carried[1:] {
+			for p := range dst {
+				dst[p] = parts[p].Cols[c]
+			}
+			copy(cur, start)
+			scatterCol(dst, keys, pt.Cols[c][lo:hi], cur, shift, mask)
 		}
 	})
 	return parts
+}
+
+// lane is one partition's destination of scatterPairs.
+type lane[V any] struct {
+	keys []uint32
+	vals []V
+}
+
+// scatterPairs moves every key with its value to the cursor of the
+// partition its digit names, advancing the cursor. It stays out of
+// line: inlined into scatter's chunk closure, the loop spilled its
+// operands to the stack and the pass ran about 30 % slower.
+//
+//go:noinline
+func scatterPairs[V any](dst []lane[V], keys []uint32, vals []V, cur []int, shift uint, mask uint32) {
+	for i, k := range keys {
+		p := (k >> shift) & mask
+		j := cur[p]
+		cur[p] = j + 1
+		dst[p].keys[j] = k
+		dst[p].vals[j] = vals[i]
+	}
+}
+
+// scatterCol is scatterPairs for one column alone, still routed by keys.
+//
+//go:noinline
+func scatterCol[T any](dst [][]T, keys []uint32, col []T, cur []int, shift uint, mask uint32) {
+	for i, k := range keys {
+		p := (k >> shift) & mask
+		j := cur[p]
+		cur[p] = j + 1
+		dst[p][j] = col[i]
+	}
 }
 
 // swwcbSize is the per-partition software write-combining buffer size

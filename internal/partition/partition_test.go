@@ -97,11 +97,11 @@ func TestStableWithinWorkerChunks(t *testing.T) {
 }
 
 // TestRecursiveDepths: at every depth the partitions are non-empty,
-// disjoint key ranges that ascend with the partition index, their
-// concatenation is a permutation of the input pairs, and no partition
-// that a scatter produced holds more than half the input unless it
-// holds a single key — also for key sets whose high digit does not
-// spread them.
+// disjoint key ranges that ascend with the partition index and lie in
+// their [Lo, Hi], their concatenation is a permutation of the input
+// pairs, and no partition that a scatter produced holds more than half
+// the input unless it holds a single key — also for key sets whose high
+// digit does not spread them.
 func TestRecursiveDepths(t *testing.T) {
 	const n = 20000
 	shapes := map[string]func(i int, k uint32) uint32{
@@ -133,21 +133,25 @@ func TestRecursiveDepths(t *testing.T) {
 		}
 		for _, depth := range []int{0, 1, 2} {
 			for _, workers := range []int{1, 3} {
-				parts := Recursive(keys, tags, depth, 256, workers)
+				parts := Recursive(keys, [][]int{tags}, depth, 256, workers)
 				seen := make([]bool, n)
 				prevHi := int64(-1)
 				for p, pt := range parts {
-					if len(pt.Keys) == 0 || len(pt.Keys) != len(pt.Vals) {
-						t.Fatalf("%s depth %d: partition %d has %d keys, %d values", name, depth, p, len(pt.Keys), len(pt.Vals))
+					if len(pt.Keys) == 0 || len(pt.Keys) != len(pt.Cols[0]) {
+						t.Fatalf("%s depth %d: partition %d has %d keys, %d values", name, depth, p, len(pt.Keys), len(pt.Cols[0]))
 					}
 					for i, k := range pt.Keys {
-						if tag := pt.Vals[i]; seen[tag] || keys[tag] != k {
+						if tag := pt.Cols[0][i]; seen[tag] || keys[tag] != k {
 							t.Fatalf("%s depth %d: pair %d broken or duplicated", name, depth, tag)
 						} else {
 							seen[tag] = true
 						}
 					}
 					lo, hi := keyRange(pt.Keys, 1)
+					if lo < pt.Lo || hi > pt.Hi {
+						t.Fatalf("%s depth %d workers %d: partition %d holds keys %d..%d outside its range %d..%d",
+							name, depth, workers, p, lo, hi, pt.Lo, pt.Hi)
+					}
 					if int64(lo) <= prevHi {
 						t.Fatalf("%s depth %d workers %d: partition %d starts at key %d, the one before ends at %d",
 							name, depth, workers, p, lo, prevHi)
@@ -164,37 +168,59 @@ func TestRecursiveDepths(t *testing.T) {
 			}
 		}
 	}
-	if parts := Recursive([]uint32{}, []int{}, 2, 256, 2); len(parts) != 0 {
-		t.Errorf("empty input: %d partitions", len(parts))
+	for _, depth := range []int{0, 2} {
+		if parts := Recursive([]uint32{}, [][]int{{}}, depth, 256, 2); len(parts) != 0 {
+			t.Errorf("empty input, depth %d: %d partitions", depth, len(parts))
+		}
 	}
 }
 
-// TestScatterMatchesDo: a column scattered by the offsets of another
-// call lands where Do itself would have put it, for every worker count
-// (Do is stable), shift and fan-out.
-func TestScatterMatchesDo(t *testing.T) {
-	keys := workload.Keys(5, 10007, 1<<14)
-	vals := workload.Values64(6, len(keys), workload.Exp1)
-	other := make([]int32, len(keys))
-	for i := range other {
-		other[i] = int32(i)
-	}
-	for _, tc := range []struct {
-		shift           uint
-		fanout, workers int
-	}{{0, 256, 1}, {0, 256, 3}, {8, 64, 4}, {0, 1, 2}, {4, 16, 7}} {
-		byIndex := Do(keys, other, tc.shift, tc.fanout, tc.workers)
-		want := Do(keys, vals, tc.shift, tc.fanout, 1).Vals
-		got := Scatter(keys, byIndex.Off, vals, tc.shift)
-		for i := range want {
-			if got[i] != want[i] || got[i] != vals[byIndex.Vals[i]] {
-				t.Fatalf("shift %d fanout %d workers %d: position %d holds %v, Do put %v there (row %d: %v)",
-					tc.shift, tc.fanout, tc.workers, i, got[i], want[i], byIndex.Vals[i], vals[byIndex.Vals[i]])
-			}
+// TestRecursiveCarriesColumns: every non-nil column moves with the keys,
+// row for row, at every depth and worker count; a nil column stays nil
+// in every partition, and with no column at all the keys are still
+// partitioned.
+func TestRecursiveCarriesColumns(t *testing.T) {
+	const rows, ncols = 5000, 3
+	keys := workload.Keys(77, rows, 1<<12)
+	// Row r carries r*ncols+c in column c, so a partitioned value names
+	// the source row it came from.
+	cols := make([][]float64, ncols)
+	for c := range cols {
+		cols[c] = make([]float64, rows)
+		for r := range cols[c] {
+			cols[c][r] = float64(r*ncols + c)
 		}
 	}
-	if out := Scatter([]uint32{}, Do([]uint32{}, []float64{}, 0, 256, 2).Off, []float64{}, 0); len(out) != 0 {
-		t.Errorf("empty input scattered to %d values", len(out))
+	for _, carry := range [][]int{{0, 2}, {0, 1, 2}, {1}, nil} {
+		in := make([][]float64, ncols)
+		for _, c := range carry {
+			in[c] = cols[c]
+		}
+		for _, depth := range []int{0, 1, 2} {
+			for _, workers := range []int{1, 3} {
+				total := 0
+				for p, pt := range Recursive(keys, in, depth, 256, workers) {
+					total += len(pt.Keys)
+					for c := range cols {
+						if want := slices.Contains(carry, c); (pt.Cols[c] != nil) != want {
+							t.Fatalf("carry %v: partition %d column %d carried = %v, want %v", carry, p, c, pt.Cols[c] != nil, want)
+						}
+					}
+					for i, k := range pt.Keys {
+						for _, c := range carry {
+							r := int(pt.Cols[c][i]) / ncols
+							if keys[r] != k || pt.Cols[c][i] != cols[c][r] {
+								t.Fatalf("carry %v, depth %d, %d workers: partition %d position %d holds key %d beside column %d's value of row %d (key %d)",
+									carry, depth, workers, p, i, k, c, r, keys[r])
+							}
+						}
+					}
+				}
+				if total != rows {
+					t.Fatalf("carry %v, depth %d: %d rows partitioned, want %d", carry, depth, total, rows)
+				}
+			}
+		}
 	}
 }
 
@@ -222,6 +248,7 @@ func TestValidation(t *testing.T) {
 	mustPanic("length mismatch", func() { Do([]uint32{1}, []float64{1, 2}, 0, 256, 1) })
 	mustPanic("bad fanout", func() { Do([]uint32{1}, []float64{1}, 0, 100, 1) })
 	mustPanic("zero fanout", func() { Do([]uint32{1}, []float64{1}, 0, 0, 1) })
+	mustPanic("column length mismatch", func() { Recursive([]uint32{1}, [][]float64{nil, {1, 2}}, 1, 256, 1) })
 }
 
 func TestDoBufferedMatchesDo(t *testing.T) {
@@ -277,69 +304,57 @@ func TestDoBufferedLargeFill(t *testing.T) {
 	}
 }
 
-// TestDistinctBound: the bound must never undercount distinct keys (an
-// aggregation table sized from it must not rehash), must be tight on
-// dense domain-encoded ranges, and must fall back to the partition
-// length on sparse keys.
-func TestDistinctBound(t *testing.T) {
-	const fanout = 256
-
-	// Dense domain: keys 0..4095, each repeated 8 times. Partition p
-	// holds 16 distinct keys spanning a range of 15·256, so the bound is
-	// exactly 16 while the partition length is 128.
+// TestPartBound: a partition's bound must never undercount its distinct
+// keys (an aggregation table sized from it must not rehash), must be
+// tight on dense domain-encoded ranges, and must fall back to the
+// partition length on sparse keys.
+func TestPartBound(t *testing.T) {
+	distinct := func(keys []uint32) int {
+		seen := make(map[uint32]bool)
+		for _, k := range keys {
+			seen[k] = true
+		}
+		return len(seen)
+	}
+	// Dense domain: keys 0..4095, each repeated 8 times. A pass splits
+	// them into 256 ranges of 16 keys, so each bound is exactly 16 while
+	// the partition length is 128.
 	var keys []uint32
-	var vals []float64
 	for rep := 0; rep < 8; rep++ {
 		for k := uint32(0); k < 4096; k++ {
 			keys = append(keys, k)
-			vals = append(vals, 1)
 		}
 	}
-	out := Do(keys, vals, 0, fanout, 2)
-	for p := 0; p < out.NumPartitions(); p++ {
-		pk, _ := out.Partition(p)
-		distinct := make(map[uint32]bool)
-		for _, k := range pk {
-			distinct[k] = true
+	vals := [][]float64{make([]float64, len(keys))}
+	parts := Recursive(keys, vals, 1, 256, 2)
+	for p, pt := range parts {
+		if b := pt.Bound(); b != 16 || distinct(pt.Keys) != 16 {
+			t.Fatalf("partition %d: dense bound = %d for %d distinct keys, want 16 (len %d)", p, b, distinct(pt.Keys), len(pt.Keys))
 		}
-		b := out.DistinctBound(p, fanout)
-		if b < len(distinct) {
-			t.Fatalf("partition %d: bound %d undercounts %d distinct keys", p, b, len(distinct))
-		}
-		if b != 16 {
-			t.Fatalf("partition %d: dense bound = %d, want 16 (len %d)", p, b, len(pk))
-		}
+	}
+	if whole := Recursive(keys, vals, 0, 256, 2); len(whole) != 1 || whole[0].Bound() != 4096 {
+		t.Fatalf("depth 0: %d parts, bound %d, want one of 4096", len(whole), whole[0].Bound())
 	}
 
 	// Sparse random keys: the range argument is useless, so the bound
 	// must cap at the partition length — and still never undercount.
 	rng := workload.NewRNG(99)
 	keys = keys[:0]
-	vals = vals[:0]
 	for i := 0; i < 20000; i++ {
 		keys = append(keys, uint32(rng.Uint64()))
-		vals = append(vals, 1)
 	}
-	out = Do(keys, vals, 0, fanout, 2)
-	for p := 0; p < out.NumPartitions(); p++ {
-		pk, _ := out.Partition(p)
-		distinct := make(map[uint32]bool)
-		for _, k := range pk {
-			distinct[k] = true
-		}
-		b := out.DistinctBound(p, fanout)
-		if b < len(distinct) || b > len(pk) {
-			t.Fatalf("partition %d: bound %d outside [distinct %d, len %d]", p, b, len(distinct), len(pk))
+	for _, depth := range []int{0, 1, 2} {
+		for p, pt := range Recursive(keys, [][]float64{nil}, depth, 256, 2) {
+			if b := pt.Bound(); b < distinct(pt.Keys) || b > len(pt.Keys) {
+				t.Fatalf("depth %d partition %d: bound %d outside [distinct %d, len %d]", depth, p, b, distinct(pt.Keys), len(pt.Keys))
+			}
 		}
 	}
 
-	// Empty partition and unknown stride.
-	empty := Do(nil, []float64(nil), 0, fanout, 1)
-	if b := empty.DistinctBound(3, fanout); b != 0 {
-		t.Fatalf("empty partition bound = %d", b)
-	}
-	single := Do([]uint32{7, 7, 7}, []float64{1, 2, 3}, 0, fanout, 1)
-	if b := single.DistinctBound(7, 0); b != 1 {
-		t.Fatalf("stride-0 single-key bound = %d, want 1", b)
+	// A single key, however often and at whatever depth, is one group.
+	for _, depth := range []int{0, 1} {
+		if single := Recursive([]uint32{7, 7, 7}, [][]float64{{1, 2, 3}}, depth, 256, 1); len(single) != 1 || single[0].Bound() != 1 {
+			t.Fatalf("depth %d: single key split into %d parts, bound %d", depth, len(single), single[0].Bound())
+		}
 	}
 }

@@ -19,7 +19,7 @@
 //     scheduling decision;
 //   - memory admission that can reason before running: the partitioned
 //     layout bounds the distinct-key count of any GROUP BY up front
-//     (groupby.Parts.SumBound), and the spec catalog prices
+//     (the summed partition.Part.Bound), and the spec catalog prices
 //     each group's state tuple (sqlagg.TupleSize), so a query's working
 //     memory is estimated — and over-budget queries rejected with a
 //     typed error — before the first row is touched.
@@ -32,7 +32,9 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/agg"
 	"repro/internal/groupby"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -62,11 +64,6 @@ var (
 
 // DatasetOptions configures resident-data loading.
 type DatasetOptions struct {
-	// Fanout is the partition fan-out of the local engine's layout
-	// (power of two; default 256). Keys are routed on the low key byte,
-	// so within one partition distinct keys differ by at least Fanout —
-	// the stride DistinctBound exploits.
-	Fanout int
 	// Shards is the cluster size the data is pre-sharded for, serving
 	// the distributed backend (default 4).
 	Shards int
@@ -77,9 +74,6 @@ type DatasetOptions struct {
 }
 
 func (o DatasetOptions) withDefaults() DatasetOptions {
-	if o.Fanout == 0 {
-		o.Fanout = 256
-	}
 	if o.Shards == 0 {
 		o.Shards = 4
 	}
@@ -91,8 +85,9 @@ func (o DatasetOptions) withDefaults() DatasetOptions {
 
 // Dataset is an immutable resident table: uint32 group keys plus
 // float64 value columns, held in three layouts at once — original row
-// order (window queries), radix-partitioned (the local GROUP BY
-// engine), and round-robin sharded (the distributed backend). All
+// order (window queries), radix-partitioned into ascending key ranges
+// (the local GROUP BY engine), and round-robin sharded (the distributed
+// backend). All
 // layouts hold the same multiset of rows, so every backend answers
 // with the same bits. A Dataset is safe for concurrent use after
 // construction; it is never mutated.
@@ -100,12 +95,13 @@ type Dataset struct {
 	keys []uint32
 	cols [][]float64
 
-	// Local-engine layout: keys partitioned on the low key bits, every
-	// value column beside them. Its SumBound — Σ_p DistinctBound(p,
-	// fanout) — is a precomputed upper bound on the number of groups any
-	// GROUP BY over this data can produce; memory admission prices
-	// queries with it.
-	parts *groupby.Parts
+	// Local-engine layout: rows partitioned into ascending key ranges,
+	// every value column beside the keys. sumBound — Σ Part.Bound — is a
+	// precomputed upper bound on the number of groups any GROUP BY over
+	// this data can produce; memory admission prices queries with it.
+	// maxBound, the largest part's, plans the summation buffers.
+	parts              []partition.Part[float64]
+	maxBound, sumBound int
 
 	// Distributed-backend layout.
 	shardKeys [][]uint32
@@ -134,9 +130,6 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 				ErrDataset, c, len(cols[c]), len(keys))
 		}
 	}
-	if o.Fanout <= 0 || o.Fanout&(o.Fanout-1) != 0 || o.Fanout > 65536 {
-		return nil, fmt.Errorf("%w: fanout %d is not a power of two in [1, 65536]", ErrDataset, o.Fanout)
-	}
 	if o.Shards < 1 {
 		return nil, fmt.Errorf("%w: shard count %d", ErrDataset, o.Shards)
 	}
@@ -145,7 +138,10 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 	// once, at load time — queries only ever stream sequentially after
 	// this. Distributed layout: round-robin deal.
 	d := &Dataset{keys: keys, cols: cols}
-	d.parts = groupby.Partition(keys, cols, func(int) bool { return true }, o.Fanout, o.Workers)
+	d.parts = partition.Recursive(keys, cols, 1, agg.DefaultFanout, o.Workers)
+	for _, pt := range d.parts {
+		d.maxBound, d.sumBound = max(d.maxBound, pt.Bound()), d.sumBound+pt.Bound()
+	}
 	d.shardKeys, d.shardCols = groupby.Deal(keys, cols, o.Shards)
 	d.version = digestRows(keys, cols)
 	return d, nil
@@ -192,13 +188,13 @@ func (d *Dataset) Version() uint64 { return d.version }
 // distinct keys — the group count no GROUP BY over this data can
 // exceed, and the factor memory admission multiplies by the per-group
 // tuple price.
-func (d *Dataset) DistinctBound() int { return d.parts.SumBound }
+func (d *Dataset) DistinctBound() int { return d.sumBound }
 
 // EstimateBytes returns the estimated peak working memory of q on this
 // dataset: the admission-control price a server compares against its
 // per-query budget. For a GROUP BY the estimate is
 //
-//	Σ_p DistinctBound(p, fanout) × (TupleSize(specs) + 2 × rowWidth)
+//	DistinctBound × (TupleSize(specs) + 2 × rowWidth)
 //
 // — one encoded state tuple per possible group, plus the finalized
 // in-memory rows and their canonical result encoding (rowWidth = 4-byte

@@ -445,6 +445,35 @@ func TestGroupsDecodeAndCount(t *testing.T) {
 	}
 }
 
+// TestLocalMatchesDistributedOnOutlier: one 0xFFFFFFFF key beside 2^16
+// dense ids leaves every row but one behind the same leading digit of
+// the resident partitioning, which its repair of overfull partitions
+// has to spread. The local engine concatenates its partitions' runs
+// without sorting them; its bytes must still equal the distributed
+// plane's k-way merged, key-sorted result.
+func TestLocalMatchesDistributedOnOutlier(t *testing.T) {
+	const rows = 1 << 17
+	keys := workload.Keys(61, rows, 1<<16)
+	keys[rows/3] = 0xFFFFFFFF
+	cols := [][]float64{workload.Values64(62, rows, workload.MixedMag), workload.Values64(63, rows, workload.Uniform12)}
+	ds, err := NewDataset(keys, cols, DatasetOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]*Result
+	for i, opts := range []Options{{Workers: 3}, {Workers: 2, Distributed: true}} {
+		if got[i], err = mustServer(t, ds, opts).Do(GroupBy(testSpecs()...)); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+	}
+	if !bytes.Equal(got[0].Bytes, got[1].Bytes) {
+		t.Fatalf("local result (%d bytes) differs from the distributed one (%d bytes)", len(got[0].Bytes), len(got[1].Bytes))
+	}
+	if gs, err := got[0].Groups(); err != nil || len(gs) != workload.DistinctGroups(keys) || gs[len(gs)-1].Key != 0xFFFFFFFF {
+		t.Fatalf("local result: %d groups (err %v), want %d ending in the 0xFFFFFFFF outlier", len(gs), err, workload.DistinctGroups(keys))
+	}
+}
+
 func TestServerClosed(t *testing.T) {
 	ds := testDataset(t, 1<<8, 16, 1)
 	s := mustServer(t, ds, Options{})
@@ -468,9 +497,6 @@ func TestDatasetValidation(t *testing.T) {
 	}
 	if _, err := NewDataset([]uint32{1, 2}, [][]float64{{1}}, DatasetOptions{}); !errors.Is(err, ErrDataset) {
 		t.Fatalf("ragged column: %v", err)
-	}
-	if _, err := NewDataset([]uint32{1}, [][]float64{{1}}, DatasetOptions{Fanout: 3}); !errors.Is(err, ErrDataset) {
-		t.Fatalf("bad fanout: %v", err)
 	}
 
 	// Version digests must separate datasets that differ in one bit.
@@ -506,12 +532,12 @@ func TestGroupByLocalAllocations(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	parts := len(ds.parts.Bounds)
+	parts := len(ds.parts)
 	// Per worker: the table's slot arrays and one tuple of ≤ 3
 	// allocations per slot ever used (under 4 × MaxBound slots, at
 	// least 16); per partition: its key-sorted run and the run's values;
 	// a constant for the pool and the merged result.
-	slots := max(16, 4*ds.parts.MaxBound)
+	slots := max(16, 4*ds.maxBound)
 	bound := float64(workers*(8+3*slots) + 2*parts + 16)
 	if allocs > bound {
 		t.Fatalf("%v allocations for %d groups in %d partitions on %d workers, want ≤ %v", allocs, groups, parts, workers, bound)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/dist"
 	"repro/internal/dist/proc"
 	"repro/internal/groupby"
@@ -547,32 +547,29 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 	}
 }
 
-// groupByLocal is the local GROUP BY engine: groupby's partition loop
-// over the resident partitions (keys only collide within their
-// partition) — the same table, plan and row loop the distributed plane
-// runs — with one table per worker and summation buffers planned from
-// the dataset's rows per key, so a query allocates O(workers + groups),
-// not O(partitions × groups). The per-partition key-sorted runs are
-// concatenated and sorted. The result bits are identical to the
-// distributed plane's: the aggregate states are order-independent, so
-// it does not matter which backend folded which row first.
+// groupByLocal is the local GROUP BY engine: agg's partition loop over
+// the resident partitions — the same table, plan and row fold the
+// distributed plane runs — with one table per worker and summation
+// buffers planned from the dataset's rows per key, so a query allocates
+// O(workers + groups), not O(partitions × groups). Each partition's run
+// comes out of its table in key order and the partitions are ascending
+// key ranges, so their concatenation is the key-sorted result. The
+// result bits are identical to the distributed plane's: the aggregate
+// states are order-independent, so it does not matter which backend
+// folded which row first.
 func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error) {
 	plan, err := sqlagg.NewTuplePlan(specs)
 	if err != nil {
 		return nil, err
 	}
-	ps := s.ds.parts
-	_, bsz := groupby.Layout(plan, ps.MaxBound, s.ds.Rows()/ps.SumBound)
-	runs := make([][]dist.TupleGroup, len(ps.Bounds))
-	if err := ps.Each(plan, bsz, s.opt.Workers, func(p int, t *groupby.Table) error {
-		runs[p] = t.Groups()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out := slices.Concat(runs...)
-	slices.SortFunc(out, func(a, b dist.TupleGroup) int { return cmp.Compare(a.Key, b.Key) })
-	return out, nil
+	ds := s.ds
+	_, bsz := groupby.Layout(plan, ds.maxBound, ds.Rows()/ds.sumBound)
+	runs := make([][]dist.TupleGroup, len(ds.parts))
+	agg.AggregateParts(ds.parts, s.opt.Workers,
+		func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
+		(*groupby.Table).AddRows,
+		func(p int, t *groupby.Table) { runs[p] = t.Groups() })
+	return slices.Concat(runs...), nil
 }
 
 // cacheKey prefixes the canonical query encoding with the dataset

@@ -18,9 +18,9 @@ import (
 // (local GROUP BY engine), and sharded (distributed backend) layouts.
 type ServeDataset = serve.Dataset
 
-// ServeDatasetOptions configures resident-data loading: the local
-// partition fan-out, the cluster size data is pre-sharded for, and the
-// load-time partitioning parallelism.
+// ServeDatasetOptions configures resident-data loading: the cluster
+// size data is pre-sharded for and the load-time partitioning
+// parallelism.
 type ServeDatasetOptions = serve.DatasetOptions
 
 // Server answers concurrent aggregate queries over one ServeDataset
