@@ -165,7 +165,7 @@ func BenchmarkFig6(b *testing.B) {
 	})
 }
 
-func benchPAA[V any, A any, PA interface {
+func benchPAA[V partition.Scalar, A any, PA interface {
 	*A
 	hashagg.Adder[V]
 	hashagg.Merger[A]
@@ -395,8 +395,10 @@ func BenchmarkAblations(b *testing.B) {
 
 // BenchmarkOperatorVariants — the operator strategies of the related
 // work (Section VII): private tables + partitioning (Algorithm 4),
-// SHAREDAGGREGATION (striped shared table), adaptive switching, and the
-// two radix-partitioning scatter strategies.
+// SHAREDAGGREGATION (striped shared table), adaptive switching, the two
+// radix-partitioning scatters on the low byte (Do, on the staged driver,
+// and DoBuffered's write-combining with ordinary stores), and
+// Recursive's pass as GROUP BY runs it.
 func BenchmarkOperatorVariants(b *testing.B) {
 	const g = 4096
 	keys := workload.Keys(25, benchN, g)
@@ -429,6 +431,18 @@ func BenchmarkOperatorVariants(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := partition.DoBuffered(keys, f64, 0, 256, 0)
 			benchSink += float64(out.Off[128])
+		}
+	})
+	// The pass that ships, at groupby_mid's shape: 2^22 keys of 2^16
+	// groups and one float64 column, 48 MiB of output, where the two
+	// cells above write 3 MiB.
+	const midRows = 1 << 22
+	midKeys := workload.Keys(27, midRows, 1<<16)
+	midVals := workload.Values64(28, midRows, workload.Uniform12)
+	b.Run("radix_scatter_recursive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			parts := partition.Recursive(midKeys, [][]float64{midVals}, 1, agg.DefaultFanout, 0)
+			benchSink += float64(len(parts))
 		}
 	})
 }

@@ -62,7 +62,7 @@ func (o Options) withDefaults(n int) Options {
 // result is bit-identical for every permutation of the input, every
 // Depth, and every worker count. With float payloads it is not — that
 // contrast is the paper's motivation.
-func Aggregate[V any, A any, PA interface {
+func Aggregate[V partition.Scalar, A any, PA interface {
 	*A
 	hashagg.Adder[V]
 	hashagg.Merger[A]
@@ -99,7 +99,7 @@ func Aggregate[V any, A any, PA interface {
 // implementation. drain may read and flush the payloads but must not
 // keep the table. One worker — also what a count below one runs —
 // visits the parts in order.
-func AggregateParts[V any, T interface {
+func AggregateParts[V partition.Scalar, T interface {
 	Cap() int
 	Clear()
 }](parts []partition.Part[V], workers int, newTable func(bound int) T, fold func(t T, keys []uint32, cols [][]V), drain func(p int, t T)) {
@@ -135,7 +135,7 @@ func drain[A, R any](t *hashagg.Table[A], finish func(key uint32, a *A) R) []R {
 
 // PartitionAndAggregate is Aggregate with the groups copied out of
 // their tables whole, payload and all, sorted by key.
-func PartitionAndAggregate[V any, A any, PA interface {
+func PartitionAndAggregate[V partition.Scalar, A any, PA interface {
 	*A
 	hashagg.Adder[V]
 	hashagg.Merger[A]

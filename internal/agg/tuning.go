@@ -33,6 +33,20 @@ const CacheBytesPerThread = 1 << 20
 // 2^13 7.6 / 11.1, 2^14 9.8 / 10.4, 2^15 14.4 / 10.9; unbuffered 2^15
 // 14.6 / 14.5, 2^16 19.5 / 16.4 — the unbuffered crossover where it was,
 // the buffered one read half an octave later, inside this VM's ±20 %.
+//
+// Re-measured once the pass's scatter staged rows in line-sized blocks
+// and wrote them with streaming stores (ns/row, best of 9 alternating
+// runs, depth 0 / depth 1, plain scatter → staged scatter): buffered
+// 2^12 5.5 / 11.1 → 6.0 / 7.6, 2^13 8.3 / 11.6 → 8.6 / 8.7, 2^14 9.7 /
+// 12.7 → 12.7 / 9.1, 2^15 16.7 / 11.9 → 19.5 / 9.4, 2^16 25.0 / 13.2 →
+// 23.1 / 11.1; unbuffered 2^12 7.4 / 13.4 → 7.5 / 12.4, 2^13 6.1 / 12.4 →
+// 8.0 / 13.0, 2^14 10.9 / 13.7 → 9.3 / 14.3, 2^15 10.7 / 15.1 → 10.9 /
+// 13.8, 2^16 17.2 / 15.5 → 20.3 / 11.3. Depth 0 runs no pass, so its
+// moves are the VM's noise. The buffered crossover came forward to about
+// 2^13 groups, where this model's first buffered pass (≈ 10 k groups)
+// already sits; the unbuffered one stays between 2^15 and 2^16. The
+// constant has not been moved: ROADMAP item 2's single-planner refit
+// consumes these cells.
 const TableBytesPerThread = 4 << 20
 
 // MaxBufferSize is bszmax, the largest summation buffer used
@@ -56,6 +70,14 @@ const MaxBufferSize = 1024
 // has not been moved: where the floor and the buffered/unbuffered
 // crossover belong with this kernel is a planner change with its own
 // measurement (ROADMAP item 2).
+//
+// With the staged streaming-store scatter (the cells of
+// TableBytesPerThread, best of 9, buffered vs unbuffered): depth 1 2^12
+// bsz1024 7.6 vs 12.4, 2^13 bsz512 8.7 vs 13.0, 2^14 bsz256 9.1 vs 14.3,
+// 2^15 bsz128 9.4 vs 13.8, 2^16 bsz64 11.1 vs 11.3; depth 0 bsz32 2^12
+// 6.0 vs 7.5, 2^13 8.6 vs 8.0, 2^14 12.7 vs 9.3. At 2^13 the plan (d0
+// unbuffered, 8.0) and the d1 bsz512 operator (8.7) are now within
+// noise of each other; the floor stays for item 2's refit.
 const MinBufferSize = 32
 
 // DefaultFanout is the per-pass radix fan-out f ("modern hardware runs

@@ -16,8 +16,11 @@
 //     overhead of reproducibility to roughly 2× (Figure 10, Table III).
 //
 // All types are plain values (no internal pointers except the buffer
-// slice), so they can be stored directly in hash-table payload arrays,
-// mirroring the memory layout of Figure 5.
+// slice), so they can be stored directly in hash-table payload arrays.
+// The buffered types do not reproduce Figure 5's inline
+// ⟨state | next | a_0 … a_bsz⟩ payload: the state and the fill index sit
+// in the slot, the buffer is a separate allocation behind a slice header,
+// which tables recycle across partitions through Reset.
 package core
 
 import "repro/internal/rsum"
@@ -106,7 +109,10 @@ func (s *Sum32) Reset() { s.st.Reset(s.st.Levels()) }
 // Buffered64 is a reproducible float64 accumulator with a summation
 // buffer (Section V-A): values are appended to a per-group buffer and
 // aggregated with the vectorized kernel only when the buffer fills.
-// The layout mirrors Figure 5: ⟨repro state | next | a_0 … a_bsz⟩.
+// The repro state and the fill index next are inline; the buffer
+// a_0 … a_bsz is a separate allocation behind a slice header (not
+// Figure 5's one inline payload), which Reset keeps so that a table can
+// recycle it for the next partition.
 type Buffered64 struct {
 	st   rsum.State64
 	next int32
@@ -175,7 +181,9 @@ func (b *Buffered64) Reset() {
 	b.next = 0
 }
 
-// Buffered32 is the float32 buffered accumulator.
+// Buffered32 is the float32 buffered accumulator, laid out as Buffered64:
+// the state and the fill index inline, the buffer a separate allocation
+// that Reset keeps.
 type Buffered32 struct {
 	st   rsum.State32
 	next int32

@@ -27,6 +27,19 @@
 // for p, which is deterministic for a fixed worker count — and, when
 // the aggregates are reproducible types, the final query result is
 // bit-identical for ANY worker count.
+//
+// Do and every scatter of Recursive run one driver, scatterRows, the
+// tuned routine the paper's partitioning relies on (Schuhknecht et al.,
+// "On the Surprising Difficulty of Simple Things: the Case of Radix
+// Partitioning", PVLDB 2015): a worker stages each row in a block of 16
+// per partition (a 64-byte line of keys, one or two of values) and
+// writes a block out whole once it fills. Above streamMinBytes of
+// output it writes with non-temporal stores, so that the destination
+// lines, which miss every cache, are not read before they are
+// overwritten: that read-for-ownership is what a plain scatter whose
+// output outgrows the caches waits on. Every destination column
+// therefore starts on a cache line, and a column holds a Scalar:
+// streaming stores bypass the collector's write barriers.
 package partition
 
 import (
@@ -110,6 +123,9 @@ func cursors(keys []uint32, nvals int, shift uint, fanout, workers int) (off, cu
 	if fanout <= 0 || fanout&(fanout-1) != 0 || fanout > 65536 {
 		panic("partition: fanout must be a power of two in [1, 65536]")
 	}
+	if shift > 31 {
+		panic("partition: the digit must start inside the key")
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -138,21 +154,23 @@ func cursors(keys []uint32, nvals int, shift uint, fanout, workers int) (off, cu
 
 // Do scatters the input into fanout partitions on the digit
 // (key >> shift) & (fanout−1), using the given number of parallel
-// workers (0 means GOMAXPROCS). fanout must be a power of two ≤ 65536.
-func Do[V any](keys []uint32, vals []V, shift uint, fanout, workers int) Output[V] {
+// workers (0 means GOMAXPROCS). fanout must be a power of two ≤ 65536
+// and shift below 32.
+func Do[V Scalar](keys []uint32, vals []V, shift uint, fanout, workers int) Output[V] {
+	return do(keys, vals, shift, fanout, workers, storeFor)
+}
+
+// do is Do with the block store picked by store from the output bytes.
+func do[V Scalar](keys []uint32, vals []V, shift uint, fanout, workers int, store func(outBytes int) *blockStore) Output[V] {
 	off, cur, workers := cursors(keys, len(vals), shift, fanout, workers)
-	out := Output[V]{Keys: make([]uint32, len(keys)), Vals: make([]V, len(keys)), Off: off}
-	mask := uint32(fanout - 1)
+	out := Output[V]{Keys: alignedMake[uint32](len(keys)), Vals: alignedMake[V](len(keys)), Off: off}
+	r := route[V]{shift: shift, mask: uint32(fanout - 1), keys: make([][]uint32, fanout), vals: make([][]V, fanout),
+		store: store(len(keys) * (4 + sizeOf[V]()))}
+	for p := range r.keys {
+		r.keys[p], r.vals[p] = out.Keys, out.Vals
+	}
 	eachChunk(len(keys), workers, func(w, lo, hi int) {
-		cur := cur[w*fanout : (w+1)*fanout]
-		for i := lo; i < hi; i++ {
-			k := keys[i]
-			p := (k >> shift) & mask
-			j := cur[p]
-			cur[p] = j + 1
-			out.Keys[j] = k
-			out.Vals[j] = vals[i]
-		}
+		scatterRows(&r, newStage[V](fanout), keys[lo:hi], vals[lo:hi], cur[w*fanout:(w+1)*fanout])
 	})
 	return out
 }
@@ -163,7 +181,7 @@ func Do[V any](keys []uint32, vals []V, shift uint, fanout, workers int) Output[
 // the last is reached. Cols[c] is nil where the input's column c was.
 // Every key lies in [Lo, Hi]: the keys' own range where Recursive has
 // it, else the key range its scatter routed into the partition.
-type Part[V any] struct {
+type Part[V Scalar] struct {
 	Keys   []uint32
 	Cols   [][]V
 	Lo, Hi uint32
@@ -194,7 +212,13 @@ func (pt Part[V]) Bound() int {
 // scattered rows is therefore split again on its own bits (which leaves
 // it whole if it holds a single key). Every such split consumes
 // lg fanout more key bits, so the key width bounds them.
-func Recursive[V any](keys []uint32, cols [][]V, depth, fanout, workers int) []Part[V] {
+func Recursive[V Scalar](keys []uint32, cols [][]V, depth, fanout, workers int) []Part[V] {
+	return recursive(keys, cols, depth, fanout, workers, storeFor)
+}
+
+// recursive is Recursive with the block store of every scatter picked by
+// store from its output bytes.
+func recursive[V Scalar](keys []uint32, cols [][]V, depth, fanout, workers int, store func(outBytes int) *blockStore) []Part[V] {
 	for _, col := range cols {
 		if col != nil && len(col) != len(keys) {
 			panic("partition: keys and values must have equal length")
@@ -203,39 +227,52 @@ func Recursive[V any](keys []uint32, cols [][]V, depth, fanout, workers int) []P
 	if len(keys) == 0 {
 		return nil
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	whole := Part[V]{Keys: keys, Cols: cols}
 	if depth == 0 {
 		whole.Lo, whole.Hi = keyRange(keys, workers)
 		return []Part[V]{whole}
 	}
+	s := &splitter[V]{fanout: fanout, workers: workers, store: store, stages: make([]*stage[V], workers)}
 	parts := []Part[V]{whole}
 	for d := 0; d < depth; d++ {
 		var next []Part[V]
 		for _, pt := range parts {
-			next = split(next, pt, fanout, workers)
+			next = s.split(next, pt)
 		}
 		parts = next
 	}
 	return parts
 }
 
+// A splitter is what the scatters of one Recursive call share: the
+// fan-out, the workers, the pick of the block store and every worker's
+// stage, made by its first scatter.
+type splitter[V Scalar] struct {
+	fanout, workers int
+	store           func(outBytes int) *blockStore
+	stages          []*stage[V]
+}
+
 // split appends to out the non-empty partitions of pt on the highest
 // lg fanout bits in which its keys differ: pt itself if none do.
-func split[V any](out []Part[V], pt Part[V], fanout, workers int) []Part[V] {
-	pt.Lo, pt.Hi = keyRange(pt.Keys, workers)
-	if pt.Lo == pt.Hi || fanout == 1 {
+func (s *splitter[V]) split(out []Part[V], pt Part[V]) []Part[V] {
+	pt.Lo, pt.Hi = keyRange(pt.Keys, s.workers)
+	if pt.Lo == pt.Hi || s.fanout == 1 {
 		return append(out, pt)
 	}
-	lg := bits.TrailingZeros(uint(fanout))
+	lg := bits.TrailingZeros(uint(s.fanout))
 	shift := max(bits.Len32(pt.Lo^pt.Hi)-lg, 0)
 	// Partition p's keys agree with pt.Lo above bit shift+lg and read p
 	// in the lg bits below it: a range of width 2^shift.
 	base := uint64(pt.Lo) >> (shift + lg) << (shift + lg)
-	for p, sub := range scatter(pt, uint(shift), fanout, workers) {
+	for p, sub := range s.scatter(pt, uint(shift)) {
 		switch {
 		case len(sub.Keys) == 0:
 		case 2*len(sub.Keys) > len(pt.Keys):
-			out = split(out, sub, fanout, workers)
+			out = s.split(out, sub)
 		default:
 			lo := base + uint64(p)<<shift
 			sub.Lo, sub.Hi = max(pt.Lo, uint32(lo)), min(pt.Hi, uint32(lo+1<<shift-1))
@@ -247,11 +284,12 @@ func split[V any](out []Part[V], pt Part[V], fanout, workers int) []Part[V] {
 
 // scatter is Do into columns of their own per partition, allocated (and
 // zeroed) by the workers side by side. Each worker moves its chunk's
-// keys together with the first carried column — the loop the one-column
+// keys together with the first carried column — the pass the one-column
 // operator runs — and every further column in a pass of its own from
 // the same starting cursors.
-func scatter[V any](pt Part[V], shift uint, fanout, workers int) []Part[V] {
-	off, cur, workers := cursors(pt.Keys, len(pt.Keys), shift, fanout, workers)
+func (s *splitter[V]) scatter(pt Part[V], shift uint) []Part[V] {
+	fanout := s.fanout
+	off, cur, workers := cursors(pt.Keys, len(pt.Keys), shift, fanout, s.workers)
 	var carried []int
 	for c, col := range pt.Cols {
 		if col != nil {
@@ -262,93 +300,67 @@ func scatter[V any](pt Part[V], shift uint, fanout, workers int) []Part[V] {
 	eachChunk(fanout, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			n := off[p+1] - off[p]
-			parts[p] = Part[V]{Keys: make([]uint32, n), Cols: make([][]V, len(pt.Cols))}
+			parts[p] = Part[V]{Keys: alignedMake[uint32](n), Cols: make([][]V, len(pt.Cols))}
 			for _, c := range carried {
-				parts[p].Cols[c] = make([]V, n)
+				parts[p].Cols[c] = alignedMake[V](n)
 			}
 			for w := 0; w < workers; w++ {
 				cur[w*fanout+p] -= off[p]
 			}
 		}
 	})
-	mask := uint32(fanout - 1)
+	// One route per pass: the keys with the first carried column (or
+	// alone), then every further column by itself.
+	store := s.store(len(pt.Keys) * (4 + len(carried)*sizeOf[V]()))
+	routes := make([]route[V], max(len(carried), 1))
+	for i := range routes {
+		r := &routes[i]
+		r.shift, r.mask, r.store = shift, uint32(fanout-1), store
+		if i == 0 {
+			r.keys = make([][]uint32, fanout)
+			for p := range r.keys {
+				r.keys[p] = parts[p].Keys
+			}
+		}
+		if i < len(carried) {
+			r.vals = make([][]V, fanout)
+			for p := range r.vals {
+				r.vals[p] = parts[p].Cols[carried[i]]
+			}
+		}
+	}
 	eachChunk(len(pt.Keys), workers, func(w, lo, hi int) {
-		cur := cur[w*fanout : (w+1)*fanout]
-		keys := pt.Keys[lo:hi]
-		if len(carried) == 0 {
-			dst := make([][]uint32, fanout)
-			for p := range dst {
-				dst[p] = parts[p].Keys
-			}
-			scatterCol(dst, keys, keys, cur, shift, mask)
-			return
+		if s.stages[w] == nil {
+			s.stages[w] = newStage[V](fanout)
 		}
-		start := append([]int(nil), cur...)
-		pairs := make([]lane[V], fanout)
-		for p := range pairs {
-			pairs[p] = lane[V]{parts[p].Keys, parts[p].Cols[carried[0]]}
-		}
-		scatterPairs(pairs, keys, pt.Cols[carried[0]][lo:hi], cur, shift, mask)
-		dst := make([][]V, fanout)
-		for _, c := range carried[1:] {
-			for p := range dst {
-				dst[p] = parts[p].Cols[c]
+		st, cur := s.stages[w], cur[w*fanout:(w+1)*fanout]
+		for i := range routes {
+			var vals []V
+			if i < len(carried) {
+				vals = pt.Cols[carried[i]][lo:hi]
 			}
-			copy(cur, start)
-			scatterCol(dst, keys, pt.Cols[c][lo:hi], cur, shift, mask)
+			if i > 0 {
+				copy(cur, st.start)
+			}
+			scatterRows(&routes[i], st, pt.Keys[lo:hi], vals, cur)
 		}
 	})
 	return parts
 }
 
-// lane is one partition's destination of scatterPairs.
-type lane[V any] struct {
-	keys []uint32
-	vals []V
-}
-
-// scatterPairs moves every key with its value to the cursor of the
-// partition its digit names, advancing the cursor. It stays out of
-// line: inlined into scatter's chunk closure, the loop spilled its
-// operands to the stack and the pass ran about 30 % slower.
-//
-//go:noinline
-func scatterPairs[V any](dst []lane[V], keys []uint32, vals []V, cur []int, shift uint, mask uint32) {
-	for i, k := range keys {
-		p := (k >> shift) & mask
-		j := cur[p]
-		cur[p] = j + 1
-		dst[p].keys[j] = k
-		dst[p].vals[j] = vals[i]
-	}
-}
-
-// scatterCol is scatterPairs for one column alone, still routed by keys.
-//
-//go:noinline
-func scatterCol[T any](dst [][]T, keys []uint32, col []T, cur []int, shift uint, mask uint32) {
-	for i, k := range keys {
-		p := (k >> shift) & mask
-		j := cur[p]
-		cur[p] = j + 1
-		dst[p][j] = col[i]
-	}
-}
-
-// swwcbSize is the per-partition software write-combining buffer size
-// (in elements) of DoBuffered. 64 key/value pairs fill several cache
-// lines, the sweet spot reported by Schuhknecht et al. ("On the
-// Surprising Difficulty of Simple Things: the Case of Radix
-// Partitioning"), which the paper cites for its tuned routine.
+// swwcbSize is the per-partition buffer size (in elements) of
+// DoBuffered: 64 key/value pairs fill several cache lines.
 const swwcbSize = 64
 
-// DoBuffered is Do with software-managed write-combining buffers: each
-// worker stages elements per partition in a small local buffer and
-// writes them out in bursts, converting the random scatter into mostly
-// sequential memory traffic. Same output layout and determinism
-// contract as Do for a fixed worker count. Provided as the tuned
-// variant the paper's partitioning relies on; BenchmarkAblations
-// compares the two.
+// DoBuffered is Do with software write-combining buffers flushed with
+// ordinary stores: each worker stages elements per partition and copies
+// them out in bursts of swwcbSize. That is half of the tuned routine
+// (Schuhknecht et al.); without the streaming stores every flushed line
+// is still read for ownership first, and on the reference VM the buffers
+// bought little over a plain scatter. No operator runs it: it is the
+// ablation that BenchmarkOperatorVariants and the benchmark's
+// partition.dobuffered_ns_per_row time against Do. Same output layout and
+// determinism contract as Do for a fixed worker count.
 func DoBuffered[V any](keys []uint32, vals []V, shift uint, fanout, workers int) Output[V] {
 	off, cur, workers := cursors(keys, len(vals), shift, fanout, workers)
 	out := Output[V]{Keys: make([]uint32, len(keys)), Vals: make([]V, len(keys)), Off: off}

@@ -248,6 +248,7 @@ func TestValidation(t *testing.T) {
 	mustPanic("length mismatch", func() { Do([]uint32{1}, []float64{1, 2}, 0, 256, 1) })
 	mustPanic("bad fanout", func() { Do([]uint32{1}, []float64{1}, 0, 100, 1) })
 	mustPanic("zero fanout", func() { Do([]uint32{1}, []float64{1}, 0, 0, 1) })
+	mustPanic("shift past the key", func() { Do([]uint32{1}, []float64{1}, 32, 256, 1) })
 	mustPanic("column length mismatch", func() { Recursive([]uint32{1}, [][]float64{nil, {1, 2}}, 1, 256, 1) })
 }
 
