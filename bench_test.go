@@ -478,12 +478,17 @@ func BenchmarkSQLAggregates(b *testing.B) {
 	xs := workload.Values64(28, benchN, workload.Exp1)
 	ys := workload.Values64(29, benchN, workload.Exp1)
 	b.Run("variance", func(b *testing.B) {
+		p, err := sqlagg.NewTuplePlan([]sqlagg.AggSpec{{Kind: sqlagg.AggVarPop, Levels: 2}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols, out := [][]float64{xs}, make([]float64, 1)
 		for i := 0; i < b.N; i++ {
-			v := sqlagg.NewVariance(2)
-			for _, x := range xs {
-				v.Add(x)
+			t := p.NewTuple(0)
+			for j := range xs {
+				p.AddRow(&t, cols, j)
 			}
-			benchSink += v.VarPop()
+			benchSink += p.Finalize(out[:0], &t)[0]
 		}
 	})
 	b.Run("corr", func(b *testing.B) {

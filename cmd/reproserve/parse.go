@@ -8,20 +8,6 @@ import (
 	"repro/internal/sqlagg"
 )
 
-// aggKinds maps the SQL-ish aggregate names of the /query endpoint to
-// the sqlagg catalog.
-var aggKinds = map[string]sqlagg.AggKind{
-	"SUM":         sqlagg.AggSum,
-	"COUNT":       sqlagg.AggCount,
-	"AVG":         sqlagg.AggAvg,
-	"VAR_POP":     sqlagg.AggVarPop,
-	"VAR_SAMP":    sqlagg.AggVarSamp,
-	"STDDEV_POP":  sqlagg.AggStddevPop,
-	"STDDEV_SAMP": sqlagg.AggStddevSamp,
-	"MIN":         sqlagg.AggMin,
-	"MAX":         sqlagg.AggMax,
-}
-
 // parseAggList parses a compact aggregate list like "SUM(0),AVG(1)"
 // into specs, applying levels to every spec (0 = default).
 func parseAggList(s string, levels int) ([]sqlagg.AggSpec, error) {
@@ -35,7 +21,7 @@ func parseAggList(s string, levels int) ([]sqlagg.AggSpec, error) {
 		if open < 0 || !strings.HasSuffix(item, ")") {
 			return nil, fmt.Errorf("malformed aggregate %q (expected KIND(col))", item)
 		}
-		kind, ok := aggKinds[strings.ToUpper(strings.TrimSpace(item[:open]))]
+		kind, ok := sqlagg.KindByName(strings.ToUpper(strings.TrimSpace(item[:open])))
 		if !ok {
 			return nil, fmt.Errorf("unknown aggregate kind %q", item[:open])
 		}

@@ -43,8 +43,9 @@ import (
 // Typed errors of the serving layer, matchable with errors.Is on the
 // (possibly wrapped) errors Server.Do returns.
 var (
-	// ErrBadQuery: the query references an unknown kind, an unregistered
-	// aggregate, an out-of-range column, or an invalid level count.
+	// ErrBadQuery: the query references an unknown kind, an aggregate
+	// not in the catalog, an out-of-range column, or an invalid level
+	// count.
 	ErrBadQuery = errors.New("serve: invalid query")
 	// ErrOverBudget: the query's estimated working memory exceeds the
 	// server's per-query budget. Reported before execution starts.
@@ -200,9 +201,10 @@ func (d *Dataset) DistinctBound() int { return d.sumBound }
 // in-memory rows and their canonical result encoding (rowWidth = 4-byte
 // key + 8 bytes per spec). DistinctBound never undercounts distinct
 // keys, so the estimate upper-bounds the group-dependent allocations:
-// TupleSize is the logical width, one state per spec, and the physical
-// tuple the engine keeps per group (sqlagg.TuplePlan) shares states
-// between specs, so it is never wider. The summation buffers in front
+// TupleSize is the logical width, read off the catalog as if no two
+// specs shared a component, and the physical tuple the engine keeps per
+// group (sqlagg.TuplePlan) shares them, so it is never wider. Pricing
+// allocates nothing. The summation buffers in front
 // of the tuples are not group-dependent: they are planned so that one
 // partition's fill Eq. 4's budget (agg.CacheBytesPerThread, 1 MiB), and
 // a worker's table has under four slots per planned group, so each
@@ -223,8 +225,7 @@ func (d *Dataset) EstimateBytes(q Query) (int, error) {
 	case QueryWindowTotals:
 		// Per-key summation states plus the per-row totals column and
 		// its 8-byte-per-row canonical encoding.
-		st := sqlagg.AggSpec{Kind: sqlagg.AggSum, Levels: q.Levels}
-		sz, err := st.StateSize()
+		sz, err := sqlagg.TupleSize([]sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: q.Levels}})
 		if err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}

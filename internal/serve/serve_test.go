@@ -249,22 +249,24 @@ func TestCacheHitByteIdenticalToRecomputation(t *testing.T) {
 
 	// With tracing off a hit hashes nothing: no span will carry the
 	// digest, so the FNV pass over the cached bytes and its hex string
-	// must not happen. Budget pricing is off too (it allocates per
-	// aggregate), which leaves the hit path's own four allocations — the
-	// canonical query encoding, the cache key (two), the Result; each
-	// digest would add two more.
-	quiet := mustServer(t, ds, Options{TraceEntries: -1, MemoryBudget: -1})
+	// must not happen. That leaves the hit path's own four allocations —
+	// the canonical query encoding, the cache key (two), the Result; each
+	// digest would add two more. Budget pricing, which runs before the
+	// lookup, reads the catalog and adds none.
 	hot := GroupBy(testSpecs()...)
-	if _, err := quiet.Do(hot); err != nil {
-		t.Fatalf("untraced cold: %v", err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if r, err := quiet.Do(hot); err != nil || !r.CacheHit {
-			t.Fatalf("untraced warm: %+v, %v", r, err)
+	for _, budget := range []int{-1, 0} {
+		quiet := mustServer(t, ds, Options{TraceEntries: -1, MemoryBudget: budget})
+		if _, err := quiet.Do(hot); err != nil {
+			t.Fatalf("budget %d: untraced cold: %v", budget, err)
 		}
-	})
-	if allocs > 5 {
-		t.Errorf("untraced cache hit allocates %v times, want <= 5 (is a digest being computed for a span nobody records?)", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if r, err := quiet.Do(hot); err != nil || !r.CacheHit {
+				t.Fatalf("budget %d: untraced warm: %+v, %v", budget, r, err)
+			}
+		})
+		if allocs > 5 {
+			t.Errorf("budget %d: untraced cache hit allocates %v times, want <= 5 (is a digest being computed for a span nobody records, or a query priced by building states?)", budget, allocs)
+		}
 	}
 
 	// VerifyCache recomputes hits and confirms the invariant inline.

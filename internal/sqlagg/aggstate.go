@@ -10,60 +10,19 @@ import (
 	"repro/internal/rsum"
 )
 
-// This file is the logical layer of the aggregate catalog. The paper's
+// This file is the logical side of the aggregate catalog. The paper's
 // footnote 2 observes that every floating-point SQL aggregate becomes
-// reproducible once SUM is; AggSpec names one such aggregate — which
-// function (kind), how many summation levels, which value column — and
-// a query's aggregate list is a []AggSpec, the form that crosses API
-// and process boundaries (EncodeSpecs / DecodeSpecs).
-//
-// AggState is the per-spec accumulator: one mergeable, canonically
-// serializable state per aggregate.
-//
-//   - Add/MergeFrom are the in-memory accumulation semantics;
-//   - AppendBinary/UnmarshalBinary/MergeBinary are a canonical binary
-//     encoding byte-compatible with the in-memory merge semantics (two
-//     states representing the same multiset encode identically);
-//   - EncodedSize is a pure function of the spec (never of the data).
-//
-// It is the library API for a single aggregate and the reference the
-// differential tests hold the pipeline to. The GROUP BY pipeline itself
-// does not keep one AggState per spec: TuplePlan (tuple.go) maps the
-// spec list to its distinct physical components — specs that read the
-// same sum or count share it — and to one finaliser per spec built from
-// the same functions the AggStates finalize with (avgOf, varianceOf,
-// minmaxState), so both layers return the same bits. What travels in a
-// shuffle frame is the physical tuple; TupleSize, the spec-ordered
-// logical width, is an upper bound on it that admission control prices
-// with.
+// reproducible once SUM is, because each one is computed from SUMs.
+// The catalog says so row by row: an AggKind is one row of catalog,
+// naming the physical components the kind reads — Σx, Σx², the shared
+// row count n, or a running extremum — and its finaliser over them.
+// AggSpec names one aggregate of a query — which kind, how many
+// summation levels, which value column — and a query's aggregate list
+// is a []AggSpec, the form that crosses API and process boundaries
+// (EncodeSpecs / DecodeSpecs). TuplePlan (tuple.go) is the one
+// accumulator: it plans a spec list onto its distinct components.
 
-// AggState is one partial aggregate for one group: a mergeable,
-// canonically serializable accumulator.
-type AggState interface {
-	// Add folds one input value in.
-	Add(x float64)
-	// MergeFrom folds another partial of the same spec into this one.
-	// Kind or level mismatches are errors, never panics.
-	MergeFrom(o AggState) error
-	// MergeBinary decodes an encoding of the same spec and merges it in.
-	MergeBinary(data []byte) error
-	// AppendBinary appends the canonical encoding to dst; with enough
-	// capacity it does not allocate (encoding.BinaryAppender).
-	AppendBinary(dst []byte) ([]byte, error)
-	// UnmarshalBinary replaces the state with a decoded encoding,
-	// rejecting malformed bytes with an error (never a panic).
-	UnmarshalBinary(data []byte) error
-	// EncodedSize returns the exact encoding length — a pure function
-	// of the spec, independent of the accumulated data.
-	EncodedSize() int
-	// Value finalizes the aggregate with a fixed, deterministic
-	// sequence of floating-point operations.
-	Value() float64
-	// Reset empties the state, keeping its configuration.
-	Reset()
-}
-
-// AggKind identifies an aggregate function in the spec catalog.
+// AggKind identifies an aggregate function in the catalog.
 type AggKind byte
 
 // The built-in aggregate catalog.
@@ -79,17 +38,68 @@ const (
 	AggMax
 )
 
-// String returns the registered name of the kind ("SUM", "AVG", …).
+// aggDef is one row of the catalog. sums is how many of Σx and Σx² the
+// kind reads (in that order), count whether it reads the shared row
+// count n, ext whether it reads a running extremum of its column (the
+// maximum if isMax). fin finalises the kind from a tuple, with a
+// indexing its Σx or extremum and b its Σx², using a fixed sequence of
+// floating-point operations.
+type aggDef struct {
+	name       string
+	sums       int
+	count      bool
+	ext, isMax bool
+	fin        func(t *Tuple, a, b int) float64
+}
+
+var catalog = [...]aggDef{
+	AggSum:   {name: "SUM", sums: 1, fin: func(t *Tuple, a, _ int) float64 { return t.sums[a].Value() }},
+	AggCount: {name: "COUNT", count: true, fin: func(t *Tuple, _, _ int) float64 { return float64(t.n) }},
+	AggAvg: {name: "AVG", sums: 1, count: true,
+		fin: func(t *Tuple, a, _ int) float64 { return avgOf(&t.sums[a], t.n) }},
+	AggVarPop: {name: "VAR_POP", sums: 2, count: true,
+		fin: func(t *Tuple, a, b int) float64 { return varianceOf(&t.sums[a], &t.sums[b], t.n, 0) }},
+	AggVarSamp: {name: "VAR_SAMP", sums: 2, count: true,
+		fin: func(t *Tuple, a, b int) float64 { return varianceOf(&t.sums[a], &t.sums[b], t.n, 1) }},
+	AggStddevPop: {name: "STDDEV_POP", sums: 2, count: true,
+		fin: func(t *Tuple, a, b int) float64 { return math.Sqrt(varianceOf(&t.sums[a], &t.sums[b], t.n, 0)) }},
+	AggStddevSamp: {name: "STDDEV_SAMP", sums: 2, count: true,
+		fin: func(t *Tuple, a, b int) float64 { return math.Sqrt(varianceOf(&t.sums[a], &t.sums[b], t.n, 1)) }},
+	AggMin: {name: "MIN", ext: true, fin: extremumOf},
+	AggMax: {name: "MAX", ext: true, isMax: true, fin: extremumOf},
+}
+
+func extremumOf(t *Tuple, a, _ int) float64 { return t.exts[a].Value() }
+
+// def returns k's catalog row, or nil for a kind the catalog lacks.
+func (k AggKind) def() *aggDef {
+	if int(k) < len(catalog) && catalog[k].fin != nil {
+		return &catalog[k]
+	}
+	return nil
+}
+
+// String returns the kind's SQL name: SUM, AVG, ….
 func (k AggKind) String() string {
-	if e, ok := registry[k]; ok {
-		return e.name
+	if d := k.def(); d != nil {
+		return d.name
 	}
 	return fmt.Sprintf("AggKind(%d)", byte(k))
 }
 
+// KindByName returns the kind whose SQL name is name.
+func KindByName(name string) (AggKind, bool) {
+	for k := range catalog {
+		if d := AggKind(k).def(); d != nil && d.name == name {
+			return AggKind(k), true
+		}
+	}
+	return 0, false
+}
+
 // AggSpec describes one aggregate column of a multi-aggregate GROUP BY.
 type AggSpec struct {
-	// Kind selects the aggregate function from the registered catalog.
+	// Kind selects the aggregate function from the catalog.
 	Kind AggKind
 	// Levels is the summation level count for reproducible-sum-backed
 	// kinds; 0 means core.DefaultLevels. Kinds without a summation
@@ -108,47 +118,12 @@ const maxSpecs = 256
 
 // Sentinel errors for spec and state validation.
 var (
-	// ErrBadSpec reports an invalid or unregistered aggregate spec.
+	// ErrBadSpec reports an invalid aggregate spec or one of a kind
+	// the catalog lacks.
 	ErrBadSpec = errors.New("sqlagg: invalid aggregate spec")
 	// ErrBadState reports a malformed aggregate state encoding.
 	ErrBadState = errors.New("sqlagg: malformed aggregate state encoding")
-	// ErrMergeMismatch reports a merge between incompatible states.
-	ErrMergeMismatch = errors.New("sqlagg: cannot merge incompatible aggregate states")
 )
-
-// registry maps kinds to their factories. Register during init only;
-// the map is read-only afterwards.
-type regEntry struct {
-	name    string
-	factory func(levels int) AggState
-}
-
-var registry = map[AggKind]regEntry{}
-
-// Register adds an aggregate kind to the catalog. The factory receives
-// the resolved level count (never 0). Registering a kind twice panics;
-// call from init functions only.
-func Register(kind AggKind, name string, factory func(levels int) AggState) {
-	if kind == 0 {
-		panic("sqlagg: cannot register AggKind 0")
-	}
-	if _, dup := registry[kind]; dup {
-		panic(fmt.Sprintf("sqlagg: duplicate registration of %s", name))
-	}
-	registry[kind] = regEntry{name: name, factory: factory}
-}
-
-func init() {
-	Register(AggSum, "SUM", func(levels int) AggState { return newSumState(levels) })
-	Register(AggCount, "COUNT", func(int) AggState { return new(countState) })
-	Register(AggAvg, "AVG", func(levels int) AggState { return &avgState{a: NewAvg(levels)} })
-	Register(AggVarPop, "VAR_POP", func(levels int) AggState { return newVarState(levels, AggVarPop) })
-	Register(AggVarSamp, "VAR_SAMP", func(levels int) AggState { return newVarState(levels, AggVarSamp) })
-	Register(AggStddevPop, "STDDEV_POP", func(levels int) AggState { return newVarState(levels, AggStddevPop) })
-	Register(AggStddevSamp, "STDDEV_SAMP", func(levels int) AggState { return newVarState(levels, AggStddevSamp) })
-	Register(AggMin, "MIN", func(int) AggState { return &minmaxState{isMax: false} })
-	Register(AggMax, "MAX", func(int) AggState { return &minmaxState{isMax: true} })
-}
 
 // ResolvedLevels returns the effective level count (Levels, or
 // core.DefaultLevels when 0).
@@ -161,8 +136,8 @@ func (s AggSpec) ResolvedLevels() int {
 
 // Validate checks the spec against the catalog and wire limits.
 func (s AggSpec) Validate() error {
-	if _, ok := registry[s.Kind]; !ok {
-		return fmt.Errorf("%w: unregistered kind %d", ErrBadSpec, byte(s.Kind))
+	if s.Kind.def() == nil {
+		return fmt.Errorf("%w: kind %d is not in the catalog", ErrBadSpec, byte(s.Kind))
 	}
 	if l := s.ResolvedLevels(); l < 1 || l > core.MaxLevels {
 		return fmt.Errorf("%w: levels %d out of range [1, %d]", ErrBadSpec, l, core.MaxLevels)
@@ -171,40 +146,6 @@ func (s AggSpec) Validate() error {
 		return fmt.Errorf("%w: column %d out of range [0, %d]", ErrBadSpec, s.Col, maxSpecCol)
 	}
 	return nil
-}
-
-// New returns an empty state for the spec.
-func (s AggSpec) New() (AggState, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return registry[s.Kind].factory(s.ResolvedLevels()), nil
-}
-
-// StateSize returns the encoded size of the spec's state — the pure
-// per-spec component of the wire tuple size.
-func (s AggSpec) StateSize() (int, error) {
-	st, err := s.New()
-	if err != nil {
-		return 0, err
-	}
-	return st.EncodedSize(), nil
-}
-
-// NewStates instantiates one empty state per spec, in spec order.
-func NewStates(specs []AggSpec) ([]AggState, error) {
-	if err := checkSpecCount(len(specs)); err != nil {
-		return nil, err
-	}
-	states := make([]AggState, len(specs))
-	for i, sp := range specs {
-		st, err := sp.New()
-		if err != nil {
-			return nil, err
-		}
-		states[i] = st
-	}
-	return states, nil
 }
 
 // checkSpecCount bounds a spec list: at least one, at most maxSpecs.
@@ -218,19 +159,78 @@ func checkSpecCount(n int) error {
 	return nil
 }
 
-// TupleSize returns the total encoded size of one spec-ordered tuple of
-// per-spec states: the logical width of a group. The shuffle ships the
-// physical tuple (TuplePlan.Width), which is never wider.
+// stateSize returns the encoded size of one rsum state at levels.
+func stateSize(levels int) int {
+	st := rsum.NewState64(levels)
+	return st.EncodedSize()
+}
+
+// TupleSize returns the logical width of one group: the summed widths
+// of one-spec plans, as if no two specs shared a component. The
+// shuffle ships the physical tuple (TuplePlan.Width), which is never
+// wider. It does not allocate: admission control prices every query
+// with it, cache hits included.
 func TupleSize(specs []AggSpec) (int, error) {
-	states, err := NewStates(specs)
-	if err != nil {
+	if err := checkSpecCount(len(specs)); err != nil {
 		return 0, err
 	}
 	total := 0
-	for _, st := range states {
-		total += st.EncodedSize()
+	for _, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return 0, err
+		}
+		d := sp.Kind.def()
+		total += d.sums * stateSize(sp.ResolvedLevels())
+		if d.count {
+			total += countSize
+		}
+		if d.ext {
+			total += minmaxSize
+		}
 	}
 	return total, nil
+}
+
+// AggState is one aggregate of one group, folded a value at a time: a
+// one-spec TuplePlan and its unbuffered Tuple, so it finalises and
+// encodes to exactly the bits that plan does.
+type AggState interface {
+	Add(x float64)
+	Value() float64
+	AppendBinary(dst []byte) ([]byte, error)
+	MergeBinary(data []byte) error
+	EncodedSize() int
+}
+
+// specState is the only AggState; its plan reads column 0.
+type specState struct {
+	p *TuplePlan
+	t Tuple
+}
+
+func (s *specState) Add(x float64)                           { s.p.AddRow(&s.t, [][]float64{{x}}, 0) }
+func (s *specState) Value() float64                          { return s.p.fins[0].value(&s.t) }
+func (s *specState) AppendBinary(dst []byte) ([]byte, error) { return s.p.AppendBinary(dst, &s.t) }
+func (s *specState) MergeBinary(data []byte) error           { return s.p.MergeBinary(&s.t, data) }
+func (s *specState) EncodedSize() int                        { return s.p.Width() }
+
+// NewStates returns one empty state per spec, in spec order.
+func NewStates(specs []AggSpec) ([]AggState, error) {
+	if err := checkSpecCount(len(specs)); err != nil {
+		return nil, err
+	}
+	states := make([]AggState, len(specs))
+	for i, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return nil, err
+		}
+		p, err := NewTuplePlan([]AggSpec{{Kind: sp.Kind, Levels: sp.Levels}})
+		if err != nil {
+			return nil, err
+		}
+		states[i] = &specState{p: p, t: p.NewTuple(0)}
+	}
+	return states, nil
 }
 
 // Spec list wire format: [2B count LE] then per spec
@@ -262,34 +262,11 @@ func EncodeSpecs(dst []byte, specs []AggSpec) ([]byte, error) {
 // DecodeSpecs parses a spec list encoded by EncodeSpecs. The blob must
 // be exactly consumed; malformed bytes are errors, never panics.
 func DecodeSpecs(data []byte) ([]AggSpec, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("%w: truncated spec list", ErrBadSpec)
+	specs, n, err := DecodeSpecsPrefix(data)
+	if err == nil && n != len(data) {
+		return nil, fmt.Errorf("%w: spec list length %d for %d specs", ErrBadSpec, len(data), len(specs))
 	}
-	count := int(binary.LittleEndian.Uint16(data))
-	if count == 0 || count > maxSpecs {
-		return nil, fmt.Errorf("%w: spec count %d", ErrBadSpec, count)
-	}
-	if len(data) != 2+count*specWireSize {
-		return nil, fmt.Errorf("%w: spec list length %d for %d specs", ErrBadSpec, len(data), count)
-	}
-	specs := make([]AggSpec, count)
-	for i := range specs {
-		rec := data[2+i*specWireSize:]
-		if rec[1] == 0 {
-			// The encoder always writes resolved levels; a 0 byte is
-			// non-canonical and would break digest equality.
-			return nil, fmt.Errorf("%w: unresolved level count on the wire", ErrBadSpec)
-		}
-		specs[i] = AggSpec{
-			Kind:   AggKind(rec[0]),
-			Levels: int(rec[1]),
-			Col:    int(binary.LittleEndian.Uint16(rec[2:])),
-		}
-		if err := specs[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return specs, nil
+	return specs, err
 }
 
 // DecodeSpecsPrefix parses a spec list from the front of data,
@@ -308,400 +285,22 @@ func DecodeSpecsPrefix(data []byte) ([]AggSpec, int, error) {
 	if len(data) < n {
 		return nil, 0, fmt.Errorf("%w: spec list carries %d of %d bytes for %d specs", ErrBadSpec, len(data), n, count)
 	}
-	specs, err := DecodeSpecs(data[:n])
-	return specs, n, err
-}
-
-// ---------------------------------------------------------------------
-// Canonical binary encodings for the composite sqlagg aggregates. The
-// encodings embed rsum state encodings (self-describing via their
-// header) followed by the exact row count, so they are byte-compatible
-// with the in-memory merge semantics: marshal → merge bytes equals
-// merge in memory → marshal.
-
-const countSize = 8
-
-func appendCount(dst []byte, n int64) []byte {
-	var b [countSize]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(n))
-	return append(dst, b[:]...)
-}
-
-func decodeCount(data []byte) (int64, error) {
-	if len(data) != countSize {
-		return 0, ErrBadState
-	}
-	n := int64(binary.LittleEndian.Uint64(data))
-	if n < 0 {
-		return 0, fmt.Errorf("%w: negative row count", ErrBadState)
-	}
-	return n, nil
-}
-
-// EncodedSize returns the exact byte length of the Avg encoding:
-// the summation state followed by the 8-byte row count.
-func (a *Avg) EncodedSize() int { return a.sum.State().EncodedSize() + countSize }
-
-// AppendBinary appends the canonical Avg encoding to dst; with enough
-// capacity it does not allocate.
-func (a *Avg) AppendBinary(dst []byte) ([]byte, error) {
-	dst, err := a.sum.State().AppendBinary(dst)
-	if err != nil {
-		return dst, err
-	}
-	return appendCount(dst, a.n), nil
-}
-
-// UnmarshalBinary decodes an Avg encoding, rejecting malformed bytes.
-func (a *Avg) UnmarshalBinary(data []byte) error {
-	stLen, err := rsum.EncodedLen64(data)
-	if err != nil {
-		return err
-	}
-	if len(data) != stLen+countSize {
-		return ErrBadState
-	}
-	var t Avg
-	if err := t.sum.State().UnmarshalBinary(data[:stLen]); err != nil {
-		return err
-	}
-	n, err := decodeCount(data[stLen:])
-	if err != nil {
-		return err
-	}
-	t.n = n
-	*a = t
-	return nil
-}
-
-// MergeBinary decodes an Avg encoding and merges it into a, reporting
-// level mismatches as errors (the encoding crosses a trust boundary).
-func (a *Avg) MergeBinary(data []byte) error {
-	var o Avg
-	if err := o.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if o.sum.Levels() != a.sum.Levels() {
-		return fmt.Errorf("%w: AVG levels %d vs %d", ErrMergeMismatch, o.sum.Levels(), a.sum.Levels())
-	}
-	a.MergeFrom(&o)
-	return nil
-}
-
-// EncodedSize returns the exact byte length of the Variance encoding:
-// the Σx and Σx² states followed by the 8-byte row count.
-func (v *Variance) EncodedSize() int {
-	return v.sum.State().EncodedSize() + v.sumSq.State().EncodedSize() + countSize
-}
-
-// AppendBinary appends the canonical Variance encoding to dst; with
-// enough capacity it does not allocate.
-func (v *Variance) AppendBinary(dst []byte) ([]byte, error) {
-	dst, err := v.sum.State().AppendBinary(dst)
-	if err != nil {
-		return dst, err
-	}
-	dst, err = v.sumSq.State().AppendBinary(dst)
-	if err != nil {
-		return dst, err
-	}
-	return appendCount(dst, v.n), nil
-}
-
-// UnmarshalBinary decodes a Variance encoding, rejecting malformed
-// bytes (including Σx/Σx² states with mismatched level counts).
-func (v *Variance) UnmarshalBinary(data []byte) error {
-	sumLen, err := rsum.EncodedLen64(data)
-	if err != nil {
-		return err
-	}
-	if len(data) < sumLen {
-		return ErrBadState
-	}
-	sqLen, err := rsum.EncodedLen64(data[sumLen:])
-	if err != nil {
-		return err
-	}
-	if sqLen != sumLen || len(data) != sumLen+sqLen+countSize {
-		return ErrBadState
-	}
-	var t Variance
-	if err := t.sum.State().UnmarshalBinary(data[:sumLen]); err != nil {
-		return err
-	}
-	if err := t.sumSq.State().UnmarshalBinary(data[sumLen : sumLen+sqLen]); err != nil {
-		return err
-	}
-	n, err := decodeCount(data[sumLen+sqLen:])
-	if err != nil {
-		return err
-	}
-	t.n = n
-	*v = t
-	return nil
-}
-
-// MergeBinary decodes a Variance encoding and merges it into v,
-// reporting level mismatches as errors.
-func (v *Variance) MergeBinary(data []byte) error {
-	var o Variance
-	if err := o.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if o.sum.Levels() != v.sum.Levels() {
-		return fmt.Errorf("%w: VARIANCE levels %d vs %d", ErrMergeMismatch, o.sum.Levels(), v.sum.Levels())
-	}
-	v.MergeFrom(&o)
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// AggState implementations.
-
-// sumState is the SUM aggregate: a bare reproducible summation state.
-// Its wire form is exactly the rsum.State64 canonical encoding, so a
-// single-SUM spec list reproduces the PR 3 shuffle pair bytes.
-type sumState struct {
-	st rsum.State64
-}
-
-func newSumState(levels int) *sumState {
-	return &sumState{st: rsum.NewState64(levels)}
-}
-
-func (s *sumState) Add(x float64) { s.st.Add(x) }
-
-func (s *sumState) MergeFrom(o AggState) error {
-	t, ok := o.(*sumState)
-	if !ok {
-		return fmt.Errorf("%w: SUM vs %T", ErrMergeMismatch, o)
-	}
-	if t.st.Levels() != s.st.Levels() {
-		return fmt.Errorf("%w: SUM levels %d vs %d", ErrMergeMismatch, t.st.Levels(), s.st.Levels())
-	}
-	s.st.Merge(&t.st)
-	return nil
-}
-
-func (s *sumState) MergeBinary(data []byte) error           { return s.st.MergeBinary(data) }
-func (s *sumState) AppendBinary(dst []byte) ([]byte, error) { return s.st.AppendBinary(dst) }
-func (s *sumState) UnmarshalBinary(data []byte) error       { return s.st.UnmarshalBinary(data) }
-func (s *sumState) EncodedSize() int                        { return s.st.EncodedSize() }
-func (s *sumState) Value() float64                          { return s.st.Value() }
-func (s *sumState) Reset()                                  { s.st.Reset(s.st.Levels()) }
-
-// countState is the COUNT aggregate: an exact row counter. Counts stay
-// below 2⁵³, so Value() is exact as a float64.
-type countState struct {
-	n int64
-}
-
-func (c *countState) Add(float64) { c.n++ }
-
-func (c *countState) MergeFrom(o AggState) error {
-	t, ok := o.(*countState)
-	if !ok {
-		return fmt.Errorf("%w: COUNT vs %T", ErrMergeMismatch, o)
-	}
-	c.n += t.n
-	return nil
-}
-
-func (c *countState) MergeBinary(data []byte) error {
-	n, err := decodeCount(data)
-	if err != nil {
-		return err
-	}
-	c.n += n
-	return nil
-}
-
-func (c *countState) AppendBinary(dst []byte) ([]byte, error) {
-	return appendCount(dst, c.n), nil
-}
-
-func (c *countState) UnmarshalBinary(data []byte) error {
-	n, err := decodeCount(data)
-	if err != nil {
-		return err
-	}
-	c.n = n
-	return nil
-}
-
-func (c *countState) EncodedSize() int { return countSize }
-func (c *countState) Value() float64   { return float64(c.n) }
-func (c *countState) Reset()           { c.n = 0 }
-
-// avgState adapts Avg to the AggState interface.
-type avgState struct {
-	a Avg
-}
-
-func (s *avgState) Add(x float64) { s.a.Add(x) }
-
-func (s *avgState) MergeFrom(o AggState) error {
-	t, ok := o.(*avgState)
-	if !ok {
-		return fmt.Errorf("%w: AVG vs %T", ErrMergeMismatch, o)
-	}
-	if t.a.sum.Levels() != s.a.sum.Levels() {
-		return fmt.Errorf("%w: AVG levels %d vs %d", ErrMergeMismatch, t.a.sum.Levels(), s.a.sum.Levels())
-	}
-	s.a.MergeFrom(&t.a)
-	return nil
-}
-
-func (s *avgState) MergeBinary(data []byte) error           { return s.a.MergeBinary(data) }
-func (s *avgState) AppendBinary(dst []byte) ([]byte, error) { return s.a.AppendBinary(dst) }
-func (s *avgState) UnmarshalBinary(data []byte) error       { return s.a.UnmarshalBinary(data) }
-func (s *avgState) EncodedSize() int                        { return s.a.EncodedSize() }
-func (s *avgState) Value() float64                          { return s.a.Value() }
-
-func (s *avgState) Reset() { s.a = NewAvg(s.a.sum.Levels()) }
-
-// varState adapts Variance to the AggState interface; kind selects the
-// finalizer (VAR_POP/VAR_SAMP/STDDEV_POP/STDDEV_SAMP).
-type varState struct {
-	v    Variance
-	kind AggKind
-}
-
-func newVarState(levels int, kind AggKind) *varState {
-	return &varState{v: NewVariance(levels), kind: kind}
-}
-
-func (s *varState) Add(x float64) { s.v.Add(x) }
-
-func (s *varState) MergeFrom(o AggState) error {
-	t, ok := o.(*varState)
-	if !ok || t.kind != s.kind {
-		return fmt.Errorf("%w: %s vs %T", ErrMergeMismatch, s.kind, o)
-	}
-	if t.v.sum.Levels() != s.v.sum.Levels() {
-		return fmt.Errorf("%w: %s levels %d vs %d", ErrMergeMismatch, s.kind, t.v.sum.Levels(), s.v.sum.Levels())
-	}
-	s.v.MergeFrom(&t.v)
-	return nil
-}
-
-func (s *varState) MergeBinary(data []byte) error           { return s.v.MergeBinary(data) }
-func (s *varState) AppendBinary(dst []byte) ([]byte, error) { return s.v.AppendBinary(dst) }
-func (s *varState) UnmarshalBinary(data []byte) error       { return s.v.UnmarshalBinary(data) }
-func (s *varState) EncodedSize() int                        { return s.v.EncodedSize() }
-
-func (s *varState) Value() float64 {
-	switch s.kind {
-	case AggVarPop:
-		return s.v.VarPop()
-	case AggVarSamp:
-		return s.v.VarSamp()
-	case AggStddevPop:
-		return s.v.StddevPop()
-	default:
-		return s.v.StddevSamp()
-	}
-}
-
-func (s *varState) Reset() { s.v = NewVariance(s.v.sum.Levels()) }
-
-// minmaxState is the MIN/MAX aggregate. float64 min/max is associative
-// and commutative (with NaN absorbing and −0 < +0 ties resolved by
-// math.Min/math.Max), so no summation state is needed. NaN inputs are
-// canonicalized so the encoding stays a function of the multiset.
-type minmaxState struct {
-	seen  bool
-	cur   float64
-	isMax bool
-}
-
-// canonicalNaN is the single NaN bit pattern allowed in encodings.
-var canonicalNaN = math.Float64bits(math.NaN())
-
-func (m *minmaxState) Add(x float64) {
-	if math.IsNaN(x) {
-		x = math.Float64frombits(canonicalNaN)
-	}
-	if !m.seen {
-		m.seen, m.cur = true, x
-		return
-	}
-	if m.isMax {
-		m.cur = math.Max(m.cur, x)
-	} else {
-		m.cur = math.Min(m.cur, x)
-	}
-}
-
-func (m *minmaxState) MergeFrom(o AggState) error {
-	t, ok := o.(*minmaxState)
-	if !ok || t.isMax != m.isMax {
-		return fmt.Errorf("%w: MIN/MAX vs %T", ErrMergeMismatch, o)
-	}
-	if t.seen {
-		m.Add(t.cur)
-	}
-	return nil
-}
-
-// minmaxSize is 1 flag byte plus the 8-byte value bits.
-const minmaxSize = 1 + 8
-
-func (m *minmaxState) AppendBinary(dst []byte) ([]byte, error) {
-	var b [minmaxSize]byte
-	if m.seen {
-		b[0] = 1
-		binary.LittleEndian.PutUint64(b[1:], math.Float64bits(m.cur))
-	}
-	return append(dst, b[:]...), nil
-}
-
-func (m *minmaxState) decode(data []byte) (seen bool, cur float64, err error) {
-	if len(data) != minmaxSize || data[0] > 1 {
-		return false, 0, ErrBadState
-	}
-	bits := binary.LittleEndian.Uint64(data[1:])
-	if data[0] == 0 {
-		if bits != 0 {
-			return false, 0, fmt.Errorf("%w: empty MIN/MAX with nonzero value", ErrBadState)
+	specs := make([]AggSpec, count)
+	for i := range specs {
+		rec := data[2+i*specWireSize:]
+		if rec[1] == 0 {
+			// The encoder always writes resolved levels; a 0 byte is
+			// non-canonical and would break digest equality.
+			return nil, 0, fmt.Errorf("%w: unresolved level count on the wire", ErrBadSpec)
 		}
-		return false, 0, nil
+		specs[i] = AggSpec{
+			Kind:   AggKind(rec[0]),
+			Levels: int(rec[1]),
+			Col:    int(binary.LittleEndian.Uint16(rec[2:])),
+		}
+		if err := specs[i].Validate(); err != nil {
+			return nil, 0, err
+		}
 	}
-	v := math.Float64frombits(bits)
-	if math.IsNaN(v) && bits != canonicalNaN {
-		return false, 0, fmt.Errorf("%w: non-canonical NaN in MIN/MAX", ErrBadState)
-	}
-	return true, v, nil
+	return specs, n, nil
 }
-
-func (m *minmaxState) MergeBinary(data []byte) error {
-	seen, cur, err := m.decode(data)
-	if err != nil {
-		return err
-	}
-	if seen {
-		m.Add(cur)
-	}
-	return nil
-}
-
-func (m *minmaxState) UnmarshalBinary(data []byte) error {
-	seen, cur, err := m.decode(data)
-	if err != nil {
-		return err
-	}
-	m.seen, m.cur = seen, cur
-	return nil
-}
-
-func (m *minmaxState) EncodedSize() int { return minmaxSize }
-
-// Value returns the extremum, or NaN for an empty input (SQL NULL).
-func (m *minmaxState) Value() float64 {
-	if !m.seen {
-		return math.NaN()
-	}
-	return m.cur
-}
-
-func (m *minmaxState) Reset() { m.seen, m.cur = false, 0 }

@@ -2,14 +2,15 @@ package sqlagg
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
-// FuzzAggStateDecode drives arbitrary bytes through every registered
-// aggregate decoder. The contract at the trust boundary: malformed
-// bytes error, never panic; accepted bytes are in canonical form, so
-// re-encoding reproduces them exactly; and MergeBinary accepts exactly
-// what UnmarshalBinary accepts (modulo level mismatches).
+// FuzzAggStateDecode drives arbitrary bytes through the AggState view
+// of every catalog kind. The contract at the trust boundary: malformed
+// bytes are ErrBadState, never a panic; bytes an empty state accepts
+// are canonical, so re-encoding reproduces them exactly; and merging
+// them into a non-empty state must not panic either.
 func FuzzAggStateDecode(f *testing.F) {
 	seedSpecs := []AggSpec{
 		{Kind: AggSum, Levels: 2},
@@ -20,10 +21,7 @@ func FuzzAggStateDecode(f *testing.F) {
 		{Kind: AggMax},
 	}
 	for _, sp := range seedSpecs {
-		st, err := sp.New()
-		if err != nil {
-			f.Fatal(err)
-		}
+		st := mustState(f, sp)
 		st.Add(1.5)
 		st.Add(-2.25)
 		enc, err := st.AppendBinary(nil)
@@ -38,25 +36,23 @@ func FuzzAggStateDecode(f *testing.F) {
 	decodeSpecs := allSpecs(2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, sp := range decodeSpecs {
-			st, err := sp.New()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.UnmarshalBinary(data); err != nil {
+			st := mustState(t, sp)
+			if err := st.MergeBinary(data); err != nil {
+				if !errors.Is(err, ErrBadState) {
+					t.Fatalf("%s: untyped decode error: %v", sp.Kind, err)
+				}
 				continue
 			}
 			re, err := st.AppendBinary(nil)
-			if err != nil {
-				t.Fatalf("%s: re-encode of accepted bytes failed: %v", sp.Kind, err)
+			if err != nil || !bytes.Equal(re, data) {
+				t.Fatalf("%s: accepted non-canonical encoding (re-encode err %v)", sp.Kind, err)
 			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("%s: accepted non-canonical encoding", sp.Kind)
-			}
-			fresh, _ := sp.New()
-			fresh.Add(0.5)
-			// Merging may reject level mismatches but must not panic.
-			_ = fresh.MergeBinary(data)
 			_ = st.Value()
+			fresh := mustState(t, sp)
+			fresh.Add(0.5)
+			// Merging into a non-empty state may reject overflow but must not panic.
+			_ = fresh.MergeBinary(data)
+			_ = fresh.Value()
 		}
 		// Spec lists cross the same boundary via the job blob.
 		if specs, err := DecodeSpecs(data); err == nil {
@@ -66,4 +62,13 @@ func FuzzAggStateDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+func mustState(tb testing.TB, sp AggSpec) AggState {
+	tb.Helper()
+	states, err := NewStates([]AggSpec{sp})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return states[0]
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// allSpecs returns one spec of every registered built-in kind.
+// allSpecs returns one spec of every kind in the catalog.
 func allSpecs(levels int) []AggSpec {
 	return []AggSpec{
 		{Kind: AggSum, Levels: levels},
@@ -60,18 +60,15 @@ func TestAggKindString(t *testing.T) {
 	if AggKind(200).String() != "AggKind(200)" {
 		t.Errorf("unregistered kind String() = %q", AggKind(200).String())
 	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	for _, kind := range []AggKind{0, AggSum} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register(kind %d) should panic", byte(kind))
-				}
-			}()
-			Register(kind, "DUP", func(int) AggState { return new(countState) })
-		}()
+	for _, sp := range allSpecs(0) {
+		if k, ok := KindByName(sp.Kind.String()); !ok || k != sp.Kind {
+			t.Errorf("KindByName(%q) = %v, %v", sp.Kind, k, ok)
+		}
+	}
+	for _, name := range []string{"", "AggKind(0)", "sum", "COVAR_POP"} {
+		if k, ok := KindByName(name); ok {
+			t.Errorf("KindByName(%q) = %v, want no kind", name, k)
+		}
 	}
 }
 
@@ -131,16 +128,24 @@ func TestDecodeSpecsRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestAggStateRoundTrip checks, for every kind: encode → decode → Value
-// is bit-identical, EncodedSize matches the appended length and is
-// data-independent, and AppendBinary is append-only.
+// newState returns the one-spec state of spec.
+func newState(t testing.TB, spec AggSpec) AggState {
+	t.Helper()
+	states, err := NewStates([]AggSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return states[0]
+}
+
+// TestAggStateRoundTrip checks, for every kind: encode → merge into an
+// empty state → Value is bit-identical, EncodedSize matches the
+// appended length and is data-independent, and AppendBinary is
+// append-only.
 func TestAggStateRoundTrip(t *testing.T) {
 	xs := workload.Values64(3, 500, workload.MixedMag)
 	for _, spec := range allSpecs(3) {
-		st, err := spec.New()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newState(t, spec)
 		emptySize := st.EncodedSize()
 		for _, x := range xs {
 			st.Add(x)
@@ -160,9 +165,9 @@ func TestAggStateRoundTrip(t *testing.T) {
 		if len(body) != st.EncodedSize() {
 			t.Fatalf("%s: encoded %d bytes, EncodedSize %d", spec.Kind, len(body), st.EncodedSize())
 		}
-		back, _ := spec.New()
-		if err := back.UnmarshalBinary(body); err != nil {
-			t.Fatalf("%s: UnmarshalBinary: %v", spec.Kind, err)
+		back := newState(t, spec)
+		if err := back.MergeBinary(body); err != nil {
+			t.Fatalf("%s: MergeBinary: %v", spec.Kind, err)
 		}
 		if math.Float64bits(back.Value()) != math.Float64bits(st.Value()) {
 			t.Errorf("%s: round-trip Value %v vs %v", spec.Kind, back.Value(), st.Value())
@@ -175,122 +180,80 @@ func TestAggStateRoundTrip(t *testing.T) {
 }
 
 // TestAggStateSplitMerge checks the distributed contract: splitting the
-// input, shipping encoded partials, and merging (both in memory and via
-// MergeBinary) is bit-identical to sequential accumulation.
+// input, shipping encoded partials and merging them in any order is
+// bit-identical to sequential accumulation.
 func TestAggStateSplitMerge(t *testing.T) {
 	xs := workload.Values64(7, 2000, workload.MixedMag)
 	for _, spec := range allSpecs(2) {
-		whole, _ := spec.New()
+		whole := newState(t, spec)
 		for _, x := range xs {
 			whole.Add(x)
 		}
 		parts := make([]AggState, 4)
 		for i := range parts {
-			parts[i], _ = spec.New()
+			parts[i] = newState(t, spec)
 		}
 		for i, x := range xs {
 			parts[i%4].Add(x)
 		}
-		// In-memory merge tree.
-		mem, _ := spec.New()
-		for _, p := range parts {
-			if err := mem.MergeFrom(p); err != nil {
-				t.Fatalf("%s: MergeFrom: %v", spec.Kind, err)
+		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+			wire := newState(t, spec)
+			for _, i := range order {
+				enc, err := parts[i].AppendBinary(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := wire.MergeBinary(enc); err != nil {
+					t.Fatalf("%s: MergeBinary: %v", spec.Kind, err)
+				}
 			}
-		}
-		// Wire merge, reversed order (merge must be order-independent).
-		wire, _ := spec.New()
-		for i := len(parts) - 1; i >= 0; i-- {
-			enc, err := parts[i].AppendBinary(nil)
-			if err != nil {
-				t.Fatal(err)
+			if wb, mb := math.Float64bits(whole.Value()), math.Float64bits(wire.Value()); wb != mb {
+				t.Errorf("%s: sequential %x, merged in order %v %x", spec.Kind, wb, order, mb)
 			}
-			if err := wire.MergeBinary(enc); err != nil {
-				t.Fatalf("%s: MergeBinary: %v", spec.Kind, err)
-			}
-		}
-		wb, sb, mb := math.Float64bits(whole.Value()), math.Float64bits(mem.Value()), math.Float64bits(wire.Value())
-		if wb != sb || wb != mb {
-			t.Errorf("%s: sequential %x, merged %x, wire %x", spec.Kind, wb, sb, mb)
 		}
 	}
 }
 
-func TestAggStateReset(t *testing.T) {
-	for _, spec := range allSpecs(2) {
-		st, _ := spec.New()
-		st.Add(1)
-		st.Add(2)
-		st.Reset()
-		fresh, _ := spec.New()
-		a, _ := st.AppendBinary(nil)
-		b, _ := fresh.AppendBinary(nil)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: Reset state encodes differently from fresh", spec.Kind)
-		}
-	}
-}
-
+// TestAggStateMergeMismatch: an encoding of another kind or level count
+// is rejected at the trust boundary.
 func TestAggStateMergeMismatch(t *testing.T) {
-	sum2, _ := AggSpec{Kind: AggSum, Levels: 2}.New()
-	sum3, _ := AggSpec{Kind: AggSum, Levels: 3}.New()
-	cnt, _ := AggSpec{Kind: AggCount}.New()
-	mn, _ := AggSpec{Kind: AggMin}.New()
-	mx, _ := AggSpec{Kind: AggMax}.New()
-	vp, _ := AggSpec{Kind: AggVarPop}.New()
-	vs, _ := AggSpec{Kind: AggVarSamp}.New()
-	avg2, _ := AggSpec{Kind: AggAvg, Levels: 2}.New()
-	avg3, _ := AggSpec{Kind: AggAvg, Levels: 3}.New()
-	for name, pair := range map[string][2]AggState{
-		"sum levels":  {sum2, sum3},
-		"sum vs cnt":  {sum2, cnt},
-		"cnt vs sum":  {cnt, sum2},
-		"min vs max":  {mn, mx},
-		"pop vs samp": {vp, vs},
-		"avg levels":  {avg2, avg3},
-		"avg vs var":  {avg2, vp},
+	for name, pair := range map[string][2]AggSpec{
+		"sum levels":   {{Kind: AggSum, Levels: 2}, {Kind: AggSum, Levels: 3}},
+		"sum vs cnt":   {{Kind: AggSum, Levels: 2}, {Kind: AggCount}},
+		"cnt vs sum":   {{Kind: AggCount}, {Kind: AggSum, Levels: 2}},
+		"avg levels":   {{Kind: AggAvg, Levels: 2}, {Kind: AggAvg, Levels: 3}},
+		"avg vs var":   {{Kind: AggAvg, Levels: 2}, {Kind: AggVarPop, Levels: 2}},
+		"var levels":   {{Kind: AggVarPop}, {Kind: AggVarPop, Levels: 3}},
+		"min vs sum":   {{Kind: AggMin}, {Kind: AggSum, Levels: 1}},
+		"avg1 vs sum2": {{Kind: AggAvg, Levels: 1}, {Kind: AggSum, Levels: 2}},
 	} {
-		if err := pair[0].MergeFrom(pair[1]); !errors.Is(err, ErrMergeMismatch) {
-			t.Errorf("%s: MergeFrom = %v, want ErrMergeMismatch", name, err)
+		enc, err := newState(t, pair[1]).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Level mismatches must also fail across the wire.
-	enc, _ := sum3.AppendBinary(nil)
-	if err := sum2.MergeBinary(enc); err == nil {
-		t.Error("SUM MergeBinary accepted mismatched levels")
-	}
-	encAvg, _ := avg3.AppendBinary(nil)
-	if err := avg2.MergeBinary(encAvg); !errors.Is(err, ErrMergeMismatch) {
-		t.Error("AVG MergeBinary accepted mismatched levels")
-	}
-	vp3, _ := AggSpec{Kind: AggVarPop, Levels: 3}.New()
-	ev, _ := vp3.AppendBinary(nil)
-	if err := vp.MergeBinary(ev); !errors.Is(err, ErrMergeMismatch) {
-		t.Error("VAR MergeBinary accepted mismatched levels")
+		if err := newState(t, pair[0]).MergeBinary(enc); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: MergeBinary = %v, want ErrBadState", name, err)
+		}
 	}
 }
 
 func TestCountStateCountsRows(t *testing.T) {
-	st, _ := AggSpec{Kind: AggCount}.New()
+	st := newState(t, AggSpec{Kind: AggCount})
 	for _, x := range []float64{math.NaN(), math.Inf(1), 0, -5} {
 		st.Add(x)
 	}
 	if st.Value() != 4 {
 		t.Errorf("COUNT = %v", st.Value())
 	}
-	if _, err := (AggSpec{Kind: AggCount}).StateSize(); err != nil {
-		t.Fatal(err)
-	}
 	// Negative counts are rejected at the trust boundary.
 	neg := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-	if err := st.UnmarshalBinary(neg); !errors.Is(err, ErrBadState) {
+	if err := st.MergeBinary(neg); !errors.Is(err, ErrBadState) {
 		t.Errorf("negative count decode = %v", err)
 	}
 }
 
 func TestMinMaxSemantics(t *testing.T) {
-	mn, _ := AggSpec{Kind: AggMin}.New()
-	mx, _ := AggSpec{Kind: AggMax}.New()
+	mn, mx := newState(t, AggSpec{Kind: AggMin}), newState(t, AggSpec{Kind: AggMax})
 	if !math.IsNaN(mn.Value()) || !math.IsNaN(mx.Value()) {
 		t.Error("empty MIN/MAX should be NaN (SQL NULL)")
 	}
@@ -302,8 +265,7 @@ func TestMinMaxSemantics(t *testing.T) {
 		t.Errorf("MIN=%v MAX=%v", mn.Value(), mx.Value())
 	}
 	// Signed-zero ties are deterministic: MIN picks −0, MAX picks +0.
-	zmin, _ := AggSpec{Kind: AggMin}.New()
-	zmax, _ := AggSpec{Kind: AggMax}.New()
+	zmin, zmax := newState(t, AggSpec{Kind: AggMin}), newState(t, AggSpec{Kind: AggMax})
 	for _, x := range []float64{0, math.Copysign(0, -1)} {
 		zmin.Add(x)
 		zmax.Add(x)
@@ -312,8 +274,7 @@ func TestMinMaxSemantics(t *testing.T) {
 		t.Error("signed-zero tie not canonical")
 	}
 	// NaN inputs absorb, and any NaN payload encodes canonically.
-	nanA, _ := AggSpec{Kind: AggMax}.New()
-	nanB, _ := AggSpec{Kind: AggMax}.New()
+	nanA, nanB := newState(t, AggSpec{Kind: AggMax}), newState(t, AggSpec{Kind: AggMax})
 	nanA.Add(math.NaN())
 	nanA.Add(5)
 	nanB.Add(math.Float64frombits(0x7FF0000000000042)) // a different NaN payload
@@ -328,7 +289,7 @@ func TestMinMaxSemantics(t *testing.T) {
 }
 
 func TestMinMaxDecodeRejectsMalformed(t *testing.T) {
-	st, _ := AggSpec{Kind: AggMin}.New()
+	st := newState(t, AggSpec{Kind: AggMin})
 	nonCanonicalNaN := make([]byte, 9)
 	nonCanonicalNaN[0] = 1
 	for i := 1; i < 9; i++ {
@@ -343,7 +304,7 @@ func TestMinMaxDecodeRejectsMalformed(t *testing.T) {
 		"non-canonical NaN": nonCanonicalNaN,
 		"empty nonzero":     emptyNonzero,
 	} {
-		if err := st.UnmarshalBinary(blob); !errors.Is(err, ErrBadState) {
+		if err := st.MergeBinary(blob); !errors.Is(err, ErrBadState) {
 			t.Errorf("%s: decode = %v, want ErrBadState", name, err)
 		}
 	}
@@ -354,14 +315,14 @@ func TestMinMaxDecodeRejectsMalformed(t *testing.T) {
 // distributed Q1 equivalence to hold.
 func TestSumStateMatchesCoreSum(t *testing.T) {
 	xs := workload.Values64(11, 3000, workload.MixedMag)
-	st, _ := AggSpec{Kind: AggSum, Levels: 2}.New()
+	st := newState(t, AggSpec{Kind: AggSum, Levels: 2})
 	acc := core.NewSum64(2)
 	for _, x := range xs {
 		st.Add(x)
 		acc.Add(x)
 	}
 	if math.Float64bits(st.Value()) != math.Float64bits(acc.Value()) {
-		t.Fatalf("sumState %v vs core.Sum64 %v", st.Value(), acc.Value())
+		t.Fatalf("SUM state %v vs core.Sum64 %v", st.Value(), acc.Value())
 	}
 }
 
@@ -380,5 +341,17 @@ func TestTupleSize(t *testing.T) {
 	}
 	if _, err := NewStates(make([]AggSpec, maxSpecs+1)); !errors.Is(err, ErrBadSpec) {
 		t.Error("NewStates over limit should fail")
+	}
+}
+
+// TestTupleSizeAllocatesNothing: admission control prices every query,
+// cache hits included, so pricing reads the catalog without building a
+// state.
+func TestTupleSizeAllocatesNothing(t *testing.T) {
+	specs := q1Catalog(2)
+	var size int
+	allocs := testing.AllocsPerRun(100, func() { size, _ = TupleSize(specs) })
+	if allocs != 0 || size != 396 {
+		t.Errorf("TupleSize(Q1) = %d in %v allocations, want 396 in 0", size, allocs)
 	}
 }

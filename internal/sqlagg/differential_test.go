@@ -88,10 +88,7 @@ const denormalTol = 0.05
 
 func TestAvgDifferentialAdversarial(t *testing.T) {
 	for name, xs := range adversarialInputs() {
-		a := NewAvg(4)
-		for _, x := range xs {
-			a.Add(x)
-		}
+		a := statesOf(t, 4, xs, AggAvg)[0]
 		want := exactMean(xs)
 		// The reproducible sum is exact up to its level capacity; the
 		// only roundings are x-folds and the final division. The bound
@@ -112,10 +109,7 @@ func TestAvgDifferentialAdversarial(t *testing.T) {
 
 func TestVarStddevDifferentialAdversarial(t *testing.T) {
 	for name, xs := range adversarialInputs() {
-		v := NewVariance(4)
-		for _, x := range xs {
-			v.Add(x)
-		}
+		v := statesOf(t, 4, xs, AggVarPop, AggStddevPop, AggVarSamp)
 		want := exactVarPop(xs)
 		wantF, _ := want.Float64()
 		if wantF < 0 {
@@ -133,18 +127,18 @@ func TestVarStddevDifferentialAdversarial(t *testing.T) {
 		if name == "denormals" {
 			tol = math.Max(tol, denormalTol)
 		}
-		got := v.VarPop()
+		got := v[0].Value()
 		if e := relErr(got, want, math.SmallestNonzeroFloat64); e > tol {
 			t.Errorf("%s: VAR_POP rel err %.3e > %.3e (got %v, want %v)", name, e, tol, got, wantF)
 		}
 		// STDDEV_POP must be exactly √VAR_POP (one deterministic sqrt).
-		if math.Float64bits(v.StddevPop()) != math.Float64bits(math.Sqrt(got)) {
+		if math.Float64bits(v[1].Value()) != math.Float64bits(math.Sqrt(got)) {
 			t.Errorf("%s: STDDEV_POP is not sqrt(VAR_POP)", name)
 		}
 		// And the sample variants agree with the n/(n−1) rescale of the
 		// same numerator.
-		n := float64(v.Count())
-		if s := v.VarSamp(); math.Abs(s-got*n/(n-1)) > 1e-12*math.Max(math.Abs(s), 1) {
+		n := float64(len(xs))
+		if s := v[2].Value(); math.Abs(s-got*n/(n-1)) > 1e-12*math.Max(math.Abs(s), 1) {
 			t.Errorf("%s: VAR_SAMP %v inconsistent with VAR_POP %v", name, s, got)
 		}
 	}
@@ -155,27 +149,28 @@ func TestVarStddevDifferentialAdversarial(t *testing.T) {
 // orders, split across merged partials, must finalize bit-identically.
 func TestVarStddevPermutationStable(t *testing.T) {
 	for name, xs := range adversarialInputs() {
-		seq := NewVariance(3)
-		for _, x := range xs {
-			seq.Add(x)
-		}
-		rev := NewVariance(3)
-		for i := len(xs) - 1; i >= 0; i-- {
-			rev.Add(xs[i])
-		}
-		parts := [3]Variance{NewVariance(3), NewVariance(3), NewVariance(3)}
+		kinds := []AggKind{AggVarPop, AggStddevSamp}
+		seq := statesOf(t, 3, xs, kinds...)
+		backwards := make([]float64, len(xs))
 		for i, x := range xs {
-			parts[i%3].Add(x)
+			backwards[len(xs)-1-i] = x
 		}
-		merged := NewVariance(3)
-		for i := range parts {
-			merged.MergeFrom(&parts[i])
+		rev := statesOf(t, 3, backwards, kinds...)
+		var parts [3][]float64
+		for i, x := range xs {
+			parts[i%3] = append(parts[i%3], x)
+		}
+		merged := statesOf(t, 3, nil, kinds...)
+		for _, part := range parts {
+			for k, st := range statesOf(t, 3, part, kinds...) {
+				mergeInto(t, merged[k], st)
+			}
 		}
 		for _, pair := range [][2]float64{
-			{seq.VarPop(), rev.VarPop()},
-			{seq.VarPop(), merged.VarPop()},
-			{seq.StddevSamp(), rev.StddevSamp()},
-			{seq.StddevSamp(), merged.StddevSamp()},
+			{seq[0].Value(), rev[0].Value()},
+			{seq[0].Value(), merged[0].Value()},
+			{seq[1].Value(), rev[1].Value()},
+			{seq[1].Value(), merged[1].Value()},
 		} {
 			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 				t.Fatalf("%s: variance not permutation/merge stable: %v vs %v", name, pair[0], pair[1])

@@ -16,16 +16,13 @@
 // Population/sample variants follow the SQL standard: VAR_POP divides
 // by n, VAR_SAMP by n−1 (NULL — here NaN — for n < 2).
 //
-// The package has two layers over one set of finalisers. The per-spec
-// library — Avg, Variance, Covariance and the AggState catalog in
-// aggstate.go — gives every aggregate its own accumulator; it is the
-// single-aggregate API and the oracle the tests compare against. The
-// GROUP BY pipeline runs the other layer (tuple.go): a query's logical
-// specs are planned once into their distinct physical components — one
-// reproducible sum per (column, x or x², level count), one shared row
-// counter, one extremum per (column, MIN|MAX) — and each spec becomes a
-// finaliser over them, the init / step / finalize contract of a SQL
-// aggregate function plus merge and encode:
+// There is one accumulator. The catalog (aggstate.go) declares every
+// aggregate kind once, as a table row: its SQL name, the physical
+// components it reads — one reproducible sum per (column, x or x², level
+// count), one shared row counter, one extremum per (column, MIN|MAX) —
+// and its finaliser over them. TuplePlan (tuple.go) plans a query's
+// specs onto their distinct components, the init / step / finalize
+// contract of a SQL aggregate function plus merge and encode:
 //
 //	init      TuplePlan.NewTuple   empty components, optional §V-A buffers
 //	step      TuplePlan.AddRow     one value per summed column per row
@@ -34,8 +31,9 @@
 //	finalize  TuplePlan.Finalize   one float64 per spec, in spec order
 //
 // so SUM(x), AVG(x), VAR_POP(x) and COUNT(*) cost two sums and a
-// counter per row, not four accumulators, and finalize to the bits the
-// four accumulators would.
+// counter per row, not four accumulators. AggState is a one-spec plan
+// for callers that fold one aggregate a value at a time. Covariance and
+// the dot products are not GROUP BY catalog kinds.
 package sqlagg
 
 import (
@@ -45,33 +43,6 @@ import (
 	"repro/internal/rsum"
 )
 
-// Avg is the reproducible AVG(x) aggregate.
-type Avg struct {
-	sum core.Sum64
-	n   int64
-}
-
-// NewAvg returns an empty AVG accumulator with the given level count.
-func NewAvg(levels int) Avg { return Avg{sum: core.NewSum64(levels)} }
-
-// Add folds one row in.
-func (a *Avg) Add(x float64) {
-	a.sum.Add(x)
-	a.n++
-}
-
-// MergeFrom combines partial aggregates.
-func (a *Avg) MergeFrom(o *Avg) {
-	a.sum.MergeFrom(&o.sum)
-	a.n += o.n
-}
-
-// Count returns the row count.
-func (a *Avg) Count() int64 { return a.n }
-
-// Value finalizes: SUM(x)/COUNT(x); NaN for an empty input (SQL NULL).
-func (a *Avg) Value() float64 { return avgOf(a.sum.State(), a.n) }
-
 // avgOf is AVG's finaliser over its physical components: Σx / n.
 func avgOf(sum *rsum.State64, n int64) float64 {
 	if n == 0 {
@@ -80,47 +51,11 @@ func avgOf(sum *rsum.State64, n int64) float64 {
 	return sum.Value() / float64(n)
 }
 
-// Variance is the reproducible VARIANCE/STDDEV aggregate, computed from
-// SUM(x) and SUM(x²) — the textbook decomposition the paper alludes to.
-// The squaring x·x is a single deterministic rounding per row, so the
-// whole aggregate is a function of the input multiset.
-type Variance struct {
-	sum   core.Sum64
-	sumSq core.Sum64
-	n     int64
-}
-
-// NewVariance returns an empty variance accumulator.
-func NewVariance(levels int) Variance {
-	return Variance{sum: core.NewSum64(levels), sumSq: core.NewSum64(levels)}
-}
-
-// Add folds one row in.
-func (v *Variance) Add(x float64) {
-	v.sum.Add(x)
-	v.sumSq.Add(x * x)
-	v.n++
-}
-
-// MergeFrom combines partial aggregates.
-func (v *Variance) MergeFrom(o *Variance) {
-	v.sum.MergeFrom(&o.sum)
-	v.sumSq.MergeFrom(&o.sumSq)
-	v.n += o.n
-}
-
-// Count returns the row count.
-func (v *Variance) Count() int64 { return v.n }
-
-// VarPop finalizes VAR_POP = (Σx² − (Σx)²/n) / n, clamped at 0 against
-// tiny negative results from the final (deterministic) roundings.
-func (v *Variance) VarPop() float64 { return varianceOf(v.sum.State(), v.sumSq.State(), v.n, 0) }
-
-// VarSamp finalizes VAR_SAMP = (Σx² − (Σx)²/n) / (n−1); NaN for n < 2.
-func (v *Variance) VarSamp() float64 { return varianceOf(v.sum.State(), v.sumSq.State(), v.n, 1) }
-
 // varianceOf is the variance finaliser over its physical components:
-// (Σx² − (Σx)²/n) / (n − ddof), NaN (SQL NULL) when n ≤ ddof.
+// (Σx² − (Σx)²/n) / (n − ddof), NaN (SQL NULL) when n ≤ ddof, clamped
+// at 0 against tiny negative results of the final roundings. Σx² sums
+// x·x, one deterministic rounding per row, so the result is a function
+// of the input multiset.
 func varianceOf(sum, sumSq *rsum.State64, n, ddof int64) float64 {
 	if n <= ddof {
 		return math.NaN()
@@ -133,12 +68,6 @@ func varianceOf(sum, sumSq *rsum.State64, n, ddof int64) float64 {
 	}
 	return r
 }
-
-// StddevPop finalizes STDDEV_POP.
-func (v *Variance) StddevPop() float64 { return math.Sqrt(v.VarPop()) }
-
-// StddevSamp finalizes STDDEV_SAMP.
-func (v *Variance) StddevSamp() float64 { return math.Sqrt(v.VarSamp()) }
 
 // Covariance is the reproducible COVAR_POP/COVAR_SAMP/CORR aggregate
 // over pairs (x, y), from SUM(x), SUM(y), SUM(x·y), SUM(x²), SUM(y²).

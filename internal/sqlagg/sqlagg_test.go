@@ -8,18 +8,47 @@ import (
 	"repro/internal/workload"
 )
 
-func TestAvg(t *testing.T) {
-	a := NewAvg(2)
-	for _, x := range []float64{1, 2, 3, 4} {
-		a.Add(x)
+// statesOf returns one one-spec state (NewStates) per kind, all at
+// levels, with xs added to each a row at a time.
+func statesOf(t testing.TB, levels int, xs []float64, kinds ...AggKind) []AggState {
+	t.Helper()
+	specs := make([]AggSpec, len(kinds))
+	for i, k := range kinds {
+		specs[i] = AggSpec{Kind: k, Levels: levels}
 	}
-	if v := a.Value(); v != 2.5 {
+	states, err := NewStates(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		for _, st := range states {
+			st.Add(x)
+		}
+	}
+	return states
+}
+
+// mergeInto folds the encoding of src into dst, as a shuffle does.
+func mergeInto(t testing.TB, dst, src AggState) {
+	t.Helper()
+	enc, err := src.AppendBinary(nil)
+	if err == nil {
+		err = dst.MergeBinary(enc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAvg(t *testing.T) {
+	a := statesOf(t, 2, []float64{1, 2, 3, 4}, AggAvg, AggCount)
+	if v := a[0].Value(); v != 2.5 {
 		t.Errorf("AVG = %v", v)
 	}
-	if a.Count() != 4 {
-		t.Errorf("COUNT = %d", a.Count())
+	if a[1].Value() != 4 {
+		t.Errorf("COUNT = %v", a[1].Value())
 	}
-	empty := NewAvg(2)
+	empty := statesOf(t, 2, nil, AggAvg)[0]
 	if !math.IsNaN(empty.Value()) {
 		t.Error("AVG of empty should be NaN (SQL NULL)")
 	}
@@ -27,63 +56,49 @@ func TestAvg(t *testing.T) {
 
 func TestAvgMerge(t *testing.T) {
 	xs := workload.Values64(1, 1000, workload.Exp1)
-	whole := NewAvg(2)
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	a, b := NewAvg(2), NewAvg(2)
+	whole := statesOf(t, 2, xs, AggAvg)[0]
+	var as, bs []float64
 	for i, x := range xs {
 		if i%3 == 0 {
-			a.Add(x)
+			as = append(as, x)
 		} else {
-			b.Add(x)
+			bs = append(bs, x)
 		}
 	}
-	a.MergeFrom(&b)
+	a, b := statesOf(t, 2, as, AggAvg)[0], statesOf(t, 2, bs, AggAvg)[0]
+	mergeInto(t, a, b)
 	if math.Float64bits(a.Value()) != math.Float64bits(whole.Value()) {
 		t.Error("merged AVG differs from sequential")
 	}
 }
 
 func TestVarianceKnownValues(t *testing.T) {
-	v := NewVariance(3)
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		v.Add(x)
-	}
-	if got := v.VarPop(); math.Abs(got-4) > 1e-12 {
+	v := statesOf(t, 3, []float64{2, 4, 4, 4, 5, 5, 7, 9}, AggVarPop, AggStddevPop, AggVarSamp)
+	if got := v[0].Value(); math.Abs(got-4) > 1e-12 {
 		t.Errorf("VAR_POP = %v, want 4", got)
 	}
-	if got := v.StddevPop(); math.Abs(got-2) > 1e-12 {
+	if got := v[1].Value(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("STDDEV_POP = %v, want 2", got)
 	}
-	if got := v.VarSamp(); math.Abs(got-32.0/7) > 1e-12 {
+	if got := v[2].Value(); math.Abs(got-32.0/7) > 1e-12 {
 		t.Errorf("VAR_SAMP = %v, want 32/7", got)
 	}
-	one := NewVariance(2)
-	one.Add(5)
-	if !math.IsNaN(one.VarSamp()) {
+	one := statesOf(t, 2, []float64{5}, AggVarSamp, AggVarPop)
+	if !math.IsNaN(one[0].Value()) {
 		t.Error("VAR_SAMP of one row should be NaN")
 	}
-	if one.VarPop() != 0 {
+	if one[1].Value() != 0 {
 		t.Error("VAR_POP of one row should be 0")
 	}
 }
 
 func TestVariancePermutationStable(t *testing.T) {
 	xs := workload.Values64(3, 2000, workload.MixedMag)
-	ref := NewVariance(2)
-	for _, x := range xs {
-		ref.Add(x)
-	}
-	want := math.Float64bits(ref.VarPop())
+	want := math.Float64bits(statesOf(t, 2, xs, AggVarPop)[0].Value())
 	for seed := uint64(10); seed < 14; seed++ {
 		p := append([]float64(nil), xs...)
 		workload.Shuffle(seed, p)
-		v := NewVariance(2)
-		for _, x := range p {
-			v.Add(x)
-		}
-		if math.Float64bits(v.VarPop()) != want {
+		if math.Float64bits(statesOf(t, 2, p, AggVarPop)[0].Value()) != want {
 			t.Fatalf("VAR_POP changed under permutation %d", seed)
 		}
 	}
@@ -92,11 +107,8 @@ func TestVariancePermutationStable(t *testing.T) {
 func TestVarianceNonNegativeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		xs := workload.Values64(seed, 200, workload.MixedMag)
-		v := NewVariance(2)
-		for _, x := range xs {
-			v.Add(x)
-		}
-		return v.VarPop() >= 0 && v.VarSamp() >= 0
+		v := statesOf(t, 2, xs, AggVarPop, AggVarSamp)
+		return v[0].Value() >= 0 && v[1].Value() >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -107,19 +119,10 @@ func TestVarianceMergeMatches(t *testing.T) {
 	f := func(seed uint64, cut uint8) bool {
 		xs := workload.Values64(seed, 300, workload.Exp1)
 		k := int(cut) % len(xs)
-		whole := NewVariance(2)
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		a, b := NewVariance(2), NewVariance(2)
-		for _, x := range xs[:k] {
-			a.Add(x)
-		}
-		for _, x := range xs[k:] {
-			b.Add(x)
-		}
-		a.MergeFrom(&b)
-		return math.Float64bits(a.VarSamp()) == math.Float64bits(whole.VarSamp())
+		whole := statesOf(t, 2, xs, AggVarSamp)[0]
+		a, b := statesOf(t, 2, xs[:k], AggVarSamp)[0], statesOf(t, 2, xs[k:], AggVarSamp)[0]
+		mergeInto(t, a, b)
+		return math.Float64bits(a.Value()) == math.Float64bits(whole.Value())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -142,14 +145,14 @@ func TestCovarianceAndCorr(t *testing.T) {
 		t.Errorf("REGR_INTERCEPT = %v, want 1", got)
 	}
 	// COVAR_POP of x with x equals VAR_POP of x.
-	v := NewVariance(2)
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	v := statesOf(t, 2, xs, AggVarPop)[0]
 	c2 := NewCovariance(2)
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		v.Add(x)
+	for _, x := range xs {
 		c2.Add(x, x)
 	}
-	if math.Abs(c2.CovarPop()-v.VarPop()) > 1e-9 {
-		t.Errorf("COVAR_POP(x,x) = %v, VAR_POP = %v", c2.CovarPop(), v.VarPop())
+	if math.Abs(c2.CovarPop()-v.Value()) > 1e-9 {
+		t.Errorf("COVAR_POP(x,x) = %v, VAR_POP = %v", c2.CovarPop(), v.Value())
 	}
 	empty := NewCovariance(2)
 	if !math.IsNaN(empty.CovarPop()) || !math.IsNaN(empty.Corr()) {

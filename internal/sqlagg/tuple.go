@@ -1,6 +1,7 @@
 package sqlagg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -10,14 +11,14 @@ import (
 
 // The physical tuple. A GROUP BY's spec list is logical: SUM(x), AVG(x),
 // VAR_POP(x) and COUNT(*) are four specs but only three things to
-// accumulate — Σx, Σx² and the row count n (footnote 2: every aggregate
-// is computable from SUMs). TuplePlan maps a spec list to its distinct
-// physical components and to one finaliser per spec that reads them with
-// the operation sequence of the per-spec AggState, so result bits do not
-// depend on which of the two accumulated the rows. Tuple is one group's
-// components plus the §V-A summation buffers in front of its sums; it is
-// the payload of every aggregation table of the tuple pipeline and,
-// flushed, the per-key record of a shuffle frame.
+// accumulate — Σx, Σx² and the row count n. TuplePlan maps a spec list
+// to its distinct physical components, as the catalog rows name them,
+// and to one finaliser per spec, the row's fin over those components.
+// It is the init / step / merge / encode / finalize of every aggregate;
+// Tuple is one group's components plus the §V-A summation buffers in
+// front of its sums. It is the payload of every aggregation table of
+// the tuple pipeline and, flushed, the per-key record of a shuffle
+// frame.
 
 // sumComp is one reproducible sum over a column or over its squares.
 // Specs that read the same column at different level counts get
@@ -33,9 +34,9 @@ type extComp struct {
 	isMax bool
 }
 
-// finaliser computes one logical spec from the physical components: a
-// indexes Σx (or the extremum, for MIN/MAX), b indexes Σx² for the
-// variance family.
+// finaliser computes one logical spec from the physical components with
+// its catalog row's fin: a indexes Σx (or the extremum, for MIN/MAX), b
+// indexes Σx² for the variance family.
 type finaliser struct {
 	kind AggKind
 	a, b int
@@ -62,30 +63,21 @@ func NewTuplePlan(specs []AggSpec) (*TuplePlan, error) {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
-		f := finaliser{kind: sp.Kind}
-		levels := sp.ResolvedLevels()
-		switch sp.Kind {
-		case AggSum:
-			f.a = component(&p.sums, sumComp{sp.Col, levels, false})
-		case AggCount:
-			p.count = true
-		case AggAvg:
-			f.a = component(&p.sums, sumComp{sp.Col, levels, false})
-			p.count = true
-		case AggVarPop, AggVarSamp, AggStddevPop, AggStddevSamp:
-			f.a = component(&p.sums, sumComp{sp.Col, levels, false})
-			f.b = component(&p.sums, sumComp{sp.Col, levels, true})
-			p.count = true
-		case AggMin, AggMax:
-			f.a = component(&p.exts, extComp{sp.Col, sp.Kind == AggMax})
-		default:
-			return nil, fmt.Errorf("%w: %s has no physical plan", ErrBadSpec, sp.Kind)
+		d, f := sp.Kind.def(), finaliser{kind: sp.Kind}
+		if d.sums > 0 {
+			f.a = component(&p.sums, sumComp{sp.Col, sp.ResolvedLevels(), false})
 		}
+		if d.sums > 1 {
+			f.b = component(&p.sums, sumComp{sp.Col, sp.ResolvedLevels(), true})
+		}
+		if d.ext {
+			f.a = component(&p.exts, extComp{sp.Col, d.isMax})
+		}
+		p.count = p.count || d.count
 		p.fins[i] = f
 	}
 	for _, c := range p.sums {
-		st := rsum.NewState64(c.levels)
-		p.width += st.EncodedSize()
+		p.width += stateSize(c.levels)
 	}
 	if p.count {
 		p.width += countSize
@@ -282,7 +274,7 @@ func (p *TuplePlan) AppendBinary(dst []byte, t *Tuple) ([]byte, error) {
 		}
 	}
 	if p.count {
-		dst = appendCount(dst, t.n)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.n))
 	}
 	for j := range t.exts {
 		dst, _ = t.exts[j].AppendBinary(dst)
@@ -306,9 +298,9 @@ func (p *TuplePlan) MergeBinary(t *Tuple, enc []byte) error {
 		enc = enc[sz:]
 	}
 	if p.count {
-		n, err := decodeCount(enc[:countSize])
-		if err != nil {
-			return err
+		n := int64(binary.LittleEndian.Uint64(enc))
+		if n < 0 || n > math.MaxInt64-t.n {
+			return fmt.Errorf("%w: row count %d merged into %d is negative or overflows", ErrBadState, n, t.n)
 		}
 		t.n += n
 		enc = enc[countSize:]
@@ -331,23 +323,87 @@ func (p *TuplePlan) Finalize(dst []float64, t *Tuple) []float64 {
 	return dst
 }
 
-func (f finaliser) value(t *Tuple) float64 {
-	switch f.kind {
-	case AggSum:
-		return t.sums[f.a].Value()
-	case AggCount:
-		return float64(t.n)
-	case AggAvg:
-		return avgOf(&t.sums[f.a], t.n)
-	case AggVarPop:
-		return varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 0)
-	case AggVarSamp:
-		return varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 1)
-	case AggStddevPop:
-		return math.Sqrt(varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 0))
-	case AggStddevSamp:
-		return math.Sqrt(varianceOf(&t.sums[f.a], &t.sums[f.b], t.n, 1))
-	default: // AggMin, AggMax: NewTuplePlan admits no other kind
-		return t.exts[f.a].Value()
+func (f finaliser) value(t *Tuple) float64 { return catalog[f.kind].fin(t, f.a, f.b) }
+
+// countSize is the encoded row count: 8 bytes, little-endian.
+const countSize = 8
+
+// minmaxState is the extremum component of MIN/MAX. float64 min/max is
+// associative and commutative (with NaN absorbing and −0 < +0 ties
+// resolved by math.Min/math.Max), so no summation state is needed. NaN
+// inputs are canonicalized so the encoding stays a function of the
+// multiset.
+type minmaxState struct {
+	seen  bool
+	cur   float64
+	isMax bool
+}
+
+// canonicalNaN is the single NaN bit pattern allowed in encodings.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+func (m *minmaxState) Add(x float64) {
+	if math.IsNaN(x) {
+		x = math.Float64frombits(canonicalNaN)
+	}
+	if !m.seen {
+		m.seen, m.cur = true, x
+		return
+	}
+	if m.isMax {
+		m.cur = math.Max(m.cur, x)
+	} else {
+		m.cur = math.Min(m.cur, x)
 	}
 }
+
+// minmaxSize is 1 flag byte plus the 8-byte value bits.
+const minmaxSize = 1 + 8
+
+func (m *minmaxState) AppendBinary(dst []byte) ([]byte, error) {
+	var b [minmaxSize]byte
+	if m.seen {
+		b[0] = 1
+		binary.LittleEndian.PutUint64(b[1:], math.Float64bits(m.cur))
+	}
+	return append(dst, b[:]...), nil
+}
+
+func (m *minmaxState) decode(data []byte) (seen bool, cur float64, err error) {
+	if len(data) != minmaxSize || data[0] > 1 {
+		return false, 0, ErrBadState
+	}
+	bits := binary.LittleEndian.Uint64(data[1:])
+	if data[0] == 0 {
+		if bits != 0 {
+			return false, 0, fmt.Errorf("%w: empty MIN/MAX with nonzero value", ErrBadState)
+		}
+		return false, 0, nil
+	}
+	v := math.Float64frombits(bits)
+	if math.IsNaN(v) && bits != canonicalNaN {
+		return false, 0, fmt.Errorf("%w: non-canonical NaN in MIN/MAX", ErrBadState)
+	}
+	return true, v, nil
+}
+
+func (m *minmaxState) MergeBinary(data []byte) error {
+	seen, cur, err := m.decode(data)
+	if err != nil {
+		return err
+	}
+	if seen {
+		m.Add(cur)
+	}
+	return nil
+}
+
+// Value returns the extremum, or NaN for an empty input (SQL NULL).
+func (m *minmaxState) Value() float64 {
+	if !m.seen {
+		return math.NaN()
+	}
+	return m.cur
+}
+
+func (m *minmaxState) Reset() { m.seen, m.cur = false, 0 }

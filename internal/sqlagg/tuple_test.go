@@ -2,12 +2,14 @@ package sqlagg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rsum"
 	"repro/internal/workload"
 )
@@ -118,11 +120,11 @@ func TestTuplePlanDecisions(t *testing.T) {
 }
 
 // TestSingleSumTupleIsTheSumState: a single-SUM plan's tuple encodes to
-// exactly the bytes of the SUM AggState — the pre-tuple shuffle record.
+// exactly the bytes of a bare rsum state — the pre-tuple shuffle record.
 func TestSingleSumTupleIsTheSumState(t *testing.T) {
 	spec := AggSpec{Kind: AggSum, Levels: 2, Col: 0}
 	vals := workload.Values64(3, 500, workload.MixedMag)
-	st, _ := spec.New()
+	st := rsum.NewState64(2)
 	for _, v := range vals {
 		st.Add(v)
 	}
@@ -157,7 +159,8 @@ func differentialCatalog() []AggSpec {
 }
 
 // TestTupleMatchesPerSpecStates is the differential test of the physical
-// tuple against the per-spec AggState library: for every kind, over
+// tuple, whose specs share components, against one unbuffered one-spec
+// plan per spec (NewStates) fed sequentially: for every kind, over
 // well-scaled rows and rows with NaN, ±Inf, ±0 and out-of-range
 // magnitudes, a tuple pipeline — rows dealt to random shards, each
 // shard a tuple at bsz 0, 32 or 1024, shards folded over a random
@@ -272,7 +275,7 @@ func TestBudgetEdgesTupleAndSumState(t *testing.T) {
 	for _, n := range []int{1, 15, 16, 17, 2047, 2048, 2049, 3*2048 + 5} {
 		cols := [][]float64{edge(n, 1), edge(n, -1)}
 		flat, buffered := p.NewTuple(0), p.NewTuple(32)
-		sum, _ := AggSpec{Kind: AggSum, Levels: 2}.New()
+		sum := newState(t, AggSpec{Kind: AggSum, Levels: 2})
 		eager := rsum.NewState64(2)
 		for i := 0; i < n; i++ {
 			p.AddRow(&flat, cols, i)
@@ -327,10 +330,40 @@ func TestTupleMergeRejectsWrongWidth(t *testing.T) {
 	}
 }
 
+// TestTupleMergeRejectsCountOverflow: merged row counts that would pass
+// math.MaxInt64 are ErrBadState, so a tuple never holds a count its own
+// encoding could not carry.
+func TestTupleMergeRejectsCountOverflow(t *testing.T) {
+	for _, specs := range [][]AggSpec{{{Kind: AggCount}}, q1Catalog(2)} {
+		p, err := NewTuplePlan(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := func(n int64) []byte {
+			tup := p.NewTuple(0)
+			b, _ := p.AppendBinary(nil, &tup)
+			binary.LittleEndian.PutUint64(b[p.Width()-countSize:], uint64(n))
+			return b
+		}
+		tup := p.NewTuple(0)
+		if err := p.MergeBinary(&tup, enc(math.MaxInt64)); err != nil {
+			t.Fatalf("%d specs: a count of 2^63-1: %v", len(specs), err)
+		}
+		if err := p.MergeBinary(&tup, enc(1)); !errors.Is(err, ErrBadState) {
+			t.Fatalf("%d specs: 2^63-1 + 1 rows merged: %v", len(specs), err)
+		}
+		if got, err := p.AppendBinary(nil, &tup); err != nil || !bytes.Equal(got, enc(math.MaxInt64)) {
+			t.Errorf("%d specs: the rejected merge moved the count (err %v)", len(specs), err)
+		}
+	}
+}
+
 // FuzzTupleDecode drives arbitrary bytes through whole-tuple decoding,
-// for plans of every component shape. Malformed bytes are ErrBadState,
+// for plans of every component shape, a one-spec plan of every kind at
+// the level-count extremes among them. Malformed bytes are ErrBadState,
 // never a panic; accepted bytes are canonical, so decoding them into an
-// empty tuple and re-encoding reproduces them exactly.
+// empty tuple and re-encoding reproduces them exactly. Spec lists cross
+// the same boundary in job blobs, and are held to the same fixpoint.
 func FuzzTupleDecode(f *testing.F) {
 	catalogs := [][]AggSpec{
 		{{Kind: AggSum, Levels: 2}},
@@ -338,6 +371,11 @@ func FuzzTupleDecode(f *testing.F) {
 		differentialCatalog(),
 		{{Kind: AggCount}},
 		{{Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 1}},
+	}
+	for _, levels := range []int{1, core.MaxLevels} {
+		for _, sp := range allSpecs(levels) {
+			catalogs = append(catalogs, []AggSpec{sp})
+		}
 	}
 	plans := make([]*TuplePlan, len(catalogs))
 	cols := [][]float64{{1.5, -2.25}, {0x1p-30, 3}, {7, 7}, {-1, 0}, {0.5, 0.25}}
@@ -375,6 +413,12 @@ func FuzzTupleDecode(f *testing.F) {
 				t.Fatalf("plan %d: accepted non-canonical tuple (re-encode err %v)", i, err)
 			}
 			_ = p.Finalize(nil, &tup)
+		}
+		if specs, err := DecodeSpecs(data); err == nil {
+			re, err := EncodeSpecs(nil, specs)
+			if err != nil || !bytes.Equal(re, data) {
+				t.Fatal("DecodeSpecs accepted a non-canonical spec list")
+			}
 		}
 	})
 }

@@ -49,7 +49,7 @@ type ServeResult = serve.Result
 
 // Typed errors of the serving layer, matchable with errors.Is.
 var (
-	// ErrBadQuery: unknown kind, unregistered aggregate, out-of-range
+	// ErrBadQuery: unknown kind, aggregate not in the catalog, out-of-range
 	// column, or invalid level count.
 	ErrBadQuery = serve.ErrBadQuery
 	// ErrOverBudget: the query's estimated working memory exceeds the
