@@ -368,6 +368,147 @@ func TestMergeBinaryThenGroups(t *testing.T) {
 	}
 }
 
+// TestGroupsAggsDoNotOverlap: every group's Aggs is capped at its own
+// values, so appending to one group's leaves the next group's alone.
+func TestGroupsAggsDoNotOverlap(t *testing.T) {
+	plan := mustPlan(t, tupleSpecs())
+	table := NewTable(plan, 2, 0)
+	table.AddRows([]uint32{1, 2}, [][]float64{{1.5, 2.5}, {-3, 4}})
+	gs := table.Groups()
+	if len(gs) != 2 {
+		t.Fatalf("%d groups, want 2", len(gs))
+	}
+	next := slices.Clone(gs[1].Aggs)
+	_ = append(gs[0].Aggs, 42)
+	if !slices.EqualFunc(gs[1].Aggs, next, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("appending to group 0's Aggs changed group 1's: %v, was %v", gs[1].Aggs, next)
+	}
+}
+
+// rowByRow is the reference of the batch fold: a table fed one
+// sqlagg.TuplePlan.AddRow per row, in row order.
+func rowByRow(plan *sqlagg.TuplePlan, hint, bsz int, keys []uint32, cols [][]float64) *Table {
+	table := NewTable(plan, hint, bsz)
+	for i, k := range keys {
+		plan.AddRow(table.Upsert(k), cols, i)
+	}
+	return table
+}
+
+// encoded is every tuple of table, key → AppendBinary's bytes.
+func encoded(t testing.TB, plan *sqlagg.TuplePlan, table *Table) map[uint32]string {
+	out := make(map[uint32]string, table.Len())
+	table.ForEach(func(key uint32, tup *sqlagg.Tuple) {
+		enc, err := plan.AppendBinary(nil, tup)
+		if err != nil {
+			t.Fatalf("key %d: %v", key, err)
+		}
+		out[key] = string(enc)
+	})
+	return out
+}
+
+// sameFold fails t unless AddRows over keys and cols, fed to a table
+// in chunks of the given sizes (the rest in one call), leaves every
+// key's tuple encoding to the bytes of rowByRow's.
+func sameFold(t testing.TB, name string, plan *sqlagg.TuplePlan, hint, bsz int, keys []uint32, cols [][]float64, chunks ...int) {
+	t.Helper()
+	table := NewTable(plan, hint, bsz)
+	for lo := 0; lo < len(keys); {
+		hi := len(keys)
+		if len(chunks) > 0 {
+			hi, chunks = min(hi, lo+chunks[0]), chunks[1:]
+		}
+		part := make([][]float64, len(cols))
+		for c := range cols {
+			part[c] = cols[c][lo:hi]
+		}
+		table.AddRows(keys[lo:hi], part)
+		lo = hi
+	}
+	if got, want := encoded(t, plan, table), encoded(t, plan, rowByRow(plan, hint, bsz, keys, cols)); !maps.Equal(got, want) {
+		t.Errorf("%s: AddRows leaves %d tuples, AddRow per row %d, or different bytes", name, len(got), len(want))
+	}
+}
+
+// TestAddRowsMatchesAddRow: the batch fold leaves every tuple with the
+// bytes one AddRow per row leaves, for unbuffered tuples and two buffer
+// lengths; with a hint below the group count (the table grows inside a
+// batch), two keys at bsz 32 (batches cut every few rows), row counts
+// and call sizes that are not multiples of the batch, and a plan with
+// Σx, Σx² (VAR_POP), COUNT and MIN/MAX fed NaN and ±0. On a warmed table
+// AddRows allocates nothing.
+func TestAddRowsMatchesAddRow(t *testing.T) {
+	const rows = 3*sqlagg.BatchRows + 77
+	plan := mustPlan(t, tupleSpecs())
+	cols := [][]float64{workload.Values64(61, rows, workload.MixedMag), workload.Values64(62, rows, workload.Uniform12)}
+	classes := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), -0x1p990}
+	for i := 0; i < rows; i += 5 {
+		cols[i%2][i] = classes[(i/5)%len(classes)]
+	}
+	for _, tc := range []struct {
+		name         string
+		groups, hint int
+	}{
+		{"hinted", 300, 300},
+		{"hinted below the group count", 300, 4},
+		{"two keys", 2, 2},
+		{"one key", 1, 1},
+	} {
+		keys := workload.Keys(63, rows, uint32(tc.groups))
+		for _, bsz := range []int{0, 32, 1024} {
+			for _, n := range []int{rows, sqlagg.BatchRows, 1} {
+				name := fmt.Sprintf("%s, bsz %d, %d rows", tc.name, bsz, n)
+				sameFold(t, name, plan, tc.hint, bsz, keys[:n], cols)
+				sameFold(t, name+" in uneven calls", plan, tc.hint, bsz, keys[:n], cols, 1, 3, sqlagg.BatchRows+1, 100)
+			}
+		}
+	}
+
+	keys := workload.Keys(64, rows, 300)
+	table := NewTable(plan, 300, 32)
+	table.AddRows(keys, cols)
+	if allocs := testing.AllocsPerRun(20, func() { table.AddRows(keys, cols) }); allocs != 0 {
+		t.Errorf("AddRows on a warmed table: %v allocs, want 0", allocs)
+	}
+}
+
+// FuzzTupleFold holds the batch fold to one AddRow per row on fuzzed
+// keys, values, buffer lengths and table hints: byte 0 picks bsz (0 to
+// 64, so 1 — a flush every row — too), byte 1 the hint, and every three
+// bytes after them are one row: its key and the bytes its two values
+// are made of, special values among them.
+func FuzzTupleFold(f *testing.F) {
+	f.Add([]byte{32, 1, 0, 1, 2, 1, 3, 4, 0, 5, 6})
+	f.Add([]byte{1, 0, 7, 200, 9, 7, 129, 3, 8, 130, 4})
+	f.Add(append([]byte{16, 2}, slices.Repeat([]byte{3, 64, 65, 4, 66, 67}, 200)...))
+	f.Add(append([]byte{0, 0}, slices.Repeat([]byte{1, 2, 3, 250, 133, 140}, 100)...))
+	plan := mustPlan(f, tupleSpecs())
+	classes := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 0x1p1000, -0x1p-1074}
+	value := func(a, b byte) float64 {
+		if a >= 0xF0 {
+			return classes[int(b)%len(classes)]
+		}
+		return math.Ldexp(float64(int8(b)), int(a)-120)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		bsz, hint := int(data[0])%65, int(data[1])%64
+		data = data[2:]
+		rows := min(len(data)/3, 4096)
+		keys := make([]uint32, rows)
+		cols := [][]float64{make([]float64, rows), make([]float64, rows)}
+		for i := range keys {
+			r := data[3*i : 3*i+3]
+			keys[i] = uint32(r[0])
+			cols[0][i], cols[1][i] = value(r[1], r[2]), value(r[2], r[1])
+		}
+		sameFold(t, fmt.Sprintf("bsz %d, hint %d, %d rows", bsz, hint, rows), plan, hint, bsz, keys, cols)
+	})
+}
+
 // TestDeal: row i lands in shard i mod n, in order; more shards than
 // rows leaves the rest empty.
 func TestDeal(t *testing.T) {

@@ -15,10 +15,11 @@ import (
 // to its distinct physical components, as the catalog rows name them,
 // and to one finaliser per spec, the row's fin over those components.
 // It is the init / step / merge / encode / finalize of every aggregate;
-// Tuple is one group's components plus the §V-A summation buffers in
-// front of its sums. It is the payload of every aggregation table of
-// the tuple pipeline and, flushed, the per-key record of a shuffle
-// frame.
+// its step folds a batch of rows one component at a time (AddBatch, of
+// which AddRow is the one-row case). Tuple is one group's components
+// plus the §V-A summation buffers in front of its sums. It is the
+// payload of every aggregation table of the tuple pipeline and, flushed,
+// the per-key record of a shuffle frame.
 
 // sumComp is one reproducible sum over a column or over its squares.
 // Specs that read the same column at different level counts get
@@ -224,29 +225,108 @@ func (t *Tuple) Reset() {
 	t.n, t.fill = 0, 0
 }
 
-// AddRow folds row `row` of cols into t.
+// AddRow folds row `row` of cols into t: the one-row case of AddBatch.
 func (p *TuplePlan) AddRow(t *Tuple, cols [][]float64, row int) {
-	t.n++ // read only when p.count; cheaper than testing it per row
-	buf := t.buf[t.fill:]
-	for j := range p.sums {
-		c := &p.sums[j]
-		v := cols[c.col][row]
-		if c.square {
-			v *= v
+	var pos [1]int
+	p.fold([]*Tuple{t}, cols, row, pos[:])
+}
+
+// BatchRows is the most rows one AddBatch folds.
+const BatchRows = 256
+
+// AddBatch folds rows lo, lo+1, … of cols into ts[0], ts[1], …: row
+// lo+i into *ts[i]. ts holds at most BatchRows tuples, all with one
+// buffer length (the tuples of one table do), and may name a tuple more
+// than once. Every tuple receives its rows in row order and flushes at
+// the same fill as one AddRow per row would, so its states are the same
+// bits at every flush.
+func (p *TuplePlan) AddBatch(ts []*Tuple, cols [][]float64, lo int) {
+	var pos [BatchRows]int
+	p.fold(ts, cols, lo, pos[:len(ts)])
+}
+
+// fold is the body of AddRow and AddBatch. It folds ts a segment at a
+// time: reserve counts the segment's rows and takes their buffer slots,
+// then each sum component stores (with no buffer: adds) the segment's
+// values in a loop of its own, x and x² apart, and each extremum runs
+// over them; the tuple whose buffer the segment filled is flushed before
+// the next segment.
+func (p *TuplePlan) fold(ts []*Tuple, cols [][]float64, lo int, pos []int) {
+	for len(ts) > 0 {
+		n := reserve(ts, pos)
+		seg, at, bsz := ts[:n], pos[:n], ts[0].bsz
+		for j, c := range p.sums {
+			if col := cols[c.col][lo : lo+n]; bsz == 0 {
+				addColumn(seg, j, col, c.square)
+			} else {
+				storeColumn(seg, at, j*bsz, col, c.square)
+			}
 		}
-		if t.bsz == 0 {
-			t.sums[j].Add(v)
-		} else {
-			buf[j*t.bsz] = v
+		for j, c := range p.exts {
+			for i, v := range cols[c.col][lo : lo+n] {
+				seg[i].exts[j].Add(v)
+			}
 		}
-	}
-	if t.bsz > 0 {
-		if t.fill++; t.fill == t.bsz {
+		if t := seg[n-1]; bsz > 0 && t.fill == bsz {
 			t.flush()
 		}
+		ts, pos, lo = ts[n:], pos[n:], lo+n
 	}
-	for j, c := range p.exts {
-		t.exts[j].Add(cols[c.col][row])
+}
+
+// reserve counts a row into each of ts in turn and takes its buffer slot
+// (pos[i]), up to and including the first row that fills its tuple's
+// buffer, and returns how many rows it took: all of them when the
+// tuples have no buffers. The tuples must share one buffer length.
+func reserve(ts []*Tuple, pos []int) int {
+	bsz := ts[0].bsz
+	if bsz == 0 {
+		for _, t := range ts {
+			t.n++ // read only when p.count; cheaper than testing it per row
+		}
+		return len(ts)
+	}
+	pos = pos[:len(ts)]
+	for i, t := range ts {
+		if t.bsz != bsz {
+			panic("sqlagg: one batch folds tuples of different buffer lengths")
+		}
+		t.n++
+		pos[i] = t.fill
+		if t.fill++; t.fill == bsz {
+			return i + 1
+		}
+	}
+	return len(ts)
+}
+
+// addColumn adds col[i] (squared, for a Σx² component) to sum j of
+// *seg[i].
+func addColumn(seg []*Tuple, j int, col []float64, square bool) {
+	seg = seg[:len(col)]
+	if square {
+		for i, v := range col {
+			seg[i].sums[j].Add(v * v)
+		}
+		return
+	}
+	for i, v := range col {
+		seg[i].sums[j].Add(v)
+	}
+}
+
+// storeColumn stores col[i] (squared, for a Σx² component) in the slot
+// at[i] of *seg[i]'s buffer that starts at off.
+func storeColumn(seg []*Tuple, at []int, off int, col []float64, square bool) {
+	seg, at = seg[:len(col)], at[:len(col)]
+	if square {
+		for i, v := range col {
+			seg[i].buf[off+at[i]] = v * v
+		}
+		return
+	}
+	for i, v := range col {
+		seg[i].buf[off+at[i]] = v
 	}
 }
 
