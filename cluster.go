@@ -8,13 +8,12 @@ import (
 // The cluster API: a long-lived handle over a real multi-process
 // cluster that runs a sequence of typed aggregation jobs with
 // bit-identical results to the in-process engine. It is the only way
-// to run a job across processes: the distributed operators
+// to run a job across processes — the distributed operators
 // (DistributedSum, DistributedGroupBySum, DistributedAggregateByKey)
-// with WithProcessCluster call NewCluster, Run and Close for their one
-// job (runOnProcessCluster in repro.go); this API keeps the cluster —
-// its worker processes, sockets, and handshakes — alive across jobs,
-// admits operator-started workers (reproworker -join), and with
-// ClusterSpec.ReplaceDead survives worker death mid-run.
+// always run their nodes as goroutines of the calling process. A
+// cluster keeps its worker processes, sockets, and handshakes alive
+// across jobs, admits operator-started workers (reproworker -join),
+// and with ClusterSpec.ReplaceDead survives worker death mid-run.
 
 // ErrClusterClosed is returned by Cluster.Run on a closed cluster.
 var ErrClusterClosed = proc.ErrClusterClosed
@@ -26,9 +25,9 @@ var ErrClusterClosed = proc.ErrClusterClosed
 // ErrConfig naming the field.
 type ClusterSpec = proc.ClusterSpec
 
-// ClusterOptions configures worker spawning: the reproworker binary
-// (default: REPROWORKER_BIN, else the current binary re-executed —
-// see InitWorkerProcess), extra environment, and stderr routing.
+// ClusterOptions configures worker spawning: extra environment and
+// stderr routing. The worker binary is REPROWORKER_BIN when set, else
+// the current binary re-executed (see InitWorkerProcess).
 type ClusterOptions = proc.Options
 
 // Cluster is a long-lived multi-process cluster accepting Jobs. It is
@@ -111,9 +110,9 @@ const (
 // rsum level count, digested run configuration), slots going out in
 // arrival order. The distributed interconnect options (WithMaxChunkPayload,
 // WithFaults, WithStragglerDeadline, …) configure the data plane of
-// every job the cluster runs; WithProcessCluster is meaningless here
-// (the spec's Nodes rules) and WithTCPTransport/WithChanTransport are
-// ignored (a process cluster always speaks real sockets).
+// every job the cluster runs and enter the digest every worker must
+// match; WithTCPTransport/WithChanTransport are ignored (a process
+// cluster always speaks real sockets).
 func NewCluster(spec ClusterSpec, opts ...DistOption) (*Cluster, error) {
 	for _, o := range opts {
 		o(&spec.Config)

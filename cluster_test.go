@@ -17,9 +17,8 @@ func clusterQuiet() repro.ClusterSpec {
 	return repro.ClusterSpec{JoinTimeout: 30 * time.Second}
 }
 
-// TestClusterFacadeSumCompat: the one-shot DistributedSum with
-// WithProcessCluster and the long-lived Cluster API produce identical
-// bits — the wrappers really are thin.
+// TestClusterFacadeSumCompat: the in-process DistributedSum and the
+// same reduction as a Cluster job produce identical bits.
 func TestClusterFacadeSumCompat(t *testing.T) {
 	const n = 8000
 	vals := workload.Values64(53, n, workload.MixedMag)
@@ -28,9 +27,9 @@ func TestClusterFacadeSumCompat(t *testing.T) {
 		shards[i%3] = append(shards[i%3], v)
 	}
 
-	old, err := repro.DistributedSum(shards, 2, repro.Chain, repro.WithProcessCluster(3))
+	old, err := repro.DistributedSum(shards, 2, repro.Chain)
 	if err != nil {
-		t.Fatalf("one-shot: %v", err)
+		t.Fatalf("in-process: %v", err)
 	}
 
 	spec := clusterQuiet()
@@ -45,7 +44,7 @@ func TestClusterFacadeSumCompat(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if math.Float64bits(res.Sum) != math.Float64bits(old) {
-		t.Errorf("cluster sum = %016x, one-shot = %016x", math.Float64bits(res.Sum), math.Float64bits(old))
+		t.Errorf("cluster sum = %016x, in-process = %016x", math.Float64bits(res.Sum), math.Float64bits(old))
 	}
 	if want := math.Float64bits(repro.Sum(vals)); math.Float64bits(res.Sum) != want {
 		t.Errorf("cluster sum = %016x, local Sum = %016x", math.Float64bits(res.Sum), want)
@@ -73,9 +72,9 @@ func TestClusterFacadeGroupByCompat(t *testing.T) {
 		sk[i%2] = append(sk[i%2], k)
 		sc[i%2][0] = append(sc[i%2][0], cols[0][i])
 	}
-	old, err := repro.DistributedAggregateByKey(sk, sc, 2, specs, repro.WithProcessCluster(2))
+	old, err := repro.DistributedAggregateByKey(sk, sc, 2, specs)
 	if err != nil {
-		t.Fatalf("one-shot: %v", err)
+		t.Fatalf("in-process: %v", err)
 	}
 	want := dist.EncodeTupleGroups(old, len(specs))
 
@@ -92,7 +91,7 @@ func TestClusterFacadeGroupByCompat(t *testing.T) {
 		t.Fatalf("raw-shard run: %v", err)
 	}
 	if !bytes.Equal(res.Payload, want) {
-		t.Error("raw-shard cluster payload differs from the one-shot wrapper's encoding")
+		t.Error("raw-shard cluster payload differs from the in-process operator's encoding")
 	}
 
 	res, err = c.Run(repro.Job{Workers: 2, Specs: specs, Source: repro.SyntheticSource(synth)})
@@ -167,12 +166,6 @@ func TestServeOverCluster(t *testing.T) {
 	}
 	if !bytes.Equal(cres2.Bytes, lres2.Bytes) {
 		t.Error("second cluster-served result differs from the local engine's")
-	}
-
-	// WithProcessCluster stays rejected — the serving layer borrows a
-	// handle, it does not spawn.
-	if _, err := repro.NewServer(ds, repro.ServerOptions{}, repro.WithProcessCluster(2)); err == nil {
-		t.Error("NewServer accepted WithProcessCluster")
 	}
 }
 

@@ -6,20 +6,19 @@
 //
 //	reproworker -join 10.0.0.5:43117
 //
-// That is the line a supervisor — the repro facade's
-// WithProcessCluster option or repro.NewCluster — starts its own
-// workers with, and the line an
-// operator types to add capacity from another shell or another
-// machine; the cluster cannot tell the two apart. The worker dials the
-// address and introduces itself with a join hello carrying its frame
-// codec version, rsum summation level count and control-plane spec
-// version; the supervisor hands it the cluster configuration and a
-// node slot (or parks it as a standby when every slot is taken — with
-// replacement enabled, the substitute it promotes when a member dies
-// mid-run); and the worker answers with the full hello, digesting the
-// configuration it received. The supervisor rejects any mismatch with
-// a typed wire error (ErrHandshake) before a byte of data moves — a
-// stale binary or an edited config cannot silently join and diverge.
+// That is the line a supervisor (repro.NewCluster) starts its own
+// workers with, and the line an operator types to add capacity from
+// another shell or another machine; the cluster cannot tell the two
+// apart. The worker dials the address and introduces itself with a
+// join hello carrying its frame codec version, rsum summation level
+// count and control-plane spec version; the supervisor hands it the
+// cluster configuration and a node slot (or parks it as a standby when
+// every slot is taken — with replacement enabled, the substitute it
+// promotes when a member dies mid-run); and the worker answers with the
+// full hello, digesting the configuration it received. The supervisor
+// rejects any mismatch with a typed wire error (ErrHandshake) before a
+// byte of data moves — a stale binary or an edited config cannot
+// silently join and diverge.
 // Accepted workers receive job specs over the control plane,
 // materialize their input locally (raw shards from the payload, or a
 // declarative generator/TPC-H slice), bind a fresh data-plane

@@ -13,16 +13,17 @@ import (
 )
 
 // TestMain arms the multi-process facade tests: when this test binary
-// is re-executed as a spawned cluster worker (WithProcessCluster's
-// default spawn mode), it becomes that worker instead of running the
-// tests.
+// is re-executed as a worker spawned by NewCluster (its default spawn
+// mode without REPROWORKER_BIN), it becomes that worker instead of
+// running the tests.
 func TestMain(m *testing.M) {
 	proc.MaybeWorkerMain()
 	os.Exit(m.Run())
 }
 
-// TestDistributedSumProcessCluster: WithProcessCluster carries exactly
-// the bits of the single-machine Sum across real worker processes.
+// TestDistributedSumProcessCluster: a reduction job on a NewCluster
+// carries exactly the bits of the single-machine Sum across real
+// worker processes.
 func TestDistributedSumProcessCluster(t *testing.T) {
 	const n = 8000
 	vals := workload.Values64(37, n, workload.MixedMag)
@@ -32,13 +33,18 @@ func TestDistributedSumProcessCluster(t *testing.T) {
 	for i, v := range vals {
 		shards[i%3] = append(shards[i%3], v)
 	}
-	got, err := repro.DistributedSum(shards, 2, repro.Binomial,
-		repro.WithProcessCluster(3), repro.WithStragglerDeadline(250*time.Millisecond))
+	c, err := repro.NewCluster(repro.ClusterSpec{Nodes: 3},
+		repro.WithStragglerDeadline(250*time.Millisecond))
 	if err != nil {
-		t.Fatalf("DistributedSum(WithProcessCluster): %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
-	if math.Float64bits(got) != want {
-		t.Errorf("process cluster sum = %016x, want %016x", math.Float64bits(got), want)
+	defer c.Close()
+	res, err := c.Run(repro.Job{Topo: repro.Binomial, Workers: 2, Source: repro.ValueShards(shards)})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if math.Float64bits(res.Sum) != want {
+		t.Errorf("process cluster sum = %016x, want %016x", math.Float64bits(res.Sum), want)
 	}
 }
 
@@ -52,24 +58,30 @@ func TestDistributedGroupBySumProcessCluster(t *testing.T) {
 	want := repro.GroupBySum(keys, vals, nil)
 
 	sk := make([][]uint32, 2)
-	sv := make([][]float64, 2)
+	sc := [][][]float64{{nil}, {nil}}
 	for i := range keys {
 		sk[i%2] = append(sk[i%2], keys[i])
-		sv[i%2] = append(sv[i%2], vals[i])
+		sc[i%2][0] = append(sc[i%2][0], vals[i])
 	}
-	got, err := repro.DistributedGroupBySum(sk, sv, 2,
-		repro.WithProcessCluster(2), repro.WithMaxChunkPayload(2048),
-		repro.WithStragglerDeadline(250*time.Millisecond))
+	c, err := repro.NewCluster(repro.ClusterSpec{Nodes: 2},
+		repro.WithMaxChunkPayload(2048), repro.WithStragglerDeadline(250*time.Millisecond))
 	if err != nil {
-		t.Fatalf("DistributedGroupBySum(WithProcessCluster): %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
+	defer c.Close()
+	res, err := c.Run(repro.Job{Workers: 2, Specs: []repro.AggSpec{{Kind: repro.AggSum}},
+		Source: repro.RowShards(sk, sc)})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	got := res.Groups
 	if len(got) != len(want) {
 		t.Fatalf("%d groups, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Key != want[i].Key || math.Float64bits(got[i].Sum) != math.Float64bits(want[i].Sum) {
+		if got[i].Key != want[i].Key || math.Float64bits(got[i].Aggs[0]) != math.Float64bits(want[i].Sum) {
 			t.Fatalf("group %d: (%d, %016x), want (%d, %016x)",
-				i, got[i].Key, math.Float64bits(got[i].Sum), want[i].Key, math.Float64bits(want[i].Sum))
+				i, got[i].Key, math.Float64bits(got[i].Aggs[0]), want[i].Key, math.Float64bits(want[i].Sum))
 		}
 	}
 }
@@ -88,8 +100,8 @@ func TestDistOptionValidation(t *testing.T) {
 		{"WithMaxChunkPayload(-4096)", repro.WithMaxChunkPayload(-4096)},
 		{"WithReassemblyBudget(0)", repro.WithReassemblyBudget(0)},
 		{"WithReassemblyBudget(-1)", repro.WithReassemblyBudget(-1)},
-		{"WithProcessCluster(0)", repro.WithProcessCluster(0)},
-		{"WithProcessCluster(-2)", repro.WithProcessCluster(-2)},
+		{"WithStragglerDeadline(0)", repro.WithStragglerDeadline(0)},
+		{"WithStragglerDeadline(-time.Millisecond)", repro.WithStragglerDeadline(-time.Millisecond)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,8 +118,5 @@ func TestDistOptionValidation(t *testing.T) {
 	// before anything runs.
 	if _, err := repro.DistributedSum(shards, 0, repro.Binomial); !errors.Is(err, repro.ErrWorkers) {
 		t.Errorf("workers=0: err = %v, want ErrWorkers", err)
-	}
-	if _, err := repro.DistributedSum(shards, -1, repro.Binomial, repro.WithProcessCluster(2)); !errors.Is(err, repro.ErrWorkers) {
-		t.Errorf("workers=-1 (procs): err = %v, want ErrWorkers", err)
 	}
 }

@@ -1,14 +1,17 @@
-// Example: a real multi-process cluster. WithProcessCluster spawns one
-// worker OS process per cluster node — each speaking the v2 frame
-// codec over TCP sockets to its peers, joined through a handshake that
-// rejects version/levels/config mismatches — and the result is
-// bit-identical to the single-machine sum and to every in-process
+// Example: a real multi-process cluster. NewCluster spawns one worker
+// OS process per cluster node — each speaking the v2 frame codec over
+// TCP sockets to its peers, joined through a handshake that rejects
+// version/levels/config mismatches — and every Job it runs is
+// bit-identical to the single-machine operator and to every in-process
 // transport. The only ceremony: main must call repro.InitWorkerProcess
 // first, so the re-executed binary can become a worker.
 //
-// The second half runs the long-lived Cluster/Job API: a standby
-// worker heals a forced mid-run death without changing a bit, and a
-// follow-up job ships a generator spec instead of rows.
+// The first half runs a SUM and a GROUP BY on one cluster. The second
+// half forms an elastic one: a standby worker heals a forced mid-run
+// death without changing a bit, and a follow-up job ships a generator
+// spec instead of rows.
+//
+//	go run ./examples/cluster
 package main
 
 import (
@@ -31,74 +34,69 @@ func main() {
 	}
 	ref := repro.Sum(vals)
 
-	// Deal the rows across 3 shards and run them on 3 separate worker
-	// processes.
+	// One cluster of 3 worker processes runs both jobs of the first
+	// half. Its interconnect options apply to every job it runs: here
+	// a small chunk payload, so the GROUP BY's shuffle is forced into
+	// multi-chunk streams whose chunks genuinely cross sockets out of
+	// order.
+	c, err := repro.NewCluster(repro.ClusterSpec{Nodes: 3}, repro.WithMaxChunkPayload(4096))
+	check("cluster", err)
+
+	// Deal the rows across 3 shards, one per worker process.
 	shards := make([][]float64, 3)
 	for i, v := range vals {
 		shards[i%3] = append(shards[i%3], v)
 	}
-	sum, err := repro.DistributedSum(shards, 2, repro.Binomial, repro.WithProcessCluster(3))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster sum:", err)
-		os.Exit(1)
-	}
+	res, err := c.Run(repro.Job{Topo: repro.Binomial, Workers: 2, Source: repro.ValueShards(shards)})
+	check("cluster sum", err)
 
 	fmt.Printf("single-machine : %016x (%g)\n", math.Float64bits(ref), ref)
-	fmt.Printf("3-process      : %016x (%g)\n", math.Float64bits(sum), sum)
-	if math.Float64bits(sum) != math.Float64bits(ref) {
-		fmt.Fprintln(os.Stderr, "BUG: cross-process run broke bit-reproducibility")
-		os.Exit(1)
+	fmt.Printf("3-process      : %016x (%g)\n", math.Float64bits(res.Sum), res.Sum)
+	if math.Float64bits(res.Sum) != math.Float64bits(ref) {
+		bug("cross-process run broke bit-reproducibility")
 	}
 	fmt.Println("bit-identical across process boundaries ✓")
 
-	// The same across a GROUP BY shuffle, forced into multi-chunk
-	// streams so chunks genuinely cross sockets out of order.
+	// The same across a GROUP BY shuffle, on the same workers.
 	keys := make([]uint32, rows)
 	for i := range keys {
 		keys[i] = uint32(i % 1024)
 	}
 	want := repro.GroupBySum(keys, vals, nil)
 	sk := [][]uint32{keys[:rows/2], keys[rows/2:]}
-	sv := [][]float64{vals[:rows/2], vals[rows/2:]}
-	groups, err := repro.DistributedGroupBySum(sk, sv, 2,
-		repro.WithProcessCluster(2), repro.WithMaxChunkPayload(4096))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster group by:", err)
-		os.Exit(1)
+	sc := [][][]float64{{vals[:rows/2]}, {vals[rows/2:]}}
+	res, err = c.Run(repro.Job{Workers: 2, Specs: []repro.AggSpec{{Kind: repro.AggSum}},
+		Source: repro.RowShards(sk, sc)})
+	check("cluster group by", err)
+	if len(res.Groups) != len(want) {
+		bug("cross-process GROUP BY lost or invented groups")
 	}
-	for i := range groups {
-		if groups[i].Key != want[i].Key || math.Float64bits(groups[i].Sum) != math.Float64bits(want[i].Sum) {
-			fmt.Fprintln(os.Stderr, "BUG: cross-process GROUP BY broke bit-reproducibility")
-			os.Exit(1)
+	for i, g := range res.Groups {
+		if g.Key != want[i].Key || math.Float64bits(g.Aggs[0]) != math.Float64bits(want[i].Sum) {
+			bug("cross-process GROUP BY broke bit-reproducibility")
 		}
 	}
-	fmt.Printf("%d groups, all bit-identical across process boundaries ✓\n", len(groups))
+	fmt.Printf("%d groups, all bit-identical across process boundaries ✓\n", len(res.Groups))
+	check("cluster close", c.Close())
 
 	// The long-lived Cluster API: the same workers stay up across jobs,
 	// a standby is kept warm, and a forced worker death mid-run is
 	// healed by promotion + job re-ship — without disturbing the bits.
-	c, err := repro.NewCluster(repro.ClusterSpec{
+	c, err = repro.NewCluster(repro.ClusterSpec{
 		Nodes:        3,
 		SpawnStandby: 1,
 		ReplaceDead:  true,
 		DieNode:      1, // node 1 kills itself before its first data frame (first life only)
 		DieAfter:     1,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster:", err)
-		os.Exit(1)
-	}
+	check("cluster", err)
 	defer c.Close()
 
-	res, err := c.Run(repro.Job{Topo: repro.Binomial, Workers: 2,
+	res, err = c.Run(repro.Job{Topo: repro.Binomial, Workers: 2,
 		Source: repro.ValueShards(shards)})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster job 1:", err)
-		os.Exit(1)
-	}
+	check("cluster job 1", err)
 	if math.Float64bits(res.Sum) != math.Float64bits(ref) {
-		fmt.Fprintln(os.Stderr, "BUG: worker replacement changed the sum bits")
-		os.Exit(1)
+		bug("worker replacement changed the sum bits")
 	}
 	fmt.Printf("elastic sum    : %016x, %d worker(s) replaced mid-run ✓\n",
 		math.Float64bits(res.Sum), res.Replacements)
@@ -109,9 +107,20 @@ func main() {
 		Specs: []repro.AggSpec{{Kind: repro.AggSum, Col: 0}, {Kind: repro.AggCount}},
 		Source: repro.SyntheticSource(repro.SyntheticSpec{Rows: rows, Groups: 1024, KeySeed: 7,
 			Cols: []repro.SyntheticColumn{{Seed: 11, Dist: repro.MixedMag}}})})
+	check("cluster job 2", err)
+	fmt.Printf("spec-ingest    : %d groups from a shipped generator spec ✓\n", len(res.Groups))
+}
+
+// check exits non-zero, naming the failed step, when err is set.
+func check(step string, err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster job 2:", err)
+		fmt.Fprintln(os.Stderr, step+":", err)
 		os.Exit(1)
 	}
-	fmt.Printf("spec-ingest    : %d groups from a shipped generator spec ✓\n", len(res.Groups))
+}
+
+// bug exits non-zero, naming the bit-identity claim a run broke.
+func bug(claim string) {
+	fmt.Fprintln(os.Stderr, "BUG:", claim)
+	os.Exit(1)
 }

@@ -6,7 +6,8 @@
 // topology, and (nondeterministic) message arrival order — and, since
 // the message layer is a pluggable transport, for in-process channels
 // and real TCP sockets alike, even with faults (delay, duplication,
-// reordering, dropped-then-retried frames) injected into the link.
+// reordering, dropped-then-retried frames) injected into the link. It
+// exits non-zero if any result's bits differ from the first one's.
 //
 //	go run ./examples/distributed
 package main
@@ -14,6 +15,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 	"time"
 
 	"repro/internal/dist"
@@ -28,6 +30,15 @@ func main() {
 	fmt.Println("nodes  topology  result (hex bits)          result")
 	var ref uint64
 	haveRef := false
+	// mark tallies a result whose bits differ from the reference.
+	mismatches := 0
+	mark := func(same bool) string {
+		if same {
+			return ""
+		}
+		mismatches++
+		return "  <-- MISMATCH"
+	}
 	for _, nodes := range []int{1, 4, 16, 61} {
 		shards := make([][]float64, nodes)
 		for i, v := range vals {
@@ -39,13 +50,10 @@ func main() {
 				panic(err)
 			}
 			bits := math.Float64bits(sum)
-			mark := ""
 			if !haveRef {
 				ref, haveRef = bits, true
-			} else if bits != ref {
-				mark = "  <-- MISMATCH"
 			}
-			fmt.Printf("%5d  %-8s  %016x  %.17g%s\n", nodes, topo, bits, sum, mark)
+			fmt.Printf("%5d  %-8s  %016x  %.17g%s\n", nodes, topo, bits, sum, mark(bits == ref))
 		}
 	}
 	fmt.Println("\nEvery row above carries the same bits: the reduction is reproducible")
@@ -80,11 +88,7 @@ func main() {
 			panic(err)
 		}
 		bits := math.Float64bits(sum)
-		mark := ""
-		if bits != ref {
-			mark = "  <-- MISMATCH"
-		}
-		fmt.Printf("%-20s %016x           %v%s\n", c.name, bits, bits == ref, mark)
+		fmt.Printf("%-20s %016x           %v%s\n", c.name, bits, bits == ref, mark(bits == ref))
 	}
 
 	// Distributed GROUP BY with hash shuffle.
@@ -109,9 +113,14 @@ func main() {
 				if !haveRefSum {
 					refSum, haveRefSum = g.Sum, true
 				}
-				fmt.Printf("  %d nodes: group 0 = %.17g (bits equal across cluster sizes: %v)\n",
-					nodes, g.Sum, math.Float64bits(g.Sum) == math.Float64bits(refSum))
+				same := math.Float64bits(g.Sum) == math.Float64bits(refSum)
+				fmt.Printf("  %d nodes: group 0 = %.17g (bits equal across cluster sizes: %v)%s\n",
+					nodes, g.Sum, same, mark(same))
 			}
 		}
+	}
+	if mismatches > 0 {
+		fmt.Fprintf(os.Stderr, "BUG: %d result(s) broke bit-reproducibility\n", mismatches)
+		os.Exit(1)
 	}
 }

@@ -66,7 +66,10 @@ func (t Topology) String() string {
 func (t Topology) Valid() bool { return t >= Binomial && t <= Star }
 
 // parent returns the node that id ships its merged partial to, or −1
-// for the root (node 0).
+// for the root (node 0); it alone defines the tree (childrenOf inverts
+// it). Nodes merge their children's partials in arrival order, not
+// round order, so even the Binomial tree has genuinely racy arrivals
+// at each node.
 func (t Topology) parent(id, n int) int {
 	if id == 0 {
 		return -1
@@ -77,36 +80,6 @@ func (t Topology) parent(id, n int) int {
 	case Chain:
 		return id - 1
 	default: // Star
-		return 0
-	}
-}
-
-// children returns how many messages node id will receive during the
-// reduction. Together with parent this fully defines the tree; nodes
-// merge their children's partials in arrival order, not round order,
-// so even the Binomial tree has genuinely racy arrivals at each node.
-func (t Topology) children(id, n int) int {
-	switch t {
-	case Binomial:
-		c := 0
-		for step := 1; step < n; step <<= 1 {
-			if id&step != 0 {
-				break // bits below id's lowest set bit index its parents, not children
-			}
-			if id+step < n {
-				c++
-			}
-		}
-		return c
-	case Chain:
-		if id < n-1 {
-			return 1
-		}
-		return 0
-	default: // Star
-		if id == 0 {
-			return n - 1
-		}
 		return 0
 	}
 }

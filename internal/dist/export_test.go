@@ -83,7 +83,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero Config: %v", err)
 	}
-	ok := Config{MaxChunkPayload: 4096, ReassemblyBudget: 1 << 20, Procs: 3}
+	ok := Config{MaxChunkPayload: 4096, ReassemblyBudget: 1 << 20}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid Config: %v", err)
 	}
@@ -93,7 +93,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"negative chunk payload", Config{MaxChunkPayload: -1}},
 		{"negative budget", Config{ReassemblyBudget: -9}},
-		{"negative procs", Config{Procs: -2}},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); !errors.Is(err, ErrConfig) {
@@ -101,7 +100,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// The operators reject an invalid Config before doing anything.
-	if _, err := ReduceConfig([][]float64{{1}}, 1, Binomial, Config{Procs: -1}); !errors.Is(err, ErrConfig) {
+	if _, err := ReduceConfig([][]float64{{1}}, 1, Binomial, Config{ChildDeadline: -1}); !errors.Is(err, ErrConfig) {
 		t.Errorf("ReduceConfig: %v, want ErrConfig", err)
 	}
 	if _, err := AggregateByKeyConfig([][]uint32{{1}}, [][]float64{{1}}, 1, Config{MaxChunkPayload: -1}); !errors.Is(err, ErrConfig) {

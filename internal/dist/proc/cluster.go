@@ -15,16 +15,16 @@
 // or declarative sources the workers materialize locally; and — with
 // ReplaceDead — survives worker death mid-run by admitting a substitute
 // through that same handshake, re-shipping the lost job spec and rows,
-// and re-pointing the surviving peers' reconnect-safe transports. The result is bit-identical to the
-// in-process engine for every topology, cluster size, chunk regime,
-// fault plan, forced socket kill, and mid-run replacement — the
-// paper's reproducibility claim extended to its hardest setting:
-// separate processes with nothing shared but the wire, some of them
-// dying halfway through.
+// and re-pointing the surviving peers' reconnect-safe transports. The
+// result is bit-identical to the in-process engine for every topology,
+// cluster size, chunk regime, fault plan, forced socket kill, and
+// mid-run replacement — the paper's reproducibility claim extended to
+// its hardest setting: separate processes with nothing shared but the
+// wire, some of them dying halfway through.
 //
 // A Cluster is the only way to run a job across processes: the facade's
-// Distributed* operators with WithProcessCluster form one, run a single
-// raw-shard job and close it.
+// Distributed* operators run the in-process engine, and its NewCluster
+// is this package's.
 package proc
 
 import (
@@ -38,14 +38,9 @@ import (
 )
 
 // Options configures the supervisor side of a multi-process run. The
-// zero value spawns workers by re-executing the current binary (which
-// must call MaybeWorkerMain early in main) and is the configuration
-// the facade uses.
+// zero value is the configuration the facade uses. The worker binary
+// comes from the environment (see resolveWorker).
 type Options struct {
-	// WorkerPath is an explicit reproworker binary to spawn. Empty
-	// means: the REPROWORKER_BIN environment variable if set, else
-	// re-execute the current binary with the worker marker set.
-	WorkerPath string
 	// Env is appended to each worker's environment (test hook: the
 	// handshake-rejection tests force mismatched hellos through it).
 	Env []string
@@ -68,13 +63,10 @@ func (o Options) logWriter() io.Writer {
 	return o.LogWriter
 }
 
-// resolveWorker picks the worker binary: explicit option, then the
-// REPROWORKER_BIN environment variable, then re-executing the current
-// binary (whose main must call MaybeWorkerMain).
-func resolveWorker(opt Options) (path string, reexec bool, err error) {
-	if opt.WorkerPath != "" {
-		return opt.WorkerPath, false, nil
-	}
+// resolveWorker picks the worker binary: the REPROWORKER_BIN
+// environment variable, then re-executing the current binary (whose
+// main must call MaybeWorkerMain).
+func resolveWorker() (path string, reexec bool, err error) {
 	if p := os.Getenv("REPROWORKER_BIN"); p != "" {
 		return p, false, nil
 	}

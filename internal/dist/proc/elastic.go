@@ -99,7 +99,8 @@ type ClusterSpec struct {
 	DieNode  int
 	DieAfter int
 	// Config is the data-plane protocol configuration (chunking,
-	// deadlines, fault plan). Config.Procs is ignored: Nodes rules.
+	// deadlines, fault plan). Its NewTransport is ignored: workers
+	// always speak real sockets.
 	Config dist.Config
 	// Options configures spawning (worker binary, env, stderr, kill
 	// injection).
@@ -539,7 +540,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		}
 	}
 	if spawnN > 0 {
-		path, reexec, err := resolveWorker(spec.Options)
+		path, reexec, err := resolveWorker()
 		for i := 0; i < spawnN && err == nil; i++ {
 			cmd := spawnCmd(path, reexec, spec.Options, "-join", ln.Addr().String())
 			if err = cmd.Start(); err != nil {

@@ -2,7 +2,6 @@ package proc
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,15 +34,14 @@ func TestMain(m *testing.M) {
 // otherwise spray expected error messages into the test log.
 func quietOpts() Options { return Options{LogWriter: io.Discard} }
 
-// oneShot runs job on a cluster formed for it — cfg.Procs nodes, else
-// one per shard — and closed after, as the facade does for
-// WithProcessCluster; like the facade it refuses workers < 1, which
-// Job.Workers alone would read as 1.
-func oneShot(shards int, cfg dist.Config, opt Options, job Job) (res Result, err error) {
+// oneShot runs job on a cluster of the given node count formed for it
+// and closed after; like the in-process engine it refuses workers < 1,
+// which Job.Workers alone would read as 1.
+func oneShot(nodes int, cfg dist.Config, opt Options, job Job) (res Result, err error) {
 	if job.Workers < 1 {
 		return res, fmt.Errorf("%w (got %d)", dist.ErrWorkers, job.Workers)
 	}
-	c, err := NewCluster(ClusterSpec{Nodes: max(cmp.Or(cfg.Procs, shards), 1), JoinTimeout: 30 * time.Second, Config: cfg, Options: opt})
+	c, err := NewCluster(ClusterSpec{Nodes: nodes, JoinTimeout: 30 * time.Second, Config: cfg, Options: opt})
 	if err != nil {
 		return res, err
 	}
@@ -55,7 +53,7 @@ func oneShot(shards int, cfg dist.Config, opt Options, job Job) (res Result, err
 }
 
 func Reduce(shards [][]float64, workers int, topo dist.Topology, cfg dist.Config, opt Options) (float64, error) {
-	res, err := oneShot(len(shards), cfg, opt, Job{Topo: topo, Workers: workers, Source: ValueShards(shards)})
+	res, err := oneShot(max(len(shards), 1), cfg, opt, Job{Topo: topo, Workers: workers, Source: ValueShards(shards)})
 	return res.Sum, err
 }
 
@@ -64,7 +62,7 @@ func AggregateByKey(keys [][]uint32, vals [][]float64, workers int, cfg dist.Con
 	for i, v := range vals {
 		cols[i] = [][]float64{v}
 	}
-	res, err := oneShot(len(keys), cfg, opt, Job{Workers: workers, Specs: []sqlagg.AggSpec{{Kind: sqlagg.AggSum}}, Source: RowShards(keys, cols)})
+	res, err := oneShot(max(len(keys), 1), cfg, opt, Job{Workers: workers, Specs: []sqlagg.AggSpec{{Kind: sqlagg.AggSum}}, Source: RowShards(keys, cols)})
 	groups := make([]dist.Group, len(res.Groups))
 	for i, t := range res.Groups {
 		groups[i] = dist.Group{Key: t.Key, Sum: t.Aggs[0]}
@@ -295,9 +293,6 @@ func TestProcValidation(t *testing.T) {
 	if _, err := Reduce([][]float64{{1}}, 1, dist.Binomial, dist.Config{ReassemblyBudget: -1}, opt); !errors.Is(err, dist.ErrConfig) {
 		t.Errorf("negative budget: %v, want ErrConfig", err)
 	}
-	if _, err := Reduce([][]float64{{1}}, 1, dist.Binomial, dist.Config{Procs: -1}, opt); !errors.Is(err, dist.ErrConfig) {
-		t.Errorf("negative procs: %v, want ErrConfig", err)
-	}
 	if _, err := AggregateByKey([][]uint32{{1}}, [][]float64{{1}, {2}}, 1, dist.Config{}, opt); !errors.Is(err, dist.ErrShardMismatch) {
 		t.Errorf("shard shape: %v, want ErrShardMismatch", err)
 	}
@@ -312,30 +307,29 @@ func TestProcValidation(t *testing.T) {
 // TestWorkerBinaryMissing: a configured-but-absent worker binary fails
 // the spawn cleanly.
 func TestWorkerBinaryMissing(t *testing.T) {
-	opt := quietOpts()
-	opt.WorkerPath = "/nonexistent/reproworker"
-	_, err := Reduce([][]float64{{1, 2}}, 1, dist.Binomial, dist.Config{}, opt)
+	t.Setenv("REPROWORKER_BIN", "/nonexistent/reproworker")
+	_, err := Reduce([][]float64{{1, 2}}, 1, dist.Binomial, dist.Config{}, quietOpts())
 	if err == nil || !strings.Contains(err.Error(), "spawning worker") {
 		t.Fatalf("err = %v, want a spawn failure", err)
 	}
 }
 
-// TestProcsResharding: an explicit process count different from the
-// shard count re-deals rows without changing a bit.
+// TestProcsResharding: a cluster size different from the shard count
+// re-deals rows without changing a bit.
 func TestProcsResharding(t *testing.T) {
 	vals := workload.Values64(31, 5000, workload.MixedMag)
 	want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	cfg := matrixConfig()
-	cfg.Procs = 3 // 5 shards dealt across 3 worker processes
-	got, err := Reduce(shardFloats(vals, 5), 2, dist.Star, cfg, quietOpts())
+	// 5 shards dealt across 3 worker processes.
+	res, err := oneShot(3, matrixConfig(), quietOpts(),
+		Job{Topo: dist.Star, Workers: 2, Source: ValueShards(shardFloats(vals, 5))})
 	if err != nil {
-		t.Fatalf("procs=3 over 5 shards: %v", err)
+		t.Fatalf("3 nodes over 5 shards: %v", err)
 	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("resharded run: got %016x, want %016x", math.Float64bits(got), math.Float64bits(want))
+	if math.Float64bits(res.Sum) != math.Float64bits(want) {
+		t.Errorf("resharded run: got %016x, want %016x", math.Float64bits(res.Sum), math.Float64bits(want))
 	}
 }
 

@@ -99,9 +99,9 @@ const (
 // never returns when it was spawned as one (workerEnv is set);
 // otherwise it returns immediately. Programs that use the process
 // cluster through re-execution — tests, reproserve, anything calling
-// the facade's WithProcessCluster without a separate reproworker
-// binary — must call it at the top of main (or TestMain), before flag
-// parsing.
+// the facade's NewCluster without REPROWORKER_BIN naming a separate
+// reproworker binary — must call it at the top of main (or TestMain),
+// before flag parsing.
 func MaybeWorkerMain() {
 	if os.Getenv(workerEnv) == "" {
 		return

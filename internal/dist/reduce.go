@@ -58,14 +58,6 @@ type Config struct {
 	// even though each individual message fits (the sender-side check
 	// only rejects single messages that could never fit).
 	ReassemblyBudget int
-	// Procs, when positive, asks for a multi-process cluster of that
-	// many spawned worker OS processes instead of in-process
-	// goroutines. The operators in this package ignore it (they are
-	// the in-process engine both runtimes share); the repro facade
-	// routes a positive Procs to internal/dist/proc. It lives here so
-	// one Config describes a run completely — including in the
-	// run-config digest of the join handshake.
-	Procs int
 
 	// Trace, when non-nil, receives the root node's per-hop digests
 	// during a GROUP BY run: "shuffle" (an order-invariant FNV-64a
@@ -83,13 +75,12 @@ type Config struct {
 }
 
 // Validate rejects Config values that could only fail later and deeper:
-// negative chunk payloads, reassembly budgets, process-cluster sizes,
-// and straggler deadlines (zero means "default", negative is always a
-// bug — the facade also maps an explicit non-positive option argument
-// here), plus fault plans with out-of-range probabilities or negative
-// delays. Every rejection is an ErrConfig naming the option, so the
-// failure stays at the call that made the mistake instead of inside a
-// spawned run.
+// negative chunk payloads, reassembly budgets, and straggler deadlines
+// (zero means "default", negative is always a bug — the facade also
+// maps an explicit non-positive option argument here), plus fault
+// plans with out-of-range probabilities or negative delays. Every
+// rejection is an ErrConfig naming the option, so the failure stays at
+// the call that made the mistake instead of inside a spawned run.
 func (c Config) Validate() error {
 	if c.MaxChunkPayload < 0 {
 		return fmt.Errorf("%w: max chunk payload must be a positive byte count (WithMaxChunkPayload requires bytes >= 1)", ErrConfig)
@@ -97,11 +88,8 @@ func (c Config) Validate() error {
 	if c.ReassemblyBudget < 0 {
 		return fmt.Errorf("%w: reassembly budget must be a positive byte count (WithReassemblyBudget requires bytes >= 1)", ErrConfig)
 	}
-	if c.Procs < 0 {
-		return fmt.Errorf("%w: process cluster size must be >= 1 worker process (WithProcessCluster requires procs >= 1)", ErrConfig)
-	}
 	if c.ChildDeadline < 0 {
-		return fmt.Errorf("%w: straggler deadline must be a positive duration (WithStragglerDeadline requires d > 0, got %v)", ErrConfig, c.ChildDeadline)
+		return fmt.Errorf("%w: straggler deadline must be a positive duration (WithStragglerDeadline requires d > 0)", ErrConfig)
 	}
 	if f := c.Faults; f != nil {
 		if f.DropProb < 0 || f.DropProb > 1 || f.DupProb < 0 || f.DupProb > 1 {

@@ -45,10 +45,9 @@ type Options struct {
 	// engine. Window queries always run locally. The bits are identical
 	// either way; this is a placement decision.
 	Distributed bool
-	// Dist configures the distributed backend's interconnect (transport
-	// factory, chunking, fault plan, …). The in-process transports
-	// only: the process-cluster field (Procs) is rejected by NewServer
-	// — to serve over worker processes, pass a Cluster handle instead.
+	// Dist configures the in-process distributed backend's interconnect
+	// (transport factory, chunking, fault plan, …). To serve over worker
+	// processes, pass a Cluster handle instead.
 	Dist dist.Config
 	// Cluster, when non-nil, routes distributed GROUP BY queries
 	// through a long-lived multi-process cluster (internal/dist/proc)
@@ -211,9 +210,6 @@ func NewServer(ds *Dataset, opts Options) (*Server, error) {
 	o := opts.withDefaults()
 	if o.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("%w: MaxConcurrent %d", ErrDataset, o.MaxConcurrent)
-	}
-	if o.Dist.Procs != 0 {
-		return nil, fmt.Errorf("%w: the serving layer spawns no cluster of its own (Dist.Procs); pass a Cluster handle instead", ErrDataset)
 	}
 	if o.Cluster != nil {
 		o.Distributed = true

@@ -13,9 +13,10 @@ import (
 // TestQ1EquivalenceMatrix is the acceptance gate of the multi-aggregate
 // GROUP BY plane: TPC-H Q1 (4×SUM, 3×AVG, COUNT) produces bit-identical
 // rows on the local engine, the in-process channel cluster, the TCP
-// cluster, and the multi-process cluster — the cluster runs under an
-// injected fault plan and forced multi-chunk shuffle streams, which
-// must be invisible in the bits.
+// cluster, and a NewCluster of worker processes. The clusters run
+// under an injected fault plan, the socket ones with forced
+// multi-chunk shuffle streams too, which must be invisible in the
+// bits.
 func TestQ1EquivalenceMatrix(t *testing.T) {
 	tbl := tpch.GenLineitem(0.001, 17)
 	const levels = 2
@@ -34,21 +35,37 @@ func TestQ1EquivalenceMatrix(t *testing.T) {
 		Seed: 99, DropProb: 0.05, MaxDrops: 40, RetryDelay: time.Millisecond,
 		DupProb: 0.05, MaxDelay: time.Millisecond, Reorder: true,
 	}
+	inProcess := func(opts ...repro.DistOption) func() ([]repro.TupleGroup, error) {
+		return func() ([]repro.TupleGroup, error) {
+			return repro.DistributedAggregateByKey(shardKeys, shardCols, 2, specs, opts...)
+		}
+	}
 	modes := []struct {
 		name string
-		opts []repro.DistOption
+		run  func() ([]repro.TupleGroup, error)
 	}{
-		{"chan", []repro.DistOption{repro.WithChanTransport(), repro.WithFaults(faults)}},
-		{"tcp", []repro.DistOption{repro.WithTCPTransport(), repro.WithFaults(faults),
-			repro.WithMaxChunkPayload(4096)}},
-		{"proc", []repro.DistOption{repro.WithProcessCluster(4), repro.WithFaults(faults),
-			repro.WithMaxChunkPayload(4096), repro.WithStragglerDeadline(250 * time.Millisecond)}},
+		{"chan", inProcess(repro.WithChanTransport(), repro.WithFaults(faults))},
+		{"tcp", inProcess(repro.WithTCPTransport(), repro.WithFaults(faults),
+			repro.WithMaxChunkPayload(4096))},
+		{"proc", func() ([]repro.TupleGroup, error) {
+			c, err := repro.NewCluster(repro.ClusterSpec{Nodes: 4}, repro.WithFaults(faults),
+				repro.WithMaxChunkPayload(4096), repro.WithStragglerDeadline(250*time.Millisecond))
+			if err != nil {
+				return nil, err
+			}
+			defer c.Close()
+			res, err := c.Run(repro.Job{Workers: 2, Specs: specs, Source: repro.RowShards(shardKeys, shardCols)})
+			if err != nil {
+				return nil, err
+			}
+			return res.Groups, nil
+		}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			tuples, err := repro.DistributedAggregateByKey(shardKeys, shardCols, 2, specs, mode.opts...)
+			tuples, err := mode.run()
 			if err != nil {
-				t.Fatalf("DistributedAggregateByKey: %v", err)
+				t.Fatalf("%s run: %v", mode.name, err)
 			}
 			got, err := tpch.Q1FromTuples(tuples)
 			if err != nil {

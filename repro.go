@@ -33,7 +33,6 @@
 package repro
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/agg"
@@ -110,10 +109,7 @@ func Sum32(values []float32) float32 {
 }
 
 // Group is one row of a GROUPBY result.
-type Group struct {
-	Key uint32
-	Sum float64
-}
+type Group = dist.Group
 
 // GroupByOptions configures GroupBySum.
 type GroupByOptions struct {
@@ -226,13 +222,13 @@ var (
 	// the reassembly budget (see WithReassemblyBudget).
 	ErrChunkBudget = dist.ErrChunkBudget
 	// ErrConfig: a DistOption was built with an invalid value (a
-	// non-positive chunk payload, reassembly budget, or process
-	// count). Reported by the distributed operators before any run
-	// starts.
+	// non-positive chunk payload, reassembly budget, or straggler
+	// deadline), or a ClusterSpec field is out of range. Reported
+	// before any run starts.
 	ErrConfig = dist.ErrConfig
 	// ErrHandshake: a worker process's join handshake disagreed with
 	// the supervisor on the frame version, rsum level count, or
-	// run-config digest (see WithProcessCluster).
+	// run-config digest (see NewCluster).
 	ErrHandshake = dist.ErrHandshake
 )
 
@@ -272,8 +268,12 @@ func WithFaults(plan FaultPlan) DistOption {
 // WithStragglerDeadline sets how long a node in the reduction tree
 // waits for a child's partial before re-requesting it (straggler
 // handling). Spurious re-requests are harmless; frames are
-// deduplicated.
+// deduplicated. d must be positive: a non-positive value fails the
+// operation immediately with ErrConfig.
 func WithStragglerDeadline(d time.Duration) DistOption {
+	if d <= 0 {
+		d = -1 // as poisonNonPositive: 0 must not select the default
+	}
 	return func(c *dist.Config) { c.ChildDeadline = d }
 }
 
@@ -317,32 +317,11 @@ func WithReassemblyBudget(bytes int) DistOption {
 	return func(c *dist.Config) { c.ReassemblyBudget = poisonNonPositive(bytes) }
 }
 
-// WithProcessCluster runs the distributed operation across procs
-// spawned worker OS processes — a real multi-process cluster speaking
-// the v2 frame codec over TCP sockets — instead of in-process
-// goroutines. Each worker joins through a handshake (frame version,
-// rsum level count, run-config digest; mismatches fail with
-// ErrHandshake), executes its node's protocol role, reconnects through
-// socket failures via the per-chunk resend path, and exits on
-// shutdown. The result bits are identical to every in-process
-// transport. When procs differs from the number of input shards, the
-// shards are re-dealt round-robin across the procs worker nodes
-// (reproducibility makes re-dealing invisible in the bits).
-//
-// The worker binary is resolved in order: the REPROWORKER_BIN
-// environment variable (pointing at a built cmd/reproworker), else the
-// current binary re-executed — which requires main (or TestMain) to
-// call InitWorkerProcess first. procs must be positive: a non-positive
-// value fails the operation immediately with ErrConfig.
-func WithProcessCluster(procs int) DistOption {
-	return func(c *dist.Config) { c.Procs = poisonNonPositive(procs) }
-}
-
 // InitWorkerProcess turns the current process into a cluster worker
-// and never returns when it was spawned as one by WithProcessCluster's
+// and never returns when it was spawned as one by a NewCluster
 // supervisor; otherwise it returns immediately. Call it at the top of
-// main (before flag parsing) in any program that uses
-// WithProcessCluster without a separate reproworker binary.
+// main (before flag parsing) in any program that uses NewCluster
+// without a separate reproworker binary (see REPROWORKER_BIN).
 func InitWorkerProcess() { proc.MaybeWorkerMain() }
 
 func distConfig(opts []DistOption) dist.Config {
@@ -353,44 +332,6 @@ func distConfig(opts []DistOption) dist.Config {
 	return cfg
 }
 
-// runOnProcessCluster is WithProcessCluster's execution path: it forms
-// a cluster of cfg.Procs worker processes, runs the one raw-shard job
-// over it and closes it (a run error outranks a teardown error — the
-// former usually causes the latter). Bad input fails before any process
-// starts, with the in-process engine's sentinels in its order: the
-// configuration, no shards, the caller's finding about the shards'
-// shape, then worker count — Cluster.Run alone would take 0 workers for
-// 1 — and topology.
-func runOnProcessCluster(cfg dist.Config, shards int, shape error, job proc.Job) (*proc.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if shards == 0 {
-		return nil, ErrNoShards
-	}
-	if shape != nil {
-		return nil, shape
-	}
-	if job.Workers < 1 {
-		return nil, fmt.Errorf("%w (got %d)", ErrWorkers, job.Workers)
-	}
-	if !job.Topo.Valid() {
-		return nil, fmt.Errorf("%w (got %d)", ErrTopology, int(job.Topo))
-	}
-	c, err := proc.NewCluster(proc.ClusterSpec{Nodes: cfg.Procs, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run(job)
-	if cerr := c.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // DistributedSum computes the reproducible SUM of a sharded input on a
 // simulated cluster with one node per shard: every node sums its shard
 // locally (with the given per-node worker count), and the partial
@@ -399,20 +340,11 @@ func runOnProcessCluster(cfg dist.Config, shards int, shape error, job proc.Job)
 // per process, then a global reduce). The result carries the same bits
 // as Sum over the concatenated shards — for every cluster size,
 // topology, worker count, message arrival order, transport
-// (WithTCPTransport), and fault plan (WithFaults).
+// (WithTCPTransport), and fault plan (WithFaults). The nodes are
+// goroutines of this process; to run the same reduction across worker
+// processes, submit a Job to a NewCluster handle.
 func DistributedSum(shards [][]float64, workers int, topo Topology, opts ...DistOption) (float64, error) {
-	cfg := distConfig(opts)
-	if cfg.Procs == 0 {
-		return dist.ReduceConfig(shards, workers, topo, cfg)
-	}
-	// A poisoned WithProcessCluster argument surfaces as ErrConfig here
-	// too: the helper validates the config first.
-	res, err := runOnProcessCluster(cfg, len(shards), nil,
-		proc.Job{Topo: topo, Workers: workers, Source: proc.ValueShards(shards)})
-	if err != nil {
-		return 0, err
-	}
-	return res.Sum, nil
+	return dist.ReduceConfig(shards, workers, topo, distConfig(opts))
 }
 
 // DistributedGroupBySum computes a reproducible GROUP BY SUM over rows
@@ -425,24 +357,7 @@ func DistributedSum(shards [][]float64, workers int, topo Topology, opts ...Dist
 // rows, for every sharding, cluster size, worker count, transport, and
 // fault plan.
 func DistributedGroupBySum(shardKeys [][]uint32, shardVals [][]float64, workers int, opts ...DistOption) ([]Group, error) {
-	if len(shardVals) != len(shardKeys) {
-		return nil, fmt.Errorf("%w: %d key shards vs %d value shards",
-			ErrShardMismatch, len(shardKeys), len(shardVals))
-	}
-	shardCols := make([][][]float64, len(shardVals))
-	for i, vals := range shardVals {
-		shardCols[i] = [][]float64{vals}
-	}
-	tuples, err := DistributedAggregateByKey(shardKeys, shardCols, workers,
-		[]AggSpec{{Kind: AggSum, Levels: DefaultLevels, Col: 0}}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Group, len(tuples))
-	for i, t := range tuples {
-		out[i] = Group{Key: t.Key, Sum: t.Aggs[0]}
-	}
-	return out, nil
+	return dist.AggregateByKeyConfig(shardKeys, shardVals, workers, distConfig(opts))
 }
 
 // AggKind identifies one aggregate function of the distributed
@@ -486,20 +401,11 @@ type TupleGroup = dist.TupleGroup
 // unique owner nodes, senders pre-aggregate per-key state tuples, and
 // owners merge shipped tuples in arrival order; the returned groups
 // are sorted by key and bit-identical for every sharding, cluster
-// size, worker count, transport (WithTCPTransport), process cluster
-// (WithProcessCluster), and fault plan (WithFaults).
+// size, worker count, transport (WithTCPTransport), and fault plan
+// (WithFaults) — and to a NewCluster Job with the same specs over
+// RowShards of the same rows.
 func DistributedAggregateByKey(shardKeys [][]uint32, shardCols [][][]float64, workers int, specs []AggSpec, opts ...DistOption) ([]TupleGroup, error) {
-	cfg := distConfig(opts)
-	if cfg.Procs == 0 {
-		return dist.AggregateTuplesConfig(shardKeys, shardCols, workers, specs, cfg)
-	}
-	res, err := runOnProcessCluster(cfg, len(shardKeys),
-		dist.ValidateShardColumns(shardKeys, shardCols, specs),
-		proc.Job{Workers: workers, Specs: specs, Source: proc.RowShards(shardKeys, shardCols)})
-	if err != nil {
-		return nil, err
-	}
-	return res.Groups, nil
+	return dist.AggregateTuplesConfig(shardKeys, shardCols, workers, specs, distConfig(opts))
 }
 
 // DotProduct returns the bit-reproducible dot product Σ x[i]·y[i] with

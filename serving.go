@@ -67,9 +67,8 @@ var (
 // interconnect options (WithTCPTransport, WithFaults, …) apply to
 // every query the server routes through the in-process tuple plane.
 // To serve over real worker processes, set ServerOptions.Cluster to a
-// NewCluster handle instead of using WithProcessCluster (which the
-// serving layer rejects): GROUP BY queries then run as cluster jobs
-// and the served bytes are identical to every other backend's.
+// NewCluster handle: GROUP BY queries then run as cluster jobs and the
+// served bytes are identical to every other backend's.
 func NewServer(ds *ServeDataset, opts ServerOptions, distOpts ...DistOption) (*Server, error) {
 	for _, o := range distOpts {
 		o(&opts.Dist)
