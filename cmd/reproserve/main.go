@@ -22,9 +22,11 @@
 //	GET /stats                                 serving counters, build
 //	                                           and version info, uptime
 //	GET /metrics                               Prometheus text: the
-//	                                           server's registry plus
-//	                                           the process-global wire
-//	                                           and cluster counters
+//	                                           server's registry, the
+//	                                           -proc-nodes cluster's
+//	                                           (repro_proc_*), and the
+//	                                           process-global wire
+//	                                           counters
 //	GET /trace/{id}                            one query's recorded
 //	                                           trace (span names,
 //	                                           timings, hop digests);
@@ -184,8 +186,8 @@ func newBuildInfo(start time.Time) buildInfo {
 }
 
 // newHandler wires the serving endpoints onto srv. pc, when non-nil,
-// is the backing process cluster whose durability counters ride along
-// on /stats.
+// is the backing process cluster whose counters ride along on /stats
+// and /metrics.
 func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
@@ -273,10 +275,15 @@ func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 		}{srv.Stats(), cst, pc.Ready(), newBuildInfo(start)})
 	})
 
-	// /metrics unions the server's private registry with the
-	// process-global one (data-plane wire counters, cluster control
-	// plane) into a single Prometheus text exposition.
-	mux.Handle("GET /metrics", obs.Handler(srv.Registry(), obs.Default))
+	// /metrics unions the server's private registry, the backing
+	// cluster's (the repro_proc_* control plane and its workers' wire
+	// totals) and the process-global one (this process's data-plane
+	// wire counters) into a single Prometheus text exposition.
+	regs := []*obs.Registry{srv.Registry(), obs.Default}
+	if pc != nil {
+		regs = []*obs.Registry{srv.Registry(), pc.Registry(), obs.Default}
+	}
+	mux.Handle("GET /metrics", obs.Handler(regs...))
 
 	mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)

@@ -5,14 +5,24 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dist/proc"
 	"repro/internal/serve"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
+
+// TestMain lets a process cluster re-execute this test binary as its
+// workers.
+func TestMain(m *testing.M) {
+	proc.MaybeWorkerMain()
+	os.Exit(m.Run())
+}
 
 func testServer(t *testing.T, opts serve.Options) *httptest.Server {
 	t.Helper()
@@ -24,7 +34,7 @@ func testServer(t *testing.T, opts serve.Options) *httptest.Server {
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	ts := httptest.NewServer(newHandler(srv, nil))
+	ts := httptest.NewServer(newHandler(srv, opts.Cluster))
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts
 }
@@ -165,6 +175,28 @@ func TestParseAggList(t *testing.T) {
 	for _, bad := range []string{"", "SUM", "SUM(", "SUM(x)", "SUM(-1)", "HUH(0)"} {
 		if _, err := parseAggList(bad, 0); err == nil {
 			t.Fatalf("parseAggList(%q) accepted malformed input", bad)
+		}
+	}
+}
+
+// TestMetricsWithCluster: with a process cluster behind the server,
+// /metrics carries the cluster's own registry beside the server's and
+// the process-global one.
+func TestMetricsWithCluster(t *testing.T) {
+	pc, err := proc.NewCluster(proc.ClusterSpec{Nodes: 2, JoinTimeout: 30 * time.Second,
+		Options: proc.Options{LogWriter: io.Discard}})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer pc.Close()
+	ts := testServer(t, serve.Options{Cluster: pc})
+	if status, body := get(t, ts.URL+"/query?aggs=SUM(0)"); status != http.StatusOK {
+		t.Fatalf("query: status %d: %s", status, body)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	for _, want := range []string{"\nrepro_proc_joins_total 2\n", "\nrepro_proc_missing_slots 0\n", "\nserve_queries_total 1\n", "\nrepro_dist_wire_frames_out_total "} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 		}
 	}
 }

@@ -32,8 +32,9 @@ var (
 
 // WireStats is a point-in-time read of the process's data-plane wire
 // counters. Workers encode one into each heartbeat ping; the
-// supervisor folds the deltas into its ClusterStats so a cluster's
-// aggregate traffic is visible from one place.
+// supervisor adds the deltas into its cluster's
+// repro_proc_worker_wire_*_total series (ClusterStats.Worker reads them
+// back), so a cluster's aggregate traffic is visible from one place.
 type WireStats struct {
 	FramesOut, FramesIn uint64
 	BytesOut, BytesIn   uint64
@@ -59,22 +60,12 @@ func ReadWireStats() WireStats {
 	}
 }
 
-// Add folds another snapshot (or delta) into s field by field.
-func (s *WireStats) Add(d WireStats) {
-	s.FramesOut += d.FramesOut
-	s.FramesIn += d.FramesIn
-	s.BytesOut += d.BytesOut
-	s.BytesIn += d.BytesIn
-	s.ChanFrames += d.ChanFrames
-	s.ChunksSplit += d.ChunksSplit
-	s.Retransmits += d.Retransmits
-	s.ResendRequests += d.ResendRequests
-	s.ReassemblyRejects += d.ReassemblyRejects
-}
-
-// Sub returns s - prev with per-field clamping at zero: a counter that
-// went backwards means the reporting process restarted (a replacement
-// worker re-using a node slot), so its full current value is the delta.
+// Sub returns s - prev field by field: the traffic between two reads
+// of one process's counters. A counter that went backwards cannot come
+// from the same process, so its full current value is the delta. The
+// supervisor takes each worker's delta against that same process's
+// previous report (found by the process nonce its pings carry), so a
+// replacement is never measured against its dead predecessor.
 func (s WireStats) Sub(prev WireStats) WireStats {
 	d := func(cur, old uint64) uint64 {
 		if cur < old {

@@ -352,26 +352,15 @@ type Cluster struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	joined       atomic.Int64
-	replaced     atomic.Int64
-	standbyGauge atomic.Int64
-
-	jnl          *journal
-	epochGauge   atomic.Uint64
-	lastRecovery atomic.Int64 // unix nanos of the start from a previous journal
-	missingGauge atomic.Int64 // empty node slots (N until formation)
-	recovering   atomic.Bool  // started from a previous journal, membership not yet whole
+	jnl        *journal
+	recovering atomic.Bool // started from a previous journal, membership not yet whole
 
 	// Observability plane: the structured event log (see Events) and
-	// the heartbeat-telemetry aggregates Stats folds in. workerWire
-	// accumulates the per-ping deltas of every worker's reported wire
-	// counters; the supervisor loop writes it, Stats reads it.
-	elog        *obs.EventLog
-	heartbeats  atomic.Uint64
-	lastRTT     atomic.Int64 // nanos, latest worker-measured heartbeat RTT
-	jobsStarted atomic.Int64
-	wireMu      sync.Mutex
-	workerWire  dist.WireStats
+	// the cluster's own metric registry, the one record of its counters
+	// (see Stats and Registry). The supervisor loop writes both.
+	elog *obs.EventLog
+	reg  *obs.Registry
+	met  clusterMetrics
 }
 
 // Connection lifecycle phases, owned by the supervisor loop.
@@ -490,15 +479,17 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		done:   make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
 		elog:   obs.NewEventLog(512),
+		reg:    obs.NewRegistry(),
 	}
-	c.missingGauge.Store(int64(conf.N))
+	c.met = newClusterMetrics(c.reg)
+	c.met.missing.Set(int64(conf.N))
 	l := &clusterLoop{
 		c:        c,
 		members:  make([]*connState, conf.N),
 		incs:     make([]int, conf.N),
 		procs:    make(map[*exec.Cmd]bool),
 		reserved: make(map[int]*connState),
-		prevWire: make(map[int]dist.WireStats),
+		prevWire: make(map[uint64]dist.WireStats),
 	}
 	if recovering {
 		// Restore the incarnation counters and job cursor, so any job
@@ -509,7 +500,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		copy(l.incs, rec.incs)
 		l.nextJob = rec.nextJob
 		l.everFormed = !slices.Contains(l.incs, 0)
-		c.lastRecovery.Store(time.Now().UnixNano())
+		c.met.lastRecovery.Set(time.Now().UnixNano())
 		c.recovering.Store(true)
 		c.elog.Append("replay", -1, fmt.Sprintf("journal read: epoch %d, next job %d", rec.epoch, rec.nextJob))
 	}
@@ -521,9 +512,9 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 			ln.Close()
 			return nil, err
 		}
-		c.epochGauge.Store(l.epoch)
+		c.met.epoch.Set(int64(l.epoch))
 		c.elog.Append("epoch", -1, fmt.Sprintf("fencing epoch %d (journal opened)", l.epoch))
-		mEpochBumps.Inc()
+		c.met.epochBumps.Inc()
 	}
 
 	// Every local worker is started with the one line an operator would
@@ -581,26 +572,37 @@ func spawnCmd(path string, reexec bool, opt Options, args ...string) *exec.Cmd {
 // Addr is the control address workers join at (reproworker -join).
 func (c *Cluster) Addr() string { return c.ln.Addr().String() }
 
-// Stats reports cluster membership and recovery counters.
+// Stats reports cluster membership and recovery counters. They are
+// read from the same registry Registry exposes (Events aside, which is
+// the event log's last sequence number): Stats is the typed view, the
+// registry the enumerable one.
 func (c *Cluster) Stats() ClusterStats {
+	m := &c.met
 	st := ClusterStats{
-		Joined:   int(c.joined.Load()),
-		Replaced: int(c.replaced.Load()),
-		Standbys: int(c.standbyGauge.Load()),
-		Epoch:    c.epochGauge.Load(),
+		Joined:       int(m.joins.Value()),
+		Replaced:     int(m.replacements.Value()),
+		Standbys:     int(m.standbys.Value()),
+		Epoch:        uint64(m.epoch.Value()),
+		Jobs:         int(m.jobs.Value()),
+		Heartbeats:   m.heartbeats.Value(),
+		HeartbeatRTT: time.Duration(m.lastRTT.Value()),
+		Events:       c.elog.LastSeq(),
 	}
-	if ns := c.lastRecovery.Load(); ns != 0 {
+	if ns := m.lastRecovery.Value(); ns != 0 {
 		st.LastRecovery = time.Unix(0, ns)
 	}
-	st.Jobs = int(c.jobsStarted.Load())
-	st.Heartbeats = c.heartbeats.Load()
-	st.HeartbeatRTT = time.Duration(c.lastRTT.Load())
-	st.Events = c.elog.LastSeq()
-	c.wireMu.Lock()
-	st.Worker = c.workerWire
-	c.wireMu.Unlock()
+	var p pingStats
+	for i, f := range p.wireFields() {
+		*f = m.worker[i].Value()
+	}
+	st.Worker = p.wire
 	return st
 }
+
+// Registry exposes the cluster's private metric registry: the
+// repro_proc_* series behind Stats and Ready, in scrapeable form
+// (obs.Handler serves it as Prometheus text).
+func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
 // Events snapshots the cluster's structured event log: admissions,
 // departures, standby promotions, re-attaches, epoch bumps, journal
@@ -613,7 +615,7 @@ func (c *Cluster) Events() []obs.Event { return c.elog.Events() }
 // replacements are admitted. Serving layers use it to shed load with a
 // retryable error instead of queueing onto a degraded cluster; it
 // flips back to true on its own once the last slot fills.
-func (c *Cluster) Ready() bool { return c.missingGauge.Load() == 0 }
+func (c *Cluster) Ready() bool { return c.met.missing.Value() == 0 }
 
 // Recovering reports whether the cluster is inside a crash-recovery
 // window: a previous incarnation's journal was found at startup and its
@@ -862,13 +864,13 @@ func (rs *runState) payloadFor(id, inc int) ([]byte, error) {
 type clusterLoop struct {
 	c *Cluster
 
-	epoch    uint64                 // supervisor fencing epoch (0 = unjournaled)
-	members  []*connState           // admitted, by node id
-	incs     []int                  // next admission incarnation per slot
-	procs    map[*exec.Cmd]bool     // live processes this supervisor started, for Close to reap
-	standbys []*connState           // parked joiners, promotion order
-	reserved map[int]*connState     // slot id → joiner awaiting its full hello
-	prevWire map[int]dist.WireStats // last ping-reported wire counters per slot
+	epoch    uint64                    // supervisor fencing epoch (0 = unjournaled)
+	members  []*connState              // admitted, by node id
+	incs     []int                     // next admission incarnation per slot
+	procs    map[*exec.Cmd]bool        // live processes this supervisor started, for Close to reap
+	standbys []*connState              // parked joiners, promotion order
+	reserved map[int]*connState        // slot id → joiner awaiting its full hello
+	prevWire map[uint64]dist.WireStats // last ping-reported wire counters of every worker process, by nonce
 
 	everFormed bool  // all slots were filled at least once
 	broken     error // fatal formation error: the cluster cannot run
@@ -1097,7 +1099,7 @@ func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 		cs.phase = phaseStandby
 		cs.conn.SetReadDeadline(time.Time{}) // parked indefinitely
 		l.standbys = append(l.standbys, cs)
-		l.c.standbyGauge.Store(int64(len(l.standbys)))
+		l.c.met.standbys.Set(int64(len(l.standbys)))
 		l.c.elog.Append("park", -1, fmt.Sprintf("joiner parked as standby (%d on the bench)", len(l.standbys)))
 	default:
 		l.reject(cs, fmt.Errorf("%w: cluster is full: all %d node slots are taken and %d standbys are parked",
@@ -1167,8 +1169,8 @@ func (l *clusterLoop) fillSlot(id int) {
 	for len(l.standbys) > 0 {
 		sb := l.standbys[0]
 		l.standbys = l.standbys[1:]
-		l.c.standbyGauge.Store(int64(len(l.standbys)))
-		mPromotions.Inc()
+		l.c.met.standbys.Set(int64(len(l.standbys)))
+		l.c.met.promotions.Inc()
 		l.c.elog.Append("promote", id, "standby promoted into empty slot")
 		l.reserve(sb, id)
 		return
@@ -1185,20 +1187,19 @@ func (l *clusterLoop) admit(cs *connState) {
 	cs.lastSeen = time.Now()
 	cs.conn.SetReadDeadline(time.Time{})
 	l.members[id] = cs
-	l.c.joined.Add(1)
-	mJoins.Inc()
+	l.c.met.joins.Inc()
 	l.c.elog.Append("join", id, fmt.Sprintf("incarnation %d admitted", cs.inc))
 	l.persist()
-	l.c.missingGauge.Store(int64(l.missingCount()))
+	l.c.met.missing.Set(int64(l.missingCount()))
 	if l.missingCount() == 0 && l.c.recovering.CompareAndSwap(true, false) {
-		if ns := l.c.lastRecovery.Load(); ns != 0 {
+		if ns := l.c.met.lastRecovery.Value(); ns != 0 {
 			d := time.Since(time.Unix(0, ns))
-			mRecoverySecs.Observe(d.Seconds())
+			l.c.met.recoverySecs.Observe(d.Seconds())
 			l.c.elog.Append("recovered", -1, fmt.Sprintf("membership whole %v after journal recovery", d.Round(time.Millisecond)))
 		}
 	}
 	if cs.inc > 0 {
-		l.c.replaced.Add(1)
+		l.c.met.replacements.Inc()
 		if l.cur != nil {
 			l.cur.replacements++
 		}
@@ -1228,7 +1229,7 @@ func (l *clusterLoop) handleConnErr(e evConnErr) {
 				break
 			}
 		}
-		l.c.standbyGauge.Store(int64(len(l.standbys)))
+		l.c.met.standbys.Set(int64(len(l.standbys)))
 	case phaseReserved:
 		id := cs.id
 		cs.phase = phaseDead
@@ -1280,10 +1281,10 @@ func (l *clusterLoop) memberGone(m *connState, cause error) {
 	m.phase = phaseDead
 	m.conn.Close()
 	l.members[m.id] = nil
-	mDeparts.Inc()
+	l.c.met.departs.Inc()
 	l.c.elog.Append("depart", m.id, cause.Error())
 	l.persist()
-	l.c.missingGauge.Store(int64(l.missingCount()))
+	l.c.met.missing.Set(int64(l.missingCount()))
 	if !l.c.spec.ReplaceDead {
 		l.fatal(cause)
 		return
@@ -1333,8 +1334,7 @@ func (l *clusterLoop) startRun(e evRun) {
 	}
 	l.nextJob++
 	l.cur = rs
-	mJobsStarted.Inc()
-	l.c.jobsStarted.Add(1)
+	l.c.met.jobs.Inc()
 	l.c.elog.Append("job", -1, fmt.Sprintf("job %d dispatched", rs.jobIdx))
 	l.persist()
 	for _, m := range l.members {
@@ -1414,28 +1414,29 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 	switch msg.Kind {
 	case dist.KindPing:
 		// lastSeen is the message. The ping also carries the worker's
-		// telemetry: its cumulative wire counters (merged as deltas,
-		// keyed by slot, clamped on restart), jobs run, and the RTT it
-		// measured from the previous echo. The payload is echoed
-		// straight back so the worker times the round trip against its
-		// own clock — no cross-machine clock arithmetic. Echo failures
-		// are left to the reader: a dead connection surfaces there.
+		// telemetry: its process's cumulative wire counters (merged as
+		// deltas against that process's previous report, found by its
+		// nonce) and the RTT it measured from the previous echo. The
+		// payload is echoed straight back so the worker times the round
+		// trip against its own clock — no cross-machine clock
+		// arithmetic. Echo failures are left to the reader: a dead
+		// connection surfaces there.
 		p, err := decodePingStats(msg.Payload)
 		if err != nil {
 			l.c.elog.Append("bad-ping", cs.id, err.Error())
 			return
 		}
-		mHeartbeats.Inc()
-		l.c.heartbeats.Add(1)
+		m := &l.c.met
+		m.heartbeats.Inc()
 		if p.rttNanos > 0 {
-			l.c.lastRTT.Store(p.rttNanos)
-			mHeartbeatRTT.Observe(float64(p.rttNanos) / 1e9)
+			m.lastRTT.Set(p.rttNanos)
+			m.heartbeatRTT.Observe(float64(p.rttNanos) / 1e9)
 		}
-		delta := p.wire.Sub(l.prevWire[cs.id])
-		l.prevWire[cs.id] = p.wire
-		l.c.wireMu.Lock()
-		l.c.workerWire.Add(delta)
-		l.c.wireMu.Unlock()
+		d := pingStats{wire: p.wire.Sub(l.prevWire[p.nonce])}
+		l.prevWire[p.nonce] = p.wire
+		for i, f := range d.wireFields() {
+			m.worker[i].Add(*f)
+		}
 		_ = cs.send(dist.Frame{
 			Kind: dist.KindPing, To: cs.id, Seq: ctrlSeqPing, Payload: msg.Payload,
 		})
@@ -1583,7 +1584,7 @@ func (l *clusterLoop) checkLiveness() {
 	now := time.Now()
 	for _, m := range l.members {
 		if m != nil && now.Sub(m.lastSeen) > l.c.spec.Liveness {
-			mLivenessMisses.Inc()
+			l.c.met.livenessMisses.Inc()
 			l.memberGone(m, fmt.Errorf("proc: worker %d missed the liveness window (silent for %v)",
 				m.id, now.Sub(m.lastSeen).Round(time.Millisecond)))
 		}

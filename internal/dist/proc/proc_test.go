@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
@@ -507,7 +506,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // error — and the supervisor records the error in the event log while
 // the ping still counts for liveness.
 func TestPingOneVersion(t *testing.T) {
-	ps := pingStats{sentNanos: 5, rttNanos: 7, jobsRun: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}}
+	ps := pingStats{sentNanos: 5, rttNanos: 7, nonce: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}}
 	good := encodePingStats(ps)
 	if back, err := decodePingStats(good); err != nil || back != ps {
 		t.Fatalf("ping round trip: %+v, %v", back, err)
@@ -521,14 +520,16 @@ func TestPingOneVersion(t *testing.T) {
 	}
 
 	cs := &connState{id: 1}
-	l := &clusterLoop{c: &Cluster{elog: obs.NewEventLog(4)}, members: []*connState{nil, cs}}
+	l := handLoop(2)
+	l.members[1] = cs
 	l.handleMemberMsg(cs, dist.Frame{Kind: dist.KindPing, From: 1, Payload: stale})
 	evs := l.c.elog.Events()
 	if len(evs) != 1 || evs[0].Kind != "bad-ping" || evs[0].Node != 1 {
 		t.Fatalf("event log after a stale ping: %+v", evs)
 	}
-	if cs.lastSeen.IsZero() || l.c.heartbeats.Load() != 0 {
-		t.Fatalf("stale ping: lastSeen %v, heartbeats %d; want liveness advanced, no stats folded", cs.lastSeen, l.c.heartbeats.Load())
+	beats, ok := l.c.Registry().Value("repro_proc_heartbeats_total")
+	if cs.lastSeen.IsZero() || !ok || beats != 0 {
+		t.Fatalf("stale ping: lastSeen %v, heartbeats %v (registered %t); want liveness advanced, no stats folded", cs.lastSeen, beats, ok)
 	}
 }
 
@@ -591,7 +592,7 @@ func FuzzControlDecode(f *testing.F) {
 	valid := map[string][][]byte{
 		"conf":             {conf},
 		"hello":            {encodeHello(hello{version: 2, levels: 2, specver: specVersion, flags: helloHasDigest | helloJoin, digest: 0xABCDEF, epoch: 3})},
-		"ping":             {encodePingStats(pingStats{sentNanos: 5, rttNanos: 7, jobsRun: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}})},
+		"ping":             {encodePingStats(pingStats{sentNanos: 5, rttNanos: 7, nonce: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}})},
 		"conf frame":       {encodeConfFrame(4, 9, conf)},
 		"ready":            {encodeReady(7, "10.1.2.3:4567")},
 		"peers":            {encodePeers(7, 3, []string{"127.0.0.1:1", "127.0.0.1:22"})},

@@ -590,9 +590,11 @@ func handLoop(n int) *clusterLoop {
 		events: make(chan event, 16),
 		done:   make(chan struct{}),
 		elog:   obs.NewEventLog(16),
+		reg:    obs.NewRegistry(),
 	}
+	c.met = newClusterMetrics(c.reg)
 	return &clusterLoop{c: c, members: make([]*connState, n), incs: make([]int, n),
-		reserved: make(map[int]*connState), prevWire: make(map[int]dist.WireStats)}
+		reserved: make(map[int]*connState), prevWire: make(map[uint64]dist.WireStats)}
 }
 
 // TestRowShipWriteDeadline: the control connection's write deadline is

@@ -52,8 +52,10 @@ const (
 // multi-aggregate job, so a 5 and a 6 must never share a cluster.
 // Version 7 = KindJob carries only the job's shape for every source
 // kind, and a raw source's rows follow as a KindRows stream; a 6 would
-// look for its rows inside the job payload.
-const specVersion = 7
+// look for its rows inside the job payload. Version 8 = the heartbeat's
+// third field is the worker process's nonce, not a job count; an 8
+// supervisor would take a 7 worker's job count for its identity.
+const specVersion = 8
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -344,21 +346,29 @@ func decodeHello(payload []byte) (hello, error) {
 // pingStats is the decoded KindPing payload. A heartbeat doubles as
 // the worker's telemetry report: its data-plane wire counters
 // (cumulative since process start), the RTT it measured on its previous
-// ping from the supervisor's echo, and the number of jobs it has run.
+// ping from the supervisor's echo, and the nonce that names the
+// reporting process, so the supervisor folds each process's counters
+// as deltas against that process's own previous report.
 type pingStats struct {
-	sentNanos int64 // sender's send timestamp (echoed back in the pong)
-	rttNanos  int64 // RTT the worker measured from the previous echo (0 = none yet)
-	jobsRun   uint64
+	sentNanos int64  // sender's send timestamp (echoed back in the pong)
+	rttNanos  int64  // RTT the worker measured from the previous echo (0 = none yet)
+	nonce     uint64 // random per worker process, fixed for its lifetime
 	wire      dist.WireStats
 }
 
-// wireFields lists the heartbeat's wire counters in payload order.
-func (p *pingStats) wireFields() [9]*uint64 {
+// wireFields lists the heartbeat's wire counters in payload order;
+// wireNames names them, in the same order, for the supervisor's series.
+func (p *pingStats) wireFields() [len(wireNames)]*uint64 {
 	w := &p.wire
 	return [...]*uint64{
 		&w.FramesOut, &w.FramesIn, &w.BytesOut, &w.BytesIn, &w.ChanFrames,
 		&w.ChunksSplit, &w.Retransmits, &w.ResendRequests, &w.ReassemblyRejects,
 	}
+}
+
+var wireNames = [...]string{
+	"frames_out", "frames_in", "bytes_out", "bytes_in", "chan_frames",
+	"chunks_split", "retransmits", "resend_requests", "reassembly_rejects",
 }
 
 // encodePingStats flattens a heartbeat payload:
@@ -367,14 +377,14 @@ func (p *pingStats) wireFields() [9]*uint64 {
 //	0       1     control-plane spec version
 //	1       8     sentNanos
 //	9       8     rttNanos
-//	17      8     jobsRun
+//	17      8     nonce
 //	25      9×8   WireStats fields, declaration order
 func encodePingStats(p pingStats) []byte {
 	b := make([]byte, 0, 1+3*8+9*8)
 	b = append(b, specVersion)
 	b = appendU64(b, uint64(p.sentNanos))
 	b = appendU64(b, uint64(p.rttNanos))
-	b = appendU64(b, p.jobsRun)
+	b = appendU64(b, p.nonce)
 	for _, f := range p.wireFields() {
 		b = appendU64(b, *f)
 	}
@@ -388,7 +398,7 @@ func decodePingStats(payload []byte) (pingStats, error) {
 	var p pingStats
 	r := &confReader{b: payload, what: "ping"}
 	r.version()
-	p.sentNanos, p.rttNanos, p.jobsRun = r.i64(), r.i64(), r.u64()
+	p.sentNanos, p.rttNanos, p.nonce = r.i64(), r.i64(), r.u64()
 	for _, f := range p.wireFields() {
 		*f = r.u64()
 	}

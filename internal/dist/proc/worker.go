@@ -359,13 +359,17 @@ type workerSession struct {
 	raw       []byte
 	epoch     uint64
 
-	// Telemetry shipped in heartbeat pings (spec version 5). lastRTT is
-	// the round trip the worker measured from the supervisor's last pong
-	// echo; jobsRun counts jobs this worker accepted. Atomics: the
-	// heartbeat ticker goroutine reads them while the main loop writes.
+	// lastRTT is the round trip the worker measured from the
+	// supervisor's last pong echo, shipped in the next heartbeat. Atomic:
+	// the heartbeat ticker goroutine reads it while the main loop writes.
 	lastRTT atomic.Int64
-	jobsRun atomic.Uint64
 }
+
+// processNonce names this process in its heartbeats. Every session of
+// the process reports the process-global wire counters under it, so the
+// supervisor folds them once per process: across re-attaches, and apart
+// from a replacement that took over the same slot.
+var processNonce = rand.Uint64()
 
 // runJoiner is a worker's whole life: dial (with retries, for window),
 // attach, serve jobs — and whenever the connection is lost, parked or
@@ -500,14 +504,14 @@ func (s *workerSession) serve(c *ctlConn) error {
 					// A failed ping is not this goroutine's problem: the
 					// read loop sees the connection die and ends the worker.
 					// The payload doubles as the worker's telemetry report:
-					// wire counters, jobs run, and the RTT measured from the
-					// supervisor's previous pong echo.
+					// wire counters, this process's nonce, and the RTT
+					// measured from the supervisor's previous pong echo.
 					_ = c.send(dist.Frame{
 						Kind: dist.KindPing, From: id, Seq: ctrlSeqPing,
 						Payload: encodePingStats(pingStats{
 							sentNanos: time.Now().UnixNano(),
 							rttNanos:  s.lastRTT.Load(),
-							jobsRun:   s.jobsRun.Load(),
+							nonce:     processNonce,
 							wire:      dist.ReadWireStats(),
 						}),
 					})
@@ -575,7 +579,6 @@ func (s *workerSession) serve(c *ctlConn) error {
 				continue
 			}
 			cur = job
-			s.jobsRun.Add(1)
 			err = c.send(dist.Frame{
 				Kind: dist.KindReady, From: id, Seq: ctrlSeqReady(js.jobIdx),
 				Payload: encodeReady(js.jobIdx, announce),

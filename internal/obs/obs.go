@@ -129,9 +129,10 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-global registry: package-level
-// instrumentation (the dist wire counters, the proc control plane)
-// registers here, and surfaces like reproserve's /metrics and
-// repro.Observe() read from here.
+// instrumentation (the dist wire counters) registers here, and
+// surfaces like reproserve's /metrics and repro.Observe() read from
+// here. Per-instance series (a server's, a cluster's) live in that
+// instance's own registry.
 var Default = NewRegistry()
 
 func (r *Registry) lookupOrAdd(name, help string, add func() metric) metric {

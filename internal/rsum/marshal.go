@@ -36,6 +36,56 @@ func (s *State64) EncodedSize() int { return headerSize + int(s.levels)*levelSiz
 // encoding; see State64.EncodedSize.
 func (s *State32) EncodedSize() int { return headerSize + int(s.levels)*levelSize32 }
 
+// appendHeader appends the encoding's header (kind and m) and room for
+// its levels (levelSize bytes each) to dst, returning the extended
+// slice and the levels' bytes.
+func (m *meta) appendHeader(dst []byte, kind byte, levelSize int) (out, levels []byte) {
+	need := headerSize + int(m.levels)*levelSize
+	off := len(dst)
+	dst = append(dst, make([]byte, need)...) // recognized append+make: grows in place, no temp slice
+	buf := dst[off : off+need]
+	buf[0] = stateVersion
+	buf[1] = kind
+	buf[2] = byte(m.levels)
+	if m.init {
+		buf[3] = flagInit
+	}
+	binary.LittleEndian.PutUint32(buf[4:], m.nan)
+	binary.LittleEndian.PutUint32(buf[8:], m.posInf)
+	binary.LittleEndian.PutUint32(buf[12:], m.negInf)
+	binary.LittleEndian.PutUint32(buf[16:], uint32(m.eTop))
+	return dst, buf[headerSize:]
+}
+
+// parseHeader validates the header of an encoding of the given kind
+// (version, kind, level count, flags), reads it into m, and returns the
+// encoding's total length.
+func (m *meta) parseHeader(data []byte, kind byte, levelSize int) (n int, err error) {
+	if len(data) < headerSize {
+		return 0, errCorrupt
+	}
+	if data[0] != stateVersion {
+		return 0, fmt.Errorf("rsum: unsupported state version %d", data[0])
+	}
+	if data[1] != kind {
+		return 0, fmt.Errorf("rsum: expected State%d encoding, got kind %d", kind, data[1])
+	}
+	levels := int(data[2])
+	if levels < 1 || levels > MaxLevels {
+		return 0, errCorrupt
+	}
+	if data[3]&^flagInit != 0 {
+		return 0, errCorrupt // unknown flag bits: encoding is canonical
+	}
+	m.levels = int8(levels)
+	m.init = data[3]&flagInit != 0
+	m.nan = binary.LittleEndian.Uint32(data[4:])
+	m.posInf = binary.LittleEndian.Uint32(data[8:])
+	m.negInf = binary.LittleEndian.Uint32(data[12:])
+	m.eTop = int32(binary.LittleEndian.Uint32(data[16:]))
+	return headerSize + levels*levelSize, nil
+}
+
 // AppendBinary implements encoding.BinaryAppender: it appends the
 // canonical encoding of s to dst and returns the extended slice. The
 // bytes are identical to MarshalBinary's, but when dst has sufficient
@@ -47,25 +97,11 @@ func (s *State64) AppendBinary(dst []byte) ([]byte, error) {
 	if t.init {
 		t.propagate()
 	}
-	need := headerSize + int(t.levels)*levelSize64
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...) // recognized append+make: grows in place, no temp slice
-	buf := dst[off : off+need]
-	buf[0] = stateVersion
-	buf[1] = kindState64
-	buf[2] = byte(t.levels)
-	if t.init {
-		buf[3] = flagInit
-	}
-	binary.LittleEndian.PutUint32(buf[4:], t.nan)
-	binary.LittleEndian.PutUint32(buf[8:], t.posInf)
-	binary.LittleEndian.PutUint32(buf[12:], t.negInf)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(t.eTop))
-	o := headerSize
+	dst, buf := t.appendHeader(dst, kindState64, levelSize64)
 	for l := 0; l < int(t.levels); l++ {
-		binary.LittleEndian.PutUint64(buf[o:], math.Float64bits(t.s[l]))
-		binary.LittleEndian.PutUint64(buf[o+8:], uint64(t.c[l]))
-		o += levelSize64
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(t.s[l]))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(t.c[l]))
+		buf = buf[levelSize64:]
 	}
 	return dst, nil
 }
@@ -76,25 +112,11 @@ func (s *State32) AppendBinary(dst []byte) ([]byte, error) {
 	if t.init {
 		t.propagate()
 	}
-	need := headerSize + int(t.levels)*levelSize32
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	buf := dst[off : off+need]
-	buf[0] = stateVersion
-	buf[1] = kindState32
-	buf[2] = byte(t.levels)
-	if t.init {
-		buf[3] = flagInit
-	}
-	binary.LittleEndian.PutUint32(buf[4:], t.nan)
-	binary.LittleEndian.PutUint32(buf[8:], t.posInf)
-	binary.LittleEndian.PutUint32(buf[12:], t.negInf)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(t.eTop))
-	o := headerSize
+	dst, buf := t.appendHeader(dst, kindState32, levelSize32)
 	for l := 0; l < int(t.levels); l++ {
-		binary.LittleEndian.PutUint32(buf[o:], math.Float32bits(t.s[l]))
-		binary.LittleEndian.PutUint64(buf[o+4:], uint64(t.c[l]))
-		o += levelSize32
+		binary.LittleEndian.PutUint32(buf, math.Float32bits(t.s[l]))
+		binary.LittleEndian.PutUint64(buf[4:], uint64(t.c[l]))
+		buf = buf[levelSize32:]
 	}
 	return dst, nil
 }
@@ -102,84 +124,32 @@ func (s *State32) AppendBinary(dst []byte) ([]byte, error) {
 var errCorrupt = errors.New("rsum: corrupt state encoding")
 
 // EncodedLen64 returns the total byte length of the State64 encoding
-// that starts at data[0], validating the version/kind/level prefix. It
-// lets composite aggregate encodings (a tuple of states, a state
-// followed by a row count) find the boundary of an embedded state
-// without decoding it.
+// that starts at data[0], validating its header. It lets composite
+// aggregate encodings (a tuple of states, a state followed by a row
+// count) find the boundary of an embedded state without decoding it.
 func EncodedLen64(data []byte) (int, error) {
-	if len(data) < headerSize {
-		return 0, errCorrupt
-	}
-	if data[0] != stateVersion {
-		return 0, fmt.Errorf("rsum: unsupported state version %d", data[0])
-	}
-	if data[1] != kindState64 {
-		return 0, fmt.Errorf("rsum: expected State64 encoding, got kind %d", data[1])
-	}
-	levels := int(data[2])
-	if levels < 1 || levels > MaxLevels {
-		return 0, errCorrupt
-	}
-	return headerSize + levels*levelSize64, nil
+	var m meta
+	return m.parseHeader(data, kindState64, levelSize64)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. The encoding is
 // canonical: states that Equal() each other marshal identically.
 func (s *State64) MarshalBinary() ([]byte, error) {
-	t := *s
-	if t.init {
-		t.propagate()
-	}
-	buf := make([]byte, headerSize+int(t.levels)*levelSize64)
-	buf[0] = stateVersion
-	buf[1] = kindState64
-	buf[2] = byte(t.levels)
-	if t.init {
-		buf[3] = flagInit
-	}
-	binary.LittleEndian.PutUint32(buf[4:], t.nan)
-	binary.LittleEndian.PutUint32(buf[8:], t.posInf)
-	binary.LittleEndian.PutUint32(buf[12:], t.negInf)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(t.eTop))
-	off := headerSize
-	for l := 0; l < int(t.levels); l++ {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(t.s[l]))
-		binary.LittleEndian.PutUint64(buf[off+8:], uint64(t.c[l]))
-		off += levelSize64
-	}
-	return buf, nil
+	return s.AppendBinary(make([]byte, 0, s.EncodedSize()))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *State64) UnmarshalBinary(data []byte) error {
-	if len(data) < headerSize {
-		return errCorrupt
-	}
-	if data[0] != stateVersion {
-		return fmt.Errorf("rsum: unsupported state version %d", data[0])
-	}
-	if data[1] != kindState64 {
-		return fmt.Errorf("rsum: expected State64 encoding, got kind %d", data[1])
-	}
-	levels := int(data[2])
-	if levels < 1 || levels > MaxLevels {
-		return errCorrupt
-	}
-	if len(data) != headerSize+levels*levelSize64 {
-		return errCorrupt
-	}
-	if data[3]&^flagInit != 0 {
-		return errCorrupt // unknown flag bits: encoding is canonical
-	}
 	var t State64
-	t.levels = int8(levels)
-	t.init = data[3]&flagInit != 0
-	t.nan = binary.LittleEndian.Uint32(data[4:])
-	t.posInf = binary.LittleEndian.Uint32(data[8:])
-	t.negInf = binary.LittleEndian.Uint32(data[12:])
-	t.eTop = int32(binary.LittleEndian.Uint32(data[16:]))
+	n, err := t.parseHeader(data, kindState64, levelSize64)
+	if err != nil {
+		return err
+	}
+	if len(data) != n {
+		return errCorrupt
+	}
 	off := headerSize
-	for l := 0; l < levels; l++ {
+	for l := 0; l < int(t.levels); l++ {
 		t.s[l] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		t.c[l] = int64(binary.LittleEndian.Uint64(data[off+8:]))
 		off += levelSize64
@@ -252,60 +222,21 @@ func (t *State64) validate() error {
 
 // MarshalBinary implements encoding.BinaryMarshaler; see State64.
 func (s *State32) MarshalBinary() ([]byte, error) {
-	t := *s
-	if t.init {
-		t.propagate()
-	}
-	buf := make([]byte, headerSize+int(t.levels)*levelSize32)
-	buf[0] = stateVersion
-	buf[1] = kindState32
-	buf[2] = byte(t.levels)
-	if t.init {
-		buf[3] = flagInit
-	}
-	binary.LittleEndian.PutUint32(buf[4:], t.nan)
-	binary.LittleEndian.PutUint32(buf[8:], t.posInf)
-	binary.LittleEndian.PutUint32(buf[12:], t.negInf)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(t.eTop))
-	off := headerSize
-	for l := 0; l < int(t.levels); l++ {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(t.s[l]))
-		binary.LittleEndian.PutUint64(buf[off+4:], uint64(t.c[l]))
-		off += levelSize32
-	}
-	return buf, nil
+	return s.AppendBinary(make([]byte, 0, s.EncodedSize()))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *State32) UnmarshalBinary(data []byte) error {
-	if len(data) < headerSize {
-		return errCorrupt
-	}
-	if data[0] != stateVersion {
-		return fmt.Errorf("rsum: unsupported state version %d", data[0])
-	}
-	if data[1] != kindState32 {
-		return fmt.Errorf("rsum: expected State32 encoding, got kind %d", data[1])
-	}
-	levels := int(data[2])
-	if levels < 1 || levels > MaxLevels {
-		return errCorrupt
-	}
-	if len(data) != headerSize+levels*levelSize32 {
-		return errCorrupt
-	}
-	if data[3]&^flagInit != 0 {
-		return errCorrupt // unknown flag bits: encoding is canonical
-	}
 	var t State32
-	t.levels = int8(levels)
-	t.init = data[3]&flagInit != 0
-	t.nan = binary.LittleEndian.Uint32(data[4:])
-	t.posInf = binary.LittleEndian.Uint32(data[8:])
-	t.negInf = binary.LittleEndian.Uint32(data[12:])
-	t.eTop = int32(binary.LittleEndian.Uint32(data[16:]))
+	n, err := t.parseHeader(data, kindState32, levelSize32)
+	if err != nil {
+		return err
+	}
+	if len(data) != n {
+		return errCorrupt
+	}
 	off := headerSize
-	for l := 0; l < levels; l++ {
+	for l := 0; l < int(t.levels); l++ {
 		t.s[l] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
 		t.c[l] = int64(binary.LittleEndian.Uint64(data[off+4:]))
 		off += levelSize32

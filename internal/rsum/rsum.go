@@ -82,8 +82,13 @@ const LowestLevelExp32 = -126
 type State64 struct {
 	s [MaxLevels]float64 // running sums, live levels only
 	c [MaxLevels]int64   // carry counters (multiples of 0.25·ufp)
+	meta
+}
 
-	eTop   int32 // exponent of level 1 extractor (multiple of W64)
+// meta is a state's fields beside its levels, shared by both
+// precisions: all but nAdds form an encoding's header.
+type meta struct {
+	eTop   int32 // exponent of level 1 extractor (multiple of W)
 	nAdds  int32 // extractions since the last carry propagation
 	levels int8  // L
 	init   bool  // true once the first finite non-zero value arrived
@@ -108,7 +113,7 @@ func (s *State64) Reset(levels int) {
 	if levels < 1 || levels > MaxLevels {
 		panic("rsum: level count out of range [1, MaxLevels]")
 	}
-	*s = State64{levels: int8(levels)}
+	*s = State64{meta: meta{levels: int8(levels)}}
 }
 
 // Levels returns the number of summation levels L.

@@ -16,15 +16,7 @@ import (
 type State32 struct {
 	s [MaxLevels]float32
 	c [MaxLevels]int64
-
-	eTop   int32
-	nAdds  int32
-	levels int8
-	init   bool
-
-	nan    uint32
-	posInf uint32
-	negInf uint32
+	meta
 }
 
 // NewState32 returns an empty single-precision summation state.
@@ -40,7 +32,7 @@ func (s *State32) Reset(levels int) {
 	if levels < 1 || levels > MaxLevels {
 		panic("rsum: level count out of range [1, MaxLevels]")
 	}
-	*s = State32{levels: int8(levels)}
+	*s = State32{meta: meta{levels: int8(levels)}}
 }
 
 // Levels returns the number of summation levels L.

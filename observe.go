@@ -9,14 +9,15 @@ import "repro/internal/obs"
 type MetricsSnapshot = obs.Snapshot
 
 // Observe reads every process-global metric at once — the data-plane
-// wire counters (repro_dist_*), the cluster control plane
-// (repro_proc_*), and anything else instrumented against the default
-// registry. The read is lock-free per metric and safe to call at any
-// frequency; it sees whatever the atomics hold at that instant.
+// wire counters (repro_dist_*) and anything else instrumented against
+// the default registry. The read is lock-free per metric and safe to
+// call at any frequency; it sees whatever the atomics hold at that
+// instant.
 //
-// Serving-layer metrics (serve_*) are per-Server, not global: read
-// those from the server's own registry (reproserve exposes the union
-// of both on /metrics).
+// Serving-layer metrics (serve_*) are per-Server and the cluster
+// control plane (repro_proc_*) is per-Cluster, not global: read those
+// from the server's or the cluster's own registry (Cluster.Registry;
+// reproserve exposes the union of all three on /metrics).
 func Observe() MetricsSnapshot {
 	return obs.Default.Snapshot()
 }
