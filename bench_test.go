@@ -491,15 +491,6 @@ func BenchmarkSQLAggregates(b *testing.B) {
 			benchSink += p.Finalize(out[:0], &t)[0]
 		}
 	})
-	b.Run("corr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := sqlagg.NewCovariance(2)
-			for j := range xs {
-				c.Add(xs[j], ys[j])
-			}
-			benchSink += c.Corr()
-		}
-	})
 	b.Run("dot_product", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink += sqlagg.DotProduct(xs, ys, 2)

@@ -53,12 +53,12 @@ type ClusterStats = proc.ClusterStats
 // Source is a Job's input. Raw sources (ValueShards, RowShards) stream
 // the rows to the workers behind the job dispatch, encoded straight
 // from the caller's slices — which are therefore read by reference and
-// must not be modified until Run returns; declarative sources
-// (SyntheticSource, TPCHQ1Source) ship only a description — O(1)
-// dispatch bytes regardless of data size — and every worker
-// materializes its slice locally. Prefer a declarative source whenever
-// the workers can produce the data themselves: a raw row still costs
-// one trip through the supervisor's control connection.
+// must not be modified until Run returns; a declarative source
+// (SyntheticSource) ships only a description — O(1) dispatch bytes
+// regardless of data size — and every worker materializes its slice
+// locally. Prefer a declarative source whenever the workers can
+// produce the data themselves: a raw row still costs one trip through
+// the supervisor's control connection.
 type Source = proc.Source
 
 // ValueShards is a raw reduction input: one value slice per shard.
@@ -77,12 +77,6 @@ func RowShards(shardKeys [][]uint32, shardCols [][][]float64) Source {
 // materializes the full deterministic dataset from the spec and keeps
 // its round-robin slice of the rows.
 func SyntheticSource(spec SyntheticSpec) Source { return proc.SyntheticSource(spec) }
-
-// TPCHQ1Source is a declarative TPC-H input: each worker generates the
-// seeded lineitem table, evaluates Q1's scan side, and keeps its slice.
-// Pair it with a catalog over the six Q1 columns (internal/tpch.Q1Specs
-// is the query's own: 4×SUM, 3×AVG, COUNT).
-func TPCHQ1Source(rows int, seed uint64) Source { return proc.TPCHQ1Source(rows, seed) }
 
 // SyntheticSpec describes a deterministic synthetic dataset: row
 // count, key domain (0 = keyless reduction input), and seeded value

@@ -27,7 +27,7 @@ func TestClusterFacadeSumCompat(t *testing.T) {
 		shards[i%3] = append(shards[i%3], v)
 	}
 
-	old, err := repro.DistributedSum(shards, 2, repro.Chain)
+	old, err := repro.DistributedSum(shards, 2)
 	if err != nil {
 		t.Fatalf("in-process: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestClusterFacadeSumCompat(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	defer c.Close()
-	res, err := c.Run(repro.Job{Topo: repro.Chain, Workers: 2, Source: repro.ValueShards(shards)})
+	res, err := c.Run(repro.Job{Workers: 2, Source: repro.ValueShards(shards)})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestClusterFacadeValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// The same config validation runs in every entry point:
 			// one-shot operators and cluster construction alike.
-			if _, err := repro.DistributedSum([][]float64{{1}}, 1, repro.Binomial, tc.opt); !errors.Is(err, repro.ErrConfig) {
+			if _, err := repro.DistributedSum([][]float64{{1}}, 1, tc.opt); !errors.Is(err, repro.ErrConfig) {
 				t.Fatalf("DistributedSum: err = %v, want ErrConfig", err)
 			}
 			spec := clusterQuiet()

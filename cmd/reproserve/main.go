@@ -126,11 +126,7 @@ func main() {
 
 	var pc *proc.Cluster
 	if *procNodes > 0 {
-		pc, err = proc.NewCluster(proc.ClusterSpec{
-			Nodes:       *procNodes,
-			ReplaceDead: true,
-			Journal:     *journal,
-		})
+		pc, err = proc.NewCluster(procClusterSpec(*procNodes, *journal))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproserve:", err)
 			os.Exit(1)
@@ -158,6 +154,24 @@ func main() {
 	log.Printf("reproserve: %d rows × %d cols resident (version %016x), listening on %s",
 		ds.Rows(), ds.Cols(), ds.Version(), *addr)
 	log.Fatal(http.ListenAndServe(*addr, newHandler(srv, pc)))
+}
+
+// procHeartbeat is the -proc-nodes workers' ping interval. Each ping
+// carries the worker's data-plane wire counters and the control-plane
+// RTT it measured; without pings /stats' Worker counters and
+// HeartbeatRTT, and their repro_proc_* series, would read 0 forever.
+const procHeartbeat = 500 * time.Millisecond
+
+// procClusterSpec is the supervisor configuration of the -proc-nodes
+// cluster: nodes workers that are replaced when they die, heartbeating
+// every procHeartbeat, journaled to journal when it is non-empty.
+func procClusterSpec(nodes int, journal string) proc.ClusterSpec {
+	return proc.ClusterSpec{
+		Nodes:       nodes,
+		ReplaceDead: true,
+		Journal:     journal,
+		Heartbeat:   procHeartbeat,
+	}
 }
 
 // buildInfo is the version block /stats reports: which build answered,

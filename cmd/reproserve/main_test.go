@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -179,12 +180,14 @@ func TestParseAggList(t *testing.T) {
 	}
 }
 
-// TestMetricsWithCluster: with a process cluster behind the server,
-// /metrics carries the cluster's own registry beside the server's and
-// the process-global one.
+// TestMetricsWithCluster: with main's process cluster behind the
+// server, /metrics carries the cluster's own registry beside the
+// server's and the process-global one, and the workers' heartbeats
+// reach it.
 func TestMetricsWithCluster(t *testing.T) {
-	pc, err := proc.NewCluster(proc.ClusterSpec{Nodes: 2, JoinTimeout: 30 * time.Second,
-		Options: proc.Options{LogWriter: io.Discard}})
+	spec := procClusterSpec(2, "")
+	spec.JoinTimeout, spec.Options.LogWriter = 30*time.Second, io.Discard
+	pc, err := proc.NewCluster(spec)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -199,4 +202,27 @@ func TestMetricsWithCluster(t *testing.T) {
 			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 		}
 	}
+	// The first ping leaves a worker one procHeartbeat after it attached.
+	for deadline := time.Now().Add(20 * procHeartbeat); ; time.Sleep(procHeartbeat / 10) {
+		_, body = get(t, ts.URL+"/metrics")
+		if heartbeats(string(body)) >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no heartbeat within %v: repro_proc_heartbeats_total = %v", 20*procHeartbeat, heartbeats(string(body)))
+		}
+	}
+}
+
+// heartbeats reads repro_proc_heartbeats_total off a /metrics body (-1
+// when the series is missing).
+func heartbeats(body string) float64 {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "repro_proc_heartbeats_total "); ok {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f
+			}
+		}
+	}
+	return -1
 }

@@ -39,7 +39,7 @@ func TestDistributedSumProcessCluster(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	defer c.Close()
-	res, err := c.Run(repro.Job{Topo: repro.Binomial, Workers: 2, Source: repro.ValueShards(shards)})
+	res, err := c.Run(repro.Job{Workers: 2, Source: repro.ValueShards(shards)})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestDistOptionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := repro.DistributedSum(shards, 1, repro.Binomial, tc.opt); !errors.Is(err, repro.ErrConfig) {
+			if _, err := repro.DistributedSum(shards, 1, tc.opt); !errors.Is(err, repro.ErrConfig) {
 				t.Errorf("DistributedSum: err = %v, want ErrConfig", err)
 			}
 			if _, err := repro.DistributedGroupBySum(keys, shards, 1, tc.opt); !errors.Is(err, repro.ErrConfig) {
@@ -116,7 +116,7 @@ func TestDistOptionValidation(t *testing.T) {
 
 	// Worker counts are validated the same way they always were —
 	// before anything runs.
-	if _, err := repro.DistributedSum(shards, 0, repro.Binomial); !errors.Is(err, repro.ErrWorkers) {
+	if _, err := repro.DistributedSum(shards, 0); !errors.Is(err, repro.ErrWorkers) {
 		t.Errorf("workers=0: err = %v, want ErrWorkers", err)
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // TestDistributedSumMatchesSum: the simulated-cluster reduction carries
-// exactly the bits of the single-machine Sum, for every topology and
-// cluster size.
+// exactly the bits of the single-machine Sum, for every cluster size.
 func TestDistributedSumMatchesSum(t *testing.T) {
 	const n = 30000
 	vals := workload.Values64(21, n, workload.MixedMag)
@@ -23,15 +22,13 @@ func TestDistributedSumMatchesSum(t *testing.T) {
 		for i, v := range vals {
 			shards[i%nodes] = append(shards[i%nodes], v)
 		}
-		for _, topo := range []repro.Topology{repro.Binomial, repro.Chain, repro.Star} {
-			got, err := repro.DistributedSum(shards, 2, topo)
-			if err != nil {
-				t.Fatalf("DistributedSum(%d nodes, %v): %v", nodes, topo, err)
-			}
-			if math.Float64bits(got) != want {
-				t.Fatalf("DistributedSum(%d nodes, %v) = %016x, want %016x",
-					nodes, topo, math.Float64bits(got), want)
-			}
+		got, err := repro.DistributedSum(shards, 2)
+		if err != nil {
+			t.Fatalf("DistributedSum(%d nodes): %v", nodes, err)
+		}
+		if math.Float64bits(got) != want {
+			t.Fatalf("DistributedSum(%d nodes) = %016x, want %016x",
+				nodes, math.Float64bits(got), want)
 		}
 	}
 }
@@ -95,14 +92,12 @@ func TestDistributedSumTransportOptions(t *testing.T) {
 	}
 	for name, opts := range optSets {
 		t.Run(name, func(t *testing.T) {
-			for _, topo := range []repro.Topology{repro.Binomial, repro.Chain, repro.Star} {
-				got, err := repro.DistributedSum(shards, 2, topo, opts...)
-				if err != nil {
-					t.Fatalf("%v: %v", topo, err)
-				}
-				if math.Float64bits(got) != want {
-					t.Fatalf("%v = %016x, want %016x", topo, math.Float64bits(got), want)
-				}
+			got, err := repro.DistributedSum(shards, 2, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != want {
+				t.Fatalf("%016x, want %016x", math.Float64bits(got), want)
 			}
 		})
 	}
@@ -187,14 +182,11 @@ func TestDistributedChunkedOptions(t *testing.T) {
 // TestDistributedSumErrors: the facade surfaces the dist error paths
 // as matchable re-exported sentinels.
 func TestDistributedSumErrors(t *testing.T) {
-	if _, err := repro.DistributedSum(nil, 1, repro.Binomial); !errors.Is(err, repro.ErrNoShards) {
+	if _, err := repro.DistributedSum(nil, 1); !errors.Is(err, repro.ErrNoShards) {
 		t.Errorf("empty cluster: got %v, want ErrNoShards", err)
 	}
-	if _, err := repro.DistributedSum([][]float64{{1}}, 0, repro.Star); !errors.Is(err, repro.ErrWorkers) {
+	if _, err := repro.DistributedSum([][]float64{{1}}, 0); !errors.Is(err, repro.ErrWorkers) {
 		t.Errorf("zero workers: got %v, want ErrWorkers", err)
-	}
-	if _, err := repro.DistributedSum([][]float64{{1}}, 1, repro.Topology(7)); !errors.Is(err, repro.ErrTopology) {
-		t.Errorf("bad topology: got %v, want ErrTopology", err)
 	}
 	if _, err := repro.DistributedGroupBySum([][]uint32{{1}}, [][]float64{{1}, {2}}, 1); !errors.Is(err, repro.ErrShardMismatch) {
 		t.Errorf("mismatched shards: got %v, want ErrShardMismatch", err)

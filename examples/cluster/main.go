@@ -47,7 +47,7 @@ func main() {
 	for i, v := range vals {
 		shards[i%3] = append(shards[i%3], v)
 	}
-	res, err := c.Run(repro.Job{Topo: repro.Binomial, Workers: 2, Source: repro.ValueShards(shards)})
+	res, err := c.Run(repro.Job{Workers: 2, Source: repro.ValueShards(shards)})
 	check("cluster sum", err)
 
 	fmt.Printf("single-machine : %016x (%g)\n", math.Float64bits(ref), ref)
@@ -92,7 +92,7 @@ func main() {
 	check("cluster", err)
 	defer c.Close()
 
-	res, err = c.Run(repro.Job{Topo: repro.Binomial, Workers: 2,
+	res, err = c.Run(repro.Job{Workers: 2,
 		Source: repro.ValueShards(shards)})
 	check("cluster job 1", err)
 	if math.Float64bits(res.Sum) != math.Float64bits(ref) {

@@ -2,8 +2,8 @@
 // the MIMD setting the summation algorithm was designed for (paper
 // §III-D: local summation per process, global MPI_Reduce). Partial
 // aggregates travel between "nodes" as serialized canonical states, and
-// the final answer is bit-identical for every cluster size, reduction
-// topology, and (nondeterministic) message arrival order — and, since
+// the final answer is bit-identical for every cluster size and
+// (nondeterministic) message arrival order — and, since
 // the message layer is a pluggable transport, for in-process channels
 // and real TCP sockets alike, even with faults (delay, duplication,
 // reordering, dropped-then-retried frames) injected into the link. It
@@ -26,8 +26,27 @@ func main() {
 	const n = 200000
 	vals := workload.Values64(7, n, workload.MixedMag)
 
+	// The reduction runs over in-process channels and over real TCP
+	// sockets on loopback — one listener per node, length-prefixed
+	// CRC-checked frames — each also with a hostile fault plan injected
+	// into the link. The bits cannot move.
+	chaos := &dist.FaultPlan{
+		Seed: 42, DropProb: 0.3, DupProb: 0.3, Reorder: true,
+		MaxDelay: 500 * time.Microsecond, RetryDelay: 200 * time.Microsecond,
+	}
+	transports := []struct {
+		name string
+		cfg  dist.Config
+	}{
+		{"chan", dist.Config{}},
+		{"chan+faults", dist.Config{Faults: chaos, ChildDeadline: 5 * time.Millisecond}},
+		{"tcp", dist.Config{NewTransport: dist.TCPTransportFactory}},
+		{"tcp+faults", dist.Config{NewTransport: dist.TCPTransportFactory,
+			Faults: chaos, ChildDeadline: 5 * time.Millisecond}},
+	}
+
 	fmt.Printf("global SUM of %d mixed-magnitude values across simulated clusters:\n\n", n)
-	fmt.Println("nodes  topology  result (hex bits)          result")
+	fmt.Println("nodes  transport    result (hex bits)   result")
 	var ref uint64
 	haveRef := false
 	// mark tallies a result whose bits differ from the reference.
@@ -44,8 +63,8 @@ func main() {
 		for i, v := range vals {
 			shards[i%nodes] = append(shards[i%nodes], v)
 		}
-		for _, topo := range []dist.Topology{dist.Binomial, dist.Chain, dist.Star} {
-			sum, err := dist.Reduce(shards, 2, topo)
+		for _, tr := range transports {
+			sum, err := dist.ReduceConfig(shards, 2, tr.cfg)
 			if err != nil {
 				panic(err)
 			}
@@ -53,43 +72,11 @@ func main() {
 			if !haveRef {
 				ref, haveRef = bits, true
 			}
-			fmt.Printf("%5d  %-8s  %016x  %.17g%s\n", nodes, topo, bits, sum, mark(bits == ref))
+			fmt.Printf("%5d  %-11s  %016x    %.17g%s\n", nodes, tr.name, bits, sum, mark(bits == ref))
 		}
 	}
 	fmt.Println("\nEvery row above carries the same bits: the reduction is reproducible")
-	fmt.Println("for any cluster size and any tree shape.")
-
-	// Same reduction over real TCP sockets on loopback — one listener
-	// per node, length-prefixed CRC-checked frames — with a hostile
-	// fault plan injected into the link. The bits still cannot move.
-	fmt.Printf("\nsame SUM over real transports (7 nodes, binomial tree):\n\n")
-	fmt.Println("transport            result (hex bits)          matches chan?")
-	shards7 := make([][]float64, 7)
-	for i, v := range vals {
-		shards7[i%7] = append(shards7[i%7], v)
-	}
-	chaos := &dist.FaultPlan{
-		Seed: 42, DropProb: 0.3, DupProb: 0.3, Reorder: true,
-		MaxDelay: 500 * time.Microsecond, RetryDelay: 200 * time.Microsecond,
-	}
-	configs := []struct {
-		name string
-		cfg  dist.Config
-	}{
-		{"chan", dist.Config{}},
-		{"chan+faults", dist.Config{Faults: chaos, ChildDeadline: 5 * time.Millisecond}},
-		{"tcp", dist.Config{NewTransport: dist.TCPTransportFactory}},
-		{"tcp+faults", dist.Config{NewTransport: dist.TCPTransportFactory,
-			Faults: chaos, ChildDeadline: 5 * time.Millisecond}},
-	}
-	for _, c := range configs {
-		sum, err := dist.ReduceConfig(shards7, 2, dist.Binomial, c.cfg)
-		if err != nil {
-			panic(err)
-		}
-		bits := math.Float64bits(sum)
-		fmt.Printf("%-20s %016x           %v%s\n", c.name, bits, bits == ref, mark(bits == ref))
-	}
+	fmt.Println("for any cluster size, transport and fault plan.")
 
 	// Distributed GROUP BY with hash shuffle.
 	keys := workload.Keys(8, n, 1000)

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -15,14 +16,14 @@ import (
 // TestGroupBySumKeyShape is one cell of internal/agg's key-shape matrix
 // through the facade and its planner: a NULL sentinel beside 2^16 dense
 // ids (every row but one behind the same leading digit), on the plan for
-// 2^16 groups. The groups are the one-worker unpartitioned unbuffered
-// run's, bit for bit, in ascending key order.
+// 2^16 groups. The groups are those of one unbuffered accumulator per
+// key, bit for bit, in ascending key order.
 func TestGroupBySumKeyShape(t *testing.T) {
 	const rows = 1 << 18
 	keys := workload.Keys(21, rows, 1<<16)
 	keys[rows/3] = 0xFFFFFFFF
 	vals := workload.Values64(22, rows, workload.MixedMag)
-	want := repro.GroupBySum(keys, vals, &repro.GroupByOptions{Groups: 1, Workers: 1, Unbuffered: true})
+	want := accumulatorGroupBy(keys, vals)
 	if !slices.IsSortedFunc(want, func(a, b repro.Group) int { return cmp.Compare(a.Key, b.Key) }) ||
 		want[len(want)-1].Key != 0xFFFFFFFF {
 		t.Fatalf("reference: %d groups, not in key order or without the sentinel last", len(want))
@@ -38,6 +39,27 @@ func TestGroupBySumKeyShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// accumulatorGroupBy is a GROUP BY SUM reference that shares nothing
+// with the operator: one unbuffered repro.Accumulator per key, fed in
+// row order, drained in key order.
+func accumulatorGroupBy(keys []uint32, vals []float64) []repro.Group {
+	accs := map[uint32]*repro.Accumulator{}
+	for i, k := range keys {
+		a := accs[k]
+		if a == nil {
+			acc := repro.NewAccumulator(repro.DefaultLevels)
+			a = &acc
+			accs[k] = a
+		}
+		a.Add(vals[i])
+	}
+	out := make([]repro.Group, 0, len(accs))
+	for _, k := range slices.Sorted(maps.Keys(accs)) {
+		out = append(out, repro.Group{Key: k, Sum: accs[k].Value()})
+	}
+	return out
 }
 
 // TestGroupBySumLengthMismatch: columns of different lengths panic with

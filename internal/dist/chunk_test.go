@@ -215,8 +215,8 @@ func countingFactory(inner TransportFactory, out *[]*chunkCounter, mu *sync.Mute
 // --- the chunked equivalence matrix (the PR's acceptance bar) ---
 
 // TestChunkedReduceTransportMatrix: with a chunk payload small enough
-// that every partial state travels as ≥3 chunks, every (topology ×
-// cluster size × transport × fault plan) cell must still produce bits
+// that every partial state travels as ≥3 chunks, every (cluster size ×
+// transport × fault plan) cell must still produce bits
 // identical to the single-threaded sequential sum.
 func TestChunkedReduceTransportMatrix(t *testing.T) {
 	for s := 0; s < *seedSweep; s++ {
@@ -234,24 +234,22 @@ func TestChunkedReduceTransportMatrix(t *testing.T) {
 					t.Parallel()
 					for _, nodes := range []int{2, 5} {
 						shards := shard(vals, nodes)
-						for _, topo := range topologies {
-							var counters []*chunkCounter
-							var mu sync.Mutex
-							cfg := matrixConfig(countingFactory(factory, &counters, &mu), plan)
-							// A State64 partial encodes to ~52 bytes at
-							// L=2: a 16-byte chunk payload forces ≥4
-							// chunks per partial.
-							cfg.MaxChunkPayload = 16
-							got, err := ReduceConfig(shards, 2, topo, cfg)
-							if err != nil {
-								t.Fatalf("%v n=%d: %v", topo, nodes, err)
-							}
-							if bits := math.Float64bits(got); bits != want {
-								t.Fatalf("%v n=%d: %016x, want %016x", topo, nodes, bits, want)
-							}
-							if mc := counters[0].max(KindPartial); mc < 3 {
-								t.Fatalf("%v n=%d: partials peaked at %d chunks, want ≥3", topo, nodes, mc)
-							}
+						var counters []*chunkCounter
+						var mu sync.Mutex
+						cfg := matrixConfig(countingFactory(factory, &counters, &mu), plan)
+						// A State64 partial encodes to ~52 bytes at
+						// L=2: a 16-byte chunk payload forces ≥4
+						// chunks per partial.
+						cfg.MaxChunkPayload = 16
+						got, err := ReduceConfig(shards, 2, cfg)
+						if err != nil {
+							t.Fatalf("n=%d: %v", nodes, err)
+						}
+						if bits := math.Float64bits(got); bits != want {
+							t.Fatalf("n=%d: %016x, want %016x", nodes, bits, want)
+						}
+						if mc := counters[0].max(KindPartial); mc < 3 {
+							t.Fatalf("n=%d: partials peaked at %d chunks, want ≥3", nodes, mc)
 						}
 					}
 				})

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/rsum"
@@ -12,7 +13,6 @@ import (
 var (
 	clusterSizes = []int{1, 2, 4, 16, 61}
 	workerCounts = []int{1, 2, 8}
-	topologies   = []Topology{Binomial, Chain, Star}
 )
 
 // shard deals values round-robin across nodes shards.
@@ -28,16 +28,11 @@ func shard(vals []float64, nodes int) [][]float64 {
 // tree's send dependencies: every non-root node appears exactly once,
 // and no node before any of its children. Feeding it to a sendGate
 // forces that exact global message order.
-func senderOrder(topo Topology, n int, rng *workload.RNG) []int {
+func senderOrder(n int, rng *workload.RNG) []int {
 	pending := make([]int, n) // children still to hear from
-	childOf := make([][]int, n)
-	for id := 1; id < n; id++ {
-		p := topo.parent(id, n)
-		childOf[p] = append(childOf[p], id)
-	}
 	var ready []int
 	for id := 1; id < n; id++ {
-		pending[id] = len(childOf[id])
+		pending[id] = len(childrenOf(id, n))
 		if pending[id] == 0 {
 			ready = append(ready, id)
 		}
@@ -49,7 +44,7 @@ func senderOrder(topo Topology, n int, rng *workload.RNG) []int {
 		ready[i] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		order = append(order, id)
-		if p := topo.parent(id, n); p > 0 {
+		if p := parent(id); p > 0 {
 			pending[p]--
 			if pending[p] == 0 {
 				ready = append(ready, p)
@@ -63,8 +58,8 @@ func senderOrder(topo Topology, n int, rng *workload.RNG) []int {
 }
 
 // TestReduceBitReproducible is the headline property: the same multiset
-// of values produces the same bits for every topology, cluster size,
-// worker count, and forced message arrival order.
+// of values produces the same bits for every cluster size, worker
+// count, and forced message arrival order.
 func TestReduceBitReproducible(t *testing.T) {
 	const n = 50000
 	vals := workload.Values64(7, n, workload.MixedMag)
@@ -77,28 +72,26 @@ func TestReduceBitReproducible(t *testing.T) {
 	rng := workload.NewRNG(42)
 	for _, nodes := range clusterSizes {
 		shards := shard(vals, nodes)
-		for _, topo := range topologies {
-			for _, workers := range workerCounts {
-				// Free-running (scheduler-ordered) arrival.
-				sum, err := Reduce(shards, workers, topo)
+		for _, workers := range workerCounts {
+			// Free-running (scheduler-ordered) arrival.
+			sum, err := Reduce(shards, workers)
+			if err != nil {
+				t.Fatalf("Reduce(%d nodes, %d workers): %v", nodes, workers, err)
+			}
+			if got := math.Float64bits(sum); got != want {
+				t.Fatalf("Reduce(%d nodes, %d workers) = %016x, want %016x",
+					nodes, workers, got, want)
+			}
+			// Three forced random arrival orders.
+			for trial := 0; trial < 3; trial++ {
+				gate := newSendGate(senderOrder(nodes, rng))
+				sum, err := ReduceConfig(shards, workers, Config{gate: gate})
 				if err != nil {
-					t.Fatalf("Reduce(%d nodes, %d workers, %v): %v", nodes, workers, topo, err)
+					t.Fatalf("reduce gated (%d nodes): %v", nodes, err)
 				}
 				if got := math.Float64bits(sum); got != want {
-					t.Fatalf("Reduce(%d nodes, %d workers, %v) = %016x, want %016x",
-						nodes, workers, topo, got, want)
-				}
-				// Three forced random arrival orders.
-				for trial := 0; trial < 3; trial++ {
-					gate := newSendGate(senderOrder(topo, nodes, rng))
-					sum, err := ReduceConfig(shards, workers, topo, Config{gate: gate})
-					if err != nil {
-						t.Fatalf("reduce gated (%d nodes, %v): %v", nodes, topo, err)
-					}
-					if got := math.Float64bits(sum); got != want {
-						t.Fatalf("gated reduce(%d nodes, %d workers, %v) trial %d = %016x, want %016x",
-							nodes, workers, topo, trial, got, want)
-					}
+					t.Fatalf("gated reduce(%d nodes, %d workers) trial %d = %016x, want %016x",
+						nodes, workers, trial, got, want)
 				}
 			}
 		}
@@ -111,7 +104,7 @@ func TestReduceShardingInvariance(t *testing.T) {
 	const n = 20000
 	vals := workload.Values64(11, n, workload.Exp1)
 
-	rr, _ := Reduce(shard(vals, 16), 2, Binomial)
+	rr, _ := Reduce(shard(vals, 16), 2)
 	blocks := make([][]float64, 16)
 	chunk := (n + 15) / 16
 	for i := range blocks {
@@ -120,7 +113,7 @@ func TestReduceShardingInvariance(t *testing.T) {
 			blocks[i] = vals[lo:hi]
 		}
 	}
-	bl, _ := Reduce(blocks, 8, Star)
+	bl, _ := Reduce(blocks, 8)
 	if math.Float64bits(rr) != math.Float64bits(bl) {
 		t.Fatalf("round-robin %016x != block %016x", math.Float64bits(rr), math.Float64bits(bl))
 	}
@@ -140,15 +133,13 @@ func TestReduceSpecials(t *testing.T) {
 		{"infclash", []float64{math.Inf(1), math.Inf(-1)}, math.NaN()},
 	}
 	for _, tc := range cases {
-		for _, topo := range topologies {
-			got, err := Reduce(shard(tc.vals, 3), 1, topo)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, topo, err)
-			}
-			if math.Float64bits(got) != math.Float64bits(tc.want) &&
-				!(math.IsNaN(got) && math.IsNaN(tc.want)) {
-				t.Errorf("%s/%v = %v, want %v", tc.name, topo, got, tc.want)
-			}
+		got, err := Reduce(shard(tc.vals, 3), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(tc.want) &&
+			!(math.IsNaN(got) && math.IsNaN(tc.want)) {
+			t.Errorf("%s = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -158,16 +149,14 @@ func TestReduceSpecials(t *testing.T) {
 func TestReduceEmptyShards(t *testing.T) {
 	shards := make([][]float64, 8)
 	shards[3] = []float64{1.5, 2.5}
-	for _, topo := range topologies {
-		got, err := Reduce(shards, 2, topo)
-		if err != nil {
-			t.Fatalf("%v: %v", topo, err)
-		}
-		if got != 4.0 {
-			t.Errorf("%v = %v, want 4", topo, got)
-		}
+	got, err := Reduce(shards, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := Reduce([][]float64{nil}, 1, Binomial)
+	if got != 4.0 {
+		t.Errorf("got %v, want 4", got)
+	}
+	got, err = Reduce([][]float64{nil}, 1)
 	if err != nil || got != 0 {
 		t.Errorf("all-empty cluster = (%v, %v), want (0, nil)", got, err)
 	}
@@ -175,44 +164,33 @@ func TestReduceEmptyShards(t *testing.T) {
 
 // TestReduceErrors covers the validated error paths.
 func TestReduceErrors(t *testing.T) {
-	if _, err := Reduce(nil, 1, Binomial); !errors.Is(err, ErrNoShards) {
+	if _, err := Reduce(nil, 1); !errors.Is(err, ErrNoShards) {
 		t.Errorf("no shards: got %v, want ErrNoShards", err)
 	}
 	for _, w := range []int{0, -3} {
-		if _, err := Reduce([][]float64{{1}}, w, Chain); !errors.Is(err, ErrWorkers) {
+		if _, err := Reduce([][]float64{{1}}, w); !errors.Is(err, ErrWorkers) {
 			t.Errorf("workers=%d: got %v, want ErrWorkers", w, err)
 		}
 	}
-	if _, err := Reduce([][]float64{{1}}, 1, Topology(99)); !errors.Is(err, ErrTopology) {
-		t.Errorf("bad topology: got %v, want ErrTopology", err)
-	}
 }
 
-// TestTopologyString pins the names used in example output.
-func TestTopologyString(t *testing.T) {
-	for topo, want := range map[Topology]string{
-		Binomial: "binomial", Chain: "chain", Star: "star", Topology(9): "Topology(9)",
-	} {
-		if got := topo.String(); got != want {
-			t.Errorf("Topology(%d).String() = %q, want %q", int(topo), got, want)
+// TestReductionTreeShape checks the parent contract every node loop
+// relies on — each non-root node has a valid parent, and the root has
+// none — and that the tree is binomial: a parent's id is below its
+// child's, so the parent relation is acyclic, and the root hears from
+// ⌈log2 n⌉ children.
+func TestReductionTreeShape(t *testing.T) {
+	for _, n := range clusterSizes {
+		for id := 1; id < n; id++ {
+			if p := parent(id); p < 0 || p >= id {
+				t.Fatalf("n=%d: parent(%d) = %d out of range", n, id, p)
+			}
 		}
-	}
-}
-
-// TestTopologyShape sanity-checks the parent contract every node loop
-// relies on: each non-root node has a valid parent, and the root has
-// none.
-func TestTopologyShape(t *testing.T) {
-	for _, topo := range topologies {
-		for _, n := range clusterSizes {
-			for id := 1; id < n; id++ {
-				if p := topo.parent(id, n); p < 0 || p >= n || p == id {
-					t.Fatalf("%v n=%d: parent(%d) = %d out of range", topo, n, id, p)
-				}
-			}
-			if topo.parent(0, n) != -1 {
-				t.Fatalf("%v n=%d: root must have no parent", topo, n)
-			}
+		if parent(0) != -1 {
+			t.Fatalf("n=%d: root must have no parent", n)
+		}
+		if got, want := len(childrenOf(0, n)), bits.Len(uint(n-1)); got != want {
+			t.Fatalf("n=%d: root has %d children, want ⌈log2 n⌉ = %d", n, got, want)
 		}
 	}
 }

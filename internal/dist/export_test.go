@@ -62,20 +62,12 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFaultPlanActiveAndTopologyValid(t *testing.T) {
+func TestFaultPlanActive(t *testing.T) {
 	if (FaultPlan{}).Active() {
 		t.Error("zero FaultPlan reports active")
 	}
 	if !(FaultPlan{DropProb: 0.1}).Active() {
 		t.Error("dropping plan reports inactive")
-	}
-	for _, topo := range []Topology{Binomial, Chain, Star} {
-		if !topo.Valid() {
-			t.Errorf("%v reports invalid", topo)
-		}
-	}
-	if Topology(42).Valid() {
-		t.Error("Topology(42) reports valid")
 	}
 }
 
@@ -100,7 +92,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// The operators reject an invalid Config before doing anything.
-	if _, err := ReduceConfig([][]float64{{1}}, 1, Binomial, Config{ChildDeadline: -1}); !errors.Is(err, ErrConfig) {
+	if _, err := ReduceConfig([][]float64{{1}}, 1, Config{ChildDeadline: -1}); !errors.Is(err, ErrConfig) {
 		t.Errorf("ReduceConfig: %v, want ErrConfig", err)
 	}
 	if _, err := AggregateByKeyConfig([][]uint32{{1}}, [][]float64{{1}}, 1, Config{MaxChunkPayload: -1}); !errors.Is(err, ErrConfig) {

@@ -1,6 +1,6 @@
 // Package proc is the multi-process cluster runtime of the
 // reproducible aggregation engine: it runs the exact protocols of
-// internal/dist — the topology-parameterized reduction and the hash
+// internal/dist — the binomial-tree reduction and the hash
 // shuffle GROUP BY, chunked wire format v2, per-chunk resend recovery
 // and all — across genuinely separate worker OS processes connected by
 // real TCP sockets.
@@ -16,7 +16,7 @@
 // ReplaceDead — survives worker death mid-run by admitting a substitute
 // through that same handshake, re-shipping the lost job spec and rows,
 // and re-pointing the surviving peers' reconnect-safe transports. The
-// result is bit-identical to the in-process engine for every topology,
+// result is bit-identical to the in-process engine for every
 // cluster size, chunk regime, fault plan, forced socket kill, and
 // mid-run replacement — the paper's reproducibility claim extended to
 // its hardest setting: separate processes with nothing shared but the

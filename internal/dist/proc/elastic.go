@@ -192,7 +192,7 @@ func (s ClusterSpec) conf() clusterConf {
 // Source is a job's input: raw shards streamed to the workers behind
 // the job spec, or a declarative description each worker materializes
 // locally (O(1) dispatch regardless of data size). Construct with
-// ValueShards, RowShards, SyntheticSource, or TPCHQ1Source.
+// ValueShards, RowShards, or SyntheticSource.
 //
 // Raw shards are read by reference — each worker's rows are encoded
 // straight out of the caller's slices while the job runs, and again for
@@ -205,8 +205,6 @@ type Source struct {
 	keys  [][]uint32
 	cols  [][][]float64
 	synth workload.Spec
-	rows  int
-	seed  uint64
 }
 
 // ValueShards is a raw reduction input: one value slice per shard.
@@ -235,18 +233,8 @@ func SyntheticSource(spec workload.Spec) Source {
 	return Source{kind: srcSynth, synth: spec}
 }
 
-// TPCHQ1Source ships a TPC-H Q1 input description (lineitem row count
-// and generator seed); workers generate and slice locally like
-// SyntheticSource.
-func TPCHQ1Source(rows int, seed uint64) Source {
-	return Source{kind: srcTPCHQ1, rows: rows, seed: seed}
-}
-
 // Job is one unit of work submitted to a Cluster.
 type Job struct {
-	// Topo is the reduction tree shape (reductions only; the group-by
-	// shuffle ignores it). Zero value is Binomial.
-	Topo dist.Topology
 	// Workers is the per-node goroutine count (0 defaults to 1).
 	Workers int
 	// Specs is the aggregate catalog. Empty means a plain reduction
@@ -766,8 +754,8 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	job := e.job
 	rs := &runState{
 		jobSpec: jobSpec{
-			jobIdx: jobIdx, op: opReduce, topo: job.Topo, workers: job.Workers, specs: job.Specs,
-			source: job.Source.kind, synth: job.Source.synth, rows: job.Source.rows, seed: job.Source.seed,
+			jobIdx: jobIdx, op: opReduce, workers: job.Workers, specs: job.Specs,
+			source: job.Source.kind, synth: job.Source.synth,
 		},
 		reply: e.reply,
 		src:   job.Source,
@@ -779,9 +767,6 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	}
 	if rs.workers < 0 {
 		return nil, fmt.Errorf("%w (got %d)", dist.ErrWorkers, rs.workers)
-	}
-	if !rs.topo.Valid() {
-		return nil, fmt.Errorf("%w (got %d)", dist.ErrTopology, int(rs.topo))
 	}
 	if len(job.Specs) > 0 {
 		rs.op = opGroupBy
@@ -798,14 +783,6 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 		}
 		if rs.op == opGroupBy && job.Source.synth.Groups == 0 {
 			return nil, fmt.Errorf("%w: a group-by job needs a keyed synthetic source (Job.Source)", dist.ErrConfig)
-		}
-		return rs, nil
-	case srcTPCHQ1:
-		if job.Source.rows < 1 {
-			return nil, fmt.Errorf("%w: a TPC-H source needs >= 1 row (Job.Source)", dist.ErrConfig)
-		}
-		if rs.op != opGroupBy {
-			return nil, fmt.Errorf("%w: a TPC-H source needs a group-by job with the Q1 aggregate catalog (Job.Specs)", dist.ErrConfig)
 		}
 		return rs, nil
 	default:

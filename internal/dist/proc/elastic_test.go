@@ -96,19 +96,20 @@ func TestWorkerReplacementEquivalence(t *testing.T) {
 }
 
 // TestReduceReplacementEquivalence is the reduction-tree counterpart:
-// the dying node is a chain interior node that dies before its very
-// first partial leaves, so the substitute must re-serve the role from
-// scratch while the root re-requests across the gap.
+// the dying node is an interior node of the binomial tree (node 2, the
+// parent of node 3) that dies before its very first partial leaves, so
+// the substitute must re-serve the role from the start — collecting its
+// child's partial again — while the root re-requests across the gap.
 func TestReduceReplacementEquivalence(t *testing.T) {
 	const rows = 10000
 	vals := workload.Values64(23, rows, workload.MixedMag)
-	want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+	want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Config{})
 	if err != nil {
 		t.Fatalf("in-process reference: %v", err)
 	}
 
 	spec := elasticSpec(matrixConfig())
-	spec.DieNode, spec.DieAfter = 1, 1
+	spec.DieNode, spec.DieAfter = 2, 1
 	c, err := NewCluster(spec)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -119,7 +120,7 @@ func TestReduceReplacementEquivalence(t *testing.T) {
 	// spec — two jobs on one cluster, exercising multi-job reuse on the
 	// replacement path (the second job runs on the already-replaced
 	// membership).
-	res, err := c.Run(Job{Topo: dist.Chain, Workers: 2, Source: ValueShards(shardFloats(vals, 4))})
+	res, err := c.Run(Job{Workers: 2, Source: ValueShards(shardFloats(vals, 4))})
 	if err != nil {
 		t.Fatalf("raw-shard run: %v", err)
 	}
@@ -130,7 +131,7 @@ func TestReduceReplacementEquivalence(t *testing.T) {
 		t.Errorf("raw: got %016x, want %016x", math.Float64bits(res.Sum), math.Float64bits(want))
 	}
 
-	res2, err := c.Run(Job{Topo: dist.Binomial, Workers: 2,
+	res2, err := c.Run(Job{Workers: 2,
 		Source: SyntheticSource(workload.Spec{Rows: rows, Cols: []workload.ColSpec{{Seed: 23, Dist: workload.MixedMag}}})})
 	if err != nil {
 		t.Fatalf("spec-ingest run: %v", err)
@@ -147,7 +148,7 @@ func TestReduceReplacementEquivalence(t *testing.T) {
 }
 
 // TestClusterMultiJob runs a mixed sequence of jobs — reduce, group-by,
-// TPC-H Q1 by declarative source — over one 3-node cluster and checks
+// TPC-H Q1 as raw rows — over one 3-node cluster and checks
 // each against its in-process reference.
 func TestClusterMultiJob(t *testing.T) {
 	const rows = 8000
@@ -161,7 +162,7 @@ func TestClusterMultiJob(t *testing.T) {
 	defer c.Close()
 
 	vals := workload.Values64(31, rows, workload.MixedMag)
-	wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+	wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Config{})
 	if err != nil {
 		t.Fatalf("reduce reference: %v", err)
 	}
@@ -201,7 +202,7 @@ func TestClusterMultiJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("q1 reference: %v", err)
 	}
-	res, err = c.Run(Job{Workers: 2, Specs: q1Specs, Source: TPCHQ1Source(q1Rows, q1Seed)})
+	res, err = c.Run(Job{Workers: 2, Specs: q1Specs, Source: RowShards(tpch.ShardQ1Input(qkeys, qcols, 3))})
 	if err != nil {
 		t.Fatalf("q1 job: %v", err)
 	}
@@ -258,7 +259,7 @@ func TestClusterWithoutExec(t *testing.T) {
 	}
 
 	vals := workload.Values64(43, rows, workload.MixedMag)
-	wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+	wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Config{})
 	if err != nil {
 		t.Fatalf("reduce reference: %v", err)
 	}
@@ -337,7 +338,7 @@ func TestElasticMatrix(t *testing.T) {
 			// reduce
 			rsynth := workload.Spec{Rows: rows, Cols: []workload.ColSpec{{Seed: seed + 2, Dist: workload.MixedMag}}}
 			_, rcols, _ := rsynth.Materialize()
-			wantSum, err := dist.ReduceConfig([][]float64{rcols[0]}, 2, dist.Binomial, dist.Config{})
+			wantSum, err := dist.ReduceConfig([][]float64{rcols[0]}, 2, dist.Config{})
 			if err != nil {
 				t.Fatalf("reduce reference: %v", err)
 			}
@@ -365,7 +366,7 @@ func TestElasticMatrix(t *testing.T) {
 				t.Fatalf("q1 reference: %v", err)
 			}
 			c = newVictim(4)
-			res, err = c.Run(Job{Workers: 2, Specs: q1Specs, Source: TPCHQ1Source(rows, seed)})
+			res, err = c.Run(Job{Workers: 2, Specs: q1Specs, Source: RowShards(tpch.ShardQ1Input(qkeys, qcols, 3))})
 			if err == nil && !bytes.Equal(res.Payload, dist.EncodeTupleGroups(refQ1, len(q1Specs))) {
 				err = errors.New("payload differs from in-process reference")
 			}
@@ -577,7 +578,7 @@ func TestJoinHandshakeRejection(t *testing.T) {
 func TestLivenessReplacement(t *testing.T) {
 	const rows = 4000
 	vals := workload.Values64(41, rows, workload.MixedMag)
-	want, err := dist.ReduceConfig([][]float64{vals}, 1, dist.Binomial, dist.Config{})
+	want, err := dist.ReduceConfig([][]float64{vals}, 1, dist.Config{})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -695,9 +696,6 @@ func TestClusterSpecValidation(t *testing.T) {
 	}
 	if _, err := c.Run(Job{Workers: -1, Source: ValueShards([][]float64{{1}})}); !errors.Is(err, dist.ErrWorkers) {
 		t.Errorf("negative workers: %v, want ErrWorkers", err)
-	}
-	if _, err := c.Run(Job{Topo: dist.Topology(99), Source: ValueShards([][]float64{{1}})}); !errors.Is(err, dist.ErrTopology) {
-		t.Errorf("bad topology: %v, want ErrTopology", err)
 	}
 	if _, err := c.Run(Job{Specs: sumSpecs(),
 		Source: SyntheticSource(workload.Spec{Rows: 10, Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}}})}); err == nil ||

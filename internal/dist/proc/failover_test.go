@@ -59,7 +59,11 @@ func failoverJob(kind string, seed uint64, rows int) Job {
 			Cols: []workload.ColSpec{{Seed: seed + 2, Dist: workload.MixedMag}}}
 		return Job{Workers: 2, Source: SyntheticSource(rsynth)}
 	case "q1":
-		return Job{Workers: 2, Specs: tpch.Q1Specs(core.DefaultLevels), Source: TPCHQ1Source(rows, seed)}
+		keys, cols, err := tpch.Q1Input(tpch.GenLineitemRows(rows, seed))
+		if err != nil {
+			panic(err)
+		}
+		return Job{Workers: 2, Specs: tpch.Q1Specs(core.DefaultLevels), Source: RowShards(tpch.ShardQ1Input(keys, cols, 3))}
 	}
 	return Job{}
 }
@@ -152,7 +156,7 @@ func failoverWantHex(t *testing.T, kind string, seed uint64, rows int) string {
 		if err != nil {
 			t.Fatalf("materialize: %v", err)
 		}
-		want, err := dist.ReduceConfig([][]float64{rcols[0]}, 2, dist.Binomial, dist.Config{})
+		want, err := dist.ReduceConfig([][]float64{rcols[0]}, 2, dist.Config{})
 		if err != nil {
 			t.Fatalf("reduce reference: %v", err)
 		}

@@ -51,8 +51,8 @@ func oneShot(nodes int, cfg dist.Config, opt Options, job Job) (res Result, err 
 	return res, err
 }
 
-func Reduce(shards [][]float64, workers int, topo dist.Topology, cfg dist.Config, opt Options) (float64, error) {
-	res, err := oneShot(max(len(shards), 1), cfg, opt, Job{Topo: topo, Workers: workers, Source: ValueShards(shards)})
+func Reduce(shards [][]float64, workers int, cfg dist.Config, opt Options) (float64, error) {
+	res, err := oneShot(max(len(shards), 1), cfg, opt, Job{Workers: workers, Source: ValueShards(shards)})
 	return res.Sum, err
 }
 
@@ -110,30 +110,26 @@ func matrixShape(rows int, sizes ...int) ([]uint64, int, []int) {
 }
 
 // TestProcReduceEquivalenceMatrix: the multi-process reduction carries
-// exactly the bits of the in-process engine for every topology and
-// cluster size.
+// exactly the bits of the in-process engine for every cluster size.
 func TestProcReduceEquivalenceMatrix(t *testing.T) {
 	seeds, rows, sizes := matrixShape(20000, 1, 2, 4)
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			vals := workload.Values64(7+seed, rows, workload.MixedMag)
-			want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+			want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Config{})
 			if err != nil {
 				t.Fatalf("in-process reference: %v", err)
 			}
 			wantBits := math.Float64bits(want)
 
 			for _, n := range sizes {
-				shards := shardFloats(vals, n)
-				for _, topo := range []dist.Topology{dist.Binomial, dist.Chain, dist.Star} {
-					got, err := Reduce(shards, 2, topo, matrixConfig(), quietOpts())
-					if err != nil {
-						t.Fatalf("n=%d topo=%v: %v", n, topo, err)
-					}
-					if math.Float64bits(got) != wantBits {
-						t.Errorf("n=%d topo=%v: got %016x, want %016x — cross-process run broke bit-reproducibility",
-							n, topo, math.Float64bits(got), wantBits)
-					}
+				got, err := Reduce(shardFloats(vals, n), 2, matrixConfig(), quietOpts())
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				if math.Float64bits(got) != wantBits {
+					t.Errorf("n=%d: got %016x, want %016x — cross-process run broke bit-reproducibility",
+						n, math.Float64bits(got), wantBits)
 				}
 			}
 		})
@@ -225,7 +221,7 @@ func TestProcKillReconnectEquivalence(t *testing.T) {
 			assertGroupsEqual(t, "kill-reconnect", n, got, ref)
 
 			// The same forced failure against the reduction tree.
-			wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+			wantSum, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Config{})
 			if err != nil {
 				t.Fatalf("in-process reduce reference: %v", err)
 			}
@@ -233,7 +229,7 @@ func TestProcKillReconnectEquivalence(t *testing.T) {
 			ropt := quietOpts()
 			ropt.KillConnNode = 1
 			ropt.KillConnAfter = 1 // sever before the very first partial leaves
-			gotSum, err := Reduce(shardFloats(vals, n), 2, dist.Chain, rcfg, ropt)
+			gotSum, err := Reduce(shardFloats(vals, n), 2, rcfg, ropt)
 			if err != nil {
 				t.Fatalf("kill-reconnect reduce: %v", err)
 			}
@@ -265,7 +261,7 @@ func TestHandshakeRejection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := quietOpts()
 			opt.Env = tc.env
-			_, err := Reduce(shards, 1, dist.Binomial, matrixConfig(), opt)
+			_, err := Reduce(shards, 1, matrixConfig(), opt)
 			if !errors.Is(err, dist.ErrHandshake) {
 				t.Fatalf("err = %v, want ErrHandshake", err)
 			}
@@ -280,16 +276,13 @@ func TestHandshakeRejection(t *testing.T) {
 // with the same sentinels as the in-process engine.
 func TestProcValidation(t *testing.T) {
 	opt := quietOpts()
-	if _, err := Reduce(nil, 1, dist.Binomial, dist.Config{}, opt); !errors.Is(err, dist.ErrNoShards) {
+	if _, err := Reduce(nil, 1, dist.Config{}, opt); !errors.Is(err, dist.ErrNoShards) {
 		t.Errorf("no shards: %v, want ErrNoShards", err)
 	}
-	if _, err := Reduce([][]float64{{1}}, 0, dist.Binomial, dist.Config{}, opt); !errors.Is(err, dist.ErrWorkers) {
+	if _, err := Reduce([][]float64{{1}}, 0, dist.Config{}, opt); !errors.Is(err, dist.ErrWorkers) {
 		t.Errorf("0 workers: %v, want ErrWorkers", err)
 	}
-	if _, err := Reduce([][]float64{{1}}, 1, dist.Topology(99), dist.Config{}, opt); !errors.Is(err, dist.ErrTopology) {
-		t.Errorf("bad topology: %v, want ErrTopology", err)
-	}
-	if _, err := Reduce([][]float64{{1}}, 1, dist.Binomial, dist.Config{ReassemblyBudget: -1}, opt); !errors.Is(err, dist.ErrConfig) {
+	if _, err := Reduce([][]float64{{1}}, 1, dist.Config{ReassemblyBudget: -1}, opt); !errors.Is(err, dist.ErrConfig) {
 		t.Errorf("negative budget: %v, want ErrConfig", err)
 	}
 	if _, err := AggregateByKey([][]uint32{{1}}, [][]float64{{1}, {2}}, 1, dist.Config{}, opt); !errors.Is(err, dist.ErrShardMismatch) {
@@ -307,7 +300,7 @@ func TestProcValidation(t *testing.T) {
 // the spawn cleanly.
 func TestWorkerBinaryMissing(t *testing.T) {
 	t.Setenv("REPROWORKER_BIN", "/nonexistent/reproworker")
-	_, err := Reduce([][]float64{{1, 2}}, 1, dist.Binomial, dist.Config{}, quietOpts())
+	_, err := Reduce([][]float64{{1, 2}}, 1, dist.Config{}, quietOpts())
 	if err == nil || !strings.Contains(err.Error(), "spawning worker") {
 		t.Fatalf("err = %v, want a spawn failure", err)
 	}
@@ -317,13 +310,13 @@ func TestWorkerBinaryMissing(t *testing.T) {
 // re-deals rows without changing a bit.
 func TestProcsResharding(t *testing.T) {
 	vals := workload.Values64(31, 5000, workload.MixedMag)
-	want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Binomial, dist.Config{})
+	want, err := dist.ReduceConfig([][]float64{vals}, 2, dist.Config{})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	// 5 shards dealt across 3 worker processes.
 	res, err := oneShot(3, matrixConfig(), quietOpts(),
-		Job{Topo: dist.Star, Workers: 2, Source: ValueShards(shardFloats(vals, 5))})
+		Job{Workers: 2, Source: ValueShards(shardFloats(vals, 5))})
 	if err != nil {
 		t.Fatalf("3 nodes over 5 shards: %v", err)
 	}
@@ -380,7 +373,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		{Kind: sqlagg.AggAvg, Levels: 2, Col: 1},
 	}
 	jb, err := encodeJobSpec(jobSpec{
-		jobIdx: 3, incarnation: 2, op: opGroupBy, topo: dist.Binomial, workers: 4,
+		jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4,
 		specs: specs, source: srcRaw, rows: 3, ncols: 2,
 	})
 	if err != nil {
@@ -402,7 +395,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	// claim, pinned as a payload-size bound.
 	synth := workload.Spec{Rows: 50_000_000, Groups: 64, KeySeed: 9,
 		Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}, {Seed: 2, Dist: workload.Exp1}}}
-	sb, err := encodeJobSpec(jobSpec{op: opGroupBy, topo: dist.Binomial, workers: 1,
+	sb, err := encodeJobSpec(jobSpec{op: opGroupBy, workers: 1,
 		specs: specs, source: srcSynth, synth: synth})
 	if err != nil {
 		t.Fatalf("encodeJobSpec(synth): %v", err)
@@ -418,43 +411,29 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Fatalf("synth round trip: got %+v, want %+v", sj.synth, synth)
 	}
 	// Keyed-ness must match the operation.
-	if _, err := encodeAndDecode(jobSpec{op: opReduce, topo: dist.Binomial, workers: 1,
+	if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1,
 		source: srcSynth, synth: synth}); err == nil {
 		t.Error("keyed synthetic source on a reduction decoded without error")
 	}
 
-	// A TPC-H Q1 source is rows+seed, group-by only.
-	tj, err := encodeAndDecode(jobSpec{op: opGroupBy, topo: dist.Binomial, workers: 1,
-		specs: specs, source: srcTPCHQ1, rows: 12345, seed: 99})
-	if err != nil {
-		t.Fatalf("tpch job spec: %v", err)
-	}
-	if tj.rows != 12345 || tj.seed != 99 {
-		t.Fatalf("tpch round trip mismatch: %+v", tj)
-	}
-	if _, err := encodeAndDecode(jobSpec{op: opReduce, topo: dist.Binomial, workers: 1,
-		source: srcTPCHQ1, rows: 10, seed: 1}); err == nil {
-		t.Error("tpch source on a reduction decoded without error")
-	}
-
 	// A negative row count is rejected with the shape; a hostile
 	// positive one is TestRowSinkRejections' (budget, before allocation).
-	reduceHdr, err := encodeJobSpec(jobSpec{op: opReduce, topo: dist.Binomial, workers: 1,
+	reduceHdr, err := encodeJobSpec(jobSpec{op: opReduce, workers: 1,
 		source: srcRaw, rows: 1, ncols: 1})
 	if err != nil {
 		t.Fatalf("encodeJobSpec(reduce): %v", err)
 	}
 	negative := append([]byte(nil), reduceHdr...)
-	binary.LittleEndian.PutUint64(negative[19:], uint64(1<<63)) // the srcRaw row count
+	binary.LittleEndian.PutUint64(negative[18:], uint64(1<<63)) // the srcRaw row count
 	if _, err := decodeJobSpec(negative); err == nil {
 		t.Error("negative-row job decoded without error")
 	}
 	// A reduction job must carry exactly one column.
-	if _, err := encodeAndDecode(jobSpec{op: opReduce, topo: dist.Binomial, workers: 1,
+	if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1,
 		source: srcRaw, rows: 1, ncols: 2}); err == nil {
 		t.Error("two-column reduction job decoded without error")
 	}
-	if _, err := encodeAndDecode(jobSpec{op: opGroupBy, topo: dist.Binomial, workers: 1,
+	if _, err := encodeAndDecode(jobSpec{op: opGroupBy, workers: 1,
 		specs: specs, source: srcRaw}); err == nil {
 		t.Error("zero-column job decoded without error")
 	}
@@ -582,10 +561,10 @@ var controlCodecs = []struct {
 func FuzzControlDecode(f *testing.F) {
 	specs := []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: 2, Col: 0}, {Kind: sqlagg.AggAvg, Levels: 2, Col: 1}}
 	jobs := []jobSpec{
-		{jobIdx: 3, incarnation: 2, op: opGroupBy, topo: dist.Binomial, workers: 4, specs: specs, source: srcRaw, rows: 3, ncols: 2},
-		{op: opReduce, topo: dist.Chain, workers: 1, source: srcSynth,
+		{jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4, specs: specs, source: srcRaw, rows: 3, ncols: 2},
+		{op: opReduce, workers: 1, source: srcSynth,
 			synth: workload.Spec{Rows: 100, Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}}}},
-		{jobIdx: 1, op: opGroupBy, topo: dist.Star, workers: 2, specs: specs, source: srcTPCHQ1, rows: 12345, seed: 99},
+		{jobIdx: 1, op: opReduce, workers: 2, source: srcRaw, rows: 12345, ncols: 1},
 	}
 	conf := encodeConf(clusterConf{N: 3, MaxChunkPayload: 4096, KillNode: -1, DieNode: -1,
 		Faults: dist.FaultPlan{Seed: 42, DropProb: 0.25, Reorder: true}})

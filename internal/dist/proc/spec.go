@@ -18,7 +18,7 @@ import (
 // agree on before any job exists: size, protocol knobs, fault plan,
 // liveness cadence. It is digested into the join handshake, so a stale
 // or edited worker is rejected at admission. Per-job state — the
-// operation, topology, aggregate catalog, and the input source —
+// operation, aggregate catalog, and the input source —
 // travels in the KindJob payload (jobSpec), which is what lets one
 // cluster run many jobs; a raw source's rows follow it as the KindRows
 // chunks of one rows stream (rowStream → rowSink). Everything is
@@ -37,7 +37,6 @@ const (
 const (
 	srcRaw byte = 1 + iota
 	srcSynth
-	srcTPCHQ1
 )
 
 // specVersion versions the control-plane encodings — the only version
@@ -55,7 +54,10 @@ const (
 // look for its rows inside the job payload. Version 8 = the heartbeat's
 // third field is the worker process's nonce, not a job count; an 8
 // supervisor would take a 7 worker's job count for its identity.
-const specVersion = 8
+// Version 9 = the job spec lost its topology byte (every reduction runs
+// the binomial tree) and its TPC-H source kind; a 9 would read an 8's
+// topology byte as the worker count's first byte.
+const specVersion = 9
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -478,40 +480,34 @@ func decodePeers(payload []byte) (jobIdx, epoch int, addrs []string, err error) 
 // shape, and where this worker's input comes from — either raw rows
 // that follow on the same connection as a KindRows stream (srcRaw: only
 // their shape is here) or a declarative source the worker materializes
-// locally and slices round-robin by its node id (srcSynth, srcTPCHQ1).
+// locally and slices round-robin by its node id (srcSynth).
 type jobSpec struct {
 	jobIdx      int
 	incarnation int // 0 = original dispatch; >0 = re-shipped to a replacement
 	op          byte
-	topo        dist.Topology
 	workers     int
 	specs       []sqlagg.AggSpec // groupby only
 
 	source byte
-	// srcRaw: this worker's row count; srcTPCHQ1: the lineitem row count.
-	rows int
-	// srcRaw: value columns per row.
-	ncols int
+	// srcRaw: this worker's row count and value columns per row.
+	rows, ncols int
 	// srcSynth: the dataset generator.
 	synth workload.Spec
-	// srcTPCHQ1: the generator seed.
-	seed uint64
 }
 
 // encodeJobSpec flattens a job:
 //
-//	4B job index, 4B incarnation, 1B op, 1B topology, 8B workers,
+//	4B job index, 4B incarnation, 1B op, 8B workers,
 //	[groupby: aggregate catalog (sqlagg.EncodeSpecs, self-delimiting)],
 //	1B source kind, then the source body:
-//	  srcRaw:    8B rows, 2B ncols (the rows themselves follow as
-//	             KindRows chunks, see rowStream)
-//	  srcSynth:  workload spec encoding (to end of payload)
-//	  srcTPCHQ1: 8B rows, 8B seed
+//	  srcRaw:   8B rows, 2B ncols (the rows themselves follow as
+//	            KindRows chunks, see rowStream)
+//	  srcSynth: workload spec encoding (to end of payload)
 func encodeJobSpec(j jobSpec) ([]byte, error) {
 	b := make([]byte, 0, 64)
 	b = appendU32(b, uint32(j.jobIdx))
 	b = appendU32(b, uint32(j.incarnation))
-	b = append(b, j.op, byte(j.topo))
+	b = append(b, j.op)
 	b = appendI64(b, int64(j.workers))
 	if j.op == opGroupBy {
 		var err error
@@ -529,9 +525,6 @@ func encodeJobSpec(j jobSpec) ([]byte, error) {
 		if b, err = j.synth.AppendBinary(b); err != nil {
 			return nil, err
 		}
-	case srcTPCHQ1:
-		b = appendI64(b, int64(j.rows))
-		b = appendU64(b, j.seed)
 	default:
 		return nil, fmt.Errorf("proc: unknown job source kind %d", j.source)
 	}
@@ -544,16 +537,13 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 	r := &confReader{b: payload, what: "job spec"}
 	j := jobSpec{
 		jobIdx: int(r.u32()), incarnation: int(r.u32()),
-		op: r.byteVal(), topo: dist.Topology(r.byteVal()), workers: int(r.i64()),
+		op: r.byteVal(), workers: int(r.i64()),
 	}
 	if r.err != nil {
 		return j, r.err
 	}
 	if j.op != opReduce && j.op != opGroupBy {
 		return j, fmt.Errorf("proc: unknown operation %d in job spec", j.op)
-	}
-	if !j.topo.Valid() {
-		return j, fmt.Errorf("proc: unknown topology %d in job spec", int(j.topo))
 	}
 	if j.workers < 1 {
 		return j, fmt.Errorf("proc: job spec declares %d worker goroutines", j.workers)
@@ -586,14 +576,6 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 			return j, fmt.Errorf("proc: group-by job spec declares a keyless synthetic source")
 		}
 		j.synth = spec
-	case srcTPCHQ1:
-		j.rows, j.seed = int(r.i64()), r.u64()
-		if r.done() == nil && j.rows < 1 {
-			return j, fmt.Errorf("proc: tpch source declares %d rows", j.rows)
-		}
-		if j.op != opGroupBy {
-			return j, fmt.Errorf("proc: tpch source on a non-group-by job")
-		}
 	default:
 		if r.err == nil {
 			r.err = fmt.Errorf("proc: unknown job source kind %d", j.source)

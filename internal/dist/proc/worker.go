@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/tpch"
 )
 
 // The worker side of the elastic cluster runtime. Every worker process
@@ -649,12 +648,6 @@ func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise str
 			return nil, "", fmt.Errorf("materializing synthetic source: %w", err)
 		}
 		job.keys, job.cols = sliceRows(keys, cols, conf.N, id)
-	case srcTPCHQ1:
-		keys, cols, err := tpch.Q1Input(tpch.GenLineitemRows(js.rows, js.seed))
-		if err != nil {
-			return nil, "", fmt.Errorf("materializing tpch source: %w", err)
-		}
-		job.keys, job.cols = sliceRows(keys, cols, conf.N, id)
 	}
 	host, _, err := net.SplitHostPort(cc.LocalAddr().String())
 	if err != nil {
@@ -776,7 +769,7 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 		var payload []byte
 		var err error
 		if js.op == opReduce {
-			payload, err = dist.RunReduceNode(id, job.cols[0], js.workers, js.topo, ptr, cfg)
+			payload, err = dist.RunReduceNode(id, job.cols[0], js.workers, ptr, cfg)
 		} else {
 			var gs []dist.TupleGroup
 			gs, err = dist.RunGroupByNode(id, job.keys, job.cols, js.workers, js.specs, ptr, cfg)

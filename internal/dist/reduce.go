@@ -27,10 +27,11 @@ type Config struct {
 	// Faults, when non-nil and active, wraps the transport in a
 	// fault-injection decorator (see FaultPlan).
 	Faults *FaultPlan
-	// ChildDeadline is how long a parent in the reduction tree waits
-	// for a child's partial before re-requesting it (straggler
-	// handling; default 1s). Spurious re-requests are harmless: frames
-	// are deduplicated by (from, seq).
+	// ChildDeadline is how long a node waits in silence for what it
+	// still expects — a child's partial in the reduction tree, a
+	// shuffle or gather payload in GROUP BY — before re-requesting it
+	// (straggler handling; default 1s). Spurious re-requests are
+	// harmless: frames are deduplicated by (from, seq).
 	ChildDeadline time.Duration
 	// MaxResend caps a node's consecutive silent deadline rounds: after
 	// this many Recv timeouts in a row with no frame consumed (each
@@ -215,10 +216,10 @@ func (g *sendGate) done() {
 
 // childrenOf lists the nodes that ship their partial to id — the nodes
 // whose parent is id.
-func childrenOf(topo Topology, id, n int) []int {
+func childrenOf(id, n int) []int {
 	var kids []int
 	for c := 1; c < n; c++ {
-		if topo.parent(c, n) == id {
+		if parent(c) == id {
 			kids = append(kids, c)
 		}
 	}
@@ -234,13 +235,13 @@ type result struct {
 // Reduce computes the reproducible global SUM over a sharded input:
 // shards[i] is the slice of values held by cluster node i. Each node
 // sums its shard locally with the given number of parallel workers,
-// then the partials are reduced over the given topology, traveling
+// then the partials are reduced over the binomial tree, traveling
 // between nodes as canonical binary encodings. The result is
 // bit-identical for every shard assignment of the same multiset of
-// values, every cluster size, every topology, every worker count, and
-// every message arrival order.
-func Reduce(shards [][]float64, workers int, topo Topology) (float64, error) {
-	return ReduceConfig(shards, workers, topo, Config{})
+// values, every cluster size, every worker count, and every message
+// arrival order.
+func Reduce(shards [][]float64, workers int) (float64, error) {
+	return ReduceConfig(shards, workers, Config{})
 }
 
 // ReduceConfig is Reduce over an explicitly configured interconnect —
@@ -248,7 +249,7 @@ func Reduce(shards [][]float64, workers int, topo Topology) (float64, error) {
 // the fault-injection decorator. The returned bits are identical across
 // every configuration: reproducibility comes from the canonical state
 // algebra, not from transport behavior.
-func ReduceConfig(shards [][]float64, workers int, topo Topology, cfg Config) (float64, error) {
+func ReduceConfig(shards [][]float64, workers int, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
@@ -259,9 +260,6 @@ func ReduceConfig(shards [][]float64, workers int, topo Topology, cfg Config) (f
 	if workers < 1 {
 		return 0, fmt.Errorf("%w (got %d)", ErrWorkers, workers)
 	}
-	if !topo.Valid() {
-		return 0, fmt.Errorf("%w (got %d)", ErrTopology, int(topo))
-	}
 	tr, err := cfg.transport(n)
 	if err != nil {
 		return 0, err
@@ -271,8 +269,8 @@ func ReduceConfig(shards [][]float64, workers int, topo Topology, cfg Config) (f
 	root := make(chan result, 1)
 	for id := 0; id < n; id++ {
 		go func(id int) {
-			payload, err := RunReduceNode(id, shards[id], workers, topo, tr, cfg)
-			if topo.parent(id, n) < 0 {
+			payload, err := RunReduceNode(id, shards[id], workers, tr, cfg)
+			if id == 0 {
 				root <- result{payload: payload, err: err}
 			}
 		}(id)
@@ -304,10 +302,10 @@ func ReduceConfig(shards [][]float64, workers int, topo Topology, cfg Config) (f
 // clean run. Exported for runtimes that place each node in its own OS
 // process (internal/dist/proc); ReduceConfig runs the same function on
 // one goroutine per node.
-func RunReduceNode(id int, shard []float64, workers int, topo Topology, tr Transport, cfg Config) ([]byte, error) {
+func RunReduceNode(id int, shard []float64, workers int, tr Transport, cfg Config) ([]byte, error) {
 	acc := localPartial(shard, workers)
 	col := newCollector(id, tr, cfg)
-	for _, kid := range childrenOf(topo, id, tr.Nodes()) {
+	for _, kid := range childrenOf(id, tr.Nodes()) {
 		col.expect(kid, 0)
 	}
 	nodeErr := col.collect(func(msg Frame) error {
@@ -335,7 +333,7 @@ func RunReduceNode(id int, shard []float64, workers int, topo Topology, tr Trans
 		out = Frame{Kind: KindError, From: id, Payload: EncodeErr(nodeErr)}
 	}
 
-	out.To = topo.parent(id, tr.Nodes())
+	out.To = parent(id)
 	if out.To < 0 {
 		if nodeErr != nil {
 			return nil, nodeErr

@@ -175,8 +175,8 @@ func matrixConfig(factory TransportFactory, plan *FaultPlan) Config {
 	}
 }
 
-// TestReduceTransportMatrix: every (topology × cluster size × transport
-// × fault plan) cell must produce bits identical to a single-threaded
+// TestReduceTransportMatrix: every (cluster size × transport × fault
+// plan) cell must produce bits identical to a single-threaded
 // sequential sum of the same values.
 func TestReduceTransportMatrix(t *testing.T) {
 	const n = 4000
@@ -191,15 +191,12 @@ func TestReduceTransportMatrix(t *testing.T) {
 			t.Run(tname+"/"+pname, func(t *testing.T) {
 				t.Parallel()
 				for _, nodes := range sizes {
-					shards := shard(vals, nodes)
-					for _, topo := range topologies {
-						got, err := ReduceConfig(shards, 2, topo, matrixConfig(factory, plan))
-						if err != nil {
-							t.Fatalf("%v n=%d: %v", topo, nodes, err)
-						}
-						if bits := math.Float64bits(got); bits != want {
-							t.Fatalf("%v n=%d: %016x, want %016x", topo, nodes, bits, want)
-						}
+					got, err := ReduceConfig(shard(vals, nodes), 2, matrixConfig(factory, plan))
+					if err != nil {
+						t.Fatalf("n=%d: %v", nodes, err)
+					}
+					if bits := math.Float64bits(got); bits != want {
+						t.Fatalf("n=%d: %016x, want %016x", nodes, bits, want)
 					}
 				}
 			})
@@ -243,18 +240,16 @@ func TestStragglerRerequest(t *testing.T) {
 	ref.AddSliceVec(vals)
 	want := math.Float64bits(ref.Value())
 
-	for _, topo := range topologies {
-		factory := func(n int) (Transport, error) {
-			return &firstSendBlackhole{Transport: NewChanTransport(n), dropped: make(map[chunkID]bool)}, nil
-		}
-		cfg := Config{NewTransport: factory, ChildDeadline: 2 * time.Millisecond, MaxResend: -1}
-		got, err := ReduceConfig(shard(vals, 6), 1, topo, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", topo, err)
-		}
-		if bits := math.Float64bits(got); bits != want {
-			t.Fatalf("%v: %016x, want %016x", topo, bits, want)
-		}
+	factory := func(n int) (Transport, error) {
+		return &firstSendBlackhole{Transport: NewChanTransport(n), dropped: make(map[chunkID]bool)}, nil
+	}
+	cfg := Config{NewTransport: factory, ChildDeadline: 2 * time.Millisecond, MaxResend: -1}
+	got, err := ReduceConfig(shard(vals, 6), 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bits := math.Float64bits(got); bits != want {
+		t.Fatalf("%016x, want %016x", bits, want)
 	}
 }
 
@@ -265,7 +260,7 @@ func TestStragglerGivesUp(t *testing.T) {
 		return &partialBlackhole{Transport: NewChanTransport(n)}, nil
 	}
 	cfg := Config{NewTransport: factory, ChildDeadline: time.Millisecond, MaxResend: 3}
-	_, err := ReduceConfig([][]float64{{1}, {2}}, 1, Star, cfg)
+	_, err := ReduceConfig([][]float64{{1}, {2}}, 1, cfg)
 	if !errors.Is(err, ErrStraggler) {
 		t.Fatalf("got %v, want ErrStraggler", err)
 	}
@@ -479,7 +474,7 @@ func TestHostileChunksRejected(t *testing.T) {
 			return inner, nil
 		}
 		cfg := Config{NewTransport: factory, ChildDeadline: 50 * time.Millisecond, MaxResend: 2}
-		_, err := ReduceConfig([][]float64{{1}, {2}}, 1, Star, cfg)
+		_, err := ReduceConfig([][]float64{{1}, {2}}, 1, cfg)
 		if err == nil {
 			t.Fatalf("hostile frame %d: reduction succeeded", i)
 		}
@@ -492,7 +487,7 @@ func TestConfigRejectsMismatchedTransport(t *testing.T) {
 	cfg := Config{NewTransport: func(n int) (Transport, error) {
 		return NewChanTransport(n + 1), nil
 	}}
-	if _, err := ReduceConfig([][]float64{{1}, {2}}, 1, Star, cfg); err == nil {
+	if _, err := ReduceConfig([][]float64{{1}, {2}}, 1, cfg); err == nil {
 		t.Fatal("mismatched transport accepted")
 	}
 }

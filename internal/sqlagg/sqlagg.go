@@ -32,8 +32,8 @@
 //
 // so SUM(x), AVG(x), VAR_POP(x) and COUNT(*) cost two sums and a
 // counter per row, not four accumulators. AggState is a one-spec plan
-// for callers that fold one aggregate a value at a time. Covariance and
-// the dot products are not GROUP BY catalog kinds.
+// for callers that fold one aggregate a value at a time. The dot
+// products are not GROUP BY catalog kinds.
 package sqlagg
 
 import (
@@ -67,105 +67,6 @@ func varianceOf(sum, sumSq *rsum.State64, n, ddof int64) float64 {
 		return 0
 	}
 	return r
-}
-
-// Covariance is the reproducible COVAR_POP/COVAR_SAMP/CORR aggregate
-// over pairs (x, y), from SUM(x), SUM(y), SUM(x·y), SUM(x²), SUM(y²).
-type Covariance struct {
-	sumX, sumY, sumXY, sumXX, sumYY core.Sum64
-	n                               int64
-}
-
-// NewCovariance returns an empty covariance accumulator.
-func NewCovariance(levels int) Covariance {
-	return Covariance{
-		sumX:  core.NewSum64(levels),
-		sumY:  core.NewSum64(levels),
-		sumXY: core.NewSum64(levels),
-		sumXX: core.NewSum64(levels),
-		sumYY: core.NewSum64(levels),
-	}
-}
-
-// Add folds one row in.
-func (c *Covariance) Add(x, y float64) {
-	c.sumX.Add(x)
-	c.sumY.Add(y)
-	c.sumXY.Add(x * y)
-	c.sumXX.Add(x * x)
-	c.sumYY.Add(y * y)
-	c.n++
-}
-
-// MergeFrom combines partial aggregates.
-func (c *Covariance) MergeFrom(o *Covariance) {
-	c.sumX.MergeFrom(&o.sumX)
-	c.sumY.MergeFrom(&o.sumY)
-	c.sumXY.MergeFrom(&o.sumXY)
-	c.sumXX.MergeFrom(&o.sumXX)
-	c.sumYY.MergeFrom(&o.sumYY)
-	c.n += o.n
-}
-
-// Count returns the row count.
-func (c *Covariance) Count() int64 { return c.n }
-
-// CovarPop finalizes COVAR_POP = (Σxy − ΣxΣy/n) / n.
-func (c *Covariance) CovarPop() float64 {
-	if c.n == 0 {
-		return math.NaN()
-	}
-	return c.cov() / float64(c.n)
-}
-
-// CovarSamp finalizes COVAR_SAMP = (Σxy − ΣxΣy/n) / (n−1).
-func (c *Covariance) CovarSamp() float64 {
-	if c.n < 2 {
-		return math.NaN()
-	}
-	return c.cov() / float64(c.n-1)
-}
-
-func (c *Covariance) cov() float64 {
-	return c.sumXY.Value() - c.sumX.Value()*c.sumY.Value()/float64(c.n)
-}
-
-// Corr finalizes the Pearson correlation CORR(x, y); NaN when either
-// variance is zero.
-func (c *Covariance) Corr() float64 {
-	if c.n == 0 {
-		return math.NaN()
-	}
-	nf := float64(c.n)
-	sx := c.sumXX.Value() - c.sumX.Value()*c.sumX.Value()/nf
-	sy := c.sumYY.Value() - c.sumY.Value()*c.sumY.Value()/nf
-	if sx <= 0 || sy <= 0 {
-		return math.NaN()
-	}
-	return c.cov() / math.Sqrt(sx*sy)
-}
-
-// RegrSlope finalizes REGR_SLOPE(y over x) = covar_pop(x,y)/var_pop(x).
-func (c *Covariance) RegrSlope() float64 {
-	if c.n == 0 {
-		return math.NaN()
-	}
-	nf := float64(c.n)
-	sx := c.sumXX.Value() - c.sumX.Value()*c.sumX.Value()/nf
-	if sx == 0 {
-		return math.NaN()
-	}
-	return c.cov() / sx
-}
-
-// RegrIntercept finalizes REGR_INTERCEPT(y over x).
-func (c *Covariance) RegrIntercept() float64 {
-	slope := c.RegrSlope()
-	if math.IsNaN(slope) {
-		return math.NaN()
-	}
-	nf := float64(c.n)
-	return c.sumY.Value()/nf - slope*c.sumX.Value()/nf
 }
 
 // DotProduct returns the reproducible dot product Σ x_i·y_i — the basic

@@ -129,70 +129,6 @@ func TestVarianceMergeMatches(t *testing.T) {
 	}
 }
 
-func TestCovarianceAndCorr(t *testing.T) {
-	c := NewCovariance(2)
-	// Perfectly correlated: y = 2x + 1.
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		c.Add(x, 2*x+1)
-	}
-	if got := c.Corr(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("CORR = %v, want 1", got)
-	}
-	if got := c.RegrSlope(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("REGR_SLOPE = %v, want 2", got)
-	}
-	if got := c.RegrIntercept(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("REGR_INTERCEPT = %v, want 1", got)
-	}
-	// COVAR_POP of x with x equals VAR_POP of x.
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v := statesOf(t, 2, xs, AggVarPop)[0]
-	c2 := NewCovariance(2)
-	for _, x := range xs {
-		c2.Add(x, x)
-	}
-	if math.Abs(c2.CovarPop()-v.Value()) > 1e-9 {
-		t.Errorf("COVAR_POP(x,x) = %v, VAR_POP = %v", c2.CovarPop(), v.Value())
-	}
-	empty := NewCovariance(2)
-	if !math.IsNaN(empty.CovarPop()) || !math.IsNaN(empty.Corr()) {
-		t.Error("empty covariance should be NaN")
-	}
-	constant := NewCovariance(2)
-	constant.Add(1, 5)
-	constant.Add(1, 7)
-	if !math.IsNaN(constant.Corr()) {
-		t.Error("CORR with zero x-variance should be NaN")
-	}
-	if !math.IsNaN(constant.RegrSlope()) {
-		t.Error("REGR_SLOPE with zero x-variance should be NaN")
-	}
-}
-
-func TestCovarianceMergeStable(t *testing.T) {
-	xs := workload.Values64(5, 500, workload.Uniform12)
-	ys := workload.Values64(6, 500, workload.Exp1)
-	whole := NewCovariance(2)
-	for i := range xs {
-		whole.Add(xs[i], ys[i])
-	}
-	a, b := NewCovariance(2), NewCovariance(2)
-	for i := range xs {
-		if i < 200 {
-			a.Add(xs[i], ys[i])
-		} else {
-			b.Add(xs[i], ys[i])
-		}
-	}
-	a.MergeFrom(&b)
-	if math.Float64bits(a.Corr()) != math.Float64bits(whole.Corr()) {
-		t.Error("merged CORR differs")
-	}
-	if a.Count() != whole.Count() {
-		t.Error("merged count differs")
-	}
-}
-
 func TestDotProduct(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

@@ -13,7 +13,7 @@ func TestObserveSeesWireTraffic(t *testing.T) {
 	before := repro.Observe()
 
 	shards := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	if _, err := repro.DistributedSum(shards, 2, repro.Binomial); err != nil {
+	if _, err := repro.DistributedSum(shards, 2); err != nil {
 		t.Fatalf("DistributedSum: %v", err)
 	}
 

@@ -126,10 +126,6 @@ type GroupByOptions struct {
 	Groups int
 	// Workers is the number of goroutines (default GOMAXPROCS).
 	Workers int
-	// Unbuffered forces the unbuffered accumulator even where the
-	// planner would buffer (mainly for benchmarking the drop-in data
-	// type of the paper's Section IV).
-	Unbuffered bool
 }
 
 func (o *GroupByOptions) withDefaults() GroupByOptions {
@@ -158,9 +154,6 @@ func GroupBySum(keys []uint32, values []float64, opts *GroupByOptions) []Group {
 	o := opts.withDefaults()
 	o.Groups = min(o.Groups, max(len(keys), 1))
 	depth, bsz := agg.Plan(o.Groups, len(keys), 8)
-	if o.Unbuffered {
-		depth, bsz = agg.ThresholdsReproUnbuffered.Depth(o.Groups), 0
-	}
 	options := agg.Options{
 		Depth:     depth,
 		Workers:   o.Workers,
@@ -191,18 +184,6 @@ func ErrorBound(n, levels int, maxAbs float64) float64 {
 	return exact.RSumBound(n, levels, maxAbs)
 }
 
-// Topology selects the reduction-tree shape for DistributedSum. All
-// topologies yield bit-identical results; they differ only in the
-// communication pattern of the simulated cluster.
-type Topology = dist.Topology
-
-// Reduction topologies for DistributedSum.
-const (
-	Binomial = dist.Binomial // MPI-style binomial tree, ⌈log2 n⌉ rounds
-	Chain    = dist.Chain    // linear pipeline n−1 → … → 0
-	Star     = dist.Star     // all partials straight to the root
-)
-
 // Sentinel errors of the distributed operators, matchable with
 // errors.Is on the (possibly wrapped) errors DistributedSum and
 // DistributedGroupBySum return.
@@ -211,8 +192,6 @@ var (
 	ErrNoShards = dist.ErrNoShards
 	// ErrWorkers: non-positive per-node worker count.
 	ErrWorkers = dist.ErrWorkers
-	// ErrTopology: unknown Topology value.
-	ErrTopology = dist.ErrTopology
 	// ErrShardMismatch: key and value shards disagree in shape.
 	ErrShardMismatch = dist.ErrShardMismatch
 	// ErrStraggler: a node stayed silent through every re-request
@@ -265,9 +244,10 @@ func WithFaults(plan FaultPlan) DistOption {
 	return func(c *dist.Config) { c.Faults = &plan }
 }
 
-// WithStragglerDeadline sets how long a node in the reduction tree
-// waits for a child's partial before re-requesting it (straggler
-// handling). Spurious re-requests are harmless; frames are
+// WithStragglerDeadline sets how long a node waits in silence for what
+// it still expects — a child's partial in the reduction tree, a
+// shuffle or gather payload in GROUP BY — before re-requesting it
+// (straggler handling). Spurious re-requests are harmless; frames are
 // deduplicated. d must be positive: a non-positive value fails the
 // operation immediately with ErrConfig.
 func WithStragglerDeadline(d time.Duration) DistOption {
@@ -335,16 +315,17 @@ func distConfig(opts []DistOption) dist.Config {
 // DistributedSum computes the reproducible SUM of a sharded input on a
 // simulated cluster with one node per shard: every node sums its shard
 // locally (with the given per-node worker count), and the partial
-// states are reduced over the given topology, traveling between nodes
-// as canonical binary encodings (§III-D of the paper: local summation
-// per process, then a global reduce). The result carries the same bits
-// as Sum over the concatenated shards — for every cluster size,
-// topology, worker count, message arrival order, transport
-// (WithTCPTransport), and fault plan (WithFaults). The nodes are
-// goroutines of this process; to run the same reduction across worker
-// processes, submit a Job to a NewCluster handle.
-func DistributedSum(shards [][]float64, workers int, topo Topology, opts ...DistOption) (float64, error) {
-	return dist.ReduceConfig(shards, workers, topo, distConfig(opts))
+// states are reduced over a binomial tree, traveling between nodes as
+// canonical binary encodings (§III-D of the paper: local summation per
+// process, then a global reduce, as in an MPI_Reduce, whose library
+// and not its caller picks the tree). The result carries the same bits
+// as Sum over the concatenated shards — for every cluster size, worker
+// count, message arrival order, transport (WithTCPTransport), and
+// fault plan (WithFaults). The nodes are goroutines of this process;
+// to run the same reduction across worker processes, submit a Job to a
+// NewCluster handle.
+func DistributedSum(shards [][]float64, workers int, opts ...DistOption) (float64, error) {
+	return dist.ReduceConfig(shards, workers, distConfig(opts))
 }
 
 // DistributedGroupBySum computes a reproducible GROUP BY SUM over rows

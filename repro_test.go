@@ -126,12 +126,13 @@ func TestGroupBySumReproducibleAcrossConfigs(t *testing.T) {
 		{Groups: 512},
 		{Groups: 1 << 20}, // forces different depth/buffer choices
 		{Groups: 1 << 30}, // an estimate far above the row count is capped by it
-		{Groups: 1 << 30, Unbuffered: true},
-		{Unbuffered: true},
-		{Unbuffered: true, Workers: 3},
 	}
-	for ci, opt := range configs {
-		got := repro.GroupBySum(keys, vals, opt)
+	// Result 0 is the unbuffered reference: one accumulator per key.
+	results := [][]repro.Group{accumulatorGroupBy(keys, vals)}
+	for _, opt := range configs {
+		results = append(results, repro.GroupBySum(keys, vals, opt))
+	}
+	for ci, got := range results {
 		if len(got) != len(ref) {
 			t.Fatalf("config %d: %d groups", ci, len(got))
 		}
