@@ -1,9 +1,6 @@
 package repro
 
-import (
-	"repro/internal/dist/proc"
-	"repro/internal/workload"
-)
+import "repro/internal/dist/proc"
 
 // The cluster API: a long-lived handle over a real multi-process
 // cluster that runs a sequence of typed aggregation jobs with
@@ -50,52 +47,25 @@ type JobResult = proc.Result
 // counters.
 type ClusterStats = proc.ClusterStats
 
-// Source is a Job's input. Raw sources (ValueShards, RowShards) stream
-// the rows to the workers behind the job dispatch, encoded straight
-// from the caller's slices — which are therefore read by reference and
-// must not be modified until Run returns; a declarative source
-// (SyntheticSource) ships only a description — O(1) dispatch bytes
-// regardless of data size — and every worker materializes its slice
-// locally. Prefer a declarative source whenever the workers can
-// produce the data themselves: a raw row still costs one trip through
-// the supervisor's control connection.
+// Source is a Job's input: the rows themselves, as shards (ValueShards,
+// RowShards). They are streamed to the workers behind the job
+// dispatch, encoded straight from the caller's slices, which are
+// therefore read by reference and must not be modified until Run
+// returns. A job ships the bits of its input, never a recipe for
+// them, so every worker aggregates exactly the rows the caller holds.
 type Source = proc.Source
 
-// ValueShards is a raw reduction input: one value slice per shard.
+// ValueShards is a reduction input: one value slice per shard.
 // Shard i goes to node i mod Nodes (reproducibility makes the dealing
 // invisible in the bits); the slices are read until Run returns.
 func ValueShards(shards [][]float64) Source { return proc.ValueShards(shards) }
 
-// RowShards is a raw GROUP BY input: shardKeys[i] holds shard i's keys
+// RowShards is a GROUP BY input: shardKeys[i] holds shard i's keys
 // and shardCols[i][c] its c-th value column, dealt and read like
 // ValueShards.
 func RowShards(shardKeys [][]uint32, shardCols [][][]float64) Source {
 	return proc.RowShards(shardKeys, shardCols)
 }
-
-// SyntheticSource is a declarative generator input: each worker
-// materializes the full deterministic dataset from the spec and keeps
-// its round-robin slice of the rows.
-func SyntheticSource(spec SyntheticSpec) Source { return proc.SyntheticSource(spec) }
-
-// SyntheticSpec describes a deterministic synthetic dataset: row
-// count, key domain (0 = keyless reduction input), and seeded value
-// columns. Equal specs materialize equal datasets on every machine —
-// which is what lets a job ship the spec instead of the rows.
-type SyntheticSpec = workload.Spec
-
-// SyntheticColumn is one value column of a SyntheticSpec.
-type SyntheticColumn = workload.ColSpec
-
-// ValueDist selects a SyntheticColumn's value distribution.
-type ValueDist = workload.ValueDist
-
-// Value distributions for SyntheticColumn.
-const (
-	Uniform12 = workload.Uniform12 // uniform in [1, 2): benign, equal magnitudes
-	Exp1      = workload.Exp1      // exponential, mean 1
-	MixedMag  = workload.MixedMag  // signed, spanning ~24 binades — cancellation-heavy
-)
 
 // NewCluster forms a cluster: listens on spec.Addr, starts
 // spec.Nodes−spec.Join+spec.SpawnStandby local workers as joiners of

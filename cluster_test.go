@@ -52,15 +52,9 @@ func TestClusterFacadeSumCompat(t *testing.T) {
 }
 
 // TestClusterFacadeGroupByCompat: DistributedAggregateByKey and a
-// Cluster GROUP BY job agree byte for byte on the canonical encoding,
-// raw shards and declarative synthetic source alike.
+// Cluster GROUP BY job agree byte for byte on the canonical encoding.
 func TestClusterFacadeGroupByCompat(t *testing.T) {
-	synth := repro.SyntheticSpec{Rows: 8000, Groups: 512, KeySeed: 59,
-		Cols: []repro.SyntheticColumn{{Seed: 61, Dist: repro.MixedMag}}}
-	keys, cols, err := synth.Materialize()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
+	keys, cols := workload.Keys(59, 8000, 512), [][]float64{workload.Values64(61, 8000, workload.MixedMag)}
 	specs := []repro.AggSpec{{Kind: repro.AggSum, Col: 0}, {Kind: repro.AggCount}}
 
 	sk := make([][]uint32, 2)
@@ -93,26 +87,14 @@ func TestClusterFacadeGroupByCompat(t *testing.T) {
 	if !bytes.Equal(res.Payload, want) {
 		t.Error("raw-shard cluster payload differs from the in-process operator's encoding")
 	}
-
-	res, err = c.Run(repro.Job{Workers: 2, Specs: specs, Source: repro.SyntheticSource(synth)})
-	if err != nil {
-		t.Fatalf("spec-ingest run: %v", err)
-	}
-	if !bytes.Equal(res.Payload, want) {
-		t.Error("spec-ingest payload differs: shipping the generator spec changed the bits")
-	}
 }
 
 // TestServeOverCluster: a server backed by a live Cluster handle
 // serves byte-identical results to the local and in-process
 // distributed backends.
 func TestServeOverCluster(t *testing.T) {
-	synth := repro.SyntheticSpec{Rows: 6000, Groups: 256, KeySeed: 67,
-		Cols: []repro.SyntheticColumn{{Seed: 71, Dist: repro.MixedMag}, {Seed: 73, Dist: repro.Exp1}}}
-	keys, cols, err := synth.Materialize()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
+	keys := workload.Keys(67, 6000, 256)
+	cols := [][]float64{workload.Values64(71, 6000, workload.MixedMag), workload.Values64(73, 6000, workload.Exp1)}
 	ds, err := repro.NewServeDataset(keys, cols, repro.ServeDatasetOptions{Shards: 3})
 	if err != nil {
 		t.Fatalf("dataset: %v", err)

@@ -19,10 +19,9 @@
 // rejects any mismatch with a typed wire error (ErrHandshake) before a
 // byte of data moves — a stale binary or an edited config cannot
 // silently join and diverge.
-// Accepted workers receive job specs over the control plane,
-// materialize their input locally (raw shards from the payload, or a
-// declarative generator/TPC-H slice), bind a fresh data-plane
-// listener per job, execute their node's role of the reduction or
+// Accepted workers receive job specs over the control plane, fill
+// their input from the rows stream that follows each one, bind a
+// fresh data-plane listener per job, execute their node's role of the reduction or
 // GROUP BY shuffle protocol over real sockets (reconnecting and
 // serving per-chunk resends through any socket failure), and exit on
 // the supervisor's shutdown frame. A worker whose supervisor vanishes

@@ -8,8 +8,8 @@
 //
 // The first half runs a SUM and a GROUP BY on one cluster. The second
 // half forms an elastic one: a standby worker heals a forced mid-run
-// death without changing a bit, and a follow-up job ships a generator
-// spec instead of rows.
+// death without changing a bit, and a follow-up GROUP BY over rows
+// generated here runs on the healed workers, again to the bit.
 //
 //	go run ./examples/cluster
 package main
@@ -101,14 +101,35 @@ func main() {
 	fmt.Printf("elastic sum    : %016x, %d worker(s) replaced mid-run ✓\n",
 		math.Float64bits(res.Sum), res.Replacements)
 
-	// Job 2 on the healed cluster ships no rows at all: a declarative
-	// source the workers materialize locally — O(1) dispatch.
-	res, err = c.Run(repro.Job{Workers: 2,
-		Specs: []repro.AggSpec{{Kind: repro.AggSum, Col: 0}, {Kind: repro.AggCount}},
-		Source: repro.SyntheticSource(repro.SyntheticSpec{Rows: rows, Groups: 1024, KeySeed: 7,
-			Cols: []repro.SyntheticColumn{{Seed: 11, Dist: repro.MixedMag}}})})
+	// Job 2 on the healed cluster: SUM and COUNT over rows generated
+	// here, dealt round-robin to three shards. A job always ships its
+	// rows' bits, so every worker aggregates exactly these rows.
+	specs := []repro.AggSpec{{Kind: repro.AggSum, Col: 0}, {Kind: repro.AggCount}}
+	gk, gc := make([][]uint32, 3), make([][][]float64, 3)
+	for i, v := range vals {
+		s := i % 3
+		gk[s] = append(gk[s], uint32(i*7919)%4096)
+		if gc[s] == nil {
+			gc[s] = make([][]float64, 1)
+		}
+		gc[s][0] = append(gc[s][0], v)
+	}
+	wantGroups, err := repro.DistributedAggregateByKey(gk, gc, 2, specs)
+	check("in-process group by", err)
+	res, err = c.Run(repro.Job{Workers: 2, Specs: specs, Source: repro.RowShards(gk, gc)})
 	check("cluster job 2", err)
-	fmt.Printf("spec-ingest    : %d groups from a shipped generator spec ✓\n", len(res.Groups))
+	if len(res.Groups) != len(wantGroups) {
+		bug("the healed cluster's GROUP BY lost or invented groups")
+	}
+	for i, g := range res.Groups {
+		for a, w := range wantGroups[i].Aggs {
+			if g.Key != wantGroups[i].Key || math.Float64bits(g.Aggs[a]) != math.Float64bits(w) {
+				bug("the healed cluster's GROUP BY broke bit-reproducibility")
+			}
+		}
+	}
+	fmt.Printf("generated rows : %d groups × %d aggregates, bit-identical to the in-process operator ✓\n",
+		len(res.Groups), len(specs))
 }
 
 // check exits non-zero, naming the failed step, when err is set.

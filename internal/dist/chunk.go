@@ -258,6 +258,13 @@ func (r *Reassembler) Accept(f Frame) (msg Frame, complete, fresh bool, err erro
 	return msg, true, true, nil
 }
 
+// Forget drops the completed mark of the (from, seq) stream, so the
+// next message on it is accepted as new. It is for a transport that
+// neither duplicates nor replays a frame (a TCP control connection),
+// where the mark has nothing to swallow and would only grow; the data
+// plane keeps its marks, which absorb resends.
+func (r *Reassembler) Forget(from int, seq uint32) { delete(r.done, dedupKey(from, seq)) }
+
 // Missing returns the chunk indexes still absent from the partially
 // received message (from, seq), in ascending order, or nil if no chunk
 // of the message has arrived yet (so the caller should re-request the

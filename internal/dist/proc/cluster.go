@@ -11,8 +11,8 @@
 // itself and processes an operator started elsewhere are admitted
 // through one handshake (join hello, KindConf, digested full hello)
 // and take slots in arrival order; runs a sequence of typed Jobs whose
-// inputs are raw shards streamed to the workers in cache-sized chunks
-// or declarative sources the workers materialize locally; and — with
+// inputs are the caller's shards, their bits streamed to the workers
+// in cache-sized chunks; and — with
 // ReplaceDead — survives worker death mid-run by admitting a substitute
 // through that same handshake, re-shipping the lost job spec and rows,
 // and re-pointing the surviving peers' reconnect-safe transports. The

@@ -12,13 +12,11 @@ import (
 // BenchmarkDispatch is the sizing command of the rows stream
 // (go test -run '^$' -bench Dispatch ./internal/dist/proc).
 //
-// cols=N/rows against cols=N/synth is the dispatch share of a job: the
-// same 2^20 rows × N columns into 2^16 groups on an in-process 2-node
-// cluster, once streamed from RowShards and once materialized by the
-// workers from a SyntheticSource (whose op pays for generating the rows
-// instead). Each reports ms/op and MB-alloc/op for the whole process —
-// supervisor and both workers — and rows also dispatch-MB/s, the
-// dispatched bytes over the op.
+// cols=N/rows is a whole job with its dispatch: 2^20 rows × N columns
+// into 2^16 groups, streamed from RowShards on an in-process 2-node
+// cluster. It reports ms/op and MB-alloc/op for the whole process —
+// supervisor and both workers — and dispatch-MB/s, the dispatched
+// bytes over the op.
 //
 // chunk=SIZE re-derives rowChunkBytes: node 0's rows of the 5-column
 // job through a loopback control connection into a sink, cut at SIZE.
@@ -28,37 +26,30 @@ import (
 func BenchmarkDispatch(b *testing.B) {
 	const rows = 1 << 20
 	for _, ncols := range []int{1, 5} {
-		raw, synth, dispatched := colsJob(b, rows, ncols, 1<<16)
-		for _, v := range []struct {
-			name string
-			job  Job
-		}{{"rows", raw}, {"synth", synth}} {
-			b.Run(fmt.Sprintf("cols=%d/%s", ncols, v.name), func(b *testing.B) {
-				c := inProcessCluster(b, 2)
-				if _, err := c.Run(v.job); err != nil {
+		job, dispatched := colsJob(b, rows, ncols, 1<<16)
+		b.Run(fmt.Sprintf("cols=%d/rows", ncols), func(b *testing.B) {
+			c := inProcessCluster(b, 2)
+			if _, err := c.Run(job); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(job); err != nil {
 					b.Fatal(err)
 				}
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(v.job); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				perOp := b.Elapsed().Seconds() / float64(b.N)
-				b.ReportMetric(perOp*1e3, "ms/op")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB-alloc/op")
-				if v.name == "rows" {
-					b.ReportMetric(float64(dispatched)/1e6/perOp, "dispatch-MB/s")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perOp := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(perOp*1e3, "ms/op")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB-alloc/op")
+			b.ReportMetric(float64(dispatched)/1e6/perOp, "dispatch-MB/s")
+		})
 		if ncols == 5 {
 			for _, size := range []int{16 << 10, 64 << 10, rowChunkBytes, 1 << 20, 4 << 20} {
-				b.Run(fmt.Sprintf("chunk=%dK", size>>10), func(b *testing.B) { benchChunkSize(b, raw, size) })
+				b.Run(fmt.Sprintf("chunk=%dK", size>>10), func(b *testing.B) { benchChunkSize(b, job, size) })
 			}
 		}
 	}

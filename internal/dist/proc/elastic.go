@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rsum"
 	"repro/internal/sqlagg"
-	"repro/internal/workload"
 )
 
 // The elastic cluster runtime: a long-lived Cluster handle that forms
@@ -25,7 +24,7 @@ import (
 // started, or both, all through one admission handshake; runs a
 // sequence of typed Jobs over it; and survives worker death mid-run by
 // admitting a substitute through that same handshake, re-shipping the
-// dead worker's job spec (and re-streaming its raw rows from the
+// dead worker's job spec (and re-streaming its rows from the
 // caller's shards), and re-pointing the surviving peers — with a
 // final result bit-identical to an undisturbed run, because the
 // protocols' partial frames are deterministic and merge
@@ -189,25 +188,22 @@ func (s ClusterSpec) conf() clusterConf {
 	return conf
 }
 
-// Source is a job's input: raw shards streamed to the workers behind
-// the job spec, or a declarative description each worker materializes
-// locally (O(1) dispatch regardless of data size). Construct with
-// ValueShards, RowShards, or SyntheticSource.
+// Source is a job's input: shards of rows, streamed to the workers
+// behind the job spec. Construct with ValueShards or RowShards; the
+// zero Source names no input and fails Run.
 //
-// Raw shards are read by reference — each worker's rows are encoded
+// The shards are read by reference — each worker's rows are encoded
 // straight out of the caller's slices while the job runs, and again for
 // a mid-run substitute — so they must not change until Run returns.
-// Every row still makes one trip through the control connection: when
-// the workers can produce the data themselves, prefer a declarative
-// source.
+// A job always ships its rows' bits, never a generator for them: the
+// result depends on the input multiset and nothing else, so no worker
+// may be left to reproduce the input on its own machine.
 type Source struct {
-	kind  byte
-	keys  [][]uint32
-	cols  [][][]float64
-	synth workload.Spec
+	keys [][]uint32
+	cols [][][]float64
 }
 
-// ValueShards is a raw reduction input: one value slice per shard.
+// ValueShards is a reduction input: one value slice per shard.
 // Shard i goes to node i mod Nodes — reproducibility makes any dealing
 // invisible in the result bits. The slices are read until Run returns.
 func ValueShards(shards [][]float64) Source {
@@ -215,22 +211,17 @@ func ValueShards(shards [][]float64) Source {
 	for i, s := range shards {
 		cols[i] = [][]float64{s}
 	}
-	return Source{kind: srcRaw, cols: cols}
+	return Source{cols: cols}
 }
 
-// RowShards is a raw group-by input: per-shard keys plus value
+// RowShards is a group-by input: per-shard keys plus value
 // columns (one slice per column the aggregate catalog reads), dealt to
 // the nodes like ValueShards and likewise read until Run returns.
 func RowShards(keys [][]uint32, cols [][][]float64) Source {
-	return Source{kind: srcRaw, keys: keys, cols: cols}
-}
-
-// SyntheticSource ships a workload generator spec instead of rows:
-// every worker materializes the full dataset from the seeds and keeps
-// rows i with i % Nodes == its id. Dispatch cost is the size of the
-// spec, independent of Rows.
-func SyntheticSource(spec workload.Spec) Source {
-	return Source{kind: srcSynth, synth: spec}
+	if keys == nil {
+		keys = [][]uint32{} // no shards is ErrNoShards, not the zero Source
+	}
+	return Source{keys: keys, cols: cols}
 }
 
 // Job is one unit of work submitted to a Cluster.
@@ -247,10 +238,9 @@ type Job struct {
 
 // EncodeJobPayload returns the control-plane dispatch bytes node id of
 // an n-node cluster receives for job (and a mid-run substitute receives
-// again): the KindJob payload followed, for a raw-shard job, by the
-// payload of every KindRows chunk of its rows stream, in wire order.
-// Exposed for measurement: a raw-shard job dispatches every row, a
-// declarative source a fixed few dozen bytes. The cluster never builds
+// again): the KindJob payload followed by the payload of every KindRows
+// chunk of its rows stream, in wire order. Exposed for measurement:
+// a job dispatches every row it aggregates. The cluster never builds
 // this slice — it writes each chunk as it is encoded.
 func EncodeJobPayload(job Job, n, id int) ([]byte, error) {
 	if n < 1 || id < 0 || id >= n {
@@ -261,8 +251,8 @@ func EncodeJobPayload(job Job, n, id int) ([]byte, error) {
 		return nil, err
 	}
 	b, err := rs.payloadFor(id, 0)
-	if err != nil || rs.source != srcRaw {
-		return b, err
+	if err != nil {
+		return nil, err
 	}
 	st := rs.rowStream(id, 0)
 	_, size := st.size(rowChunkBytes)
@@ -727,7 +717,7 @@ func (c *Cluster) readConn(cs *connState) {
 
 // runState is the in-flight job's supervisor-side state. The embedded
 // jobSpec is the job as every member is told it, bar the incarnation
-// and a raw source's row count, which payloadFor fills in per member.
+// and the row count, which payloadFor fills in per member.
 type runState struct {
 	jobSpec
 	reply chan runReply
@@ -755,7 +745,6 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	rs := &runState{
 		jobSpec: jobSpec{
 			jobIdx: jobIdx, op: opReduce, workers: job.Workers, specs: job.Specs,
-			source: job.Source.kind, synth: job.Source.synth,
 		},
 		reply: e.reply,
 		src:   job.Source,
@@ -771,29 +760,16 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	if len(job.Specs) > 0 {
 		rs.op = opGroupBy
 	}
-	switch job.Source.kind {
-	case srcRaw:
-		return rs, rs.validateRaw()
-	case srcSynth:
-		if err := job.Source.synth.Validate(); err != nil {
-			return nil, err
-		}
-		if rs.op == opReduce && job.Source.synth.Groups != 0 {
-			return nil, fmt.Errorf("%w: a reduction job needs a keyless synthetic source (Job.Source)", dist.ErrConfig)
-		}
-		if rs.op == opGroupBy && job.Source.synth.Groups == 0 {
-			return nil, fmt.Errorf("%w: a group-by job needs a keyed synthetic source (Job.Source)", dist.ErrConfig)
-		}
-		return rs, nil
-	default:
+	if job.Source.keys == nil && job.Source.cols == nil {
 		return nil, fmt.Errorf("%w: job needs an input source (Job.Source)", dist.ErrConfig)
 	}
+	return rs, rs.validateShards()
 }
 
-// validateRaw checks raw shards against the job and settles how many
+// validateShards checks the shards against the job and settles how many
 // of their columns are shipped; shard i is later streamed to node
 // i mod n from where it lies.
-func (rs *runState) validateRaw() error {
+func (rs *runState) validateShards() error {
 	src := rs.src
 	if rs.op == opReduce {
 		if len(src.cols) == 0 {
@@ -830,9 +806,7 @@ func (rs *runState) rowStream(id, inc int) *rowStream {
 func (rs *runState) payloadFor(id, inc int) ([]byte, error) {
 	js := rs.jobSpec
 	js.incarnation = inc
-	if js.source == srcRaw {
-		js.rows = rs.rowStream(id, inc).rows
-	}
+	js.rows = rs.rowStream(id, inc).rows
 	return encodeJobSpec(js)
 }
 
@@ -1326,8 +1300,8 @@ func (l *clusterLoop) startRun(e evRun) {
 }
 
 // shipJob dispatches the current job to one member: the job spec from
-// the loop, a raw source's rows behind it from a shipper goroutine, so
-// all members are fed at once and the loop never waits on a row.
+// the loop, its rows behind it from a shipper goroutine, so all
+// members are fed at once and the loop never waits on a row.
 func (l *clusterLoop) shipJob(m *connState) {
 	rs := l.cur
 	if rs == nil {
@@ -1345,10 +1319,8 @@ func (l *clusterLoop) shipJob(m *connState) {
 		l.memberGone(m, fmt.Errorf("proc: sending job to worker %d: %w", m.id, err))
 		return
 	}
-	if rs.source == srcRaw {
-		rs.shipping++
-		go l.c.shipRows(rs, m, rs.rowStream(m.id, m.inc))
-	}
+	rs.shipping++
+	go l.c.shipRows(rs, m, rs.rowStream(m.id, m.inc))
 }
 
 // shipRows streams one member's rows, each chunk encoded from the

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/groupby"
 	"repro/internal/sqlagg"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -40,16 +41,10 @@ func sumSpecs() []sqlagg.AggSpec {
 // elastic runtime: a 4-worker cluster loses a worker mid chunk stream
 // (injected process death), a parked standby is admitted through the
 // control address as a substitute, and the final result is
-// byte-identical to the undisturbed in-process reference — for a
-// raw-shard job and a declarative spec-ingest job.
+// byte-identical to the undisturbed in-process reference.
 func TestWorkerReplacementEquivalence(t *testing.T) {
 	const rows = 12000
-	synth := workload.Spec{Rows: rows, Groups: 2048, KeySeed: 19,
-		Cols: []workload.ColSpec{{Seed: 17, Dist: workload.MixedMag}}}
-	keys, cols, err := synth.Materialize()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
+	keys, cols := workload.Keys(19, rows, 2048), [][]float64{workload.Values64(17, rows, workload.MixedMag)}
 	refTuples, err := dist.AggregateTuplesConfig([][]uint32{keys}, [][][]float64{cols}, 2, sumSpecs(), dist.Config{})
 	if err != nil {
 		t.Fatalf("in-process reference: %v", err)
@@ -58,41 +53,32 @@ func TestWorkerReplacementEquivalence(t *testing.T) {
 
 	cfg := matrixConfig()
 	cfg.MaxChunkPayload = 2048
-	jobs := []struct {
-		name string
-		src  Source
-	}{
-		{"raw-shards", RowShards([][]uint32{keys}, [][][]float64{cols})},
-		{"spec-ingest", SyntheticSource(synth)},
-	}
-	for _, tc := range jobs {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := elasticSpec(cfg)
-			spec.DieNode, spec.DieAfter = 1, 4 // die mid shuffle stream
-			c, err := NewCluster(spec)
-			if err != nil {
-				t.Fatalf("NewCluster: %v", err)
-			}
-			defer c.Close()
-			res, err := c.Run(Job{Workers: 2, Specs: sumSpecs(), Source: tc.src})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if res.Replacements < 1 {
-				t.Errorf("Replacements = %d, want >= 1 (the injected death must have fired)", res.Replacements)
-			}
-			if !bytes.Equal(res.Payload, want) {
-				t.Errorf("result payload differs from the undisturbed in-process reference — replacement broke bit-reproducibility")
-			}
-			st := c.Stats()
-			if st.Replaced < 1 || st.Joined < 5 {
-				t.Errorf("stats = %+v, want >= 1 replacement over >= 5 admissions", st)
-			}
-			if err := c.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		})
-	}
+	t.Run("raw-shards", func(t *testing.T) {
+		spec := elasticSpec(cfg)
+		spec.DieNode, spec.DieAfter = 1, 4 // die mid shuffle stream
+		c, err := NewCluster(spec)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		defer c.Close()
+		res, err := c.Run(Job{Workers: 2, Specs: sumSpecs(), Source: RowShards([][]uint32{keys}, [][][]float64{cols})})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if res.Replacements < 1 {
+			t.Errorf("Replacements = %d, want >= 1 (the injected death must have fired)", res.Replacements)
+		}
+		if !bytes.Equal(res.Payload, want) {
+			t.Errorf("result payload differs from the undisturbed in-process reference — replacement broke bit-reproducibility")
+		}
+		st := c.Stats()
+		if st.Replaced < 1 || st.Joined < 5 {
+			t.Errorf("stats = %+v, want >= 1 replacement over >= 5 admissions", st)
+		}
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 }
 
 // TestReduceReplacementEquivalence is the reduction-tree counterpart:
@@ -116,8 +102,8 @@ func TestReduceReplacementEquivalence(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Raw shards first, then the same dataset as a declarative keyless
-	// spec — two jobs on one cluster, exercising multi-job reuse on the
+	// The same values twice, dealt to four shards and then to three —
+	// two jobs on one cluster, exercising multi-job reuse on the
 	// replacement path (the second job runs on the already-replaced
 	// membership).
 	res, err := c.Run(Job{Workers: 2, Source: ValueShards(shardFloats(vals, 4))})
@@ -131,16 +117,15 @@ func TestReduceReplacementEquivalence(t *testing.T) {
 		t.Errorf("raw: got %016x, want %016x", math.Float64bits(res.Sum), math.Float64bits(want))
 	}
 
-	res2, err := c.Run(Job{Workers: 2,
-		Source: SyntheticSource(workload.Spec{Rows: rows, Cols: []workload.ColSpec{{Seed: 23, Dist: workload.MixedMag}}})})
+	res2, err := c.Run(Job{Workers: 2, Source: ValueShards(shardFloats(vals, 3))})
 	if err != nil {
-		t.Fatalf("spec-ingest run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
 	if res2.Replacements != 0 {
 		t.Errorf("second job replacements = %d, want 0 (death injection is first-incarnation only)", res2.Replacements)
 	}
 	if math.Float64bits(res2.Sum) != math.Float64bits(want) {
-		t.Errorf("synth: got %016x, want %016x", math.Float64bits(res2.Sum), math.Float64bits(want))
+		t.Errorf("second: got %016x, want %016x", math.Float64bits(res2.Sum), math.Float64bits(want))
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("Close: %v", err)
@@ -315,15 +300,13 @@ func TestElasticMatrix(t *testing.T) {
 			}
 
 			// group-by
-			synth := workload.Spec{Rows: rows, Groups: 1024, KeySeed: seed + 1,
-				Cols: []workload.ColSpec{{Seed: seed, Dist: workload.MixedMag}}}
-			keys, cols, _ := synth.Materialize()
+			keys, cols := workload.Keys(seed+1, rows, 1024), [][]float64{workload.Values64(seed, rows, workload.MixedMag)}
 			ref, err := dist.AggregateTuplesConfig([][]uint32{keys}, [][][]float64{cols}, 2, sumSpecs(), dist.Config{})
 			if err != nil {
 				t.Fatalf("groupby reference: %v", err)
 			}
 			c := newVictim(4)
-			res, err := c.Run(Job{Workers: 2, Specs: sumSpecs(), Source: SyntheticSource(synth)})
+			res, err := c.Run(Job{Workers: 2, Specs: sumSpecs(), Source: RowShards(groupby.Deal(keys, cols, 4))})
 			if err == nil && !bytes.Equal(res.Payload, dist.EncodeTupleGroups(ref, 1)) {
 				err = errors.New("payload differs from in-process reference")
 			}
@@ -336,14 +319,13 @@ func TestElasticMatrix(t *testing.T) {
 			}
 
 			// reduce
-			rsynth := workload.Spec{Rows: rows, Cols: []workload.ColSpec{{Seed: seed + 2, Dist: workload.MixedMag}}}
-			_, rcols, _ := rsynth.Materialize()
+			rcols := [][]float64{workload.Values64(seed+2, rows, workload.MixedMag)}
 			wantSum, err := dist.ReduceConfig([][]float64{rcols[0]}, 2, dist.Config{})
 			if err != nil {
 				t.Fatalf("reduce reference: %v", err)
 			}
 			c = newVictim(1)
-			res, err = c.Run(Job{Workers: 2, Source: SyntheticSource(rsynth)})
+			res, err = c.Run(Job{Workers: 2, Source: ValueShards(shardFloats(rcols[0], 4))})
 			if err == nil && math.Float64bits(res.Sum) != math.Float64bits(wantSum) {
 				err = errors.New("sum bits differ from in-process reference")
 			}
@@ -694,13 +676,14 @@ func TestClusterSpecValidation(t *testing.T) {
 	if _, err := c.Run(Job{Workers: 1}); err == nil || !strings.Contains(err.Error(), "Job.Source") {
 		t.Errorf("missing source: %v, want an error naming Job.Source", err)
 	}
+	if _, err := c.Run(Job{Source: ValueShards(nil)}); !errors.Is(err, dist.ErrNoShards) {
+		t.Errorf("empty ValueShards: %v, want ErrNoShards", err)
+	}
+	if _, err := c.Run(Job{Specs: sumSpecs(), Source: RowShards(nil, nil)}); !errors.Is(err, dist.ErrNoShards) {
+		t.Errorf("empty RowShards: %v, want ErrNoShards", err)
+	}
 	if _, err := c.Run(Job{Workers: -1, Source: ValueShards([][]float64{{1}})}); !errors.Is(err, dist.ErrWorkers) {
 		t.Errorf("negative workers: %v, want ErrWorkers", err)
-	}
-	if _, err := c.Run(Job{Specs: sumSpecs(),
-		Source: SyntheticSource(workload.Spec{Rows: 10, Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}}})}); err == nil ||
-		!strings.Contains(err.Error(), "keyed synthetic source") {
-		t.Errorf("keyless synth on group-by: %v, want keyed-source error", err)
 	}
 }
 

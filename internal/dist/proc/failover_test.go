@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/groupby"
 	"repro/internal/tpch"
 	"repro/internal/workload"
 )
@@ -51,13 +52,10 @@ func maybeSupervisorMain() {
 func failoverJob(kind string, seed uint64, rows int) Job {
 	switch kind {
 	case "groupby":
-		synth := workload.Spec{Rows: rows, Groups: 1024, KeySeed: seed + 1,
-			Cols: []workload.ColSpec{{Seed: seed, Dist: workload.MixedMag}}}
-		return Job{Workers: 2, Specs: sumSpecs(), Source: SyntheticSource(synth)}
+		keys, cols := failoverGroupByRows(seed, rows)
+		return Job{Workers: 2, Specs: sumSpecs(), Source: RowShards(groupby.Deal(keys, cols, 3))}
 	case "reduce":
-		rsynth := workload.Spec{Rows: rows,
-			Cols: []workload.ColSpec{{Seed: seed + 2, Dist: workload.MixedMag}}}
-		return Job{Workers: 2, Source: SyntheticSource(rsynth)}
+		return Job{Workers: 2, Source: ValueShards(shardFloats(failoverReduceRows(seed, rows), 3))}
 	case "q1":
 		keys, cols, err := tpch.Q1Input(tpch.GenLineitemRows(rows, seed))
 		if err != nil {
@@ -132,31 +130,29 @@ func supervisorMain() int {
 	return 0
 }
 
+// failoverGroupByRows and failoverReduceRows are the cells' inputs.
+func failoverGroupByRows(seed uint64, rows int) ([]uint32, [][]float64) {
+	return workload.Keys(seed+1, rows, 1024), [][]float64{workload.Values64(seed, rows, workload.MixedMag)}
+}
+
+func failoverReduceRows(seed uint64, rows int) []float64 {
+	return workload.Values64(seed+2, rows, workload.MixedMag)
+}
+
 // failoverWantHex computes the cell's expected RESULT line through the
 // in-process engines — the same reference the elastic matrix pins.
 func failoverWantHex(t *testing.T, kind string, seed uint64, rows int) string {
 	t.Helper()
 	switch kind {
 	case "groupby":
-		synth := workload.Spec{Rows: rows, Groups: 1024, KeySeed: seed + 1,
-			Cols: []workload.ColSpec{{Seed: seed, Dist: workload.MixedMag}}}
-		keys, cols, err := synth.Materialize()
-		if err != nil {
-			t.Fatalf("materialize: %v", err)
-		}
+		keys, cols := failoverGroupByRows(seed, rows)
 		ref, err := dist.AggregateTuplesConfig([][]uint32{keys}, [][][]float64{cols}, 2, sumSpecs(), dist.Config{})
 		if err != nil {
 			t.Fatalf("groupby reference: %v", err)
 		}
 		return hex.EncodeToString(dist.EncodeTupleGroups(ref, 1))
 	case "reduce":
-		rsynth := workload.Spec{Rows: rows,
-			Cols: []workload.ColSpec{{Seed: seed + 2, Dist: workload.MixedMag}}}
-		_, rcols, err := rsynth.Materialize()
-		if err != nil {
-			t.Fatalf("materialize: %v", err)
-		}
-		want, err := dist.ReduceConfig([][]float64{rcols[0]}, 2, dist.Config{})
+		want, err := dist.ReduceConfig([][]float64{failoverReduceRows(seed, rows)}, 2, dist.Config{})
 		if err != nil {
 			t.Fatalf("reduce reference: %v", err)
 		}

@@ -366,15 +366,15 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Error("conf with a non-canonical boolean decoded without error")
 	}
 
-	// A raw-shard group-by job spec carries the catalog and only the
-	// shape of the rows (they follow as a KindRows stream).
+	// A group-by job spec carries the catalog and only the shape of the
+	// rows (they follow as a KindRows stream).
 	specs := []sqlagg.AggSpec{
 		{Kind: sqlagg.AggSum, Levels: 2, Col: 0},
 		{Kind: sqlagg.AggAvg, Levels: 2, Col: 1},
 	}
 	jb, err := encodeJobSpec(jobSpec{
 		jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4,
-		specs: specs, source: srcRaw, rows: 3, ncols: 2,
+		specs: specs, rows: 3, ncols: 2,
 	})
 	if err != nil {
 		t.Fatalf("encodeJobSpec: %v", err)
@@ -390,51 +390,22 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Error("truncated job spec decoded without error")
 	}
 
-	// A declarative synthetic source round trips spec-for-spec and is
-	// tiny regardless of how many rows it describes — the O(1) dispatch
-	// claim, pinned as a payload-size bound.
-	synth := workload.Spec{Rows: 50_000_000, Groups: 64, KeySeed: 9,
-		Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}, {Seed: 2, Dist: workload.Exp1}}}
-	sb, err := encodeJobSpec(jobSpec{op: opGroupBy, workers: 1,
-		specs: specs, source: srcSynth, synth: synth})
-	if err != nil {
-		t.Fatalf("encodeJobSpec(synth): %v", err)
-	}
-	if len(sb) > 256 {
-		t.Errorf("50M-row synthetic job spec is %d bytes, want O(spec) not O(rows)", len(sb))
-	}
-	sj, err := decodeJobSpec(sb)
-	if err != nil {
-		t.Fatalf("decodeJobSpec(synth): %v", err)
-	}
-	if !reflect.DeepEqual(sj.synth, synth) {
-		t.Fatalf("synth round trip: got %+v, want %+v", sj.synth, synth)
-	}
-	// Keyed-ness must match the operation.
-	if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1,
-		source: srcSynth, synth: synth}); err == nil {
-		t.Error("keyed synthetic source on a reduction decoded without error")
-	}
-
 	// A negative row count is rejected with the shape; a hostile
 	// positive one is TestRowSinkRejections' (budget, before allocation).
-	reduceHdr, err := encodeJobSpec(jobSpec{op: opReduce, workers: 1,
-		source: srcRaw, rows: 1, ncols: 1})
+	reduceHdr, err := encodeJobSpec(jobSpec{op: opReduce, workers: 1, rows: 1, ncols: 1})
 	if err != nil {
 		t.Fatalf("encodeJobSpec(reduce): %v", err)
 	}
 	negative := append([]byte(nil), reduceHdr...)
-	binary.LittleEndian.PutUint64(negative[18:], uint64(1<<63)) // the srcRaw row count
+	binary.LittleEndian.PutUint64(negative[17:], uint64(1<<63)) // the row count
 	if _, err := decodeJobSpec(negative); err == nil {
 		t.Error("negative-row job decoded without error")
 	}
 	// A reduction job must carry exactly one column.
-	if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1,
-		source: srcRaw, rows: 1, ncols: 2}); err == nil {
+	if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1, rows: 1, ncols: 2}); err == nil {
 		t.Error("two-column reduction job decoded without error")
 	}
-	if _, err := encodeAndDecode(jobSpec{op: opGroupBy, workers: 1,
-		specs: specs, source: srcRaw}); err == nil {
+	if _, err := encodeAndDecode(jobSpec{op: opGroupBy, workers: 1, specs: specs}); err == nil {
 		t.Error("zero-column job decoded without error")
 	}
 
@@ -561,10 +532,9 @@ var controlCodecs = []struct {
 func FuzzControlDecode(f *testing.F) {
 	specs := []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: 2, Col: 0}, {Kind: sqlagg.AggAvg, Levels: 2, Col: 1}}
 	jobs := []jobSpec{
-		{jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4, specs: specs, source: srcRaw, rows: 3, ncols: 2},
-		{op: opReduce, workers: 1, source: srcSynth,
-			synth: workload.Spec{Rows: 100, Cols: []workload.ColSpec{{Seed: 1, Dist: workload.MixedMag}}}},
-		{jobIdx: 1, op: opReduce, workers: 2, source: srcRaw, rows: 12345, ncols: 1},
+		{jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4, specs: specs, rows: 3, ncols: 2},
+		{op: opReduce, workers: 1, rows: 100, ncols: 1},
+		{jobIdx: 1, op: opReduce, workers: 2, rows: 12345, ncols: 1},
 	}
 	conf := encodeConf(clusterConf{N: 3, MaxChunkPayload: 4096, KillNode: -1, DieNode: -1,
 		Faults: dist.FaultPlan{Seed: 42, DropProb: 0.25, Reorder: true}})

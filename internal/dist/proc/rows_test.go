@@ -192,7 +192,7 @@ func smallStream(t *testing.T, jobIdx, inc int) (jobSpec, []dist.Frame) {
 	t.Helper()
 	src := RowShards([][]uint32{{5, 6, 7}}, [][][]float64{{{1.5, -2, math.Inf(1)}, {4, 5, 6}}})
 	js := jobSpec{jobIdx: jobIdx, incarnation: inc, op: opGroupBy, workers: 1,
-		specs: twoColSpecs(), source: srcRaw, rows: 3, ncols: 2}
+		specs: twoColSpecs(), rows: 3, ncols: 2}
 	return js, frames(newRowStream(&src, 2, 1, 0, jobIdx, inc), 8)
 }
 
@@ -229,8 +229,7 @@ func TestRowSinkRejections(t *testing.T) {
 		}
 	})
 	t.Run("reduction with ncols != 1", func(t *testing.T) {
-		if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1,
-			source: srcRaw, rows: 1, ncols: 2}); err == nil {
+		if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1, rows: 1, ncols: 2}); err == nil {
 			t.Fatal("decoded without error")
 		}
 	})
@@ -375,6 +374,42 @@ func TestRowSinkRejections(t *testing.T) {
 	})
 }
 
+// TestCtlConnRepeatedStream: a control connection remembers no
+// completed stream, so every message arrives however many share a
+// (from, seq) stream. Here two job specs do — a single-frame one and a
+// chunked one whose job index wrapped the seq space, ctrlSeqJob(1<<24)
+// being ctrlSeqJob(0) — and a shutdown follows them.
+func TestCtlConnRepeatedStream(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	sent := []dist.Frame{
+		{Kind: dist.KindJob, Seq: ctrlSeqJob(0), Payload: []byte{1}},
+		{Kind: dist.KindJob, Seq: ctrlSeqJob(1 << 24), Payload: bytes.Repeat([]byte{2}, 100)},
+		{Kind: dist.KindShutdown, Seq: ctrlSeqShutdown},
+	}
+	go func() {
+		w := newCtlConn(a, 16) // the second job spec crosses as 7 chunks
+		for _, f := range sent {
+			if w.send(f) != nil {
+				return
+			}
+		}
+	}()
+	r := newCtlConn(b, 0)
+	b.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for i, want := range sent {
+		got, err := r.read()
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if got.Kind != want.Kind || got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("read %d: kind %d seq %d with %d bytes, want kind %d seq %d with %d bytes (a message was swallowed?)",
+				i, got.Kind, got.Seq, len(got.Payload), want.Kind, want.Seq, len(want.Payload))
+		}
+	}
+}
+
 // appendRecord frames one chunk for FuzzRowStream's script: 4B chunk
 // index, 4B chunk count, 4B payload length, payload.
 func appendRecord(b []byte, f dist.Frame) []byte {
@@ -415,7 +450,7 @@ func FuzzRowStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, spec, script []byte) {
 		js, err := decodeJobSpec(spec)
-		if err != nil || js.source != srcRaw {
+		if err != nil {
 			return
 		}
 		sink, err := newRowSink(js, budget)
@@ -500,34 +535,28 @@ func inProcessCluster(tb testing.TB, n int) *Cluster {
 }
 
 // colsJob is one SUM per column over rows × ncols values in groups
-// groups, as a raw job over two shards and as the synthetic source of
-// the same rows, plus the bytes the raw dispatch puts on the wire.
-func colsJob(tb testing.TB, rows, ncols int, groups uint32) (raw, synth Job, dispatched int) {
+// groups, as a job over two shards, plus the bytes its dispatch puts on
+// the wire.
+func colsJob(tb testing.TB, rows, ncols int, groups uint32) (job Job, dispatched int) {
 	tb.Helper()
-	spec := workload.Spec{Rows: rows, Groups: groups, KeySeed: 11}
-	var specs []sqlagg.AggSpec
-	for c := 0; c < ncols; c++ {
-		spec.Cols = append(spec.Cols, workload.ColSpec{Seed: uint64(20 + c), Dist: workload.MixedMag})
-		specs = append(specs, sqlagg.AggSpec{Kind: sqlagg.AggSum, Levels: core.DefaultLevels, Col: c})
-	}
-	keys, cols, err := spec.Materialize()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	keys := workload.Keys(11, rows, groups)
 	half := rows / 2
+	var specs []sqlagg.AggSpec
 	var lo, hi [][]float64
-	for _, col := range cols {
+	for c := 0; c < ncols; c++ {
+		specs = append(specs, sqlagg.AggSpec{Kind: sqlagg.AggSum, Levels: core.DefaultLevels, Col: c})
+		col := workload.Values64(uint64(20+c), rows, workload.MixedMag)
 		lo, hi = append(lo, col[:half]), append(hi, col[half:])
 	}
-	raw = Job{Workers: 1, Specs: specs, Source: RowShards([][]uint32{keys[:half], keys[half:]}, [][][]float64{lo, hi})}
+	job = Job{Workers: 1, Specs: specs, Source: RowShards([][]uint32{keys[:half], keys[half:]}, [][][]float64{lo, hi})}
 	for id := 0; id < 2; id++ {
-		b, err := EncodeJobPayload(raw, 2, id)
+		b, err := EncodeJobPayload(job, 2, id)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		dispatched += len(b)
 	}
-	return raw, Job{Workers: 1, Specs: specs, Source: SyntheticSource(spec)}, dispatched
+	return job, dispatched
 }
 
 // allocPerRun is the bytes this process allocates per c.Run(job), after
@@ -560,8 +589,8 @@ func TestDispatchCopyCount(t *testing.T) {
 		t.Skip("race instrumentation changes allocation behavior")
 	}
 	// 64 groups: the aggregation is negligible next to the dispatch.
-	big, _, bigBytes := colsJob(t, 1<<18, 5, 64)
-	small, _, _ := colsJob(t, 1<<16, 5, 64)
+	big, bigBytes := colsJob(t, 1<<18, 5, 64)
+	small, _ := colsJob(t, 1<<16, 5, 64)
 
 	if got := allocPerRun(t, inProcessCluster(t, 2), big); got > 3*uint64(bigBytes) {
 		t.Errorf("in-process cluster: %d bytes allocated per Run for %d dispatched (%.1f×), want <= 3×",
@@ -683,12 +712,7 @@ func TestRowShipWriteDeadline(t *testing.T) {
 // result is byte for byte the in-process reference.
 func TestRowStreamHangupReplacement(t *testing.T) {
 	const rows = 400_000 // several chunks of keys and of values per node
-	synth := workload.Spec{Rows: rows, Groups: 512, KeySeed: 29,
-		Cols: []workload.ColSpec{{Seed: 31, Dist: workload.MixedMag}}}
-	keys, cols, err := synth.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys, cols := workload.Keys(29, rows, 512), [][]float64{workload.Values64(31, rows, workload.MixedMag)}
 	ref, err := dist.AggregateTuplesConfig([][]uint32{keys}, [][][]float64{cols}, 2, sumSpecs(), dist.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/sqlagg"
-	"repro/internal/workload"
 )
 
 // Wire encodings of the control plane. The cluster config
@@ -18,10 +17,10 @@ import (
 // agree on before any job exists: size, protocol knobs, fault plan,
 // liveness cadence. It is digested into the join handshake, so a stale
 // or edited worker is rejected at admission. Per-job state — the
-// operation, aggregate catalog, and the input source —
-// travels in the KindJob payload (jobSpec), which is what lets one
-// cluster run many jobs; a raw source's rows follow it as the KindRows
-// chunks of one rows stream (rowStream → rowSink). Everything is
+// operation, aggregate catalog, and the shape of the input — travels
+// in the KindJob payload (jobSpec), which is what lets one cluster run
+// many jobs; the rows themselves follow it as the KindRows chunks of
+// one rows stream (rowStream → rowSink). Everything is
 // little-endian and versioned; decoders validate lengths and never
 // over-allocate on a corrupt prefix.
 
@@ -29,14 +28,6 @@ import (
 const (
 	opReduce byte = 1 + iota
 	opGroupBy
-)
-
-// Input-source kinds of a job: raw rows streamed after the job spec,
-// or a declarative generator spec the worker materializes locally (O(1)
-// dispatch regardless of data size).
-const (
-	srcRaw byte = 1 + iota
-	srcSynth
 )
 
 // specVersion versions the control-plane encodings — the only version
@@ -56,8 +47,11 @@ const (
 // supervisor would take a 7 worker's job count for its identity.
 // Version 9 = the job spec lost its topology byte (every reduction runs
 // the binomial tree) and its TPC-H source kind; a 9 would read an 8's
-// topology byte as the worker count's first byte.
-const specVersion = 9
+// topology byte as the worker count's first byte. Version 10 = the job
+// spec lost its source-kind byte (every job ships its rows; the
+// synthetic generator source is gone); a 10 would read a 9's source
+// byte as the row count's first byte.
+const specVersion = 10
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -258,24 +252,19 @@ func confDigest(raw []byte) uint64 {
 }
 
 // Control-plane stream ids (Frame.Seq). The control connection is a
-// dedicated reliable TCP stream per worker, but chunked messages reuse
-// the data-plane reassembler, which dedups per (from, seq) — distinct
-// ids keep logically distinct streams distinct. Cluster-lifetime
-// streams get the low ids; each job gets a block of ids (so a
-// multi-job cluster never replays a seq on the same connection), and
-// each KindPeers epoch its own id within the block (a re-broadcast
-// must not be swallowed as a duplicate of the first).
+// dedicated reliable TCP stream per worker: its reader reassembles
+// chunked messages but remembers no completed stream (ctlConn.read),
+// so a stream id may carry any number of messages, and a job index
+// past the id space (ctrlSeqJob wraps at 2^24) loses none. The ids
+// name what a message is: cluster-lifetime streams get the low ids,
+// each job a block of ids, and each KindPeers epoch its own id within
+// the block.
 const (
 	ctrlSeqHello uint32 = iota
 	ctrlSeqConf
 	ctrlSeqPing
 	ctrlSeqShutdown
-	// ctrlSeqRejoin carries a worker's join hello. It must be a
-	// distinct stream from ctrlSeqHello: the full hello that follows a
-	// returning member's uses the same From id on the same connection,
-	// and two messages on one (from, seq) stream would make the
-	// reassembler swallow the second as a duplicate.
-	ctrlSeqRejoin
+	ctrlSeqRejoin // a worker's join hello
 
 	ctrlSeqJobBase   uint32 = 1 << 16
 	ctrlSeqJobStride uint32 = 1 << 8
@@ -476,33 +465,24 @@ func decodePeers(payload []byte) (jobIdx, epoch int, addrs []string, err error) 
 	return jobIdx, epoch, addrs, nil
 }
 
-// jobSpec is the decoded KindJob payload: which operation to run, its
-// shape, and where this worker's input comes from — either raw rows
-// that follow on the same connection as a KindRows stream (srcRaw: only
-// their shape is here) or a declarative source the worker materializes
-// locally and slices round-robin by its node id (srcSynth).
+// jobSpec is the decoded KindJob payload: which operation to run and
+// its shape, down to this worker's rows, which follow on the same
+// connection as a KindRows stream.
 type jobSpec struct {
 	jobIdx      int
 	incarnation int // 0 = original dispatch; >0 = re-shipped to a replacement
 	op          byte
 	workers     int
 	specs       []sqlagg.AggSpec // groupby only
-
-	source byte
-	// srcRaw: this worker's row count and value columns per row.
-	rows, ncols int
-	// srcSynth: the dataset generator.
-	synth workload.Spec
+	rows, ncols int              // this worker's row count and value columns per row
 }
 
 // encodeJobSpec flattens a job:
 //
 //	4B job index, 4B incarnation, 1B op, 8B workers,
 //	[groupby: aggregate catalog (sqlagg.EncodeSpecs, self-delimiting)],
-//	1B source kind, then the source body:
-//	  srcRaw:   8B rows, 2B ncols (the rows themselves follow as
-//	            KindRows chunks, see rowStream)
-//	  srcSynth: workload spec encoding (to end of payload)
+//	8B rows, 2B ncols (the rows themselves follow as KindRows chunks,
+//	see rowStream)
 func encodeJobSpec(j jobSpec) ([]byte, error) {
 	b := make([]byte, 0, 64)
 	b = appendU32(b, uint32(j.jobIdx))
@@ -515,20 +495,8 @@ func encodeJobSpec(j jobSpec) ([]byte, error) {
 			return nil, err
 		}
 	}
-	b = append(b, j.source)
-	switch j.source {
-	case srcRaw:
-		b = appendI64(b, int64(j.rows))
-		b = appendU16(b, uint16(j.ncols))
-	case srcSynth:
-		var err error
-		if b, err = j.synth.AppendBinary(b); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("proc: unknown job source kind %d", j.source)
-	}
-	return b, nil
+	b = appendI64(b, int64(j.rows))
+	return appendU16(b, uint16(j.ncols)), nil
 }
 
 // decodeJobSpec inverts encodeJobSpec, validating every length against
@@ -556,35 +524,18 @@ func decodeJobSpec(payload []byte) (jobSpec, error) {
 		j.specs = specs
 		r.take(n)
 	}
-	j.source = r.byteVal()
-	switch j.source {
-	case srcRaw:
-		rows := r.i64()
-		j.rows, j.ncols = int(rows), int(r.u16())
-		if r.done() == nil && (rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || j.op == opReduce && j.ncols != 1) {
-			return j, fmt.Errorf("%w: job declares %d rows × %d columns", dist.ErrBadFrame, rows, j.ncols)
-		}
-	case srcSynth:
-		spec, err := workload.DecodeSpec(r.b)
-		if err != nil {
-			return j, fmt.Errorf("proc: job spec source: %w", err)
-		}
-		if j.op == opReduce && spec.Groups != 0 {
-			return j, fmt.Errorf("proc: reduction job spec declares a keyed synthetic source")
-		}
-		if j.op == opGroupBy && spec.Groups == 0 {
-			return j, fmt.Errorf("proc: group-by job spec declares a keyless synthetic source")
-		}
-		j.synth = spec
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("proc: unknown job source kind %d", j.source)
-		}
+	rows := r.i64()
+	j.rows, j.ncols = int(rows), int(r.u16())
+	if err := r.done(); err != nil {
+		return j, err
 	}
-	return j, r.err
+	if rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || j.op == opReduce && j.ncols != 1 {
+		return j, fmt.Errorf("%w: job declares %d rows × %d columns", dist.ErrBadFrame, rows, j.ncols)
+	}
+	return j, nil
 }
 
-// The rows stream of a raw-source job: node id's rows — shards id,
+// The rows stream of a job: node id's rows — shards id,
 // id+n, id+2n, … of the caller's RowShards/ValueShards, the keys first
 // (group-by only), then each value column — as KindRows frames numbered
 // by Frame.Chunk/Chunks within one (job, incarnation) stream. Each
@@ -609,7 +560,7 @@ const rowChunkHdr = 22
 // BenchmarkDispatch sweeps it.
 const rowChunkBytes = 256 << 10
 
-// rowStream encodes one node's rows of a raw source chunk by chunk.
+// rowStream encodes one node's rows of a job's source chunk by chunk.
 type rowStream struct {
 	src            *Source
 	n, id, ncols   int
@@ -695,7 +646,7 @@ type rowSink struct {
 	seg, off          int // the next chunk must start here; seg > len(cols) when complete
 }
 
-// newRowSink sizes the input arrays of a srcRaw job. The shape crossed
+// newRowSink sizes the input arrays of a job. The shape crossed
 // a trust boundary: rows × row width is charged against budget (the
 // connection's) before anything is allocated, so a hostile 2^61-row
 // header is a typed ErrChunkBudget, not an allocation.

@@ -30,11 +30,10 @@ import (
 //     epoch when it is a returning member), the cluster config and its
 //     node slot in KindConf, and the full digested hello back on the
 //     same connection,
-//  2. waits for KindJob: the operation, its shape, and this node's
-//     input — a declarative source the worker materializes locally and
-//     slices by its node id, or the count and width of raw rows, which
-//     it charges against the connection's budget, allocates once, and
-//     fills in place from the KindRows chunks that follow (rowSink),
+//  2. waits for KindJob: the operation, its shape, and the count and
+//     width of this node's rows, which it charges against the
+//     connection's budget, allocates once, and fills in place from the
+//     KindRows chunks that follow (rowSink),
 //  3. binds a fresh data-plane listener per job, announces it with
 //     KindReady at once (the peer-table round trip overlaps the rows
 //     stream), and when KindPeers and the last row are both in runs its
@@ -264,12 +263,13 @@ func (c *ctlConn) send(f dist.Frame) error {
 	return nil
 }
 
-// read returns the next control message. Two kinds go around the
-// reassembler, which swallows every frame after the first on a
-// completed (from, seq) stream: pings and their echoes reuse one stream
-// forever (and are single frames), and the chunks of a rows stream are
-// ordered and budgeted by their rowSink. A KindRows payload aliases the
-// read buffer until the next read; every other is copied out of it.
+// read returns the next control message. The chunks of a rows stream
+// go around the reassembler: they are ordered and budgeted by their
+// rowSink. Every other message is reassembled, and its stream's
+// completed mark dropped at once: TCP neither duplicates nor replays a
+// frame, so any number of messages may share a (from, seq) stream and
+// the connection remembers none of them. A KindRows payload aliases
+// the read buffer until the next read; every other is copied out of it.
 func (c *ctlConn) read() (dist.Frame, error) {
 	for {
 		f, buf, err := dist.ReadFrameBuf(c.br, c.rbuf)
@@ -281,14 +281,12 @@ func (c *ctlConn) read() (dist.Frame, error) {
 			return f, nil
 		}
 		f.Payload = bytes.Clone(f.Payload)
-		if f.Kind == dist.KindPing {
-			return f, nil
-		}
 		msg, complete, _, aerr := c.asm.Accept(f)
 		if aerr != nil {
 			return dist.Frame{}, aerr
 		}
 		if complete {
+			c.asm.Forget(msg.From, msg.Seq)
 			return msg, nil
 		}
 	}
@@ -463,12 +461,10 @@ func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
 }
 
 // workerJob is one job's worker-side state. Its protocol goroutine
-// starts once the peers are known and a raw source's sink is complete.
+// starts once the peers are known and its rows are all in.
 type workerJob struct {
 	spec    jobSpec
-	sink    *rowSink // srcRaw: fills keys and cols from the rows stream
-	keys    []uint32
-	cols    [][]float64
+	sink    *rowSink       // fills the job's input from the rows stream
 	ep      *dist.Endpoint // this node's data plane, bound per job
 	peers   []string       // the latest KindPeers table, nil until the first
 	started bool
@@ -528,7 +524,7 @@ func (s *workerSession) serve(c *ctlConn) error {
 		}
 	}()
 	tryStart := func() {
-		if !cur.started && cur.peers != nil && (cur.sink == nil || cur.sink.complete()) {
+		if !cur.started && cur.peers != nil && cur.sink.complete() {
 			startJob(cur, c, id, conf, cur.peers)
 		}
 	}
@@ -586,7 +582,7 @@ func (s *workerSession) serve(c *ctlConn) error {
 				return fmt.Errorf("%w: %v", errCtlLost, err)
 			}
 		case dist.KindRows:
-			if cur == nil || cur.sink == nil {
+			if cur == nil {
 				continue // straggler of a job this worker is done with
 			}
 			if err := cur.sink.accept(msg); err != nil {
@@ -625,30 +621,19 @@ func reportErr(c *ctlConn, id, jobIdx int, err error) {
 	})
 }
 
-// prepareJob materializes the job's input for this node (for a raw
-// source: the arrays its rows stream fills) and binds the job's
-// data-plane endpoint on the control connection's local
+// prepareJob allocates the arrays this node's rows stream fills and
+// binds the job's data-plane endpoint on the control connection's local
 // interface (loopback for a local cluster, the routable interface the
 // worker joined over for a remote one). It returns the address to
 // announce to the peer table: the bound address by default, rewritten
 // by -advertise for multi-NIC or NAT'd machines — a bare host keeps
 // the bound port, host:port also pins the listener to that port.
 func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise string) (*workerJob, string, error) {
-	job := &workerJob{spec: js, done: make(chan struct{})}
-	switch js.source {
-	case srcRaw:
-		sink, err := newRowSink(js, ctlBudget)
-		if err != nil {
-			return nil, "", err
-		}
-		job.sink, job.keys, job.cols = sink, sink.keys, sink.cols
-	case srcSynth:
-		keys, cols, err := js.synth.Materialize()
-		if err != nil {
-			return nil, "", fmt.Errorf("materializing synthetic source: %w", err)
-		}
-		job.keys, job.cols = sliceRows(keys, cols, conf.N, id)
+	sink, err := newRowSink(js, ctlBudget)
+	if err != nil {
+		return nil, "", err
 	}
+	job := &workerJob{spec: js, sink: sink, done: make(chan struct{})}
 	host, _, err := net.SplitHostPort(cc.LocalAddr().String())
 	if err != nil {
 		host = "127.0.0.1"
@@ -675,38 +660,6 @@ func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise str
 		announce = net.JoinHostPort(advHost, boundPort)
 	}
 	return job, announce, nil
-}
-
-// sliceRows keeps this node's round-robin slice (row i belongs to node
-// i mod n) of a locally materialized dataset. Every node materializes
-// the same rows from the same seeds, so the slices partition the
-// dataset exactly; order-invariant aggregation makes the partitioning
-// invisible in the result bits.
-func sliceRows(keys []uint32, cols [][]float64, n, id int) ([]uint32, [][]float64) {
-	rows := 0
-	if len(cols) > 0 {
-		rows = len(cols[0])
-	}
-	cnt := rows / n
-	if id < rows%n {
-		cnt++
-	}
-	var outKeys []uint32
-	if keys != nil {
-		outKeys = make([]uint32, 0, cnt)
-		for i := id; i < len(keys); i += n {
-			outKeys = append(outKeys, keys[i])
-		}
-	}
-	outCols := make([][]float64, len(cols))
-	for c, col := range cols {
-		out := make([]float64, 0, cnt)
-		for i := id; i < len(col); i += n {
-			out = append(out, col[i])
-		}
-		outCols[c] = out
-	}
-	return outKeys, outCols
 }
 
 // injectedFaults decorates a worker's endpoint with the forced
@@ -769,10 +722,10 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 		var payload []byte
 		var err error
 		if js.op == opReduce {
-			payload, err = dist.RunReduceNode(id, job.cols[0], js.workers, ptr, cfg)
+			payload, err = dist.RunReduceNode(id, job.sink.cols[0], js.workers, ptr, cfg)
 		} else {
 			var gs []dist.TupleGroup
-			gs, err = dist.RunGroupByNode(id, job.keys, job.cols, js.workers, js.specs, ptr, cfg)
+			gs, err = dist.RunGroupByNode(id, job.sink.keys, job.sink.cols, js.workers, js.specs, ptr, cfg)
 			if err == nil && id == 0 {
 				payload = dist.EncodeTupleGroups(gs, len(js.specs))
 			}

@@ -52,8 +52,8 @@ const (
 	// mismatch is rejected with a KindError carrying ErrHandshake.
 	KindHello
 	// KindJob carries the job spec (operation, aggregate catalog, and
-	// a declarative input source or the shape of the raw rows that
-	// follow as KindRows) from the supervisor to a joined worker.
+	// the shape of the rows that follow as KindRows) from the
+	// supervisor to a joined worker.
 	KindJob
 	// KindResult carries the root worker's finalized result back to
 	// the supervisor.
@@ -66,9 +66,9 @@ const (
 	// the bytes into a second, full hello.
 	KindConf
 	// KindReady is a worker's per-job acknowledgment: it has accepted
-	// the job (materialized a declarative input, or sized the arrays a
-	// raw one's KindRows stream will fill) and bound a fresh data-plane
-	// listener, whose address rides in the payload.
+	// the job (sized the arrays its KindRows stream will fill) and
+	// bound a fresh data-plane listener, whose address rides in the
+	// payload.
 	KindReady
 	// KindPeers broadcasts the per-job data-plane address table; a
 	// re-broadcast (higher epoch) re-points peers at a replacement

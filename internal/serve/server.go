@@ -52,7 +52,7 @@ type Options struct {
 	// Cluster, when non-nil, routes distributed GROUP BY queries
 	// through a long-lived multi-process cluster (internal/dist/proc)
 	// instead of the in-process tuple plane: each query ships the
-	// resident shards as one raw-shard job and the cluster's canonical
+	// resident shards as one RowShards job and the cluster's canonical
 	// result bytes are served directly. Implies Distributed. The
 	// cluster is borrowed, not owned: Close leaves it running.
 	Cluster *proc.Cluster

@@ -38,10 +38,8 @@ func GenLineitem(sf float64, seed uint64) *engine.Table {
 	return GenLineitemRows(n, seed)
 }
 
-// GenLineitemRows generates a lineitem table with exactly rows rows —
-// the row-count-addressed form the cluster runtime's declarative job
-// sources use, so a worker materializing a slice of "rows lineitem
-// rows at seed s" reproduces the supervisor's table bit for bit.
+// GenLineitemRows generates a lineitem table with exactly rows rows,
+// the row-count-addressed form the ledger and the cluster tests use.
 func GenLineitemRows(rows int, seed uint64) *engine.Table {
 	n := rows
 	r := workload.NewRNG(seed)
