@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/groupby"
@@ -43,13 +44,48 @@ const (
 // key plus one finalized value per aggregate spec, in spec order.
 type TupleGroup = groupby.Group
 
-// planShard builds the physical tuple plan for specs after checking
-// that the shard's columns fit it.
-func planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*sqlagg.TuplePlan, error) {
+// NodeMemory is the memory one node's GROUP BY leaves to the next run
+// on the same node: the tuple plan of its spec list, the combiner's
+// scatter targets (partition.Arena), the combiner's and the owner's
+// tables and the outgoing shuffle and gather payloads. A caller that
+// runs one job after another — a cluster worker — passes the same
+// NodeMemory to each, and a run scatters, aggregates, merges and
+// encodes into what the last one left instead of allocating it afresh.
+// Each piece grows to the largest run yet, so the memory is that of the
+// largest job the node has run, and none is zeroed again: a run writes
+// every element it reads. Tables are cleared, not remade, when the plan
+// and buffer length match and their capacity covers the run's hint.
+//
+// Runs must not overlap: the memory belongs to one run until its
+// transport is closed and RunGroupByNode has returned, since the
+// collector keeps the chunks of what it sent, which alias the payloads,
+// for resends until then. A nil NodeMemory is a fresh one, so the run
+// allocates everything.
+type NodeMemory struct {
+	specs          []sqlagg.AggSpec
+	plan           *sqlagg.TuplePlan
+	arena          partition.Arena[float64]
+	combine, owner *groupby.Table
+	frames         [][]byte
+	gather         []byte
+}
+
+// planShard returns the physical tuple plan for specs after checking
+// that the shard's columns fit it: the one m holds when it was planned
+// for an equal spec list, so that m's tables are recycled, else a new
+// one that m then holds.
+func (m *NodeMemory) planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*sqlagg.TuplePlan, error) {
 	if err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, specs); err != nil {
 		return nil, err
 	}
-	return sqlagg.NewTuplePlan(specs)
+	if m.plan == nil || !slices.Equal(m.specs, specs) {
+		plan, err := sqlagg.NewTuplePlan(specs)
+		if err != nil {
+			return nil, err
+		}
+		m.specs, m.plan = slices.Clone(specs), plan
+	}
+	return m.plan, nil
 }
 
 // appendTuple appends one ⟨key, tuple⟩ record to a shuffle frame:
@@ -84,6 +120,7 @@ func recordSize(plan *sqlagg.TuplePlan) int { return 8 + plan.Width() }
 type ownerMerge struct {
 	plan    *sqlagg.TuplePlan
 	senders int
+	mem     *NodeMemory // the owner table is recycled from mem.owner
 	table   *groupby.Table
 }
 
@@ -93,7 +130,8 @@ func (o *ownerMerge) merge(payload []byte) error {
 		if len(payload) == 0 {
 			return nil
 		}
-		o.table = groupby.NewTable(o.plan, len(payload)/recordSize(o.plan)*o.senders, 0)
+		o.mem.owner = groupby.Recycle(o.mem.owner, o.plan, len(payload)/recordSize(o.plan)*o.senders, 0)
+		o.table = o.mem.owner
 	}
 	return walkFrame(payload, func(key uint32, enc []byte) error {
 		if err := o.table.MergeBinary(key, enc); err != nil {
@@ -190,7 +228,7 @@ func AggregateTuplesConfig(localKeys [][]uint32, localCols [][][]float64, worker
 	rootCh := make(chan tupleResult, 1)
 	for id := 0; id < n; id++ {
 		go func(id int) {
-			groups, err := RunGroupByNode(id, localKeys[id], localCols[id], workers, specs, tr, cfg)
+			groups, err := RunGroupByNode(id, localKeys[id], localCols[id], workers, specs, tr, cfg, nil)
 			if id == 0 {
 				rootCh <- tupleResult{groups: groups, err: err}
 			}
@@ -274,12 +312,19 @@ func ValidateShardColumns(localKeys [][]uint32, localCols [][][]float64, specs [
 // partially received ones — every node caches its outgoing chunk lists
 // and retransmits on demand, and a permanently silent peer surfaces
 // ErrStraggler instead of a hang.
-func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs []sqlagg.AggSpec, tr Transport, cfg Config) ([]TupleGroup, error) {
+//
+// mem is what the node's last run left (see NodeMemory): the in-process
+// plane passes nil and allocates per run, a cluster worker passes its
+// own from job to job.
+func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs []sqlagg.AggSpec, tr Transport, cfg Config, mem *NodeMemory) ([]TupleGroup, error) {
 	n := tr.Nodes()
-	plan, cerr := planShard(keys, cols, specs)
+	if mem == nil {
+		mem = new(NodeMemory)
+	}
+	plan, cerr := mem.planShard(keys, cols, specs)
 	var frames [][]byte
 	if cerr == nil {
-		frames, cerr = combineShard(keys, cols, plan, n, workers, cfg.maxMessage())
+		frames, cerr = combineShard(keys, cols, plan, n, workers, cfg.maxMessage(), mem)
 	}
 
 	// Shuffle: one message (possibly empty, so owners can count
@@ -315,7 +360,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	// transport reports the same digest for the same bytes.
 	var shuffleDigest, gatherDigest uint64
 	traceHops := cfg.Trace != nil && id == 0
-	owner := ownerMerge{plan: plan, senders: n}
+	owner := ownerMerge{plan: plan, senders: n, mem: mem}
 	ownErr := cerr
 	if ownErr == nil {
 		ownErr = col.collect(func(msg Frame) error {
@@ -355,7 +400,8 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 		if ownErr != nil {
 			out.Kind, out.Payload = KindError, EncodeErr(ownErr)
 		} else {
-			out.Payload = EncodeTupleGroups(local, len(specs))
+			mem.gather = appendTupleGroups(mem.gather[:0], local, len(specs))
+			out.Payload = mem.gather
 		}
 		col.send(out)
 		col.serve()
@@ -422,9 +468,16 @@ func mergeSortedRuns(runs [][]TupleGroup) []TupleGroup {
 // worker: workers parallelises the radix pass only. Every owner's frame
 // is sized once, before the loop, from the partitions (ownerBounds), and
 // each table's tuples are encoded into their owners' frames. maxMessage
-// is the configuration's Config.maxMessage bound.
-func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers, maxMessage int) ([][]byte, error) {
-	frames := make([][]byte, n)
+// is the configuration's Config.maxMessage bound. The scatter targets,
+// the table and the frames come from mem, which the frames alias.
+func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers, maxMessage int, mem *NodeMemory) ([][]byte, error) {
+	for len(mem.frames) < n {
+		mem.frames = append(mem.frames, nil)
+	}
+	frames := mem.frames[:n]
+	for d := range frames {
+		frames[d] = frames[d][:0]
+	}
 	if len(keys) == 0 {
 		return frames, nil // no rows: every shuffle message is empty
 	}
@@ -436,7 +489,7 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 	}
 	parts := partition.Recursive(keys, read, 0, agg.DefaultFanout, workers)
 	if part, _ := groupby.Layout(plan, parts[0].Bound(), 1); part {
-		parts = partition.Recursive(keys, read, 1, agg.DefaultFanout, workers)
+		parts = partition.Split(parts[0], agg.DefaultFanout, workers, &mem.arena)
 	}
 	est := make([]int, n)
 	maxBound, sumBound := 0, 0
@@ -445,14 +498,17 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 		ownerBounds(est, pt)
 	}
 	for d, records := range est {
-		frames[d] = make([]byte, 0, records*recordSize(plan))
+		frames[d] = slices.Grow(frames[d], records*recordSize(plan))
 	}
 	_, bsz := groupby.Layout(plan, maxBound, len(keys)/sumBound)
 	// Slot order fixes the frames' record order; the owners' per-key
 	// merges commute, so it is immaterial to the bits.
 	var err error
 	agg.AggregateParts(parts, 1,
-		func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
+		func(bound int) *groupby.Table {
+			mem.combine = groupby.Recycle(mem.combine, plan, bound, bsz)
+			return mem.combine
+		},
 		(*groupby.Table).AddRows,
 		func(_ int, t *groupby.Table) {
 			t.ForEach(func(key uint32, tup *sqlagg.Tuple) {
@@ -520,8 +576,12 @@ func gatherRecordSize(nspecs int) int { return 4 + 8*nspecs }
 // also the result payload of a multi-process GROUP BY and the serving
 // layer's canonical result encoding.
 func EncodeTupleGroups(gs []TupleGroup, nspecs int) []byte {
-	rec := gatherRecordSize(nspecs)
-	buf := make([]byte, 0, len(gs)*rec)
+	return appendTupleGroups(make([]byte, 0, len(gs)*gatherRecordSize(nspecs)), gs, nspecs)
+}
+
+// appendTupleGroups appends EncodeTupleGroups' bytes to buf.
+func appendTupleGroups(buf []byte, gs []TupleGroup, nspecs int) []byte {
+	buf = slices.Grow(buf, len(gs)*gatherRecordSize(nspecs))
 	var scratch [4]byte
 	for _, g := range gs {
 		binary.LittleEndian.PutUint32(scratch[:], g.Key)

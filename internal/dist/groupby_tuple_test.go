@@ -314,13 +314,13 @@ func TestPartitionedTablesSameGroups(t *testing.T) {
 		checkTuples(t, ranged, want, tc.name+": a table per key-range partition")
 
 		for _, nodes := range []int{1, 3} {
-			frames, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage())
+			frames, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage(), new(NodeMemory))
 			if err != nil {
 				t.Fatal(err)
 			}
 			runs := make([][]TupleGroup, nodes)
 			for d, frame := range frames {
-				owner := ownerMerge{plan: plan, senders: 1}
+				owner := ownerMerge{plan: plan, senders: 1, mem: new(NodeMemory)}
 				if err := owner.merge(frame); err != nil {
 					t.Fatalf("%s: owner %d: %v", tc.name, d, err)
 				}
@@ -350,12 +350,12 @@ func TestOwnerMergeTableDoesNotGrow(t *testing.T) {
 			workload.Values64(uint64(60+s), rows, workload.MixedMag),
 			workload.Values64(uint64(70+s), rows, workload.Uniform12),
 		}
-		if frames[s], err = combineShard(keys, cols, plan, nodes, 1, Config{}.maxMessage()); err != nil {
+		if frames[s], err = combineShard(keys, cols, plan, nodes, 1, Config{}.maxMessage(), new(NodeMemory)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for d := 0; d < nodes; d++ {
-		owner := ownerMerge{plan: plan, senders: nodes}
+		owner := ownerMerge{plan: plan, senders: nodes, mem: new(NodeMemory)}
 		// A sender without rows for this owner says nothing about size.
 		if err := owner.merge(nil); err != nil || owner.table != nil {
 			t.Fatalf("owner %d: empty message: err %v, table sized %v", d, err, owner.table != nil)

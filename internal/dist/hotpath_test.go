@@ -244,7 +244,7 @@ func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := combineShard(keys, [][]float64{vals}, plan, nodes, 2, Config{}.maxMessage())
+	frames, err := combineShard(keys, [][]float64{vals}, plan, nodes, 2, Config{}.maxMessage(), new(NodeMemory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestOwnerMergeAllocs(t *testing.T) {
 
 	var owner *ownerMerge
 	build := testing.AllocsPerRun(3, func() {
-		owner = &ownerMerge{plan: plan, senders: 2}
+		owner = &ownerMerge{plan: plan, senders: 2, mem: new(NodeMemory)}
 		if err := owner.merge(frame); err != nil {
 			t.Fatal(err)
 		}

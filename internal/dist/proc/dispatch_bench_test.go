@@ -28,7 +28,7 @@ func BenchmarkDispatch(b *testing.B) {
 	for _, ncols := range []int{1, 5} {
 		job, dispatched := colsJob(b, rows, ncols, 1<<16)
 		b.Run(fmt.Sprintf("cols=%d/rows", ncols), func(b *testing.B) {
-			c := inProcessCluster(b, 2)
+			c := inProcessCluster(b, 2, dist.Config{})
 			if _, err := c.Run(job); err != nil {
 				b.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func benchChunkSize(b *testing.B, job Job, size int) {
 				f.Chunk++
 			}
 		}()
-		sink, err := newRowSink(js, ctlBudget)
+		sink, err := newRowSink(js, ctlBudget, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -119,7 +119,7 @@ func TestRowStreamRoundTrip(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sink, err := newRowSink(js, ctlBudget)
+						sink, err := newRowSink(js, ctlBudget, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -216,15 +216,15 @@ func TestRowSinkRejections(t *testing.T) {
 	t.Run("rows × width over budget, before any allocation", func(t *testing.T) {
 		huge := js
 		huge.rows = math.MaxInt / 2
-		if _, err := newRowSink(huge, ctlBudget); !errors.Is(err, dist.ErrChunkBudget) {
+		if _, err := newRowSink(huge, ctlBudget, nil); !errors.Is(err, dist.ErrChunkBudget) {
 			t.Fatalf("err = %v, want ErrChunkBudget", err)
 		}
 		tight := js
 		tight.rows = 1000
-		if _, err := newRowSink(tight, 1000*20-1); !errors.Is(err, dist.ErrChunkBudget) {
+		if _, err := newRowSink(tight, 1000*20-1, nil); !errors.Is(err, dist.ErrChunkBudget) {
 			t.Fatalf("1000 rows of 20 bytes against a 19999-byte budget: err = %v, want ErrChunkBudget", err)
 		}
-		if _, err := newRowSink(tight, 1000*20); err != nil {
+		if _, err := newRowSink(tight, 1000*20, nil); err != nil {
 			t.Fatalf("1000 rows of 20 bytes against a 20000-byte budget: %v", err)
 		}
 	})
@@ -288,7 +288,7 @@ func TestRowSinkRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sink, err := newRowSink(js, ctlBudget)
+			sink, err := newRowSink(js, ctlBudget, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestRowSinkRejections(t *testing.T) {
 	t.Run("chunk of a stale incarnation ignored", func(t *testing.T) {
 		_, old := smallStream(t, 4, 0)
 		_, other := smallStream(t, 3, 1)
-		sink, err := newRowSink(js, ctlBudget)
+		sink, err := newRowSink(js, ctlBudget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestRowSinkRejections(t *testing.T) {
 			}
 		}()
 		r := newCtlConn(b, 0)
-		sink, err := newRowSink(js, ctlBudget)
+		sink, err := newRowSink(js, ctlBudget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +453,7 @@ func FuzzRowStream(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sink, err := newRowSink(js, budget)
+		sink, err := newRowSink(js, budget, nil)
 		if err != nil {
 			if !errors.Is(err, dist.ErrChunkBudget) {
 				t.Fatalf("shape refused with %v, want ErrChunkBudget", err)
@@ -509,9 +509,9 @@ func FuzzRowStream(f *testing.F) {
 
 // inProcessCluster forms an n-node cluster whose workers are goroutines
 // of this process running the reproworker entry point.
-func inProcessCluster(tb testing.TB, n int) *Cluster {
+func inProcessCluster(tb testing.TB, n int, cfg dist.Config) *Cluster {
 	tb.Helper()
-	c, err := NewCluster(ClusterSpec{Nodes: n, Join: n, JoinTimeout: 30 * time.Second, Options: quietOpts()})
+	c, err := NewCluster(ClusterSpec{Nodes: n, Join: n, JoinTimeout: 30 * time.Second, Config: cfg, Options: quietOpts()})
 	if err != nil {
 		tb.Fatalf("NewCluster: %v", err)
 	}
@@ -592,7 +592,7 @@ func TestDispatchCopyCount(t *testing.T) {
 	big, bigBytes := colsJob(t, 1<<18, 5, 64)
 	small, _ := colsJob(t, 1<<16, 5, 64)
 
-	if got := allocPerRun(t, inProcessCluster(t, 2), big); got > 3*uint64(bigBytes) {
+	if got := allocPerRun(t, inProcessCluster(t, 2, dist.Config{}), big); got > 3*uint64(bigBytes) {
 		t.Errorf("in-process cluster: %d bytes allocated per Run for %d dispatched (%.1f×), want <= 3×",
 			got, bigBytes, float64(got)/float64(bigBytes))
 	}

@@ -637,8 +637,11 @@ func (st *rowStream) next(dst []byte, maxBytes int) (_ []byte, ok bool) {
 }
 
 // rowSink is the worker side of a rows stream: the job's input arrays,
-// allocated once from the shape KindJob declared and filled in place,
-// strictly in stream order.
+// sized from the shape KindJob declared and filled in place, strictly in
+// stream order. The arrays are the session's (jobMemory): they outlive
+// the job, pass to the next one when it is prepared if they are big
+// enough, and are otherwise replaced by larger ones, so a worker keeps
+// those of its largest job.
 type rowSink struct {
 	jobIdx, inc, rows int
 	keys              []uint32 // nil for a reduction
@@ -646,11 +649,14 @@ type rowSink struct {
 	seg, off          int // the next chunk must start here; seg > len(cols) when complete
 }
 
-// newRowSink sizes the input arrays of a job. The shape crossed
-// a trust boundary: rows × row width is charged against budget (the
-// connection's) before anything is allocated, so a hostile 2^61-row
-// header is a typed ErrChunkBudget, not an allocation.
-func newRowSink(js jobSpec, budget int) (*rowSink, error) {
+// newRowSink sizes the input arrays of a job: mem's, where they are big
+// enough (a nil mem has none), else new ones that mem then keeps. The
+// shape crossed a trust boundary: rows × row width is charged against
+// budget (the connection's) before anything is allocated, so a hostile
+// 2^61-row header is a typed ErrChunkBudget, not an allocation. Reused
+// arrays are not zeroed: the job starts only once accept has filled
+// every element in order.
+func newRowSink(js jobSpec, budget int, mem *jobMemory) (*rowSink, error) {
 	s := &rowSink{jobIdx: js.jobIdx, inc: js.incarnation, rows: js.rows, seg: 1}
 	width := 8 * js.ncols
 	if js.op == opGroupBy {
@@ -660,14 +666,25 @@ func newRowSink(js jobSpec, budget int) (*rowSink, error) {
 		return nil, fmt.Errorf("%w: job declares %d rows of %d bytes against a %d-byte budget",
 			dist.ErrChunkBudget, js.rows, width, budget)
 	}
-	if js.op == opGroupBy {
-		s.keys = make([]uint32, js.rows)
+	if mem == nil {
+		mem = new(jobMemory)
 	}
-	flat := make([]float64, js.ncols*js.rows)
+	if js.op == opGroupBy {
+		s.keys = grown(&mem.keys, js.rows)
+	}
+	flat := grown(&mem.vals, js.ncols*js.rows)
 	for c := 0; c < js.ncols; c++ {
 		s.cols = append(s.cols, flat[c*js.rows:(c+1)*js.rows:(c+1)*js.rows])
 	}
 	return s, nil
+}
+
+// grown returns n elements of *buf, made anew only when it is too small.
+func grown[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 func (s *rowSink) complete() bool { return s.rows == 0 || s.seg > len(s.cols) }

@@ -32,8 +32,9 @@ import (
 //     same connection,
 //  2. waits for KindJob: the operation, its shape, and the count and
 //     width of this node's rows, which it charges against the
-//     connection's budget, allocates once, and fills in place from the
-//     KindRows chunks that follow (rowSink),
+//     connection's budget, takes from the last job's memory (jobMemory)
+//     or allocates, and fills in place from the KindRows chunks that
+//     follow (rowSink),
 //  3. binds a fresh data-plane listener per job, announces it with
 //     KindReady at once (the peer-table round trip overlaps the rows
 //     stream), and when KindPeers and the last row are both in runs its
@@ -356,10 +357,29 @@ type workerSession struct {
 	raw       []byte
 	epoch     uint64
 
+	// mem is the memory of a job, nil while a job holds it (see
+	// jobMemory).
+	mem *jobMemory
+
 	// lastRTT is the round trip the worker measured from the
 	// supervisor's last pong echo, shipped in the next heartbeat. Atomic:
 	// the heartbeat ticker goroutine reads it while the main loop writes.
 	lastRTT atomic.Int64
+}
+
+// jobMemory is what one job of a session leaves to the next, as the
+// paper's operator reuses its per-thread tables across partitions: the
+// input arrays its rows stream filled (rowSink) and its node's GROUP BY
+// memory (dist.NodeMemory: scatter targets, tables, shuffle and gather
+// payloads). prepareJob hands it to a job and workerJob.stop takes it
+// back once the job's goroutine has ended and its transport is closed;
+// a session's jobs run strictly one after another, so no two ever hold
+// it, and nothing is shared between sessions. It grows to the largest
+// job the worker has run and keeps that size between jobs.
+type jobMemory struct {
+	keys []uint32
+	vals []float64
+	node dist.NodeMemory
 }
 
 // processNonce names this process in its heartbeats. Every session of
@@ -374,7 +394,7 @@ var processNonce = rand.Uint64()
 // supervisor may be restarting) and attach again, until shutdown or a
 // typed rejection.
 func runJoiner(control, advertise string, window time.Duration) error {
-	s := &workerSession{advertise: advertise, id: -1}
+	s := &workerSession{advertise: advertise, id: -1, mem: new(jobMemory)}
 	for {
 		cc, err := dialControl(control, window)
 		if err != nil {
@@ -464,21 +484,28 @@ func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
 // starts once the peers are known and its rows are all in.
 type workerJob struct {
 	spec    jobSpec
+	mem     *jobMemory     // the session's, until stop hands it back
 	sink    *rowSink       // fills the job's input from the rows stream
 	ep      *dist.Endpoint // this node's data plane, bound per job
+	tr      dist.Transport // what the protocol runs on: ep, maybe with faults
 	peers   []string       // the latest KindPeers table, nil until the first
 	started bool
 	done    chan struct{} // closed when the protocol goroutine finishes
 }
 
-// stop tears the job's data plane down and waits for its protocol
-// goroutine: the endpoint close makes the goroutine's next Recv or
-// Send fail with ErrClosed, which it swallows as a deliberate abort.
-func (j *workerJob) stop() {
+// stop tears the job's data plane down, waits for its protocol
+// goroutine and returns the job's memory for the next. The endpoint
+// close makes the goroutine's next Recv or Send fail with ErrClosed,
+// which it swallows as a deliberate abort; closing the transport then
+// waits out a fault plan's delayed deliveries, which still read the
+// frames in the memory.
+func (j *workerJob) stop() *jobMemory {
 	j.ep.Close()
 	if j.started {
 		<-j.done
+		j.tr.Close()
 	}
+	return j.mem
 }
 
 // serve runs the job loop over an attached control connection until
@@ -520,7 +547,7 @@ func (s *workerSession) serve(c *ctlConn) error {
 	var cur *workerJob
 	defer func() {
 		if cur != nil {
-			cur.stop()
+			s.mem = cur.stop()
 		}
 	}()
 	tryStart := func() {
@@ -549,15 +576,13 @@ func (s *workerSession) serve(c *ctlConn) error {
 			}
 		case dist.KindJobDone:
 			if cur != nil {
-				cur.stop()
-				cur = nil
+				s.mem, cur = cur.stop(), nil
 			}
 		case dist.KindJob:
 			if cur != nil {
 				// The control stream is ordered, so a new job means the
 				// old one is over for the supervisor, however it ended.
-				cur.stop()
-				cur = nil
+				s.mem, cur = cur.stop(), nil
 			}
 			js, err := decodeJobSpec(msg.Payload)
 			if err != nil {
@@ -568,12 +593,12 @@ func (s *workerSession) serve(c *ctlConn) error {
 				reportErr(c, id, jobIdx, err)
 				continue
 			}
-			job, announce, err := prepareJob(c.conn, id, conf, js, s.advertise)
+			job, announce, err := prepareJob(c.conn, id, conf, js, s.advertise, s.mem)
 			if err != nil {
 				reportErr(c, id, js.jobIdx, err)
 				continue
 			}
-			cur = job
+			cur, s.mem = job, nil
 			err = c.send(dist.Frame{
 				Kind: dist.KindReady, From: id, Seq: ctrlSeqReady(js.jobIdx),
 				Payload: encodeReady(js.jobIdx, announce),
@@ -587,8 +612,7 @@ func (s *workerSession) serve(c *ctlConn) error {
 			}
 			if err := cur.sink.accept(msg); err != nil {
 				reportErr(c, id, cur.spec.jobIdx, err)
-				cur.stop()
-				cur = nil
+				s.mem, cur = cur.stop(), nil
 				continue
 			}
 			tryStart()
@@ -621,19 +645,23 @@ func reportErr(c *ctlConn, id, jobIdx int, err error) {
 	})
 }
 
-// prepareJob allocates the arrays this node's rows stream fills and
+// prepareJob hands the session's memory (jobMemory) to the job: the
+// arrays this node's rows stream fills come from it where they are big
+// enough, and so do the GROUP BY's scatter targets, tables and payloads,
+// so a worker keeps the memory of its largest job. The job's stop hands
+// the memory back; on an error the session keeps it. prepareJob also
 // binds the job's data-plane endpoint on the control connection's local
 // interface (loopback for a local cluster, the routable interface the
 // worker joined over for a remote one). It returns the address to
 // announce to the peer table: the bound address by default, rewritten
 // by -advertise for multi-NIC or NAT'd machines — a bare host keeps
 // the bound port, host:port also pins the listener to that port.
-func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise string) (*workerJob, string, error) {
-	sink, err := newRowSink(js, ctlBudget)
+func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise string, mem *jobMemory) (*workerJob, string, error) {
+	sink, err := newRowSink(js, ctlBudget, mem)
 	if err != nil {
 		return nil, "", err
 	}
-	job := &workerJob{spec: js, sink: sink, done: make(chan struct{})}
+	job := &workerJob{spec: js, mem: mem, sink: sink, done: make(chan struct{})}
 	host, _, err := net.SplitHostPort(cc.LocalAddr().String())
 	if err != nil {
 		host = "127.0.0.1"
@@ -715,7 +743,7 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 	if conf.Faults.Active() {
 		ptr = dist.NewFaultTransport(ptr, conf.Faults)
 	}
-	job.started = true
+	job.tr, job.started = ptr, true
 	cfg := conf.distConfig()
 	go func() {
 		defer close(job.done)
@@ -725,7 +753,7 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 			payload, err = dist.RunReduceNode(id, job.sink.cols[0], js.workers, ptr, cfg)
 		} else {
 			var gs []dist.TupleGroup
-			gs, err = dist.RunGroupByNode(id, job.sink.keys, job.sink.cols, js.workers, js.specs, ptr, cfg)
+			gs, err = dist.RunGroupByNode(id, job.sink.keys, job.sink.cols, js.workers, js.specs, ptr, cfg, &job.mem.node)
 			if err == nil && id == 0 {
 				payload = dist.EncodeTupleGroups(gs, len(js.specs))
 			}

@@ -32,6 +32,7 @@ type Group struct {
 type Table struct {
 	*hashagg.Table[sqlagg.Tuple]
 	plan *sqlagg.TuplePlan
+	bsz  int
 }
 
 // NewTable builds a table of bsz-buffered tuples for about hint groups;
@@ -39,7 +40,20 @@ type Table struct {
 // from one sqlagg.TupleSlab sized from the same hint, so a table is a
 // handful of allocations whatever its group count.
 func NewTable(plan *sqlagg.TuplePlan, hint, bsz int) *Table {
-	return &Table{hashagg.New(hint, hashagg.Identity, plan.NewSlab(bsz, hint).NewTuple), plan}
+	return &Table{hashagg.New(hint, hashagg.Identity, plan.NewSlab(bsz, hint).NewTuple), plan, bsz}
+}
+
+// Recycle is NewTable for a caller that keeps its last table: t itself,
+// cleared, when it was made for the same plan and bsz and holds hint
+// groups without growing — its tuples then keep their shape and their
+// buffers, and are reset in place as keys reuse their slots — and
+// otherwise, a nil t included, a new table.
+func Recycle(t *Table, plan *sqlagg.TuplePlan, hint, bsz int) *Table {
+	if t == nil || t.plan != plan || t.bsz != bsz || t.Cap() < 2*hint {
+		return NewTable(plan, hint, bsz)
+	}
+	t.Clear()
+	return t
 }
 
 // AddRows is the row loop of the tuple pipeline (agg.AggregateParts'

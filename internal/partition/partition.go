@@ -235,16 +235,68 @@ func recursive[V Scalar](keys []uint32, cols [][]V, depth, fanout, workers int, 
 		whole.Lo, whole.Hi = keyRange(keys, workers)
 		return []Part[V]{whole}
 	}
-	s := &splitter[V]{fanout: fanout, workers: workers, store: store, stages: make([]*stage[V], workers)}
+	s := newSplitter[V](fanout, workers, store)
 	parts := []Part[V]{whole}
 	for d := 0; d < depth; d++ {
 		var next []Part[V]
 		for _, pt := range parts {
-			next = s.split(next, pt)
+			pt.Lo, pt.Hi = keyRange(pt.Keys, workers)
+			next = s.split(next, pt, nil)
 		}
 		parts = next
 	}
 	return parts
+}
+
+// Split is Recursive's first pass from its depth-0 part: given
+// whole = Recursive(keys, cols, 0, …)[0], whose Lo and Hi are its keys'
+// own range, it returns Recursive(keys, cols, 1, fanout, workers)
+// without scanning the keys for that range again. A non-nil arena
+// receives the pass's partitions, which then alias it until its next
+// Split; the re-split of an overfull partition still gets columns of
+// its own.
+func Split[V Scalar](whole Part[V], fanout, workers int, arena *Arena[V]) []Part[V] {
+	if len(whole.Keys) == 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return newSplitter[V](fanout, workers, storeFor).split(nil, whole, arena)
+}
+
+// An Arena is the destination memory of Split, kept by a caller that
+// partitions one input after another: a line-aligned slab for the keys
+// and one per carried column, each grown to the largest scatter yet and
+// never zeroed again, since a scatter writes every row of the
+// partitions it carves from them.
+type Arena[V Scalar] struct {
+	keys []uint32
+	cols [][]V
+}
+
+// slab returns *buf with at least n elements, line-aligned, made anew
+// only when the last one is too small.
+func slab[T Scalar](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = alignedMake[T](n)
+	}
+	return (*buf)[:n]
+}
+
+// carve returns partition p's column, of off[p+1]−off[p] elements, from
+// a slab of slabLen(off, T): its start is off[p] + p·(L−1) rounded up to
+// a line of L elements, which lies past the end of partition p−1's.
+func carve[T Scalar](slab []T, off []int, p int) []T {
+	line := lineBytes / sizeOf[T]()
+	at := (off[p] + p*(line-1) + line - 1) &^ (line - 1)
+	n := off[p+1] - off[p]
+	return slab[at : at+n : at+n]
+}
+
+// slabLen is the elements a slab needs to carve every partition of off.
+func slabLen[T Scalar](off []int) int {
+	return off[len(off)-1] + len(off)*(lineBytes/sizeOf[T]())
 }
 
 // A splitter is what the scatters of one Recursive call share: the
@@ -256,10 +308,15 @@ type splitter[V Scalar] struct {
 	stages          []*stage[V]
 }
 
+func newSplitter[V Scalar](fanout, workers int, store func(outBytes int) *blockStore) *splitter[V] {
+	return &splitter[V]{fanout: fanout, workers: workers, store: store, stages: make([]*stage[V], workers)}
+}
+
 // split appends to out the non-empty partitions of pt on the highest
-// lg fanout bits in which its keys differ: pt itself if none do.
-func (s *splitter[V]) split(out []Part[V], pt Part[V]) []Part[V] {
-	pt.Lo, pt.Hi = keyRange(pt.Keys, s.workers)
+// lg fanout bits in which its keys differ: pt itself if none do. pt.Lo
+// and pt.Hi must be its keys' own range. A non-nil arena receives the
+// scatter's partitions.
+func (s *splitter[V]) split(out []Part[V], pt Part[V], arena *Arena[V]) []Part[V] {
 	if pt.Lo == pt.Hi || s.fanout == 1 {
 		return append(out, pt)
 	}
@@ -268,11 +325,12 @@ func (s *splitter[V]) split(out []Part[V], pt Part[V]) []Part[V] {
 	// Partition p's keys agree with pt.Lo above bit shift+lg and read p
 	// in the lg bits below it: a range of width 2^shift.
 	base := uint64(pt.Lo) >> (shift + lg) << (shift + lg)
-	for p, sub := range s.scatter(pt, uint(shift)) {
+	for p, sub := range s.scatter(pt, uint(shift), arena) {
 		switch {
 		case len(sub.Keys) == 0:
 		case 2*len(sub.Keys) > len(pt.Keys):
-			out = s.split(out, sub)
+			sub.Lo, sub.Hi = keyRange(sub.Keys, s.workers)
+			out = s.split(out, sub, nil)
 		default:
 			lo := base + uint64(p)<<shift
 			sub.Lo, sub.Hi = max(pt.Lo, uint32(lo)), min(pt.Hi, uint32(lo+1<<shift-1))
@@ -282,12 +340,12 @@ func (s *splitter[V]) split(out []Part[V], pt Part[V]) []Part[V] {
 	return out
 }
 
-// scatter is Do into columns of their own per partition, allocated (and
-// zeroed) by the workers side by side. Each worker moves its chunk's
-// keys together with the first carried column — the pass the one-column
-// operator runs — and every further column in a pass of its own from
-// the same starting cursors.
-func (s *splitter[V]) scatter(pt Part[V], shift uint) []Part[V] {
+// scatter is Do into columns of their own per partition: carved from
+// the arena's slabs, or else allocated (and zeroed) by the workers side
+// by side. Each worker moves its chunk's keys together with the first
+// carried column — the pass the one-column operator runs — and every
+// further column in a pass of its own from the same starting cursors.
+func (s *splitter[V]) scatter(pt Part[V], shift uint, arena *Arena[V]) []Part[V] {
 	fanout := s.fanout
 	off, cur, workers := cursors(pt.Keys, len(pt.Keys), shift, fanout, s.workers)
 	var carried []int
@@ -296,13 +354,26 @@ func (s *splitter[V]) scatter(pt Part[V], shift uint) []Part[V] {
 			carried = append(carried, c)
 		}
 	}
+	keys := func(p int) []uint32 { return alignedMake[uint32](off[p+1] - off[p]) }
+	col := func(_, p int) []V { return alignedMake[V](off[p+1] - off[p]) }
+	if arena != nil {
+		ks := slab(&arena.keys, slabLen[uint32](off))
+		for len(arena.cols) < len(carried) {
+			arena.cols = append(arena.cols, nil)
+		}
+		cs := make([][]V, len(carried))
+		for i := range cs {
+			cs[i] = slab(&arena.cols[i], slabLen[V](off))
+		}
+		keys = func(p int) []uint32 { return carve(ks, off, p) }
+		col = func(i, p int) []V { return carve(cs[i], off, p) }
+	}
 	parts := make([]Part[V], fanout)
 	eachChunk(fanout, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
-			n := off[p+1] - off[p]
-			parts[p] = Part[V]{Keys: alignedMake[uint32](n), Cols: make([][]V, len(pt.Cols))}
-			for _, c := range carried {
-				parts[p].Cols[c] = alignedMake[V](n)
+			parts[p] = Part[V]{Keys: keys(p), Cols: make([][]V, len(pt.Cols))}
+			for i, c := range carried {
+				parts[p].Cols[c] = col(i, p)
 			}
 			for w := 0; w < workers; w++ {
 				cur[w*fanout+p] -= off[p]

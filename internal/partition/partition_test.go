@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -173,6 +174,81 @@ func TestRecursiveDepths(t *testing.T) {
 			t.Errorf("empty input, depth %d: %d partitions", depth, len(parts))
 		}
 	}
+}
+
+// TestSplitMatchesRecursive: Split from the depth-0 part returns the
+// parts of Recursive at depth 1 — keys, columns and ranges alike — for
+// every key shape, the NULL-sentinel outlier (whose overfull partition
+// is split again) among them, with or without an arena. One arena
+// serves inputs of changing size, shape and column count in turn, so
+// stale rows of a larger scatter would show; the partitions of its
+// first pass are carved from it.
+func TestSplitMatchesRecursive(t *testing.T) {
+	shapes := map[string]func(i, n int, k uint32) uint32{
+		"dense":   func(_, _ int, k uint32) uint32 { return k },
+		"based":   func(_, _ int, k uint32) uint32 { return 1<<31 + 12345 + k },
+		"single":  func(int, int, uint32) uint32 { return 7 },
+		"strided": func(_, _ int, k uint32) uint32 { return k << 8 },
+		"outlier": func(i, n int, k uint32) uint32 {
+			if i == n/2 {
+				return 0xFFFFFFFF
+			}
+			return k
+		},
+	}
+	// 2^18 rows × (4 + 16) bytes stream their scatter; 3000 do not.
+	sizes := []int{1 << 18, 3000, 1 << 18}
+	var arena Arena[float64]
+	for round, n := range sizes {
+		base := workload.Keys(uint64(9+round), n, 1<<16)
+		vals := workload.Values64(uint64(3+round), n, workload.MixedMag)
+		for name, shape := range shapes {
+			keys := make([]uint32, n)
+			for i := range keys {
+				keys[i] = shape(i, n, base[i])
+			}
+			for _, cols := range [][][]float64{{vals, nil, vals}, {nil, vals}, nil} {
+				for _, workers := range []int{1, 3} {
+					want := Recursive(keys, cols, 1, 256, workers)
+					whole := Recursive(keys, cols, 0, 256, workers)[0]
+					for _, a := range []*Arena[float64]{nil, &arena} {
+						got := Split(whole, 256, workers, a)
+						if len(got) != len(want) {
+							t.Fatalf("%s n=%d workers %d arena %v: %d parts, want %d", name, n, workers, a != nil, len(got), len(want))
+						}
+						for p := range want {
+							g, w := got[p], want[p]
+							if g.Lo != w.Lo || g.Hi != w.Hi || !slices.Equal(g.Keys, w.Keys) || len(g.Cols) != len(w.Cols) {
+								t.Fatalf("%s n=%d workers %d arena %v: part %d differs from Recursive's", name, n, workers, a != nil, p)
+							}
+							for c := range w.Cols {
+								if (g.Cols[c] == nil) != (w.Cols[c] == nil) || !slices.Equal(g.Cols[c], w.Cols[c]) {
+									t.Fatalf("%s n=%d workers %d arena %v: part %d column %d differs from Recursive's", name, n, workers, a != nil, p, c)
+								}
+							}
+						}
+						if a != nil && name == "dense" && !inSlab(got[0].Keys, arena.keys) {
+							t.Fatalf("n=%d workers %d: the first part's keys are not carved from the arena", n, workers)
+						}
+					}
+				}
+			}
+		}
+	}
+	if parts := Split(Part[float64]{}, 256, 2, &arena); len(parts) != 0 {
+		t.Errorf("empty input: %d partitions", len(parts))
+	}
+}
+
+// inSlab reports whether s lies inside slab's backing array.
+func inSlab(s, slab []uint32) bool {
+	if len(s) == 0 || cap(slab) == 0 {
+		return false
+	}
+	full := slab[:cap(slab)]
+	lo, hi := uintptr(unsafe.Pointer(&full[0])), uintptr(unsafe.Pointer(&full[len(full)-1]))
+	at := uintptr(unsafe.Pointer(&s[0]))
+	return lo <= at && at <= hi
 }
 
 // TestRecursiveCarriesColumns: every non-nil column moves with the keys,
