@@ -70,12 +70,13 @@ func RowShards(shardKeys [][]uint32, shardCols [][][]float64) Source {
 // NewCluster forms a cluster: listens on spec.Addr, starts
 // spec.Nodes−spec.Join+spec.SpawnStandby local workers as joiners of
 // that address, and admits every arrival — its own or an operator's
-// `reproworker -join` — through the one handshake (frame codec version,
-// rsum level count, digested run configuration), slots going out in
+// `reproworker -join` — through the one handshake (a join hello carrying
+// the frame codec version, rsum level count and control-plane spec
+// version, answered by the run configuration), slots going out in
 // arrival order. The distributed interconnect options (WithMaxChunkPayload,
 // WithFaults, WithStragglerDeadline, …) configure the data plane of
-// every job the cluster runs and enter the digest every worker must
-// match; WithTCPTransport/WithChanTransport are ignored (a process
+// every job the cluster runs and travel in the configuration every
+// member is sent; WithTCPTransport/WithChanTransport are ignored (a process
 // cluster always speaks real sockets).
 func NewCluster(spec ClusterSpec, opts ...DistOption) (*Cluster, error) {
 	for _, o := range opts {

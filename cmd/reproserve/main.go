@@ -47,7 +47,8 @@
 //	-sf              load TPC-H Q1 input at this scale factor instead
 //	                 of the synthetic dataset (0 disables)
 //	-cluster         answer GROUP BY on the distributed backend
-//	-shards          cluster size for -cluster (default 4)
+//	-shards          cluster size for -cluster (default 4; a
+//	                 -proc-nodes cluster runs on its own size)
 //	-proc-nodes      answer GROUP BY on a spawned multi-process cluster
 //	                 of this many workers (0 disables; implies -cluster
 //	                 semantics over processes)
@@ -99,7 +100,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "workload seed")
 	sf := flag.Float64("sf", 0, "load TPC-H Q1 input at this scale factor instead")
 	cluster := flag.Bool("cluster", false, "answer GROUP BY on the distributed backend")
-	shards := flag.Int("shards", 4, "cluster size for -cluster")
+	shards := flag.Int("shards", 4, "cluster size for -cluster (a -proc-nodes cluster runs on its own size)")
 	procNodes := flag.Int("proc-nodes", 0, "answer GROUP BY on a spawned multi-process cluster of this many workers (0 disables)")
 	journal := flag.String("journal", "", "directory for the -proc-nodes supervisor's state snapshot (enables crash-restart recovery)")
 	maxConcurrent := flag.Int("max-concurrent", 8, "executing-query cap")

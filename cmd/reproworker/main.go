@@ -11,14 +11,14 @@
 // another shell or another machine; the cluster cannot tell the two
 // apart. The worker dials the address and introduces itself with a
 // join hello carrying its frame codec version, rsum summation level
-// count and control-plane spec version; the supervisor hands it the
-// cluster configuration and a node slot (or parks it as a standby when
-// every slot is taken — with replacement enabled, the substitute it
-// promotes when a member dies mid-run); and the worker answers with the
-// full hello, digesting the configuration it received. The supervisor
+// count and control-plane spec version; the supervisor admits it by
+// handing it the cluster configuration and a node slot (or parks it as
+// a standby when every slot is taken — with replacement enabled, the
+// substitute it promotes when a member dies mid-run). The supervisor
 // rejects any mismatch with a typed wire error (ErrHandshake) before a
-// byte of data moves — a stale binary or an edited config cannot
-// silently join and diverge.
+// byte of data moves — a stale binary cannot silently join and
+// diverge, and a returning worker holding another configuration cannot
+// rejoin.
 // Accepted workers receive job specs over the control plane, fill
 // their input from the rows stream that follows each one, bind a
 // fresh data-plane listener per job, execute their node's role of the reduction or

@@ -9,8 +9,9 @@
 // long-lived supervisor that forms its worker set from whoever joins
 // its control address (reproworker -join) — processes it started
 // itself and processes an operator started elsewhere are admitted
-// through one handshake (join hello, KindConf, digested full hello)
-// and take slots in arrival order; runs a sequence of typed Jobs whose
+// through one handshake — a join hello announcing the build, answered
+// by KindConf with the cluster config and a node slot — and take slots
+// in arrival order; runs a sequence of typed Jobs whose
 // inputs are the caller's shards, their bits streamed to the workers
 // in cache-sized chunks; and — with
 // ReplaceDead — survives worker death mid-run by admitting a substitute
@@ -77,26 +78,9 @@ func resolveWorker() (path string, reexec bool, err error) {
 	return exe, true, nil
 }
 
-// verifyHello checks a worker's full handshake against this
-// supervisor's build and run configuration. Every mismatch is an
-// ErrHandshake.
-func verifyHello(h hello, wantDigest uint64) error {
-	if err := verifyJoinHello(h); err != nil {
-		return err
-	}
-	if h.flags&helloHasDigest == 0 {
-		return fmt.Errorf("%w: worker sent a config-less hello where a digested one was due", dist.ErrHandshake)
-	}
-	if h.digest != wantDigest {
-		return fmt.Errorf("%w: worker run-config digest %016x, supervisor's is %016x — the cluster would not agree on the run",
-			dist.ErrHandshake, h.digest, wantDigest)
-	}
-	return nil
-}
-
-// verifyJoinHello checks the config-independent half of a handshake —
-// all a remote joiner can promise before it is handed the cluster
-// config.
+// verifyJoinHello checks a join hello's build against this
+// supervisor's: frame version, rsum level count and control-plane spec
+// version. Every mismatch is an ErrHandshake.
 func verifyJoinHello(h hello) error {
 	if h.version != dist.FrameVersion {
 		return fmt.Errorf("%w: worker speaks frame version %d, supervisor speaks %d",

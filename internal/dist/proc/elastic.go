@@ -69,7 +69,7 @@ type ClusterSpec struct {
 	// Journal, when non-empty, names a directory for the supervisor's
 	// journal: one snapshot file of the control-plane state (epoch,
 	// control address, job cursor, slot incarnations), replaced
-	// atomically at every membership and job transition, so a crashed
+	// atomically at every admission and job start, so a crashed
 	// supervisor can be restarted against the same directory and
 	// recover — it re-binds the journaled control address (when Addr is
 	// empty), restores slot incarnations and the fencing epoch, and
@@ -343,11 +343,10 @@ type Cluster struct {
 
 // Connection lifecycle phases, owned by the supervisor loop.
 const (
-	phaseNew      = iota // accepted, no valid hello yet
-	phaseStandby         // joiner parked on the standby bench
-	phaseReserved        // joiner holds a slot, conf sent, awaiting its full hello
-	phaseMember          // admitted cluster member
-	phaseDead            // deliberately closed by the loop; ignore further events
+	phaseNew     = iota // accepted, no valid hello yet
+	phaseStandby        // joiner parked on the standby bench
+	phaseMember         // admitted cluster member: sent its config and slot
+	phaseDead           // deliberately closed by the loop; ignore further events
 )
 
 // connState is one control connection's identity and loop-owned
@@ -466,7 +465,6 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		members:  make([]*connState, conf.N),
 		incs:     make([]int, conf.N),
 		procs:    make(map[*exec.Cmd]bool),
-		reserved: make(map[int]*connState),
 		prevWire: make(map[uint64]dist.WireStats),
 	}
 	if recovering {
@@ -549,6 +547,9 @@ func spawnCmd(path string, reexec bool, opt Options, args ...string) *exec.Cmd {
 
 // Addr is the control address workers join at (reproworker -join).
 func (c *Cluster) Addr() string { return c.ln.Addr().String() }
+
+// Nodes is the cluster size: how many workers run each job.
+func (c *Cluster) Nodes() int { return c.conf.N }
 
 // Stats reports cluster membership and recovery counters. They are
 // read from the same registry Registry exposes (Events aside, which is
@@ -727,7 +728,6 @@ type runState struct {
 	ready        []bool
 	nready       int
 	epoch        int
-	started      bool
 	replacements int
 
 	// Row shippers read src's shards in place, so the reply, which hands
@@ -820,7 +820,6 @@ type clusterLoop struct {
 	incs     []int                     // next admission incarnation per slot
 	procs    map[*exec.Cmd]bool        // live processes this supervisor started, for Close to reap
 	standbys []*connState              // parked joiners, promotion order
-	reserved map[int]*connState        // slot id → joiner awaiting its full hello
 	prevWire map[uint64]dist.WireStats // last ping-reported wire counters of every worker process, by nonce
 
 	everFormed bool  // all slots were filled at least once
@@ -835,8 +834,7 @@ type clusterLoop struct {
 	nextJob  int
 	draining int // finished jobs whose reply waits for their row shippers
 
-	waitT     *time.Timer
-	waitArmed bool
+	waitT *time.Timer // the formation/replacement or shutdown deadline
 }
 
 func (l *clusterLoop) run() {
@@ -867,7 +865,6 @@ func (l *clusterLoop) run() {
 				l.handleClose(e)
 			}
 		case <-l.waitT.C:
-			l.waitArmed = false
 			l.handleTimeout()
 		case <-tickC:
 			l.checkLiveness()
@@ -879,41 +876,18 @@ func (l *clusterLoop) run() {
 	}
 }
 
-func (l *clusterLoop) armWait(d time.Duration) {
-	if l.waitArmed && !l.waitT.Stop() {
-		select {
-		case <-l.waitT.C:
-		default:
-		}
-	}
-	l.waitT.Reset(d)
-	l.waitArmed = true
-}
-
-func (l *clusterLoop) disarmWait() {
-	if !l.waitArmed {
-		return
-	}
-	if !l.waitT.Stop() {
-		select {
-		case <-l.waitT.C:
-		default:
-		}
-	}
-	l.waitArmed = false
-}
-
 // checkWait keeps the formation/replacement deadline armed exactly
-// while a job is waiting on empty slots.
+// while a job is waiting on empty slots. Since Go 1.23 (go.mod says
+// 1.24) Stop and Reset leave no stale tick in the channel.
 func (l *clusterLoop) checkWait() {
 	if l.closing || l.cur == nil {
 		return
 	}
 	if l.missingCount() == 0 {
-		l.disarmWait()
+		l.waitT.Stop()
 		return
 	}
-	l.armWait(l.c.spec.JoinTimeout)
+	l.waitT.Reset(l.c.spec.JoinTimeout)
 }
 
 func (l *clusterLoop) missingCount() int {
@@ -925,8 +899,6 @@ func (l *clusterLoop) missingCount() int {
 	}
 	return n
 }
-
-func (l *clusterLoop) allPresent() bool { return l.missingCount() == 0 }
 
 // persist replaces the supervisor journal with the loop's current state.
 // A journal that stops accepting writes breaks the cluster: continuing
@@ -944,21 +916,7 @@ func (l *clusterLoop) persist() {
 
 // snapshot is the loop's journaled state.
 func (l *clusterLoop) snapshot() journalSnap {
-	snap := journalSnap{
-		epoch:    l.epoch,
-		nextJob:  l.nextJob,
-		inFlight: -1,
-		addr:     l.c.ln.Addr().String(),
-		incs:     l.incs,
-		members:  make([]bool, len(l.members)),
-	}
-	if l.cur != nil {
-		snap.inFlight = l.cur.jobIdx
-	}
-	for i, m := range l.members {
-		snap.members[i] = m != nil
-	}
-	return snap
+	return journalSnap{epoch: l.epoch, nextJob: l.nextJob, addr: l.c.ln.Addr().String(), incs: l.incs}
 }
 
 // ---- admission ----
@@ -971,8 +929,6 @@ func (l *clusterLoop) handleMsg(e evMsg) {
 			return
 		}
 		l.handleFirstHello(e.cs, e.msg)
-	case phaseReserved:
-		l.handleSecondHello(e.cs, e.msg)
 	case phaseMember:
 		l.handleMemberMsg(e.cs, e.msg)
 	default:
@@ -1003,11 +959,13 @@ func (l *clusterLoop) reject(cs *connState, err error) {
 	}
 }
 
-// handleFirstHello reserves a slot for, parks, or rejects a connection
-// on its first frame, which must be a join hello: a config-less fresh
-// worker's, or a returning member's (helloJoin|helloHasDigest, naming
-// the slot it held — often against a restarted supervisor). Nobody is
-// admitted on one hello; the cluster, not the worker, assigns node ids.
+// handleFirstHello admits, parks, or rejects a connection on its first
+// frame, which must be a join hello: a config-less fresh worker's, or a
+// returning member's (helloJoin|helloHasDigest, naming the slot it held
+// — often against a restarted supervisor). The cluster, not the worker,
+// assigns node ids, and the worker holds whatever config KindConf sends
+// it, so the build checks here and a returning member's digest are the
+// whole handshake.
 func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 	if msg.Kind != dist.KindHello {
 		l.reject(cs, fmt.Errorf("proc: first control frame is kind %d, want hello", msg.Kind))
@@ -1028,24 +986,24 @@ func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 			dist.ErrHandshake, h.epoch, l.epoch)
 	}
 	returning := err == nil && h.flags&helloHasDigest != 0
-	if returning {
-		// It already holds the config, so its digest is checkable now.
-		err = verifyHello(h, l.c.digest)
+	if returning && h.digest != l.c.digest {
+		err = fmt.Errorf("%w: worker run-config digest %016x, supervisor's is %016x — the cluster would not agree on the run",
+			dist.ErrHandshake, h.digest, l.c.digest)
 	}
 	if err != nil {
 		l.reject(cs, err)
 		return
 	}
-	id := l.freeSlot()
-	if from := msg.From; returning && from >= 0 && from < l.c.conf.N && l.slotFree(from) {
+	id := slices.Index(l.members, nil) // the lowest empty slot, -1 if none
+	if from := msg.From; returning && from >= 0 && from < l.c.conf.N && l.members[from] == nil {
 		// A journal-recovered supervisor recognizes a returning member's
 		// id: hand the recorded slot back while it is still free.
-		l.c.elog.Append("re-attach", from, "returning member reserved its recorded slot")
+		l.c.elog.Append("re-attach", from, "returning member took its recorded slot")
 		id = from
 	}
 	switch {
 	case id >= 0:
-		l.reserve(cs, id)
+		l.admit(cs, id)
 	case len(l.standbys) < l.c.spec.MaxStandby:
 		cs.phase = phaseStandby
 		cs.conn.SetReadDeadline(time.Time{}) // parked indefinitely
@@ -1058,28 +1016,25 @@ func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 	}
 }
 
-// slotFree reports whether node slot id is owned by nobody — no member
-// and no joiner holding it between KindConf and its full hello.
-func (l *clusterLoop) slotFree(id int) bool {
-	return l.members[id] == nil && l.reserved[id] == nil
-}
-
-// freeSlot finds the lowest free node slot, -1 when every one is taken.
-func (l *clusterLoop) freeSlot() int {
-	for id := range l.members {
-		if l.slotFree(id) {
-			return id
-		}
+// fillSlot promotes the next parked standby into an empty slot; with
+// the bench empty the slot stays open for a future joiner.
+func (l *clusterLoop) fillSlot(id int) {
+	if len(l.standbys) == 0 {
+		return
 	}
-	return -1
+	sb := l.standbys[0]
+	l.standbys = l.standbys[1:]
+	l.c.met.standbys.Set(int64(len(l.standbys)))
+	l.c.met.promotions.Inc()
+	l.c.elog.Append("promote", id, "standby promoted into empty slot")
+	l.admit(sb, id)
 }
 
-// reserve assigns a slot to a joiner: ship the cluster config and
-// await the full (digested) hello on the same connection.
-func (l *clusterLoop) reserve(cs *connState, id int) {
-	cs.phase = phaseReserved
-	cs.id = id
-	cs.conn.SetReadDeadline(time.Now().Add(l.c.spec.JoinTimeout))
+// admit makes a verified joiner the member of slot id: it is sent the
+// cluster config and its slot in KindConf and, mid-run, the current job
+// behind it on the same ordered connection. A joiner the config cannot
+// reach is dropped and the slot offered to the next standby.
+func (l *clusterLoop) admit(cs *connState, id int) {
 	err := cs.send(dist.Frame{
 		Kind: dist.KindConf, To: id, Seq: ctrlSeqConf, Payload: encodeConfFrame(id, l.epoch, l.c.raw),
 	})
@@ -1089,50 +1044,8 @@ func (l *clusterLoop) reserve(cs *connState, id int) {
 		l.fillSlot(id)
 		return
 	}
-	l.reserved[id] = cs
-}
-
-func (l *clusterLoop) handleSecondHello(cs *connState, msg dist.Frame) {
-	var err error
-	var h hello
-	if msg.Kind != dist.KindHello {
-		err = fmt.Errorf("proc: joiner's second control frame is kind %d, want hello", msg.Kind)
-	} else if h, err = decodeHello(msg.Payload); err == nil {
-		err = verifyHello(h, l.c.digest)
-		if err == nil && h.epoch != l.epoch {
-			// The full hello must echo the epoch the KindConf carried.
-			err = fmt.Errorf("%w: worker is fenced at supervisor epoch %d, this supervisor is epoch %d",
-				dist.ErrHandshake, h.epoch, l.epoch)
-		}
-	}
-	delete(l.reserved, cs.id)
-	if err != nil {
-		l.reject(cs, err)
-		l.fillSlot(cs.id)
-		return
-	}
-	l.admit(cs)
-}
-
-// fillSlot promotes the next parked standby into an empty slot; with
-// the bench empty the slot stays open for a future joiner.
-func (l *clusterLoop) fillSlot(id int) {
-	for len(l.standbys) > 0 {
-		sb := l.standbys[0]
-		l.standbys = l.standbys[1:]
-		l.c.met.standbys.Set(int64(len(l.standbys)))
-		l.c.met.promotions.Inc()
-		l.c.elog.Append("promote", id, "standby promoted into empty slot")
-		l.reserve(sb, id)
-		return
-	}
-}
-
-// admit makes a verified connection a member of the slot it reserved
-// and, mid-run, ships it the current job.
-func (l *clusterLoop) admit(cs *connState) {
-	id := cs.id
 	cs.phase = phaseMember
+	cs.id = id
 	cs.inc = l.incs[id]
 	l.incs[id]++
 	cs.lastSeen = time.Now()
@@ -1141,8 +1054,9 @@ func (l *clusterLoop) admit(cs *connState) {
 	l.c.met.joins.Inc()
 	l.c.elog.Append("join", id, fmt.Sprintf("incarnation %d admitted", cs.inc))
 	l.persist()
-	l.c.met.missing.Set(int64(l.missingCount()))
-	if l.missingCount() == 0 && l.c.recovering.CompareAndSwap(true, false) {
+	missing := l.missingCount()
+	l.c.met.missing.Set(int64(missing))
+	if missing == 0 && l.c.recovering.CompareAndSwap(true, false) {
 		if ns := l.c.met.lastRecovery.Value(); ns != 0 {
 			d := time.Since(time.Unix(0, ns))
 			l.c.met.recoverySecs.Observe(d.Seconds())
@@ -1155,7 +1069,7 @@ func (l *clusterLoop) admit(cs *connState) {
 			l.cur.replacements++
 		}
 	}
-	if l.allPresent() {
+	if missing == 0 {
 		l.everFormed = true
 	}
 	if l.cur != nil {
@@ -1181,12 +1095,6 @@ func (l *clusterLoop) handleConnErr(e evConnErr) {
 			}
 		}
 		l.c.met.standbys.Set(int64(len(l.standbys)))
-	case phaseReserved:
-		id := cs.id
-		cs.phase = phaseDead
-		cs.conn.Close()
-		delete(l.reserved, id)
-		l.fillSlot(id)
 	case phaseNew:
 		cs.phase = phaseDead
 		cs.conn.Close()
@@ -1234,7 +1142,6 @@ func (l *clusterLoop) memberGone(m *connState, cause error) {
 	l.members[m.id] = nil
 	l.c.met.departs.Inc()
 	l.c.elog.Append("depart", m.id, cause.Error())
-	l.persist()
 	l.c.met.missing.Set(int64(l.missingCount()))
 	if !l.c.spec.ReplaceDead {
 		l.fatal(cause)
@@ -1423,7 +1330,6 @@ func (l *clusterLoop) broadcastPeers() {
 	payload := encodePeers(rs.jobIdx, rs.epoch, rs.addrs)
 	seq := ctrlSeqPeers(rs.jobIdx, rs.epoch)
 	rs.epoch++
-	rs.started = true
 	for _, m := range l.members {
 		if m == nil {
 			continue
@@ -1449,7 +1355,7 @@ func (l *clusterLoop) failJob(err error) {
 func (l *clusterLoop) endJob(r runReply) {
 	rs := l.cur
 	l.cur = nil
-	l.disarmWait()
+	l.waitT.Stop()
 	rs.over.Store(true)
 	l.jobDone(rs.jobIdx)
 	if rs.shipping == 0 {
@@ -1464,7 +1370,6 @@ func (l *clusterLoop) endJob(r runReply) {
 // jobDone tells every member to tear down the job's data plane and
 // await the next job.
 func (l *clusterLoop) jobDone(jobIdx int) {
-	l.persist()
 	for _, m := range l.members {
 		if m == nil {
 			continue
@@ -1559,10 +1464,7 @@ func (l *clusterLoop) handleClose(e evClose) {
 	for _, sb := range l.standbys {
 		l.dismiss(sb)
 	}
-	for _, r := range l.reserved {
-		l.dismiss(r)
-	}
-	l.armWait(10 * time.Second)
+	l.waitT.Reset(10 * time.Second)
 }
 
 // dismiss tells a connected worker the cluster is closing; it exits 0.

@@ -444,12 +444,12 @@ func waitJoined(t *testing.T, c *Cluster, n int) {
 
 // TestJoinHandshakeRejection drives each verdict of the one admission
 // handshake through a hand-crafted TCP exchange and asserts the typed
-// KindError answer: a stale control-plane spec version, a tampered
-// config digest after KindConf, a config-bearing first hello that is
-// not a join hello, a returning member fenced at a newer epoch than the
-// supervisor's, a returning member whose slot was taken (admitted, at
-// the assigned slot), and a joiner arriving with the cluster full and
-// no standby capacity.
+// KindError answer: a stale control-plane spec version, a returning
+// member holding another config than the one it would be sent, a
+// config-bearing first hello that is not a join hello, a returning
+// member fenced at a newer epoch than the supervisor's, a returning
+// member whose slot was taken (admitted, at the assigned slot), and a
+// joiner arriving with the cluster full and no standby capacity.
 func TestJoinHandshakeRejection(t *testing.T) {
 	t.Run("stale spec version", func(t *testing.T) {
 		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
@@ -472,20 +472,12 @@ func TestJoinHandshakeRejection(t *testing.T) {
 			t.Fatalf("NewCluster: %v", err)
 		}
 		defer c.Close()
+		// A returning member's join hello names the digest of the config
+		// it holds: the one digest check left in the handshake.
 		r := dialRaw(t, c.Addr())
-		join := hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-			specver: specVersion, flags: helloJoin}
-		r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello, Payload: encodeHello(join)})
-		conf := r.read()
-		if conf.Kind != dist.KindConf {
-			t.Fatalf("got kind %d, want KindConf", conf.Kind)
-		}
-		id, _, raw, err := decodeConfFrame(conf.Payload)
-		if err != nil {
-			t.Fatalf("decodeConfFrame: %v", err)
-		}
-		full := goodHello(confDigest(raw) ^ 0xBAD)
-		r.send(dist.Frame{Kind: dist.KindHello, From: id, Seq: ctrlSeqHello, Payload: encodeHello(full)})
+		h := goodHello(c.digest ^ 0xBAD)
+		h.flags = helloJoin | helloHasDigest
+		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
 		r.expectRejection("digest")
 	})
 
@@ -554,6 +546,45 @@ func TestJoinHandshakeRejection(t *testing.T) {
 	})
 }
 
+// TestAdmissionIsOneHello: a joiner that sends its join hello and
+// nothing else is a member once the supervisor has sent it KindConf —
+// counted in Stats().Joined, and shipped the next job on the same
+// connection.
+func TestAdmissionIsOneHello(t *testing.T) {
+	c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, JoinTimeout: 30 * time.Second, Options: quietOpts()})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	r := dialRaw(t, c.Addr())
+	r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
+		Payload: encodeHello(hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
+			specver: specVersion, flags: helloJoin})})
+	conf := r.read()
+	if conf.Kind != dist.KindConf {
+		t.Fatalf("got kind %d, want KindConf", conf.Kind)
+	}
+	if id, _, _, err := decodeConfFrame(conf.Payload); err != nil || id != 0 {
+		t.Fatalf("KindConf assigns slot %d (err %v), want 0", id, err)
+	}
+	waitJoined(t, c, 1)
+
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := c.Run(Job{Source: ValueShards([][]float64{{1, 2, 3}})})
+		runErr <- err
+	}()
+	if job := r.read(); job.Kind != dist.KindJob {
+		t.Fatalf("the member's next frame is kind %d, want KindJob", job.Kind)
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if err := <-runErr; !errors.Is(err, ErrClusterClosed) {
+		t.Errorf("Run on the closed cluster: %v, want ErrClusterClosed", err)
+	}
+}
+
 // TestLivenessReplacement: a member that completes the handshake and
 // then falls silent past the liveness window is declared dead and
 // replaced by a parked joiner; the job completes with reference bits.
@@ -576,22 +607,15 @@ func TestLivenessReplacement(t *testing.T) {
 	}
 	defer c.Close()
 
-	// A fake member takes the join slot, completes the full handshake,
-	// and then never speaks again — no heartbeats, no ready.
+	// A fake member takes the join slot through the handshake and then
+	// never speaks again — no heartbeats, no ready.
 	fake := dialRaw(t, c.Addr())
 	fake.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
 		Payload: encodeHello(hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
 			specver: specVersion, flags: helloJoin})})
-	conf := fake.read()
-	if conf.Kind != dist.KindConf {
+	if conf := fake.read(); conf.Kind != dist.KindConf {
 		t.Fatalf("got kind %d, want KindConf", conf.Kind)
 	}
-	id, _, raw, err := decodeConfFrame(conf.Payload)
-	if err != nil {
-		t.Fatalf("decodeConfFrame: %v", err)
-	}
-	fake.send(dist.Frame{Kind: dist.KindHello, From: id, Seq: ctrlSeqHello,
-		Payload: encodeHello(goodHello(confDigest(raw)))})
 	waitJoined(t, c, 2)
 
 	// A real joiner arrives with the cluster full and parks as the

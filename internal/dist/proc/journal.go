@@ -4,9 +4,9 @@ package proc
 //
 // The journal is one file holding one record: a snapshot of the
 // control-plane state a restarted supervisor needs — fencing epoch, bound
-// control address, job cursor, per-slot incarnations. The clusterLoop
-// replaces it at every transition that changes that state (epoch open,
-// member admitted or lost, job start and completion), so a crashed
+// control address, job cursor, per-slot incarnations — and nothing
+// else. The clusterLoop replaces it at every transition that changes
+// that state (epoch open, member admitted, job started), so a crashed
 // supervisor can be restarted against the same directory and re-enter its
 // last consistent phase: NewCluster reads the snapshot, bumps the fencing
 // epoch, re-binds the journaled listener address, restores per-slot
@@ -18,17 +18,16 @@ package proc
 //
 // On-disk format (same strictness discipline as the frame codec):
 //
-//	"RPJL" magic, 1-byte format version,
-//	8B epoch, 8B next job, 8B in-flight job (-1 = none),
+//	"RPJL" magic, 1-byte format version (3),
+//	8B epoch, 8B next job,
 //	2B-length-prefixed control address,
-//	2B slot count, then per slot 8B next incarnation + 1B occupied flag,
+//	2B slot count, then per slot 8B next incarnation,
 //	CRC32-IEEE (u32 LE) of everything before it
 //
 // Decoding is hostile-input safe: a wrong magic or version, a CRC mismatch, a
-// length that disagrees with the bytes present, a non-canonical boolean or an
-// out-of-range counter is an errBadJournal (never a panic, never a half
-// state), and a decoded snapshot re-encodes to exactly the bytes read (fuzzed
-// by FuzzControlDecode).
+// length that disagrees with the bytes present or an out-of-range counter is
+// an errBadJournal (never a panic, never a half state), and a decoded
+// snapshot re-encodes to exactly the bytes read (fuzzed by FuzzControlDecode).
 //
 // Each replacement writes cluster.journal.tmp and renames it over
 // cluster.journal, so a crash at any instant leaves the previous snapshot or
@@ -50,7 +49,7 @@ import (
 
 const (
 	journalMagic   = "RPJL"
-	journalVersion = 2
+	journalVersion = 3
 	journalFile    = "cluster.journal"
 
 	// journalHeaderLen is the fixed file prologue: magic + format version.
@@ -66,25 +65,22 @@ var errBadJournal = errors.New("proc: malformed supervisor journal")
 
 // journalSnap is the persisted supervisor state.
 type journalSnap struct {
-	epoch    uint64
-	nextJob  int
-	inFlight int // dispatched-but-unfinished job index, -1 if none
-	addr     string
-	incs     []int  // next incarnation per slot (inc > 0 ⇒ slot was admitted)
-	members  []bool // slot occupied when the snapshot was taken
+	epoch   uint64
+	nextJob int
+	addr    string
+	incs    []int // next incarnation per slot (inc > 0 ⇒ slot was admitted)
 }
 
 // encodeJournalSnap is the canonical file image of s.
 func encodeJournalSnap(s journalSnap) []byte {
-	b := make([]byte, 0, journalHeaderLen+28+len(s.addr)+9*len(s.incs)+4)
+	b := make([]byte, 0, journalHeaderLen+20+len(s.addr)+8*len(s.incs)+4)
 	b = append(append(b, journalMagic...), journalVersion)
 	b = appendU64(b, s.epoch)
 	b = appendI64(b, int64(s.nextJob))
-	b = appendI64(b, int64(s.inFlight))
 	b = appendString(b, s.addr)
 	b = appendU16(b, uint16(len(s.incs)))
-	for i, inc := range s.incs {
-		b = appendBool(appendI64(b, int64(inc)), s.members[i])
+	for _, inc := range s.incs {
+		b = appendI64(b, int64(inc))
 	}
 	return appendU32(b, crc32.ChecksumIEEE(b))
 }
@@ -107,24 +103,24 @@ func decodeJournalSnap(data []byte) (journalSnap, error) {
 	s.epoch = r.u64()
 	// Counters are bounded to 31 bits so a snapshot means the same state
 	// where int is 32 bits wide.
-	counter := func(min int64) int {
+	counter := func() int {
 		v := r.i64()
-		if r.err == nil && (v < min || v > math.MaxInt32) {
+		if r.err == nil && (v < 0 || v > math.MaxInt32) {
 			r.err = fmt.Errorf("proc: journal snapshot counter %d out of range", v)
 		}
 		return int(v)
 	}
-	s.nextJob, s.inFlight = counter(0), counter(-1)
+	s.nextJob = counter()
 	s.addr = r.str()
 	n := int(r.u16())
-	if r.err == nil && len(r.b) != 9*n {
+	if r.err == nil && len(r.b) != 8*n {
 		r.err = fmt.Errorf("proc: journal snapshot declares %d slots in %d bytes", n, len(r.b))
 	}
 	if r.err == nil {
-		s.incs, s.members = make([]int, n), make([]bool, n)
+		s.incs = make([]int, n)
 	}
 	for i := range s.incs {
-		s.incs[i], s.members[i] = counter(0), r.flag()
+		s.incs[i] = counter()
 	}
 	if err := r.done(); err != nil {
 		return journalSnap{}, fmt.Errorf("%w: %v", errBadJournal, err)
@@ -141,8 +137,8 @@ type journal struct {
 
 // openJournal reads the snapshot under dir (creating dir if needed). An
 // absent or empty file is a fresh journal: found is false and prev is the
-// empty state (epoch 0, no slots, nothing in flight). The returned state is the previous supervisor incarnation's;
-// the caller writes its own, with the epoch bumped.
+// empty state (epoch 0, no slots). The returned state is the previous
+// supervisor incarnation's; the caller writes its own, with the epoch bumped.
 func openJournal(dir string) (j *journal, prev journalSnap, found bool, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, prev, false, fmt.Errorf("proc: journal dir: %w", err)
@@ -153,7 +149,7 @@ func openJournal(dir string) (j *journal, prev journalSnap, found bool, err erro
 		return nil, prev, false, fmt.Errorf("proc: read journal: %w", err)
 	}
 	if len(data) == 0 {
-		return j, journalSnap{inFlight: -1}, false, nil
+		return j, journalSnap{}, false, nil
 	}
 	if prev, err = decodeJournalSnap(data); err != nil {
 		return nil, prev, false, fmt.Errorf("%w (%s)", err, j.path)

@@ -11,13 +11,10 @@ import (
 	"testing"
 )
 
-// journalTestSnap is a representative snapshot: a recovered epoch, a job in
-// flight, one slot never admitted, one occupied, one vacated.
+// journalTestSnap is a representative snapshot: a recovered epoch, jobs
+// dispatched, one slot never admitted and two admitted more than once.
 func journalTestSnap() journalSnap {
-	return journalSnap{
-		epoch: 4, nextJob: 8, inFlight: 7, addr: "10.0.0.2:9000",
-		incs: []int{3, 0, 6}, members: []bool{true, false, false},
-	}
+	return journalSnap{epoch: 4, nextJob: 8, addr: "10.0.0.2:9000", incs: []int{3, 0, 6}}
 }
 
 // reopen reads dir's journal back, failing the test on any error.
@@ -33,19 +30,19 @@ func reopen(t *testing.T, dir string) (*journal, journalSnap, bool) {
 // TestJournalRoundTrip: decode(encode(s)) == s for every field — including
 // no slots at all and the 65 535 the format can carry — through the codec
 // and through the file; the image is a byte fixpoint; a file that is not a
-// journal, a stale format version, a flipped bit and an out-of-range counter
-// are all errBadJournal; and a journal opened, epoch written and closed
-// 1 000 times stays one snapshot long while the epoch climbs.
+// journal, a stale format version, a flipped bit, an out-of-range counter
+// and a slot count that disagrees with the bytes are all errBadJournal;
+// and a journal opened, epoch written and closed 1 000 times stays one
+// snapshot long while the epoch climbs.
 func TestJournalRoundTrip(t *testing.T) {
-	wide := journalSnap{epoch: math.MaxUint64, nextJob: math.MaxInt32, inFlight: -1,
-		incs: make([]int, maxJournalSlots), members: make([]bool, maxJournalSlots)}
+	wide := journalSnap{epoch: math.MaxUint64, nextJob: math.MaxInt32, incs: make([]int, maxJournalSlots)}
 	for i := range wide.incs {
-		wide.incs[i], wide.members[i] = i, i%3 == 0
+		wide.incs[i] = i
 	}
 	dir := t.TempDir()
 	for name, s := range map[string]journalSnap{
 		"typical":  journalTestSnap(),
-		"no slots": {epoch: 1, inFlight: -1, addr: "127.0.0.1:50000", incs: []int{}, members: []bool{}},
+		"no slots": {epoch: 1, addr: "127.0.0.1:50000", incs: []int{}},
 		"widest":   wide,
 	} {
 		img := encodeJournalSnap(s)
@@ -78,17 +75,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	flipped[journalHeaderLen+3] ^= 0x10
 	negative := append([]byte(nil), good...)
 	negative[journalHeaderLen+8+7] = 0x80 // nextJob's sign bit
-	flag := append([]byte(nil), good...)
-	flag[len(flag)-5] = 2 // the last slot's occupied flag
 	path := filepath.Join(dir, journalFile)
 	for name, bad := range map[string][]byte{
 		"not a journal":        []byte("definitely not a journal"),
 		"stale version":        reseal(stale),
 		"flipped bit":          flipped,
 		"negative counter":     reseal(negative),
-		"non-canonical flag":   reseal(flag),
 		"trailing byte":        reseal(append(append([]byte(nil), good[:len(good)-4]...), 0, 0, 0, 0, 0)),
-		"slot count too large": reseal(append(append([]byte(nil), good[:len(good)-4-9]...), 0, 0, 0, 0)),
+		"slot count too large": reseal(append(append([]byte(nil), good[:len(good)-4-8]...), 0, 0, 0, 0)),
 	} {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
@@ -164,7 +158,7 @@ func TestJournalCrashBeforeRename(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	next := journalTestSnap()
-	next.nextJob, next.inFlight = 9, -1
+	next.nextJob = 9
 	img := encodeJournalSnap(next)
 	for name, tmp := range map[string][]byte{"whole": img, "torn": img[:len(img)/2], "empty": nil} {
 		if err := os.WriteFile(j.path+".tmp", tmp, 0o644); err != nil {

@@ -255,7 +255,6 @@ func TestHandshakeRejection(t *testing.T) {
 	}{
 		{"wrong frame version", []string{envHelloVersion + "=9"}, "frame version"},
 		{"wrong level count", []string{envHelloLevels + "=7"}, "rsum levels"},
-		{"wrong config digest", []string{envTamperDigest + "=1"}, "digest"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

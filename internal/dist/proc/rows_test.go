@@ -623,7 +623,7 @@ func handLoop(n int) *clusterLoop {
 	}
 	c.met = newClusterMetrics(c.reg)
 	return &clusterLoop{c: c, members: make([]*connState, n), incs: make([]int, n),
-		reserved: make(map[int]*connState), prevWire: make(map[uint64]dist.WireStats)}
+		prevWire: make(map[uint64]dist.WireStats)}
 }
 
 // TestRowShipWriteDeadline: the control connection's write deadline is
@@ -732,16 +732,9 @@ func TestRowStreamHangupReplacement(t *testing.T) {
 	fake.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
 		Payload: encodeHello(hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
 			specver: specVersion, flags: helloJoin})})
-	conf := fake.read()
-	if conf.Kind != dist.KindConf {
+	if conf := fake.read(); conf.Kind != dist.KindConf {
 		t.Fatalf("got kind %d, want KindConf", conf.Kind)
 	}
-	id, _, raw, err := decodeConfFrame(conf.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake.send(dist.Frame{Kind: dist.KindHello, From: id, Seq: ctrlSeqHello,
-		Payload: encodeHello(goodHello(confDigest(raw)))})
 	hungUp := make(chan error, 1)
 	go func() {
 		fake.conn.SetReadDeadline(time.Now().Add(30 * time.Second))

@@ -15,8 +15,9 @@ import (
 // Wire encodings of the control plane. The cluster config
 // (clusterConf) is everything a long-lived cluster's members must
 // agree on before any job exists: size, protocol knobs, fault plan,
-// liveness cadence. It is digested into the join handshake, so a stale
-// or edited worker is rejected at admission. Per-job state — the
+// liveness cadence. Every member is sent it at admission (KindConf),
+// and a returning member's join hello carries its digest, so a worker
+// holding another config cannot rejoin. Per-job state — the
 // operation, aggregate catalog, and the shape of the input — travels
 // in the KindJob payload (jobSpec), which is what lets one cluster run
 // many jobs; the rows themselves follow it as the KindRows chunks of
@@ -50,8 +51,11 @@ const (
 // topology byte as the worker count's first byte. Version 10 = the job
 // spec lost its source-kind byte (every job ships its rows; the
 // synthetic generator source is gone); a 10 would read a 9's source
-// byte as the row count's first byte.
-const specVersion = 10
+// byte as the row count's first byte. Version 11 = admission is one
+// hello: a joiner is a member once it is sent KindConf and answers
+// with no second, digested hello; a 10 supervisor would wait for that
+// hello from an 11 worker until its join timeout.
+const specVersion = 11
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -65,9 +69,10 @@ const maxJobCols = 256
 
 // clusterConf is the cluster-lifetime configuration every member must
 // hold an identical copy of. Every worker receives its encoding in
-// KindConf after its join hello and digests the raw bytes it parsed
-// into its full KindHello, so a worker holding a different config is
-// rejected at join time instead of diverging mid-run.
+// KindConf in answer to its join hello, so every member holds the
+// supervisor's own bytes; a returning member names their digest in its
+// next join hello, so one holding a different config is rejected
+// instead of diverging mid-run.
 type clusterConf struct {
 	N int // cluster size (worker process count)
 
@@ -282,8 +287,9 @@ func ctrlSeqPeers(jobIdx, epoch int) uint32 {
 
 // Hello flags.
 const (
-	// helloHasDigest marks a full hello: the worker holds the cluster
-	// config and its digest field is meaningful.
+	// helloHasDigest marks a returning member's hello: the worker holds
+	// the cluster config it was last sent and its digest field is
+	// meaningful.
 	helloHasDigest byte = 1 << iota
 	// helloJoin marks a connection's first hello: requesting admission
 	// (the supervisor answers with KindConf). Alone it is a fresh worker
@@ -298,7 +304,7 @@ type hello struct {
 	levels  byte   // rsum summation level count compiled into the worker
 	specver byte   // control-plane spec version the worker speaks
 	flags   byte   // helloHasDigest | helloJoin
-	digest  uint64 // confDigest of the worker's cluster config (full hello)
+	digest  uint64 // confDigest of the worker's cluster config (returning member)
 	epoch   uint64 // last supervisor epoch the worker attached to (0 = none)
 }
 

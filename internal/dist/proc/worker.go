@@ -27,9 +27,9 @@ import (
 //
 //  1. dials it and attaches through the one admission handshake: a join
 //     hello announcing its build (plus id, config digest and fencing
-//     epoch when it is a returning member), the cluster config and its
-//     node slot in KindConf, and the full digested hello back on the
-//     same connection,
+//     epoch when it is a returning member), answered by KindConf with
+//     the cluster config and its node slot — from then on it is a
+//     member,
 //  2. waits for KindJob: the operation, its shape, and the count and
 //     width of this node's rows, which it charges against the
 //     connection's budget, takes from the last job's memory (jobMemory)
@@ -59,10 +59,9 @@ import (
 const workerEnv = "REPRO_WORKER_PROCESS"
 
 // Test hooks: REPROWORKER_HELLO_VERSION and REPROWORKER_HELLO_LEVELS
-// override the corresponding KindHello fields, and
-// REPROWORKER_TAMPER_DIGEST=1 flips the run-config digest — so the
-// handshake rejection paths are exercised through the real spawn, dial,
-// and reject machinery rather than a mocked frame. They are honored
+// override the corresponding KindHello fields, so the handshake
+// rejection paths are exercised through the real spawn, dial, and
+// reject machinery rather than a mocked frame. They are honored
 // only in re-exec-spawned workers (workerEnv set, the mode tests use):
 // the standalone reproworker binary must announce what it actually
 // speaks, and a hook variable stray in an operator's shell must not
@@ -70,7 +69,6 @@ const workerEnv = "REPRO_WORKER_PROCESS"
 const (
 	envHelloVersion = "REPROWORKER_HELLO_VERSION"
 	envHelloLevels  = "REPROWORKER_HELLO_LEVELS"
-	envTamperDigest = "REPROWORKER_TAMPER_DIGEST"
 )
 
 // Worker process exit codes. They are part of cmd/reproworker's
@@ -118,10 +116,9 @@ thing a worker needs: a supervisor starts its own workers with exactly
 this line, and an operator adds capacity from another shell or machine
 the same way. The worker retries an unreachable address with capped
 exponential backoff + jitter until -join-timeout (default 30s)
-elapses, announces its build, receives the cluster configuration and a
-node slot, and completes the digested handshake; the supervisor admits
-it into the lowest free slot, parks it as a standby for mid-run
-replacement, or rejects it.
+elapses and announces its build. The supervisor admits it into the
+lowest free slot by sending it the cluster configuration, parks it as
+a standby for mid-run replacement, or rejects it.
 
 -advertise rewrites the data-plane address this worker announces to
 the cluster's peer table, for machines where the bound address is not
@@ -199,12 +196,12 @@ func WorkerMain(args []string) int {
 	return ExitOK
 }
 
-// helloFields builds this worker's handshake fields, honoring the test
+// helloFields builds this worker's build fields, honoring the test
 // hooks that force mismatches.
-func helloFields(raw []byte) (version, levels byte, digest uint64) {
-	version, levels, digest = dist.FrameVersion, byte(core.DefaultLevels), confDigest(raw)
+func helloFields() (version, levels byte) {
+	version, levels = dist.FrameVersion, byte(core.DefaultLevels)
 	if os.Getenv(workerEnv) == "" {
-		return version, levels, digest // standalone binary: no hooks
+		return version, levels // standalone binary: no hooks
 	}
 	if v := os.Getenv(envHelloVersion); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {
@@ -216,10 +213,7 @@ func helloFields(raw []byte) (version, levels byte, digest uint64) {
 			levels = byte(n)
 		}
 	}
-	if os.Getenv(envTamperDigest) == "1" {
-		digest ^= 0xDEADBEEF
-	}
-	return version, levels, digest
+	return version, levels
 }
 
 // ctlConn is one control connection, at either end. One goroutine owns
@@ -425,15 +419,15 @@ func runJoiner(control, advertise string, window time.Duration) error {
 // meanwhile, whatever slot the cluster assigns is adopted). The
 // supervisor answers with KindConf — at once, or whenever a slot frees
 // up if it parked the worker as a standby first, so the wait is
-// unbounded — and the full digested hello at the supervisor's epoch
-// completes the admission. A nil ctlConn with a nil error means the
-// cluster shut down while the worker was parked.
+// unbounded — and the worker is a member from then on: its next frame
+// may already be the current job. A nil ctlConn with a nil error means
+// the cluster shut down while the worker was parked.
 func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
 	c := newCtlConn(cc, s.conf.MaxChunkPayload)
-	version, levels, digest := helloFields(s.raw)
+	version, levels := helloFields()
 	h := hello{version: version, levels: levels, specver: specVersion, flags: helloJoin}
 	if s.id >= 0 {
-		h.flags, h.digest, h.epoch = helloJoin|helloHasDigest, digest, s.epoch
+		h.flags, h.digest, h.epoch = helloJoin|helloHasDigest, confDigest(s.raw), s.epoch
 	}
 	err := c.send(dist.Frame{Kind: dist.KindHello, From: s.id, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
 	if err != nil {
@@ -469,12 +463,6 @@ func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
 			}
 			s.id, s.epoch, s.conf, s.raw = id, epoch, conf, raw
 			c.maxChunk = conf.MaxChunkPayload
-			_, _, digest = helloFields(raw)
-			h.flags, h.digest, h.epoch = helloHasDigest, digest, epoch
-			err = c.send(dist.Frame{Kind: dist.KindHello, From: id, Seq: ctrlSeqHello, Payload: encodeHello(h)})
-			if err != nil {
-				return nil, fmt.Errorf("%w: sending hello: %v", errCtlLost, err)
-			}
 			return c, nil
 		}
 	}

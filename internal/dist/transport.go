@@ -47,8 +47,8 @@ const (
 	// chunking rules for large job specs and results) is identical.
 
 	// KindHello is the worker → supervisor join handshake: frame
-	// version, rsum level count, spec version, and (for workers that
-	// already hold the cluster config) the run-config digest. A
+	// version, rsum level count, spec version, and (for returning
+	// members, which hold the cluster config) the run-config digest. A
 	// mismatch is rejected with a KindError carrying ErrHandshake.
 	KindHello
 	// KindJob carries the job spec (operation, aggregate catalog, and
@@ -61,9 +61,9 @@ const (
 	// KindShutdown tells a worker the cluster is over: close the data
 	// plane and exit.
 	KindShutdown
-	// KindConf answers a remote joiner's first hello with the
-	// assigned node id and the raw cluster config; the joiner digests
-	// the bytes into a second, full hello.
+	// KindConf answers a joiner's hello with the assigned node id,
+	// the supervisor's epoch and the raw cluster config; it makes the
+	// joiner a member.
 	KindConf
 	// KindReady is a worker's per-job acknowledgment: it has accepted
 	// the job (sized the arrays its KindRows stream will fill) and

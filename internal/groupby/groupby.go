@@ -129,20 +129,31 @@ func Layout(plan *sqlagg.TuplePlan, groups, perGroup int) (partition bool, bsz i
 	return groups > agg.CacheBytesPerThread/(2*plan.TupleBytes()), bsz
 }
 
-// Deal deals rows round-robin into n shards, row i to shard i mod n —
-// the sharding the distributed backends, equivalence tests and
-// benchmarks use.
+// Deal deals rows round-robin into n shards, row i to row i/n of shard
+// i mod n — the sharding the equivalence tests and benchmarks use. A
+// shard's keys and its columns are two allocations sized up front; the
+// columns are capped apart within theirs, each starting on a 64-byte
+// line as a column of its own would (the distributed GROUP BY ran about
+// a tenth slower over columns that did not).
 func Deal(keys []uint32, cols [][]float64, n int) (shardKeys [][]uint32, shardCols [][][]float64) {
 	shardKeys = make([][]uint32, n)
 	shardCols = make([][][]float64, n)
-	for s := range shardCols {
+	for s := range shardKeys {
+		rows := (len(keys) + n - 1 - s) / n
+		shardKeys[s] = make([]uint32, rows)
 		shardCols[s] = make([][]float64, len(cols))
+		stride := (rows + 7) &^ 7
+		slab := make([]float64, stride*len(cols))
+		for c := range cols {
+			shardCols[s][c] = slab[c*stride : c*stride+rows : c*stride+rows]
+		}
 	}
 	for i, k := range keys {
-		s := i % n
-		shardKeys[s] = append(shardKeys[s], k)
-		for c := range cols {
-			shardCols[s][c] = append(shardCols[s][c], cols[c][i])
+		shardKeys[i%n][i/n] = k
+	}
+	for c, col := range cols {
+		for i := range keys {
+			shardCols[i%n][c][i/n] = col[i]
 		}
 	}
 	return shardKeys, shardCols

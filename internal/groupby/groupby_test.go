@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -533,6 +534,25 @@ func TestDeal(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Shards are sized up front: Deal allocates the rows it returns and
+	// little else (appending them row by row allocated 3.75 times
+	// their bytes at this shape).
+	const big, ncols, n = 1 << 16, 8, 4
+	keys = make([]uint32, big)
+	cols = make([][]float64, ncols)
+	for c := range cols {
+		cols[c] = make([]float64, big)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Deal(keys, cols, n)
+	runtime.ReadMemStats(&after)
+	out := uint64(big * (4 + 8*ncols))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > out*11/10 {
+		t.Errorf("Deal of %d rows × %d columns into %d shards allocated %d bytes for %d bytes of shards, limit 1.1×",
+			big, ncols, n, alloc, out)
 	}
 }
 

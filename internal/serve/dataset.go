@@ -33,7 +33,6 @@ import (
 	"runtime"
 
 	"repro/internal/agg"
-	"repro/internal/groupby"
 	"repro/internal/partition"
 	"repro/internal/sqlagg"
 	"repro/internal/tpch"
@@ -65,8 +64,9 @@ var (
 
 // DatasetOptions configures resident-data loading.
 type DatasetOptions struct {
-	// Shards is the cluster size the data is pre-sharded for, serving
-	// the distributed backend (default 4).
+	// Shards is the node count of the in-process distributed backend,
+	// which runs a query over that many contiguous views of the rows
+	// (default 4). A server backed by a Cluster uses the cluster's size.
 	Shards int
 	// Workers parallelizes the load-time partitioning pass (default
 	// GOMAXPROCS). The physical row order inside a partition depends on
@@ -85,16 +85,17 @@ func (o DatasetOptions) withDefaults() DatasetOptions {
 }
 
 // Dataset is an immutable resident table: uint32 group keys plus
-// float64 value columns, held in three layouts at once — original row
-// order (window queries), radix-partitioned into ascending key ranges
-// (the local GROUP BY engine), and round-robin sharded (the distributed
-// backend). All
-// layouts hold the same multiset of rows, so every backend answers
-// with the same bits. A Dataset is safe for concurrent use after
-// construction; it is never mutated.
+// float64 value columns, held in two layouts at once — original row
+// order (window queries, and the distributed backends, which take
+// contiguous views of it, one per node) and radix-partitioned into
+// ascending key ranges (the local GROUP BY engine). Both layouts hold
+// the same multiset of rows, so every backend answers with the same
+// bits. A Dataset is safe for concurrent use after construction; it is
+// never mutated.
 type Dataset struct {
-	keys []uint32
-	cols [][]float64
+	keys   []uint32
+	cols   [][]float64
+	shards int // DatasetOptions.Shards
 
 	// Local-engine layout: rows partitioned into ascending key ranges,
 	// every value column beside the keys. sumBound — Σ Part.Bound — is a
@@ -103,10 +104,6 @@ type Dataset struct {
 	// maxBound, the largest part's, plans the summation buffers.
 	parts              []partition.Part[float64]
 	maxBound, sumBound int
-
-	// Distributed-backend layout.
-	shardKeys [][]uint32
-	shardCols [][][]float64
 
 	// version is an FNV-64a digest of the resident rows. It keys the
 	// result cache: results are a pure function of (query, version).
@@ -137,13 +134,12 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 
 	// Local layout: every value column is partitioned beside the keys
 	// once, at load time — queries only ever stream sequentially after
-	// this. Distributed layout: round-robin deal.
-	d := &Dataset{keys: keys, cols: cols}
+	// this. It is the only copy of the rows a Dataset makes.
+	d := &Dataset{keys: keys, cols: cols, shards: o.Shards}
 	d.parts = partition.Recursive(keys, cols, 1, agg.DefaultFanout, o.Workers)
 	for _, pt := range d.parts {
 		d.maxBound, d.sumBound = max(d.maxBound, pt.Bound()), d.sumBound+pt.Bound()
 	}
-	d.shardKeys, d.shardCols = groupby.Deal(keys, cols, o.Shards)
 	d.version = digestRows(keys, cols)
 	return d, nil
 }
@@ -173,6 +169,26 @@ func Q1Dataset(sf float64, seed uint64, opts DatasetOptions) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: %v", ErrDataset, err)
 	}
 	return NewDataset(keys, cols, opts)
+}
+
+// views cuts the rows into n contiguous views, as even as n allows, for
+// a distributed backend of n nodes. They alias the row-order arrays.
+func (d *Dataset) views(n int) (keys [][]uint32, cols [][][]float64) {
+	keys, cols = make([][]uint32, n), make([][][]float64, n)
+	q, r := len(d.keys)/n, len(d.keys)%n
+	for i := range keys {
+		lo := i*q + min(i, r)
+		hi := lo + q
+		if i < r {
+			hi++
+		}
+		keys[i] = d.keys[lo:hi]
+		cols[i] = make([][]float64, len(d.cols))
+		for c, col := range d.cols {
+			cols[i][c] = col[lo:hi]
+		}
+	}
+	return keys, cols
 }
 
 // Rows returns the resident row count.

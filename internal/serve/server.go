@@ -125,6 +125,12 @@ type Server struct {
 	ds  *Dataset
 	opt Options
 
+	// The distributed backend's input: one contiguous view of the
+	// dataset's rows per node (Dataset.Shards of them in process, the
+	// cluster's size on a Cluster).
+	shardKeys [][]uint32
+	shardCols [][][]float64
+
 	slots  chan struct{} // execution-slot semaphore (cap MaxConcurrent)
 	queued atomic.Int64  // queries waiting for a slot
 
@@ -223,6 +229,11 @@ func NewServer(ds *Dataset, opts Options) (*Server, error) {
 		met:    newServeMetrics(reg),
 		closed: make(chan struct{}),
 	}
+	nodes := ds.shards
+	if o.Cluster != nil {
+		nodes = o.Cluster.Nodes()
+	}
+	s.shardKeys, s.shardCols = ds.views(nodes)
 	if o.TraceEntries > 0 {
 		s.traces = obs.NewTraceStore(o.TraceEntries)
 	}
@@ -505,7 +516,7 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 			res, err := s.opt.Cluster.Run(proc.Job{
 				Workers: s.opt.Workers,
 				Specs:   q.Specs,
-				Source:  proc.RowShards(s.ds.shardKeys, s.ds.shardCols),
+				Source:  proc.RowShards(s.shardKeys, s.shardCols),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("serve: group by: %w", err)
@@ -519,7 +530,7 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 				if tr != nil {
 					cfg.Trace = tr.Hop
 				}
-				gs, err = dist.AggregateTuplesConfig(s.ds.shardKeys, s.ds.shardCols, s.opt.Workers, q.Specs, cfg)
+				gs, err = dist.AggregateTuplesConfig(s.shardKeys, s.shardCols, s.opt.Workers, q.Specs, cfg)
 			} else {
 				gs, err = s.groupByLocal(q.Specs)
 			}

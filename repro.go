@@ -364,9 +364,7 @@ const (
 // AggSpec is one aggregate of a multi-aggregate GROUP BY: which
 // function (Kind), at which accuracy level (Levels, 0 = DefaultLevels),
 // over which input column (Col). The spec list is a run's aggregate
-// catalog: it travels inside the digested cluster configuration, so a
-// worker process holding a different catalog fails the join handshake
-// with ErrHandshake instead of diverging mid-run.
+// catalog: a cluster job ships it to every worker in the job's spec.
 type AggSpec = sqlagg.AggSpec
 
 // TupleGroup is one row of a multi-aggregate GROUP BY result: the key
