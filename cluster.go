@@ -10,7 +10,10 @@ import "repro/internal/dist/proc"
 // always run their nodes as goroutines of the calling process. A
 // cluster keeps its worker processes, sockets, and handshakes alive
 // across jobs, admits operator-started workers (reproworker -join),
-// and with ClusterSpec.ReplaceDead survives worker death mid-run.
+// and survives worker death mid-run: a dead member's slot goes to a
+// standby or the next joiner, and a job nobody rescues within
+// ClusterSpec.JoinTimeout fails with a recovery error while the
+// cluster stays usable.
 
 // ErrClusterClosed is returned by Cluster.Run on a closed cluster.
 var ErrClusterClosed = proc.ErrClusterClosed
@@ -22,9 +25,10 @@ var ErrClusterClosed = proc.ErrClusterClosed
 // ErrConfig naming the field.
 type ClusterSpec = proc.ClusterSpec
 
-// ClusterOptions configures worker spawning: extra environment and
-// stderr routing. The worker binary is REPROWORKER_BIN when set, else
-// the current binary re-executed (see InitWorkerProcess).
+// ClusterOptions configures worker spawning: stderr routing and the
+// forced socket-kill scenario. The worker binary is REPROWORKER_BIN
+// when set, else the current binary re-executed (see
+// InitWorkerProcess); workers inherit the caller's environment.
 type ClusterOptions = proc.Options
 
 // Cluster is a long-lived multi-process cluster accepting Jobs. It is

@@ -161,7 +161,7 @@ func TestClusterFacadeValidation(t *testing.T) {
 	}{
 		{"no nodes", func(s *repro.ClusterSpec) {}, "ClusterSpec.Nodes"},
 		{"join exceeds nodes", func(s *repro.ClusterSpec) { s.Nodes, s.Join = 2, 3 }, "ClusterSpec.Join"},
-		{"liveness without heartbeat", func(s *repro.ClusterSpec) { s.Nodes, s.Liveness = 1, time.Second }, "ClusterSpec.Heartbeat"},
+		{"liveness shorter than two default heartbeats", func(s *repro.ClusterSpec) { s.Nodes, s.Liveness = 1, 900*time.Millisecond }, "ClusterSpec.Heartbeat"},
 		{"negative standby", func(s *repro.ClusterSpec) { s.Nodes, s.SpawnStandby = 1, -1 }, "ClusterSpec.SpawnStandby"},
 	}
 	for _, tc := range specCases {

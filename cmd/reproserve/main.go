@@ -72,7 +72,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
 	"os"
@@ -127,7 +126,10 @@ func main() {
 
 	var pc *proc.Cluster
 	if *procNodes > 0 {
-		pc, err = proc.NewCluster(procClusterSpec(*procNodes, *journal))
+		// The zero spec's workers are replaced when they die and ping
+		// every 500ms; each ping carries the worker's wire counters and
+		// RTT, which /stats' Worker block and HeartbeatRTT report.
+		pc, err = proc.NewCluster(proc.ClusterSpec{Nodes: *procNodes, Journal: *journal})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproserve:", err)
 			os.Exit(1)
@@ -155,24 +157,6 @@ func main() {
 	log.Printf("reproserve: %d rows × %d cols resident (version %016x), listening on %s",
 		ds.Rows(), ds.Cols(), ds.Version(), *addr)
 	log.Fatal(http.ListenAndServe(*addr, newHandler(srv, pc)))
-}
-
-// procHeartbeat is the -proc-nodes workers' ping interval. Each ping
-// carries the worker's data-plane wire counters and the control-plane
-// RTT it measured; without pings /stats' Worker counters and
-// HeartbeatRTT, and their repro_proc_* series, would read 0 forever.
-const procHeartbeat = 500 * time.Millisecond
-
-// procClusterSpec is the supervisor configuration of the -proc-nodes
-// cluster: nodes workers that are replaced when they die, heartbeating
-// every procHeartbeat, journaled to journal when it is non-empty.
-func procClusterSpec(nodes int, journal string) proc.ClusterSpec {
-	return proc.ClusterSpec{
-		Nodes:       nodes,
-		ReplaceDead: true,
-		Journal:     journal,
-		Heartbeat:   procHeartbeat,
-	}
 }
 
 // buildInfo is the version block /stats reports: which build answered,
@@ -234,7 +218,7 @@ func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 			Groups   []row  `json:"groups"`
 		}{
 			Version:  fmt.Sprintf("%016x", res.Version),
-			Digest:   resultDigest(res.Bytes),
+			Digest:   obs.DigestOf(res.Bytes),
 			CacheHit: res.CacheHit,
 			TraceID:  res.TraceID,
 			Groups:   make([]row, len(gs)),
@@ -270,7 +254,7 @@ func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 			TraceID  uint64    `json:"trace_id,omitempty"`
 			Rows     int       `json:"rows"`
 			Totals   []float64 `json:"totals"`
-		}{fmt.Sprintf("%016x", res.Version), resultDigest(res.Bytes), res.CacheHit, res.TraceID, len(totals), shown})
+		}{fmt.Sprintf("%016x", res.Version), obs.DigestOf(res.Bytes), res.CacheHit, res.TraceID, len(totals), shown})
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
@@ -335,15 +319,6 @@ func httpError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	}
 	http.Error(w, err.Error(), status)
-}
-
-// resultDigest is a short FNV-64a fingerprint of the canonical result
-// bytes — equal digests across requests, backends, and machines are
-// the observable face of bit-reproducibility.
-func resultDigest(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -180,14 +180,13 @@ func TestParseAggList(t *testing.T) {
 	}
 }
 
-// TestMetricsWithCluster: with main's process cluster behind the
-// server, /metrics carries the cluster's own registry beside the
-// server's and the process-global one, and the workers' heartbeats
-// reach it.
+// TestMetricsWithCluster: with a zero-spec process cluster behind the
+// server, as main builds it, /metrics carries the cluster's own
+// registry beside the server's and the process-global one, and the
+// workers' heartbeats reach it.
 func TestMetricsWithCluster(t *testing.T) {
-	spec := procClusterSpec(2, "")
-	spec.JoinTimeout, spec.Options.LogWriter = 30*time.Second, io.Discard
-	pc, err := proc.NewCluster(spec)
+	pc, err := proc.NewCluster(proc.ClusterSpec{Nodes: 2, JoinTimeout: 30 * time.Second,
+		Options: proc.Options{LogWriter: io.Discard}})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -202,14 +201,16 @@ func TestMetricsWithCluster(t *testing.T) {
 			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 		}
 	}
-	// The first ping leaves a worker one procHeartbeat after it attached.
-	for deadline := time.Now().Add(20 * procHeartbeat); ; time.Sleep(procHeartbeat / 10) {
+	// The first ping leaves a worker one default heartbeat (500ms) after
+	// it attached.
+	const wait = 10 * time.Second
+	for deadline := time.Now().Add(wait); ; time.Sleep(50 * time.Millisecond) {
 		_, body = get(t, ts.URL+"/metrics")
 		if heartbeats(string(body)) >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no heartbeat within %v: repro_proc_heartbeats_total = %v", 20*procHeartbeat, heartbeats(string(body)))
+			t.Fatalf("no heartbeat within %v: repro_proc_heartbeats_total = %v", wait, heartbeats(string(body)))
 		}
 	}
 }

@@ -85,7 +85,6 @@ func main() {
 	c, err = repro.NewCluster(repro.ClusterSpec{
 		Nodes:        3,
 		SpawnStandby: 1,
-		ReplaceDead:  true,
 		DieNode:      1, // node 1 kills itself before its first data frame (first life only)
 		DieAfter:     1,
 	})

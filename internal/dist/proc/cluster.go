@@ -13,15 +13,17 @@
 // by KindConf with the cluster config and a node slot — and take slots
 // in arrival order; runs a sequence of typed Jobs whose
 // inputs are the caller's shards, their bits streamed to the workers
-// in cache-sized chunks; and — with
-// ReplaceDead — survives worker death mid-run by admitting a substitute
-// through that same handshake, re-shipping the lost job spec and rows,
-// and re-pointing the surviving peers' reconnect-safe transports. The
-// result is bit-identical to the in-process engine for every
-// cluster size, chunk regime, fault plan, forced socket kill, and
-// mid-run replacement — the paper's reproducibility claim extended to
-// its hardest setting: separate processes with nothing shared but the
-// wire, some of them dying halfway through.
+// in cache-sized chunks; and survives worker death mid-run by admitting
+// a substitute through that same handshake, re-shipping the lost job
+// spec and rows, and re-pointing the surviving peers' reconnect-safe
+// transports. A death is a membership event, never a broken cluster: a
+// job no substitute arrives for fails with ErrRecovering, and the next
+// joiner takes the empty slot. The result is bit-identical to the
+// in-process engine for every cluster size, chunk regime, fault plan,
+// forced socket kill, and mid-run replacement — the paper's
+// reproducibility claim extended to its hardest setting: separate
+// processes with nothing shared but the wire, some of them dying
+// halfway through.
 //
 // A Cluster is the only way to run a job across processes: the facade's
 // Distributed* operators run the in-process engine, and its NewCluster
@@ -40,11 +42,9 @@ import (
 
 // Options configures the supervisor side of a multi-process run. The
 // zero value is the configuration the facade uses. The worker binary
-// comes from the environment (see resolveWorker).
+// comes from the environment (see resolveWorker), and the workers
+// inherit the supervisor's environment.
 type Options struct {
-	// Env is appended to each worker's environment (test hook: the
-	// handshake-rejection tests force mismatched hellos through it).
-	Env []string
 	// LogWriter receives the workers' stderr (default os.Stderr).
 	LogWriter io.Writer
 	// KillConnNode / KillConnAfter force the socket-kill-and-reconnect
@@ -79,8 +79,8 @@ func resolveWorker() (path string, reexec bool, err error) {
 }
 
 // verifyJoinHello checks a join hello's build against this
-// supervisor's: frame version, rsum level count and control-plane spec
-// version. Every mismatch is an ErrHandshake.
+// supervisor's: frame version and rsum level count (decodeHello checked
+// the control-plane spec version). Every mismatch is an ErrHandshake.
 func verifyJoinHello(h hello) error {
 	if h.version != dist.FrameVersion {
 		return fmt.Errorf("%w: worker speaks frame version %d, supervisor speaks %d",
@@ -89,10 +89,6 @@ func verifyJoinHello(h hello) error {
 	if h.levels != core.DefaultLevels {
 		return fmt.Errorf("%w: worker compiled with %d rsum levels, supervisor with %d — partial states would not merge",
 			dist.ErrHandshake, h.levels, core.DefaultLevels)
-	}
-	if h.specver != specVersion {
-		return fmt.Errorf("%w: worker speaks control-plane spec v%d, supervisor speaks v%d",
-			dist.ErrHandshake, h.specver, specVersion)
 	}
 	return nil
 }

@@ -76,16 +76,14 @@ type ClusterSpec struct {
 	// re-admits its workers as they re-attach instead of respawning
 	// them. Empty disables journaling.
 	Journal string
-	// ReplaceDead keeps a run alive through worker death: the lost
-	// worker's job spec is re-shipped to a promoted standby (or the
-	// next joiner) and the peers re-dial it. False preserves one-shot
-	// semantics: any death fails the run and breaks the cluster.
-	ReplaceDead bool
 	// JoinTimeout bounds formation and each replacement wait
-	// (default 15s).
+	// (default 15s). A dead member's slot goes to a promoted standby or
+	// the next joiner, which is re-shipped the lost job spec and rows
+	// while the peers re-dial it; a job whose slot nobody fills within
+	// JoinTimeout fails with ErrRecovering and the cluster stays usable.
 	JoinTimeout time.Duration
-	// Heartbeat is the workers' control-plane ping interval (0 = no
-	// heartbeats). Required when Liveness is set.
+	// Heartbeat is the workers' control-plane ping interval, each ping
+	// carrying the worker's wire counters (default 500ms).
 	Heartbeat time.Duration
 	// Liveness declares a member dead after this much control-plane
 	// silence (0 = connection errors only). Must leave room for at
@@ -101,8 +99,7 @@ type ClusterSpec struct {
 	// deadlines, fault plan). Its NewTransport is ignored: workers
 	// always speak real sockets.
 	Config dist.Config
-	// Options configures spawning (worker binary, env, stderr, kill
-	// injection).
+	// Options configures spawning (stderr, kill injection).
 	Options Options
 }
 
@@ -135,8 +132,8 @@ func (s ClusterSpec) Validate() error {
 	if s.Liveness < 0 {
 		return fmt.Errorf("%w: liveness window must be >= 0 (ClusterSpec.Liveness, got %v)", dist.ErrConfig, s.Liveness)
 	}
-	if s.Liveness > 0 && (s.Heartbeat <= 0 || 2*s.Heartbeat > s.Liveness) {
-		return fmt.Errorf("%w: a liveness window needs a heartbeat at most half as long (ClusterSpec.Heartbeat %v vs ClusterSpec.Liveness %v)", dist.ErrConfig, s.Heartbeat, s.Liveness)
+	if hb := s.withDefaults().Heartbeat; s.Liveness > 0 && 2*hb > s.Liveness {
+		return fmt.Errorf("%w: a liveness window needs a heartbeat at most half as long (ClusterSpec.Heartbeat %v vs ClusterSpec.Liveness %v)", dist.ErrConfig, hb, s.Liveness)
 	}
 	if s.DieAfter < 0 {
 		return fmt.Errorf("%w: injected-death frame count must be >= 0 (ClusterSpec.DieAfter, got %d)", dist.ErrConfig, s.DieAfter)
@@ -157,6 +154,9 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 	}
 	if s.MaxStandby == 0 {
 		s.MaxStandby = s.SpawnStandby
+	}
+	if s.Heartbeat == 0 {
+		s.Heartbeat = 500 * time.Millisecond
 	}
 	return s
 }
@@ -537,11 +537,9 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 func spawnCmd(path string, reexec bool, opt Options, args ...string) *exec.Cmd {
 	cmd := exec.Command(path, args...)
 	cmd.Stderr = opt.logWriter()
-	cmd.Env = os.Environ()
 	if reexec {
-		cmd.Env = append(cmd.Env, workerEnv+"=1")
+		cmd.Env = append(os.Environ(), workerEnv+"=1")
 	}
-	cmd.Env = append(cmd.Env, opt.Env...)
 	return cmd
 }
 
@@ -937,20 +935,21 @@ func (l *clusterLoop) handleMsg(e evMsg) {
 }
 
 // admissionFatal is the one rule for when a failed admission breaks the
-// cluster instead of leaving the slot to the next arrival: a one-shot
-// cluster that has never formed and advertises no join slots started
-// every worker it will ever have, so the run must fail promptly and
-// loudly, not limp to a join timeout. Everywhere else the control
-// address is a public door and a bad knock is the knocker's problem.
+// cluster instead of leaving the slot to the next arrival: a cluster
+// that has never formed and advertises no join slots is still waiting
+// on the workers it started itself, so a bad one must fail the run
+// promptly and loudly, not limp to a join timeout. Everywhere else the
+// control address is a public door and a bad knock is the knocker's
+// problem.
 func (l *clusterLoop) admissionFatal() bool {
-	return !l.c.spec.ReplaceDead && !l.everFormed && l.c.spec.Join == 0
+	return !l.everFormed && l.c.spec.Join == 0
 }
 
 // reject answers a failed admission with a typed KindError and drops
 // the connection.
 func (l *clusterLoop) reject(cs *connState, err error) {
 	_ = cs.send(dist.Frame{
-		Kind: dist.KindError, Seq: ctrlSeqHello, Payload: dist.EncodeErr(err),
+		Kind: dist.KindError, Seq: ctrlSeqCluster, Payload: dist.EncodeErr(err),
 	})
 	cs.phase = phaseDead
 	cs.conn.Close()
@@ -961,7 +960,7 @@ func (l *clusterLoop) reject(cs *connState, err error) {
 
 // handleFirstHello admits, parks, or rejects a connection on its first
 // frame, which must be a join hello: a config-less fresh worker's, or a
-// returning member's (helloJoin|helloHasDigest, naming the slot it held
+// returning member's (naming the slot, config digest and epoch it held
 // — often against a restarted supervisor). The cluster, not the worker,
 // assigns node ids, and the worker holds whatever config KindConf sends
 // it, so the build checks here and a returning member's digest are the
@@ -972,9 +971,6 @@ func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 		return
 	}
 	h, err := decodeHello(msg.Payload)
-	if err == nil && h.flags&helloJoin == 0 {
-		err = fmt.Errorf("%w: first hello is not a join hello (the cluster assigns node ids; start workers with -join)", dist.ErrHandshake)
-	}
 	if err == nil {
 		err = verifyJoinHello(h)
 	}
@@ -985,7 +981,7 @@ func (l *clusterLoop) handleFirstHello(cs *connState, msg dist.Frame) {
 		err = fmt.Errorf("%w: worker has seen supervisor epoch %d, this supervisor is epoch %d (stale supervisor)",
 			dist.ErrHandshake, h.epoch, l.epoch)
 	}
-	returning := err == nil && h.flags&helloHasDigest != 0
+	returning := err == nil && h.returning
 	if returning && h.digest != l.c.digest {
 		err = fmt.Errorf("%w: worker run-config digest %016x, supervisor's is %016x — the cluster would not agree on the run",
 			dist.ErrHandshake, h.digest, l.c.digest)
@@ -1036,7 +1032,7 @@ func (l *clusterLoop) fillSlot(id int) {
 // reach is dropped and the slot offered to the next standby.
 func (l *clusterLoop) admit(cs *connState, id int) {
 	err := cs.send(dist.Frame{
-		Kind: dist.KindConf, To: id, Seq: ctrlSeqConf, Payload: encodeConfFrame(id, l.epoch, l.c.raw),
+		Kind: dist.KindConf, To: id, Seq: ctrlSeqCluster, Payload: encodeConfFrame(id, l.epoch, l.c.raw),
 	})
 	if err != nil {
 		cs.phase = phaseDead
@@ -1129,10 +1125,10 @@ func (l *clusterLoop) handleExit(e evExit) {
 	}
 }
 
-// memberGone removes a dead member. Elastic clusters promote a
-// standby (or wait for a joiner) and the current job survives;
-// one-shot clusters fail the run and break, preserving the original
-// semantics.
+// memberGone removes a dead member and offers its slot to the next
+// parked standby, else to the next joiner. The current job waits for
+// the substitute; if none arrives within JoinTimeout the job fails with
+// ErrRecovering (handleTimeout) and the slot stays open for later.
 func (l *clusterLoop) memberGone(m *connState, cause error) {
 	if l.members[m.id] != m {
 		return // stale: the slot already moved on
@@ -1143,10 +1139,6 @@ func (l *clusterLoop) memberGone(m *connState, cause error) {
 	l.c.met.departs.Inc()
 	l.c.elog.Append("depart", m.id, cause.Error())
 	l.c.met.missing.Set(int64(l.missingCount()))
-	if !l.c.spec.ReplaceDead {
-		l.fatal(cause)
-		return
-	}
 	if l.cur != nil && l.cur.ready[m.id] {
 		l.cur.ready[m.id] = false
 		l.cur.addrs[m.id] = ""
@@ -1234,7 +1226,7 @@ func (l *clusterLoop) shipJob(m *connState) {
 // caller's shards into the one buffer and written, until the stream or
 // the job is over, and reports back.
 func (c *Cluster) shipRows(rs *runState, m *connState, st *rowStream) {
-	f := dist.Frame{Kind: dist.KindRows, To: m.id, Seq: ctrlSeqRows(rs.jobIdx)}
+	f := dist.Frame{Kind: dist.KindRows, To: m.id, Seq: ctrlSeqJob(rs.jobIdx)}
 	f.Chunks, _ = st.size(rowChunkBytes)
 	buf := make([]byte, 0, rowChunkHdr+rowChunkBytes)
 	var err error
@@ -1294,7 +1286,7 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 			m.worker[i].Add(*f)
 		}
 		_ = cs.send(dist.Frame{
-			Kind: dist.KindPing, To: cs.id, Seq: ctrlSeqPing, Payload: msg.Payload,
+			Kind: dist.KindPing, To: cs.id, Seq: ctrlSeqCluster, Payload: msg.Payload,
 		})
 	case dist.KindReady:
 		jobIdx, addr, err := decodeReady(msg.Payload)
@@ -1308,12 +1300,12 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 			l.broadcastPeers()
 		}
 	case dist.KindResult:
-		if l.cur == nil || msg.Seq != ctrlSeqResult(l.cur.jobIdx) || cs.id != 0 {
+		if l.cur == nil || msg.Seq != ctrlSeqJob(l.cur.jobIdx) || cs.id != 0 {
 			return
 		}
 		l.endJob(runReply{payload: msg.Payload, replacements: l.cur.replacements})
 	case dist.KindError:
-		if l.cur == nil || msg.Seq != ctrlSeqResult(l.cur.jobIdx) {
+		if l.cur == nil || msg.Seq != ctrlSeqJob(l.cur.jobIdx) {
 			return
 		}
 		l.failJob(dist.DecodeErr(cs.id, msg.Payload))
@@ -1321,20 +1313,18 @@ func (l *clusterLoop) handleMemberMsg(cs *connState, msg dist.Frame) {
 }
 
 // broadcastPeers ships the complete data-plane address table to every
-// member. Each broadcast gets a fresh epoch (and with it a fresh
-// control seq, so the reassembler's duplicate suppression cannot
-// swallow a re-broadcast): the first one starts the job, later ones
-// re-point the surviving peers at a substitute's fresh listener.
+// member, each broadcast at a fresh epoch: the first one starts the
+// job, later ones re-point the surviving peers at a substitute's fresh
+// listener.
 func (l *clusterLoop) broadcastPeers() {
 	rs := l.cur
 	payload := encodePeers(rs.jobIdx, rs.epoch, rs.addrs)
-	seq := ctrlSeqPeers(rs.jobIdx, rs.epoch)
 	rs.epoch++
 	for _, m := range l.members {
 		if m == nil {
 			continue
 		}
-		err := m.send(dist.Frame{Kind: dist.KindPeers, To: m.id, Seq: seq, Payload: payload})
+		err := m.send(dist.Frame{Kind: dist.KindPeers, To: m.id, Seq: ctrlSeqJob(rs.jobIdx), Payload: payload})
 		if err != nil {
 			l.memberGone(m, fmt.Errorf("proc: sending peers to worker %d: %w", m.id, err))
 			if l.cur == nil {
@@ -1374,7 +1364,7 @@ func (l *clusterLoop) jobDone(jobIdx int) {
 		if m == nil {
 			continue
 		}
-		err := m.send(dist.Frame{Kind: dist.KindJobDone, To: m.id, Seq: ctrlSeqDone(jobIdx)})
+		err := m.send(dist.Frame{Kind: dist.KindJobDone, To: m.id, Seq: ctrlSeqJob(jobIdx)})
 		if err != nil {
 			l.memberGone(m, fmt.Errorf("proc: finishing job on worker %d: %w", m.id, err))
 		}
@@ -1469,5 +1459,5 @@ func (l *clusterLoop) handleClose(e evClose) {
 
 // dismiss tells a connected worker the cluster is closing; it exits 0.
 func (l *clusterLoop) dismiss(cs *connState) {
-	_ = cs.send(dist.Frame{Kind: dist.KindShutdown, To: cs.id, Seq: ctrlSeqShutdown})
+	_ = cs.send(dist.Frame{Kind: dist.KindShutdown, To: cs.id, Seq: ctrlSeqCluster})
 }

@@ -21,12 +21,11 @@ import (
 )
 
 // elasticSpec is the base cluster shape of the replacement tests: four
-// nodes, one spawned standby parked for promotion, replacement on.
+// nodes and one spawned standby parked for promotion.
 func elasticSpec(cfg dist.Config) ClusterSpec {
 	return ClusterSpec{
 		Nodes:        4,
 		SpawnStandby: 1,
-		ReplaceDead:  true,
 		JoinTimeout:  30 * time.Second,
 		Config:       cfg,
 		Options:      quietOpts(),
@@ -129,6 +128,57 @@ func TestReduceReplacementEquivalence(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestDeadSlotRefilledAfterTimeout: a death is a membership event,
+// never a broken cluster. A zero-spec 2-node cluster with no standby
+// loses node 1 at its first data frame; the job nobody rescues fails
+// with ErrRecovering once JoinTimeout passes, a worker that joins later
+// takes the empty slot, and the next job returns the in-process
+// reference's bytes.
+func TestDeadSlotRefilledAfterTimeout(t *testing.T) {
+	const rows = 6000
+	keys, vals := workload.Keys(43, rows, 512), workload.Values64(47, rows, workload.MixedMag)
+	ref, err := dist.AggregateTuples([][]uint32{keys}, [][][]float64{{vals}}, 2, sumSpecs())
+	if err != nil {
+		t.Fatalf("in-process reference: %v", err)
+	}
+	want := dist.EncodeTupleGroups(ref, 1)
+
+	c, err := NewCluster(ClusterSpec{Nodes: 2, JoinTimeout: 2 * time.Second, DieNode: 1, DieAfter: 1,
+		Config: matrixConfig(), Options: quietOpts()})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	waitJoined(t, c, 2)
+	job := Job{Workers: 2, Specs: sumSpecs(), Source: RowShards(
+		[][]uint32{keys[:rows/2], keys[rows/2:]}, [][][]float64{{vals[:rows/2]}, {vals[rows/2:]}})}
+	if _, err := c.Run(job); !errors.Is(err, ErrRecovering) {
+		t.Fatalf("Run with a dead member and no substitute: %v, want ErrRecovering", err)
+	}
+
+	exit := make(chan int, 1)
+	go func() { exit <- WorkerMain([]string{"-join", c.Addr()}) }()
+	waitJoined(t, c, 3)
+	res, err := c.Run(job)
+	if err != nil {
+		t.Fatalf("Run after the slot was refilled: %v", err)
+	}
+	if !bytes.Equal(res.Payload, want) {
+		t.Error("result differs from the in-process reference")
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	select {
+	case code := <-exit:
+		if code != ExitOK {
+			t.Errorf("the late joiner exited %d, want %d", code, ExitOK)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("the late joiner did not exit after cluster close")
 	}
 }
 
@@ -425,9 +475,17 @@ func (r *rawJoinConn) expectRejection(want string) {
 	}
 }
 
+// joinHello is a fresh joiner's hello: this build, nothing else.
+func joinHello() hello {
+	return hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels), specver: specVersion}
+}
+
+// goodHello is a returning member's hello naming the given config
+// digest.
 func goodHello(digest uint64) hello {
-	return hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-		specver: specVersion, flags: helloHasDigest, digest: digest}
+	h := joinHello()
+	h.returning, h.digest = true, digest
+	return h
 }
 
 // waitJoined polls until the cluster has admitted n members.
@@ -444,29 +502,42 @@ func waitJoined(t *testing.T, c *Cluster, n int) {
 
 // TestJoinHandshakeRejection drives each verdict of the one admission
 // handshake through a hand-crafted TCP exchange and asserts the typed
-// KindError answer: a stale control-plane spec version, a returning
-// member holding another config than the one it would be sent, a
-// config-bearing first hello that is not a join hello, a returning
-// member fenced at a newer epoch than the supervisor's, a returning
-// member whose slot was taken (admitted, at the assigned slot), and a
-// joiner arriving with the cluster full and no standby capacity.
+// KindError answer: a stale control-plane spec version, a wrong frame
+// version, a wrong rsum level count, a returning member holding another
+// config than the one it would be sent, a returning member fenced at a
+// newer epoch than the supervisor's, a returning member whose slot was
+// taken (admitted, at the assigned slot), and a joiner arriving with
+// the cluster full and no standby capacity.
 func TestJoinHandshakeRejection(t *testing.T) {
-	t.Run("stale spec version", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
-			JoinTimeout: 30 * time.Second, Options: quietOpts()})
-		if err != nil {
-			t.Fatalf("NewCluster: %v", err)
-		}
-		defer c.Close()
-		r := dialRaw(t, c.Addr())
-		h := hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-			specver: specVersion - 1, flags: helloJoin}
-		r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello, Payload: encodeHello(h)})
-		r.expectRejection("control-plane spec")
-	})
+	// Each case corrupts one field of an encoded fresh join hello; the
+	// stale build is spec 11's fresh joiner, whose flags byte (2) this
+	// spec does not define — it must still be told it is stale.
+	for _, tc := range []struct {
+		name string
+		mut  func([]byte)
+		want string
+	}{
+		{"stale spec version", func(b []byte) { b[2], b[3] = specVersion-1, 2 }, "control-plane spec"},
+		{"wrong frame version", func(b []byte) { b[0]++ }, "frame version"},
+		{"wrong level count", func(b []byte) { b[1]++ }, "rsum levels"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1,
+				JoinTimeout: 30 * time.Second, Options: quietOpts()})
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			defer c.Close()
+			r := dialRaw(t, c.Addr())
+			b := encodeHello(joinHello())
+			tc.mut(b)
+			r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqCluster, Payload: b})
+			r.expectRejection(tc.want)
+		})
+	}
 
 	t.Run("wrong digest after conf", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
+		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1,
 			JoinTimeout: 30 * time.Second, Options: quietOpts()})
 		if err != nil {
 			t.Fatalf("NewCluster: %v", err)
@@ -475,27 +546,12 @@ func TestJoinHandshakeRejection(t *testing.T) {
 		// A returning member's join hello names the digest of the config
 		// it holds: the one digest check left in the handshake.
 		r := dialRaw(t, c.Addr())
-		h := goodHello(c.digest ^ 0xBAD)
-		h.flags = helloJoin | helloHasDigest
-		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
+		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqCluster, Payload: encodeHello(goodHello(c.digest ^ 0xBAD))})
 		r.expectRejection("digest")
 	})
 
-	t.Run("first hello without helloJoin", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
-			JoinTimeout: 30 * time.Second, Options: quietOpts()})
-		if err != nil {
-			t.Fatalf("NewCluster: %v", err)
-		}
-		defer c.Close()
-		r := dialRaw(t, c.Addr())
-		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqHello,
-			Payload: encodeHello(goodHello(c.digest))})
-		r.expectRejection("not a join hello")
-	})
-
 	t.Run("returning member from a newer epoch", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1, ReplaceDead: true,
+		c, err := NewCluster(ClusterSpec{Nodes: 1, Join: 1,
 			JoinTimeout: 30 * time.Second, Options: quietOpts()})
 		if err != nil {
 			t.Fatalf("NewCluster: %v", err)
@@ -503,15 +559,15 @@ func TestJoinHandshakeRejection(t *testing.T) {
 		defer c.Close()
 		r := dialRaw(t, c.Addr())
 		h := goodHello(c.digest)
-		h.flags, h.epoch = helloJoin|helloHasDigest, 5
-		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
+		h.epoch = 5
+		r.send(dist.Frame{Kind: dist.KindHello, From: 0, Seq: ctrlSeqCluster, Payload: encodeHello(h)})
 		r.expectRejection("stale supervisor")
 	})
 
 	// Not a rejection: a returning member whose recorded slot went to
 	// someone else meanwhile is handed — and adopts — the next free one.
 	t.Run("returning member's slot taken", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 2, Join: 2, ReplaceDead: true,
+		c, err := NewCluster(ClusterSpec{Nodes: 2, Join: 2,
 			JoinTimeout: 30 * time.Second, Options: quietOpts()})
 		if err != nil {
 			t.Fatalf("NewCluster: %v", err)
@@ -531,7 +587,7 @@ func TestJoinHandshakeRejection(t *testing.T) {
 	})
 
 	t.Run("cluster full", func(t *testing.T) {
-		c, err := NewCluster(ClusterSpec{Nodes: 1, ReplaceDead: true,
+		c, err := NewCluster(ClusterSpec{Nodes: 1,
 			JoinTimeout: 30 * time.Second, Options: quietOpts()})
 		if err != nil {
 			t.Fatalf("NewCluster: %v", err)
@@ -539,9 +595,7 @@ func TestJoinHandshakeRejection(t *testing.T) {
 		defer c.Close()
 		waitJoined(t, c, 1)
 		r := dialRaw(t, c.Addr())
-		join := hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-			specver: specVersion, flags: helloJoin}
-		r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello, Payload: encodeHello(join)})
+		r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqCluster, Payload: encodeHello(joinHello())})
 		r.expectRejection("cluster is full")
 	})
 }
@@ -557,9 +611,7 @@ func TestAdmissionIsOneHello(t *testing.T) {
 	}
 	defer c.Close()
 	r := dialRaw(t, c.Addr())
-	r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
-		Payload: encodeHello(hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-			specver: specVersion, flags: helloJoin})})
+	r.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqCluster, Payload: encodeHello(joinHello())})
 	conf := r.read()
 	if conf.Kind != dist.KindConf {
 		t.Fatalf("got kind %d, want KindConf", conf.Kind)
@@ -597,7 +649,7 @@ func TestLivenessReplacement(t *testing.T) {
 	}
 
 	c, err := NewCluster(ClusterSpec{
-		Nodes: 2, Join: 1, MaxStandby: 1, ReplaceDead: true,
+		Nodes: 2, Join: 1, MaxStandby: 1,
 		Heartbeat: 50 * time.Millisecond, Liveness: 400 * time.Millisecond,
 		JoinTimeout: 30 * time.Second,
 		Config:      matrixConfig(), Options: quietOpts(),
@@ -610,9 +662,7 @@ func TestLivenessReplacement(t *testing.T) {
 	// A fake member takes the join slot through the handshake and then
 	// never speaks again — no heartbeats, no ready.
 	fake := dialRaw(t, c.Addr())
-	fake.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
-		Payload: encodeHello(hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-			specver: specVersion, flags: helloJoin})})
+	fake.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqCluster, Payload: encodeHello(joinHello())})
 	if conf := fake.read(); conf.Kind != dist.KindConf {
 		t.Fatalf("got kind %d, want KindConf", conf.Kind)
 	}
@@ -667,7 +717,7 @@ func TestClusterSpecValidation(t *testing.T) {
 		{"negative join timeout", func(s *ClusterSpec) { s.JoinTimeout = -time.Second }, "ClusterSpec.JoinTimeout"},
 		{"negative heartbeat", func(s *ClusterSpec) { s.Heartbeat = -time.Second }, "ClusterSpec.Heartbeat"},
 		{"negative liveness", func(s *ClusterSpec) { s.Liveness = -time.Second }, "ClusterSpec.Liveness"},
-		{"liveness without heartbeat", func(s *ClusterSpec) { s.Liveness = time.Second }, "ClusterSpec.Heartbeat"},
+		{"liveness shorter than two default heartbeats", func(s *ClusterSpec) { s.Liveness = 900 * time.Millisecond }, "ClusterSpec.Heartbeat"},
 		{"liveness tighter than two heartbeats", func(s *ClusterSpec) {
 			s.Heartbeat, s.Liveness = 600*time.Millisecond, time.Second
 		}, "ClusterSpec.Liveness"},

@@ -81,7 +81,7 @@ func supervisorMain() int {
 	cfg := matrixConfig()
 	cfg.MaxChunkPayload = 2048
 	c, err := NewCluster(ClusterSpec{
-		Nodes: 3, ReplaceDead: true,
+		Nodes:       3,
 		JoinTimeout: 60 * time.Second,
 		Journal:     dir,
 		Config:      cfg,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"os"
 	"reflect"
 	"strings"
@@ -20,12 +21,14 @@ import (
 
 // TestMain arms the re-execution paths: when the test binary is
 // spawned by a supervisor with the worker marker set it becomes a
-// cluster worker, and when spawned by the failover test with the
-// supervisor marker set it becomes a journaled supervisor, instead of
-// running the tests.
+// cluster worker, when spawned by the failover test with the
+// supervisor marker set it becomes a journaled supervisor, and when
+// spawned as REPROWORKER_BIN with impostorEnv set it becomes an
+// impostor worker, instead of running the tests.
 func TestMain(m *testing.M) {
 	MaybeWorkerMain()
 	maybeSupervisorMain()
+	maybeImpostorMain()
 	os.Exit(m.Run())
 }
 
@@ -241,26 +244,62 @@ func TestProcKillReconnectEquivalence(t *testing.T) {
 	}
 }
 
+// impostorEnv turns a spawned test binary into an impostor worker: it
+// joins the supervisor named by its -join argument with a hello whose
+// frame version ("version") or rsum level count ("levels") is not this
+// build's, and exits with the worker's rejection code. A worker binary
+// announces only what it was built with, so a mismatched build is
+// played by the test, not configured into the worker.
+const impostorEnv = "REPRO_TEST_IMPOSTOR"
+
+func maybeImpostorMain() {
+	what := os.Getenv(impostorEnv)
+	if what == "" {
+		return
+	}
+	h := joinHello()
+	if what == "version" {
+		h.version++
+	} else {
+		h.levels++
+	}
+	conn, err := net.DialTimeout("tcp", os.Args[len(os.Args)-1], 10*time.Second)
+	if err != nil {
+		os.Exit(ExitFailure)
+	}
+	c := newCtlConn(conn, 0)
+	_ = c.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqCluster, Payload: encodeHello(h)})
+	if msg, err := c.read(); err == nil && msg.Kind == dist.KindError {
+		os.Exit(ExitHandshake)
+	}
+	os.Exit(ExitFailure)
+}
+
 // TestHandshakeRejection drives each mismatch through the real spawn
-// and join machinery (the env hooks force the worker's hello fields)
-// and asserts the run fails with the typed wire error naming the
-// disagreement.
+// and join machinery — the spawned workers are impostors (this test
+// binary as REPROWORKER_BIN, see impostorEnv), whatever worker binary
+// the environment names — and asserts the run fails fast with the
+// typed wire error naming the disagreement.
 func TestHandshakeRejection(t *testing.T) {
 	vals := workload.Values64(29, 1000, workload.MixedMag)
 	shards := shardFloats(vals, 2)
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		env  []string
+		what string
 		want string
 	}{
-		{"wrong frame version", []string{envHelloVersion + "=9"}, "frame version"},
-		{"wrong level count", []string{envHelloLevels + "=7"}, "rsum levels"},
+		{"wrong frame version", "version", "frame version"},
+		{"wrong level count", "levels", "rsum levels"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := quietOpts()
-			opt.Env = tc.env
-			_, err := Reduce(shards, 1, matrixConfig(), opt)
+			t.Setenv("REPROWORKER_BIN", exe)
+			t.Setenv(impostorEnv, tc.what)
+			_, err := Reduce(shards, 1, matrixConfig(), quietOpts())
 			if !errors.Is(err, dist.ErrHandshake) {
 				t.Fatalf("err = %v, want ErrHandshake", err)
 			}
@@ -408,7 +447,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Error("zero-column job decoded without error")
 	}
 
-	h := hello{version: 2, levels: 2, specver: specVersion, flags: helloHasDigest, digest: 0xABCDEF}
+	h := hello{version: 2, levels: 2, specver: specVersion, returning: true, digest: 0xABCDEF, epoch: 3}
 	hb := encodeHello(h)
 	hback, err := decodeHello(hb)
 	if err != nil {
@@ -420,10 +459,14 @@ func TestSpecRoundTrip(t *testing.T) {
 	if _, err := decodeHello(hb[:5]); err == nil {
 		t.Error("truncated hello decoded without error")
 	}
-	noFlags := append([]byte(nil), hb...)
-	noFlags[3] = 0
-	if _, err := decodeHello(noFlags); err == nil {
-		t.Error("flag-less hello decoded without error")
+	badFlags := append([]byte(nil), hb...)
+	badFlags[3] = 2 // spec 11's fresh-join flag; this spec defines only "returning"
+	if _, err := decodeHello(badFlags); err == nil {
+		t.Error("hello with an undefined flag decoded without error")
+	}
+	badFlags[2] = specVersion - 1
+	if _, err := decodeHello(badFlags); !errors.Is(err, dist.ErrHandshake) || !strings.Contains(err.Error(), "control-plane spec") {
+		t.Errorf("stale hello: %v, want an ErrHandshake naming the spec version before the flags", err)
 	}
 
 	rb := encodeReady(7, "10.1.2.3:4567")
@@ -535,11 +578,11 @@ func FuzzControlDecode(f *testing.F) {
 		{op: opReduce, workers: 1, rows: 100, ncols: 1},
 		{jobIdx: 1, op: opReduce, workers: 2, rows: 12345, ncols: 1},
 	}
-	conf := encodeConf(clusterConf{N: 3, MaxChunkPayload: 4096, KillNode: -1, DieNode: -1,
+	conf := encodeConf(clusterConf{N: 3, MaxChunkPayload: 4096, Heartbeat: 500 * time.Millisecond, KillNode: -1, DieNode: -1,
 		Faults: dist.FaultPlan{Seed: 42, DropProb: 0.25, Reorder: true}})
 	valid := map[string][][]byte{
 		"conf":             {conf},
-		"hello":            {encodeHello(hello{version: 2, levels: 2, specver: specVersion, flags: helloHasDigest | helloJoin, digest: 0xABCDEF, epoch: 3})},
+		"hello":            {encodeHello(hello{version: 2, levels: 2, specver: specVersion, returning: true, digest: 0xABCDEF, epoch: 3})},
 		"ping":             {encodePingStats(pingStats{sentNanos: 5, rttNanos: 7, nonce: 3, wire: dist.WireStats{FramesOut: 9, ReassemblyRejects: 1}})},
 		"conf frame":       {encodeConfFrame(4, 9, conf)},
 		"ready":            {encodeReady(7, "10.1.2.3:4567")},

@@ -344,7 +344,7 @@ func TestRowSinkRejections(t *testing.T) {
 		go func() {
 			w := newCtlConn(a, 0)
 			for _, f := range sent {
-				f.Seq = ctrlSeqRows(4)
+				f.Seq = ctrlSeqJob(4)
 				if w.send(f) != nil {
 					return
 				}
@@ -377,16 +377,15 @@ func TestRowSinkRejections(t *testing.T) {
 // TestCtlConnRepeatedStream: a control connection remembers no
 // completed stream, so every message arrives however many share a
 // (from, seq) stream. Here two job specs do — a single-frame one and a
-// chunked one whose job index wrapped the seq space, ctrlSeqJob(1<<24)
-// being ctrlSeqJob(0) — and a shutdown follows them.
+// chunked one, both on job 0's stream id — and a shutdown follows them.
 func TestCtlConnRepeatedStream(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	sent := []dist.Frame{
 		{Kind: dist.KindJob, Seq: ctrlSeqJob(0), Payload: []byte{1}},
-		{Kind: dist.KindJob, Seq: ctrlSeqJob(1 << 24), Payload: bytes.Repeat([]byte{2}, 100)},
-		{Kind: dist.KindShutdown, Seq: ctrlSeqShutdown},
+		{Kind: dist.KindJob, Seq: ctrlSeqJob(0), Payload: bytes.Repeat([]byte{2}, 100)},
+		{Kind: dist.KindShutdown, Seq: ctrlSeqCluster},
 	}
 	go func() {
 		w := newCtlConn(a, 16) // the second job spec crosses as 7 chunks
@@ -615,7 +614,7 @@ func TestDispatchCopyCount(t *testing.T) {
 // what the loop makes of the shipper's report.
 func handLoop(n int) *clusterLoop {
 	c := &Cluster{
-		spec:   ClusterSpec{Nodes: n, ReplaceDead: true, JoinTimeout: time.Second},
+		spec:   ClusterSpec{Nodes: n, JoinTimeout: time.Second},
 		events: make(chan event, 16),
 		done:   make(chan struct{}),
 		elog:   obs.NewEventLog(16),
@@ -719,7 +718,7 @@ func TestRowStreamHangupReplacement(t *testing.T) {
 	}
 	want := dist.EncodeTupleGroups(ref, 1)
 
-	c, err := NewCluster(ClusterSpec{Nodes: 2, Join: 2, MaxStandby: 1, ReplaceDead: true,
+	c, err := NewCluster(ClusterSpec{Nodes: 2, Join: 2, MaxStandby: 1,
 		JoinTimeout: 30 * time.Second, Options: quietOpts()})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -729,9 +728,7 @@ func TestRowStreamHangupReplacement(t *testing.T) {
 	// The fake takes a slot through the real handshake, then reads its
 	// job spec and two row chunks and hangs up.
 	fake := dialRaw(t, c.Addr())
-	fake.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqHello,
-		Payload: encodeHello(hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels),
-			specver: specVersion, flags: helloJoin})})
+	fake.send(dist.Frame{Kind: dist.KindHello, From: -1, Seq: ctrlSeqCluster, Payload: encodeHello(joinHello())})
 	if conf := fake.read(); conf.Kind != dist.KindConf {
 		t.Fatalf("got kind %d, want KindConf", conf.Kind)
 	}

@@ -54,8 +54,13 @@ const (
 // byte as the row count's first byte. Version 11 = admission is one
 // hello: a joiner is a member once it is sent KindConf and answers
 // with no second, digested hello; a 10 supervisor would wait for that
-// hello from an 11 worker until its join timeout.
-const specVersion = 11
+// hello from an 11 worker until its join timeout. Version 12 = every
+// first frame is a join hello, so the hello's flags byte says only
+// whether the worker is returning, and the control plane uses one
+// stream id per job plus one for the cluster's lifetime; an 11 worker's
+// fresh-join flag reads as an invalid flags byte, which is why the
+// hello's decoder checks the spec version first.
+const specVersion = 12
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -81,9 +86,9 @@ type clusterConf struct {
 	ChildDeadline    time.Duration
 	MaxResend        int
 
-	// Heartbeat is the workers' control-plane ping interval (0 = no
-	// heartbeats); Liveness is how long the supervisor lets a member
-	// stay silent before declaring it dead (0 = conn errors only).
+	// Heartbeat is the workers' control-plane ping interval (> 0);
+	// Liveness is how long the supervisor lets a member stay silent
+	// before declaring it dead (0 = conn errors only).
 	Heartbeat time.Duration
 	Liveness  time.Duration
 
@@ -240,8 +245,8 @@ func decodeConf(raw []byte) (clusterConf, error) {
 	if err := r.done(); err != nil {
 		return c, err
 	}
-	if c.N < 1 {
-		return c, fmt.Errorf("proc: cluster config declares %d nodes", c.N)
+	if c.N < 1 || c.Heartbeat <= 0 {
+		return c, fmt.Errorf("proc: cluster config declares %d nodes and a %v heartbeat", c.N, c.Heartbeat)
 	}
 	return c, nil
 }
@@ -257,55 +262,27 @@ func confDigest(raw []byte) uint64 {
 }
 
 // Control-plane stream ids (Frame.Seq). The control connection is a
-// dedicated reliable TCP stream per worker: its reader reassembles
-// chunked messages but remembers no completed stream (ctlConn.read),
-// so a stream id may carry any number of messages, and a job index
-// past the id space (ctrlSeqJob wraps at 2^24) loses none. The ids
-// name what a message is: cluster-lifetime streams get the low ids,
-// each job a block of ids, and each KindPeers epoch its own id within
-// the block.
-const (
-	ctrlSeqHello uint32 = iota
-	ctrlSeqConf
-	ctrlSeqPing
-	ctrlSeqShutdown
-	ctrlSeqRejoin // a worker's join hello
+// dedicated reliable TCP stream per worker, a message's chunks are
+// written back to back (ctlConn.send), and its reader remembers no
+// completed stream (ctlConn.read), so a stream id may carry any number
+// of messages. The ids therefore only name what a message belongs to:
+// cluster-lifetime messages (hello, conf, ping, shutdown, admission
+// errors) share ctrlSeqCluster, and every message of a job — its spec,
+// rows, ready, peers, result or error, and done — that job's id.
+const ctrlSeqCluster uint32 = 0
 
-	ctrlSeqJobBase   uint32 = 1 << 16
-	ctrlSeqJobStride uint32 = 1 << 8
-	ctrlSeqPeersOff  uint32 = 16
-)
+func ctrlSeqJob(jobIdx int) uint32 { return 1 + uint32(jobIdx) }
 
-func ctrlSeqJob(jobIdx int) uint32    { return ctrlSeqJobBase + uint32(jobIdx)*ctrlSeqJobStride }
-func ctrlSeqReady(jobIdx int) uint32  { return ctrlSeqJob(jobIdx) + 1 }
-func ctrlSeqResult(jobIdx int) uint32 { return ctrlSeqJob(jobIdx) + 2 }
-func ctrlSeqDone(jobIdx int) uint32   { return ctrlSeqJob(jobIdx) + 3 }
-func ctrlSeqRows(jobIdx int) uint32   { return ctrlSeqJob(jobIdx) + 4 }
-func ctrlSeqPeers(jobIdx, epoch int) uint32 {
-	return ctrlSeqJob(jobIdx) + ctrlSeqPeersOff + uint32(epoch)%(ctrlSeqJobStride-ctrlSeqPeersOff)
-}
-
-// Hello flags.
-const (
-	// helloHasDigest marks a returning member's hello: the worker holds
-	// the cluster config it was last sent and its digest field is
-	// meaningful.
-	helloHasDigest byte = 1 << iota
-	// helloJoin marks a connection's first hello: requesting admission
-	// (the supervisor answers with KindConf). Alone it is a fresh worker
-	// with no config yet; with helloHasDigest, a returning member naming
-	// the slot, config and epoch it held.
-	helloJoin
-)
-
-// hello is the decoded KindHello payload.
+// hello is the decoded KindHello payload, a connection's first frame:
+// the worker's build, and for a returning member the config and epoch
+// it held.
 type hello struct {
-	version byte   // frame codec version the worker speaks
-	levels  byte   // rsum summation level count compiled into the worker
-	specver byte   // control-plane spec version the worker speaks
-	flags   byte   // helloHasDigest | helloJoin
-	digest  uint64 // confDigest of the worker's cluster config (returning member)
-	epoch   uint64 // last supervisor epoch the worker attached to (0 = none)
+	version   byte   // frame codec version the worker speaks
+	levels    byte   // rsum summation level count compiled into the worker
+	specver   byte   // control-plane spec version the worker speaks
+	returning bool   // the worker holds the cluster config it was last sent
+	digest    uint64 // confDigest of that config (returning member)
+	epoch     uint64 // last supervisor epoch the worker attached to (0 = none)
 }
 
 // encodeHello flattens the join handshake payload:
@@ -314,30 +291,28 @@ type hello struct {
 //	0       1     frame codec version
 //	1       1     rsum level count
 //	2       1     control-plane spec version
-//	3       1     flags (helloHasDigest | helloJoin)
-//	4       8     run-config digest (FNV-64a; zero unless helloHasDigest)
+//	3       1     flags: 1 = returning member, else 0
+//	4       8     run-config digest (FNV-64a; zero unless returning)
 //	12      8     supervisor fencing epoch the worker last attached to
 func encodeHello(h hello) []byte {
-	b := make([]byte, 0, 20)
-	b = append(b, h.version, h.levels, h.specver, h.flags)
+	b := append(make([]byte, 0, 20), h.version, h.levels, h.specver)
+	b = appendBool(b, h.returning)
 	b = appendU64(b, h.digest)
 	return appendU64(b, h.epoch)
 }
 
-// decodeHello inverts encodeHello.
+// decodeHello inverts encodeHello. The spec version is checked before
+// anything after it is read: a build speaking another version is told
+// so, whatever its remaining bytes mean.
 func decodeHello(payload []byte) (hello, error) {
 	r := &confReader{b: payload, what: "hello"}
-	h := hello{
-		version: r.byteVal(), levels: r.byteVal(), specver: r.byteVal(), flags: r.byteVal(),
-		digest: r.u64(), epoch: r.u64(),
+	h := hello{version: r.byteVal(), levels: r.byteVal(), specver: r.byteVal()}
+	if r.err == nil && h.specver != specVersion {
+		return h, fmt.Errorf("%w: worker speaks control-plane spec v%d, supervisor speaks v%d",
+			dist.ErrHandshake, h.specver, specVersion)
 	}
-	if err := r.done(); err != nil {
-		return h, err
-	}
-	if h.flags&(helloHasDigest|helloJoin) == 0 || h.flags&^(helloHasDigest|helloJoin) != 0 {
-		return h, fmt.Errorf("proc: hello carries invalid flags %#x", h.flags)
-	}
-	return h, nil
+	h.returning, h.digest, h.epoch = r.flag(), r.u64(), r.u64()
+	return h, r.done()
 }
 
 // pingStats is the decoded KindPing payload. A heartbeat doubles as

@@ -27,7 +27,7 @@ func handMember(t *testing.T, l *clusterLoop, id int) *connState {
 // ping feeds the loop one heartbeat from cs: the worker process nonce
 // reporting framesOut data-plane frames written since it started.
 func ping(l *clusterLoop, cs *connState, nonce, framesOut uint64) {
-	l.handleMemberMsg(cs, dist.Frame{Kind: dist.KindPing, From: cs.id, Seq: ctrlSeqPing,
+	l.handleMemberMsg(cs, dist.Frame{Kind: dist.KindPing, From: cs.id, Seq: ctrlSeqCluster,
 		Payload: encodePingStats(pingStats{sentNanos: 1, nonce: nonce, wire: dist.WireStats{FramesOut: framesOut}})})
 }
 
@@ -73,6 +73,28 @@ func snake(name string) string {
 		b.WriteRune(r)
 	}
 	return b.String()
+}
+
+// TestZeroSpecHeartbeats: a spec that sets no Heartbeat pings at the
+// default interval, so after a job Stats reports heartbeats and the
+// workers' wire counters instead of zeros.
+func TestZeroSpecHeartbeats(t *testing.T) {
+	c, err := NewCluster(ClusterSpec{Nodes: 2, JoinTimeout: 30 * time.Second, Options: quietOpts()})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	keys, cols := dealtRows(4096, 2)
+	if _, err := c.Run(Job{Specs: twoColSpecs(), Source: RowShards(keys, cols)}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := c.Stats(); st.Heartbeats < 1 || st.Worker.FramesOut == 0; st = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats %+v 10s after a job; want Heartbeats >= 1 and Worker.FramesOut > 0", st)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // TestClusterStatsView: ClusterStats is a view of the cluster's own

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,10 +25,11 @@ import (
 // nothing but the control address (-join), and then:
 //
 //  1. dials it and attaches through the one admission handshake: a join
-//     hello announcing its build (plus id, config digest and fencing
-//     epoch when it is a returning member), answered by KindConf with
-//     the cluster config and its node slot — from then on it is a
-//     member,
+//     hello announcing its build — nothing but what it was compiled
+//     with, plus id, config digest and fencing epoch when it is a
+//     returning member — answered by KindConf with the cluster config
+//     and its node slot; from then on it is a member, and pings the
+//     supervisor with its wire counters every conf.Heartbeat,
 //  2. waits for KindJob: the operation, its shape, and the count and
 //     width of this node's rows, which it charges against the
 //     connection's budget, takes from the last job's memory (jobMemory)
@@ -57,19 +57,6 @@ import (
 // explicit reproworker binary is configured). MaybeWorkerMain checks
 // it; cmd/reproworker needs no marker.
 const workerEnv = "REPRO_WORKER_PROCESS"
-
-// Test hooks: REPROWORKER_HELLO_VERSION and REPROWORKER_HELLO_LEVELS
-// override the corresponding KindHello fields, so the handshake
-// rejection paths are exercised through the real spawn, dial, and
-// reject machinery rather than a mocked frame. They are honored
-// only in re-exec-spawned workers (workerEnv set, the mode tests use):
-// the standalone reproworker binary must announce what it actually
-// speaks, and a hook variable stray in an operator's shell must not
-// mysteriously fail (or worse, falsify) production handshakes.
-const (
-	envHelloVersion = "REPROWORKER_HELLO_VERSION"
-	envHelloLevels  = "REPROWORKER_HELLO_LEVELS"
-)
 
 // Worker process exit codes. They are part of cmd/reproworker's
 // contract: an operator's init system can tell a rejected join (wrong
@@ -194,26 +181,6 @@ func WorkerMain(args []string) int {
 		return ExitFailure
 	}
 	return ExitOK
-}
-
-// helloFields builds this worker's build fields, honoring the test
-// hooks that force mismatches.
-func helloFields() (version, levels byte) {
-	version, levels = dist.FrameVersion, byte(core.DefaultLevels)
-	if os.Getenv(workerEnv) == "" {
-		return version, levels // standalone binary: no hooks
-	}
-	if v := os.Getenv(envHelloVersion); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			version = byte(n)
-		}
-	}
-	if v := os.Getenv(envHelloLevels); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			levels = byte(n)
-		}
-	}
-	return version, levels
 }
 
 // ctlConn is one control connection, at either end. One goroutine owns
@@ -424,12 +391,11 @@ func runJoiner(control, advertise string, window time.Duration) error {
 // the cluster shut down while the worker was parked.
 func (s *workerSession) attach(cc net.Conn) (*ctlConn, error) {
 	c := newCtlConn(cc, s.conf.MaxChunkPayload)
-	version, levels := helloFields()
-	h := hello{version: version, levels: levels, specver: specVersion, flags: helloJoin}
+	h := hello{version: dist.FrameVersion, levels: byte(core.DefaultLevels), specver: specVersion}
 	if s.id >= 0 {
-		h.flags, h.digest, h.epoch = helloJoin|helloHasDigest, confDigest(s.raw), s.epoch
+		h.returning, h.digest, h.epoch = true, confDigest(s.raw), s.epoch
 	}
-	err := c.send(dist.Frame{Kind: dist.KindHello, From: s.id, Seq: ctrlSeqRejoin, Payload: encodeHello(h)})
+	err := c.send(dist.Frame{Kind: dist.KindHello, From: s.id, Seq: ctrlSeqCluster, Payload: encodeHello(h)})
 	if err != nil {
 		return nil, fmt.Errorf("%w: sending join hello: %v", errCtlLost, err)
 	}
@@ -502,35 +468,33 @@ func (j *workerJob) stop() *jobMemory {
 // attach instead of exit.
 func (s *workerSession) serve(c *ctlConn) error {
 	id, conf := s.id, s.conf
-	if conf.Heartbeat > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			t := time.NewTicker(conf.Heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					// A failed ping is not this goroutine's problem: the
-					// read loop sees the connection die and ends the worker.
-					// The payload doubles as the worker's telemetry report:
-					// wire counters, this process's nonce, and the RTT
-					// measured from the supervisor's previous pong echo.
-					_ = c.send(dist.Frame{
-						Kind: dist.KindPing, From: id, Seq: ctrlSeqPing,
-						Payload: encodePingStats(pingStats{
-							sentNanos: time.Now().UnixNano(),
-							rttNanos:  s.lastRTT.Load(),
-							nonce:     processNonce,
-							wire:      dist.ReadWireStats(),
-						}),
-					})
-				case <-stop:
-					return
-				}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		t := time.NewTicker(conf.Heartbeat)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				// A failed ping is not this goroutine's problem: the
+				// read loop sees the connection die and ends the worker.
+				// The payload doubles as the worker's telemetry report:
+				// wire counters, this process's nonce, and the RTT
+				// measured from the supervisor's previous pong echo.
+				_ = c.send(dist.Frame{
+					Kind: dist.KindPing, From: id, Seq: ctrlSeqCluster,
+					Payload: encodePingStats(pingStats{
+						sentNanos: time.Now().UnixNano(),
+						rttNanos:  s.lastRTT.Load(),
+						nonce:     processNonce,
+						wire:      dist.ReadWireStats(),
+					}),
+				})
+			case <-stop:
+				return
 			}
-		}()
-	}
+		}
+	}()
 
 	var cur *workerJob
 	defer func() {
@@ -574,21 +538,20 @@ func (s *workerSession) serve(c *ctlConn) error {
 			}
 			js, err := decodeJobSpec(msg.Payload)
 			if err != nil {
-				// The payload still carries which job it was in its
-				// control seq; answer there so the supervisor can fail
-				// the right job instead of hitting a timeout.
-				jobIdx := int((msg.Seq - ctrlSeqJobBase) / ctrlSeqJobStride)
-				reportErr(c, id, jobIdx, err)
+				// The frame still names its job by its control seq;
+				// answer there so the supervisor can fail the right job
+				// instead of hitting a timeout.
+				reportErr(c, id, msg.Seq, err)
 				continue
 			}
 			job, announce, err := prepareJob(c.conn, id, conf, js, s.advertise, s.mem)
 			if err != nil {
-				reportErr(c, id, js.jobIdx, err)
+				reportErr(c, id, ctrlSeqJob(js.jobIdx), err)
 				continue
 			}
 			cur, s.mem = job, nil
 			err = c.send(dist.Frame{
-				Kind: dist.KindReady, From: id, Seq: ctrlSeqReady(js.jobIdx),
+				Kind: dist.KindReady, From: id, Seq: ctrlSeqJob(js.jobIdx),
 				Payload: encodeReady(js.jobIdx, announce),
 			})
 			if err != nil {
@@ -599,7 +562,7 @@ func (s *workerSession) serve(c *ctlConn) error {
 				continue // straggler of a job this worker is done with
 			}
 			if err := cur.sink.accept(msg); err != nil {
-				reportErr(c, id, cur.spec.jobIdx, err)
+				reportErr(c, id, ctrlSeqJob(cur.spec.jobIdx), err)
 				s.mem, cur = cur.stop(), nil
 				continue
 			}
@@ -624,11 +587,11 @@ func (s *workerSession) serve(c *ctlConn) error {
 }
 
 // reportErr announces a job-scoped failure to the supervisor on the
-// job's result stream. Send failures are ignored: a dead control
+// job's stream id, seq. Send failures are ignored: a dead control
 // connection surfaces in the read loop.
-func reportErr(c *ctlConn, id, jobIdx int, err error) {
+func reportErr(c *ctlConn, id int, seq uint32, err error) {
 	_ = c.send(dist.Frame{
-		Kind: dist.KindError, From: id, Seq: ctrlSeqResult(jobIdx),
+		Kind: dist.KindError, From: id, Seq: seq,
 		Payload: dist.EncodeErr(err),
 	})
 }
@@ -750,12 +713,12 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 			return // deliberate teardown (job done, shutdown, next job)
 		}
 		if err != nil {
-			reportErr(c, id, js.jobIdx, err)
+			reportErr(c, id, ctrlSeqJob(js.jobIdx), err)
 			return
 		}
 		if id == 0 {
 			_ = c.send(dist.Frame{
-				Kind: dist.KindResult, From: id, Seq: ctrlSeqResult(js.jobIdx),
+				Kind: dist.KindResult, From: id, Seq: ctrlSeqJob(js.jobIdx),
 				Payload: payload,
 			})
 		}

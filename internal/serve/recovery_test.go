@@ -24,7 +24,7 @@ func TestMain(m *testing.M) {
 // while queries that never touch the cluster keep serving.
 func TestClusterRecoveryDegradation(t *testing.T) {
 	dir := t.TempDir()
-	spec := proc.ClusterSpec{Nodes: 1, ReplaceDead: true, Journal: dir}
+	spec := proc.ClusterSpec{Nodes: 1, Journal: dir}
 	c1, err := proc.NewCluster(spec)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
