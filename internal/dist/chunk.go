@@ -13,8 +13,7 @@ import "fmt"
 
 // DefaultChunkPayload is the chunk payload size used when Config leaves
 // MaxChunkPayload zero: the codec's frame ceiling, so every payload
-// that fit in one wire frame before chunking existed still travels as
-// exactly one frame.
+// that fits in one wire frame travels as exactly one frame.
 const DefaultChunkPayload = MaxFramePayload
 
 // DefaultReassemblyBudget bounds the bytes a node buffers for
@@ -24,7 +23,7 @@ const DefaultReassemblyBudget = 1 << 30
 
 // SplitFrame splits one logical frame into its wire chunks: every chunk
 // carries at most maxChunk payload bytes, all but the last exactly
-// maxChunk (the uniform stride the reassembler enforces); maxChunk <= 0
+// maxChunk (the stride the reassembler enforces); maxChunk <= 0
 // or above the frame ceiling selects DefaultChunkPayload. Payloads
 // alias f.Payload (no copying — the in-process transport stays
 // zero-copy). An empty payload yields one empty chunk, so receivers can
@@ -51,62 +50,58 @@ func SplitFrame(f Frame, maxChunk int) []Frame {
 }
 
 // partialMsg is one incoming logical message mid-reassembly. Chunks are
-// written in place into one contiguous buffer at chunk-index × stride,
-// with an arrival bitmap for dedup — one copy per chunk and no per-chunk
-// map churn, versus the old map[uint32][]byte plus a second copy in a
-// final concatenation.
-//
-// The stride is learned from the first non-final chunk to arrive: our
-// SplitFrame makes every chunk except the last exactly the chunk
-// payload, and the reassembler enforces that shape at the trust
-// boundary (ChanTransport frames bypass the wire decoder). A final
-// chunk arriving before any non-final one is stashed until the stride
-// is known.
+// written in place into one contiguous buffer at chunk index × stride,
+// with an arrival bitmap for dedup: one copy per chunk.
 type partialMsg struct {
 	kind    byte
 	total   uint32   // declared chunk count (≥ 2; 1-chunk messages take the fast path)
-	stride  int      // payload bytes of every non-final chunk; 0 until one arrives
-	buf     []byte   // contiguous reassembly buffer, len stride×total, nil until stride known
-	last    []byte   // final chunk stashed before the stride is known (aliases the frame)
+	buf     []byte   // contiguous reassembly buffer, len stride × total
 	lastLen int      // payload bytes of the final chunk; −1 until it arrives
-	arrived []uint64 // arrival bitmap by chunk index, nil until stride known
+	arrived []uint64 // arrival bitmap by chunk index
 	n       int      // distinct chunks arrived
-	bytes   int      // bytes charged against the budget: the stash, then the whole buffer
 }
 
 // Reassembler rebuilds logical messages from chunk streams on one
-// receive path — a node's data plane, or one control connection of the
-// multi-process runtime, so chunked job specs and results obey the same
-// trust-boundary rules as data-plane traffic. Not safe for concurrent
-// use. It writes out-of-order chunks in place into one
-// contiguous per-message buffer (see partialMsg), deduplicates per
-// chunk (a retransmitted or fault-duplicated chunk is absorbed exactly
-// once), remembers completed messages so whole-message retransmissions
-// are swallowed (this subsumes the pre-chunking per-message dedup), and
-// enforces a total byte budget across all incomplete messages so a
-// hostile peer cannot OOM the node. The budget bounds ALLOCATED
-// reassembly memory, not merely arrived bytes: a stream's whole
-// contiguous buffer (stride × declared chunk count) is charged when it
-// is allocated, so many barely-started streams with huge declared
-// counts cannot allocate past the budget, and the per-stream arrival
-// bitmap stays proportional to the budget (chunk count ≤ buffer size).
-// It revalidates chunk headers itself: frames arriving by reference
-// through ChanTransport never pass the wire decoder.
+// node's data plane. Not safe for concurrent use. Every sender of a run
+// splits at the run's one chunk payload (SplitFrame at
+// Config.MaxChunkPayload), so the reassembler knows a message's shape
+// from whichever of its chunks arrives first: every non-final chunk is
+// exactly the stride, the final one non-empty and at most the stride.
+// It writes out-of-order chunks in place into one contiguous
+// per-message buffer (see partialMsg), deduplicates per chunk (a
+// retransmitted or fault-duplicated chunk is absorbed exactly once),
+// remembers completed messages so whole-message retransmissions are
+// swallowed, and enforces a total byte budget across all incomplete
+// messages so a hostile peer cannot OOM the node. The budget bounds
+// ALLOCATED reassembly memory, not merely arrived bytes: a stream's
+// whole buffer (stride × declared chunk count) is charged when its
+// first chunk allocates it, so many barely-started streams with huge
+// declared counts cannot allocate past the budget, and the per-stream
+// arrival bitmap stays proportional to the budget (chunk count ≤
+// buffer size). It revalidates chunk headers itself: frames arriving
+// by reference through ChanTransport never pass the wire decoder.
 type Reassembler struct {
 	budget  int
+	stride  int
 	used    int
 	partial map[uint64]*partialMsg // keyed by dedupKey(From, Seq)
 	done    dedup
 }
 
-// NewReassembler returns an empty reassembler; budget <= 0 selects
+// NewReassembler returns an empty reassembler for chunks split at
+// stride (as SplitFrame reads it: <= 0 or above the frame ceiling
+// selects DefaultChunkPayload); budget <= 0 selects
 // DefaultReassemblyBudget.
-func NewReassembler(budget int) *Reassembler {
+func NewReassembler(budget, stride int) *Reassembler {
 	if budget <= 0 {
 		budget = DefaultReassemblyBudget
 	}
+	if stride <= 0 || stride > MaxFramePayload {
+		stride = DefaultChunkPayload
+	}
 	return &Reassembler{
 		budget:  budget,
+		stride:  stride,
 		partial: make(map[uint64]*partialMsg),
 		done:    make(dedup),
 	}
@@ -119,10 +114,9 @@ func NewReassembler(budget int) *Reassembler {
 // whether the frame contributed new bytes (the protocols' straggler
 // give-up budget measures silence, and a chunk of a still-incomplete
 // message is progress). Inconsistent streams — mismatched chunk counts
-// or kinds, out-of-range indexes, empty chunks of a multi-chunk
-// message, chunk sizes that break the uniform-stride shape SplitFrame
-// guarantees — and budget exhaustion yield an error; the frame is
-// discarded and the reassembler stays usable.
+// or kinds, out-of-range indexes, chunks off the stride — and budget
+// exhaustion yield an error; the frame is discarded and the
+// reassembler stays usable.
 func (r *Reassembler) Accept(f Frame) (msg Frame, complete, fresh bool, err error) {
 	key := dedupKey(f.From, f.Seq)
 	if r.done[key] {
@@ -146,99 +140,35 @@ func (r *Reassembler) Accept(f Frame) (msg Frame, complete, fresh bool, err erro
 		r.done[key] = true
 		return f, true, true, nil
 	}
-	if len(f.Payload) == 0 {
-		// Senders never produce empty chunks of a multi-chunk message
-		// (only a lone empty chunk); accepting one would let a short
-		// payload masquerade as complete.
-		return Frame{}, false, false, fmt.Errorf("%w: empty chunk %d of %d from node %d",
-			ErrBadFrame, f.Chunk, f.Chunks, f.From)
+	final := f.Chunk == f.Chunks-1
+	if n := len(f.Payload); n == 0 || n > r.stride || !final && n != r.stride {
+		// An empty chunk would let a short payload masquerade as
+		// complete; any other size breaks the shape SplitFrame makes.
+		return Frame{}, false, false, fmt.Errorf(
+			"%w: chunk %d of %d of stream (from %d, seq %d) is %d bytes at stride %d",
+			ErrBadFrame, f.Chunk, f.Chunks, f.From, f.Seq, n, r.stride)
 	}
 	if p == nil {
-		p = &partialMsg{kind: f.Kind, total: f.Chunks, lastLen: -1}
+		// First chunk to arrive: allocate, and charge, the whole buffer
+		// before anything is kept, so a rejected frame leaves the
+		// reassembler as it was.
+		full := int64(r.stride) * int64(f.Chunks)
+		if int64(r.used)+full > int64(r.budget) {
+			mReasmRejects.Inc()
+			return Frame{}, false, false, fmt.Errorf(
+				"%w: %d buffered + %d-chunk stream of %d-byte chunks from node %d exceeds budget %d",
+				ErrChunkBudget, r.used, f.Chunks, r.stride, f.From, r.budget)
+		}
+		p = &partialMsg{kind: f.Kind, total: f.Chunks, buf: make([]byte, full),
+			lastLen: -1, arrived: make([]uint64, (f.Chunks+63)/64)}
 		r.partial[key] = p
+		r.used += int(full)
 	}
-	final := f.Chunk == f.Chunks-1
-
-	if p.stride == 0 && !final {
-		// First non-final chunk: it defines the stride, and with it the
-		// full buffer size. Validate the stream shape and the budget
-		// before allocating anything, so a rejected frame leaves the
-		// partial untouched and the reassembler usable. The budget is
-		// charged for the WHOLE buffer at allocation time — the budget
-		// bounds allocated reassembly memory, not just arrived bytes, or
-		// a peer could open many barely-started streams with huge
-		// declared counts and allocate far beyond the budget.
-		stride := len(f.Payload)
-		if p.lastLen > stride {
-			return Frame{}, false, false, fmt.Errorf(
-				"%w: final chunk of stream (from %d, seq %d) is %d bytes but non-final chunks are %d",
-				ErrBadFrame, f.From, f.Seq, p.lastLen, stride)
-		}
-		full := int64(stride) * int64(p.total)
-		if full > int64(r.budget) {
-			mReasmRejects.Inc()
-			return Frame{}, false, false, fmt.Errorf(
-				"%w: %d-chunk stream of %d-byte chunks from node %d could never fit budget %d",
-				ErrChunkBudget, p.total, stride, f.From, r.budget)
-		}
-		// The stash charge (p.bytes) is refunded: its bytes move into
-		// the buffer the full charge covers.
-		if r.used-p.bytes+int(full) > r.budget {
-			mReasmRejects.Inc()
-			return Frame{}, false, false, fmt.Errorf(
-				"%w: %d buffered + %d-byte stream buffer from node %d exceeds budget %d",
-				ErrChunkBudget, r.used-p.bytes, int(full), f.From, r.budget)
-		}
-		p.stride = stride
-		p.buf = make([]byte, full)
-		p.arrived = make([]uint64, (p.total+63)/64)
-		r.used += int(full) - p.bytes
-		p.bytes = int(full)
-		if p.lastLen >= 0 {
-			// Migrate the stashed final chunk into its place.
-			copy(p.buf[int(p.total-1)*stride:], p.last)
-			p.last = nil
-			p.arrived[(p.total-1)/64] |= 1 << ((p.total - 1) % 64)
-			p.n = 1
-		}
-	}
-
-	if p.stride == 0 {
-		// Only the final chunk has arrived so far; stash it until a
-		// non-final chunk reveals the stride.
-		if p.lastLen >= 0 {
-			return Frame{}, false, false, nil // duplicate final chunk
-		}
-		if r.used+len(f.Payload) > r.budget {
-			mReasmRejects.Inc()
-			return Frame{}, false, false, fmt.Errorf(
-				"%w: %d buffered + %d-byte chunk from node %d exceeds budget %d",
-				ErrChunkBudget, r.used, len(f.Payload), f.From, r.budget)
-		}
-		p.last, p.lastLen = f.Payload, len(f.Payload)
-		p.bytes += len(f.Payload)
-		r.used += len(f.Payload)
-		return Frame{}, false, true, nil // total ≥ 2: never completes here
-	}
-
 	w, bit := f.Chunk/64, uint64(1)<<(f.Chunk%64)
 	if p.arrived[w]&bit != 0 {
 		return Frame{}, false, false, nil // duplicate chunk absorbed
 	}
-	if final {
-		if len(f.Payload) > p.stride {
-			return Frame{}, false, false, fmt.Errorf(
-				"%w: final chunk of stream (from %d, seq %d) is %d bytes but non-final chunks are %d",
-				ErrBadFrame, f.From, f.Seq, len(f.Payload), p.stride)
-		}
-	} else if len(f.Payload) != p.stride {
-		return Frame{}, false, false, fmt.Errorf(
-			"%w: chunk %d of stream (from %d, seq %d) is %d bytes but the stride is %d",
-			ErrBadFrame, f.Chunk, f.From, f.Seq, len(f.Payload), p.stride)
-	}
-	// No budget charge here: the stream's whole buffer was charged when
-	// it was allocated, and this chunk fills pre-charged space.
-	copy(p.buf[int(f.Chunk)*p.stride:], f.Payload)
+	copy(p.buf[int(f.Chunk)*r.stride:], f.Payload)
 	if final {
 		p.lastLen = len(f.Payload)
 	}
@@ -247,23 +177,15 @@ func (r *Reassembler) Accept(f Frame) (msg Frame, complete, fresh bool, err erro
 	if p.n < int(p.total) {
 		return Frame{}, false, true, nil
 	}
-	// Complete: the payload is the buffer, already in chunk order — no
-	// second concatenation copy.
-	payload := p.buf[:int(p.total-1)*p.stride+p.lastLen]
-	r.used -= p.bytes
+	// Complete: the payload is the buffer, already in chunk order.
+	payload := p.buf[:int(p.total-1)*r.stride+p.lastLen]
+	r.used -= len(p.buf)
 	delete(r.partial, key)
 	r.done[key] = true
 	msg = f
 	msg.Chunk, msg.Chunks, msg.Payload = 0, 1, payload
 	return msg, true, true, nil
 }
-
-// Forget drops the completed mark of the (from, seq) stream, so the
-// next message on it is accepted as new. It is for a transport that
-// neither duplicates nor replays a frame (a TCP control connection),
-// where the mark has nothing to swallow and would only grow; the data
-// plane keeps its marks, which absorb resends.
-func (r *Reassembler) Forget(from int, seq uint32) { delete(r.done, dedupKey(from, seq)) }
 
 // Missing returns the chunk indexes still absent from the partially
 // received message (from, seq), in ascending order, or nil if no chunk
@@ -275,15 +197,6 @@ func (r *Reassembler) Missing(from int, seq uint32) []uint32 {
 		return nil
 	}
 	idx := make([]uint32, 0, int(p.total)-p.n)
-	if p.arrived == nil {
-		// Stride not learned yet: at most the stashed final chunk is here.
-		for i := uint32(0); i < p.total; i++ {
-			if p.lastLen < 0 || i != p.total-1 {
-				idx = append(idx, i)
-			}
-		}
-		return idx
-	}
 	for i := uint32(0); i < p.total; i++ {
 		if p.arrived[i/64]&(1<<(i%64)) == 0 {
 			idx = append(idx, i)

@@ -73,7 +73,7 @@ func TestSplitFrame(t *testing.T) {
 }
 
 func TestReassemblerMissing(t *testing.T) {
-	asm := NewReassembler(1 << 20)
+	asm := NewReassembler(1<<20, 10)
 	chunks := SplitFrame(Frame{Kind: KindPartial, From: 3, To: 0, Seq: 0, Payload: bytes.Repeat([]byte{1}, 100)}, 10)
 	if len(chunks) != 10 {
 		t.Fatalf("%d chunks, want 10", len(chunks))
@@ -136,7 +136,7 @@ func TestReassemblerBudgetReleasedOnCompletion(t *testing.T) {
 	// Budget fits one message at a time but not two partials: if
 	// completion did not release the buffered bytes, the second message
 	// would trip the budget.
-	asm := NewReassembler(120)
+	asm := NewReassembler(120, 30)
 	for seq := uint32(0); seq < 5; seq++ {
 		chunks := SplitFrame(Frame{Kind: KindGather, From: 1, To: 0, Seq: seq, Payload: bytes.Repeat([]byte{byte(seq)}, 100)}, 30)
 		for i := len(chunks) - 1; i >= 0; i-- { // out of order, to force buffering

@@ -36,7 +36,7 @@ type stream struct {
 func newCollector(id int, tr Transport, cfg Config) *collector {
 	return &collector{
 		id: id, tr: tr, cfg: cfg,
-		asm:  NewReassembler(cfg.reassemblyBudget()),
+		asm:  NewReassembler(cfg.reassemblyBudget(), cfg.chunkPayload()),
 		sent: make(map[stream][]Frame),
 	}
 }
@@ -57,16 +57,8 @@ func (c *collector) send(f Frame) {
 	c.transmit(chunks)
 }
 
-// transmit sends a chunk list. A transport that can coalesce
-// (BatchSender) gets the whole list in one call, so a multi-chunk
-// stream is one syscall burst instead of one write per chunk;
-// fault-injection and observer decorators do not implement BatchSender,
-// so faults and counters keep applying per chunk.
+// transmit sends a chunk list, one Send per chunk.
 func (c *collector) transmit(chunks []Frame) {
-	if bs, ok := c.tr.(BatchSender); ok && len(chunks) > 1 {
-		_ = bs.SendBatch(chunks)
-		return
-	}
 	for _, ch := range chunks {
 		_ = c.tr.Send(ch)
 	}

@@ -33,10 +33,6 @@ type mesh []*Endpoint
 
 func (m mesh) Nodes() int         { return len(m) }
 func (m mesh) Send(f Frame) error { return m[f.From].Send(f) }
-func (m mesh) SendBatch(fs []Frame) error {
-	return sendRuns(fs, func(a, b Frame) bool { return a.From == b.From },
-		func(run []Frame) error { return m[run[0].From].SendBatch(run) })
-}
 func (m mesh) Recv(id int, d time.Duration) (Frame, error) {
 	if id < 0 || id >= len(m) {
 		return Frame{}, fmt.Errorf("no node %d", id)
@@ -145,7 +141,7 @@ var conformanceRows = []struct {
 			t.Fatal("recv on out-of-range node accepted")
 		}
 	}},
-	{"SendBatch ≡ Send×k", false, func(t *testing.T, fab fabric) {
+	{"Send keeps per-(from, to) order", false, func(t *testing.T, fab fabric) {
 		var fs []Frame
 		for i := 0; i < 5; i++ {
 			fs = append(fs, Frame{Kind: KindGroups, From: 0, To: 1, Seq: 0,
@@ -153,32 +149,27 @@ var conformanceRows = []struct {
 		}
 		fs = append(fs, data(0, 2, 1, "two"), data(0, 0, 1, "self"), data(1, 2, 1, "also two"), data(0, 2, 2, "two again"))
 		// Per (from, to) pair the arrival sequence must equal the send
-		// sequence, whichever way the list went out; pairs may interleave.
-		arrivals := func() string {
-			perPair := map[[2]int]string{}
-			for _, hop := range []struct{ to, n int }{{1, 5}, {2, 3}, {0, 1}} {
-				for i := 0; i < hop.n; i++ {
-					f := mustRecv(t, fab, hop.to)
-					perPair[[2]int{f.From, hop.to}] += fmt.Sprintf(" seq %d chunk %d/%d %q;", f.Seq, f.Chunk, f.Chunks, f.Payload)
-				}
-			}
-			return fmt.Sprint(perPair)
+		// sequence; pairs may interleave.
+		hop := func(perPair map[[2]int]string, f Frame) {
+			perPair[[2]int{f.From, f.To}] += fmt.Sprintf(" seq %d chunk %d/%d %q;", f.Seq, f.Chunk, f.Chunks, f.Payload)
 		}
-		bs, ok := fab.Transport.(BatchSender)
-		if !ok {
-			t.Fatal("built-in transport does not implement BatchSender")
-		}
-		if err := bs.SendBatch(fs); err != nil {
-			t.Fatal(err)
-		}
-		batched := arrivals()
+		sent := map[[2]int]string{}
 		for _, f := range fs {
+			hop(sent, f)
 			if err := fab.Send(f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if single := arrivals(); single != batched {
-			t.Fatalf("SendBatch arrivals:\n%s\nSend×k arrivals:\n%s", batched, single)
+		arrived := map[[2]int]string{}
+		for _, to := range []struct{ id, n int }{{1, 5}, {2, 3}, {0, 1}} {
+			for i := 0; i < to.n; i++ {
+				f := mustRecv(t, fab, to.id)
+				f.To = to.id
+				hop(arrived, f)
+			}
+		}
+		if got, want := fmt.Sprint(arrived), fmt.Sprint(sent); got != want {
+			t.Fatalf("arrivals:\n%s\nsends:\n%s", got, want)
 		}
 	}},
 	{"misrouted frame dropped", true, func(t *testing.T, fab fabric) {
@@ -278,9 +269,6 @@ var conformanceRows = []struct {
 		}
 		if err := fab.Send(data(1, 1, 0, "late, to myself")); !errors.Is(err, ErrClosed) {
 			t.Fatalf("self-addressed Send after Close: got %v, want ErrClosed", err)
-		}
-		if err := fab.Transport.(BatchSender).SendBatch([]Frame{data(1, 0, 0, "late")}); !errors.Is(err, ErrClosed) {
-			t.Fatalf("SendBatch after Close: got %v, want ErrClosed", err)
 		}
 		if _, err := fab.Recv(3, time.Second); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Recv after Close: got %v, want ErrClosed", err)

@@ -50,18 +50,19 @@ type Endpoint struct {
 
 // pipe is one cached outgoing connection; writes are serialized so
 // concurrent protocol sends cannot interleave frame bytes. It is dialed
-// under its own lock, so one slow dial never stalls other peers.
+// under its own lock, so one slow dial never stalls other peers. A
+// frame leaves as one Write of its whole encoding (WriteFrame), so the
+// connection needs no write buffer.
 type pipe struct {
 	mu sync.Mutex
 	c  net.Conn
-	w  *bufio.Writer
 }
 
 const (
-	// sockBufSize sizes the per-connection buffered reader and writer:
-	// big enough that a default 16 MiB chunk still moves in few syscalls
-	// and a batch of small frames coalesces, small enough to keep
-	// per-pair memory modest.
+	// sockBufSize sizes the per-connection buffered reader: big enough
+	// that a default 16 MiB chunk still moves in few syscalls and a run
+	// of small frames arrives in one, small enough to keep per-pair
+	// memory modest.
 	sockBufSize = 64 << 10
 	dialTimeout = 5 * time.Second
 )
@@ -154,28 +155,15 @@ func (e *Endpoint) readLoop(c net.Conn) {
 			continue // misrouted frame: drop at the trust boundary
 		}
 		e.peers.received(f.From, len(f.Payload))
-		e.in.put([]Frame{retainPayload(f)})
+		e.in.put(retainPayload(f))
 	}
 }
 
 // Send delivers f: by reference through the inbox when the destination
 // is this node, through the cached (re-dialed on demand) peer
 // connection otherwise.
-func (e *Endpoint) Send(f Frame) error { return e.sendRun([]Frame{f}) }
-
-// SendBatch transmits a frame list, coalescing each run of equal-To
-// frames into buffered writes with one flush — a multi-chunk stream
-// leaves as a burst of large writes instead of one syscall per chunk.
-// Equivalent to calling Send in order (TCP preserves byte order per
-// connection).
-func (e *Endpoint) SendBatch(fs []Frame) error {
-	return sendRuns(fs, func(a, b Frame) bool { return a.To == b.To }, e.sendRun)
-}
-
-// sendRun writes one same-destination run through the peer's buffered
-// writer and flushes once.
-func (e *Endpoint) sendRun(fs []Frame) error {
-	to := fs[0].To
+func (e *Endpoint) Send(f Frame) error {
+	to := f.To
 	if to < 0 || to >= len(e.pipes) {
 		return fmt.Errorf("dist: send to node %d of %d-node cluster", to, len(e.pipes))
 	}
@@ -183,8 +171,8 @@ func (e *Endpoint) sendRun(fs []Frame) error {
 		return ErrClosed
 	}
 	if to == e.id {
-		e.in.put(fs)
-		mChanFrames.Add(uint64(len(fs)))
+		e.in.put(f)
+		mChanFrames.Inc()
 		return nil
 	}
 	p := &e.pipes[to]
@@ -193,17 +181,11 @@ func (e *Endpoint) sendRun(fs []Frame) error {
 	if err := e.dialLocked(p, to); err != nil {
 		return err
 	}
-	for i := range fs {
-		if err := WriteFrame(p.w, fs[i]); err != nil {
-			e.resetLocked(p)
-			return e.sendErr(err)
-		}
-		e.peers.sent(to, len(fs[i].Payload))
-	}
-	if err := p.w.Flush(); err != nil {
+	if err := WriteFrame(p.c, f); err != nil {
 		e.resetLocked(p)
 		return e.sendErr(err)
 	}
+	e.peers.sent(to, len(f.Payload))
 	return nil
 }
 
@@ -226,7 +208,7 @@ func (e *Endpoint) dialLocked(p *pipe, to int) error {
 	if !e.track(c, true) {
 		return ErrClosed
 	}
-	p.c, p.w = c, bufio.NewWriterSize(c, sockBufSize)
+	p.c = c
 	return nil
 }
 
@@ -235,7 +217,7 @@ func (e *Endpoint) dialLocked(p *pipe, to int) error {
 func (e *Endpoint) resetLocked(p *pipe) {
 	if p.c != nil {
 		e.untrack(p.c)
-		p.c, p.w = nil, nil
+		p.c = nil
 	}
 }
 
@@ -381,18 +363,6 @@ func (t *TCPTransport) Send(f Frame) error {
 	return e.Send(f)
 }
 
-// SendBatch hands each run of frames sharing a sender to that sender's
-// endpoint, which coalesces per destination.
-func (t *TCPTransport) SendBatch(fs []Frame) error {
-	return sendRuns(fs, func(a, b Frame) bool { return a.From == b.From }, func(run []Frame) error {
-		e, err := t.endpoint(run[0].From)
-		if err != nil {
-			return err
-		}
-		return e.SendBatch(run)
-	})
-}
-
 // Close closes every endpoint. Idempotent.
 func (t *TCPTransport) Close() error {
 	for _, e := range t.eps {
@@ -406,12 +376,9 @@ func TCPTransportFactory(n int) (Transport, error) { return NewTCPTransport(n) }
 
 // interface conformance
 var (
-	_ Transport   = (*ChanTransport)(nil)
-	_ Transport   = (*Endpoint)(nil)
-	_ Transport   = (*TCPTransport)(nil)
-	_ BatchSender = (*ChanTransport)(nil)
-	_ BatchSender = (*Endpoint)(nil)
-	_ BatchSender = (*TCPTransport)(nil)
+	_ Transport = (*ChanTransport)(nil)
+	_ Transport = (*Endpoint)(nil)
+	_ Transport = (*TCPTransport)(nil)
 )
 
 // peerCounters is an endpoint's pre-resolved per-peer data-plane

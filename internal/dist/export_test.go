@@ -19,7 +19,7 @@ func TestSplitFrameReassemblerRoundTrip(t *testing.T) {
 		t.Fatalf("10000/1024 split into %d chunks, want 10", len(chunks))
 	}
 
-	asm := NewReassembler(1 << 20)
+	asm := NewReassembler(1<<20, 1024)
 	// Deliver out of order: final first, then evens, then odds.
 	order := []int{9, 0, 2, 4, 6, 8, 1, 3, 5}
 	for _, i := range order {

@@ -136,13 +136,33 @@ func FuzzChunkReassembly(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Part 1: feed whatever frames the bytes decode to, checking
-		// every completion against an independent ledger. Streams can
-		// declare buffers (stride × chunk count) beyond what the fed
-		// bytes deliver, so the budget — which charges whole declared
-		// buffers at allocation — may reject frames; the ledger mirrors
-		// any accept error by simply not recording the frame. Budget
-		// behavior has its own tests.
-		asm := NewReassembler(len(data) + 1)
+		// every completion against an independent ledger. The stride is
+		// the first non-final chunk's size, the one a run's senders
+		// would all have split at, so well-formed streams complete.
+		// Streams can declare buffers (stride × chunk count) beyond what
+		// the fed bytes deliver, so the budget — which charges whole
+		// declared buffers at allocation — may reject frames; the ledger
+		// mirrors any accept error by simply not recording the frame.
+		// Budget behavior has its own tests.
+		var frames []Frame
+		for rest := data; len(rest) > 0; {
+			fr, n, err := DecodeFrame(rest)
+			if err != nil {
+				break
+			}
+			rest = rest[n:]
+			if fr.Kind != KindResend { // control frame, never reassembled
+				frames = append(frames, fr)
+			}
+		}
+		stride := 1
+		for _, fr := range frames {
+			if fr.Chunk+1 < fr.Chunks && len(fr.Payload) > 0 {
+				stride = len(fr.Payload)
+				break
+			}
+		}
+		asm := NewReassembler(len(data)+1, stride)
 		type ledger struct {
 			kind      byte
 			total     uint32
@@ -150,16 +170,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			completed bool
 		}
 		led := make(map[uint64]*ledger)
-		rest := data
-		for len(rest) > 0 {
-			fr, n, err := DecodeFrame(rest)
-			if err != nil {
-				break
-			}
-			rest = rest[n:]
-			if fr.Kind == KindResend {
-				continue // control frame, never reassembled
-			}
+		for _, fr := range frames {
 			msg, complete, _, aerr := asm.Accept(fr)
 
 			// Mirror accept's acceptance rules into the ledger.
@@ -220,7 +231,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			maxChunk = minChunk
 		}
 		chunks := SplitFrame(Frame{Kind: KindGather, From: 7, To: 0, Seq: 1, Payload: data}, maxChunk)
-		rt := NewReassembler(0)
+		rt := NewReassembler(0, maxChunk)
 		var got []byte
 		completions := 0
 		for i := len(chunks) - 1; i >= 0; i-- { // reversed, every chunk duplicated

@@ -126,7 +126,7 @@ func BenchmarkReassembly(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(payload)))
 		for i := 0; i < b.N; i++ {
-			asm := NewReassembler(0)
+			asm := NewReassembler(0, 16<<10)
 			var got []byte
 			for _, c := range chunks {
 				msg, complete, _, err := asm.Accept(c)
@@ -155,7 +155,7 @@ func BenchmarkReassembly(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(single[0].Payload)))
 		for i := 0; i < b.N; i++ {
-			asm := NewReassembler(0)
+			asm := NewReassembler(0, 0)
 			msg, complete, _, err := asm.Accept(single[0])
 			if err != nil || !complete || len(msg.Payload) != 1024 {
 				b.Fatalf("complete=%v err=%v", complete, err)

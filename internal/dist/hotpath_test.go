@@ -14,7 +14,7 @@ import (
 )
 
 // Tests of the zero-allocation shuffle/gather hot path: in-place state
-// encoding, the contiguous-buffer reassembler, and batch sends.
+// encoding, the contiguous-buffer reassembler, and chunked sends.
 
 // TestShuffleEncodeZeroAlloc pins the shuffle's per-key encode loop to
 // zero steady-state allocations: with the frame buffer grown once,
@@ -88,7 +88,7 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	if len(chunks) != 400 {
 		t.Fatalf("%d chunks, want 400", len(chunks))
 	}
-	asm := NewReassembler(0)
+	asm := NewReassembler(0, chunkSize)
 	if _, _, _, err := asm.Accept(chunks[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +129,22 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// mkChunk is chunk `chunk` of a `chunks`-chunk KindGroups stream seq
+// from node 1, with a size-byte payload.
+func mkChunk(seq, chunk, chunks uint32, size int) Frame {
+	return Frame{Kind: KindGroups, From: 1, To: 0, Seq: seq,
+		Chunk: chunk, Chunks: chunks, Payload: bytes.Repeat([]byte{byte(chunk + 1)}, size)}
+}
+
 // TestReassemblerRejectsInconsistentChunkSizes: SplitFrame guarantees
-// every non-final chunk has the same size and the final chunk is no
+// every non-final chunk is the run's stride and the final chunk is no
 // larger; the reassembler enforces that shape at the trust boundary and
 // keeps the stream recoverable after rejecting a malformed chunk.
 func TestReassemblerRejectsInconsistentChunkSizes(t *testing.T) {
-	mk := func(seq, chunk, chunks uint32, size int) Frame {
-		return Frame{Kind: KindGroups, From: 1, To: 0, Seq: seq,
-			Chunk: chunk, Chunks: chunks, Payload: bytes.Repeat([]byte{byte(chunk + 1)}, size)}
-	}
-	asm := NewReassembler(0)
+	mk := mkChunk
+	asm := NewReassembler(0, 10)
 
-	// Non-final chunk that contradicts the learned stride.
+	// Non-final chunk off the stride.
 	if _, _, _, err := asm.Accept(mk(0, 0, 3, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,17 +168,14 @@ func TestReassemblerRejectsInconsistentChunkSizes(t *testing.T) {
 		t.Fatalf("oversized final chunk: %v, want ErrBadFrame", err)
 	}
 
-	// Stashed final chunk revealed oversized by a later non-final chunk.
-	if _, _, _, err := asm.Accept(mk(2, 2, 3, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := asm.Accept(mk(2, 0, 3, 10)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("stride under stashed final: %v, want ErrBadFrame", err)
+	// Oversized first-arriving final chunk rejected.
+	if _, _, _, err := asm.Accept(mk(2, 2, 3, 12)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("oversized first-arriving final chunk: %v, want ErrBadFrame", err)
 	}
 
 	// A stream whose declared buffer could never fit the budget is
-	// rejected on its first non-final chunk, before any allocation.
-	small := NewReassembler(100)
+	// rejected on its first chunk, before any allocation.
+	small := NewReassembler(100, 10)
 	if _, _, _, err := small.Accept(mk(3, 0, 1000, 10)); !errors.Is(err, ErrChunkBudget) {
 		t.Fatalf("declared-impossible stream: %v, want ErrChunkBudget", err)
 	}
@@ -189,7 +190,7 @@ func TestReassemblerBudgetChargesAllocatedBuffers(t *testing.T) {
 	// Each stream's first chunk allocates a 100-chunk × 10-byte = 1000-
 	// byte buffer while delivering only 10 bytes. Budget 2500: two
 	// streams fit (2000 charged), the third must be rejected.
-	asm := NewReassembler(2500)
+	asm := NewReassembler(2500, 10)
 	for seq := uint32(0); seq < 2; seq++ {
 		f := Frame{Kind: KindGroups, From: 1, To: 0, Seq: seq, Chunk: 0, Chunks: 100,
 			Payload: bytes.Repeat([]byte{1}, 10)}
@@ -205,13 +206,14 @@ func TestReassemblerBudgetChargesAllocatedBuffers(t *testing.T) {
 }
 
 // TestReassemblerMissingBeforeStride: when only the final chunk of a
-// stream has arrived (stashed, stride unknown), missing() must report
-// every other index so the straggler path re-requests exactly those.
+// stream has arrived, before any chunk at the stride, Missing must
+// report every other index so the straggler path re-requests exactly
+// those.
 func TestReassemblerMissingBeforeStride(t *testing.T) {
-	asm := NewReassembler(0)
+	asm := NewReassembler(0, 4)
 	final := Frame{Kind: KindGroups, From: 2, To: 0, Seq: 0, Chunk: 4, Chunks: 5, Payload: []byte{1, 2, 3}}
 	if _, complete, fresh, err := asm.Accept(final); err != nil || complete || !fresh {
-		t.Fatalf("stashed final: complete=%v fresh=%v err=%v", complete, fresh, err)
+		t.Fatalf("lone final: complete=%v fresh=%v err=%v", complete, fresh, err)
 	}
 	got := asm.Missing(2, 0)
 	want := []uint32{0, 1, 2, 3}
@@ -223,9 +225,36 @@ func TestReassemblerMissingBeforeStride(t *testing.T) {
 			t.Fatalf("missing = %v, want %v", got, want)
 		}
 	}
-	// Duplicate of the stashed final chunk is absorbed silently.
+	// Duplicate of the final chunk is absorbed silently.
 	if _, complete, fresh, err := asm.Accept(final); err != nil || complete || fresh {
-		t.Fatalf("duplicate stashed final: complete=%v fresh=%v err=%v", complete, fresh, err)
+		t.Fatalf("duplicate final: complete=%v fresh=%v err=%v", complete, fresh, err)
+	}
+}
+
+// TestReassemblerEnforcesRunStride: the stride is the run's, not the
+// first arrival's. A first-arriving non-final chunk off it and a
+// first-arriving final chunk over it are both rejected before anything
+// is buffered or charged, and the stream then completes at the stride.
+func TestReassemblerEnforcesRunStride(t *testing.T) {
+	asm := NewReassembler(30, 10) // room for exactly one 3-chunk stream
+	for _, f := range []Frame{mkChunk(0, 1, 3, 9), mkChunk(0, 0, 3, 11), mkChunk(0, 2, 3, 11)} {
+		if _, _, fresh, err := asm.Accept(f); !errors.Is(err, ErrBadFrame) || fresh {
+			t.Fatalf("first-arriving %d-byte chunk %d at stride 10: fresh=%v err=%v, want ErrBadFrame",
+				len(f.Payload), f.Chunk, fresh, err)
+		}
+		if idx := asm.Missing(1, 0); idx != nil {
+			t.Fatalf("rejected chunk %d left a partial: missing %v", f.Chunk, idx)
+		}
+	}
+	var msg Frame
+	for i, size := range []int{10, 10, 4} {
+		var err error
+		if msg, _, _, err = asm.Accept(mkChunk(0, uint32(i), 3, size)); err != nil {
+			t.Fatalf("chunk %d at the stride: %v", i, err)
+		}
+	}
+	if len(msg.Payload) != 24 {
+		t.Fatalf("completed payload is %d bytes, want 24", len(msg.Payload))
 	}
 }
 
@@ -293,11 +322,11 @@ func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 	}
 }
 
-// TestSendBatchEndToEndTCPChunked runs the full GROUP BY over a raw
+// TestEndToEndTCPChunked runs the full GROUP BY over a raw
 // (undecorated) TCP transport with a chunk payload that forces
-// multi-chunk streams, so the collector takes the SendBatch path end to
-// end; bits must match the sequential reference.
-func TestSendBatchEndToEndTCPChunked(t *testing.T) {
+// multi-chunk streams, each chunk written by its own Endpoint.Send;
+// bits must match the sequential reference.
+func TestEndToEndTCPChunked(t *testing.T) {
 	const rows = 4000
 	keys := workload.Keys(81, rows, 900)
 	vals := workload.Values64(82, rows, workload.MixedMag)

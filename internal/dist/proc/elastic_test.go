@@ -442,20 +442,14 @@ func (r *rawJoinConn) send(f dist.Frame) {
 func (r *rawJoinConn) read() dist.Frame {
 	r.t.Helper()
 	r.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	asm := dist.NewReassembler(0)
-	for {
-		f, err := dist.ReadFrame(r.br)
-		if err != nil {
-			r.t.Fatalf("read frame: %v", err)
-		}
-		msg, complete, _, aerr := asm.Accept(f)
-		if aerr != nil {
-			r.t.Fatalf("reassemble: %v", aerr)
-		}
-		if complete {
-			return msg
-		}
+	f, err := dist.ReadFrame(r.br)
+	if err != nil {
+		r.t.Fatalf("read frame: %v", err)
 	}
+	if f.Chunks != 1 {
+		r.t.Fatalf("kind %d frame is chunk %d of %d, want a single-frame message", f.Kind, f.Chunk, f.Chunks)
+	}
+	return f
 }
 
 // expectRejection asserts the next frame is a typed KindError carrying

@@ -22,8 +22,9 @@ import (
 
 // Tests of the rows stream: the encoder that walks the caller's shards
 // (rowStream), the worker-side sink that fills the job's input in place
-// (rowSink), the control connection that carries the chunks around the
-// whole-message reassembler, and the supervisor's concurrent shippers.
+// (rowSink), the control connection that hands the chunks over as they
+// arrive and reads every other message in order, and the supervisor's
+// concurrent shippers.
 
 // twoColSpecs reads value columns 0 and 1.
 func twoColSpecs() []sqlagg.AggSpec {
@@ -330,9 +331,9 @@ func TestRowSinkRejections(t *testing.T) {
 		}
 	})
 
-	// The bug class of PRs 8–9: a second message on a completed
-	// (from, seq) stream is swallowed by the reassembler. Row chunks go
-	// around it, so one connection carries the stream of a job twice —
+	// A second message on a completed (from, seq) stream must not be
+	// swallowed. Row chunks are handed over as they arrive, so one
+	// connection carries the stream of a job twice —
 	// abandoned at incarnation 0, whole at incarnation 1, every frame on
 	// one Seq — and read returns every chunk.
 	t.Run("second rows stream on one connection accepted", func(t *testing.T) {
@@ -407,6 +408,119 @@ func TestCtlConnRepeatedStream(t *testing.T) {
 				i, got.Kind, got.Seq, len(got.Payload), want.Kind, want.Seq, len(want.Payload))
 		}
 	}
+}
+
+// readRaw writes frames, as they are, to one end of a pipe and returns
+// what a control connection on the other end reads.
+func readRaw(t *testing.T, frames ...dist.Frame) (dist.Frame, error) {
+	t.Helper()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		for _, f := range frames {
+			if dist.WriteFrame(a, f) != nil {
+				return
+			}
+		}
+	}()
+	b.SetReadDeadline(time.Now().Add(10 * time.Second))
+	return newCtlConn(b, 0).read()
+}
+
+// TestCtlConnReadsMessagesInOrder: a control message is its first frame
+// and the chunks that follow it on the connection. Chunks out of order,
+// interleaved with another stream's frame or a rows chunk, or off the
+// first chunk's stride are ErrBadFrame, and a message whose chunks could
+// outgrow ctlBudget is ErrChunkBudget on its first frame.
+func TestCtlConnReadsMessagesInOrder(t *testing.T) {
+	msg := dist.Frame{Kind: dist.KindResult, Seq: ctrlSeqJob(1), Payload: bytes.Repeat([]byte{7}, 10)}
+	c := dist.SplitFrame(msg, 4)
+	other := dist.Frame{Kind: dist.KindResult, Seq: ctrlSeqJob(2), Chunks: 1, Payload: []byte{1}}
+	rows := dist.Frame{Kind: dist.KindRows, Seq: ctrlSeqJob(1), Chunks: 1, Payload: []byte{2}}
+	short := c[1]
+	short.Payload = short.Payload[:3]
+	if got, err := readRaw(t, c...); err != nil || !bytes.Equal(got.Payload, msg.Payload) || got.Chunks != 1 {
+		t.Fatalf("in-order chunks: %d-chunk message of %d bytes, %v", got.Chunks, len(got.Payload), err)
+	}
+	for name, frames := range map[string][]dist.Frame{
+		"reordered":              {c[0], c[2], c[1]},
+		"opening on chunk 1":     {c[1], c[0], c[2]},
+		"another stream between": {c[0], other, c[1], c[2]},
+		"rows chunk between":     {c[0], rows, c[1], c[2]},
+		"chunk off the stride":   {c[0], short, c[2]},
+	} {
+		if _, err := readRaw(t, frames...); !errors.Is(err, dist.ErrBadFrame) {
+			t.Errorf("%s: %v, want ErrBadFrame", name, err)
+		}
+	}
+	// The most chunks a message may declare, each just over 1 KiB, could
+	// carry more than ctlBudget: refused before a second frame is read.
+	over := dist.Frame{Kind: dist.KindResult, Chunks: dist.MaxChunksPerMessage,
+		Payload: make([]byte, ctlBudget/dist.MaxChunksPerMessage+1)}
+	if _, err := readRaw(t, over); !errors.Is(err, dist.ErrChunkBudget) {
+		t.Fatalf("message over ctlBudget: %v, want ErrChunkBudget", err)
+	}
+}
+
+// FuzzCtlConnRead reads arbitrary bytes off a control connection: it
+// never panics, and every message it returns is one whole frame within
+// ctlBudget. Then the bytes, as control messages that send splits at a
+// fuzzed chunk size and mixed with rows chunks, come back byte-exact
+// and in order.
+func FuzzCtlConnRead(f *testing.F) {
+	msg := dist.Frame{Kind: dist.KindJob, Seq: ctrlSeqJob(0), Payload: []byte("a job spec of some length")}
+	var stream []byte
+	for _, fr := range append(dist.SplitFrame(msg, 8), dist.Frame{Kind: dist.KindRows, Chunks: 2, Payload: []byte{9}}) {
+		stream = dist.AppendFrame(stream, fr)
+	}
+	f.Add(stream, uint16(8))
+	f.Add([]byte{}, uint16(0))
+	f.Add(bytes.Repeat([]byte{0x5a}, 300), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, maxChunk uint16) {
+		c := &ctlConn{br: bufio.NewReader(bytes.NewReader(data))}
+		for {
+			got, err := c.read()
+			if err != nil {
+				break
+			}
+			if got.Kind != dist.KindRows && (got.Chunk != 0 || got.Chunks != 1 || len(got.Payload) > ctlBudget) {
+				t.Fatalf("kind %d message returned as chunk %d of %d with %d bytes", got.Kind, got.Chunk, got.Chunks, len(got.Payload))
+			}
+		}
+
+		half := len(data) / 2
+		script := []dist.Frame{
+			{Kind: dist.KindRows, Seq: ctrlSeqJob(0), Chunks: 1, Payload: data[:half]},
+			{Kind: dist.KindJob, Seq: ctrlSeqJob(0), Payload: data},
+			{Kind: dist.KindRows, Seq: ctrlSeqJob(0), Chunks: 1, Payload: data[half:]},
+			{Kind: dist.KindResult, From: 3, Seq: ctrlSeqJob(0), Payload: data[half:]},
+		}
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		go func() {
+			// At most about 32 chunks a message, so one run stays cheap.
+			w := newCtlConn(a, max(int(maxChunk), len(data)/32))
+			for _, fr := range script {
+				if w.send(fr) != nil {
+					return
+				}
+			}
+		}()
+		b.SetReadDeadline(time.Now().Add(10 * time.Second))
+		r := newCtlConn(b, 0)
+		for i, want := range script {
+			got, err := r.read()
+			if err != nil {
+				t.Fatalf("message %d: %v", i, err)
+			}
+			if got.Kind != want.Kind || got.From != want.From || got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("message %d: kind %d from %d seq %d with %d bytes, want kind %d from %d seq %d with %d bytes",
+					i, got.Kind, got.From, got.Seq, len(got.Payload), want.Kind, want.From, want.Seq, len(want.Payload))
+			}
+		}
+	})
 }
 
 // appendRecord frames one chunk for FuzzRowStream's script: 4B chunk

@@ -192,7 +192,6 @@ func WorkerMain(args []string) int {
 type ctlConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	asm  *dist.Reassembler
 	rbuf []byte // every frame is read into it; see read
 
 	mu           sync.Mutex
@@ -202,7 +201,7 @@ type ctlConn struct {
 
 func newCtlConn(conn net.Conn, maxChunk int) *ctlConn {
 	return &ctlConn{
-		conn: conn, br: bufio.NewReaderSize(conn, sockBufSize), asm: dist.NewReassembler(ctlBudget),
+		conn: conn, br: bufio.NewReaderSize(conn, sockBufSize),
 		maxChunk: maxChunk, writeTimeout: ctlWriteTimeout,
 	}
 }
@@ -225,37 +224,60 @@ func (c *ctlConn) send(f dist.Frame) error {
 	return nil
 }
 
-// read returns the next control message. The chunks of a rows stream
-// go around the reassembler: they are ordered and budgeted by their
-// rowSink. Every other message is reassembled, and its stream's
-// completed mark dropped at once: TCP neither duplicates nor replays a
-// frame, so any number of messages may share a (from, seq) stream and
-// the connection remembers none of them. A KindRows payload aliases
-// the read buffer until the next read; every other is copied out of it.
+// read returns the next control message. TCP neither reorders,
+// duplicates nor replays a frame, and send writes a message's chunks
+// back to back, so a message is its first frame and the Chunks−1
+// frames that follow it. Anything else between them (another kind or
+// stream, a chunk out of place or off the first chunk's stride) is
+// ErrBadFrame; a message whose chunks could outgrow ctlBudget is
+// ErrChunkBudget on its first frame, and its payload grows only with
+// the chunks that arrive. The connection remembers no message, so any
+// number may share a (from, seq) stream. A KindRows frame is one
+// self-contained chunk of its stream, ordered and budgeted by its
+// rowSink, and is returned as it arrives: its payload aliases the read
+// buffer until the next read; every other payload is copied out of it.
 func (c *ctlConn) read() (dist.Frame, error) {
-	for {
-		f, buf, err := dist.ReadFrameBuf(c.br, c.rbuf)
-		c.rbuf = buf
+	f, err := c.next()
+	if err != nil || f.Kind == dist.KindRows {
+		return f, err
+	}
+	stride := len(f.Payload)
+	if f.Chunk != 0 {
+		return dist.Frame{}, fmt.Errorf("%w: control message opens with chunk %d of %d",
+			dist.ErrBadFrame, f.Chunk, f.Chunks)
+	}
+	if int64(stride)*int64(f.Chunks) > ctlBudget {
+		return dist.Frame{}, fmt.Errorf("%w: %d-chunk control message of %d-byte chunks exceeds %d bytes",
+			dist.ErrChunkBudget, f.Chunks, stride, ctlBudget)
+	}
+	msg := f
+	msg.Chunks = 1
+	msg.Payload = bytes.Clone(f.Payload)
+	for i := uint32(1); i < f.Chunks; i++ {
+		g, err := c.next()
 		if err != nil {
 			return dist.Frame{}, err
 		}
-		if f.Kind == dist.KindRows {
-			return f, nil
+		if g.Kind != f.Kind || g.From != f.From || g.To != f.To || g.Seq != f.Seq ||
+			g.Chunks != f.Chunks || g.Chunk != i || len(g.Payload) > stride ||
+			i < f.Chunks-1 && len(g.Payload) != stride {
+			return dist.Frame{}, fmt.Errorf("%w: kind %d chunk %d of %d (%d bytes) inside chunk %d of %d-chunk kind %d message",
+				dist.ErrBadFrame, g.Kind, g.Chunk, g.Chunks, len(g.Payload), i, f.Chunks, f.Kind)
 		}
-		f.Payload = bytes.Clone(f.Payload)
-		msg, complete, _, aerr := c.asm.Accept(f)
-		if aerr != nil {
-			return dist.Frame{}, aerr
-		}
-		if complete {
-			c.asm.Forget(msg.From, msg.Seq)
-			return msg, nil
-		}
+		msg.Payload = append(msg.Payload, g.Payload...)
 	}
+	return msg, nil
 }
 
-// Control-connection tuning. ctlBudget bounds the partial messages, and
-// again the streamed-in rows, one connection can make its reader hold.
+// next reads one frame into the connection's read buffer.
+func (c *ctlConn) next() (dist.Frame, error) {
+	f, buf, err := dist.ReadFrameBuf(c.br, c.rbuf)
+	c.rbuf = buf
+	return f, err
+}
+
+// Control-connection tuning. ctlBudget bounds the message, and again
+// the streamed-in rows, one connection can make its reader hold.
 // Dial attempts back off exponentially from
 // backoffBase to backoffCap with ±25% jitter; a detached worker keeps
 // redialing for at most reattachWindow before giving up.
@@ -648,8 +670,8 @@ func prepareJob(cc net.Conn, id int, conf clusterConf, js jobSpec, advertise str
 // is severed once and the frame is lost with them (the receiver's
 // per-chunk re-requests recover it over fresh connections). Frames to
 // the node itself never reach a socket and resend traffic must not
-// re-trip a fault, so neither counts. Like dist.FaultTransport it does
-// not implement BatchSender, so it sees every frame.
+// re-trip a fault, so neither counts. Every frame of the protocol
+// leaves through Send, so it sees them all.
 type injectedFaults struct {
 	dist.Transport
 	ep                  *dist.Endpoint

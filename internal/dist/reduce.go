@@ -44,9 +44,9 @@ type Config struct {
 	// MaxChunkPayload caps the payload bytes of one wire frame: logical
 	// messages larger than this travel as a reassembled chunk stream.
 	// 0 means DefaultChunkPayload (the 16 MiB frame ceiling, so every
-	// payload that fit in one frame before chunking still travels as
-	// exactly one frame); values above MaxFramePayload are clamped to
-	// it.
+	// payload that fits in one frame travels as exactly one frame);
+	// values above MaxFramePayload are clamped to it. Every node of a
+	// run splits at it, and its reassembler expects that stride.
 	MaxChunkPayload int
 	// ReassemblyBudget caps the bytes a node buffers for incomplete
 	// incoming chunk streams before failing with ErrChunkBudget

@@ -94,15 +94,15 @@ const (
 // deliveries per (From, Seq) stream no matter how often the transport
 // duplicates or the protocol re-requests.
 //
-// Since wire version 2 a logical message may travel as several chunk
-// frames: Chunk is this frame's index within the logical message and
-// Chunks the message's total chunk count (1 for the common single-frame
-// case). All chunks of one message share (Kind, From, To, Seq); the
-// reassembler on the receive side buffers out-of-order chunks and hands
-// the protocols whole logical payloads. A KindResend frame uses the
-// chunk fields as the re-request selector instead: Chunks == 0 asks for
-// every chunk of the (From→To reversed) stream Seq, Chunks == 1 asks
-// for just chunk index Chunk.
+// A logical message may travel as several chunk frames: Chunk is this
+// frame's index within the logical message and Chunks the message's
+// total chunk count (1 for the common single-frame case). All chunks
+// of one message share (Kind, From, To, Seq); the reassembler on the
+// receive side buffers out-of-order chunks and hands the protocols
+// whole logical payloads. A KindResend frame uses the chunk fields as
+// the re-request selector instead: Chunks == 0 asks for every chunk of
+// the (From→To reversed) stream Seq, Chunks == 1 asks for just chunk
+// index Chunk.
 type Frame struct {
 	Kind    byte
 	From    int
@@ -130,8 +130,8 @@ type Frame struct {
 //	28      m     payload
 //	28+m    4     CRC-32 (IEEE) of bytes [0, 28+m)
 //
-// Version 2 added the chunk index/count fields; version-1 frames are
-// rejected at the trust boundary (the cluster is always homogeneous).
+// A frame of any other version is rejected at the trust boundary (the
+// cluster is always homogeneous).
 const (
 	frameMagic   = 0x5250
 	frameVersion = 2
@@ -140,10 +140,9 @@ const (
 
 	// MaxFramePayload bounds the payload length a decoder accepts, so a
 	// corrupt or adversarial length prefix cannot trigger a huge
-	// allocation. Since wire version 2 this caps one chunk, not one
-	// logical message: senders split larger payloads into chunk streams
-	// (see SplitFrame) and receivers reassemble them under
-	// Config.ReassemblyBudget.
+	// allocation. It caps one chunk, not one logical message: senders
+	// split larger payloads into chunk streams (see SplitFrame) and
+	// receivers reassemble them under Config.ReassemblyBudget.
 	MaxFramePayload = 1 << 24
 
 	// MaxChunksPerMessage bounds the chunk count a receiver accepts for
@@ -288,8 +287,8 @@ func validChunkFields(kind byte, chunk, chunks uint32) error {
 
 // frameBufPool recycles the transient buffers frames are encoded into
 // on the send path. Ownership rule: a pooled buffer never escapes the
-// call that took it — WriteFrame and the TCP batch path encode, write,
-// and return the buffer before returning; buffers handed to callers
+// call that took it — WriteFrame encodes, writes, and returns the
+// buffer before returning; buffers handed to callers
 // (EncodeFrame results, decoded payloads) are never pooled.
 var frameBufPool = sync.Pool{
 	New: func() any {
@@ -346,7 +345,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // Payload-ownership handoff rule: the returned frame's payload ALIASES
 // the returned buffer, so it is valid only until the next ReadFrameBuf
 // (or any other write) on that buffer. A component that retains the
-// payload past that point — a mailbox queue, a reassembly stash, a
+// payload past that point — a mailbox queue, a control message, a
 // resend cache — must copy it first (copy-on-retain). The Endpoint
 // read loop enforces this rule at the inbox boundary;
 // TestReadFrameBufOwnership pins it down.
@@ -418,18 +417,6 @@ type Transport interface {
 // the operation completes.
 type TransportFactory func(n int) (Transport, error)
 
-// BatchSender is implemented by transports that can transmit a frame
-// list more efficiently than one Send per frame — the TCP transport
-// coalesces a batch into buffered writes with a single flush per
-// (from, to) run, and the channel transport enqueues a run under one
-// inbox lock. Semantics are identical to calling Send in order; the
-// collector type-asserts for it, so decorators that must observe every
-// frame (fault injection, test counters) simply do not implement it and
-// keep receiving per-frame Sends.
-type BatchSender interface {
-	SendBatch(fs []Frame) error
-}
-
 // inbox is one node's unbounded frame queue — the receive side of
 // every built-in transport (ChanTransport holds one per node, a socket
 // Endpoint exactly one): appends never block, and a 1-slot signal
@@ -450,11 +437,10 @@ type inbox struct {
 
 func newInbox() *inbox { return &inbox{sig: make(chan struct{}, 1)} }
 
-// put enqueues a run of frames under a single lock and wakes the
-// receiver once. It never blocks.
-func (b *inbox) put(fs []Frame) {
+// put enqueues one frame and wakes the receiver. It never blocks.
+func (b *inbox) put(f Frame) {
 	b.mu.Lock()
-	b.q = append(b.q, fs...)
+	b.q = append(b.q, f)
 	b.mu.Unlock()
 	select {
 	case b.sig <- struct{}{}:
@@ -499,9 +485,8 @@ func (b *inbox) get(timeout time.Duration, closed <-chan struct{}) (Frame, error
 }
 
 // ChanTransport is the in-process interconnect: one inbox per node.
-// Frames are passed by reference (payloads are not copied or encoded),
-// preserving the zero-copy path of the original channel-backed
-// implementation.
+// Frames are passed by reference: payloads are neither copied nor
+// encoded.
 type ChanTransport struct {
 	boxes  []*inbox
 	closed chan struct{}
@@ -520,25 +505,15 @@ func NewChanTransport(n int) *ChanTransport {
 func (t *ChanTransport) Nodes() int { return len(t.boxes) }
 
 // Send delivers f to node f.To. Destinations out of range are rejected.
-func (t *ChanTransport) Send(f Frame) error { return t.deliver([]Frame{f}) }
-
-// SendBatch delivers a frame list, taking each destination's inbox lock
-// once per run of equal-To frames instead of once per frame.
-func (t *ChanTransport) SendBatch(fs []Frame) error {
-	return sendRuns(fs, func(a, b Frame) bool { return a.To == b.To }, t.deliver)
-}
-
-// deliver enqueues a run of frames sharing one destination.
-func (t *ChanTransport) deliver(fs []Frame) error {
-	to := fs[0].To
-	if to < 0 || to >= len(t.boxes) {
-		return fmt.Errorf("dist: send to node %d of %d-node cluster", to, len(t.boxes))
+func (t *ChanTransport) Send(f Frame) error {
+	if f.To < 0 || f.To >= len(t.boxes) {
+		return fmt.Errorf("dist: send to node %d of %d-node cluster", f.To, len(t.boxes))
 	}
 	if isClosed(t.closed) {
 		return ErrClosed
 	}
-	t.boxes[to].put(fs)
-	mChanFrames.Add(uint64(len(fs)))
+	t.boxes[f.To].put(f)
+	mChanFrames.Inc()
 	return nil
 }
 
@@ -568,25 +543,6 @@ func isClosed(closed <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// sendRuns splits a frame list into maximal runs of frames that same
-// reports as sharing a route and hands each run to send, in order. The
-// first error is reported, later runs are still attempted, matching the
-// protocols' tolerance for partial send failures.
-func sendRuns(fs []Frame, same func(a, b Frame) bool, send func([]Frame) error) error {
-	var firstErr error
-	for start := 0; start < len(fs); {
-		end := start + 1
-		for end < len(fs) && same(fs[start], fs[end]) {
-			end++
-		}
-		if err := send(fs[start:end]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		start = end
-	}
-	return firstErr
 }
 
 // KindError payloads carry a 1-byte sentinel code before the error

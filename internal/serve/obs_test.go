@@ -83,8 +83,8 @@ func TestMetricsConsistencyUnderConcurrency(t *testing.T) {
 // sends toward the root — undetectably from the wire's point of view
 // (ChanTransport passes frames by reference; there is no CRC to
 // recompute, and the flipped byte lands in an aggregate's float64, so
-// the payload still decodes). Deliberately not a BatchSender: that
-// keeps sendChunks on the per-frame Send path this wrapper observes.
+// the payload still decodes). Every frame leaves through Send, so the
+// wrapper sees each gather chunk.
 type tamperTransport struct {
 	dist.Transport
 	once sync.Once
