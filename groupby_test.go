@@ -109,3 +109,46 @@ func TestGroupBySumAllocBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupBySumMemoryBounded pins what a GROUP BY may allocate when
+// the group estimate is far too low: Groups: 16 plans one depth 0 table
+// per worker with BufferSizeFor(16) = 1024-value buffers, 8 KiB a group,
+// and the rows bring 2^16 groups — spread over the whole uint32 range,
+// or dense beside a NULL sentinel. An operator that gives every group
+// that arrives its own buffer allocates about one buffer per group per
+// worker (the generic Buffered64 table did: 1105 MiB a call for the
+// spread keys, 826 MiB beside the sentinel, on amd64). A table's
+// buffers stop at a few MiB instead, and the groups beyond them add to
+// their states directly: a call stays under an eighth of two workers'
+// buffer per group.
+func TestGroupBySumMemoryBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	const rows, groups = 1 << 17, 1 << 16
+	spread := make([]uint32, rows)
+	for i := range spread {
+		spread[i] = uint32(i%groups) * 65537
+	}
+	sentinel := workload.Keys(41, rows, groups)
+	sentinel[rows/3] = 0xFFFFFFFF
+	vals := workload.Values64(42, rows, workload.MixedMag)
+	for _, c := range []struct {
+		name string
+		keys []uint32
+	}{{"spread", spread}, {"sentinel", sentinel}} {
+		opts := &repro.GroupByOptions{Groups: 16, Workers: 2}
+		repro.GroupBySum(c.keys, vals, opts)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := repro.GroupBySum(c.keys, vals, opts)
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		perWorker := uint64(len(got)) * uint64(repro.BufferSizeFor(16)) * 8 // a buffer per group
+		limit := 2 * perWorker / 8
+		t.Logf("%s: %d groups, allocated %.1f MiB", c.name, len(got), float64(alloc)/(1<<20))
+		if alloc > limit {
+			t.Errorf("%s keys: allocated %d bytes for %d groups, limit %d", c.name, alloc, len(got), limit)
+		}
+	}
+}

@@ -11,9 +11,12 @@
 // it over its own tables. PartitionAndAggregate is Aggregate for
 // callers that do want the accumulators. Plain HASHAGGREGATION is
 // hashagg.Aggregate; the sort-first baseline of Table IV is
-// engine.SumSorted. The operators are generic over the aggregate payload,
-// so every data type of the evaluation — built-in floats, DECIMAL(p),
-// repro<ScalarT,L>, and buffered repro — runs through identical code.
+// engine.SumSorted. Aggregate is generic over the payload, so every
+// data type of the evaluation — built-in floats, DECIMAL(p),
+// repro<ScalarT,L>, buffered repro — can run through identical code:
+// the paper's drop-in demonstration (bench_test.go's Figs. 9–12) and the
+// benchmark's plain comparator. repro.GroupBySum runs GroupBySum, the
+// same operator on a table built for the reproducible SUM.
 package agg
 
 import (
@@ -36,16 +39,6 @@ func (f *F64) MergeFrom(o *F64) { *f += *o }
 // Value returns the aggregate.
 func (f *F64) Value() float64 { return float64(*f) }
 
-// U32 is the uint32 accumulator (the uint32_t reference of Figure 4).
-// Addition wraps, which keeps it associative and reproducible.
-type U32 uint32
-
-// Add folds one value in.
-func (u *U32) Add(v uint32) { *u += U32(v) }
-
-// MergeFrom combines per-thread aggregates.
-func (u *U32) MergeFrom(o *U32) { *u += *o }
-
 // D38 is the DECIMAL(38) accumulator: a 128-bit integer fed by 64-bit
 // values (the paper's __int128).
 type D38 struct{ v decimal.Int128 }
@@ -66,10 +59,6 @@ var (
 		Add(float64)
 		MergeFrom(*F64)
 	} = (*F64)(nil)
-	_ interface {
-		Add(uint32)
-		MergeFrom(*U32)
-	} = (*U32)(nil)
 	_ interface {
 		Add(int64)
 		MergeFrom(*D38)

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -67,30 +68,62 @@ func Aggregate[V partition.Scalar, A any, PA interface {
 	hashagg.Adder[V]
 	hashagg.Merger[A]
 }, R any](keys []uint32, vals []V, newA func() A, opt Options, finish func(key uint32, a *A) R) []R {
+	return operate(keys, vals, opt,
+		func(hint int) *hashagg.Table[A] { return hashagg.New[A](hint, opt.Hash, newA) },
+		func(t *hashagg.Table[A], pt partition.Part[V]) { hashagg.Aggregate[V, A, PA](t, pt.Keys, pt.Cols[0]) },
+		hashagg.MergeTables[A, PA],
+		func(t *hashagg.Table[A]) []R { return drain(t, finish) })
+}
+
+// operate is Algorithm 4 over any table; drain finishes a table's
+// groups in key order. Depth 0 folds each worker's chunk of the rows (a
+// part spanning the whole key space) into a table sized from GroupHint
+// and merges the tables into the first in worker order. Deeper, it
+// partitions the rows and runs AggregateParts.
+func operate[V partition.Scalar, T interface {
+	Cap() int
+	Clear()
+}, R any](keys []uint32, vals []V, opt Options, newTable func(hint int) T, fold func(t T, pt partition.Part[V]), merge func(dst, src T), drain func(t T) []R) []R {
 	if len(keys) != len(vals) {
 		panic("agg: keys and values must have equal length")
 	}
 	opt = opt.withDefaults(len(keys))
-	if opt.Depth == 0 {
-		return drain(aggregateUnpartitioned[V, A, PA](keys, vals, newA, opt), finish)
-	}
-
-	parts := partition.Recursive(keys, [][]V{vals}, opt.Depth, DefaultFanout, opt.Workers)
-	runs := make([][]R, len(parts))
-	AggregateParts(parts, opt.Workers,
-		func(bound int) *hashagg.Table[A] { return hashagg.New[A](bound, opt.Hash, newA) },
-		func(t *hashagg.Table[A], keys []uint32, cols [][]V) { hashagg.Aggregate[V, A, PA](t, keys, cols[0]) },
-		func(p int, t *hashagg.Table[A]) {
-			runs[p] = drain(t, finish)
+	if opt.Depth > 0 {
+		parts := partition.Recursive(keys, [][]V{vals}, opt.Depth, DefaultFanout, opt.Workers)
+		runs := make([][]R, len(parts))
+		AggregateParts(parts, opt.Workers, newTable, fold, func(p int, t T) {
+			runs[p] = drain(t)
 			parts[p] = partition.Part[V]{} // aggregated rows are garbage while the rest still run
 		})
-	return slices.Concat(runs...)
+		return slices.Concat(runs...)
+	}
+	n, w := len(keys), opt.Workers
+	if n < 2*w {
+		w = 1
+	}
+	tables := make([]T, w)
+	chunk := (n + w - 1) / w
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := min(i*chunk, n), min((i+1)*chunk, n)
+			tables[i] = newTable(opt.GroupHint)
+			fold(tables[i], partition.Part[V]{Keys: keys[lo:hi], Cols: [][]V{vals[lo:hi]}, Hi: math.MaxUint32})
+		}()
+	}
+	wg.Wait()
+	for _, t := range tables[1:] {
+		merge(tables[0], t)
+	}
+	return drain(tables[0])
 }
 
 // AggregateParts is the partition loop of every GROUP BY: workers
 // goroutines share parts — rows already partitioned into key ranges —
-// and each folds a part's rows into its table with fold, then hands the
-// table to drain with the part's index. A worker keeps one table for
+// and each folds a part (its rows and key range) into its table with
+// fold, then hands the table to drain with the part's index. A worker keeps one table for
 // every part it aggregates: made by newTable for the part's Bound, so
 // it cannot rehash mid-part however many groups the whole input has,
 // remade only for a part that bound outgrows, and otherwise cleared, not
@@ -102,7 +135,7 @@ func Aggregate[V partition.Scalar, A any, PA interface {
 func AggregateParts[V partition.Scalar, T interface {
 	Cap() int
 	Clear()
-}](parts []partition.Part[V], workers int, newTable func(bound int) T, fold func(t T, keys []uint32, cols [][]V), drain func(p int, t T)) {
+}](parts []partition.Part[V], workers int, newTable func(bound int) T, fold func(t T, pt partition.Part[V]), drain func(p int, t T)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(max(workers, 1), len(parts)) {
@@ -118,7 +151,7 @@ func AggregateParts[V partition.Scalar, T interface {
 				} else {
 					t.Clear()
 				}
-				fold(t, pt.Keys, pt.Cols)
+				fold(t, pt)
 				drain(p, t)
 			}
 		}()
@@ -155,37 +188,4 @@ func entryOf[A any]() func(key uint32, a *A) Entry[A] {
 		}
 	}
 	return func(key uint32, a *A) Entry[A] { return Entry[A]{Key: key, Agg: *a} }
-}
-
-// aggregateUnpartitioned implements the Depth = 0 case: workers
-// aggregate chunks of the input into private tables, which are then
-// merged into the first of them. The merge order is fixed (worker 0, 1,
-// …), and with reproducible payloads the merged result does not depend
-// on the chunking at all.
-func aggregateUnpartitioned[V any, A any, PA interface {
-	*A
-	hashagg.Adder[V]
-	hashagg.Merger[A]
-}](keys []uint32, vals []V, newA func() A, opt Options) *hashagg.Table[A] {
-	n, w := len(keys), opt.Workers
-	if n < 2*w {
-		w = 1
-	}
-	tables := make([]*hashagg.Table[A], w)
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := range tables {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := min(i*chunk, n), min((i+1)*chunk, n)
-			tables[i] = hashagg.New[A](opt.GroupHint, opt.Hash, newA)
-			hashagg.Aggregate[V, A, PA](tables[i], keys[lo:hi], vals[lo:hi])
-		}()
-	}
-	wg.Wait()
-	for _, t := range tables[1:] {
-		hashagg.MergeTables[A, PA](tables[0], t)
-	}
-	return tables[0]
 }

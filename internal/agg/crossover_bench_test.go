@@ -16,13 +16,14 @@ var crossoverSink int
 //
 //	go test -run '^$' -bench Crossover ./internal/agg
 //
-// It times PARTITIONANDAGGREGATE at group counts from 2^10 to 2^22
-// (every power of two across the first crossovers, every other one
-// elsewhere), at depth 0, 1 and 2, buffered (Eq. 4 at that depth, capped
-// by rows/groups, floored at MinBufferSize) and unbuffered, and reports
-// ns/row: 2^22 rows up to 2^20 groups, four rows per group above (depth
-// 0 is left out there: its tables run to gigabytes and it is already
-// three times behind at 2^20). The planner's pick for each group count
+// It times GroupBySum, the operator repro.GroupBySum runs, at group
+// counts from 2^10 to 2^22 (every power of two across the first
+// crossovers, every other one elsewhere), at depth 0, 1 and 2, buffered
+// (Eq. 4 at that depth, capped by rows/groups, floored at
+// MinBufferSize) and unbuffered, and reports ns/row: 2^22 rows up to
+// 2^20 groups, four rows per group above (depth 0 is left out there:
+// its tables run to gigabytes and it is already three times behind at
+// 2^20). The planner's pick for each group count
 // is marked "*" in the sub-benchmark name; it should be the fastest of
 // its group count, or within noise of it. Where the pick is buffered,
 // "floor" runs repeat it with 8- to 64-value buffers: MinBufferSize is
@@ -43,14 +44,9 @@ func BenchmarkGroupByCrossover(b *testing.B) {
 		run := func(name string, keys []uint32, depth, bsz int) {
 			opt := Options{Depth: depth, GroupHint: groups}
 			b.Run(fmt.Sprintf("g2^%d/d%d/%s", lg, depth, name), func(b *testing.B) {
-				newBuf := func() core.Buffered64 { return core.NewBuffered64(core.DefaultLevels, bsz) }
-				newSum := func() core.Sum64 { return core.NewSum64(core.DefaultLevels) }
 				for b.Loop() {
-					if bsz > 0 {
-						crossoverSink += len(PartitionAndAggregate[float64, core.Buffered64](keys, vals, newBuf, opt))
-					} else {
-						crossoverSink += len(PartitionAndAggregate[float64, core.Sum64](keys, vals, newSum, opt))
-					}
+					crossoverSink += len(GroupBySum(keys, vals, core.DefaultLevels, bsz, opt,
+						func(k uint32, sum float64) Entry[float64] { return Entry[float64]{Key: k, Agg: sum} }))
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 			})

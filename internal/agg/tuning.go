@@ -149,6 +149,11 @@ func firstPass(payloadBytes int) int {
 // input reaches it. The paper reports {2^16, 2^25} (built-ins),
 // ≈{2^15, 2^22} (unbuffered repro) and {2^10, 2^18} (buffered repro)
 // on its Haswell.
+//
+// ThresholdsRepro* still price core.Sum64 / core.Buffered64 slots,
+// although GroupBySum runs a table of 12-byte hot slots and cold
+// states; BenchmarkGroupByCrossover times that table, and ROADMAP item
+// 2's planner refit moves these constants onto it.
 var (
 	// ThresholdsBuiltin: depth crossovers for built-in scalar types.
 	ThresholdsBuiltin = DepthThresholds{firstPass(8), 1 << 26}

@@ -20,7 +20,8 @@
 // The buffered types do not reproduce Figure 5's inline
 // ⟨state | next | a_0 … a_bsz⟩ payload: the state and the fill index sit
 // in the slot, the buffer is a separate allocation behind a slice header,
-// which tables recycle across partitions through Reset.
+// which agg.Aggregate's tables recycle across partitions through Reset;
+// repro.GroupBySum's table (agg.GroupBySum's) stores neither type.
 package core
 
 import "repro/internal/rsum"

@@ -509,7 +509,7 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 			mem.combine = groupby.Recycle(mem.combine, plan, bound, bsz)
 			return mem.combine
 		},
-		(*groupby.Table).AddRows,
+		(*groupby.Table).AddPart,
 		func(_ int, t *groupby.Table) {
 			t.ForEach(func(key uint32, tup *sqlagg.Tuple) {
 				if err == nil {

@@ -310,7 +310,7 @@ func TestPartitionedTablesSameGroups(t *testing.T) {
 		_, bsz = groupby.Layout(plan, maxBound, 64)
 		var ranged []TupleGroup
 		agg.AggregateParts(parts, 1, func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
-			(*groupby.Table).AddRows, func(_ int, table *groupby.Table) { ranged = append(ranged, table.Groups()...) })
+			(*groupby.Table).AddPart, func(_ int, table *groupby.Table) { ranged = append(ranged, table.Groups()...) })
 		checkTuples(t, ranged, want, tc.name+": a table per key-range partition")
 
 		for _, nodes := range []int{1, 3} {

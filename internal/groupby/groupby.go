@@ -15,6 +15,7 @@ package groupby
 import (
 	"repro/internal/agg"
 	"repro/internal/hashagg"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 )
 
@@ -56,12 +57,16 @@ func Recycle(t *Table, plan *sqlagg.TuplePlan, hint, bsz int) *Table {
 	return t
 }
 
-// AddRows is the row loop of the tuple pipeline (agg.AggregateParts'
-// fold): row i of cols folds into the tuple of keys[i]. It takes the
-// rows sqlagg.BatchRows at a time: one probe pass resolves the batch's
-// tuples — again if the table grew meanwhile, since growing moves every
-// tuple — and sqlagg.TuplePlan.AddBatch folds them one component at a
-// time. It allocates nothing unless the table grows.
+// AddPart folds a partition's rows with AddRows: agg.AggregateParts'
+// fold.
+func (t *Table) AddPart(pt partition.Part[float64]) { t.AddRows(pt.Keys, pt.Cols) }
+
+// AddRows is the row loop of the tuple pipeline: row i of cols folds
+// into the tuple of keys[i]. It takes the rows sqlagg.BatchRows at a
+// time: one probe pass resolves the batch's tuples — again if the table
+// grew meanwhile, since growing moves every tuple — and
+// sqlagg.TuplePlan.AddBatch folds them one component at a time. It
+// allocates nothing unless the table grows.
 func (t *Table) AddRows(keys []uint32, cols [][]float64) {
 	var ts [sqlagg.BatchRows]*sqlagg.Tuple
 	for lo := 0; lo < len(keys); lo += sqlagg.BatchRows {

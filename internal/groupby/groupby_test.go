@@ -164,7 +164,7 @@ func (r records) sink(t *testing.T, plan *sqlagg.TuplePlan) func(int, *Table) {
 // aggregate is agg's partition loop over parts with this package's
 // table and row fold, as dist's combiner and serve's local engine run it.
 func aggregate(plan *sqlagg.TuplePlan, parts []partition.Part[float64], bsz, workers int, drain func(int, *Table)) {
-	agg.AggregateParts(parts, workers, func(bound int) *Table { return NewTable(plan, bound, bsz) }, (*Table).AddRows, drain)
+	agg.AggregateParts(parts, workers, func(bound int) *Table { return NewTable(plan, bound, bsz) }, (*Table).AddPart, drain)
 }
 
 // readColumns is cols with every column the plan does not read nil: what

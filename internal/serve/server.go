@@ -574,7 +574,7 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 	runs := make([][]dist.TupleGroup, len(ds.parts))
 	agg.AggregateParts(ds.parts, s.opt.Workers,
 		func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
-		(*groupby.Table).AddRows,
+		(*groupby.Table).AddPart,
 		func(p int, t *groupby.Table) { runs[p] = t.Groups() })
 	return slices.Concat(runs...), nil
 }

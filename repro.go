@@ -40,7 +40,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dist/proc"
 	"repro/internal/exact"
-	"repro/internal/hashagg"
 	"repro/internal/rsum"
 	"repro/internal/sqlagg"
 )
@@ -146,28 +145,17 @@ func (o *GroupByOptions) withDefaults() GroupByOptions {
 // (as a set of groups) is bit-identical for any permutation of the
 // input, any worker count, and any options with the same Levels.
 // The returned groups are sorted by key — by construction, not by a
-// sort: a partitioned run (agg.Aggregate) splits the rows into ascending
-// key ranges, and every range's groups leave their table in key order
-// as finished ⟨key, sum⟩ pairs. It panics if keys and values differ in
-// length.
+// sort: a partitioned run (agg.GroupBySum) splits the rows into
+// ascending key ranges, and every range's groups leave their table in
+// key order as finished ⟨key, sum⟩ pairs. It panics if keys and values
+// differ in length.
 func GroupBySum(keys []uint32, values []float64, opts *GroupByOptions) []Group {
 	o := opts.withDefaults()
 	o.Groups = min(o.Groups, max(len(keys), 1))
 	depth, bsz := agg.Plan(o.Groups, len(keys), 8)
-	options := agg.Options{
-		Depth:     depth,
-		Workers:   o.Workers,
-		GroupHint: o.Groups,
-		Hash:      hashagg.Identity,
-	}
-	if bsz == 0 {
-		return agg.Aggregate[float64, core.Sum64](keys, values,
-			func() core.Sum64 { return core.NewSum64(o.Levels) }, options,
-			func(key uint32, a *core.Sum64) Group { return Group{Key: key, Sum: a.Value()} })
-	}
-	return agg.Aggregate[float64, core.Buffered64](keys, values,
-		func() core.Buffered64 { return core.NewBuffered64(o.Levels, bsz) }, options,
-		func(key uint32, a *core.Buffered64) Group { return Group{Key: key, Sum: a.Value()} })
+	return agg.GroupBySum(keys, values, o.Levels, bsz,
+		agg.Options{Depth: depth, Workers: o.Workers, GroupHint: o.Groups},
+		func(key uint32, sum float64) Group { return Group{Key: key, Sum: sum} })
 }
 
 // BufferSizeFor evaluates the paper's cache-footprint model (Eq. 4):
