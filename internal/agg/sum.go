@@ -19,11 +19,11 @@ func GroupBySum[R any](keys []uint32, vals []float64, levels, bsz int, opt Optio
 		func(t *sumTable) []R { return drainSum(t, finish) })
 }
 
-// maxArenaBytes caps a table's buffer arena. Plan sizes buffers so the
+// MaxArenaBytes caps a table's buffer arena. Plan sizes buffers so the
 // expected groups' ones fill CacheBytesPerThread (Eq. 4); groups beyond
 // four times that many — a group estimate far too low — add to their
 // states directly, which changes their speed, never their bits.
-const maxArenaBytes = 4 * CacheBytesPerThread
+const MaxArenaBytes = 4 * CacheBytesPerThread
 
 // A sumTable is §V-A's payload ⟨state | next | a_0 … a_bsz⟩ taken apart
 // so that a row touches only what it needs: its 12-byte slot (key,
@@ -160,11 +160,11 @@ func (t *sumTable) claim(s, key uint32) {
 	t.states[s].Reset(t.levels)
 	t.slots[s] = sumSlot{key: key, buf: -1}
 	n := len(t.arena)
-	if t.bsz == 0 || (n+t.bsz)*8 > maxArenaBytes {
+	if t.bsz == 0 || (n+t.bsz)*8 > MaxArenaBytes {
 		return
 	}
 	if n+t.bsz > cap(t.arena) { // double, up to the cap
-		grown := make([]float64, n, min(max(2*n, 16*t.bsz), maxArenaBytes/8))
+		grown := make([]float64, n, min(max(2*n, 16*t.bsz), MaxArenaBytes/8))
 		t.arena = grown[:copy(grown, t.arena)]
 	}
 	t.arena = t.arena[:n+t.bsz]

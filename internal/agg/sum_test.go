@@ -138,7 +138,7 @@ func TestSumTableBuffersOnlyArrivedGroups(t *testing.T) {
 	}
 
 	// Groups past the arena's cap go unbuffered.
-	big := maxArenaBytes / 8 / 64
+	big := MaxArenaBytes / 8 / 64
 	many := make([]uint32, 3*big)
 	for i := range many {
 		many[i] = uint32(i % (big + 10))

@@ -384,7 +384,7 @@ func TestCombineLoopZeroAlloc(t *testing.T) {
 
 // TestOwnerMergeAllocs pins the owner role's table (ROADMAP 3a):
 // building and filling it from a 2^15-group shuffle frame is a constant
-// handful of allocations — the slot arrays plus a few tuple slabs, not
+// handful of allocations — the slots and the component columns, not
 // one or more per group — and merging a second sender's frame into the
 // warm table allocates nothing.
 func TestOwnerMergeAllocs(t *testing.T) {

@@ -386,14 +386,34 @@ func TestGroupsAggsDoNotOverlap(t *testing.T) {
 	}
 }
 
-// rowByRow is the reference of the batch fold: a table fed one
-// sqlagg.TuplePlan.AddRow per row, in row order.
-func rowByRow(plan *sqlagg.TuplePlan, hint, bsz int, keys []uint32, cols [][]float64) *Table {
-	table := NewTable(plan, hint, bsz)
+// reference is the oracle of the table: one unbuffered tuple per key,
+// fed one sqlagg.TuplePlan.AddRow per row, in row order.
+func reference(plan *sqlagg.TuplePlan, keys []uint32, cols [][]float64) map[uint32]*sqlagg.Tuple {
+	tuples := make(map[uint32]*sqlagg.Tuple)
 	for i, k := range keys {
-		plan.AddRow(table.Upsert(k), cols, i)
+		tup := tuples[k]
+		if tup == nil {
+			tup = new(sqlagg.Tuple)
+			*tup = plan.NewTuple(0)
+			tuples[k] = tup
+		}
+		plan.AddRow(tup, cols, i)
 	}
-	return table
+	return tuples
+}
+
+// rowByRow is reference's tuples encoded, key → AppendBinary's bytes.
+func rowByRow(t testing.TB, plan *sqlagg.TuplePlan, keys []uint32, cols [][]float64) map[uint32]string {
+	tuples := reference(plan, keys, cols)
+	out := make(map[uint32]string, len(tuples))
+	for k, tup := range tuples {
+		enc, err := plan.AppendBinary(nil, tup)
+		if err != nil {
+			t.Fatalf("key %d: %v", k, err)
+		}
+		out[k] = string(enc)
+	}
+	return out
 }
 
 // encoded is every tuple of table, key → AppendBinary's bytes.
@@ -427,7 +447,7 @@ func sameFold(t testing.TB, name string, plan *sqlagg.TuplePlan, hint, bsz int, 
 		table.AddRows(keys[lo:hi], part)
 		lo = hi
 	}
-	if got, want := encoded(t, plan, table), encoded(t, plan, rowByRow(plan, hint, bsz, keys, cols)); !maps.Equal(got, want) {
+	if got, want := encoded(t, plan, table), rowByRow(t, plan, keys, cols); !maps.Equal(got, want) {
 		t.Errorf("%s: AddRows leaves %d tuples, AddRow per row %d, or different bytes", name, len(got), len(want))
 	}
 }
@@ -440,7 +460,7 @@ func sameFold(t testing.TB, name string, plan *sqlagg.TuplePlan, hint, bsz int, 
 // Σx, Σx² (VAR_POP), COUNT and MIN/MAX fed NaN and ±0. On a warmed table
 // AddRows allocates nothing.
 func TestAddRowsMatchesAddRow(t *testing.T) {
-	const rows = 3*sqlagg.BatchRows + 77
+	const rows = 3*batchRows + 77
 	plan := mustPlan(t, tupleSpecs())
 	cols := [][]float64{workload.Values64(61, rows, workload.MixedMag), workload.Values64(62, rows, workload.Uniform12)}
 	classes := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), -0x1p990}
@@ -458,10 +478,10 @@ func TestAddRowsMatchesAddRow(t *testing.T) {
 	} {
 		keys := workload.Keys(63, rows, uint32(tc.groups))
 		for _, bsz := range []int{0, 32, 1024} {
-			for _, n := range []int{rows, sqlagg.BatchRows, 1} {
+			for _, n := range []int{rows, batchRows, 1} {
 				name := fmt.Sprintf("%s, bsz %d, %d rows", tc.name, bsz, n)
 				sameFold(t, name, plan, tc.hint, bsz, keys[:n], cols)
-				sameFold(t, name+" in uneven calls", plan, tc.hint, bsz, keys[:n], cols, 1, 3, sqlagg.BatchRows+1, 100)
+				sameFold(t, name+" in uneven calls", plan, tc.hint, bsz, keys[:n], cols, 1, 3, batchRows+1, 100)
 			}
 		}
 	}
@@ -474,16 +494,242 @@ func TestAddRowsMatchesAddRow(t *testing.T) {
 	}
 }
 
-// FuzzTupleFold holds the batch fold to one AddRow per row on fuzzed
-// keys, values, buffer lengths and table hints: byte 0 picks bsz (0 to
-// 64, so 1 — a flush every row — too), byte 1 the hint, and every three
+// sameGroups fails t unless table's Groups are the reference's tuples
+// finalized, one per key, in ascending key order, bit for bit.
+func sameGroups(t testing.TB, name string, plan *sqlagg.TuplePlan, table *Table, ref map[uint32]*sqlagg.Tuple) {
+	t.Helper()
+	gs := table.Groups()
+	if len(gs) != len(ref) || table.Len() != len(ref) {
+		t.Errorf("%s: %d groups (Len %d), want %d", name, len(gs), table.Len(), len(ref))
+		return
+	}
+	for i, g := range gs {
+		tup := ref[g.Key]
+		if tup == nil || (i > 0 && gs[i-1].Key >= g.Key) {
+			t.Errorf("%s: group %d has key %d: unknown or out of order", name, i, g.Key)
+			return
+		}
+		want := plan.Finalize(nil, tup)
+		if !slices.EqualFunc(g.Aggs, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s: key %d finalizes to %v, want %v", name, g.Key, g.Aggs, want)
+			return
+		}
+	}
+}
+
+// part is keys and cols as one partition over [min, max] of the keys.
+func part(keys []uint32, cols [][]float64) partition.Part[float64] {
+	pt := partition.Part[float64]{Keys: keys, Cols: cols}
+	if len(keys) > 0 {
+		pt.Lo, pt.Hi = slices.Min(keys), slices.Max(keys)
+	}
+	return pt
+}
+
+// rowsOf is rows [lo, hi) of keys and cols.
+func rowsOf(keys []uint32, cols [][]float64, lo, hi int) ([]uint32, [][]float64) {
+	sub := make([][]float64, len(cols))
+	for c := range cols {
+		sub[c] = cols[c][lo:hi]
+	}
+	return keys[lo:hi], sub
+}
+
+// TestTupleTableMatrix holds the table to its oracle, one AddRow per
+// row into an unbuffered sqlagg.Tuple per key, on AppendBinary's bytes
+// and on Groups (key order included), across:
+//   - plans: one SUM, Q1's, SUM + VAR_POP (a Σx² component), MIN/MAX
+//     alone and beside sums, COUNT alone (no sums, so no buffers);
+//   - key shapes: dense, one key, none, stride 256, based at 2^31, the
+//     0xFFFFFFFF sentinel among dense keys, and keys spread wider than
+//     any table;
+//   - buffer lengths 0, 1 (a flush every row), 8, the planned one and
+//     1024, whose arena passes agg.MaxArenaBytes at a few hundred groups
+//     of a multi-sum plan, so later groups add to their states directly;
+//   - entries: AddPart over the keys' range (direct where the range fits
+//     the table, probed where it does not), AddRows in uneven calls into
+//     a table hinted at one group (it grows inside AddRows), agg's
+//     partition loop over depth-1 parts on one recycled table,
+//     MergeBinary of one half's encoded tuples into a direct and into a
+//     probed table of the other half, and Recycle of a table of another
+//     plan, of another bsz and of the same plan and bsz.
+func TestTupleTableMatrix(t *testing.T) {
+	const rows, groups = 3000, 500
+	cols := make([][]float64, 5)
+	for c := range cols {
+		cols[c] = workload.Values64(uint64(71+c), rows, []workload.ValueDist{workload.MixedMag, workload.Uniform12}[c%2])
+	}
+	classes := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0x1p990, -0x1p-1074}
+	for i := 3; i < rows; i += 11 {
+		cols[i%len(cols)][i] = classes[(i/11)%len(classes)]
+	}
+	dense := workload.Keys(73, rows, groups)
+	shape := func(f func(i int, k uint32) uint32) []uint32 {
+		keys := make([]uint32, rows)
+		for i, k := range dense {
+			keys[i] = f(i, k)
+		}
+		return keys
+	}
+	shapes := []struct {
+		name string
+		keys []uint32
+	}{
+		{"dense", dense},
+		{"one key", shape(func(int, uint32) uint32 { return 7 })},
+		{"no rows", nil},
+		{"stride 256", shape(func(_ int, k uint32) uint32 { return k << 8 })},
+		{"based 2^31", shape(func(_ int, k uint32) uint32 { return 1<<31 + k })},
+		{"sentinel", shape(func(i int, k uint32) uint32 {
+			if i%97 == 5 {
+				return 0xFFFFFFFF
+			}
+			return k
+		})},
+		{"wider than the table", shape(func(_ int, k uint32) uint32 { return k * 2654435761 })},
+	}
+	plans := []struct {
+		name  string
+		specs []sqlagg.AggSpec
+	}{
+		{"sum", []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: levels, Col: 0}}},
+		{"q1", q1Catalog(levels)},
+		{"sum+var", []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: levels, Col: 2}, {Kind: sqlagg.AggVarPop, Levels: levels, Col: 2}}},
+		{"min/max", []sqlagg.AggSpec{{Kind: sqlagg.AggMin, Col: 1}, {Kind: sqlagg.AggMax, Col: 3}}},
+		{"mixed", tupleSpecs()},
+		{"count", []sqlagg.AggSpec{{Kind: sqlagg.AggCount}}},
+	}
+	other := mustPlan(t, narrowCatalog(levels))
+	for _, pc := range plans {
+		plan := mustPlan(t, pc.specs)
+		for _, sh := range shapes {
+			keys, half := sh.keys, len(sh.keys)/2
+			shCols := cols
+			if keys == nil {
+				shCols = make([][]float64, len(cols))
+			}
+			ref, want := reference(plan, keys, shCols), rowByRow(t, plan, keys, shCols)
+			bound := len(ref)
+			_, planned := Layout(plan, max(bound, 1), rows/max(bound, 1))
+			for _, bsz := range []int{0, 1, 8, planned, 1024} {
+				name := fmt.Sprintf("%s, %s, bsz %d", pc.name, sh.name, bsz)
+				check := func(entry string, table *Table) {
+					t.Helper()
+					if got := encoded(t, plan, table); !maps.Equal(got, want) {
+						t.Errorf("%s, %s: %d tuples, want %d, or different bytes", name, entry, len(got), len(want))
+					}
+					sameGroups(t, name+", "+entry, plan, table, ref)
+				}
+
+				direct := NewTable(plan, bound, bsz)
+				direct.AddPart(part(keys, shCols))
+				check("AddPart", direct)
+
+				grown := NewTable(plan, 1, bsz)
+				for lo, step := 0, 1; lo < len(keys); lo, step = lo+step, step*3+1 {
+					k, c := rowsOf(keys, shCols, lo, min(len(keys), lo+step))
+					grown.AddRows(k, c)
+				}
+				check("AddRows from hint 1", grown)
+
+				var loop *Table
+				r := make(records, 1)
+				r[0] = make(map[uint32]string)
+				agg.AggregateParts(partition.Recursive(keys, shCols, 1, agg.DefaultFanout, 1), 1,
+					func(bound int) *Table { loop = Recycle(loop, plan, bound, bsz); return loop },
+					(*Table).AddPart, r.sink(t, plan))
+				if !maps.Equal(r[0], want) {
+					t.Errorf("%s, partition loop: %d tuples, want %d, or different bytes", name, len(r[0]), len(want))
+				}
+
+				for _, into := range []string{"direct", "probed"} {
+					k1, c1 := rowsOf(keys, shCols, 0, half)
+					dst := NewTable(plan, bound, bsz)
+					if into == "direct" {
+						pt := part(k1, c1)
+						pt.Lo, pt.Hi = part(keys, nil).Lo, part(keys, nil).Hi
+						dst.AddPart(pt)
+					} else {
+						dst = NewTable(plan, 1, bsz)
+						dst.AddRows(k1, c1)
+					}
+					src := NewTable(plan, bound, bsz)
+					src.AddRows(rowsOf(keys, shCols, half, len(keys)))
+					src.ForEach(func(key uint32, tup *sqlagg.Tuple) {
+						enc, err := plan.AppendBinary(nil, tup)
+						if err == nil {
+							err = dst.MergeBinary(key, enc)
+						}
+						if err != nil {
+							t.Fatalf("%s: merging key %d: %v", name, key, err)
+						}
+					})
+					check("MergeBinary into a "+into+" table", dst)
+				}
+
+				for _, prev := range []*Table{NewTable(other, bound, 8), NewTable(plan, bound, bsz+1), NewTable(plan, bound, bsz)} {
+					prev.AddRows(keys, shCols)
+					table := Recycle(prev, plan, bound, bsz)
+					if same := prev.plan == plan && prev.bsz == bsz; (table == prev) != same {
+						t.Errorf("%s: Recycle of a table of plan %v bsz %d reused it: %v", name, prev.plan == plan, prev.bsz, table == prev)
+					}
+					table.AddPart(part(keys, shCols))
+					check(fmt.Sprintf("Recycle(plan %v, bsz %d)", prev.plan == plan, prev.bsz), table)
+				}
+			}
+		}
+	}
+}
+
+// TestAddPartAllocations: AddPart on a warmed table allocates nothing,
+// in direct mode (the part's range fits the table) and in probed mode
+// (it does not), buffered and not; and a new table hinted at its part's
+// groups is a handful of allocations (the table, its slots, states,
+// counts and arena, and what a collection the large ones start may
+// add), whatever their number.
+func TestAddPartAllocations(t *testing.T) {
+	const rows = 4 * batchRows
+	plan := mustPlan(t, q1Catalog(levels))
+	cols := make([][]float64, 5)
+	for c := range cols {
+		cols[c] = workload.Values64(uint64(75+c), rows, workload.MixedMag)
+	}
+	keys := workload.Keys(76, rows, 100)
+	for mode, pt := range map[string]partition.Part[float64]{
+		"direct": part(keys, cols),
+		"probed": {Keys: keys, Cols: cols, Lo: 0, Hi: 0xFFFFFFFF},
+	} {
+		for _, bsz := range []int{0, 32} {
+			table := NewTable(plan, 100, bsz)
+			table.AddPart(pt)
+			if allocs := testing.AllocsPerRun(20, func() { table.Clear(); table.AddPart(pt) }); allocs != 0 {
+				t.Errorf("%s, bsz %d: AddPart on a warmed table: %v allocs, want 0", mode, bsz, allocs)
+			}
+		}
+	}
+	for _, groups := range []uint32{100, 1 << 12} {
+		keys := workload.Keys(77, rows, groups)
+		pt := part(keys, cols)
+		if allocs := testing.AllocsPerRun(5, func() { NewTable(plan, pt.Bound(), 32).AddPart(pt) }); allocs > 8 {
+			t.Errorf("%d groups: a new table and its part: %v allocs, want at most 8", groups, allocs)
+		}
+	}
+}
+
+// FuzzTupleFold holds the table to one AddRow per row on fuzzed keys,
+// values, buffer lengths, table hints and part ranges: byte 0 picks bsz
+// (0 to 64, so 1 — a flush every row — too), byte 1 the hint, byte 2
+// how far the range of the part AddPart is given reaches past the
+// keys' (its low nibble below, its high nibble ×16 above, so that the
+// range fits the table or not: direct or probed), and every three
 // bytes after them are one row: its key and the bytes its two values
-// are made of, special values among them.
+// are made of, special values among them. The rows are folded once
+// through AddRows and once through AddPart.
 func FuzzTupleFold(f *testing.F) {
-	f.Add([]byte{32, 1, 0, 1, 2, 1, 3, 4, 0, 5, 6})
-	f.Add([]byte{1, 0, 7, 200, 9, 7, 129, 3, 8, 130, 4})
-	f.Add(append([]byte{16, 2}, slices.Repeat([]byte{3, 64, 65, 4, 66, 67}, 200)...))
-	f.Add(append([]byte{0, 0}, slices.Repeat([]byte{1, 2, 3, 250, 133, 140}, 100)...))
+	f.Add([]byte{32, 1, 0, 0, 1, 2, 1, 3, 4, 0, 5, 6})
+	f.Add([]byte{1, 0, 0x31, 7, 200, 9, 7, 129, 3, 8, 130, 4})
+	f.Add(append([]byte{16, 2, 0xF0}, slices.Repeat([]byte{3, 64, 65, 4, 66, 67}, 200)...))
+	f.Add(append([]byte{0, 0, 0x0F}, slices.Repeat([]byte{1, 2, 3, 250, 133, 140}, 100)...))
 	plan := mustPlan(f, tupleSpecs())
 	classes := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 0x1p1000, -0x1p-1074}
 	value := func(a, b byte) float64 {
@@ -493,11 +739,11 @@ func FuzzTupleFold(f *testing.F) {
 		return math.Ldexp(float64(int8(b)), int(a)-120)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 3 {
 			return
 		}
-		bsz, hint := int(data[0])%65, int(data[1])%64
-		data = data[2:]
+		bsz, hint, reach := int(data[0])%65, int(data[1])%64, data[2]
+		data = data[3:]
 		rows := min(len(data)/3, 4096)
 		keys := make([]uint32, rows)
 		cols := [][]float64{make([]float64, rows), make([]float64, rows)}
@@ -506,7 +752,18 @@ func FuzzTupleFold(f *testing.F) {
 			keys[i] = uint32(r[0])
 			cols[0][i], cols[1][i] = value(r[1], r[2]), value(r[2], r[1])
 		}
-		sameFold(t, fmt.Sprintf("bsz %d, hint %d, %d rows", bsz, hint, rows), plan, hint, bsz, keys, cols)
+		name := fmt.Sprintf("bsz %d, hint %d, %d rows", bsz, hint, rows)
+		sameFold(t, name, plan, hint, bsz, keys, cols)
+		pt := part(keys, cols)
+		pt.Lo -= min(pt.Lo, uint32(reach&0x0F))
+		pt.Hi += uint32(reach>>4) << 4
+		table := NewTable(plan, hint, bsz)
+		table.AddPart(pt)
+		ref := reference(plan, keys, cols)
+		if got, want := encoded(t, plan, table), rowByRow(t, plan, keys, cols); !maps.Equal(got, want) {
+			t.Errorf("%s, part [%d, %d]: AddPart leaves %d tuples, AddRow per row %d, or different bytes", name, pt.Lo, pt.Hi, len(got), len(want))
+		}
+		sameGroups(t, fmt.Sprintf("%s, part [%d, %d]", name, pt.Lo, pt.Hi), plan, table, ref)
 	})
 }
 

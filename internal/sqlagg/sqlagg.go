@@ -31,7 +31,10 @@
 //	finalize  TuplePlan.Finalize   one float64 per spec, in spec order
 //
 // so SUM(x), AVG(x), VAR_POP(x) and COUNT(*) cost two sums and a
-// counter per row, not four accumulators. AggState is a one-spec plan
+// counter per row, not four accumulators. An aggregation table keeps
+// its groups' components in TupleColumns instead of one Tuple each,
+// steps a batch of rows one component at a time, and hands a flushed
+// group out as a Tuple view for merge, encode and finalize. AggState is a one-spec plan
 // for callers that fold one aggregate a value at a time. The dot
 // products are not GROUP BY catalog kinds.
 package sqlagg

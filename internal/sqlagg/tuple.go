@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/rsum"
@@ -14,12 +15,13 @@ import (
 // accumulate — Σx, Σx² and the row count n. TuplePlan maps a spec list
 // to its distinct physical components, as the catalog rows name them,
 // and to one finaliser per spec, the row's fin over those components.
-// It is the init / step / merge / encode / finalize of every aggregate;
-// its step folds a batch of rows one component at a time (AddBatch, of
-// which AddRow is the one-row case). Tuple is one group's components
-// plus the §V-A summation buffers in front of its sums. It is the
-// payload of every aggregation table of the tuple pipeline and, flushed,
-// the per-key record of a shuffle frame.
+// It is the init / step / merge / encode / finalize of every aggregate.
+// Tuple is one group's components, with the §V-A summation buffers in
+// front of its sums when it stands alone. An aggregation table keeps
+// its groups' components in columns instead (TupleColumns), folds rows
+// into them a batch at a time one component at a time, and hands out a
+// flushed group as a Tuple view: the per-key record of a shuffle frame
+// and what Finalize reads.
 
 // sumComp is one reproducible sum over a column or over its squares.
 // Specs that read the same column at different level counts get
@@ -104,9 +106,13 @@ func component[T comparable](comps *[]T, want T) int {
 // 9-byte extrema. A single-SUM plan is one bare rsum state.
 func (p *TuplePlan) Width() int { return p.width }
 
-// TupleBytes returns the memory one tuple without summation buffers
-// occupies in an aggregation table: what a table's cache footprint is
-// planned from.
+// TupleBytes returns the memory of one tuple without summation
+// buffers: its Tuple header and components. It is what a table's cache
+// footprint is planned from, and it overprices a table's group, whose
+// components sit in TupleColumns beside an 8-byte count and two 12-byte
+// slots instead of behind a header (on 64-bit builds 32 bytes, not 96,
+// besides the components); the planner keeps the figure until it is
+// refit.
 func (p *TuplePlan) TupleBytes() int {
 	return int(unsafe.Sizeof(Tuple{})) +
 		len(p.sums)*int(unsafe.Sizeof(rsum.State64{})) +
@@ -138,11 +144,12 @@ func (p *TuplePlan) RowBytes() int { return 8 * len(p.sums) }
 // appends per tuple.
 func (p *TuplePlan) Specs() int { return len(p.fins) }
 
-// Tuple is one group's physical aggregate state.
+// Tuple is one group's physical aggregate state: a tuple of its own
+// (NewTuple), or a view of one group of a TupleColumns.
 type Tuple struct {
 	sums []rsum.State64
 	exts []minmaxState
-	n    int64
+	n    int64 // rows in the sums: a buffered tuple counts its fill when it flushes
 	// buf holds the values not yet summed, column-major: sum j's are
 	// buf[j*bsz : j*bsz+fill]. Every row appends to every column, so
 	// one fill index serves them all.
@@ -153,192 +160,231 @@ type Tuple struct {
 // NewTuple returns an empty tuple with bsz-value summation buffers
 // (0: none, rows go straight into the sums).
 func (p *TuplePlan) NewTuple(bsz int) Tuple {
-	s := TupleSlab{plan: p, bsz: bsz, per: 1}
-	return s.NewTuple()
-}
-
-// slabBytes caps one slab of a TupleSlab, so a table whose hint
-// overshoots its groups over-allocates by at most about this much.
-const slabBytes = 1 << 20
-
-// TupleSlab allocates the tuples of one aggregation table. A tuple's
-// sums (pointer-free), extrema and summation buffers are carved from
-// arrays shared by a slab of tuples instead of made per group, so a
-// table costs O(slabs) allocations and the collector traces a handful
-// of objects where it traced one or more per group.
-type TupleSlab struct {
-	plan     *TuplePlan
-	bsz, per int // summation buffer length; tuples per slab
-	sums     []rsum.State64
-	exts     []minmaxState
-	buf      []float64
-}
-
-// NewSlab returns the allocator for a table expected to hold about
-// hint tuples with bsz-value summation buffers: slabs hold hint tuples,
-// capped at slabBytes, so a four-group table allocates four tuples'
-// worth and a 2^16-group one a few dozen slabs.
-func (p *TuplePlan) NewSlab(bsz, hint int) *TupleSlab {
-	tuple := len(p.sums)*(int(unsafe.Sizeof(rsum.State64{}))+8*bsz) + len(p.exts)*int(unsafe.Sizeof(minmaxState{}))
-	return &TupleSlab{plan: p, bsz: bsz, per: max(1, min(hint, slabBytes/max(tuple, 1)))}
-}
-
-// NewTuple returns an empty tuple carved from the slab.
-func (s *TupleSlab) NewTuple() Tuple {
-	p := s.plan
-	ns, ne := len(p.sums), len(p.exts)
-	if len(s.sums) < ns {
-		s.sums = make([]rsum.State64, ns*s.per)
+	t := Tuple{sums: make([]rsum.State64, len(p.sums))}
+	p.resetSums(t.sums)
+	if len(p.exts) > 0 {
+		t.exts = make([]minmaxState, len(p.exts))
+		p.resetExts(t.exts)
 	}
-	t := Tuple{sums: s.sums[:ns:ns]}
-	s.sums = s.sums[ns:]
-	for i, c := range p.sums {
-		t.sums[i].Reset(c.levels)
-	}
-	if ne > 0 {
-		if len(s.exts) < ne {
-			s.exts = make([]minmaxState, ne*s.per)
-		}
-		t.exts, s.exts = s.exts[:ne:ne], s.exts[ne:]
-		for i, c := range p.exts {
-			t.exts[i].isMax = c.isMax
-		}
-	}
-	if nb := s.bsz * ns; nb > 0 {
-		if len(s.buf) < nb {
-			s.buf = make([]float64, nb*s.per)
-		}
-		t.bsz, t.buf, s.buf = s.bsz, s.buf[:nb:nb], s.buf[nb:]
+	if nb := bsz * len(p.sums); nb > 0 {
+		t.buf, t.bsz = make([]float64, nb), bsz
 	}
 	return t
 }
 
-// Reset empties the tuple, keeping its shape and buffer allocation, so
-// a reused aggregation table recycles its payloads in place.
-func (t *Tuple) Reset() {
-	for i := range t.sums {
-		t.sums[i].Reset(t.sums[i].Levels())
+// resetSums empties one group's sums.
+func (p *TuplePlan) resetSums(sums []rsum.State64) {
+	for j, c := range p.sums {
+		sums[j].Reset(c.levels)
 	}
-	for i := range t.exts {
-		t.exts[i].Reset()
-	}
-	t.n, t.fill = 0, 0
 }
 
-// AddRow folds row `row` of cols into t: the one-row case of AddBatch.
+// resetExts empties one group's extrema.
+func (p *TuplePlan) resetExts(exts []minmaxState) {
+	for j, c := range p.exts {
+		exts[j] = minmaxState{isMax: c.isMax}
+	}
+}
+
+// AddRow folds row `row` of cols into t.
 func (p *TuplePlan) AddRow(t *Tuple, cols [][]float64, row int) {
-	var pos [1]int
-	p.fold([]*Tuple{t}, cols, row, pos[:])
-}
-
-// BatchRows is the most rows one AddBatch folds.
-const BatchRows = 256
-
-// AddBatch folds rows lo, lo+1, … of cols into ts[0], ts[1], …: row
-// lo+i into *ts[i]. ts holds at most BatchRows tuples, all with one
-// buffer length (the tuples of one table do), and may name a tuple more
-// than once. Every tuple receives its rows in row order and flushes at
-// the same fill as one AddRow per row would, so its states are the same
-// bits at every flush.
-func (p *TuplePlan) AddBatch(ts []*Tuple, cols [][]float64, lo int) {
-	var pos [BatchRows]int
-	p.fold(ts, cols, lo, pos[:len(ts)])
-}
-
-// fold is the body of AddRow and AddBatch. It folds ts a segment at a
-// time: reserve counts the segment's rows and takes their buffer slots,
-// then each sum component stores (with no buffer: adds) the segment's
-// values in a loop of its own, x and x² apart, and each extremum runs
-// over them; the tuple whose buffer the segment filled is flushed before
-// the next segment.
-func (p *TuplePlan) fold(ts []*Tuple, cols [][]float64, lo int, pos []int) {
-	for len(ts) > 0 {
-		n := reserve(ts, pos)
-		seg, at, bsz := ts[:n], pos[:n], ts[0].bsz
-		for j, c := range p.sums {
-			if col := cols[c.col][lo : lo+n]; bsz == 0 {
-				addColumn(seg, j, col, c.square)
-			} else {
-				storeColumn(seg, at, j*bsz, col, c.square)
-			}
+	for j, c := range p.sums {
+		v := cols[c.col][row]
+		if c.square {
+			v *= v
 		}
-		for j, c := range p.exts {
-			for i, v := range cols[c.col][lo : lo+n] {
-				seg[i].exts[j].Add(v)
-			}
+		if t.bsz == 0 {
+			t.sums[j].Add(v)
+		} else {
+			t.buf[j*t.bsz+t.fill] = v
 		}
-		if t := seg[n-1]; bsz > 0 && t.fill == bsz {
-			t.flush()
-		}
-		ts, pos, lo = ts[n:], pos[n:], lo+n
 	}
-}
-
-// reserve counts a row into each of ts in turn and takes its buffer slot
-// (pos[i]), up to and including the first row that fills its tuple's
-// buffer, and returns how many rows it took: all of them when the
-// tuples have no buffers. The tuples must share one buffer length.
-func reserve(ts []*Tuple, pos []int) int {
-	bsz := ts[0].bsz
-	if bsz == 0 {
-		for _, t := range ts {
-			t.n++ // read only when p.count; cheaper than testing it per row
-		}
-		return len(ts)
+	for j, c := range p.exts {
+		t.exts[j].Add(cols[c.col][row])
 	}
-	pos = pos[:len(ts)]
-	for i, t := range ts {
-		if t.bsz != bsz {
-			panic("sqlagg: one batch folds tuples of different buffer lengths")
-		}
+	if t.bsz == 0 {
 		t.n++
-		pos[i] = t.fill
-		if t.fill++; t.fill == bsz {
-			return i + 1
-		}
-	}
-	return len(ts)
-}
-
-// addColumn adds col[i] (squared, for a Σx² component) to sum j of
-// *seg[i].
-func addColumn(seg []*Tuple, j int, col []float64, square bool) {
-	seg = seg[:len(col)]
-	if square {
-		for i, v := range col {
-			seg[i].sums[j].Add(v * v)
-		}
-		return
-	}
-	for i, v := range col {
-		seg[i].sums[j].Add(v)
-	}
-}
-
-// storeColumn stores col[i] (squared, for a Σx² component) in the slot
-// at[i] of *seg[i]'s buffer that starts at off.
-func storeColumn(seg []*Tuple, at []int, off int, col []float64, square bool) {
-	seg, at = seg[:len(col)], at[:len(col)]
-	if square {
-		for i, v := range col {
-			seg[i].buf[off+at[i]] = v * v
-		}
-		return
-	}
-	for i, v := range col {
-		seg[i].buf[off+at[i]] = v
+	} else if t.fill++; t.fill == t.bsz {
+		t.flush()
 	}
 }
 
 // flush sums the buffered values with the vectorised kernel.
 func (t *Tuple) flush() {
-	if t.fill == 0 {
+	flushBuffers(t.sums, t.buf, t.bsz, t.fill)
+	t.n += int64(t.fill)
+	t.fill = 0
+}
+
+// flushBuffers adds the first fill values of each bsz-value buffer of
+// buf to its sum — buffer j to sums[j] — with the vectorised kernel.
+func flushBuffers(sums []rsum.State64, buf []float64, bsz, fill int) {
+	if fill == 0 {
 		return
 	}
-	for j := range t.sums {
-		t.sums[j].AddSliceVec(t.buf[j*t.bsz : j*t.bsz+t.fill])
+	for j := range sums {
+		sums[j].AddSliceVec(buf[j*bsz : j*bsz+fill])
 	}
-	t.fill = 0
+}
+
+// TupleColumns is the physical state of an aggregation table's groups
+// in columns: §V-A's payload ⟨state | next | a_0 … a_bsz⟩ taken apart,
+// as agg's sumTable takes it apart for one sum. Groups are numbered in
+// arrival order. With S the plan's sums, group g's are [g·S, (g+1)·S)
+// of one column of rsum states, its extrema likewise in a column of
+// their own, and its row count is n[g]. The first groups also get a
+// summation buffer in one arena: buffer g is [g·Stride(),
+// (g+1)·Stride()), sum j's bsz values at j·bsz within it.
+//
+// The table that owns the columns maps keys to group numbers and keeps
+// each buffered group's fill, so a buffered row touches its slot and
+// the arena only: the states are cold, read when a buffer fills, at a
+// merge and at the drain. A buffered group's count holds its flushed
+// rows, its fill the rest. The extrema of a plan with MIN or MAX are
+// folded row by row.
+type TupleColumns struct {
+	plan          *TuplePlan
+	bsz, buffered int // buffer length; groups [0, buffered) have one
+	sums          []rsum.State64
+	exts          []minmaxState
+	n             []int64
+	arena         []float64
+	view          Tuple // what Tuple returns
+}
+
+// NewColumns returns the columns of a table that expects about hint
+// groups, the first buffered of them with bsz-value summation buffers.
+// The columns are sized for hint groups; a group past hint grows them.
+func (p *TuplePlan) NewColumns(hint, bsz, buffered int) TupleColumns {
+	return TupleColumns{
+		plan: p, bsz: bsz, buffered: buffered,
+		sums:  make([]rsum.State64, 0, hint*len(p.sums)),
+		exts:  make([]minmaxState, 0, hint*len(p.exts)),
+		n:     make([]int64, 0, hint),
+		arena: make([]float64, 0, min(hint, buffered)*bsz*len(p.sums)),
+	}
+}
+
+// Len returns the number of groups.
+func (c *TupleColumns) Len() int { return len(c.n) }
+
+// Stride returns the arena values of one group's buffer: bsz per sum.
+func (c *TupleColumns) Stride() int { return c.bsz * len(c.plan.sums) }
+
+// Clear drops every group, keeping the memory.
+func (c *TupleColumns) Clear() {
+	c.sums, c.exts, c.n, c.arena = c.sums[:0], c.exts[:0], c.n[:0], c.arena[:0]
+}
+
+// Claim appends an empty group, with a buffer if it is among the first
+// buffered, and returns its number.
+func (c *TupleColumns) Claim() int {
+	g := len(c.n)
+	c.n = append(c.n, 0)
+	ns, ne := len(c.plan.sums), len(c.plan.exts)
+	c.sums = extend(c.sums, ns)
+	c.plan.resetSums(c.sums[g*ns:])
+	c.exts = extend(c.exts, ne)
+	c.plan.resetExts(c.exts[g*ne:])
+	if g < c.buffered {
+		c.arena = extend(c.arena, c.Stride())
+	}
+	return g
+}
+
+// extend returns s with k more elements, of any value.
+func extend[T any](s []T, k int) []T { return slices.Grow(s, k)[:len(s)+k] }
+
+// Store folds rows lo, lo+1, … of cols into buffered groups: row
+// lo+i's value of sum j into the arena at at[i] + j·bsz, at[i] being
+// g·Stride() plus the fill of its group g. Its extrema go straight into
+// the group's. The table flushes a buffer that fills before it stores
+// again.
+func (c *TupleColumns) Store(at []int32, cols [][]float64, lo int) {
+	for j, sc := range c.plan.sums {
+		store(c.arena[j*c.bsz:], at, cols[sc.col][lo:lo+len(at)], sc.square)
+	}
+	c.extrema(at, int32(c.Stride()), cols, lo)
+}
+
+// store writes col[i] (squared, for a Σx² component) to dst[at[i]].
+func store(dst []float64, at []int32, col []float64, square bool) {
+	at = at[:len(col)]
+	if square {
+		for i, v := range col {
+			dst[at[i]] = v * v
+		}
+		return
+	}
+	for i, v := range col {
+		dst[at[i]] = v
+	}
+}
+
+// Add folds rows lo, lo+1, … of cols into groups without a buffer: row
+// lo+i straight into group gs[i]'s components.
+func (c *TupleColumns) Add(gs []int32, cols [][]float64, lo int) {
+	for _, g := range gs {
+		c.n[g]++
+	}
+	ns := len(c.plan.sums)
+	for j, sc := range c.plan.sums {
+		add(c.sums[j:], ns, gs, cols[sc.col][lo:lo+len(gs)], sc.square)
+	}
+	c.extrema(gs, 1, cols, lo)
+}
+
+// add adds col[i] (squared, for a Σx² component) to sums[gs[i]·stride].
+func add(sums []rsum.State64, stride int, gs []int32, col []float64, square bool) {
+	gs = gs[:len(col)]
+	if square {
+		for i, v := range col {
+			sums[int(gs[i])*stride].Add(v * v)
+		}
+		return
+	}
+	for i, v := range col {
+		sums[int(gs[i])*stride].Add(v)
+	}
+}
+
+// extrema folds rows lo, lo+1, … of cols into the extrema of their
+// groups, row lo+i's being idx[i] / div.
+func (c *TupleColumns) extrema(idx []int32, div int32, cols [][]float64, lo int) {
+	ne := len(c.plan.exts)
+	for j, ec := range c.plan.exts {
+		exts := c.exts[j:]
+		for i, v := range cols[ec.col][lo : lo+len(idx)] {
+			exts[int(idx[i]/div)*ne].Add(v)
+		}
+	}
+}
+
+// Flush sums the first fill values of group g's buffer into its sums
+// with the vectorised kernel.
+func (c *TupleColumns) Flush(g, fill int) {
+	ns, stride := len(c.plan.sums), c.Stride()
+	flushBuffers(c.sums[g*ns:(g+1)*ns], c.arena[g*stride:(g+1)*stride], c.bsz, fill)
+	c.n[g] += int64(fill)
+}
+
+// Tuple returns a view of group g, which must have nothing buffered,
+// for the plan's AppendBinary and Finalize. The view is valid until the
+// next call of Tuple or MergeBinary, and is read-only: its row count
+// is a copy.
+func (c *TupleColumns) Tuple(g int) *Tuple {
+	ns, ne := len(c.plan.sums), len(c.plan.exts)
+	c.view = Tuple{sums: c.sums[g*ns : (g+1)*ns : (g+1)*ns], exts: c.exts[g*ne : (g+1)*ne : (g+1)*ne], n: c.n[g]}
+	return &c.view
+}
+
+// MergeBinary folds an encoded tuple into group g, which must have
+// nothing buffered (TuplePlan.MergeBinary, errors included).
+func (c *TupleColumns) MergeBinary(g int, enc []byte) error {
+	t := c.Tuple(g)
+	err := c.plan.MergeBinary(t, enc)
+	c.n[g] = t.n
+	return err
 }
 
 // AppendBinary flushes t and appends its canonical encoding (Width
@@ -370,6 +416,7 @@ func (p *TuplePlan) MergeBinary(t *Tuple, enc []byte) error {
 	if len(enc) != p.width {
 		return fmt.Errorf("%w: tuple is %d bytes, plan width %d", ErrBadState, len(enc), p.width)
 	}
+	t.flush() // so that the count check sees every row
 	for j := range t.sums {
 		sz := t.sums[j].EncodedSize()
 		if err := t.sums[j].MergeBinary(enc[:sz]); err != nil {

@@ -296,27 +296,6 @@ func TestBudgetEdgesTupleAndSumState(t *testing.T) {
 	}
 }
 
-// TestTupleResetRecycles: a Reset tuple is indistinguishable from a new
-// one, pending buffer values included.
-func TestTupleResetRecycles(t *testing.T) {
-	p, err := NewTuplePlan(differentialCatalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := [][]float64{{1.5, -2, 7}, {3, 0.25, -9}}
-	used, fresh := p.NewTuple(32), p.NewTuple(32)
-	p.AddRow(&used, cols, 0)
-	p.AddRow(&used, cols, 1)
-	used.Reset()
-	p.AddRow(&used, cols, 2)
-	p.AddRow(&fresh, cols, 2)
-	a, _ := p.AppendBinary(nil, &used)
-	b, _ := p.AppendBinary(nil, &fresh)
-	if !bytes.Equal(a, b) {
-		t.Fatal("a recycled tuple encodes differently from a new one")
-	}
-}
-
 // TestTupleMergeRejectsWrongWidth: the error names both widths.
 func TestTupleMergeRejectsWrongWidth(t *testing.T) {
 	p, err := NewTuplePlan(q1Catalog(2))
