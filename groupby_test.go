@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/big"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/agg"
 	"repro/internal/workload"
 )
 
@@ -149,6 +152,84 @@ func TestGroupBySumMemoryBounded(t *testing.T) {
 		t.Logf("%s: %d groups, allocated %.1f MiB", c.name, len(got), float64(alloc)/(1<<20))
 		if alloc > limit {
 			t.Errorf("%s keys: allocated %d bytes for %d groups, limit %d", c.name, alloc, len(got), limit)
+		}
+	}
+}
+
+// d38 is DECIMAL(38) as the paper's evaluation builds it, on the
+// built-in __int128: a two's-complement 128-bit sum of 64-bit values,
+// hi:lo words added with carry, wrapping modulo 2^128 like the built-in
+// type. Integer addition is associative, so the sum is reproducible
+// under any order and merge tree. BenchmarkFig7 runs it as the paper's
+// fixed-point reference point (Section II-C).
+type d38 struct {
+	hi int64
+	lo uint64
+}
+
+func (d *d38) Add(v int64) {
+	lo, c := bits.Add64(d.lo, uint64(v), 0)
+	d.lo, d.hi = lo, d.hi+v>>63+int64(c) // v>>63 sign-extends v
+}
+
+func (d *d38) MergeFrom(o *d38) {
+	lo, c := bits.Add64(d.lo, o.lo, 0)
+	d.lo, d.hi = lo, d.hi+o.hi+int64(c)
+}
+
+// Value returns the 128-bit sum.
+func (d *d38) Value() *big.Int {
+	v := new(big.Int).Lsh(big.NewInt(d.hi), 64)
+	return v.Add(v, new(big.Int).SetUint64(d.lo))
+}
+
+// TestDecimalAggregation runs the DECIMAL(38) payload through agg's
+// operator at depth 0 and 1 on 2 workers. Every value lies within 1000
+// of ±2^62, so a group's running sum carries out of the low word and
+// changes sign; each group must equal its key's math/big sum.
+func TestDecimalAggregation(t *testing.T) {
+	const n = 10000
+	keys := workload.Keys(15, n, 256)
+	vals := workload.IntValues(16, n, 1000)
+	r := workload.NewRNG(17)
+	for i := range vals {
+		vals[i] = 1<<62 - vals[i]
+		if r.Uint64()&1 == 0 {
+			vals[i] = -vals[i]
+		}
+	}
+	ref := make(map[uint32]*big.Int)
+	for i, k := range keys {
+		if ref[k] == nil {
+			ref[k] = new(big.Int)
+		}
+		ref[k].Add(ref[k], big.NewInt(vals[i]))
+	}
+	// The input must reach past the low word and below zero, or a
+	// payload without the carry or the sign extension would pass.
+	wide, negative := 0, 0
+	for _, s := range ref {
+		if s.BitLen() > 64 {
+			wide++
+		}
+		if s.Sign() < 0 {
+			negative++
+		}
+	}
+	if wide == 0 || negative == 0 {
+		t.Fatalf("input too tame: %d of %d group sums exceed 64 bits, %d are negative", wide, len(ref), negative)
+	}
+	for depth := 0; depth <= 1; depth++ {
+		entries := agg.PartitionAndAggregate[int64, d38](keys, vals,
+			func() d38 { return d38{} }, agg.Options{Depth: depth, Workers: 2})
+		if len(entries) != len(ref) {
+			t.Fatalf("depth %d: %d groups, want %d", depth, len(entries), len(ref))
+		}
+		for i := range entries {
+			e := &entries[i]
+			if got := e.Agg.Value(); got.Cmp(ref[e.Key]) != 0 {
+				t.Errorf("depth %d, group %d: %v, want %v", depth, e.Key, got, ref[e.Key])
+			}
 		}
 	}
 }

@@ -14,15 +14,14 @@
 // engine.SumSorted. Aggregate is generic over the payload, so every
 // data type of the evaluation — built-in floats, DECIMAL(p),
 // repro<ScalarT,L>, buffered repro — can run through identical code:
-// the paper's drop-in demonstration (bench_test.go's Figs. 9–12) and the
-// benchmark's plain comparator. repro.GroupBySum runs GroupBySum, the
-// same operator on a table built for the reproducible SUM.
+// the paper's drop-in demonstration (bench_test.go's Figs. 7–12) and the
+// benchmark's plain comparator. DECIMAL(38) is a test-local payload
+// (the root tests' d38, which bench_test.go's Fig. 7 runs).
+// repro.GroupBySum runs GroupBySum, the same operator on a table built
+// for the reproducible SUM.
 package agg
 
-import (
-	"repro/internal/core"
-	"repro/internal/decimal"
-)
+import "repro/internal/core"
 
 // Scalar accumulators for the baseline data types. Each implements
 // Add(V) and MergeFrom(*A), the two operations the operators need.
@@ -39,30 +38,14 @@ func (f *F64) MergeFrom(o *F64) { *f += *o }
 // Value returns the aggregate.
 func (f *F64) Value() float64 { return float64(*f) }
 
-// D38 is the DECIMAL(38) accumulator: a 128-bit integer fed by 64-bit
-// values (the paper's __int128).
-type D38 struct{ v decimal.Int128 }
-
-// Add folds one value in.
-func (d *D38) Add(v int64) { d.v = d.v.AddInt64(v) }
-
-// MergeFrom combines per-thread aggregates.
-func (d *D38) MergeFrom(o *D38) { d.v = d.v.Add(o.v) }
-
-// Value returns the 128-bit aggregate.
-func (d *D38) Value() decimal.Int128 { return d.v }
-
-// Compile-time interface checks: every payload used by the experiments
-// supports the operator contract.
+// Compile-time interface checks: every payload here and in core
+// supports the operator contract. The DECIMAL(38) payload is d38, local
+// to the root tests.
 var (
 	_ interface {
 		Add(float64)
 		MergeFrom(*F64)
 	} = (*F64)(nil)
-	_ interface {
-		Add(int64)
-		MergeFrom(*D38)
-	} = (*D38)(nil)
 	_ interface {
 		Add(float64)
 		MergeFrom(*core.Sum64)

@@ -161,23 +161,6 @@ func TestFloatNotReproducible(t *testing.T) {
 	}
 }
 
-func TestDecimalAggregation(t *testing.T) {
-	keys := workload.Keys(15, 10000, 256)
-	vals := workload.IntValues(16, 10000, 1000)
-	entries := PartitionAndAggregate[int64, D38](keys, vals,
-		func() D38 { return D38{} }, Options{Depth: 1, Workers: 2})
-	ref := make(map[uint32]int64)
-	for i, k := range keys {
-		ref[k] += vals[i]
-	}
-	for i := range entries {
-		e := &entries[i]
-		if e.Agg.Value().Float64() != float64(ref[e.Key]) {
-			t.Errorf("group %d: %v vs %d", e.Key, e.Agg.Value(), ref[e.Key])
-		}
-	}
-}
-
 func TestBufferSizeModel(t *testing.T) {
 	// Eq. 4 sanity: 16 groups, no partitioning, float32 → bszmax.
 	if got := BufferSize(16, 1, 4); got != MaxBufferSize {

@@ -79,10 +79,6 @@ func TestProjections(t *testing.T) {
 	if dst[0] != -10 {
 		t.Errorf("Neg = %v", dst)
 	}
-	Mul(dst, a, a)
-	if dst[0] != 100 {
-		t.Errorf("Mul = %v", dst)
-	}
 }
 
 func TestGroupedSumKernelsAgree(t *testing.T) {

@@ -60,16 +60,6 @@ func Neg(dst, a []float64) {
 	}
 }
 
-// Mul computes dst[i] = a[i] · b[i].
-func Mul(dst, a, b []float64) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("engine: projection length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
 // SumKind selects the SUM kernel of the group-by operator — the knob
 // the paper turns inside MonetDB.
 type SumKind int

@@ -1,8 +1,7 @@
 // Package floatbits provides low-level IEEE-754 bit manipulation used by
-// the reproducible summation algorithms: unit-in-the-first-place (ufp),
-// unit-in-the-last-place (ulp), exponent extraction, exponent grids, and
-// the deterministic error-free splitting of a value against a fixed
-// extractor constant.
+// the reproducible summation algorithms: exponent extraction, powers of
+// two, exponent grids, and the extractor constants a value is split
+// against, deterministically and without error, as q = (b ⊕ ext) ⊖ ext.
 //
 // Terminology follows Goldberg ("What Every Computer Scientist Should Know
 // About Floating-Point Arithmetic") and the paper: for x = M·2^E with
@@ -99,49 +98,6 @@ func bitLen64(x uint64) int { return bits.Len64(x) }
 
 func bitLen32(x uint32) int { return bits.Len32(x) }
 
-// Ufp64 returns the unit in the first place of x: 2^Exponent64(x).
-// Ufp64(0) = 0.
-func Ufp64(x float64) float64 {
-	if x == 0 {
-		return 0
-	}
-	return Pow2_64(Exponent64(x))
-}
-
-// Ufp32 returns the unit in the first place of x. Ufp32(0) = 0.
-func Ufp32(x float32) float32 {
-	if x == 0 {
-		return 0
-	}
-	return Pow2_32(Exponent32(x))
-}
-
-// Ulp64 returns the unit in the last place of x: 2^(Exponent64(x)−m).
-// Ulp64(0) = 0. The exponent is clamped to the subnormal range, so the
-// result is never zero for non-zero x.
-func Ulp64(x float64) float64 {
-	if x == 0 {
-		return 0
-	}
-	e := Exponent64(x) - MantBits64
-	if e < -bias64-MantBits64+1 {
-		e = -bias64 - MantBits64 + 1
-	}
-	return Pow2_64(e)
-}
-
-// Ulp32 is the float32 analogue of Ulp64.
-func Ulp32(x float32) float32 {
-	if x == 0 {
-		return 0
-	}
-	e := Exponent32(x) - MantBits32
-	if e < -bias32-MantBits32+1 {
-		e = -bias32 - MantBits32 + 1
-	}
-	return Pow2_32(e)
-}
-
 // Pow2_64 returns 2^e as a float64 for e in the normal range
 // [−1022, 1023]. It panics on out-of-range exponents: levels are clamped
 // to [MinLevelExp64, MaxLevelExp64] long before this limit.
@@ -169,8 +125,9 @@ func Pow2_32(e int) float32 {
 
 // Extractor64 returns the level extractor constant 1.5·2^e.
 // Extractors have a fixed mantissa (only the top bit set), so the
-// round-half-even tie-break of Split64 is a pure function of the value
-// being split — this is what makes extraction order-independent.
+// round-half-even tie-break of the split (b ⊕ ext) ⊖ ext is a pure
+// function of the value being split — this is what makes extraction
+// order-independent.
 func Extractor64(e int) float64 {
 	return math.Float64frombits(uint64(e+bias64)<<MantBits64 | uint64(1)<<(MantBits64-1))
 }
@@ -187,35 +144,6 @@ func GridCeil(e, w int) int {
 		q++
 	}
 	return q * w
-}
-
-// GridFloor returns the largest multiple of w that is ≤ e.
-func GridFloor(e, w int) int {
-	q := e / w
-	if e < q*w {
-		q--
-	}
-	return q * w
-}
-
-// Split64 performs the error-free transformation of b against the fixed
-// extractor ext = 1.5·2^e (Ogita, Rump & Oishi): it returns the
-// contribution q — b rounded to the nearest integer multiple of
-// ulp(ext) — and the remainder r = b − q, such that q + r == b exactly.
-//
-// Precondition: |b| ≤ 2^(W−1)·ulp(ext) for the relevant W, so that
-// b ⊕ ext stays in the extractor's binade and both operations are exact.
-func Split64(b, ext float64) (q, r float64) {
-	q = (b + ext) - ext
-	r = b - q
-	return q, r
-}
-
-// Split32 is the float32 analogue of Split64.
-func Split32(b, ext float32) (q, r float32) {
-	q = (b + ext) - ext
-	r = b - q
-	return q, r
 }
 
 // TopLevelExp64 returns the grid-aligned exponent of the first (largest)

@@ -72,61 +72,6 @@ func TestExponent64MatchesFrexp(t *testing.T) {
 	}
 }
 
-func TestUfpUlp64(t *testing.T) {
-	cases := []struct {
-		x        float64
-		ufp, ulp float64
-	}{
-		{1.0, 1.0, 0x1p-52},
-		{1.75, 1.0, 0x1p-52},
-		{-1.75, 1.0, 0x1p-52},
-		{2.0, 2.0, 0x1p-51},
-		{3.5, 2.0, 0x1p-51},
-		{0.75, 0.5, 0x1p-53},
-		{0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := Ufp64(c.x); got != c.ufp {
-			t.Errorf("Ufp64(%g) = %g, want %g", c.x, got, c.ufp)
-		}
-		if got := Ulp64(c.x); got != c.ulp {
-			t.Errorf("Ulp64(%g) = %g, want %g", c.x, got, c.ulp)
-		}
-	}
-}
-
-func TestUfpProperties64(t *testing.T) {
-	f := func(x float64) bool {
-		if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-		u := Ufp64(x)
-		ax := math.Abs(x)
-		// ufp(x) ≤ |x| < 2·ufp(x)
-		return u <= ax && ax < 2*u
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUfpProperties32(t *testing.T) {
-	f := func(x float32) bool {
-		if x == 0 || x != x || math.IsInf(float64(x), 0) {
-			return true
-		}
-		u := Ufp32(x)
-		ax := x
-		if ax < 0 {
-			ax = -ax
-		}
-		return u <= ax && ax < 2*u
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPow2_64(t *testing.T) {
 	for e := -1022; e <= 1023; e++ {
 		want := math.Ldexp(1, e)
@@ -173,7 +118,7 @@ func TestExtractor64(t *testing.T) {
 		if got := Extractor64(e); got != want {
 			t.Errorf("Extractor64(%d) = %g, want %g", e, got, want)
 		}
-		if Ufp64(Extractor64(e)) != Pow2_64(e) {
+		if Pow2_64(Exponent64(Extractor64(e))) != Pow2_64(e) {
 			t.Errorf("ufp(Extractor64(%d)) != 2^%d", e, e)
 		}
 	}
@@ -190,26 +135,23 @@ func TestExtractor32(t *testing.T) {
 
 func TestGridCeilFloor(t *testing.T) {
 	cases := []struct {
-		e, w, ceil, floor int
+		e, w, ceil int
 	}{
-		{0, 40, 0, 0},
-		{1, 40, 40, 0},
-		{39, 40, 40, 0},
-		{40, 40, 40, 40},
-		{41, 40, 80, 40},
-		{-1, 40, 0, -40},
-		{-40, 40, -40, -40},
-		{-41, 40, -40, -80},
-		{-79, 40, -40, -80},
-		{17, 18, 18, 0},
-		{-17, 18, 0, -18},
+		{0, 40, 0},
+		{1, 40, 40},
+		{39, 40, 40},
+		{40, 40, 40},
+		{41, 40, 80},
+		{-1, 40, 0},
+		{-40, 40, -40},
+		{-41, 40, -40},
+		{-79, 40, -40},
+		{17, 18, 18},
+		{-17, 18, 0},
 	}
 	for _, c := range cases {
 		if got := GridCeil(c.e, c.w); got != c.ceil {
 			t.Errorf("GridCeil(%d,%d) = %d, want %d", c.e, c.w, got, c.ceil)
-		}
-		if got := GridFloor(c.e, c.w); got != c.floor {
-			t.Errorf("GridFloor(%d,%d) = %d, want %d", c.e, c.w, got, c.floor)
 		}
 	}
 }
@@ -221,49 +163,19 @@ func TestGridProperties(t *testing.T) {
 			w = W32
 		}
 		c := GridCeil(int(e), w)
-		fl := GridFloor(int(e), w)
-		return c%w == 0 && fl%w == 0 && c >= int(e) && c-int(e) < w &&
-			fl <= int(e) && int(e)-fl < w
+		return c%w == 0 && c >= int(e) && c-int(e) < w
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestSplit64Exact checks the defining property of the error-free
-// transformation: q + r == b exactly, q is a multiple of ulp(ext), and
-// |r| ≤ ulp(ext)/2, for all values within the extraction bound.
-func TestSplit64Exact(t *testing.T) {
-	f := func(frac uint64, eOff uint8, neg bool) bool {
-		e := 0 // extractor exponent
-		ext := Extractor64(e)
-		// Build b with |b| < 2^(W−1)·ulp(ext) = 2^(W−1−m)·2^e.
-		maxExp := e + W64 - 1 - MantBits64 // exclusive bound on exponent of b
-		be := maxExp - 1 - int(eOff%60)
-		b := math.Ldexp(1+float64(frac%(1<<52))*0x1p-52, be)
-		if neg {
-			b = -b
-		}
-		q, r := Split64(b, ext)
-		if q+r != b {
-			return false
-		}
-		ulp := Pow2_64(e - MantBits64)
-		if q != 0 && math.Mod(q, ulp) != 0 {
-			return false
-		}
-		return math.Abs(r) <= ulp/2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSplit64Deterministic verifies that splitting against a fixed
-// extractor is a pure function of the value, by comparing against a
-// bit-level reference implementation of round-to-nearest-even
-// quantization to multiples of ulp(ext).
-func TestSplit64Deterministic(t *testing.T) {
+// TestExtractorSplitDeterministic verifies that rsum's split of a value
+// against a fixed extractor, q = (b ⊕ ext) ⊖ ext with remainder b − q,
+// is a pure function of the value, by comparing against a bit-level
+// reference implementation of round-to-nearest-even quantization to
+// multiples of ulp(ext).
+func TestExtractorSplitDeterministic(t *testing.T) {
 	ext := Extractor64(0)
 	ulp := Pow2_64(-MantBits64)
 	ref := func(b float64) float64 {
@@ -286,39 +198,14 @@ func TestSplit64Deterministic(t *testing.T) {
 		3.5 * ulp, 0.49999 * ulp, 0.50001 * ulp, 100.25 * ulp,
 	}
 	for _, b := range vals {
-		q, r := Split64(b, ext)
+		q := (b + ext) - ext
+		r := b - q
 		if want := ref(b); q != want {
-			t.Errorf("Split64(%g): q=%g, reference RNE quantization %g", b, q, want)
+			t.Errorf("split of %g: q=%g, reference RNE quantization %g", b, q, want)
 		}
 		if q+r != b {
-			t.Errorf("Split64(%g): q+r != b", b)
+			t.Errorf("split of %g: q+r != b", b)
 		}
-	}
-}
-
-func TestSplit32Exact(t *testing.T) {
-	f := func(frac uint32, eOff uint8, neg bool) bool {
-		e := 0
-		ext := Extractor32(e)
-		maxExp := e + W32 - 1 - MantBits32
-		be := maxExp - 1 - int(eOff%30)
-		b := float32(math.Ldexp(1+float64(frac%(1<<23))*0x1p-23, be))
-		if neg {
-			b = -b
-		}
-		q, r := Split32(b, ext)
-		if q+r != b {
-			return false
-		}
-		ulp := Pow2_32(e - MantBits32)
-		ar := r
-		if ar < 0 {
-			ar = -ar
-		}
-		return ar <= ulp/2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
-		t.Error(err)
 	}
 }
 

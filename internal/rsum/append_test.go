@@ -170,43 +170,3 @@ func TestAppendBinaryZeroAlloc(t *testing.T) {
 		t.Fatalf("AppendBinary into a pre-sized buffer: %v allocs/op, want 0", allocs)
 	}
 }
-
-// TestEncodedLen64 pins the length-from-prefix reader the tuple wire
-// format walks concatenated encodings with: it must agree with the
-// actual encoding length on every corpus state and reject corrupt
-// prefixes without reading past them.
-func TestEncodedLen64(t *testing.T) {
-	for i, st := range corpus64(t) {
-		enc, err := st.MarshalBinary()
-		if err != nil {
-			t.Fatalf("state %d: %v", i, err)
-		}
-		// The header alone (with trailing junk) must yield the exact
-		// encoding length.
-		n, err := EncodedLen64(append(enc[:headerSize:headerSize], 0xFF, 0xEE))
-		if err != nil {
-			t.Fatalf("state %d: EncodedLen64: %v", i, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("state %d: EncodedLen64 = %d, encoding is %d bytes", i, n, len(enc))
-		}
-	}
-	gs := NewState64(2)
-	good, err := gs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := [][]byte{
-		nil,
-		good[:3],                         // shorter than the fixed header prefix
-		{99, good[1], good[2], good[3]},  // unknown version
-		{good[0], 32, good[2], good[3]},  // wrong kind
-		{good[0], good[1], 0, good[3]},   // zero levels
-		{good[0], good[1], 200, good[3]}, // levels beyond MaxLevels
-	}
-	for i, b := range bad {
-		if _, err := EncodedLen64(b); err == nil {
-			t.Errorf("corrupt prefix %d accepted", i)
-		}
-	}
-}

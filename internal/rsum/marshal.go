@@ -123,15 +123,6 @@ func (s *State32) AppendBinary(dst []byte) ([]byte, error) {
 
 var errCorrupt = errors.New("rsum: corrupt state encoding")
 
-// EncodedLen64 returns the total byte length of the State64 encoding
-// that starts at data[0], validating its header. It lets composite
-// aggregate encodings (a tuple of states, a state followed by a row
-// count) find the boundary of an embedded state without decoding it.
-func EncodedLen64(data []byte) (int, error) {
-	var m meta
-	return m.parseHeader(data, kindState64, levelSize64)
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler. The encoding is
 // canonical: states that Equal() each other marshal identically.
 func (s *State64) MarshalBinary() ([]byte, error) {

@@ -597,6 +597,9 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	gs := NewState64(2)
 	good, _ := gs.MarshalBinary()
+	if err := s.UnmarshalBinary(good[:3]); err == nil {
+		t.Error("prefix shorter than the header accepted")
+	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 99
 	if err := s.UnmarshalBinary(bad); err == nil {
@@ -611,6 +614,12 @@ func TestUnmarshalErrors(t *testing.T) {
 	bad[2] = 0
 	if err := s.UnmarshalBinary(bad); err == nil {
 		t.Error("zero levels accepted")
+	}
+	// 200 levels with 200 levels' bytes: only the level bound rejects it.
+	bad = append(good[:headerSize:headerSize], make([]byte, 200*levelSize64)...)
+	bad[2] = 200
+	if err := s.UnmarshalBinary(bad); err == nil {
+		t.Error("levels beyond MaxLevels accepted")
 	}
 	if err := s.UnmarshalBinary(append(good, 0)); err == nil {
 		t.Error("trailing bytes accepted")

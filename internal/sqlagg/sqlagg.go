@@ -4,8 +4,8 @@
 // needs floating-point arithmetic can be made reproducible, because they
 // are all computable from SUMs: AVG, VARIANCE, STDDEV, COVAR, CORR, and
 // the regression aggregates. The paper's future work names "operators
-// for machine learning and vector manipulation"; DotProduct covers the
-// corresponding kernel.
+// for machine learning and vector manipulation"; DotProductExact covers
+// the corresponding kernel.
 //
 // Each aggregate keeps one or more reproducible accumulators plus an
 // exact row counter, so any permutation of the input and any merge tree
@@ -36,7 +36,7 @@
 // steps a batch of rows one component at a time, and hands a flushed
 // group out as a Tuple view for merge, encode and finalize. AggState is a one-spec plan
 // for callers that fold one aggregate a value at a time. The dot
-// products are not GROUP BY catalog kinds.
+// product is not a GROUP BY catalog kind.
 package sqlagg
 
 import (
@@ -72,25 +72,10 @@ func varianceOf(sum, sumSq *rsum.State64, n, ddof int64) float64 {
 	return r
 }
 
-// DotProduct returns the reproducible dot product Σ x_i·y_i — the basic
-// kernel of the "machine learning and vector manipulation" operators the
-// paper's future work names. Each product rounds once deterministically;
-// the sum is reproducible, so the result is a function of the value
-// multiset (and is bit-identical for chunked/parallel execution via
-// DotProductMerge).
-func DotProduct(x, y []float64, levels int) float64 {
-	if len(x) != len(y) {
-		panic("sqlagg: dot product of different-length vectors")
-	}
-	s := core.NewSum64(levels)
-	for i := range x {
-		s.Add(x[i] * y[i])
-	}
-	return s.Value()
-}
-
-// DotProductExact returns the reproducible dot product with error-free
-// products: each product x·y is split into its rounded head p = fl(x·y)
+// DotProductExact returns the reproducible dot product Σ x_i·y_i — the
+// basic kernel of the "machine learning and vector manipulation"
+// operators the paper's future work names — with error-free products:
+// each product x·y is split into its rounded head p = fl(x·y)
 // and exact tail e = fma(x, y, −p) (the TwoProduct transformation of
 // Ogita, Rump & Oishi), and BOTH parts are folded into the reproducible
 // sum. The result is therefore as accurate as summing the exact

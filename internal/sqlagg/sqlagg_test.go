@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -132,26 +133,8 @@ func TestVarianceMergeMatches(t *testing.T) {
 func TestDotProduct(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
-	if got := DotProduct(x, y, 2); got != 32 {
-		t.Errorf("DotProduct = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	DotProduct([]float64{1}, []float64{1, 2}, 2)
-}
-
-func TestDotProductPermutationStable(t *testing.T) {
-	xs := workload.Values64(7, 3000, workload.MixedMag)
-	ys := workload.Values64(8, 3000, workload.MixedMag)
-	want := math.Float64bits(DotProduct(xs, ys, 2))
-	px := append([]float64(nil), xs...)
-	py := append([]float64(nil), ys...)
-	workload.ShufflePairs(9, px, py)
-	if math.Float64bits(DotProduct(px, py, 2)) != want {
-		t.Error("dot product changed under permutation of pairs")
+	if got := DotProductExact(x, y, 2); got != 32 {
+		t.Errorf("DotProductExact = %v", got)
 	}
 }
 
@@ -168,8 +151,14 @@ func TestDotProductExactBeatsPlain(t *testing.T) {
 		x[2*i], y[2*i] = a, b
 		x[2*i+1], y[2*i+1] = -a, b // exact cancellation of the heads
 	}
-	// Exact result is 0; the error of each method is its |result|.
-	plain := math.Abs(DotProduct(x, y, 3))
+	// Exact result is 0; the error of each method is its |result|. The
+	// plain method rounds each product once and sums the rounded
+	// products reproducibly.
+	plainSum := core.NewSum64(3)
+	for i := range x {
+		plainSum.Add(x[i] * y[i])
+	}
+	plain := math.Abs(plainSum.Value())
 	exactDP := math.Abs(DotProductExact(x, y, 3))
 	if exactDP > plain {
 		t.Errorf("DotProductExact error %g worse than plain %g", exactDP, plain)

@@ -195,37 +195,3 @@ func TestFormatQ1(t *testing.T) {
 		t.Errorf("FormatQ1 = %q", s)
 	}
 }
-
-func TestQ6KernelsAgreeAndReproduce(t *testing.T) {
-	tbl := GenLineitem(0.002, 9)
-	plain, prof, err := RunQ6(tbl, Q6Plain, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain <= 0 {
-		t.Fatalf("Q6 revenue = %v", plain)
-	}
-	if prof.Get("aggregation") <= 0 || prof.Get("select") <= 0 {
-		t.Error("Q6 profile incomplete")
-	}
-	scalar, _, err := RunQ6(tbl, Q6Scalar, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, _, err := RunQ6(tbl, Q6Vec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neum, _, err := RunQ6(tbl, Q6Neumaier, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(scalar) != math.Float64bits(vec) {
-		t.Error("Q6 scalar and vec kernels disagree")
-	}
-	for _, v := range []float64{scalar, neum} {
-		if math.Abs(v-plain) > 1e-6*plain {
-			t.Errorf("Q6 kernel %v vs plain %v", v, plain)
-		}
-	}
-}

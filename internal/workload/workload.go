@@ -166,8 +166,8 @@ func value64(r *RNG, dist ValueDist) float64 {
 	}
 }
 
-// IntValues returns n integer values in [1, maxVal] for the DECIMAL
-// experiments (fixed-point cents and the like).
+// IntValues returns n integer values in [1, maxVal]. The DECIMAL(38)
+// test draws its values' distance from ±2^62 with it.
 func IntValues(seed uint64, n int, maxVal int64) []int64 {
 	r := NewRNG(seed)
 	vs := make([]int64, n)
