@@ -7,8 +7,8 @@
 // is sorted by key by construction, and what leaves a table is what
 // finish makes of the group (a ⟨key, sum⟩ pair for the facade), never a
 // copy of the accumulator. Its partition loop, AggregateParts, is the
-// only one in the repository: the tuple GROUP BY of dist and serve runs
-// it over its own tables. PartitionAndAggregate is Aggregate for
+// only one in the repository: dist's tuple GROUP BY runs it over its own
+// tables. PartitionAndAggregate is Aggregate for
 // callers that do want the accumulators. Plain HASHAGGREGATION is
 // hashagg.Aggregate; the sort-first baseline of Table IV is
 // engine.SumSorted. Aggregate is generic over the payload, so every

@@ -10,8 +10,8 @@
 // partition.Recursive and folded partition by partition in
 // agg.AggregateParts; nothing here knows where
 // rows come from or where groups go: dist's combiner sinks tables into
-// shuffle frames, dist's owner merges records into a Table, serve's
-// local engine finalizes each resident partition's run.
+// shuffle frames, and dist's owner merges records into a Table. (Serve's
+// local engine needs no table: its resident rows are sorted by key.)
 package groupby
 
 import (

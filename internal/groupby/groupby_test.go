@@ -724,7 +724,8 @@ func TestAddPartAllocations(t *testing.T) {
 // range fits the table or not: direct or probed), and every three
 // bytes after them are one row: its key and the bytes its two values
 // are made of, special values among them. The rows are folded once
-// through AddRows and once through AddPart.
+// through AddRows, once through AddPart, and once sorted by key, each
+// key's run by TuplePlan.AddRun into a tuple of bsz-value buffers.
 func FuzzTupleFold(f *testing.F) {
 	f.Add([]byte{32, 1, 0, 0, 1, 2, 1, 3, 4, 0, 5, 6})
 	f.Add([]byte{1, 0, 0x31, 7, 200, 9, 7, 129, 3, 8, 130, 4})
@@ -759,12 +760,48 @@ func FuzzTupleFold(f *testing.F) {
 		pt.Hi += uint32(reach>>4) << 4
 		table := NewTable(plan, hint, bsz)
 		table.AddPart(pt)
-		ref := reference(plan, keys, cols)
-		if got, want := encoded(t, plan, table), rowByRow(t, plan, keys, cols); !maps.Equal(got, want) {
+		ref, want := reference(plan, keys, cols), rowByRow(t, plan, keys, cols)
+		if got := encoded(t, plan, table); !maps.Equal(got, want) {
 			t.Errorf("%s, part [%d, %d]: AddPart leaves %d tuples, AddRow per row %d, or different bytes", name, pt.Lo, pt.Hi, len(got), len(want))
 		}
 		sameGroups(t, fmt.Sprintf("%s, part [%d, %d]", name, pt.Lo, pt.Hi), plan, table, ref)
+		if got := byRuns(t, plan, bsz, keys, cols); !maps.Equal(got, want) {
+			t.Errorf("%s: AddRun over the key-sorted runs leaves %d tuples, AddRow per row %d, or different bytes", name, len(got), len(want))
+		}
 	})
+}
+
+// byRuns sorts the rows by key and folds each key's run into one tuple
+// with bsz-value buffers, reset between runs, by one AddRun: key →
+// AppendBinary's bytes.
+func byRuns(t testing.TB, plan *sqlagg.TuplePlan, bsz int, keys []uint32, cols [][]float64) map[uint32]string {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	sorted := make([][]float64, len(cols))
+	for c, col := range cols {
+		sorted[c] = make([]float64, len(order))
+		for i, row := range order {
+			sorted[c][i] = col[row]
+		}
+	}
+	out := make(map[uint32]string)
+	tup := plan.NewTuple(bsz)
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		key := keys[order[lo]]
+		for hi = lo + 1; hi < len(order) && keys[order[hi]] == key; hi++ {
+		}
+		plan.Reset(&tup)
+		plan.AddRun(&tup, sorted, lo, hi)
+		enc, err := plan.AppendBinary(nil, &tup)
+		if err != nil {
+			t.Fatalf("key %d: %v", key, err)
+		}
+		out[key] = string(enc)
+	}
+	return out
 }
 
 // TestDeal: row i lands in shard i mod n, in order; more shards than

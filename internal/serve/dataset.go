@@ -1,8 +1,9 @@
 // Package serve is the reproducible SQL serving layer: a long-lived
 // query server over shared resident data. Clients submit GROUP BY and
 // window aggregate queries drawn from the sqlagg spec catalog; the
-// server plans them onto the local partitioned engine or the
-// distributed tuple plane and returns canonical result encodings.
+// server plans them onto the local engine, which folds the key runs of
+// a load-time copy of the rows partitioned and sorted by key, or the
+// distributed tuple plane, and returns canonical result encodings.
 //
 // Reproducibility is what makes a serving layer out of these parts.
 // Because every aggregate is bit-reproducible — the same multiset of
@@ -28,9 +29,11 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/partition"
@@ -68,8 +71,8 @@ type DatasetOptions struct {
 	// which runs a query over that many contiguous views of the rows
 	// (default 4). A server backed by a Cluster uses the cluster's size.
 	Shards int
-	// Workers parallelizes the load-time partitioning pass (default
-	// GOMAXPROCS). The physical row order inside a partition depends on
+	// Workers parallelizes the load-time partitioning pass and sort
+	// (default GOMAXPROCS). The physical order of a key's rows depends on
 	// it, but query results do not: the aggregates are order-independent.
 	Workers int
 }
@@ -87,23 +90,24 @@ func (o DatasetOptions) withDefaults() DatasetOptions {
 // Dataset is an immutable resident table: uint32 group keys plus
 // float64 value columns, held in two layouts at once — original row
 // order (window queries, and the distributed backends, which take
-// contiguous views of it, one per node) and radix-partitioned into
-// ascending key ranges (the local GROUP BY engine). Both layouts hold
-// the same multiset of rows, so every backend answers with the same
-// bits. A Dataset is safe for concurrent use after construction; it is
-// never mutated.
+// contiguous views of it, one per node) and key-clustered: radix-
+// partitioned into ascending key ranges and sorted by key within each
+// partition, so that every key's rows are one run (the local GROUP BY
+// engine). Both layouts hold the same multiset of rows, so every
+// backend answers with the same bits. A Dataset is safe for concurrent
+// use after construction; it is never mutated.
 type Dataset struct {
 	keys   []uint32
 	cols   [][]float64
 	shards int // DatasetOptions.Shards
 
-	// Local-engine layout: rows partitioned into ascending key ranges,
-	// every value column beside the keys. sumBound — Σ Part.Bound — is a
-	// precomputed upper bound on the number of groups any GROUP BY over
-	// this data can produce; memory admission prices queries with it.
-	// maxBound, the largest part's, plans the summation buffers.
-	parts              []partition.Part[float64]
-	maxBound, sumBound int
+	// Local-engine layout: the key-clustered partitions, every value
+	// column beside the keys, and groups, their runs in all: the
+	// distinct keys. sumBound — Σ Part.Bound — is a precomputed upper
+	// bound on the number of groups any GROUP BY over this data can
+	// produce; memory admission prices queries with it.
+	parts            []sortedPart
+	groups, sumBound int
 
 	// version is an FNV-64a digest of the resident rows. It keys the
 	// result cache: results are a pure function of (query, version).
@@ -131,17 +135,147 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 	if o.Shards < 1 {
 		return nil, fmt.Errorf("%w: shard count %d", ErrDataset, o.Shards)
 	}
+	if uint64(len(keys)) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d rows, at most 2^32 − 1", ErrDataset, len(keys))
+	}
 
 	// Local layout: every value column is partitioned beside the keys
-	// once, at load time — queries only ever stream sequentially after
-	// this. It is the only copy of the rows a Dataset makes.
+	// and sorted by key once, at load time — a query only streams each
+	// key's run after this. It is the only copy of the rows a Dataset
+	// makes.
 	d := &Dataset{keys: keys, cols: cols, shards: o.Shards}
-	d.parts = partition.Recursive(keys, cols, 1, agg.DefaultFanout, o.Workers)
-	for _, pt := range d.parts {
-		d.maxBound, d.sumBound = max(d.maxBound, pt.Bound()), d.sumBound+pt.Bound()
+	d.parts = sortParts(partition.Recursive(keys, cols, 1, agg.DefaultFanout, o.Workers), o.Workers)
+	for i := range d.parts {
+		pt := &d.parts[i]
+		pt.first = d.groups
+		d.groups += len(pt.starts) - 1
+		d.sumBound += pt.Bound()
 	}
 	d.version = digestRows(keys, cols)
 	return d, nil
+}
+
+// sortedPart is one partition of the local layout, its rows sorted by
+// key: run r, rows [starts[r], starts[r+1]), holds every row of one key,
+// which is group first + r of the key-ordered result.
+type sortedPart struct {
+	partition.Part[float64]
+	starts []uint32
+	first  int
+}
+
+// sortParts sorts the rows of every part by key in place, workers at a
+// time, and records its runs. Recursive copied every part it split off
+// the input; one it returned whole holds a single key, is sorted
+// already, and is left as it is, so the caller's rows are never
+// written.
+func sortParts(parts []partition.Part[float64], workers int) []sortedPart {
+	out := make([]sortedPart, len(parts))
+	largest := 0
+	for _, pt := range parts {
+		largest = max(largest, len(pt.Keys))
+	}
+	eachPart(len(parts), workers, func() func(p int) {
+		var s sorter
+		return func(p int) {
+			pt := parts[p]
+			if !slices.IsSorted(pt.Keys) {
+				s.sort(pt, largest)
+			}
+			out[p] = sortedPart{Part: pt, starts: runStarts(pt.Keys)}
+		}
+	})
+	return out
+}
+
+// eachPart calls do(p) for every p in [0, n) on min(workers, n)
+// goroutines (at least one), each calling the do its own call of start
+// returned, with the next index no goroutine has taken yet. It returns
+// once every call has.
+func eachPart(n, workers int, start func() func(p int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(max(workers, 1), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			do := start()
+			for p := int(next.Add(1)) - 1; p < n; p = int(next.Add(1)) - 1 {
+				do(p)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sorter is one load worker's scratch, made by its first sort at the
+// largest part's row count and used for every part it sorts: the new
+// order of a part's rows as (key, row) pairs, a counting sort's key
+// positions, and one column's values in the new order.
+type sorter struct {
+	order []uint64
+	pos   []uint32
+	vals  []float64
+}
+
+// sort sorts pt's rows by key, every column with the keys. A part whose
+// key range is no wider than its rows is counting-sorted over the range;
+// a sparser one sorts its packed (key, row) pairs. Both keep each key's
+// rows in their order.
+func (s *sorter) sort(pt partition.Part[float64], largest int) {
+	if s.order == nil {
+		s.order, s.pos, s.vals = make([]uint64, largest), make([]uint32, largest), make([]float64, largest)
+	}
+	n := len(pt.Keys)
+	order := s.order[:n]
+	if width := uint64(pt.Hi-pt.Lo) + 1; width <= uint64(n) {
+		pos := s.pos[:width]
+		clear(pos)
+		for _, k := range pt.Keys {
+			pos[k-pt.Lo]++
+		}
+		at := uint32(0)
+		for i, c := range pos {
+			pos[i], at = at, at+c
+		}
+		for i, k := range pt.Keys {
+			order[pos[k-pt.Lo]] = uint64(k)<<32 | uint64(i)
+			pos[k-pt.Lo]++
+		}
+	} else {
+		for i, k := range pt.Keys {
+			order[i] = uint64(k)<<32 | uint64(i)
+		}
+		slices.Sort(order)
+	}
+	for i, o := range order {
+		pt.Keys[i] = uint32(o >> 32)
+	}
+	vals := s.vals[:n]
+	for _, col := range pt.Cols {
+		for i, o := range order {
+			vals[i] = col[uint32(o)]
+		}
+		copy(col, vals)
+	}
+}
+
+// runStarts returns where each run of equal keys starts in sorted keys,
+// followed by len(keys).
+func runStarts(keys []uint32) []uint32 {
+	runs := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			runs++
+		}
+	}
+	starts := make([]uint32, 1, runs+1)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			starts = append(starts, uint32(i))
+		}
+	}
+	return append(starts, uint32(len(keys)))
 }
 
 // SyntheticDataset loads a workload-generated dataset: n rows with
@@ -220,12 +354,13 @@ func (d *Dataset) DistinctBound() int { return d.sumBound }
 // TupleSize is the logical width, read off the catalog as if no two
 // specs shared a component, and the physical tuple the engine keeps per
 // group (sqlagg.TuplePlan) shares them, so it is never wider. Pricing
-// allocates nothing. The summation buffers in front
-// of the tuples are not group-dependent: they are planned so that one
-// partition's fill Eq. 4's budget (agg.CacheBytesPerThread, 1 MiB), and
-// a worker's table has under four slots per planned group, so each
-// worker holds a few MiB of them at most, however many groups the query
-// has — a per-worker constant the per-query budget does not price.
+// allocates nothing. The local engine holds no summation buffers: it
+// folds each key's run into one tuple per worker, whose scratch for
+// squares (256 values per sum) is a per-worker constant. The distributed plane's
+// tables do buffer, planned so that one partition's fill Eq. 4's budget
+// (agg.CacheBytesPerThread, 1 MiB), so each of its workers holds a few
+// MiB of buffers at most, however many groups the query has. Neither is
+// group-dependent, and the per-query budget prices neither.
 func (d *Dataset) EstimateBytes(q Query) (int, error) {
 	if err := q.validate(d.Cols()); err != nil {
 		return 0, err
@@ -252,24 +387,31 @@ func (d *Dataset) EstimateBytes(q Query) (int, error) {
 }
 
 // digestRows computes the FNV-64a content digest over the keys and the
-// exact bit patterns of every value column. Bit patterns, not values:
-// two datasets that differ only in a NaN payload or a signed zero are
-// different data and must not share cache entries.
+// exact bit patterns of every value column, little-endian, folded
+// inline: hash/fnv's Write per value cost a call each. Bit patterns,
+// not values: two datasets that differ only in a NaN payload or a
+// signed zero are different data and must not share cache entries.
 func digestRows(keys []uint32, cols [][]float64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, k := range keys {
-		b[0], b[1], b[2], b[3] = byte(k), byte(k>>8), byte(k>>16), byte(k>>24)
-		h.Write(b[:4])
+		h = (h ^ uint64(k&0xFF)) * prime64
+		h = (h ^ uint64(k>>8&0xFF)) * prime64
+		h = (h ^ uint64(k>>16&0xFF)) * prime64
+		h = (h ^ uint64(k>>24)) * prime64
 	}
 	for _, col := range cols {
 		for _, v := range col {
-			bits := math.Float64bits(v)
-			for i := 0; i < 8; i++ {
-				b[i] = byte(bits >> (8 * i))
-			}
-			h.Write(b[:])
+			b := math.Float64bits(v)
+			h = (h ^ b&0xFF) * prime64
+			h = (h ^ b>>8&0xFF) * prime64
+			h = (h ^ b>>16&0xFF) * prime64
+			h = (h ^ b>>24&0xFF) * prime64
+			h = (h ^ b>>32&0xFF) * prime64
+			h = (h ^ b>>40&0xFF) * prime64
+			h = (h ^ b>>48&0xFF) * prime64
+			h = (h ^ b>>56) * prime64
 		}
 	}
-	return h.Sum64()
+	return h
 }

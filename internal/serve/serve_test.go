@@ -2,15 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/dist/proc"
+	"repro/internal/partition"
 	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
@@ -478,6 +485,187 @@ func TestLocalMatchesDistributedOnOutlier(t *testing.T) {
 	}
 }
 
+// keyShapes are the key columns the key-clustered layout sorts
+// differently: dense keys (a counting sort per part), one key (a part
+// left whole), stride 256, a 0xFFFFFFFF outlier beside dense ids, keys
+// spread wider than a part's rows (the pair sort), and 2^16 keys of one
+// or two rows each.
+func keyShapes() map[string][]uint32 {
+	const rows = 1 << 13
+	rng := workload.NewRNG(91)
+	stride := workload.Keys(92, rows, 512)
+	for i := range stride {
+		stride[i] *= 256
+	}
+	outlier := workload.Keys(93, rows, 1<<12)
+	outlier[rows/3] = 0xFFFFFFFF
+	wide := make([]uint32, rows)
+	for i := range wide {
+		wide[i] = uint32(rng.Uint64())
+	}
+	var few []uint32
+	for k := range uint32(1 << 16) {
+		few = append(few, k)
+		if rng.Intn(2) == 1 {
+			few = append(few, k)
+		}
+	}
+	for i := len(few) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		few[i], few[j] = few[j], few[i]
+	}
+	return map[string][]uint32{
+		"dense":    workload.Keys(94, rows, 1024),
+		"one key":  slices.Repeat([]uint32{7}, rows),
+		"stride":   stride,
+		"outlier":  outlier,
+		"wide":     wide,
+		"1-2 rows": few,
+	}
+}
+
+// shapeColumns is two value columns for keys.
+func shapeColumns(keys []uint32) [][]float64 {
+	return [][]float64{workload.Values64(95, len(keys), workload.MixedMag), workload.Values64(96, len(keys), workload.Uniform12)}
+}
+
+// TestLocalMatchesDistributedMatrix: on every key shape, the local
+// engine's bytes equal the distributed backend's, for plans of every
+// component shape — the catalog mix, the variance family, extrema
+// alone, COUNT alone, SUM at L = 1 and at L = 4 — with 1, 2 and 3
+// workers both loading the dataset and running the query.
+func TestLocalMatchesDistributedMatrix(t *testing.T) {
+	plans := map[string][]sqlagg.AggSpec{
+		"catalog mix": testSpecs(),
+		"variance": {
+			{Kind: sqlagg.AggVarPop, Col: 0}, {Kind: sqlagg.AggVarSamp, Col: 1},
+			{Kind: sqlagg.AggStddevPop, Col: 1}, {Kind: sqlagg.AggStddevSamp, Col: 0},
+		},
+		"min max": {{Kind: sqlagg.AggMin, Col: 0}, {Kind: sqlagg.AggMax, Col: 1}},
+		"count":   {{Kind: sqlagg.AggCount}},
+		"sum L=1": {{Kind: sqlagg.AggSum, Levels: 1, Col: 0}},
+		"sum L=4": {{Kind: sqlagg.AggSum, Levels: 4, Col: 1}},
+	}
+	for shape, keys := range keyShapes() {
+		cols := shapeColumns(keys)
+		want := make(map[string][]byte)
+		for _, workers := range []int{1, 2, 3} {
+			ds, err := NewDataset(keys, cols, DatasetOptions{Shards: 3, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				ref := mustServer(t, ds, Options{Workers: 2, Distributed: true})
+				for name, specs := range plans {
+					r, err := ref.Do(GroupBy(specs...))
+					if err != nil {
+						t.Fatalf("%s, %s: distributed: %v", shape, name, err)
+					}
+					want[name] = r.Bytes
+				}
+			}
+			local := mustServer(t, ds, Options{Workers: workers})
+			for name, specs := range plans {
+				r, err := local.Do(GroupBy(specs...))
+				if err != nil {
+					t.Fatalf("%s, %s, %d workers: local: %v", shape, name, workers, err)
+				}
+				if !bytes.Equal(r.Bytes, want[name]) {
+					t.Errorf("%s, %s, %d workers: local result (%d bytes) differs from the distributed one (%d bytes)",
+						shape, name, workers, len(r.Bytes), len(want[name]))
+				}
+			}
+		}
+	}
+}
+
+// TestDatasetKeyClustered holds the load-time sort to what the local
+// engine relies on, on every key shape and 1, 2 and 3 load workers:
+// every part's keys ascend; its runs cover its rows exactly, one key
+// each, and are numbered on from the parts before it; and the sort only
+// moved rows: each part holds the multiset of (key, value bits) that
+// partitioning alone leaves in it.
+func TestDatasetKeyClustered(t *testing.T) {
+	type row struct {
+		key  uint32
+		bits [2]uint64
+	}
+	rowsOf := func(pt partition.Part[float64]) []row {
+		out := make([]row, len(pt.Keys))
+		for i, k := range pt.Keys {
+			out[i] = row{k, [2]uint64{math.Float64bits(pt.Cols[0][i]), math.Float64bits(pt.Cols[1][i])}}
+		}
+		slices.SortFunc(out, func(a, b row) int {
+			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.bits[0], b.bits[0]), cmp.Compare(a.bits[1], b.bits[1]))
+		})
+		return out
+	}
+	for shape, keys := range keyShapes() {
+		cols := shapeColumns(keys)
+		for _, workers := range []int{1, 2, 3} {
+			ds, err := NewDataset(keys, cols, DatasetOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			unsorted := partition.Recursive(keys, cols, 1, agg.DefaultFanout, workers)
+			if len(unsorted) != len(ds.parts) {
+				t.Fatalf("%s, %d workers: %d parts, partitioning alone gives %d", shape, workers, len(ds.parts), len(unsorted))
+			}
+			groups := 0
+			for p, pt := range ds.parts {
+				name := fmt.Sprintf("%s, %d workers, part %d", shape, workers, p)
+				if !slices.IsSorted(pt.Keys) {
+					t.Fatalf("%s: keys do not ascend", name)
+				}
+				st := pt.starts
+				if pt.first != groups || len(st) < 2 || st[0] != 0 || int(st[len(st)-1]) != len(pt.Keys) {
+					t.Fatalf("%s: runs %v from group %d do not cover its %d rows from group %d", name, st, pt.first, len(pt.Keys), groups)
+				}
+				for r := 1; r < len(st); r++ {
+					lo, hi := st[r-1], st[r]
+					if lo >= hi || pt.Keys[lo] != pt.Keys[hi-1] || (r > 1 && pt.Keys[lo-1] == pt.Keys[lo]) {
+						t.Fatalf("%s: run %d, rows [%d, %d), is not one whole key", name, r-1, lo, hi)
+					}
+				}
+				groups += len(st) - 1
+				if !slices.Equal(rowsOf(pt.Part), rowsOf(unsorted[p])) {
+					t.Fatalf("%s: the sort changed the part's rows", name)
+				}
+			}
+			if groups != ds.groups || groups != workload.DistinctGroups(keys) {
+				t.Fatalf("%s, %d workers: %d runs, %d groups recorded, %d distinct keys", shape, workers, groups, ds.groups, workload.DistinctGroups(keys))
+			}
+		}
+	}
+}
+
+// TestVersionIsFNV64a pins Dataset.Version to hash/fnv's FNV-64a over
+// the keys' little-endian bytes, then every column's values' — a NaN
+// payload and −0 among them, digested by their bits — so that the
+// result cache's key does not drift.
+func TestVersionIsFNV64a(t *testing.T) {
+	keys := append(workload.Keys(97, 1000, 1<<20), 0, 0xFFFFFFFF)
+	cols := [][]float64{workload.Values64(98, len(keys), workload.MixedMag), workload.Values64(99, len(keys), workload.Uniform12)}
+	cols[0][3], cols[0][4] = math.Float64frombits(0x7FF8_0000_0000_1234), math.Copysign(0, -1)
+	cols[1][5] = math.Float64frombits(0xFFF0_0000_0000_0001)
+	h := fnv.New64a()
+	for _, k := range keys {
+		h.Write(binary.LittleEndian.AppendUint32(nil, k))
+	}
+	for _, col := range cols {
+		for _, v := range col {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	ds, err := NewDataset(keys, cols, DatasetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Version() != h.Sum64() {
+		t.Fatalf("Version %016x, hash/fnv's FNV-64a %016x", ds.Version(), h.Sum64())
+	}
+}
+
 func TestServerClosed(t *testing.T) {
 	ds := testDataset(t, 1<<8, 16, 1)
 	s := mustServer(t, ds, Options{})
@@ -577,32 +765,61 @@ func TestShardViewsOnePerNode(t *testing.T) {
 }
 
 // TestGroupByLocalAllocations pins the local engine's allocation shape:
-// a worker keeps one aggregation table (and its tuples' buffers) for all
-// the partitions it drains, so an executed GROUP BY allocates per worker
-// and per output run — not one table and one state tuple per group per
-// partition, which was 11 273 allocations on this shape.
+// the resident partitions hold each key's rows as one run, so an
+// executed GROUP BY keeps no aggregation table — per worker, one tuple
+// and its scratch; for the query, the plan and the result's groups and
+// values, however many partitions and groups there are. A table per
+// worker and a run per partition allocated 535 times on this shape at
+// two workers, under a bound of workers·(8 + 3·slots) + 2·parts + 16.
 func TestGroupByLocalAllocations(t *testing.T) {
-	const groups, workers = 1024, 2
+	const groups = 1024
 	ds := testDataset(t, 1<<15, groups, 2)
-	s := mustServer(t, ds, Options{Workers: workers})
 	specs := testSpecs()
-	want, err := s.groupByLocal(specs)
-	if err != nil || len(want) != groups {
-		t.Fatalf("groupByLocal: %d groups, err %v", len(want), err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.groupByLocal(specs); err != nil {
-			t.Error(err)
+	for _, workers := range []int{1, 2, 3} {
+		s := mustServer(t, ds, Options{Workers: workers})
+		want, err := s.groupByLocal(specs)
+		if err != nil || len(want) != groups {
+			t.Fatalf("groupByLocal: %d groups, err %v", len(want), err)
 		}
-	})
-	parts := len(ds.parts)
-	// Per worker: the table's slot arrays and one tuple of ≤ 3
-	// allocations per slot ever used (under 4 × MaxBound slots, at
-	// least 16); per partition: its key-sorted run and the run's values;
-	// a constant for the pool and the merged result.
-	slots := max(16, 4*ds.maxBound)
-	bound := float64(workers*(8+3*slots) + 2*parts + 16)
-	if allocs > bound {
-		t.Fatalf("%v allocations for %d groups in %d partitions on %d workers, want ≤ %v", allocs, groups, parts, workers, bound)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := s.groupByLocal(specs); err != nil {
+				t.Error(err)
+			}
+		})
+		// Per worker: the tuple (its sums, extrema, scratch and itself,
+		// which a closure captures) and two closures, with one to spare;
+		// for the query: the plan's seven, the groups, the values, a
+		// closure and the workers' counter and wait group.
+		if bound := float64(7*workers + 12); allocs > bound {
+			t.Errorf("%v allocations for %d groups in %d partitions on %d workers, want ≤ %v", allocs, groups, len(ds.parts), workers, bound)
+		}
+	}
+}
+
+// BenchmarkGroupByLocal times the local engine alone on serve_mix's
+// miss — SUM(a), AVG(b), COUNT(*) over 2^19 rows on one worker — at 64,
+// 4 096 (serve_mix's own) and 2^16 groups: ns/op is one executed GROUP
+// BY, from the resident runs to the key-sorted groups.
+func BenchmarkGroupByLocal(b *testing.B) {
+	specs := []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Col: 0}, {Kind: sqlagg.AggAvg, Col: 1}, {Kind: sqlagg.AggCount}}
+	for _, groups := range []uint32{64, 4096, 1 << 16} {
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			ds, err := SyntheticDataset(42, 1<<19, groups, 2, workload.MixedMag, DatasetOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := NewServer(ds, Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := s.groupByLocal(specs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/dist"
 	"repro/internal/dist/proc"
-	"repro/internal/groupby"
 	"repro/internal/obs"
 	"repro/internal/sqlagg"
 )
@@ -554,30 +551,44 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 	}
 }
 
-// groupByLocal is the local GROUP BY engine: agg's partition loop over
-// the resident partitions — the same table, plan and row fold the
-// distributed plane runs — with one table per worker and summation
-// buffers planned from the dataset's rows per key, so a query allocates
-// O(workers + groups), not O(partitions × groups). Each partition's run
-// comes out of its table in key order and the partitions are ascending
-// key ranges, so their concatenation is the key-sorted result. The
-// result bits are identical to the distributed plane's: the aggregate
-// states are order-independent, so it does not matter which backend
-// folded which row first.
+// groupByLocal is the local GROUP BY engine, which needs no table: the
+// resident partitions hold each key's rows as one run, so a worker
+// resets its one tuple, adds each sum component's slice of the run with
+// one call of the vectorised kernel (sqlagg.TuplePlan.AddRun) and
+// finalizes the tuple into the run's place in the result. The
+// partitions are ascending key ranges of ascending runs, so the result
+// is key-sorted, and a query allocates the result and O(workers), not
+// O(partitions). It keeps no summation buffers: a tuple's buffer only
+// holds the squares of a Σx² component, runScratch at a time.
+// The result bits are identical to the distributed plane's: the
+// aggregate states are order-independent, so it does not matter which
+// backend folded which row first.
 func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error) {
 	plan, err := sqlagg.NewTuplePlan(specs)
 	if err != nil {
 		return nil, err
 	}
-	ds := s.ds
-	_, bsz := groupby.Layout(plan, ds.maxBound, ds.Rows()/ds.sumBound)
-	runs := make([][]dist.TupleGroup, len(ds.parts))
-	agg.AggregateParts(ds.parts, s.opt.Workers,
-		func(bound int) *groupby.Table { return groupby.NewTable(plan, bound, bsz) },
-		(*groupby.Table).AddPart,
-		func(p int, t *groupby.Table) { runs[p] = t.Groups() })
-	return slices.Concat(runs...), nil
+	ds, nspecs := s.ds, plan.Specs()
+	out := make([]dist.TupleGroup, ds.groups)
+	vals := make([]float64, ds.groups*nspecs)
+	eachPart(len(ds.parts), s.opt.Workers, func() func(p int) {
+		t := plan.NewTuple(runScratch)
+		return func(p int) {
+			pt := &ds.parts[p]
+			for r, lo := range pt.starts[:len(pt.starts)-1] {
+				plan.Reset(&t)
+				plan.AddRun(&t, pt.Cols, int(lo), int(pt.starts[r+1]))
+				g := pt.first + r
+				out[g] = dist.TupleGroup{Key: pt.Keys[lo], Aggs: plan.Finalize(vals[g*nspecs:g*nspecs:(g+1)*nspecs], &t)}
+			}
+		}
+	})
+	return out, nil
 }
+
+// runScratch is the values groupByLocal's tuples buffer per sum: a run
+// of a Σx² component reaches the kernel in slices of this many squares.
+const runScratch = 256
 
 // cacheKey prefixes the canonical query encoding with the dataset
 // version: a result is a pure function of exactly that pair.

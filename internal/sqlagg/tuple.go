@@ -21,7 +21,9 @@ import (
 // its groups' components in columns instead (TupleColumns), folds rows
 // into them a batch at a time one component at a time, and hands out a
 // flushed group as a Tuple view: the per-key record of a shuffle frame
-// and what Finalize reads.
+// and what Finalize reads. Rows that already lie together by key need
+// neither: AddRun folds one key's run into a tuple a component at a
+// time.
 
 // sumComp is one reproducible sum over a column or over its squares.
 // Specs that read the same column at different level counts get
@@ -207,6 +209,51 @@ func (p *TuplePlan) AddRow(t *Tuple, cols [][]float64, row int) {
 	} else if t.fill++; t.fill == t.bsz {
 		t.flush()
 	}
+}
+
+// Reset empties t, dropping anything it had buffered and keeping its
+// memory.
+func (p *TuplePlan) Reset(t *Tuple) {
+	p.resetSums(t.sums)
+	p.resetExts(t.exts)
+	t.n, t.fill = 0, 0
+}
+
+// AddRun folds rows lo, lo+1, …, hi−1 of cols into t, to the state of
+// AddRow once per row but a component at a time: each Σx component
+// adds its column's slice of the run with one call of the vectorised
+// kernel, and each Σx² component squares the run into t's summation
+// buffer and adds a buffer of squares per call (one square at a time,
+// for a tuple without buffers). What t had buffered is flushed first.
+func (p *TuplePlan) AddRun(t *Tuple, cols [][]float64, lo, hi int) {
+	t.flush()
+	for j, c := range p.sums {
+		run := cols[c.col][lo:hi]
+		switch {
+		case !c.square:
+			t.sums[j].AddSliceVec(run)
+		case t.bsz == 0:
+			for _, v := range run {
+				t.sums[j].Add(v * v)
+			}
+		default:
+			sq := t.buf[:t.bsz]
+			for len(run) > 0 {
+				n := min(len(run), len(sq))
+				for i, v := range run[:n] {
+					sq[i] = v * v
+				}
+				t.sums[j].AddSliceVec(sq[:n])
+				run = run[n:]
+			}
+		}
+	}
+	for j, c := range p.exts {
+		for _, v := range cols[c.col][lo:hi] {
+			t.exts[j].Add(v)
+		}
+	}
+	t.n += int64(hi - lo)
 }
 
 // flush sums the buffered values with the vectorised kernel.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -292,6 +293,84 @@ func TestBudgetEdgesTupleAndSumState(t *testing.T) {
 		want, _ := eager.AppendBinary(nil)
 		if !bytes.Equal(got, want) {
 			t.Errorf("n=%d: SUM state bytes differ from AddEager's", n)
+		}
+	}
+}
+
+// TestAddRunMatchesAddRow: AddRun over any split of a run leaves a
+// tuple that encodes to the bytes of one AddRow per row into an
+// unbuffered tuple, for every catalog kind at L = 1…4 (alone and all
+// in one plan over two columns), on tuples with summation buffers of 0,
+// 1, 8 and 256 values — runs far longer than the buffer their squares
+// pass through included, and buffers AddRow left part-filled — reused
+// through Reset, with ±0, the smallest
+// subnormal, NaN, ±Inf and 2^1000 (whose square is +Inf) planted in the
+// values.
+func TestAddRunMatchesAddRow(t *testing.T) {
+	const n = 1500
+	specials := map[string][]float64{
+		"clean":     nil,
+		"zeros":     {0, math.Copysign(0, -1), 0x1p-1074, -0x1p-1074},
+		"nan":       {math.NaN(), 1},
+		"both infs": {math.Inf(1), math.Inf(-1)},
+		"2^1000":    {0x1p1000, -0x1p1000, 0x1p1000},
+	}
+	runs := [][2]int{{0, 0}, {0, 1}, {3, 5}, {0, 255}, {0, 256}, {1, 258}, {17, 900}, {0, n}}
+	for name, inject := range specials {
+		rng := workload.NewRNG(uint64(len(name)) * 131)
+		cols := [][]float64{workload.Values64(31, n, workload.MixedMag), workload.Values64(32, n, workload.MixedMag)}
+		for _, v := range inject {
+			for c := range cols {
+				cols[c][rng.Intn(n)], cols[c][rng.Intn(300)] = v, v
+			}
+		}
+		for levels := 1; levels <= rsum.MaxLevels; levels++ {
+			all := allSpecs(levels)
+			plans := [][]AggSpec{all}
+			for i, sp := range all {
+				all[i].Col = i % 2
+				plans = append(plans, []AggSpec{sp})
+			}
+			for _, specs := range plans {
+				p, err := NewTuplePlan(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bsz := range []int{0, 1, 8, 256} {
+					tup := p.NewTuple(bsz)
+					for _, run := range runs {
+						want := p.NewTuple(0)
+						for row := run[0]; row < run[1]; row++ {
+							p.AddRow(&want, cols, row)
+						}
+						wantEnc, _ := p.AppendBinary(nil, &want)
+						// The run in one call, then cut at up to three random
+						// rows; with cuts, the first piece goes in by AddRow,
+						// so that AddRun meets a part-filled buffer.
+						for cuts := 0; cuts < 4; cuts++ {
+							at := []int{run[0], run[1]}
+							for range cuts {
+								at = append(at, run[0]+rng.Intn(run[1]-run[0]+1))
+							}
+							slices.Sort(at)
+							p.Reset(&tup)
+							for k := 1; k < len(at); k++ {
+								if k == 1 && cuts > 0 {
+									for row := at[0]; row < at[1]; row++ {
+										p.AddRow(&tup, cols, row)
+									}
+									continue
+								}
+								p.AddRun(&tup, cols, at[k-1], at[k])
+							}
+							if got, err := p.AppendBinary(nil, &tup); err != nil || !bytes.Equal(got, wantEnc) {
+								t.Fatalf("%s, L=%d, %d specs, bsz %d, rows %v split at %v: AddRun's bytes differ from AddRow's (err %v)",
+									name, levels, len(specs), bsz, run, at, err)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

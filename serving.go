@@ -14,12 +14,13 @@ import (
 
 // ServeDataset is an immutable resident table the server answers
 // queries over: uint32 group keys plus float64 value columns, held
-// simultaneously in row order (window queries), radix-partitioned
-// (local GROUP BY engine), and sharded (distributed backend) layouts.
+// simultaneously in row order (window queries), radix-partitioned and
+// sorted by key within each partition (local GROUP BY engine), and
+// sharded (distributed backend) layouts.
 type ServeDataset = serve.Dataset
 
 // ServeDatasetOptions configures resident-data loading: the cluster
-// size data is pre-sharded for and the load-time partitioning
+// size data is pre-sharded for and the load-time partitioning and sort
 // parallelism.
 type ServeDatasetOptions = serve.DatasetOptions
 
