@@ -33,6 +33,29 @@ func TestDistributedSumMatchesSum(t *testing.T) {
 	}
 }
 
+// TestDistributedSumChunkEdges: a node sums its shard in one chunk per
+// worker (partition.EachChunk). One row runs one worker; nine rows in
+// four chunks of three leave the fourth worker's state empty. Either way
+// the bits are the one-worker bits. (Empty shards are
+// internal/dist's TestReduceEmptyShards.)
+func TestDistributedSumChunkEdges(t *testing.T) {
+	for _, n := range []int{1, 9} {
+		vals := workload.Values64(24, n, workload.MixedMag)
+		shards := [][]float64{vals, vals[:n/2]}
+		want, err := repro.DistributedSum(shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := repro.DistributedSum(shards, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d rows, 4 workers per node: %016x, one worker: %016x", n, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
 // TestDistributedGroupBySumMatchesGroupBySum: the distributed GROUP BY
 // agrees bit-for-bit with the single-machine operator.
 func TestDistributedGroupBySumMatchesGroupBySum(t *testing.T) {

@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("resident: %d rows × %d cols, version %016x, ≤%d distinct keys\n\n",
+	fmt.Printf("resident: %d rows × %d cols, version %016x, %d distinct keys\n\n",
 		ds.Rows(), ds.Cols(), ds.Version(), ds.DistinctBound())
 
 	query := repro.GroupByQuery(

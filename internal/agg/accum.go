@@ -6,9 +6,11 @@
 // every group handed to the caller's finish in key order — the result
 // is sorted by key by construction, and what leaves a table is what
 // finish makes of the group (a ⟨key, sum⟩ pair for the facade), never a
-// copy of the accumulator. Its partition loop, AggregateParts, is the
-// only one in the repository: dist's tuple GROUP BY runs it over its own
-// tables. PartitionAndAggregate is Aggregate for
+// copy of the accumulator. Its partition loop, EachPart, is the only
+// one in the repository: AggregateParts runs it with a table per worker
+// (dist's tuple GROUP BY over its own tables), and serve runs it to sort
+// its resident partitions and to fold their key runs. Depth 0's fan-out
+// over rows is partition.EachChunk. PartitionAndAggregate is Aggregate for
 // callers that do want the accumulators. Plain HASHAGGREGATION is
 // hashagg.Aggregate; the sort-first baseline of Table IV is
 // engine.SumSorted. Aggregate is generic over the payload, so every

@@ -76,10 +76,11 @@ func Aggregate[V partition.Scalar, A any, PA interface {
 }
 
 // operate is Algorithm 4 over any table; drain finishes a table's
-// groups in key order. Depth 0 folds each worker's chunk of the rows (a
-// part spanning the whole key space) into a table sized from GroupHint
-// and merges the tables into the first in worker order. Deeper, it
-// partitions the rows and runs AggregateParts.
+// groups in key order. Depth 0 makes one table per worker from
+// GroupHint, folds each worker's chunk of the rows (partition.EachChunk;
+// a part spanning the whole key space) into its table and merges the
+// tables into the first in worker order. Deeper, it partitions the rows
+// and runs AggregateParts.
 func operate[V partition.Scalar, T interface {
 	Cap() int
 	Clear()
@@ -102,18 +103,12 @@ func operate[V partition.Scalar, T interface {
 		w = 1
 	}
 	tables := make([]T, w)
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
 	for i := range tables {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := min(i*chunk, n), min((i+1)*chunk, n)
-			tables[i] = newTable(opt.GroupHint)
-			fold(tables[i], partition.Part[V]{Keys: keys[lo:hi], Cols: [][]V{vals[lo:hi]}, Hi: math.MaxUint32})
-		}()
+		tables[i] = newTable(opt.GroupHint)
 	}
-	wg.Wait()
+	partition.EachChunk(n, w, func(i, lo, hi int) {
+		fold(tables[i], partition.Part[V]{Keys: keys[lo:hi], Cols: [][]V{vals[lo:hi]}, Hi: math.MaxUint32})
+	})
 	for _, t := range tables[1:] {
 		merge(tables[0], t)
 	}
@@ -122,37 +117,52 @@ func operate[V partition.Scalar, T interface {
 
 // AggregateParts is the partition loop of every GROUP BY: workers
 // goroutines share parts — rows already partitioned into key ranges —
-// and each folds a part (its rows and key range) into its table with
-// fold, then hands the table to drain with the part's index. A worker keeps one table for
-// every part it aggregates: made by newTable for the part's Bound, so
-// it cannot rehash mid-part however many groups the whole input has,
-// remade only for a part that bound outgrows, and otherwise cleared, not
-// reallocated — payloads implementing hashagg.Resettable, the buffered
-// accumulators in particular, keep their buffers, as in the paper's
-// implementation. drain may read and flush the payloads but must not
-// keep the table. One worker — also what a count below one runs —
-// visits the parts in order.
+// through EachPart, and each folds a part (its rows and key range) into
+// its table with fold, then hands the table to drain with the part's
+// index. A worker keeps one table for every part it aggregates: made by
+// newTable for the part's Bound, so it cannot rehash mid-part however
+// many groups the whole input has, remade only for a part that bound
+// outgrows, and otherwise cleared, not reallocated — payloads
+// implementing hashagg.Resettable, the buffered accumulators in
+// particular, keep their buffers, as in the paper's implementation.
+// drain may read and flush the payloads but must not keep the table.
+// One worker — also what a count below one runs — visits the parts in
+// order.
 func AggregateParts[V partition.Scalar, T interface {
 	Cap() int
 	Clear()
 }](parts []partition.Part[V], workers int, newTable func(bound int) T, fold func(t T, pt partition.Part[V]), drain func(p int, t T)) {
+	EachPart(len(parts), workers, func() func(p int) {
+		var t T
+		made := false
+		return func(p int) {
+			pt := parts[p]
+			if bound := pt.Bound(); !made || t.Cap() < 2*bound {
+				t, made = newTable(bound), true
+			} else {
+				t.Clear()
+			}
+			fold(t, pt)
+			drain(p, t)
+		}
+	})
+}
+
+// EachPart is the loop over partitions: min(workers, n) goroutines (at
+// least one, none for n = 0) each call start once and then the do it
+// returned on the next index in [0, n) that no goroutine has taken yet,
+// until none is left. It returns once every call has. Indices are taken
+// in ascending order, so one worker visits them in order.
+func EachPart(n, workers int, start func() (do func(p int))) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(max(workers, 1), len(parts)) {
+	for range min(max(workers, 1), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var t T
-			made := false
-			for p := int(next.Add(1)) - 1; p < len(parts); p = int(next.Add(1)) - 1 {
-				pt := parts[p]
-				if bound := pt.Bound(); !made || t.Cap() < 2*bound {
-					t, made = newTable(bound), true
-				} else {
-					t.Clear()
-				}
-				fold(t, pt)
-				drain(p, t)
+			do := start()
+			for p := int(next.Add(1)) - 1; p < n; p = int(next.Add(1)) - 1 {
+				do(p)
 			}
 		}()
 	}

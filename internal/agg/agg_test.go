@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -227,6 +228,30 @@ func TestDepthThresholds(t *testing.T) {
 			}
 			prev = d
 		}
+	}
+}
+
+// TestEachPart: with no parts no worker starts, and with more workers
+// than parts every index is visited exactly once.
+func TestEachPart(t *testing.T) {
+	EachPart(0, 4, func() func(p int) {
+		t.Error("start called for n = 0")
+		return func(int) {}
+	})
+	const n = 3
+	var visits [n]atomic.Int32
+	var starts atomic.Int32
+	EachPart(n, 8, func() func(p int) {
+		starts.Add(1)
+		return func(p int) { visits[p].Add(1) }
+	})
+	for p := range visits {
+		if v := visits[p].Load(); v != 1 {
+			t.Errorf("index %d visited %d times", p, v)
+		}
+	}
+	if s := starts.Load(); s > n {
+		t.Errorf("%d workers started for %d parts", s, n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/hashagg"
+	"repro/internal/partition"
 )
 
 // SHAREDAGGREGATION — the alternative strategy of Cieslewicz & Ross
@@ -47,31 +48,15 @@ func SharedAggregate[V any, A any, PA interface {
 		stripes[i].t = hashagg.New[A](hint, opt.Hash, newA)
 	}
 
-	var wg sync.WaitGroup
-	n := len(keys)
-	w := opt.Workers
-	chunk := (n + w - 1) / w
-	for i := 0; i < w; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > n {
-			hi = n
+	partition.EachChunk(len(keys), opt.Workers, func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			k := keys[j]
+			s := &stripes[k%sharedStripes]
+			s.mu.Lock()
+			PA(s.t.Upsert(k)).Add(vals[j])
+			s.mu.Unlock()
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for j := lo; j < hi; j++ {
-				k := keys[j]
-				s := &stripes[k%sharedStripes]
-				s.mu.Lock()
-				PA(s.t.Upsert(k)).Add(vals[j])
-				s.mu.Unlock()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 
 	var out []Entry[A]
 	entry := entryOf[A]()

@@ -99,6 +99,26 @@ func TestGroupBySumMatrix(t *testing.T) {
 	}
 }
 
+// TestGroupBySumChunkEdges: depth 0 cuts the rows into one chunk per
+// worker with partition.EachChunk. One row runs one worker; nine rows in
+// four chunks of three leave the fourth worker's table empty. Either
+// way the groups carry the one-worker bits. (No rows is TestGroupBySumMatrix's
+// "empty" shape.)
+func TestGroupBySumChunkEdges(t *testing.T) {
+	for _, n := range []int{1, 9} {
+		keys, vals := make([]uint32, n), make([]float64, n)
+		for i := range keys {
+			keys[i], vals[i] = uint32(i%3), float64(i)*0.1+sumSpecials[i%len(sumSpecials)]
+		}
+		for _, bsz := range []int{0, 8} {
+			want := sumRun(keys, vals, 0, bsz, 1, 4)
+			if got := sumRun(keys, vals, 0, bsz, 4, 4); !slices.Equal(got, want) {
+				t.Fatalf("%d rows, bsz %d, 4 workers: %s", n, bsz, sumDiff(got, want))
+			}
+		}
+	}
+}
+
 // sumDiff describes where got first departs from want.
 func sumDiff(got, want []groupSum) string {
 	for i := range min(len(got), len(want)) {

@@ -225,25 +225,9 @@ func AggregateTuplesConfig(localKeys [][]uint32, localCols [][][]float64, worker
 	}
 	defer tr.Close()
 
-	rootCh := make(chan tupleResult, 1)
-	for id := 0; id < n; id++ {
-		go func(id int) {
-			groups, err := RunGroupByNode(id, localKeys[id], localCols[id], workers, specs, tr, cfg, nil)
-			if id == 0 {
-				rootCh <- tupleResult{groups: groups, err: err}
-			}
-		}(id)
-	}
-	m := <-rootCh
-	if m.err != nil {
-		return nil, m.err
-	}
-	return m.groups, nil
-}
-
-type tupleResult struct {
-	groups []TupleGroup
-	err    error
+	return runNodes(n, func(id int) ([]TupleGroup, error) {
+		return RunGroupByNode(id, localKeys[id], localCols[id], workers, specs, tr, cfg, nil)
+	})
 }
 
 // ValidateShardColumns checks the shard shape of a multi-aggregate

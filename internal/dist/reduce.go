@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/rsum"
 )
 
@@ -226,12 +227,6 @@ func childrenOf(id, n int) []int {
 	return kids
 }
 
-// result is the local handoff from the root node to the caller.
-type result struct {
-	payload []byte
-	err     error
-}
-
 // Reduce computes the reproducible global SUM over a sharded input:
 // shards[i] is the slice of values held by cluster node i. Each node
 // sums its shard locally with the given number of parallel workers,
@@ -266,25 +261,29 @@ func ReduceConfig(shards [][]float64, workers int, cfg Config) (float64, error) 
 	}
 	defer tr.Close()
 
-	root := make(chan result, 1)
-	for id := 0; id < n; id++ {
-		go func(id int) {
-			payload, err := RunReduceNode(id, shards[id], workers, tr, cfg)
-			if id == 0 {
-				root <- result{payload: payload, err: err}
-			}
-		}(id)
-	}
-
-	m := <-root
-	if m.err != nil {
-		return 0, m.err
+	payload, err := runNodes(n, func(id int) ([]byte, error) {
+		return RunReduceNode(id, shards[id], workers, tr, cfg)
+	})
+	if err != nil {
+		return 0, err
 	}
 	var final rsum.State64
-	if err := final.UnmarshalBinary(m.payload); err != nil {
+	if err := final.UnmarshalBinary(payload); err != nil {
 		return 0, err
 	}
 	return final.Value(), nil
+}
+
+// runNodes runs every node's role of an in-process plane, run(id), on a
+// goroutine of its own — the root's, node 0, on the caller's — and
+// returns the root's result once the root's role ends. The other nodes
+// keep serving retransmissions until the caller closes the transport
+// underneath them.
+func runNodes[R any](n int, run func(id int) (R, error)) (R, error) {
+	for id := 1; id < n; id++ {
+		go run(id)
+	}
+	return run(0)
 }
 
 // RunReduceNode executes node id's role of the reduction tree over an
@@ -358,21 +357,10 @@ func localPartial(shard []float64, workers int) rsum.State64 {
 		return acc
 	}
 	parts := make([]rsum.State64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(shard) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
+	for w := range parts {
 		parts[w] = rsum.NewState64(levels)
-		lo, hi := w*chunk, min((w+1)*chunk, len(shard))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w].AddSliceVec(shard[lo:hi])
-		}(w, lo, hi)
 	}
-	wg.Wait()
+	partition.EachChunk(len(shard), workers, func(w, lo, hi int) { parts[w].AddSliceVec(shard[lo:hi]) })
 	for w := range parts {
 		acc.Merge(&parts[w])
 	}

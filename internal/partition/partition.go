@@ -64,9 +64,11 @@ func (o *Output[V]) Partition(p int) ([]uint32, []V) {
 	return o.Keys[o.Off[p]:o.Off[p+1]], o.Vals[o.Off[p]:o.Off[p+1]]
 }
 
-// eachChunk cuts [0, n) into workers contiguous chunks and runs fn on
-// every non-empty one in parallel, returning when all are done.
-func eachChunk(n, workers int, fn func(w, lo, hi int)) {
+// EachChunk cuts [0, n) into workers contiguous chunks of ⌈n/workers⌉
+// and runs fn on every non-empty one in parallel, chunk w on [lo, hi),
+// returning when all are done: the chunk loop of every scatter and
+// every worker fan-out over rows. workers must be at least one.
+func EachChunk(n, workers int, fn func(w, lo, hi int)) {
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w*chunk < n; w++ {
@@ -88,7 +90,7 @@ func keyRange(keys []uint32, workers int) (lo, hi uint32) {
 	lo, hi = keys[0], keys[0]
 	if workers > 1 && len(keys) >= 1<<16 {
 		var mu sync.Mutex
-		eachChunk(len(keys), workers, func(_, a, b int) {
+		EachChunk(len(keys), workers, func(_, a, b int) {
 			l, h := keyRange(keys[a:b], 1)
 			mu.Lock()
 			lo, hi = min(lo, l), max(hi, h)
@@ -134,7 +136,7 @@ func cursors(keys []uint32, nvals int, shift uint, fanout, workers int) (off, cu
 	}
 	mask := uint32(fanout - 1)
 	cur = make([]int, workers*fanout)
-	eachChunk(len(keys), workers, func(w, lo, hi int) {
+	EachChunk(len(keys), workers, func(w, lo, hi int) {
 		h := cur[w*fanout : (w+1)*fanout]
 		for _, k := range keys[lo:hi] {
 			h[(k>>shift)&mask]++
@@ -169,7 +171,7 @@ func do[V Scalar](keys []uint32, vals []V, shift uint, fanout, workers int, stor
 	for p := range r.keys {
 		r.keys[p], r.vals[p] = out.Keys, out.Vals
 	}
-	eachChunk(len(keys), workers, func(w, lo, hi int) {
+	EachChunk(len(keys), workers, func(w, lo, hi int) {
 		scatterRows(&r, newStage[V](fanout), keys[lo:hi], vals[lo:hi], cur[w*fanout:(w+1)*fanout])
 	})
 	return out
@@ -369,7 +371,7 @@ func (s *splitter[V]) scatter(pt Part[V], shift uint, arena *Arena[V]) []Part[V]
 		col = func(i, p int) []V { return carve(cs[i], off, p) }
 	}
 	parts := make([]Part[V], fanout)
-	eachChunk(fanout, workers, func(_, lo, hi int) {
+	EachChunk(fanout, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			parts[p] = Part[V]{Keys: keys(p), Cols: make([][]V, len(pt.Cols))}
 			for i, c := range carried {
@@ -400,7 +402,7 @@ func (s *splitter[V]) scatter(pt Part[V], shift uint, arena *Arena[V]) []Part[V]
 			}
 		}
 	}
-	eachChunk(len(pt.Keys), workers, func(w, lo, hi int) {
+	EachChunk(len(pt.Keys), workers, func(w, lo, hi int) {
 		if s.stages[w] == nil {
 			s.stages[w] = newStage[V](fanout)
 		}
@@ -436,7 +438,7 @@ func DoBuffered[V any](keys []uint32, vals []V, shift uint, fanout, workers int)
 	off, cur, workers := cursors(keys, len(vals), shift, fanout, workers)
 	out := Output[V]{Keys: make([]uint32, len(keys)), Vals: make([]V, len(keys)), Off: off}
 	mask := uint32(fanout - 1)
-	eachChunk(len(keys), workers, func(w, lo, hi int) {
+	EachChunk(len(keys), workers, func(w, lo, hi int) {
 		cur := cur[w*fanout : (w+1)*fanout]
 		bufK := make([]uint32, fanout*swwcbSize)
 		bufV := make([]V, fanout*swwcbSize)

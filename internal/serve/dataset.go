@@ -18,10 +18,10 @@
 //   - backend transparency: the local engine and the distributed
 //     cluster answer with identical bytes, so placement is a pure
 //     scheduling decision;
-//   - memory admission that can reason before running: the partitioned
-//     layout bounds the distinct-key count of any GROUP BY up front
-//     (the summed partition.Part.Bound), and the spec catalog prices
-//     each group's state tuple (sqlagg.TupleSize), so a query's working
+//   - memory admission that can reason before running: the load counts
+//     the distinct keys, the group count of any GROUP BY, up front (the
+//     runs of the sorted partitions), and the spec catalog prices each
+//     group's state tuple (sqlagg.TupleSize), so a query's working
 //     memory is estimated — and over-budget queries rejected with a
 //     typed error — before the first row is touched.
 package serve
@@ -32,8 +32,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/partition"
@@ -103,11 +101,10 @@ type Dataset struct {
 
 	// Local-engine layout: the key-clustered partitions, every value
 	// column beside the keys, and groups, their runs in all: the
-	// distinct keys. sumBound — Σ Part.Bound — is a precomputed upper
-	// bound on the number of groups any GROUP BY over this data can
-	// produce; memory admission prices queries with it.
-	parts            []sortedPart
-	groups, sumBound int
+	// distinct keys, the number of groups any GROUP BY over this data
+	// produces, which memory admission prices queries with.
+	parts  []sortedPart
+	groups int
 
 	// version is an FNV-64a digest of the resident rows. It keys the
 	// result cache: results are a pure function of (query, version).
@@ -149,7 +146,6 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 		pt := &d.parts[i]
 		pt.first = d.groups
 		d.groups += len(pt.starts) - 1
-		d.sumBound += pt.Bound()
 	}
 	d.version = digestRows(keys, cols)
 	return d, nil
@@ -175,7 +171,7 @@ func sortParts(parts []partition.Part[float64], workers int) []sortedPart {
 	for _, pt := range parts {
 		largest = max(largest, len(pt.Keys))
 	}
-	eachPart(len(parts), workers, func() func(p int) {
+	agg.EachPart(len(parts), workers, func() func(p int) {
 		var s sorter
 		return func(p int) {
 			pt := parts[p]
@@ -186,26 +182,6 @@ func sortParts(parts []partition.Part[float64], workers int) []sortedPart {
 		}
 	})
 	return out
-}
-
-// eachPart calls do(p) for every p in [0, n) on min(workers, n)
-// goroutines (at least one), each calling the do its own call of start
-// returned, with the next index no goroutine has taken yet. It returns
-// once every call has.
-func eachPart(n, workers int, start func() func(p int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(max(workers, 1), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			do := start()
-			for p := int(next.Add(1)) - 1; p < n; p = int(next.Add(1)) - 1 {
-				do(p)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sorter is one load worker's scratch, made by its first sort at the
@@ -335,11 +311,10 @@ func (d *Dataset) Cols() int { return len(d.cols) }
 // function of (query, Version); the result cache keys on both.
 func (d *Dataset) Version() uint64 { return d.version }
 
-// DistinctBound returns the precomputed upper bound on the number of
-// distinct keys — the group count no GROUP BY over this data can
-// exceed, and the factor memory admission multiplies by the per-group
-// tuple price.
-func (d *Dataset) DistinctBound() int { return d.sumBound }
+// DistinctBound returns the number of distinct keys, counted at load —
+// the group count of every GROUP BY over this data, and the factor
+// memory admission multiplies by the per-group tuple price.
+func (d *Dataset) DistinctBound() int { return d.groups }
 
 // EstimateBytes returns the estimated peak working memory of q on this
 // dataset: the admission-control price a server compares against its
@@ -347,10 +322,10 @@ func (d *Dataset) DistinctBound() int { return d.sumBound }
 //
 //	DistinctBound × (TupleSize(specs) + 2 × rowWidth)
 //
-// — one encoded state tuple per possible group, plus the finalized
-// in-memory rows and their canonical result encoding (rowWidth = 4-byte
-// key + 8 bytes per spec). DistinctBound never undercounts distinct
-// keys, so the estimate upper-bounds the group-dependent allocations:
+// — one encoded state tuple per group, plus the finalized in-memory
+// rows and their canonical result encoding (rowWidth = 4-byte key + 8
+// bytes per spec). DistinctBound is the exact group count, so the
+// estimate upper-bounds the group-dependent allocations:
 // TupleSize is the logical width, read off the catalog as if no two
 // specs shared a component, and the physical tuple the engine keeps per
 // group (sqlagg.TuplePlan) shares them, so it is never wider. Pricing

@@ -112,6 +112,38 @@ func TestBudgetRejection(t *testing.T) {
 	}
 }
 
+// TestBudgetPricesExactKeys: admission prices a GROUP BY on the distinct
+// keys the load counted, not on a bound from the partitions' rows and
+// ranges. 4 096 keys spread k<<20 over the key space leave every part of
+// the load's one pass with more rows than keys, so each part's Bound is
+// its row count and their sum is the 2^19 rows; a budget of the query's
+// price at the exact key count must admit it.
+func TestBudgetPricesExactKeys(t *testing.T) {
+	const rows, keys = 1 << 19, 4096
+	ks := make([]uint32, rows)
+	for i := range ks {
+		ks[i] = uint32(i%keys) << 20
+	}
+	ds, err := NewDataset(ks, [][]float64{workload.Values64(5, rows, workload.MixedMag)}, DatasetOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sqlagg.AggSpec{Kind: sqlagg.AggSum, Col: 0}
+	ts, err := sqlagg.TupleSize([]sqlagg.AggSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := keys * (ts + 2*(4+8))
+	s := mustServer(t, ds, Options{MemoryBudget: budget})
+	res, err := s.Do(GroupBy(spec))
+	if err != nil {
+		t.Fatalf("Do under a budget of the query's exact need (%d bytes): %v", budget, err)
+	}
+	if gs, err := res.Groups(); err != nil || len(gs) != keys {
+		t.Fatalf("Groups() = %d groups, %v; want %d", len(gs), err, keys)
+	}
+}
+
 // TestAdmissionControl drives the gate deterministically: one slot and
 // a one-deep queue, with execution blocked on a test gate. The second
 // query queues, the third is turned away with ErrOverloaded, and the

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/dist"
 	"repro/internal/dist/proc"
 	"repro/internal/obs"
@@ -386,7 +387,7 @@ func (s *Server) do(q Query, tr *obs.Trace) (*Result, string, error) {
 			sp.End(nil, note)
 		}
 		if over {
-			return nil, outRejBudget, fmt.Errorf("%w: estimated %d bytes over budget %d (distinct-key bound %d)",
+			return nil, outRejBudget, fmt.Errorf("%w: estimated %d bytes over budget %d (%d distinct keys)",
 				ErrOverBudget, est, s.opt.MemoryBudget, s.ds.DistinctBound())
 		}
 	}
@@ -571,7 +572,7 @@ func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error)
 	ds, nspecs := s.ds, plan.Specs()
 	out := make([]dist.TupleGroup, ds.groups)
 	vals := make([]float64, ds.groups*nspecs)
-	eachPart(len(ds.parts), s.opt.Workers, func() func(p int) {
+	agg.EachPart(len(ds.parts), s.opt.Workers, func() func(p int) {
 		t := plan.NewTuple(runScratch)
 		return func(p int) {
 			pt := &ds.parts[p]

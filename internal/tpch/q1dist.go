@@ -13,10 +13,11 @@ import (
 // the multi-aggregate GROUP BY plane. Q1Input evaluates the scan side
 // (select, gather, project, group ids) into key and value columns,
 // Q1Specs names the eight aggregates, and Q1FromTuples finalizes the
-// tuples into Q1Group rows. Running the specs on the local engine, the
-// goroutine cluster, or the process cluster yields bit-identical rows
-// to RunQ1 at the same level count — Q1 is the proving workload of the
-// pluggable aggregate catalog.
+// tuples into Q1Group rows; RunQ1 is the same scan and the same rows
+// around the engine's single-column GROUP BYs. Running the specs on the
+// local engine, the goroutine cluster, or the process cluster yields
+// bit-identical rows to RunQ1 at the same level count — Q1 is the
+// proving workload of the pluggable aggregate catalog.
 
 // Q1's value-column layout, as produced by Q1Input.
 const (

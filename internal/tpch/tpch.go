@@ -7,7 +7,9 @@ package tpch
 import (
 	"fmt"
 
+	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/sqlagg"
 	"repro/internal/workload"
 )
 
@@ -134,122 +136,51 @@ func q1GroupOf(id uint32) (flag, status byte) {
 }
 
 // RunQ1 executes TPC-H Query 1 against the lineitem table with the
-// given SUM kernel configuration. It returns the result groups (ordered
-// by returnflag, linestatus) and the per-operator profile.
+// given SUM kernel configuration: Q1Input's scan side, timed as one
+// "scan" span, then one engine GROUP BY per summed column and one
+// COUNT, whose per-group totals Q1FromTuples turns into rows. It
+// returns the result groups (ordered by returnflag, linestatus) and the
+// per-operator profile.
 func RunQ1(t *engine.Table, cfg engine.GroupByConfig) ([]Q1Group, *engine.Profiler, error) {
 	prof := engine.NewProfiler()
-
-	shipdate, err := t.Int32("l_shipdate")
+	var keys []uint32
+	var cols [][]float64
+	var err error
+	prof.Measure("scan", func() { keys, cols, err = Q1Input(t) })
 	if err != nil {
 		return nil, nil, err
 	}
-	quantityCol, err := t.Float64("l_quantity")
-	if err != nil {
-		return nil, nil, err
-	}
-	priceCol, err := t.Float64("l_extendedprice")
-	if err != nil {
-		return nil, nil, err
-	}
-	discCol, err := t.Float64("l_discount")
-	if err != nil {
-		return nil, nil, err
-	}
-	taxCol, err := t.Float64("l_tax")
-	if err != nil {
-		return nil, nil, err
-	}
-	flagCol, err := t.Byte("l_returnflag")
-	if err != nil {
-		return nil, nil, err
-	}
-	statusCol, err := t.Byte("l_linestatus")
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// WHERE l_shipdate <= cutoff.
-	var sel []int32
-	prof.Measure("select", func() {
-		sel = engine.SelectInt32LE(shipdate, Q1CutoffDate)
-	})
-
-	// Gather the payload columns through the selection vector.
-	var qty, price, disc, tax []float64
-	var flags, statuses []byte
-	prof.Measure("gather", func() {
-		qty = engine.GatherFloat64(quantityCol, sel)
-		price = engine.GatherFloat64(priceCol, sel)
-		disc = engine.GatherFloat64(discCol, sel)
-		tax = engine.GatherFloat64(taxCol, sel)
-		flags = engine.GatherByte(flagCol, sel)
-		statuses = engine.GatherByte(statusCol, sel)
-	})
-
-	// Projections: disc_price = price·(1−disc); charge = disc_price·(1+tax).
-	discPrice := make([]float64, len(sel))
-	charge := make([]float64, len(sel))
-	negDisc := make([]float64, len(sel))
-	prof.Measure("project", func() {
-		engine.Neg(negDisc, disc)
-		engine.MulScalarAdd(discPrice, price, negDisc, 1)
-		engine.MulScalarAdd(charge, discPrice, tax, 1)
-	})
-
-	// Group-id construction (domain-encoded key).
-	groups := make([]uint32, len(sel))
-	prof.Measure("groupids", func() {
-		for i := range groups {
-			groups[i] = q1GroupID(flags[i], statuses[i])
-		}
-	})
 
 	// Aggregations (the operator the paper patches in MonetDB).
-	sumQty, err := engine.GroupedSum(groups, q1NumGroups, qty, cfg, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	sumPrice, err := engine.GroupedSum(groups, q1NumGroups, price, cfg, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	sumDiscPrice, err := engine.GroupedSum(groups, q1NumGroups, discPrice, cfg, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	sumCharge, err := engine.GroupedSum(groups, q1NumGroups, charge, cfg, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	sumDisc, err := engine.GroupedSum(groups, q1NumGroups, disc, cfg, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	counts := engine.GroupedCount(groups, q1NumGroups, prof)
-
-	var out []Q1Group
-	prof.Measure("result", func() {
-		for g := uint32(0); g < q1NumGroups; g++ {
-			if counts[g] == 0 {
-				continue
-			}
-			flag, status := q1GroupOf(g)
-			n := float64(counts[g])
-			out = append(out, Q1Group{
-				ReturnFlag:   flag,
-				LineStatus:   status,
-				SumQty:       sumQty[g],
-				SumBasePrice: sumPrice[g],
-				SumDiscPrice: sumDiscPrice[g],
-				SumCharge:    sumCharge[g],
-				AvgQty:       sumQty[g] / n,
-				AvgPrice:     sumPrice[g] / n,
-				AvgDisc:      sumDisc[g] / n,
-				Count:        counts[g],
-			})
+	sums := make([][]float64, len(cols))
+	for c, col := range cols {
+		if sums[c], err = engine.GroupedSum(keys, q1NumGroups, col, cfg, prof); err != nil {
+			return nil, nil, err
 		}
-	})
-	return out, prof, nil
+	}
+	counts := engine.GroupedCount(keys, q1NumGroups, prof)
+
+	specs := Q1Specs(0)
+	var tuples []dist.TupleGroup
+	for g, n := range counts {
+		if n == 0 {
+			continue
+		}
+		aggs := make([]float64, 0, len(specs))
+		for _, s := range specs {
+			switch s.Kind {
+			case sqlagg.AggSum:
+				aggs = append(aggs, sums[s.Col][g])
+			case sqlagg.AggAvg:
+				aggs = append(aggs, sums[s.Col][g]/float64(n))
+			default: // COUNT
+				aggs = append(aggs, float64(n))
+			}
+		}
+		tuples = append(tuples, dist.TupleGroup{Key: uint32(g), Aggs: aggs})
+	}
+	rows, err := Q1FromTuples(tuples)
+	return rows, prof, err
 }
 
 // FormatQ1 renders a result row like the TPC-H reference output.
