@@ -377,7 +377,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 
 	if id != 0 {
 		out := Frame{Kind: KindGather, From: id, To: 0, Seq: seqGather}
-		if size := len(local) * gatherRecordSize(len(specs)); ownErr == nil && size > cfg.maxMessage() {
+		if size := len(local) * TupleRecordSize(len(specs)); ownErr == nil && size > cfg.maxMessage() {
 			ownErr = fmt.Errorf("%w: gather message from node %d would be %d bytes (max message %d)",
 				ErrChunkBudget, id, size, cfg.maxMessage())
 		}
@@ -551,32 +551,35 @@ func ownerBounds(est []int, pt partition.Part[float64]) {
 	}
 }
 
-// gatherRecordSize is the fixed byte width of one finalized group in a
-// gather message: the key plus one float64 per spec.
-func gatherRecordSize(nspecs int) int { return 4 + 8*nspecs }
+// TupleRecordSize is the fixed byte width of one finalized group in
+// EncodeTupleGroups' layout: the key plus one float64 per spec.
+func TupleRecordSize(nspecs int) int { return 4 + 8*nspecs }
 
 // EncodeTupleGroups flattens finalized multi-aggregate groups into the
 // gather wire layout (4-byte key, then 8-byte float64 bits per spec) —
 // also the result payload of a multi-process GROUP BY and the serving
 // layer's canonical result encoding.
 func EncodeTupleGroups(gs []TupleGroup, nspecs int) []byte {
-	return appendTupleGroups(make([]byte, 0, len(gs)*gatherRecordSize(nspecs)), gs, nspecs)
+	return appendTupleGroups(nil, gs, nspecs)
 }
 
 // appendTupleGroups appends EncodeTupleGroups' bytes to buf.
 func appendTupleGroups(buf []byte, gs []TupleGroup, nspecs int) []byte {
-	buf = slices.Grow(buf, len(gs)*gatherRecordSize(nspecs))
-	var scratch [4]byte
-	for _, g := range gs {
-		binary.LittleEndian.PutUint32(scratch[:], g.Key)
-		buf = append(buf, scratch[:]...)
-		for _, v := range g.Aggs {
-			var vb [8]byte
-			binary.LittleEndian.PutUint64(vb[:], math.Float64bits(v))
-			buf = append(buf, vb[:]...)
-		}
+	rec, at := TupleRecordSize(nspecs), len(buf)
+	buf = slices.Grow(buf, len(gs)*rec)[:at+len(gs)*rec]
+	for i, g := range gs {
+		PutTupleGroup(buf[at+i*rec:at+(i+1)*rec], g.Key, g.Aggs)
 	}
 	return buf
+}
+
+// PutTupleGroup writes one finalized group, its key and then aggs, as
+// EncodeTupleGroups lays it out, to dst[:TupleRecordSize(len(aggs))].
+func PutTupleGroup(dst []byte, key uint32, aggs []float64) {
+	binary.LittleEndian.PutUint32(dst, key)
+	for i, v := range aggs {
+		binary.LittleEndian.PutUint64(dst[4+8*i:], math.Float64bits(v))
+	}
 }
 
 // DecodeTupleGroups inverts EncodeTupleGroups. The payload length must
@@ -584,7 +587,7 @@ func appendTupleGroups(buf []byte, gs []TupleGroup, nspecs int) []byte {
 // process boundary in proc clusters). All aggregate values share one
 // flat backing array.
 func DecodeTupleGroups(buf []byte, nspecs int) ([]TupleGroup, error) {
-	rec := gatherRecordSize(nspecs)
+	rec := TupleRecordSize(nspecs)
 	if nspecs < 1 || len(buf)%rec != 0 {
 		return nil, fmt.Errorf("%w: gather payload of %d bytes for %d specs", errFrame, len(buf), nspecs)
 	}

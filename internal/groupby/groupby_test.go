@@ -725,7 +725,8 @@ func TestAddPartAllocations(t *testing.T) {
 // bytes after them are one row: its key and the bytes its two values
 // are made of, special values among them. The rows are folded once
 // through AddRows, once through AddPart, and once sorted by key, each
-// key's run by TuplePlan.AddRun into a tuple of bsz-value buffers.
+// key's run by TuplePlan.AddRun, given the run's extents, into a tuple
+// of bsz-value buffers.
 func FuzzTupleFold(f *testing.F) {
 	f.Add([]byte{32, 1, 0, 0, 1, 2, 1, 3, 4, 0, 5, 6})
 	f.Add([]byte{1, 0, 0x31, 7, 200, 9, 7, 129, 3, 8, 130, 4})
@@ -772,8 +773,8 @@ func FuzzTupleFold(f *testing.F) {
 }
 
 // byRuns sorts the rows by key and folds each key's run into one tuple
-// with bsz-value buffers, reset between runs, by one AddRun: key →
-// AppendBinary's bytes.
+// with bsz-value buffers, reset between runs, by one AddRun with the
+// run's extents: key → AppendBinary's bytes.
 func byRuns(t testing.TB, plan *sqlagg.TuplePlan, bsz int, keys []uint32, cols [][]float64) map[uint32]string {
 	order := make([]int, len(keys))
 	for i := range order {
@@ -794,7 +795,7 @@ func byRuns(t testing.TB, plan *sqlagg.TuplePlan, bsz int, keys []uint32, cols [
 		for hi = lo + 1; hi < len(order) && keys[order[hi]] == key; hi++ {
 		}
 		plan.Reset(&tup)
-		plan.AddRun(&tup, sorted, lo, hi)
+		plan.AddRun(&tup, sorted, sqlagg.AppendExtents(nil, sorted, lo, hi), lo, hi)
 		enc, err := plan.AppendBinary(nil, &tup)
 		if err != nil {
 			t.Fatalf("key %d: %v", key, err)

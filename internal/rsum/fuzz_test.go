@@ -1,6 +1,7 @@
 package rsum
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -69,7 +70,9 @@ func FuzzPermutationInvariance(f *testing.F) {
 }
 
 // FuzzKernelConsistency: Add, AddEager, AddSlice, AddSliceVec, and a
-// split+Merge must all produce the same normalized state. The top bit of
+// split+Merge must all produce the same normalized state, and
+// AddSliceExtent given the slice's own Extent64 must encode as
+// AddSliceVec. The top bit of
 // cut picks the tile kernel under AddSliceVec (the generic one, or the
 // one init installed — the same where there is no assembly), the rest
 // the split point.
@@ -104,6 +107,13 @@ func FuzzKernelConsistency(f *testing.F) {
 		vec.addSliceVec(xs, k)
 		if !ref.Equal(&vec) {
 			t.Fatalf("AddSliceVec (%s) differs", k.name)
+		}
+		ext := NewState64(2)
+		ext.addSliceExtent(xs, extent64(xs, k), k)
+		eb, _ := ext.MarshalBinary()
+		vb, _ := vec.MarshalBinary()
+		if !bytes.Equal(eb, vb) {
+			t.Fatalf("AddSliceExtent (%s) encodes %x, AddSliceVec %x", k.name, eb, vb)
 		}
 		split := int(cut&0x7f) % len(xs)
 		left := NewState64(2)

@@ -159,6 +159,133 @@ func TestKernelBudgetEdge(t *testing.T) {
 	}
 }
 
+// TestAddSliceExtentMatchesAddSliceVec holds AddSliceExtent, given the
+// slice's Extent64, to AddSliceVec and to the Add loop — encoded bytes —
+// on both tile kernels at every level count: from a fresh state and from
+// states an earlier slice left with their top above and below the new
+// slice's; at lengths around the tile size with the largest magnitude in
+// the last tile (AddSliceVec raises there, AddSliceExtent before the
+// first); over slices of only ±0, of only subnormals and with a NaN, an
+// infinity or 2^1000; and where the carry budget runs out partway
+// through the slice, with the running sum at the top of its window.
+func TestAddSliceExtentMatchesAddSliceVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, c := range []struct {
+		xs   []float64
+		want Extent
+	}{
+		{nil, ExtentZero}, {[]float64{0, math.Copysign(0, -1)}, ExtentZero},
+		{[]float64{1, math.NaN()}, ExtentSpecial}, {[]float64{math.Inf(-1)}, ExtentSpecial}, {[]float64{0, 0x1p987}, ExtentSpecial},
+		{[]float64{1, -0x1.fp986}, 986}, {[]float64{0x1p-1074}, -1074}, {[]float64{0, 3, -1}, 1},
+	} {
+		if got := Extent64(c.xs); got != c.want {
+			t.Errorf("Extent64(%v) = %d, want %d", c.xs, got, c.want)
+		}
+	}
+
+	contents := map[string]func(n int) []float64{
+		"largest last": func(n int) []float64 {
+			xs := kernelInputs(rng, n, 1, false)
+			for i := range xs {
+				xs[i] = math.Ldexp(xs[i], -400)
+			}
+			xs[n-1] = -0x1.8p60
+			return xs
+		},
+		"zeros": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Copysign(0, float64(i%3)-1)
+			}
+			return xs
+		},
+		"subnormals": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Float64frombits(rng.Uint64()&(1<<52-1) | uint64(i%2)<<63)
+			}
+			return xs
+		},
+		"NaN":    special(rng, math.NaN()),
+		"+Inf":   special(rng, math.Inf(1)),
+		"-Inf":   special(rng, math.Inf(-1)),
+		"2^1000": special(rng, 0x1p1000),
+	}
+	starts := map[string][]float64{
+		"fresh":     nil,
+		"top above": {0x1p200, -0x1p150, 1},
+		"top below": {0x1p-600, -0x1p-700, 0x1p-1060},
+	}
+	for _, k := range kernelsUnderTest(t) {
+		for L := 1; L <= MaxLevels; L++ {
+			for start, head := range starts {
+				for what, fill := range contents {
+					for _, n := range []int{1, 3, 4, 2047, 2048, 2049, 6000} {
+						xs := fill(n)
+						extentMatchesVec(t, fmt.Sprintf("%s L=%d from %s, %s, n=%d", k.name, L, start, what, n), k, L, [][]float64{head}, xs)
+					}
+				}
+			}
+		}
+
+		// The carry budget: bmax contributes ufp/2^13 to level 1, so
+		// 2048 of them move S by a quarter. Head and full leave S at
+		// 1.75·ufp − ulp, a propagated window's top, with the budget
+		// unspent; one more bmax spends a unit of it. A slice of bmax
+		// that does not fit the rest must propagate before its first
+		// tile, or S passes 2·ufp and rounds.
+		const bmax, ulp = 0x1p27 - 0x1p-26, 0x1p-12
+		full := make([]float64, 6000)
+		for i := range full {
+			full[i] = bmax
+		}
+		for L := 1; L <= MaxLevels; L++ {
+			for _, n := range []int{2048, 2049, 6000} {
+				heads := [][]float64{{bmax, -bmax, -ulp}, full[:2048], {bmax}}
+				extentMatchesVec(t, fmt.Sprintf("%s L=%d, budget out after 1 of %d values", k.name, L, n), k, L, heads, full[:n])
+			}
+		}
+	}
+}
+
+// special returns a fill of n values spread over 2^±300 with x at
+// value n/2.
+func special(rng *rand.Rand, x float64) func(n int) []float64 {
+	return func(n int) []float64 {
+		xs := kernelInputs(rng, n, 1, false)
+		xs[n/2] = x
+		return xs
+	}
+}
+
+// extentMatchesVec fails unless a state that took heads by AddSliceVec
+// and then xs by AddSliceExtent encodes as one that took xs by
+// AddSliceVec instead and as one that took xs one Add at a time.
+func extentMatchesVec(t *testing.T, what string, k *tileKernel, L int, heads [][]float64, xs []float64) {
+	t.Helper()
+	var enc [3][]byte
+	for i := range enc {
+		s := NewState64(L)
+		for _, h := range heads {
+			s.addSliceVec(h, k)
+		}
+		switch i {
+		case 0:
+			s.addSliceExtent(xs, extent64(xs, k), k)
+		case 1:
+			s.addSliceVec(xs, k)
+		default:
+			for _, x := range xs {
+				s.Add(x)
+			}
+		}
+		enc[i], _ = s.MarshalBinary()
+	}
+	if !bytes.Equal(enc[0], enc[1]) || !bytes.Equal(enc[0], enc[2]) {
+		t.Fatalf("%s: AddSliceExtent encodes\n%x\nAddSliceVec\n%x\nthe Add loop\n%x", what, enc[0], enc[1], enc[2])
+	}
+}
+
 // TestKernelReadsOnlyItsTile runs both kernels on sub-slices at every
 // element offset 0..7 of a backing array whose other elements are ±2^900:
 // a loop that reads one group too far, or starts one too early, folds a

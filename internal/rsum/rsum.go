@@ -44,7 +44,13 @@
 // zero — AVX2 registers on amd64, Go locals elsewhere — and the lane
 // total is added to S(l) once per tile. By the budget, lane partials,
 // lane totals and the updated S(l) are all exactly representable: the
-// lane layout can change the cost of a sum, never a bit of it.
+// lane layout can change the cost of a sum, never a bit of it. The
+// scan's answer may be supplied instead of found: Extent64 is it, for a
+// whole slice, as one small value, and AddSliceExtent raises the top
+// level once, to a slice's extent, and extracts every tile unscanned —
+// to the same bits, since the level set is a function of the largest
+// magnitude alone. Data that is summed more than once, such as a
+// server's resident key runs, pays for the scan once.
 //
 // Special values are handled reproducibly: NaNs and infinities are
 // tracked in order-independent counters and resolved at finalization
@@ -174,11 +180,25 @@ func (s *State64) Add(b float64) {
 		}
 		return
 	}
+	s.fit(eb)
+	s.extract(b)
+	s.spend(1)
+}
+
+// fit raises the top level, if it must, so that it absorbs a value with
+// unbiased exponent eb.
+func (s *State64) fit(eb int) {
 	if !s.init || eb >= int(s.eTop)-floatbits.MantBits64+floatbits.W64-1 {
 		s.raise(eb)
 	}
-	s.extract(b)
-	s.spend(1)
+}
+
+// reserve propagates carries if n more extractions would overrun the
+// budget.
+func (s *State64) reserve(n int) {
+	if s.nAdds+int32(n) > floatbits.NB64 {
+		s.propagate()
+	}
 }
 
 // spend charges n extractions to the carry budget and propagates once it
@@ -389,6 +409,7 @@ func (s *State64) AddSlice(bs []float64) {
 		if !s.admit(chunk, &kernel) {
 			continue
 		}
+		s.reserve(n)
 		for _, b := range chunk {
 			if b == 0 {
 				continue
@@ -427,9 +448,7 @@ func (s *State64) AddEager(b float64) {
 		}
 		return
 	}
-	if !s.init || eb >= int(s.eTop)-floatbits.MantBits64+floatbits.W64-1 {
-		s.raise(eb)
-	}
+	s.fit(eb)
 	// Fused extraction + carry propagation per level.
 	r := b
 	for l := 0; l < int(s.levels); l++ {

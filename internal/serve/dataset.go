@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/partition"
+	"repro/internal/rsum"
 	"repro/internal/sqlagg"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -91,18 +92,21 @@ func (o DatasetOptions) withDefaults() DatasetOptions {
 // contiguous views of it, one per node) and key-clustered: radix-
 // partitioned into ascending key ranges and sorted by key within each
 // partition, so that every key's rows are one run (the local GROUP BY
-// engine). Both layouts hold the same multiset of rows, so every
-// backend answers with the same bits. A Dataset is safe for concurrent
-// use after construction; it is never mutated.
+// engine), with each run's extent per column recorded beside it (what
+// the summation kernel's scan would find there, so a query never
+// scans a run for its Σx). Both layouts hold the same multiset of rows,
+// so every backend answers with the same bits. A Dataset is safe for
+// concurrent use after construction; it is never mutated.
 type Dataset struct {
 	keys   []uint32
 	cols   [][]float64
 	shards int // DatasetOptions.Shards
 
 	// Local-engine layout: the key-clustered partitions, every value
-	// column beside the keys, and groups, their runs in all: the
-	// distinct keys, the number of groups any GROUP BY over this data
-	// produces, which memory admission prices queries with.
+	// column beside the keys and every run's extents, and groups, their
+	// runs in all: the distinct keys, the number of groups any GROUP BY
+	// over this data produces, which memory admission prices queries
+	// with.
 	parts  []sortedPart
 	groups int
 
@@ -114,7 +118,11 @@ type Dataset struct {
 // NewDataset loads keys and value columns as resident serving data.
 // All columns must have exactly len(keys) rows; at least one row and
 // one column are required. The input slices are retained (not copied)
-// in row order and must not be mutated afterwards.
+// in row order and must not be mutated afterwards: the cache key is
+// their digest at load, and a partition the load keeps whole (one key)
+// aliases them, its runs' extents taken at load — a later write would
+// serve stale cached bytes and leave a run summed against an extent it
+// no longer has, which is no longer exact.
 func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset, error) {
 	o := opts.withDefaults()
 	if len(keys) == 0 {
@@ -137,9 +145,9 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 	}
 
 	// Local layout: every value column is partitioned beside the keys
-	// and sorted by key once, at load time — a query only streams each
-	// key's run after this. It is the only copy of the rows a Dataset
-	// makes.
+	// and sorted by key once, at load time, and each run's extents are
+	// recorded — a query only streams each key's run after this. It is
+	// the only copy of the rows a Dataset makes.
 	d := &Dataset{keys: keys, cols: cols, shards: o.Shards}
 	d.parts = sortParts(partition.Recursive(keys, cols, 1, agg.DefaultFanout, o.Workers), o.Workers)
 	for i := range d.parts {
@@ -153,18 +161,22 @@ func NewDataset(keys []uint32, cols [][]float64, opts DatasetOptions) (*Dataset,
 
 // sortedPart is one partition of the local layout, its rows sorted by
 // key: run r, rows [starts[r], starts[r+1]), holds every row of one key,
-// which is group first + r of the key-ordered result.
+// which is group first + r of the key-ordered result, and
+// ext[r·C : (r+1)·C] are its extents in the C value columns — what the
+// summation kernel's scan finds in each column's run, recorded once so
+// that no query scans a run for its Σx.
 type sortedPart struct {
 	partition.Part[float64]
 	starts []uint32
+	ext    []rsum.Extent
 	first  int
 }
 
 // sortParts sorts the rows of every part by key in place, workers at a
-// time, and records its runs. Recursive copied every part it split off
-// the input; one it returned whole holds a single key, is sorted
-// already, and is left as it is, so the caller's rows are never
-// written.
+// time, and records its runs and their extents. Recursive copied every
+// part it split off the input; one it returned whole holds a single
+// key, is sorted already, and is left as it is, so the caller's rows
+// are never written.
 func sortParts(parts []partition.Part[float64], workers int) []sortedPart {
 	out := make([]sortedPart, len(parts))
 	largest := 0
@@ -178,7 +190,12 @@ func sortParts(parts []partition.Part[float64], workers int) []sortedPart {
 			if !slices.IsSorted(pt.Keys) {
 				s.sort(pt, largest)
 			}
-			out[p] = sortedPart{Part: pt, starts: runStarts(pt.Keys)}
+			starts := runStarts(pt.Keys)
+			ext := make([]rsum.Extent, 0, (len(starts)-1)*len(pt.Cols))
+			for r := 1; r < len(starts); r++ {
+				ext = sqlagg.AppendExtents(ext, pt.Cols, int(starts[r-1]), int(starts[r]))
+			}
+			out[p] = sortedPart{Part: pt, starts: starts, ext: ext}
 		}
 	})
 	return out

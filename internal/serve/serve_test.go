@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/dist"
 	"repro/internal/dist/proc"
 	"repro/internal/partition"
 	"repro/internal/sqlagg"
@@ -611,6 +612,90 @@ func TestLocalMatchesDistributedMatrix(t *testing.T) {
 	}
 }
 
+// TestLocalMatchesDistributedExtents: every kind of extent the load
+// records for a run reaches a query — runs of only ±0, runs holding a
+// NaN, ±Inf or 2^1000 (whose square is +Inf), runs of only subnormals,
+// and a 5 000-row key whose largest value is its last row, so that it
+// lies in the run's last tile — and the local engine's bytes still equal
+// the distributed backend's, with 1 and 2 workers loading and querying;
+// a cache hit returns the same bytes.
+func TestLocalMatchesDistributedExtents(t *testing.T) {
+	rng := workload.NewRNG(47)
+	normal := func() float64 { return math.Ldexp(rng.Float64()-0.5, rng.Intn(40)-20) }
+	subnormal := func() float64 { return math.Float64frombits(rng.Uint64()&(1<<52-1) | rng.Uint64()&(1<<63)) }
+	zero := func() float64 { return math.Copysign(0, rng.Float64()-0.5) }
+	// with is a column of a key's run: row at holds v, the others base's.
+	with := func(base func() float64, at int, v float64) func(int) float64 {
+		return func(i int) float64 {
+			if i == at {
+				return v
+			}
+			return base()
+		}
+	}
+	type key struct {
+		rows int
+		fill [2]func(i int) float64
+	}
+	plain := with(normal, -1, 0)
+	keys := map[uint32]key{
+		10: {7, [2]func(int) float64{with(zero, -1, 0), with(zero, -1, 0)}},
+		11: {300, [2]func(int) float64{with(normal, 150, math.NaN()), plain}},
+		12: {40, [2]func(int) float64{with(normal, 5, math.Inf(1)), with(normal, 39, math.Inf(-1))}},
+		13: {9, [2]func(int) float64{with(normal, 4, 0x1p1000), with(normal, 0, -0x1p1000)}},
+		14: {33, [2]func(int) float64{with(subnormal, -1, 0), with(subnormal, -1, 0)}},
+		15: {5000, [2]func(int) float64{with(normal, 4999, 0x1.8p70), with(normal, 4999, -0x1p40)}},
+		16: {3, [2]func(int) float64{with(zero, -1, 0), with(subnormal, -1, 0)}},
+	}
+	for k := range uint32(10) {
+		keys[k] = key{50, [2]func(int) float64{plain, plain}}
+	}
+	// Deal the rows in a random order that keeps each key's rows in
+	// theirs: the load's sort is stable, so key 15's last row stays last.
+	var order []uint32
+	for k, kk := range keys {
+		order = append(order, slices.Repeat([]uint32{k}, kk.rows)...)
+	}
+	slices.Sort(order)
+	for i := len(order) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	cols := [][]float64{make([]float64, len(order)), make([]float64, len(order))}
+	seen := make(map[uint32]int)
+	for r, k := range order {
+		for c := range cols {
+			cols[c][r] = keys[k].fill[c](seen[k])
+		}
+		seen[k]++
+	}
+	plans := [][]sqlagg.AggSpec{
+		testSpecs(),
+		{{Kind: sqlagg.AggSum, Levels: 1, Col: 1}, {Kind: sqlagg.AggSum, Levels: 6, Col: 0}, {Kind: sqlagg.AggVarPop, Col: 1}},
+	}
+	for _, workers := range []int{1, 2} {
+		ds, err := NewDataset(order, cols, DatasetOptions{Shards: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mustServer(t, ds, Options{Workers: 2, Distributed: true})
+		local := mustServer(t, ds, Options{Workers: workers})
+		for i, specs := range plans {
+			want, err := ref.Do(GroupBy(specs...))
+			if err != nil {
+				t.Fatalf("plan %d: distributed: %v", i, err)
+			}
+			for _, hit := range []bool{false, true} {
+				got, err := local.Do(GroupBy(specs...))
+				if err != nil || got.CacheHit != hit || !bytes.Equal(got.Bytes, want.Bytes) {
+					t.Fatalf("plan %d, %d workers, cache hit %v: local result (%d bytes, hit %v, err %v) differs from the distributed one (%d bytes)",
+						i, workers, hit, len(got.Bytes), got.CacheHit, err, len(want.Bytes))
+				}
+			}
+		}
+	}
+}
+
 // TestDatasetKeyClustered holds the load-time sort to what the local
 // engine relies on, on every key shape and 1, 2 and 3 load workers:
 // every part's keys ascend; its runs cover its rows exactly, one key
@@ -799,10 +884,12 @@ func TestShardViewsOnePerNode(t *testing.T) {
 // TestGroupByLocalAllocations pins the local engine's allocation shape:
 // the resident partitions hold each key's rows as one run, so an
 // executed GROUP BY keeps no aggregation table — per worker, one tuple
-// and its scratch; for the query, the plan and the result's groups and
-// values, however many partitions and groups there are. A table per
-// worker and a run per partition allocated 535 times on this shape at
-// two workers, under a bound of workers·(8 + 3·slots) + 2·parts + 16.
+// and its scratch; for the query, the plan and the result bytes, which
+// the runs finalize into, however many partitions and groups there are.
+// A table per worker and a run per partition allocated 535 times on
+// this shape at two workers, under a bound of
+// workers·(8 + 3·slots) + 2·parts + 16; finalizing into groups and
+// values encoded afterwards, 6·workers + 12 under 7·workers + 12.
 func TestGroupByLocalAllocations(t *testing.T) {
 	const groups = 1024
 	ds := testDataset(t, 1<<15, groups, 2)
@@ -810,8 +897,8 @@ func TestGroupByLocalAllocations(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		s := mustServer(t, ds, Options{Workers: workers})
 		want, err := s.groupByLocal(specs)
-		if err != nil || len(want) != groups {
-			t.Fatalf("groupByLocal: %d groups, err %v", len(want), err)
+		if err != nil || len(want) != groups*dist.TupleRecordSize(len(specs)) {
+			t.Fatalf("groupByLocal: %d bytes, err %v", len(want), err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := s.groupByLocal(specs); err != nil {
@@ -819,10 +906,10 @@ func TestGroupByLocalAllocations(t *testing.T) {
 			}
 		})
 		// Per worker: the tuple (its sums, extrema, scratch and itself,
-		// which a closure captures) and two closures, with one to spare;
-		// for the query: the plan's seven, the groups, the values, a
+		// which a closure captures), the finalized values' scratch and
+		// two closures; for the query: the plan's seven, the result, a
 		// closure and the workers' counter and wait group.
-		if bound := float64(7*workers + 12); allocs > bound {
+		if bound := float64(7*workers + 11); allocs > bound {
 			t.Errorf("%v allocations for %d groups in %d partitions on %d workers, want ≤ %v", allocs, groups, len(ds.parts), workers, bound)
 		}
 	}
@@ -854,4 +941,31 @@ func BenchmarkGroupByLocal(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNewDataset times a load at serve_mix's shape — 2^19 rows over
+// 4 096 keys and 8 value columns, GOMAXPROCS load workers: the digest,
+// the partitioning pass, the sort and the runs' extents. ext_B is the
+// bytes the extents take.
+func BenchmarkNewDataset(b *testing.B) {
+	const rows, groups, ncols = 1 << 19, 4096, 8
+	keys := workload.Keys(42, rows, groups)
+	cols := make([][]float64, ncols)
+	for c := range cols {
+		cols[c] = workload.Values64(43+uint64(c), rows, workload.MixedMag)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ds *Dataset
+	for range b.N {
+		var err error
+		if ds, err = NewDataset(keys, cols, DatasetOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ext := 0
+	for _, pt := range ds.parts {
+		ext += 2 * len(pt.ext) // an rsum.Extent is an int16
+	}
+	b.ReportMetric(float64(ext), "ext_B")
 }

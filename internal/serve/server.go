@@ -508,7 +508,8 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 	switch q.Kind {
 	case QueryGroupBy:
 		var out []byte
-		if s.opt.Cluster != nil {
+		switch {
+		case s.opt.Cluster != nil:
 			// The cluster's result payload already is the canonical
 			// encoding every other backend produces — serve it as-is.
 			res, err := s.opt.Cluster.Run(proc.Job{
@@ -520,22 +521,21 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 				return nil, fmt.Errorf("serve: group by: %w", err)
 			}
 			out = res.Payload
-		} else {
-			var gs []dist.TupleGroup
-			var err error
-			if s.opt.Distributed {
-				cfg := s.opt.Dist
-				if tr != nil {
-					cfg.Trace = tr.Hop
-				}
-				gs, err = dist.AggregateTuplesConfig(s.shardKeys, s.shardCols, s.opt.Workers, q.Specs, cfg)
-			} else {
-				gs, err = s.groupByLocal(q.Specs)
+		case s.opt.Distributed:
+			cfg := s.opt.Dist
+			if tr != nil {
+				cfg.Trace = tr.Hop
 			}
+			gs, err := dist.AggregateTuplesConfig(s.shardKeys, s.shardCols, s.opt.Workers, q.Specs, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("serve: group by: %w", err)
 			}
 			out = dist.EncodeTupleGroups(gs, len(q.Specs))
+		default:
+			var err error
+			if out, err = s.groupByLocal(q.Specs); err != nil {
+				return nil, fmt.Errorf("serve: group by: %w", err)
+			}
 		}
 		if tr != nil { // hash the result only when a trace will carry it
 			tr.Hop("merge", obs.FNV64a(out))
@@ -555,8 +555,10 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 // groupByLocal is the local GROUP BY engine, which needs no table: the
 // resident partitions hold each key's rows as one run, so a worker
 // resets its one tuple, adds each sum component's slice of the run with
-// one call of the vectorised kernel (sqlagg.TuplePlan.AddRun) and
-// finalizes the tuple into the run's place in the result. The
+// one call of the vectorised kernel (sqlagg.TuplePlan.AddRun) — a Σx
+// component given the run's extent the load recorded, so the run is
+// not scanned — and finalizes the tuple straight into the run's record
+// of the canonical result (dist.EncodeTupleGroups' layout). The
 // partitions are ascending key ranges of ascending runs, so the result
 // is key-sorted, and a query allocates the result and O(workers), not
 // O(partitions). It keeps no summation buffers: a tuple's buffer only
@@ -564,23 +566,22 @@ func (s *Server) execute(q Query, tr *obs.Trace) ([]byte, error) {
 // The result bits are identical to the distributed plane's: the
 // aggregate states are order-independent, so it does not matter which
 // backend folded which row first.
-func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]dist.TupleGroup, error) {
+func (s *Server) groupByLocal(specs []sqlagg.AggSpec) ([]byte, error) {
 	plan, err := sqlagg.NewTuplePlan(specs)
 	if err != nil {
 		return nil, err
 	}
-	ds, nspecs := s.ds, plan.Specs()
-	out := make([]dist.TupleGroup, ds.groups)
-	vals := make([]float64, ds.groups*nspecs)
+	ds, nc, rec := s.ds, len(s.ds.cols), dist.TupleRecordSize(plan.Specs())
+	out := make([]byte, ds.groups*rec)
 	agg.EachPart(len(ds.parts), s.opt.Workers, func() func(p int) {
-		t := plan.NewTuple(runScratch)
+		t, vals := plan.NewTuple(runScratch), make([]float64, 0, plan.Specs())
 		return func(p int) {
 			pt := &ds.parts[p]
 			for r, lo := range pt.starts[:len(pt.starts)-1] {
 				plan.Reset(&t)
-				plan.AddRun(&t, pt.Cols, int(lo), int(pt.starts[r+1]))
+				plan.AddRun(&t, pt.Cols, pt.ext[r*nc:(r+1)*nc], int(lo), int(pt.starts[r+1]))
 				g := pt.first + r
-				out[g] = dist.TupleGroup{Key: pt.Keys[lo], Aggs: plan.Finalize(vals[g*nspecs:g*nspecs:(g+1)*nspecs], &t)}
+				dist.PutTupleGroup(out[g*rec:(g+1)*rec], pt.Keys[lo], plan.Finalize(vals, &t))
 			}
 		}
 	})

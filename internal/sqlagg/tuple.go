@@ -23,7 +23,7 @@ import (
 // flushed group as a Tuple view: the per-key record of a shuffle frame
 // and what Finalize reads. Rows that already lie together by key need
 // neither: AddRun folds one key's run into a tuple a component at a
-// time.
+// time, given what the kernel's scan would find in each column's run.
 
 // sumComp is one reproducible sum over a column or over its squares.
 // Specs that read the same column at different level counts get
@@ -220,18 +220,22 @@ func (p *TuplePlan) Reset(t *Tuple) {
 }
 
 // AddRun folds rows lo, lo+1, …, hi−1 of cols into t, to the state of
-// AddRow once per row but a component at a time: each Σx component
-// adds its column's slice of the run with one call of the vectorised
-// kernel, and each Σx² component squares the run into t's summation
-// buffer and adds a buffer of squares per call (one square at a time,
-// for a tuple without buffers). What t had buffered is flushed first.
-func (p *TuplePlan) AddRun(t *Tuple, cols [][]float64, lo, hi int) {
+// AddRow once per row but a component at a time. ext holds the run's
+// extents, one per column, as AppendExtents makes them. Each
+// Σx component adds its column's slice of the run with one
+// AddSliceExtent, which raises to the extent it is given and scans
+// nothing; each Σx² component squares the run into t's summation buffer
+// and adds a buffer of squares per AddSliceVec call, which scans them —
+// a square's extent cannot be told from its root's (one square at a
+// time, for a tuple without buffers). What t had buffered is flushed
+// first.
+func (p *TuplePlan) AddRun(t *Tuple, cols [][]float64, ext []rsum.Extent, lo, hi int) {
 	t.flush()
 	for j, c := range p.sums {
 		run := cols[c.col][lo:hi]
 		switch {
 		case !c.square:
-			t.sums[j].AddSliceVec(run)
+			t.sums[j].AddSliceExtent(run, ext[c.col])
 		case t.bsz == 0:
 			for _, v := range run {
 				t.sums[j].Add(v * v)
@@ -254,6 +258,15 @@ func (p *TuplePlan) AddRun(t *Tuple, cols [][]float64, lo, hi int) {
 		}
 	}
 	t.n += int64(hi - lo)
+}
+
+// AppendExtents appends the extents of rows lo, lo+1, …, hi−1 of cols
+// to dst, one per column: the ext AddRun takes for that run.
+func AppendExtents(dst []rsum.Extent, cols [][]float64, lo, hi int) []rsum.Extent {
+	for _, col := range cols {
+		dst = append(dst, rsum.Extent64(col[lo:hi]))
+	}
+	return dst
 }
 
 // flush sums the buffered values with the vectorised kernel.

@@ -297,8 +297,8 @@ func TestBudgetEdgesTupleAndSumState(t *testing.T) {
 	}
 }
 
-// TestAddRunMatchesAddRow: AddRun over any split of a run leaves a
-// tuple that encodes to the bytes of one AddRow per row into an
+// TestAddRunMatchesAddRow: AddRun, given each piece's extents, over any
+// split of a run leaves a tuple that encodes to the bytes of one AddRow per row into an
 // unbuffered tuple, for every catalog kind at L = 1…4 (alone and all
 // in one plan over two columns), on tuples with summation buffers of 0,
 // 1, 8 and 256 values — runs far longer than the buffer their squares
@@ -361,7 +361,7 @@ func TestAddRunMatchesAddRow(t *testing.T) {
 									}
 									continue
 								}
-								p.AddRun(&tup, cols, at[k-1], at[k])
+								p.AddRun(&tup, cols, AppendExtents(nil, cols, at[k-1], at[k]), at[k-1], at[k])
 							}
 							if got, err := p.AppendBinary(nil, &tup); err != nil || !bytes.Equal(got, wantEnc) {
 								t.Fatalf("%s, L=%d, %d specs, bsz %d, rows %v split at %v: AddRun's bytes differ from AddRow's (err %v)",
