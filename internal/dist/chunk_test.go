@@ -74,7 +74,7 @@ func TestSplitFrame(t *testing.T) {
 
 func TestReassemblerMissing(t *testing.T) {
 	asm := NewReassembler(1<<20, 10)
-	chunks := SplitFrame(Frame{Kind: KindPartial, From: 3, To: 0, Seq: 0, Payload: bytes.Repeat([]byte{1}, 100)}, 10)
+	chunks := SplitFrame(Frame{Kind: KindGroups, From: 3, To: 0, Seq: 0, Payload: bytes.Repeat([]byte{1}, 100)}, 10)
 	if len(chunks) != 10 {
 		t.Fatalf("%d chunks, want 10", len(chunks))
 	}
@@ -215,7 +215,7 @@ func countingFactory(inner TransportFactory, out *[]*chunkCounter, mu *sync.Mute
 // --- the chunked equivalence matrix (the PR's acceptance bar) ---
 
 // TestChunkedReduceTransportMatrix: with a chunk payload small enough
-// that every partial state travels as ≥3 chunks, every (cluster size ×
+// that every partial state's shuffle record travels as ≥3 chunks, every (cluster size ×
 // transport × fault plan) cell must still produce bits
 // identical to the single-threaded sequential sum.
 func TestChunkedReduceTransportMatrix(t *testing.T) {
@@ -237,9 +237,9 @@ func TestChunkedReduceTransportMatrix(t *testing.T) {
 						var counters []*chunkCounter
 						var mu sync.Mutex
 						cfg := matrixConfig(countingFactory(factory, &counters, &mu), plan)
-						// A State64 partial encodes to ~52 bytes at
-						// L=2: a 16-byte chunk payload forces ≥4
-						// chunks per partial.
+						// A partial's shuffle record is ~60 bytes at
+						// L=2 (key, length, ~52-byte State64): a
+						// 16-byte chunk payload forces ≥4 chunks.
 						cfg.MaxChunkPayload = 16
 						got, err := ReduceConfig(shards, 2, cfg)
 						if err != nil {
@@ -248,7 +248,7 @@ func TestChunkedReduceTransportMatrix(t *testing.T) {
 						if bits := math.Float64bits(got); bits != want {
 							t.Fatalf("n=%d: %016x, want %016x", nodes, bits, want)
 						}
-						if mc := counters[0].max(KindPartial); mc < 3 {
+						if mc := counters[0].max(KindGroups); mc < 3 {
 							t.Fatalf("n=%d: partials peaked at %d chunks, want ≥3", nodes, mc)
 						}
 					}

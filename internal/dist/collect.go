@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// collector is one node's message plane for a protocol run — the single
-// fan-in / straggler / resend loop the reduction tree and the GROUP BY
-// shuffle share. The node declares the (from, seq) streams it expects
+// collector is one node's message plane for an exchange run — the
+// single fan-in / straggler / resend loop under every distributed
+// aggregate. The node declares the (from, seq) streams it expects
 // one logical message on, sends its own messages through the collector
 // (which caches their chunk lists, so first sends and retransmissions
 // are byte-identical), and then collects: receive with the straggler
@@ -92,9 +92,9 @@ func (c *collector) collect(onMsg func(Frame) error) error {
 		case err != nil:
 			return err
 		case f.Kind == KindResend:
-			// A re-request for a message not built yet (a parent asking
-			// for the partial, the root for the gather) finds no cache
-			// entry; the eventual first send satisfies it.
+			// A re-request for a message not built yet (the root asking
+			// for a gather) finds no cache entry; the eventual first send
+			// satisfies it.
 			c.serveResend(f)
 		default:
 			msg, complete, fresh, aerr := c.asm.Accept(f)

@@ -1,45 +1,27 @@
 // Package dist implements reproducible aggregation across a simulated
 // cluster — the MIMD setting the summation algorithm was designed for
-// (paper §III-D: local summation per process, then a global reduce of
-// partial states, as in an MPI_Reduce).
+// (paper §III-D: local summation per process, then a global merge of
+// partial states).
 //
 // The cluster is simulated with one goroutine per node and Go channels
-// as the interconnect. Each node computes a local rsum.State64 partial
-// over its shard, serializes it with the canonical wire format of
-// internal/rsum (MarshalBinary), and ships the bytes to its parent in
-// the binomial reduction tree. Receivers fold incoming encodings into
-// their own partial strictly in arrival order — which is deliberately
-// nondeterministic, since concurrent senders race into the parent's
-// inbox. Reproducibility does not come from ordering the network; it
-// comes from the algebra: state merging is associative and commutative
-// at the bit level, and the encoding is canonical. The finalized result
+// (or loopback TCP sockets) as the interconnect. Every distributed
+// aggregate runs one exchange: each node's combiner folds its shard
+// into partial states — one per group key for AggregateByKey's radix
+// hash shuffle (built on internal/partition), one rsum.State64 under
+// key 0 for ReduceConfig's SUM — and ships them, in their canonical
+// encodings, to the key's unique owner node; owners merge what they
+// receive strictly in arrival order, which is deliberately
+// nondeterministic, since concurrent senders race into the owner's
+// inbox, and a final gather collects every owner's groups at the root.
+// Reproducibility does not come from ordering the network; it comes
+// from the algebra: state merging is associative and commutative at
+// the bit level, and the encoding is canonical. The finalized result
 // is therefore bit-identical for every cluster size, every per-node
 // worker count, and every message arrival order — and would be for any
-// other reduction tree, which is why the tree is not an option.
-//
-// AggregateByKey extends the same guarantee to distributed GROUP BY: a
-// radix hash shuffle (built on internal/partition) routes every key to
-// a unique owner node, senders pre-aggregate locally into per-key
-// partial states (a combiner), and owners merge the shipped states in
-// arrival order before a final gather at the root.
+// other combining tree, which is why the topology is not an option.
 package dist
 
 import "errors"
-
-// parent returns the node that id ships its merged partial to in the
-// binomial reduction tree of classic MPI_Reduce implementations
-// (⌈log2 n⌉ rounds: node i sends to i − 2^k where 2^k is i's lowest
-// set bit), or −1 for the root (node 0); it alone defines the tree
-// (childrenOf inverts it). The tree is not the caller's choice: states
-// merge exactly, so every tree gives the same bits. Nodes merge their
-// children's partials in arrival order, not round order, so arrivals
-// at each node are genuinely racy.
-func parent(id int) int {
-	if id == 0 {
-		return -1
-	}
-	return id &^ (id & -id) // clear the lowest set bit
-}
 
 // Group is one row of a distributed GROUP BY result.
 type Group struct {

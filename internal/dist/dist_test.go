@@ -1,9 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"math"
-	"math/bits"
 	"testing"
 
 	"repro/internal/rsum"
@@ -24,37 +24,9 @@ func shard(vals []float64, nodes int) [][]float64 {
 	return out
 }
 
-// senderOrder returns a random linear extension of the reduction
-// tree's send dependencies: every non-root node appears exactly once,
-// and no node before any of its children. Feeding it to a sendGate
-// forces that exact global message order.
-func senderOrder(n int, rng *workload.RNG) []int {
-	pending := make([]int, n) // children still to hear from
-	var ready []int
-	for id := 1; id < n; id++ {
-		pending[id] = len(childrenOf(id, n))
-		if pending[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	order := make([]int, 0, n-1)
-	for len(ready) > 0 {
-		i := rng.Intn(len(ready))
-		id := ready[i]
-		ready[i] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, id)
-		if p := parent(id); p > 0 {
-			pending[p]--
-			if pending[p] == 0 {
-				ready = append(ready, p)
-			}
-		}
-	}
-	if len(order) != n-1 {
-		panic("senderOrder: not a full linear extension")
-	}
-	return order
+// Reduce is ReduceConfig over the default configuration.
+func Reduce(shards [][]float64, workers int) (float64, error) {
+	return ReduceConfig(shards, workers, Config{})
 }
 
 // TestReduceBitReproducible is the headline property: the same multiset
@@ -82,9 +54,10 @@ func TestReduceBitReproducible(t *testing.T) {
 				t.Fatalf("Reduce(%d nodes, %d workers) = %016x, want %016x",
 					nodes, workers, got, want)
 			}
-			// Three forced random arrival orders.
+			// Three forced random send orders: with no reduction tree,
+			// every order of the senders is admissible.
 			for trial := 0; trial < 3; trial++ {
-				gate := newSendGate(senderOrder(nodes, rng))
+				gate := newSendGate(randPerm(rng, nodes))
 				sum, err := ReduceConfig(shards, workers, Config{gate: gate})
 				if err != nil {
 					t.Fatalf("reduce gated (%d nodes): %v", nodes, err)
@@ -162,6 +135,59 @@ func TestReduceEmptyShards(t *testing.T) {
 	}
 }
 
+// reduceContractInputs are the inputs of the reduction's result
+// contract: signed zeros, NaN, both infinities and 2^1000 (a magnitude
+// past the extractor's comfortable range), mixed with ordinary values,
+// and no rows at all.
+func reduceContractInputs() map[string][]float64 {
+	big := math.Ldexp(1, 1000)
+	return map[string][]float64{
+		"zeros":  {0, math.Copysign(0, -1), 0},
+		"negz":   {math.Copysign(0, -1)},
+		"big":    append(workload.Values64(3, 100, workload.MixedMag), big, -big, big, 1),
+		"nan":    {1, math.NaN(), big},
+		"posinf": {math.Inf(1), big, -1},
+		"neginf": {math.Copysign(0, -1), math.Inf(-1)},
+		"clash":  {math.Inf(1), 2, math.Inf(-1)},
+		"empty":  nil,
+	}
+}
+
+// TestReduceRootGroupIsTheSum: a reduction's root returns its result as
+// the lone group ⟨0, SUM⟩ — so the cluster's result payload is that
+// group's EncodeTupleGroups bytes — and no group for an input without
+// rows, over every transport and a chaos fault plan.
+func TestReduceRootGroupIsTheSum(t *testing.T) {
+	for name, vals := range reduceContractInputs() {
+		var want []byte
+		if len(vals) > 0 {
+			ref := rsum.NewState64(levels)
+			ref.AddSliceVec(vals)
+			want = EncodeTupleGroups([]TupleGroup{{Key: 0, Aggs: []float64{ref.Value()}}}, 1)
+		}
+		shards := shard(vals, 3)
+		for tname, factory := range transportFactories() {
+			for _, pname := range []string{"none", "chaos"} {
+				cfg := matrixConfig(factory, faultPlans()[pname])
+				tr, err := cfg.transport(len(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gs, err := runNodes(len(shards), func(id int) ([]TupleGroup, error) {
+					return RunReduceNode(id, shards[id], 2, tr, cfg, nil)
+				})
+				tr.Close()
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", name, tname, pname, err)
+				}
+				if got := EncodeTupleGroups(gs, 1); !bytes.Equal(got, want) {
+					t.Fatalf("%s/%s/%s: root groups encode to %x, want %x", name, tname, pname, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestReduceErrors covers the validated error paths.
 func TestReduceErrors(t *testing.T) {
 	if _, err := Reduce(nil, 1); !errors.Is(err, ErrNoShards) {
@@ -170,27 +196,6 @@ func TestReduceErrors(t *testing.T) {
 	for _, w := range []int{0, -3} {
 		if _, err := Reduce([][]float64{{1}}, w); !errors.Is(err, ErrWorkers) {
 			t.Errorf("workers=%d: got %v, want ErrWorkers", w, err)
-		}
-	}
-}
-
-// TestReductionTreeShape checks the parent contract every node loop
-// relies on — each non-root node has a valid parent, and the root has
-// none — and that the tree is binomial: a parent's id is below its
-// child's, so the parent relation is acyclic, and the root hears from
-// ⌈log2 n⌉ children.
-func TestReductionTreeShape(t *testing.T) {
-	for _, n := range clusterSizes {
-		for id := 1; id < n; id++ {
-			if p := parent(id); p < 0 || p >= id {
-				t.Fatalf("n=%d: parent(%d) = %d out of range", n, id, p)
-			}
-		}
-		if parent(0) != -1 {
-			t.Fatalf("n=%d: root must have no parent", n)
-		}
-		if got, want := len(childrenOf(0, n)), bits.Len(uint(n-1)); got != want {
-			t.Fatalf("n=%d: root has %d children, want ⌈log2 n⌉ = %d", n, got, want)
 		}
 	}
 }

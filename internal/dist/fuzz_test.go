@@ -11,15 +11,17 @@ import (
 // decoder, never over-consume the buffer, and anything the decoder
 // accepts must re-encode to exactly the consumed bytes (the codec is
 // canonical). The seed corpus holds valid frames — including one
-// carrying a real marshaled summation state — plus bit-flipped and
-// truncated mutations, mirroring line corruption.
+// carrying a real marshaled summation state as a reduction's shuffle
+// record — plus bit-flipped and truncated mutations, mirroring line
+// corruption.
 func FuzzFrameDecode(f *testing.F) {
 	s := rsum.NewState64(2)
 	s.AddSlice([]float64{1.5, -2.25, 1e300, -1e300, 0x1p-1060})
 	enc, _ := s.MarshalBinary()
+	record := append([]byte{0, 0, 0, 0, byte(len(enc)), 0, 0, 0}, enc...) // ⟨key 0, length, state⟩
 
 	seeds := [][]byte{
-		EncodeFrame(Frame{Kind: KindPartial, From: 3, To: 0, Chunks: 1, Payload: enc}),
+		EncodeFrame(Frame{Kind: KindGroups, From: 3, To: 0, Chunks: 1, Payload: record}),
 		EncodeFrame(Frame{Kind: KindGroups, From: 0, To: 1, Seq: seqShuffle, Chunks: 1}),
 		EncodeFrame(Frame{Kind: KindGather, From: 2, To: 0, Seq: seqGather, Chunks: 1, Payload: []byte{1, 2, 3}}),
 		EncodeFrame(Frame{Kind: KindGroups, From: 2, To: 0, Seq: seqShuffle, Chunk: 1, Chunks: 3, Payload: []byte{9, 9}}),
@@ -68,19 +70,23 @@ func FuzzFrameDecode(f *testing.F) {
 			sf.Seq != fr.Seq || !bytes.Equal(sf.Payload, fr.Payload) {
 			t.Fatal("ReadFrame and DecodeFrame disagree")
 		}
-		// A payload that claims to be a partial state must never panic
-		// or corrupt an accumulator, even if the frame header was valid.
-		if fr.Kind == KindPartial {
-			acc := rsum.NewState64(2)
-			acc.Add(42.5)
-			before := acc
-			if err := acc.MergeBinary(fr.Payload); err != nil {
-				if !acc.Equal(&before) {
-					t.Fatal("failed MergeBinary mutated the accumulator")
+		// A shuffle record that claims to carry a partial state must
+		// never panic or corrupt an accumulator, even if the frame
+		// header was valid.
+		if fr.Kind == KindGroups {
+			_ = walkFrame(fr.Payload, func(_ uint32, state []byte) error {
+				acc := rsum.NewState64(2)
+				acc.Add(42.5)
+				before := acc
+				if err := acc.MergeBinary(state); err != nil {
+					if !acc.Equal(&before) {
+						t.Fatal("failed MergeBinary mutated the accumulator")
+					}
+				} else {
+					_ = acc.Value()
 				}
-			} else {
-				_ = acc.Value()
-			}
+				return nil
+			})
 		}
 	})
 }
@@ -107,7 +113,7 @@ func FuzzChunkReassembly(f *testing.F) {
 		}
 		return b
 	}
-	threeChunks := SplitFrame(Frame{Kind: KindPartial, From: 2, To: 0, Seq: 0, Payload: enc}, (len(enc)+2)/3)
+	threeChunks := SplitFrame(Frame{Kind: KindGroups, From: 2, To: 0, Seq: 0, Payload: enc}, (len(enc)+2)/3)
 	seeds := [][]byte{
 		stream(threeChunks...),                                 // in order
 		stream(threeChunks[2], threeChunks[0], threeChunks[1]), // out of order

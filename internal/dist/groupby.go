@@ -44,22 +44,23 @@ const (
 // key plus one finalized value per aggregate spec, in spec order.
 type TupleGroup = groupby.Group
 
-// NodeMemory is the memory one node's GROUP BY leaves to the next run
-// on the same node: the tuple plan of its spec list, the combiner's
-// scatter targets (partition.Arena), the combiner's and the owner's
-// tables and the outgoing shuffle and gather payloads. A caller that
-// runs one job after another — a cluster worker — passes the same
-// NodeMemory to each, and a run scatters, aggregates, merges and
-// encodes into what the last one left instead of allocating it afresh.
+// NodeMemory is the memory one node's run — a GROUP BY or a reduction —
+// leaves to the next run on the same node: the tuple plan of its spec
+// list, the combiner's scatter targets (partition.Arena), the
+// combiner's and the owner's tables and the outgoing shuffle and
+// gather payloads. A caller that runs one job after another — a
+// cluster worker — passes the same NodeMemory to each, and a run
+// scatters, aggregates, merges and encodes into what the last one left
+// instead of allocating it afresh.
 // Each piece grows to the largest run yet, so the memory is that of the
 // largest job the node has run, and none is zeroed again: a run writes
 // every element it reads. Tables are cleared, not remade, when the plan
 // and buffer length match and their capacity covers the run's hint.
 //
 // Runs must not overlap: the memory belongs to one run until its
-// transport is closed and RunGroupByNode has returned, since the
-// collector keeps the chunks of what it sent, which alias the payloads,
-// for resends until then. A nil NodeMemory is a fresh one, so the run
+// transport is closed and the run has returned, since the collector
+// keeps the chunks of what it sent, which alias the payloads, for
+// resends until then. A nil NodeMemory is a fresh one, so the run
 // allocates everything.
 type NodeMemory struct {
 	specs          []sqlagg.AggSpec
@@ -70,14 +71,10 @@ type NodeMemory struct {
 	gather         []byte
 }
 
-// planShard returns the physical tuple plan for specs after checking
-// that the shard's columns fit it: the one m holds when it was planned
-// for an equal spec list, so that m's tables are recycled, else a new
-// one that m then holds.
-func (m *NodeMemory) planShard(keys []uint32, cols [][]float64, specs []sqlagg.AggSpec) (*sqlagg.TuplePlan, error) {
-	if err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, specs); err != nil {
-		return nil, err
-	}
+// planFor returns the physical tuple plan for specs: the one m holds
+// when it was planned for an equal spec list, so that m's tables are
+// recycled, else a new one that m then holds.
+func (m *NodeMemory) planFor(specs []sqlagg.AggSpec) (*sqlagg.TuplePlan, error) {
 	if m.plan == nil || !slices.Equal(m.specs, specs) {
 		plan, err := sqlagg.NewTuplePlan(specs)
 		if err != nil {
@@ -86,6 +83,18 @@ func (m *NodeMemory) planShard(keys []uint32, cols [][]float64, specs []sqlagg.A
 		m.specs, m.plan = slices.Clone(specs), plan
 	}
 	return m.plan, nil
+}
+
+// emptyFrames returns m's n outgoing shuffle payloads, emptied.
+func (m *NodeMemory) emptyFrames(n int) [][]byte {
+	for len(m.frames) < n {
+		m.frames = append(m.frames, nil)
+	}
+	frames := m.frames[:n]
+	for d := range frames {
+		frames[d] = frames[d][:0]
+	}
+	return frames
 }
 
 // appendTuple appends one ⟨key, tuple⟩ record to a shuffle frame:
@@ -271,44 +280,71 @@ func ValidateShardColumns(localKeys [][]uint32, localCols [][][]float64, specs [
 }
 
 // RunGroupByNode executes node id's role of the distributed GROUP BY
-// over an externally owned transport: plan the spec list into its
-// physical tuple (sqlagg.TuplePlan: shared sums, one row count,
-// extrema), combine the local shard into one such tuple per key, ship
-// one shuffle message to every owner (chunked when large; a record is
-// ⟨key, length, flushed tuple⟩, see appendTuple), merge the messages
-// addressed to this node (exactly one per sender, reassembled and
-// deduplicated) component-wise into a table sized from the first one,
-// finalize every spec from the merged components, and ship the
-// finalized groups to the root. The root (node 0) additionally
-// collects every owner's gather message and merges the per-owner
-// sorted runs into the global result — which it can do as soon as all
-// gathers are in, because a gather proves its owner needed no more
-// resends. Every other node keeps
-// serving chunk re-requests and returns only after the transport is
-// closed underneath it, with the error its role ended in (already
-// announced on the wire) — nil for a clean run. Exported for
-// multi-process runtimes (internal/dist/proc); AggregateTuplesConfig
-// runs the same function on one goroutine per node.
-//
-// Like the reduction tree, the shuffle runs on the shared collector and
-// so has its straggler handling: a receiver that makes no progress for ChildDeadline re-requests what is
-// missing — whole streams it has heard nothing of, individual chunks of
-// partially received ones — every node caches its outgoing chunk lists
-// and retransmits on demand, and a permanently silent peer surfaces
-// ErrStraggler instead of a hang.
+// over an externally owned transport. Its combiner plans the spec list
+// into its physical tuple (sqlagg.TuplePlan: shared sums, one row
+// count, extrema) and folds the local shard into one such tuple per
+// key, encoded into one shuffle message per owner (a record is ⟨key,
+// length, flushed tuple⟩, see appendTuple); exchange does the rest.
+// Exported for multi-process runtimes (internal/dist/proc);
+// AggregateTuplesConfig runs the same function on one goroutine per
+// node.
 //
 // mem is what the node's last run left (see NodeMemory): the in-process
 // plane passes nil and allocates per run, a cluster worker passes its
 // own from job to job.
 func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs []sqlagg.AggSpec, tr Transport, cfg Config, mem *NodeMemory) ([]TupleGroup, error) {
-	n := tr.Nodes()
 	if mem == nil {
 		mem = new(NodeMemory)
 	}
-	plan, cerr := mem.planShard(keys, cols, specs)
-	var frames [][]byte
-	if cerr == nil {
-		frames, cerr = combineShard(keys, cols, plan, n, workers, cfg.maxMessage(), mem)
+	var plan *sqlagg.TuplePlan
+	err := ValidateShardColumns([][]uint32{keys}, [][][]float64{cols}, specs)
+	if err == nil {
+		plan, err = mem.planFor(specs)
+	}
+	if err != nil { // every node owns keys, so every node hears of it
+		return exchange(id, mem.emptyFrames(tr.Nodes()), err, tr, cfg, mem)
+	}
+	frames, err := combineShard(keys, cols, plan, tr.Nodes(), workers, mem)
+	return exchange(id, frames, err, tr, cfg, mem)
+}
+
+// exchange is every distributed aggregate's protocol after its
+// combiner. The owners are nodes 0 … len(frames)−1, and frames[d] is
+// what this node ships to owner d. Ship one shuffle message to every
+// owner (chunked when large) — frames[d], or the combiner's failure
+// cerr on the same stream. As an owner, merge the messages addressed
+// to this node (exactly one per sender, reassembled and deduplicated)
+// component-wise into a table sized from the first one, finalize every
+// spec from the merged components, and ship the finalized groups to
+// the root. The root (node 0, always an owner) additionally collects
+// every other owner's gather message and merges the per-owner sorted
+// runs into the global result — which it can do as soon as all gathers
+// are in, because a gather proves its owner needed no more resends.
+// Every other node keeps serving chunk re-requests and returns only
+// after the transport is closed underneath it, with the error its role
+// ended in (already announced on the wire) — nil for a clean run. The
+// frames are encoded under mem's plan (planFor).
+//
+// The exchange runs on the collector and so has its straggler
+// handling: a receiver that makes no progress for ChildDeadline
+// re-requests what is missing — whole streams it has heard nothing of,
+// individual chunks of partially received ones — every node caches its
+// outgoing chunk lists and retransmits on demand, and a permanently
+// silent peer surfaces ErrStraggler instead of a hang.
+func exchange(id int, frames [][]byte, cerr error, tr Transport, cfg Config, mem *NodeMemory) ([]TupleGroup, error) {
+	n, owners, maxMessage := tr.Nodes(), len(frames), cfg.maxMessage()
+	// Chunking lifted the old 16 MiB per-(sender, owner) frame ceiling —
+	// a logical shuffle payload travels as however many wire chunks it
+	// needs. The remaining bound is the configuration's maxMessage
+	// (reassembly budget, capped by chunk payload × chunk-count limit):
+	// a payload no receiver could ever accept is rejected here,
+	// identically on every transport, so cross-transport equivalence
+	// stays exact and the failure names the knobs to turn.
+	for d, frame := range frames {
+		if cerr == nil && len(frame) > maxMessage {
+			cerr = fmt.Errorf("%w: shuffle payload to node %d is %d bytes (max message %d); raise ReassemblyBudget/MaxChunkPayload or use more nodes",
+				ErrChunkBudget, d, len(frame), maxMessage)
+		}
 	}
 
 	// Shuffle: one message (possibly empty, so owners can count
@@ -316,7 +352,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	// the same stream.
 	col := newCollector(id, tr, cfg)
 	cfg.gate.wait(id)
-	for d := 0; d < n; d++ {
+	for d := 0; d < owners; d++ {
 		f := Frame{Kind: KindGroups, From: id, To: d, Seq: seqShuffle}
 		if cerr != nil {
 			f.Kind, f.Payload = KindError, EncodeErr(cerr)
@@ -332,19 +368,19 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	// message, which may overtake shuffle messages on a reordering
 	// transport. A node that cannot even plan its tuples skips the
 	// collection (its failure is already cached on every stream).
-	for s := 0; s < n; s++ {
+	for s := 0; s < n && id < owners; s++ {
 		col.expect(s, seqShuffle)
 	}
-	for s := 1; s < n && id == 0; s++ {
+	for s := 1; s < owners && id == 0; s++ {
 		col.expect(s, seqGather)
 	}
-	gathers := make([][]byte, 0, n)
+	gathers := make([][]byte, 0, owners)
 	// Root-side hop digests for Config.Trace: per-sender payload
 	// digests folded order-invariantly (XOR), so a reordering
 	// transport reports the same digest for the same bytes.
 	var shuffleDigest, gatherDigest uint64
 	traceHops := cfg.Trace != nil && id == 0
-	owner := ownerMerge{plan: plan, senders: n, mem: mem}
+	owner := ownerMerge{plan: mem.plan, senders: n, mem: mem}
 	ownErr := cerr
 	if ownErr == nil {
 		ownErr = col.collect(func(msg Frame) error {
@@ -375,16 +411,20 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 		local = owner.table.Groups()
 	}
 
+	if id >= owners {
+		col.serve()
+		return nil, ownErr
+	}
 	if id != 0 {
 		out := Frame{Kind: KindGather, From: id, To: 0, Seq: seqGather}
-		if size := len(local) * TupleRecordSize(len(specs)); ownErr == nil && size > cfg.maxMessage() {
+		if size := len(local) * TupleRecordSize(len(mem.specs)); ownErr == nil && size > maxMessage {
 			ownErr = fmt.Errorf("%w: gather message from node %d would be %d bytes (max message %d)",
-				ErrChunkBudget, id, size, cfg.maxMessage())
+				ErrChunkBudget, id, size, maxMessage)
 		}
 		if ownErr != nil {
 			out.Kind, out.Payload = KindError, EncodeErr(ownErr)
 		} else {
-			mem.gather = appendTupleGroups(mem.gather[:0], local, len(specs))
+			mem.gather = appendTupleGroups(mem.gather[:0], local, len(mem.specs))
 			out.Payload = mem.gather
 		}
 		col.send(out)
@@ -405,7 +445,7 @@ func RunGroupByNode(id int, keys []uint32, cols [][]float64, workers int, specs 
 	runs := make([][]TupleGroup, 0, len(gathers)+1)
 	runs = append(runs, local)
 	for _, payload := range gathers {
-		run, derr := DecodeTupleGroups(payload, len(specs))
+		run, derr := DecodeTupleGroups(payload, len(mem.specs))
 		if derr != nil {
 			return nil, fmt.Errorf("dist: root decoding gather: %w", derr)
 		}
@@ -451,17 +491,11 @@ func mergeSortedRuns(runs [][]TupleGroup) []TupleGroup {
 // partitions. Either way the rows run through agg.AggregateParts on one
 // worker: workers parallelises the radix pass only. Every owner's frame
 // is sized once, before the loop, from the partitions (ownerBounds), and
-// each table's tuples are encoded into their owners' frames. maxMessage
-// is the configuration's Config.maxMessage bound. The scatter targets,
-// the table and the frames come from mem, which the frames alias.
-func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers, maxMessage int, mem *NodeMemory) ([][]byte, error) {
-	for len(mem.frames) < n {
-		mem.frames = append(mem.frames, nil)
-	}
-	frames := mem.frames[:n]
-	for d := range frames {
-		frames[d] = frames[d][:0]
-	}
+// each table's tuples are encoded into their owners' frames. The
+// scatter targets, the table and the frames come from mem, which the
+// frames alias.
+func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, workers int, mem *NodeMemory) ([][]byte, error) {
+	frames := mem.emptyFrames(n)
 	if len(keys) == 0 {
 		return frames, nil // no rows: every shuffle message is empty
 	}
@@ -502,23 +536,7 @@ func combineShard(keys []uint32, cols [][]float64, plan *sqlagg.TuplePlan, n, wo
 				}
 			})
 		})
-	if err != nil {
-		return nil, err
-	}
-	// Chunking lifted the old 16 MiB per-(sender, owner) frame ceiling —
-	// a logical shuffle payload now travels as however many wire chunks
-	// it needs. The remaining bound is the configuration's maxMessage
-	// (reassembly budget, capped by chunk payload × chunk-count limit):
-	// a payload no receiver could ever accept is rejected here,
-	// identically on every transport, so cross-transport equivalence
-	// stays exact and the failure names the knobs to turn.
-	for d, frame := range frames {
-		if len(frame) > maxMessage {
-			return nil, fmt.Errorf("%w: shuffle payload to node %d is %d bytes (max message %d); raise ReassemblyBudget/MaxChunkPayload or use more nodes",
-				ErrChunkBudget, d, len(frame), maxMessage)
-		}
-	}
-	return frames, nil
+	return frames, err
 }
 
 // owner is the node whose shuffle message carries key: its low byte's.

@@ -314,7 +314,7 @@ func TestPartitionedTablesSameGroups(t *testing.T) {
 		checkTuples(t, ranged, want, tc.name+": a table per key-range partition")
 
 		for _, nodes := range []int{1, 3} {
-			frames, err := combineShard(keys, cols, plan, nodes, 2, Config{}.maxMessage(), new(NodeMemory))
+			frames, err := combineShard(keys, cols, plan, nodes, 2, new(NodeMemory))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +350,7 @@ func TestOwnerMergeTableDoesNotGrow(t *testing.T) {
 			workload.Values64(uint64(60+s), rows, workload.MixedMag),
 			workload.Values64(uint64(70+s), rows, workload.Uniform12),
 		}
-		if frames[s], err = combineShard(keys, cols, plan, nodes, 1, Config{}.maxMessage(), new(NodeMemory)); err != nil {
+		if frames[s], err = combineShard(keys, cols, plan, nodes, 1, new(NodeMemory)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -273,7 +273,7 @@ func TestCombineShardMatchesLegacyEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := combineShard(keys, [][]float64{vals}, plan, nodes, 2, Config{}.maxMessage(), new(NodeMemory))
+	frames, err := combineShard(keys, [][]float64{vals}, plan, nodes, 2, new(NodeMemory))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ func TestReadFrameBufOwnership(t *testing.T) {
 	p1 := bytes.Repeat([]byte{0xAA}, 1024)
 	p2 := bytes.Repeat([]byte{0x55}, 1024)
 	var stream []byte
-	stream = AppendFrame(stream, Frame{Kind: KindPartial, From: 0, To: 1, Seq: 7, Chunks: 1, Payload: p1})
-	stream = AppendFrame(stream, Frame{Kind: KindPartial, From: 0, To: 1, Seq: 8, Chunks: 1, Payload: p2})
+	stream = AppendFrame(stream, Frame{Kind: KindGroups, From: 0, To: 1, Seq: 7, Chunks: 1, Payload: p1})
+	stream = AppendFrame(stream, Frame{Kind: KindGroups, From: 0, To: 1, Seq: 8, Chunks: 1, Payload: p2})
 	r := bytes.NewReader(stream)
 
 	f1, buf, err := ReadFrameBuf(r, nil)

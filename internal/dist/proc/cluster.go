@@ -1,9 +1,9 @@
 // Package proc is the multi-process cluster runtime of the
-// reproducible aggregation engine: it runs the exact protocols of
-// internal/dist — the binomial-tree reduction and the hash
-// shuffle GROUP BY, chunked wire format v2, per-chunk resend recovery
-// and all — across genuinely separate worker OS processes connected by
-// real TCP sockets.
+// reproducible aggregation engine: it runs the exact protocol of
+// internal/dist — the hash-shuffle exchange every distributed aggregate
+// uses, a reduction as a GROUP BY of one group, chunked wire format v3,
+// per-chunk resend recovery and all — across genuinely separate worker
+// OS processes connected by real TCP sockets.
 //
 // The core abstraction is the elastic Cluster (elastic.go): a
 // long-lived supervisor that forms its worker set from whoever joins

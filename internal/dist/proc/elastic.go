@@ -11,10 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/rsum"
 	"repro/internal/sqlagg"
 )
 
@@ -229,8 +227,8 @@ type Job struct {
 	// Workers is the per-node goroutine count (0 defaults to 1).
 	Workers int
 	// Specs is the aggregate catalog. Empty means a plain reduction
-	// (SUM of a single value column); non-empty means a group-by with
-	// one aggregate state per spec.
+	// (SUM of a single value column, run as a GROUP BY of one group);
+	// non-empty means a group-by with one aggregate state per spec.
 	Specs []sqlagg.AggSpec
 	// Source is the input (required).
 	Source Source
@@ -265,12 +263,15 @@ func EncodeJobPayload(job Job, n, id int) ([]byte, error) {
 
 // Result is a completed job's outcome.
 type Result struct {
-	// Payload is the root's canonical result encoding: an rsum state
-	// for reductions, encoded tuple groups for group-bys.
+	// Payload is the root's canonical result encoding, the finalized
+	// groups as dist.EncodeTupleGroups lays them out. A reduction's is
+	// the single-SUM encoding of its lone group ⟨0, SUM⟩, or empty when
+	// the input has no rows.
 	Payload []byte
-	// Sum is the decoded reduction result (reductions only).
+	// Sum is the decoded reduction result, +0 for no rows (reductions
+	// only).
 	Sum float64
-	// Groups is the decoded group-by result (group-bys only).
+	// Groups is the decoded Payload.
 	Groups []dist.TupleGroup
 	// Replacements counts workers replaced mid-run during this job.
 	Replacements int
@@ -621,19 +622,13 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	res := &Result{Payload: r.payload, Replacements: r.replacements}
-	if len(job.Specs) == 0 {
-		final := rsum.NewState64(core.DefaultLevels)
-		if err := final.UnmarshalBinary(r.payload); err != nil {
-			return nil, fmt.Errorf("proc: decoding root result: %w", err)
-		}
-		res.Sum = final.Value()
-	} else {
-		gs, err := dist.DecodeTupleGroups(r.payload, len(job.Specs))
-		if err != nil {
-			return nil, fmt.Errorf("proc: decoding root result: %w", err)
-		}
-		res.Groups = gs
+	gs, err := dist.DecodeTupleGroups(r.payload, max(len(job.Specs), 1))
+	if err != nil {
+		return nil, fmt.Errorf("proc: decoding root result: %w", err)
+	}
+	res := &Result{Payload: r.payload, Groups: gs, Replacements: r.replacements}
+	if len(job.Specs) == 0 && len(gs) > 0 {
+		res.Sum = gs[0].Aggs[0]
 	}
 	return res, nil
 }
@@ -742,7 +737,7 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	job := e.job
 	rs := &runState{
 		jobSpec: jobSpec{
-			jobIdx: jobIdx, op: opReduce, workers: job.Workers, specs: job.Specs,
+			jobIdx: jobIdx, workers: job.Workers, specs: job.Specs,
 		},
 		reply: e.reply,
 		src:   job.Source,
@@ -755,9 +750,6 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 	if rs.workers < 0 {
 		return nil, fmt.Errorf("%w (got %d)", dist.ErrWorkers, rs.workers)
 	}
-	if len(job.Specs) > 0 {
-		rs.op = opGroupBy
-	}
 	if job.Source.keys == nil && job.Source.cols == nil {
 		return nil, fmt.Errorf("%w: job needs an input source (Job.Source)", dist.ErrConfig)
 	}
@@ -769,7 +761,7 @@ func newRunState(e evRun, jobIdx, n int) (*runState, error) {
 // i mod n from where it lies.
 func (rs *runState) validateShards() error {
 	src := rs.src
-	if rs.op == opReduce {
+	if len(rs.specs) == 0 {
 		if len(src.cols) == 0 {
 			return dist.ErrNoShards
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/groupby"
+	"repro/internal/rsum"
 	"repro/internal/sqlagg"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -179,6 +180,49 @@ func TestDeadSlotRefilledAfterTimeout(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Error("the late joiner did not exit after cluster close")
+	}
+}
+
+// TestClusterReducePayloadIsOneGroup: a reduction job's Result.Payload
+// is the lone group ⟨0, SUM⟩ in EncodeTupleGroups' single-SUM layout —
+// the encoding every GROUP BY result has — and is empty, with Sum +0,
+// for an input with no rows. The inputs hold signed zeros, NaN, both
+// infinities and 2^1000.
+func TestClusterReducePayloadIsOneGroup(t *testing.T) {
+	c, err := NewCluster(ClusterSpec{Nodes: 3, JoinTimeout: 30 * time.Second, Config: matrixConfig(), Options: quietOpts()})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	big := math.Ldexp(1, 1000)
+	for _, vals := range [][]float64{
+		{0, math.Copysign(0, -1), 0},
+		{math.Copysign(0, -1)},
+		append(workload.Values64(3, 100, workload.MixedMag), big, -big, big, 1),
+		{1, math.NaN(), big},
+		{math.Inf(1), big, -1},
+		{math.Copysign(0, -1), math.Inf(-1)},
+		{math.Inf(1), 2, math.Inf(-1)},
+		nil,
+	} {
+		var want []byte
+		wantSum := 0.0
+		if len(vals) > 0 {
+			ref := rsum.NewState64(core.DefaultLevels)
+			ref.AddSliceVec(vals)
+			wantSum = ref.Value()
+			want = dist.EncodeTupleGroups([]dist.TupleGroup{{Key: 0, Aggs: []float64{wantSum}}}, 1)
+		}
+		res, err := c.Run(Job{Workers: 2, Source: ValueShards(shardFloats(vals, 5))})
+		if err != nil {
+			t.Fatalf("%v: %v", vals, err)
+		}
+		if !bytes.Equal(res.Payload, want) {
+			t.Fatalf("%v: payload %x, want %x", vals, res.Payload, want)
+		}
+		if math.Float64bits(res.Sum) != math.Float64bits(wantSum) {
+			t.Fatalf("%v: Sum %016x, want %016x", vals, math.Float64bits(res.Sum), math.Float64bits(wantSum))
+		}
 	}
 }
 

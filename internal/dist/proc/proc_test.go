@@ -411,7 +411,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		{Kind: sqlagg.AggAvg, Levels: 2, Col: 1},
 	}
 	jb, err := encodeJobSpec(jobSpec{
-		jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4,
+		jobIdx: 3, incarnation: 2, workers: 4,
 		specs: specs, rows: 3, ncols: 2,
 	})
 	if err != nil {
@@ -430,20 +430,20 @@ func TestSpecRoundTrip(t *testing.T) {
 
 	// A negative row count is rejected with the shape; a hostile
 	// positive one is TestRowSinkRejections' (budget, before allocation).
-	reduceHdr, err := encodeJobSpec(jobSpec{op: opReduce, workers: 1, rows: 1, ncols: 1})
+	reduceHdr, err := encodeJobSpec(jobSpec{workers: 1, rows: 1, ncols: 1})
 	if err != nil {
 		t.Fatalf("encodeJobSpec(reduce): %v", err)
 	}
 	negative := append([]byte(nil), reduceHdr...)
-	binary.LittleEndian.PutUint64(negative[17:], uint64(1<<63)) // the row count
+	binary.LittleEndian.PutUint64(negative[18:], uint64(1<<63)) // the row count
 	if _, err := decodeJobSpec(negative); err == nil {
 		t.Error("negative-row job decoded without error")
 	}
 	// A reduction job must carry exactly one column.
-	if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1, rows: 1, ncols: 2}); err == nil {
+	if _, err := encodeAndDecode(jobSpec{workers: 1, rows: 1, ncols: 2}); err == nil {
 		t.Error("two-column reduction job decoded without error")
 	}
-	if _, err := encodeAndDecode(jobSpec{op: opGroupBy, workers: 1, specs: specs}); err == nil {
+	if _, err := encodeAndDecode(jobSpec{workers: 1, specs: specs}); err == nil {
 		t.Error("zero-column job decoded without error")
 	}
 
@@ -574,9 +574,9 @@ var controlCodecs = []struct {
 func FuzzControlDecode(f *testing.F) {
 	specs := []sqlagg.AggSpec{{Kind: sqlagg.AggSum, Levels: 2, Col: 0}, {Kind: sqlagg.AggAvg, Levels: 2, Col: 1}}
 	jobs := []jobSpec{
-		{jobIdx: 3, incarnation: 2, op: opGroupBy, workers: 4, specs: specs, rows: 3, ncols: 2},
-		{op: opReduce, workers: 1, rows: 100, ncols: 1},
-		{jobIdx: 1, op: opReduce, workers: 2, rows: 12345, ncols: 1},
+		{jobIdx: 3, incarnation: 2, workers: 4, specs: specs, rows: 3, ncols: 2},
+		{workers: 1, rows: 100, ncols: 1},
+		{jobIdx: 1, workers: 2, rows: 12345, ncols: 1},
 	}
 	conf := encodeConf(clusterConf{N: 3, MaxChunkPayload: 4096, Heartbeat: 500 * time.Millisecond, KillNode: -1, DieNode: -1,
 		Faults: dist.FaultPlan{Seed: 42, DropProb: 0.25, Reorder: true}})

@@ -192,7 +192,7 @@ func equalBits(a, b []float64) bool {
 func smallStream(t *testing.T, jobIdx, inc int) (jobSpec, []dist.Frame) {
 	t.Helper()
 	src := RowShards([][]uint32{{5, 6, 7}}, [][][]float64{{{1.5, -2, math.Inf(1)}, {4, 5, 6}}})
-	js := jobSpec{jobIdx: jobIdx, incarnation: inc, op: opGroupBy, workers: 1,
+	js := jobSpec{jobIdx: jobIdx, incarnation: inc, workers: 1,
 		specs: twoColSpecs(), rows: 3, ncols: 2}
 	return js, frames(newRowStream(&src, 2, 1, 0, jobIdx, inc), 8)
 }
@@ -230,7 +230,7 @@ func TestRowSinkRejections(t *testing.T) {
 		}
 	})
 	t.Run("reduction with ncols != 1", func(t *testing.T) {
-		if _, err := encodeAndDecode(jobSpec{op: opReduce, workers: 1, rows: 1, ncols: 2}); err == nil {
+		if _, err := encodeAndDecode(jobSpec{workers: 1, rows: 1, ncols: 2}); err == nil {
 			t.Fatal("decoded without error")
 		}
 	})

@@ -17,19 +17,13 @@ import (
 // agree on before any job exists: size, protocol knobs, fault plan,
 // liveness cadence. Every member is sent it at admission (KindConf),
 // and a returning member's join hello carries its digest, so a worker
-// holding another config cannot rejoin. Per-job state — the
-// operation, aggregate catalog, and the shape of the input — travels
-// in the KindJob payload (jobSpec), which is what lets one cluster run
-// many jobs; the rows themselves follow it as the KindRows chunks of
-// one rows stream (rowStream → rowSink). Everything is
-// little-endian and versioned; decoders validate lengths and never
-// over-allocate on a corrupt prefix.
-
-// Operations a worker can execute.
-const (
-	opReduce byte = 1 + iota
-	opGroupBy
-)
+// holding another config cannot rejoin. Per-job state — the aggregate
+// catalog and the shape of the input — travels in the KindJob payload
+// (jobSpec), which is what lets one cluster run many jobs; the rows
+// themselves follow it as the KindRows chunks of one rows stream
+// (rowStream → rowSink). Everything is little-endian and versioned;
+// decoders validate lengths and never over-allocate on a corrupt
+// prefix.
 
 // specVersion versions the control-plane encodings — the only version
 // a cluster ever speaks. It is the first byte of the conf blob, so a
@@ -59,8 +53,12 @@ const (
 // whether the worker is returning, and the control plane uses one
 // stream id per job plus one for the cluster's lifetime; an 11 worker's
 // fresh-join flag reads as an invalid flags byte, which is why the
-// hello's decoder checks the spec version first.
-const specVersion = 12
+// hello's decoder checks the spec version first. Version 13 = the job
+// spec lost its operation byte (an empty aggregate catalog is the
+// reduction, and a reduction's result payload is encoded tuple groups
+// like a GROUP BY's); a 13 would read a 12's operation byte as the
+// worker count's first byte.
+const specVersion = 13
 
 // ControlSpecVersion exposes the control-plane spec version for status
 // surfaces (reproserve /stats); the unexported name stays the one the
@@ -446,35 +444,31 @@ func decodePeers(payload []byte) (jobIdx, epoch int, addrs []string, err error) 
 	return jobIdx, epoch, addrs, nil
 }
 
-// jobSpec is the decoded KindJob payload: which operation to run and
-// its shape, down to this worker's rows, which follow on the same
+// jobSpec is the decoded KindJob payload: the job's aggregate catalog
+// and its shape, down to this worker's rows, which follow on the same
 // connection as a KindRows stream.
 type jobSpec struct {
 	jobIdx      int
 	incarnation int // 0 = original dispatch; >0 = re-shipped to a replacement
-	op          byte
 	workers     int
-	specs       []sqlagg.AggSpec // groupby only
+	specs       []sqlagg.AggSpec // empty for a reduction (see Job.Specs)
 	rows, ncols int              // this worker's row count and value columns per row
 }
 
 // encodeJobSpec flattens a job:
 //
-//	4B job index, 4B incarnation, 1B op, 8B workers,
-//	[groupby: aggregate catalog (sqlagg.EncodeSpecs, self-delimiting)],
-//	8B rows, 2B ncols (the rows themselves follow as KindRows chunks,
-//	see rowStream)
+//	4B job index, 4B incarnation, 8B workers,
+//	aggregate catalog (sqlagg.EncodeSpecs, self-delimiting; a zero
+//	count for a reduction), 8B rows, 2B ncols (the rows themselves
+//	follow as KindRows chunks, see rowStream)
 func encodeJobSpec(j jobSpec) ([]byte, error) {
 	b := make([]byte, 0, 64)
 	b = appendU32(b, uint32(j.jobIdx))
 	b = appendU32(b, uint32(j.incarnation))
-	b = append(b, j.op)
 	b = appendI64(b, int64(j.workers))
-	if j.op == opGroupBy {
-		var err error
-		if b, err = sqlagg.EncodeSpecs(b, j.specs); err != nil {
-			return nil, err
-		}
+	b, err := sqlagg.EncodeSpecs(b, j.specs)
+	if err != nil {
+		return nil, err
 	}
 	b = appendI64(b, int64(j.rows))
 	return appendU16(b, uint16(j.ncols)), nil
@@ -484,33 +478,25 @@ func encodeJobSpec(j jobSpec) ([]byte, error) {
 // the remaining bytes.
 func decodeJobSpec(payload []byte) (jobSpec, error) {
 	r := &confReader{b: payload, what: "job spec"}
-	j := jobSpec{
-		jobIdx: int(r.u32()), incarnation: int(r.u32()),
-		op: r.byteVal(), workers: int(r.i64()),
-	}
+	j := jobSpec{jobIdx: int(r.u32()), incarnation: int(r.u32()), workers: int(r.i64())}
 	if r.err != nil {
 		return j, r.err
-	}
-	if j.op != opReduce && j.op != opGroupBy {
-		return j, fmt.Errorf("proc: unknown operation %d in job spec", j.op)
 	}
 	if j.workers < 1 {
 		return j, fmt.Errorf("proc: job spec declares %d worker goroutines", j.workers)
 	}
-	if j.op == opGroupBy {
-		specs, n, err := sqlagg.DecodeSpecsPrefix(r.b)
-		if err != nil {
-			return j, fmt.Errorf("proc: job spec aggregate catalog: %w", err)
-		}
-		j.specs = specs
-		r.take(n)
+	specs, n, err := sqlagg.DecodeSpecsPrefix(r.b) // empty for a reduction
+	if err != nil {
+		return j, fmt.Errorf("proc: job spec aggregate catalog: %w", err)
 	}
+	j.specs = specs
+	r.take(n)
 	rows := r.i64()
 	j.rows, j.ncols = int(rows), int(r.u16())
 	if err := r.done(); err != nil {
 		return j, err
 	}
-	if rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || j.op == opReduce && j.ncols != 1 {
+	if rows < 0 || int64(j.rows) != rows || j.ncols < 1 || j.ncols > maxJobCols || len(j.specs) == 0 && j.ncols != 1 {
 		return j, fmt.Errorf("%w: job declares %d rows × %d columns", dist.ErrBadFrame, rows, j.ncols)
 	}
 	return j, nil
@@ -640,7 +626,7 @@ type rowSink struct {
 func newRowSink(js jobSpec, budget int, mem *jobMemory) (*rowSink, error) {
 	s := &rowSink{jobIdx: js.jobIdx, inc: js.incarnation, rows: js.rows, seg: 1}
 	width := 8 * js.ncols
-	if js.op == opGroupBy {
+	if len(js.specs) > 0 {
 		width, s.seg = width+4, 0
 	}
 	if js.rows > budget/width {
@@ -650,7 +636,7 @@ func newRowSink(js jobSpec, budget int, mem *jobMemory) (*rowSink, error) {
 	if mem == nil {
 		mem = new(jobMemory)
 	}
-	if js.op == opGroupBy {
+	if len(js.specs) > 0 {
 		s.keys = grown(&mem.keys, js.rows)
 	}
 	flat := grown(&mem.vals, js.ncols*js.rows)

@@ -720,16 +720,12 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 	cfg := conf.distConfig()
 	go func() {
 		defer close(job.done)
-		var payload []byte
+		var gs []dist.TupleGroup
 		var err error
-		if js.op == opReduce {
-			payload, err = dist.RunReduceNode(id, job.sink.cols[0], js.workers, ptr, cfg)
+		if len(js.specs) == 0 {
+			gs, err = dist.RunReduceNode(id, job.sink.cols[0], js.workers, ptr, cfg, &job.mem.node)
 		} else {
-			var gs []dist.TupleGroup
 			gs, err = dist.RunGroupByNode(id, job.sink.keys, job.sink.cols, js.workers, js.specs, ptr, cfg, &job.mem.node)
-			if err == nil && id == 0 {
-				payload = dist.EncodeTupleGroups(gs, len(js.specs))
-			}
 		}
 		if errors.Is(err, dist.ErrClosed) {
 			return // deliberate teardown (job done, shutdown, next job)
@@ -741,7 +737,7 @@ func startJob(job *workerJob, c *ctlConn, id int, conf clusterConf, addrs []stri
 		if id == 0 {
 			_ = c.send(dist.Frame{
 				Kind: dist.KindResult, From: id, Seq: ctrlSeqJob(js.jobIdx),
-				Payload: payload,
+				Payload: dist.EncodeTupleGroups(gs, max(len(js.specs), 1)),
 			})
 		}
 	}()

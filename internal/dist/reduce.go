@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -29,8 +30,8 @@ type Config struct {
 	// fault-injection decorator (see FaultPlan).
 	Faults *FaultPlan
 	// ChildDeadline is how long a node waits in silence for what it
-	// still expects — a child's partial in the reduction tree, a
-	// shuffle or gather payload in GROUP BY — before re-requesting it
+	// still expects — a shuffle message as an owner, a gather message
+	// as the root — before re-requesting it
 	// (straggler handling; default 1s). Spurious re-requests are
 	// harmless: frames are deduplicated by (from, seq).
 	ChildDeadline time.Duration
@@ -215,35 +216,17 @@ func (g *sendGate) done() {
 	g.mu.Unlock()
 }
 
-// childrenOf lists the nodes that ship their partial to id — the nodes
-// whose parent is id.
-func childrenOf(id, n int) []int {
-	var kids []int
-	for c := 1; c < n; c++ {
-		if parent(c) == id {
-			kids = append(kids, c)
-		}
-	}
-	return kids
-}
-
-// Reduce computes the reproducible global SUM over a sharded input:
-// shards[i] is the slice of values held by cluster node i. Each node
-// sums its shard locally with the given number of parallel workers,
-// then the partials are reduced over the binomial tree, traveling
-// between nodes as canonical binary encodings. The result is
-// bit-identical for every shard assignment of the same multiset of
-// values, every cluster size, every worker count, and every message
-// arrival order.
-func Reduce(shards [][]float64, workers int) (float64, error) {
-	return ReduceConfig(shards, workers, Config{})
-}
-
-// ReduceConfig is Reduce over an explicitly configured interconnect —
-// in-process channels, TCP sockets on loopback, or either wrapped in
-// the fault-injection decorator. The returned bits are identical across
-// every configuration: reproducibility comes from the canonical state
-// algebra, not from transport behavior.
+// ReduceConfig computes the reproducible global SUM over a sharded
+// input — shards[i] is the slice of values held by cluster node i —
+// over an explicitly configured interconnect: in-process channels, TCP
+// sockets on loopback, or either wrapped in the fault-injection
+// decorator. Each node sums its shard locally with the given number of
+// parallel workers and ships its partial through the GROUP BY exchange
+// (see RunReduceNode). The result is bit-identical for every shard
+// assignment of the same multiset of values, every cluster size, every
+// worker count, every message arrival order and every configuration:
+// reproducibility comes from the canonical state algebra, not from
+// transport behavior.
 func ReduceConfig(shards [][]float64, workers int, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -261,17 +244,13 @@ func ReduceConfig(shards [][]float64, workers int, cfg Config) (float64, error) 
 	}
 	defer tr.Close()
 
-	payload, err := runNodes(n, func(id int) ([]byte, error) {
-		return RunReduceNode(id, shards[id], workers, tr, cfg)
+	gs, err := runNodes(n, func(id int) ([]TupleGroup, error) {
+		return RunReduceNode(id, shards[id], workers, tr, cfg, nil)
 	})
-	if err != nil {
+	if err != nil || len(gs) == 0 {
 		return 0, err
 	}
-	var final rsum.State64
-	if err := final.UnmarshalBinary(payload); err != nil {
-		return 0, err
-	}
-	return final.Value(), nil
+	return gs[0].Aggs[0], nil
 }
 
 // runNodes runs every node's role of an in-process plane, run(id), on a
@@ -286,64 +265,29 @@ func runNodes[R any](n int, run func(id int) (R, error)) (R, error) {
 	return run(0)
 }
 
-// RunReduceNode executes node id's role of the reduction tree over an
-// externally owned transport: sum the local shard, fold children's
-// partials in arrival order (reassembled from chunk streams,
-// deduplicated, with a straggler deadline per fan-in round), then ship
-// the merged partial to the parent — and keep serving retransmission
-// requests, chunk by chunk, until the caller closes the transport.
-//
-// The root returns the final canonical state encoding as soon as every
-// child has reported (its role ends there: the root sends nothing, so
-// there is nothing for it to retransmit). Every other node returns only
-// after the transport is closed underneath it, with the error its role
-// ended in (already announced to its parent as a KindError) — nil for a
-// clean run. Exported for runtimes that place each node in its own OS
-// process (internal/dist/proc); ReduceConfig runs the same function on
-// one goroutine per node.
-func RunReduceNode(id int, shard []float64, workers int, tr Transport, cfg Config) ([]byte, error) {
-	acc := localPartial(shard, workers)
-	col := newCollector(id, tr, cfg)
-	for _, kid := range childrenOf(id, tr.Nodes()) {
-		col.expect(kid, 0)
+// RunReduceNode executes node id's role of the distributed SUM over an
+// externally owned transport. Its combiner is the local fold
+// (localPartial): the shard becomes one rsum state, which ships as the
+// lone ⟨key 0, SUM⟩ record of a single-SUM shuffle (a one-SUM tuple
+// encodes to exactly the state's bytes). Key 0 has one owner, node 0,
+// so the exchange runs with node 0 as the only owner: one message per
+// node, merged at the root, and no gather. The root returns the lone
+// group, or none when no node has rows; every other node returns as
+// RunGroupByNode's do. mem is as there.
+func RunReduceNode(id int, shard []float64, workers int, tr Transport, cfg Config, mem *NodeMemory) ([]TupleGroup, error) {
+	if mem == nil {
+		mem = new(NodeMemory)
 	}
-	nodeErr := col.collect(func(msg Frame) error {
-		if msg.Kind != KindPartial {
-			return fmt.Errorf("%w: node %d got kind %d from node %d, want a partial", ErrBadFrame, id, msg.Kind, msg.From)
-		}
-		if err := acc.MergeBinary(msg.Payload); err != nil {
-			return fmt.Errorf("dist: node %d merging partial from node %d: %w", id, msg.From, err)
-		}
-		return nil
-	})
-
-	out := Frame{Kind: KindPartial, From: id}
-	if nodeErr == nil {
-		out.Payload, nodeErr = acc.MarshalBinary()
+	plan, err := mem.planFor(sumSpecs())
+	frames := mem.emptyFrames(1)
+	if err == nil && len(shard) > 0 {
+		acc := localPartial(shard, workers)
+		// The record's ⟨key 0, length⟩ header (appendTuple's layout),
+		// then the tuple, which is the state's encoding.
+		frames[0] = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(frames[0], 0), uint32(plan.Width()))
+		frames[0], err = acc.AppendBinary(frames[0])
 	}
-	if nodeErr == nil && len(out.Payload) > cfg.maxMessage() {
-		// Unreachable for real states (a partial is ~52 bytes) but kept
-		// for symmetry with the shuffle: no sender may emit a message
-		// its receiver could never reassemble.
-		nodeErr = fmt.Errorf("%w: partial from node %d is %d bytes (max message %d)",
-			ErrChunkBudget, id, len(out.Payload), cfg.maxMessage())
-	}
-	if nodeErr != nil {
-		out = Frame{Kind: KindError, From: id, Payload: EncodeErr(nodeErr)}
-	}
-
-	out.To = parent(id)
-	if out.To < 0 {
-		if nodeErr != nil {
-			return nil, nodeErr
-		}
-		return out.Payload, nil
-	}
-	cfg.gate.wait(id)
-	col.send(out)
-	cfg.gate.done()
-	col.serve()
-	return nil, nodeErr
+	return exchange(id, frames, err, tr, cfg, mem)
 }
 
 // localPartial sums one shard into a partial state using workers

@@ -10,31 +10,29 @@ import (
 	"time"
 )
 
-// The message layer of the simulated cluster. Reduce and AggregateByKey
-// are written against the Transport interface below, so the same
-// protocol code runs over in-process channels (ChanTransport, the
-// zero-copy path), real TCP sockets (one Endpoint per node: all in one
-// process as TCPTransport, or one per worker process), and any of those
-// wrapped in the fault-injection decorator (FaultTransport).
-// Reproducibility never depends on the transport: partial states travel
-// as canonical rsum encodings, merging is order-independent, and the
-// protocols deduplicate frames, so delays, duplication, reordering, and
-// dropped-then-retried frames cannot change the final bits.
+// The message layer of the simulated cluster. The exchange every
+// distributed aggregate runs is written against the Transport interface
+// below, so the same protocol code runs over in-process channels
+// (ChanTransport, the zero-copy path), real TCP sockets (one Endpoint
+// per node: all in one process as TCPTransport, or one per worker
+// process), and any of those wrapped in the fault-injection decorator
+// (FaultTransport). Reproducibility never depends on the transport:
+// partial states travel as canonical rsum encodings, merging is
+// order-independent, and the exchange deduplicates frames, so delays,
+// duplication, reordering, and dropped-then-retried frames cannot
+// change the final bits.
 
 // Frame kinds. The kind tags what the payload means to the aggregation
 // protocols; the codec treats payloads as opaque bytes.
 const (
-	// KindPartial carries a canonical rsum.State64 encoding up the
-	// reduction tree.
-	KindPartial byte = 1 + iota
 	// KindGroups carries a shuffle frame of ⟨key, state⟩ pairs to the
 	// partition owner.
-	KindGroups
+	KindGroups byte = 1 + iota
 	// KindGather carries finalized groups from an owner to the root.
 	KindGather
 	// KindResend asks the receiver to retransmit its frame (straggler
-	// handling: a parent re-requests a child's partial after a
-	// deadline).
+	// handling: an owner re-requests a sender's shuffle message, the
+	// root an owner's gather, after a deadline).
 	KindResend
 	// KindError propagates a node failure; the payload is the error
 	// text.
@@ -51,9 +49,9 @@ const (
 	// members, which hold the cluster config) the run-config digest. A
 	// mismatch is rejected with a KindError carrying ErrHandshake.
 	KindHello
-	// KindJob carries the job spec (operation, aggregate catalog, and
-	// the shape of the rows that follow as KindRows) from the
-	// supervisor to a joined worker.
+	// KindJob carries the job spec (aggregate catalog — empty for a
+	// reduction — and the shape of the rows that follow as KindRows)
+	// from the supervisor to a joined worker.
 	KindJob
 	// KindResult carries the root worker's finalized result back to
 	// the supervisor.
@@ -131,10 +129,11 @@ type Frame struct {
 //	28+m    4     CRC-32 (IEEE) of bytes [0, 28+m)
 //
 // A frame of any other version is rejected at the trust boundary (the
-// cluster is always homogeneous).
+// cluster is always homogeneous). Version 3 = the reduction tree's
+// partial kind is gone, so every kind byte is one lower than in 2.
 const (
 	frameMagic   = 0x5250
-	frameVersion = 2
+	frameVersion = 3
 	frameHdrSize = 2 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 4
 	frameCRCSize = 4
 
@@ -166,9 +165,9 @@ var (
 	// reassembly budget (Config.ReassemblyBudget) — the defense against
 	// a peer that declares huge messages to OOM its receiver.
 	ErrChunkBudget = errors.New("dist: chunk reassembly budget exceeded")
-	// ErrStraggler is returned when a child node stayed silent through
-	// every re-request deadline.
-	ErrStraggler = errors.New("dist: straggler child unresponsive after re-requests")
+	// ErrStraggler is returned when a peer stayed silent through every
+	// re-request deadline.
+	ErrStraggler = errors.New("dist: straggler peer unresponsive after re-requests")
 	// ErrHandshake is returned when a worker's join handshake
 	// (KindHello) disagrees with the supervisor on the frame version,
 	// the rsum level count, or the run-config digest. A heterogeneous

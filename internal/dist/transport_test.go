@@ -17,7 +17,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Kind: KindPartial, From: 3, To: 0, Seq: 0, Chunks: 1, Payload: []byte("partial-state")},
+		{Kind: KindGroups, From: 3, To: 0, Seq: 0, Chunks: 1, Payload: []byte("partial-state")},
 		{Kind: KindGroups, From: 0, To: 7, Seq: seqShuffle, Chunks: 1, Payload: nil},
 		{Kind: KindGather, From: 61, To: 0, Seq: seqGather, Chunks: 1, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 		{Kind: KindGroups, From: 4, To: 2, Seq: seqShuffle, Chunk: 2, Chunks: 5, Payload: []byte("mid-chunk")},
@@ -62,7 +62,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
-	good := EncodeFrame(Frame{Kind: KindPartial, From: 1, To: 2, Seq: 9, Chunks: 1, Payload: []byte("hello world")})
+	good := EncodeFrame(Frame{Kind: KindGroups, From: 1, To: 2, Seq: 9, Chunks: 1, Payload: []byte("hello world")})
 
 	// Every single-bit flip must be rejected (magic, version, kind,
 	// routing, length, payload, or CRC damage — the checksum catches
@@ -94,7 +94,7 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	}
 	// Invalid chunk headers must be rejected at the trust boundary.
 	bad := []Frame{
-		{Kind: KindPartial, Chunks: 0},                      // data frame without a chunk count
+		{Kind: KindGroups, Chunks: 0},                       // data frame without a chunk count
 		{Kind: KindGroups, Chunk: 3, Chunks: 3},             // index out of range
 		{Kind: KindGather, Chunks: MaxChunksPerMessage + 1}, // hostile chunk count
 		{Kind: KindResend, Chunk: 0, Chunks: 2},             // resend selector beyond 0/1
@@ -129,7 +129,7 @@ func TestTCPFrameOverWire(t *testing.T) {
 	s := rsum.NewState64(levels)
 	s.AddSliceVec(workload.Values64(5, 1000, workload.MixedMag))
 	enc, _ := s.MarshalBinary()
-	if err := tr.Send(Frame{Kind: KindPartial, From: 1, To: 0, Chunks: 1, Payload: enc}); err != nil {
+	if err := tr.Send(Frame{Kind: KindGroups, From: 1, To: 0, Chunks: 1, Payload: enc}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := tr.Recv(0, 2*time.Second)
@@ -231,8 +231,9 @@ func TestAggregateByKeyTransportMatrix(t *testing.T) {
 }
 
 // TestStragglerRerequest forces the straggler path deterministically: a
-// transport that swallows the first transmission of every partial, so
-// parents only make progress through deadline → re-request → retransmit.
+// transport that swallows the first transmission of every non-root
+// node's shuffle chunk, partial included, so owners only make progress
+// through deadline → re-request → retransmit.
 func TestStragglerRerequest(t *testing.T) {
 	const n = 2000
 	vals := workload.Values64(23, n, workload.MixedMag)
@@ -240,8 +241,10 @@ func TestStragglerRerequest(t *testing.T) {
 	ref.AddSliceVec(vals)
 	want := math.Float64bits(ref.Value())
 
+	var hole *firstSendBlackhole
 	factory := func(n int) (Transport, error) {
-		return &firstSendBlackhole{Transport: NewChanTransport(n), dropped: make(map[chunkID]bool)}, nil
+		hole = &firstSendBlackhole{Transport: NewChanTransport(n), dropped: make(map[chunkID]bool)}
+		return hole, nil
 	}
 	cfg := Config{NewTransport: factory, ChildDeadline: 2 * time.Millisecond, MaxResend: -1}
 	got, err := ReduceConfig(shard(vals, 6), 1, cfg)
@@ -251,10 +254,13 @@ func TestStragglerRerequest(t *testing.T) {
 	if bits := math.Float64bits(got); bits != want {
 		t.Fatalf("%016x, want %016x", bits, want)
 	}
+	if !hole.dropped[chunkID{1, 0, seqShuffle, 0}] {
+		t.Fatal("node 1's partial to the root was never swallowed")
+	}
 }
 
-// TestStragglerGivesUp: a child that never answers must surface
-// ErrStraggler instead of hanging.
+// TestStragglerGivesUp: a node whose partial never arrives must
+// surface ErrStraggler instead of hanging.
 func TestStragglerGivesUp(t *testing.T) {
 	factory := func(n int) (Transport, error) {
 		return &partialBlackhole{Transport: NewChanTransport(n)}, nil
@@ -308,11 +314,12 @@ func TestGroupByStragglerGivesUp(t *testing.T) {
 }
 
 // firstSendBlackhole swallows the first transmission of every distinct
-// chunk of the selected kinds (default: partials); retransmissions
-// (triggered by chunk-level re-requests) pass.
+// chunk of the selected kinds (default: non-root nodes' shuffle chunks,
+// which carry the reduction's partials); retransmissions (triggered by
+// chunk-level re-requests) pass.
 type firstSendBlackhole struct {
 	Transport
-	kinds   map[byte]bool // nil means {KindPartial}
+	kinds   map[byte]bool // nil means KindGroups from non-root nodes
 	mu      sync.Mutex
 	dropped map[chunkID]bool
 }
@@ -326,7 +333,7 @@ type chunkID struct {
 }
 
 func (b *firstSendBlackhole) Send(f Frame) error {
-	match := f.Kind == KindPartial
+	match := f.Kind == KindGroups && f.From != 0
 	if b.kinds != nil {
 		match = b.kinds[f.Kind]
 	}
@@ -343,12 +350,12 @@ func (b *firstSendBlackhole) Send(f Frame) error {
 	return b.Transport.Send(f)
 }
 
-// partialBlackhole swallows every partial, so children look permanently
-// unresponsive.
+// partialBlackhole swallows every shuffle chunk of a non-root node, so
+// those nodes' partials never arrive.
 type partialBlackhole struct{ Transport }
 
 func (b *partialBlackhole) Send(f Frame) error {
-	if f.Kind == KindPartial {
+	if f.Kind == KindGroups && f.From != 0 {
 		return nil
 	}
 	return b.Transport.Send(f)
@@ -460,11 +467,11 @@ func TestChunkCountBoundEnforcedSenderSide(t *testing.T) {
 func TestHostileChunksRejected(t *testing.T) {
 	hostile := []Frame{
 		// Declares a chunk count past the per-message bound.
-		{Kind: KindPartial, From: 1, To: 0, Seq: 0, Chunk: 0, Chunks: MaxChunksPerMessage + 1, Payload: []byte("x")},
+		{Kind: KindGroups, From: 1, To: 0, Seq: 0, Chunk: 0, Chunks: MaxChunksPerMessage + 1, Payload: []byte("x")},
 		// Index out of declared range.
-		{Kind: KindPartial, From: 1, To: 0, Seq: 0, Chunk: 5, Chunks: 2, Payload: []byte("x")},
+		{Kind: KindGroups, From: 1, To: 0, Seq: 0, Chunk: 5, Chunks: 2, Payload: []byte("x")},
 		// Empty chunk of a multi-chunk message.
-		{Kind: KindPartial, From: 1, To: 0, Seq: 0, Chunk: 0, Chunks: 2},
+		{Kind: KindGroups, From: 1, To: 0, Seq: 0, Chunk: 0, Chunks: 2},
 	}
 	for i, h := range hostile {
 		h := h

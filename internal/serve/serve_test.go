@@ -943,29 +943,40 @@ func BenchmarkGroupByLocal(b *testing.B) {
 	}
 }
 
-// BenchmarkNewDataset times a load at serve_mix's shape — 2^19 rows over
-// 4 096 keys and 8 value columns, GOMAXPROCS load workers: the digest,
-// the partitioning pass, the sort and the runs' extents. ext_B is the
-// bytes the extents take.
+// BenchmarkNewDataset times a load of 2^19 rows and 8 value columns,
+// GOMAXPROCS load workers — the digest, the partitioning pass, the sort
+// and the runs' extents — at serve_mix's 4 096 keys and at one row per
+// key, where every run is a one-value extent. ext_B is the bytes the
+// extents take.
 func BenchmarkNewDataset(b *testing.B) {
-	const rows, groups, ncols = 1 << 19, 4096, 8
-	keys := workload.Keys(42, rows, groups)
-	cols := make([][]float64, ncols)
-	for c := range cols {
-		cols[c] = workload.Values64(43+uint64(c), rows, workload.MixedMag)
+	const rows, ncols = 1 << 19, 8
+	for _, groups := range []uint32{4096, rows} {
+		b.Run(fmt.Sprintf("keys=%d", groups), func(b *testing.B) {
+			keys := workload.Keys(42, rows, groups)
+			if groups == rows { // every key once, in random order
+				for i := range keys {
+					keys[i] = uint32(i)
+				}
+				workload.Shuffle(42, keys)
+			}
+			cols := make([][]float64, ncols)
+			for c := range cols {
+				cols[c] = workload.Values64(43+uint64(c), rows, workload.MixedMag)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var ds *Dataset
+			for range b.N {
+				var err error
+				if ds, err = NewDataset(keys, cols, DatasetOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ext := 0
+			for _, pt := range ds.parts {
+				ext += 2 * len(pt.ext) // an rsum.Extent is an int16
+			}
+			b.ReportMetric(float64(ext), "ext_B")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var ds *Dataset
-	for range b.N {
-		var err error
-		if ds, err = NewDataset(keys, cols, DatasetOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ext := 0
-	for _, pt := range ds.parts {
-		ext += 2 * len(pt.ext) // an rsum.Extent is an int16
-	}
-	b.ReportMetric(float64(ext), "ext_B")
 }

@@ -263,6 +263,9 @@ func EncodeSpecs(dst []byte, specs []AggSpec) ([]byte, error) {
 // be exactly consumed; malformed bytes are errors, never panics.
 func DecodeSpecs(data []byte) ([]AggSpec, error) {
 	specs, n, err := DecodeSpecsPrefix(data)
+	if err == nil && len(specs) == 0 {
+		return nil, fmt.Errorf("%w: spec count 0", ErrBadSpec)
+	}
 	if err == nil && n != len(data) {
 		return nil, fmt.Errorf("%w: spec list length %d for %d specs", ErrBadSpec, len(data), len(specs))
 	}
@@ -272,13 +275,14 @@ func DecodeSpecs(data []byte) ([]AggSpec, error) {
 // DecodeSpecsPrefix parses a spec list from the front of data,
 // returning the specs plus the number of bytes the list occupied —
 // for callers embedding a spec list inside a larger payload (the
-// cluster runtime's job specs do).
+// cluster runtime's job specs do, where an empty list is the
+// reduction). Unlike DecodeSpecs it accepts the empty list.
 func DecodeSpecsPrefix(data []byte) ([]AggSpec, int, error) {
 	if len(data) < 2 {
 		return nil, 0, fmt.Errorf("%w: truncated spec list", ErrBadSpec)
 	}
 	count := int(binary.LittleEndian.Uint16(data))
-	if count == 0 || count > maxSpecs {
+	if count > maxSpecs {
 		return nil, 0, fmt.Errorf("%w: spec count %d", ErrBadSpec, count)
 	}
 	n := 2 + count*specWireSize

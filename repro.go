@@ -233,8 +233,8 @@ func WithFaults(plan FaultPlan) DistOption {
 }
 
 // WithStragglerDeadline sets how long a node waits in silence for what
-// it still expects — a child's partial in the reduction tree, a
-// shuffle or gather payload in GROUP BY — before re-requesting it
+// it still expects — a shuffle message as an owner, a gather message
+// as the root — before re-requesting it
 // (straggler handling). Spurious re-requests are harmless; frames are
 // deduplicated. d must be positive: a non-positive value fails the
 // operation immediately with ErrConfig.
@@ -303,10 +303,10 @@ func distConfig(opts []DistOption) dist.Config {
 // DistributedSum computes the reproducible SUM of a sharded input on a
 // simulated cluster with one node per shard: every node sums its shard
 // locally (with the given per-node worker count), and the partial
-// states are reduced over a binomial tree, traveling between nodes as
-// canonical binary encodings (§III-D of the paper: local summation per
-// process, then a global reduce, as in an MPI_Reduce, whose library
-// and not its caller picks the tree). The result carries the same bits
+// states travel as canonical binary encodings through the exchange
+// every distributed GROUP BY runs, as one group under key 0 (§III-D of
+// the paper: local summation per process, then a global merge, which
+// is exact, so no combining tree is the caller's choice). The result carries the same bits
 // as Sum over the concatenated shards — for every cluster size, worker
 // count, message arrival order, transport (WithTCPTransport), and
 // fault plan (WithFaults). The nodes are goroutines of this process;
